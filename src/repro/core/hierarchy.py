@@ -52,9 +52,12 @@ recovery state.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
+from repro import obs
 from repro.core.errors import ConfigError
 from repro.core.estimator import TWaitEstimator
 
@@ -109,6 +112,8 @@ class LoggerTree:
     the bottom) and never changes; its *parent* can move to any node of
     a strictly lower level, which is how a subtree survives the death of
     every hub at one tier (its loggers re-parent straight to the root).
+    ``version`` counts mutations (``add`` and ``reparent``), so a reader
+    can tell whether the tree moved since it last looked.
     """
 
     def __init__(self, root: str) -> None:
@@ -116,6 +121,9 @@ class LoggerTree:
         self._parents: dict[str, str] = {}
         self._levels: dict[str, int] = {root: 0}
         self._children: dict[str, set[str]] = {root: set()}
+        # level -> sorted names; levels are fixed, so add() is the only writer.
+        self._by_level: dict[int, list[str]] = {0: [root]}
+        self.version = 0
 
     # -- construction ------------------------------------------------------
 
@@ -133,6 +141,8 @@ class LoggerTree:
         self._parents[name] = parent
         self._children[name] = set()
         self._children[parent].add(name)
+        insort(self._by_level.setdefault(level, []), name)
+        self.version += 1
 
     # -- queries -----------------------------------------------------------
 
@@ -156,8 +166,15 @@ class LoggerTree:
     def children(self, name: str) -> tuple[str, ...]:
         return tuple(sorted(self._children.get(name, ())))
 
+    def child_count(self, name: str) -> int:
+        return len(self._children.get(name, ()))
+
     def at_level(self, level: int) -> tuple[str, ...]:
-        return tuple(sorted(n for n, lv in self._levels.items() if lv == level))
+        return tuple(self._by_level.get(level, ()))
+
+    def top_down(self) -> list[str]:
+        """Every non-root node in (level, name) order."""
+        return [n for level in sorted(self._by_level)[1:] for n in self._by_level[level]]
 
     def chain(self, leaf: str) -> tuple[str, ...]:
         """Escalation chain from ``leaf`` up to and including the root."""
@@ -206,6 +223,7 @@ class LoggerTree:
         self._children[old].discard(child)
         self._parents[child] = new_parent
         self._children[new_parent].add(child)
+        self.version += 1
 
     def to_dict(self) -> dict:
         """Deterministic JSON-ready snapshot (sorted keys)."""
@@ -264,12 +282,31 @@ class LinkEstimate:
     round trips to finish a recovery.
     """
 
-    __slots__ = ("_rtt", "attempts", "retries")
+    __slots__ = ("_rtt", "_attempts", "retries", "_touched")
 
-    def __init__(self, *, alpha: float, initial: float, max_widen: float) -> None:
+    def __init__(
+        self,
+        *,
+        alpha: float,
+        initial: float,
+        max_widen: float,
+        touched: Callable[[], object] = lambda: None,
+    ) -> None:
         self._rtt = TWaitEstimator(alpha=alpha, initial=initial, max_widen=max_widen)
-        self.attempts = 0
+        self._attempts = 0
         self.retries = 0
+        # Called on every mutation that can change ``cost``: the owning
+        # manager re-examines the child at its next rescore.
+        self._touched = touched
+
+    @property
+    def attempts(self) -> int:
+        return self._attempts
+
+    @attempts.setter
+    def attempts(self, value: int) -> None:
+        self._attempts = value
+        self._touched()
 
     @property
     def rtt(self) -> float:
@@ -277,9 +314,9 @@ class LinkEstimate:
 
     @property
     def loss_rate(self) -> float:
-        if self.attempts <= 0:
+        if self._attempts <= 0:
             return 0.0
-        return min(self.retries / self.attempts, 0.75)
+        return min(self.retries / self._attempts, 0.75)
 
     @property
     def cost(self) -> float:
@@ -288,10 +325,12 @@ class LinkEstimate:
 
     def record_rtt(self, sample: float) -> None:
         self._rtt.record_last_ack(sample)
+        self._touched()
 
     def record_retry(self, widen: float = 1.5) -> None:
         self.retries += 1
         self._rtt.widen(widen)
+        self._touched()
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,7 +362,14 @@ class TreeManager:
     live set; the manager mutates the tree and returns the applied
     :class:`Reparent` moves for the runtime to wire into the protocol
     machines (``LogServer.set_parent`` + receiver chain updates).
+
+    ``seed_cost(child, parent)`` is the prior for a link with no samples
+    yet and must be a pure static function of the pair: ``link`` freezes
+    it into the estimator's initial value, and ``rescore`` relies on a
+    link's cost changing only through its :class:`LinkEstimate`.
     """
+
+    _REASONS = ("crash", "saturation", "cost", "forced")
 
     def __init__(
         self,
@@ -349,15 +395,23 @@ class TreeManager:
         self._seed_cost = seed_cost or (lambda child, parent: 0.05)
         self._links: dict[tuple[str, str], LinkEstimate] = {}
         self._outstanding: dict[tuple[str, int], tuple[float, str]] = {}
+        # Children with a link touched since they were last examined, and
+        # the (live, saturated, tree.version) the last pass started under.
+        self._dirty: set[str] = set()
+        self._examined_under: tuple[frozenset[str], frozenset[str], int] | None = None
         self.moves: list[Reparent] = []
         self.stats = {
             "rescores": 0,
-            "reparents_crash": 0,
-            "reparents_saturation": 0,
-            "reparents_cost": 0,
-            "reparents_forced": 0,
+            **{f"reparents_{reason}": 0 for reason in self._REASONS},
             "rtt_samples": 0,
             "retries_seen": 0,
+        }
+        registry = obs.registry()
+        self._obs_rescores = registry.counter("hierarchy.rescores")
+        self._obs_full_passes = registry.counter("hierarchy.rescore_full_passes")
+        self._obs_examined = registry.counter("hierarchy.rescore_examined")
+        self._obs_reparents = {
+            reason: registry.counter(f"hierarchy.reparents.{reason}") for reason in self._REASONS
         }
 
     # -- per-link measurement ---------------------------------------------
@@ -370,6 +424,7 @@ class TreeManager:
                 alpha=self._link_alpha,
                 initial=max(self._seed_cost(child, parent), 1e-6),
                 max_widen=self._max_widen,
+                touched=partial(self._dirty.add, child),
             )
             self._links[key] = est
         return est
@@ -443,24 +498,20 @@ class TreeManager:
         Walk upward tier by tier: parents one level above first, then
         grandparent tier, finally the root (always a candidate of last
         resort — if the root is gone the failover machinery, not the
-        tree, is responsible).  Nodes inside ``child``'s own subtree are
-        never candidates (cycle).
+        tree, is responsible).  Every candidate sits at a lower level
+        than ``child`` and every descendant at a higher one, so no
+        candidate can form a cycle.
         """
-        tier = self.tree.level(child)
-        below = self.tree.subtree(child)
-        for level in range(tier - 1, 0, -1):
-            cands = [
-                n
-                for n in self.tree.at_level(level)
-                if n in live and n not in below
-            ]
+        tree = self.tree
+        for level in range(tree.level(child) - 1, 0, -1):
+            cands = [n for n in tree.at_level(level) if n in live]
             if cands:
-                open_slots = [n for n in cands if len(self.tree.children(n)) < self._fanout]
+                open_slots = [n for n in cands if tree.child_count(n) < self._fanout]
                 return open_slots or cands
-        return [self.tree.root]
+        return [tree.root]
 
     def _score(self, child: str, parent: str) -> float:
-        load = len(self.tree.children(parent))
+        load = self.tree.child_count(parent)
         if self.tree.parent(child) != parent:
             load += 1
         return self.cost(child, parent) + self._serve_cost * load
@@ -476,6 +527,7 @@ class TreeManager:
         self.tree.reparent(child, new_parent)
         self.moves.append(move)
         self.stats[f"reparents_{reason}"] += 1
+        self._obs_reparents[reason].inc()
         return move
 
     def rescore(
@@ -497,40 +549,74 @@ class TreeManager:
         Moves are applied eagerly so later decisions in the same pass
         see updated loads; iteration order (level, name) is
         deterministic across engines.
+
+        A child's verdict is a pure function of its parent, ``live``,
+        ``saturated``, the candidates' child counts and its link costs,
+        so only children whose inputs changed are examined (DESIGN §11):
+        all of them when ``(live, saturated)`` or ``tree.version`` differs
+        from what the previous pass started under, otherwise those with a
+        touched link and, once one of them moves, every child after it.
+        Everyone else's previous verdict, "stay", stands.
         """
         self.stats["rescores"] += 1
+        self._obs_rescores.inc()
         self._prune_outstanding(now)
+        tree = self.tree
+        under = (live, saturated, tree.version)
+        full = under != self._examined_under
+        self._examined_under = under
+        if full:
+            self._obs_full_passes.inc()
+            todo = tree.top_down()
+        else:
+            todo = sorted(
+                (c for c in self._dirty if tree.parent(c) is not None),
+                key=lambda n: (tree.level(n), n),
+            )
+        self._dirty.clear()
         moves: list[Reparent] = []
-        order = sorted(
-            (n for n in self.tree.nodes if n != self.tree.root),
-            key=lambda n: (self.tree.level(n), n),
-        )
-        for child in order:
-            parent = self.tree.parent(child)
-            assert parent is not None
-            parent_bad = parent not in live or parent in saturated
-            cands = self._candidates(child, live)
-            if parent_bad:
-                # Leaving a dead/saturated parent: never pick it again,
-                # and avoid piling onto another saturated hub unless it
-                # is the only live option.
-                alts = [p for p in cands if p != parent and p not in saturated]
-                alts = alts or [p for p in cands if p != parent]
-                if not alts:
-                    continue
-                best = min(alts, key=lambda p: (self._score(child, p), p))
-                reason = "crash" if parent not in live else "saturation"
-                moves.append(self._apply(child, best, reason, now))
-                continue
-            alts = [p for p in cands if p not in saturated or p == parent]
-            if not alts:
-                continue
-            best = min(alts, key=lambda p: (self._score(child, p), p))
-            if best != parent and (
-                self._score(child, best) * self._hysteresis < self._score(child, parent)
-            ):
-                moves.append(self._apply(child, best, "cost", now))
+        at = examined = 0
+        while at < len(todo):
+            child = todo[at]
+            at += 1
+            examined += 1
+            move = self._decide(child, now, live, saturated)
+            if move is not None:
+                moves.append(move)
+                if not full:
+                    full = True
+                    todo = tree.top_down()
+                    at = todo.index(child) + 1
+        self._obs_examined.inc(examined)
         return moves
+
+    def _decide(
+        self, child: str, now: float, live: frozenset[str], saturated: frozenset[str]
+    ) -> Reparent | None:
+        """Examine one child against the current tree; apply its move, if any."""
+        parent = self.tree.parent(child)
+        assert parent is not None
+        cands = self._candidates(child, live)
+        if parent not in live or parent in saturated:
+            # Leaving a dead/saturated parent: never pick it again,
+            # and avoid piling onto another saturated hub unless it
+            # is the only live option.
+            alts = [p for p in cands if p != parent and p not in saturated]
+            alts = alts or [p for p in cands if p != parent]
+            if not alts:
+                return None
+            best = min(alts, key=lambda p: (self._score(child, p), p))
+            reason = "crash" if parent not in live else "saturation"
+            return self._apply(child, best, reason, now)
+        alts = [p for p in cands if p not in saturated or p == parent]
+        if not alts:
+            return None
+        best = min(alts, key=lambda p: (self._score(child, p), p))
+        if best != parent and (
+            self._score(child, best) * self._hysteresis < self._score(child, parent)
+        ):
+            return self._apply(child, best, "cost", now)
+        return None
 
     def force_reparent(self, child: str, *, live: frozenset[str], now: float) -> Reparent | None:
         """Chaos hook: move ``child`` to its best live alternative parent.

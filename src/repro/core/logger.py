@@ -230,6 +230,11 @@ class LogServer(ProtocolMachine):
         return min(missing) - 1
 
     @property
+    def upstream_outstanding(self) -> int:
+        """Holes in this server's own log still being fetched upstream."""
+        return len(self._upstream_retries)
+
+    @property
     def replication(self) -> ReplicationManager | None:
         return self._replication
 

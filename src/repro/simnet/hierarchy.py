@@ -150,7 +150,7 @@ class HierarchyRuntime:
         return frozenset(
             name
             for name, (machine, node) in self._loggers.items()
-            if node.alive and len(machine._upstream_retries) >= threshold
+            if node.alive and machine.upstream_outstanding >= threshold
         )
 
     def rescore_now(self) -> list[Reparent]:

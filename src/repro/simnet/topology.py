@@ -144,6 +144,10 @@ class Network:
         # keyed on the cached member list object, which join/leave
         # replace) or a host appears (add_host clears it).
         self._fanout_cache: dict[tuple[str, str, int | None], tuple[list[str], list]] = {}
+        # group -> (member-list identity, {site name: [Host]} in member
+        # order): a TTL-scoped fan-out miss walks one site, not the group.
+        # Same validity rule and invalidation points as _fanout_cache.
+        self._site_member_cache: dict[str, tuple[list[str], dict[str, list[Host]]]] = {}
         # Fast path: one delivery event per distinct arrival time instead
         # of one per receiver, and one wakeup event per distinct node
         # deadline (the WakeupMux).  Off = the pre-batching per-receiver
@@ -263,6 +267,7 @@ class Network:
         # (join() does not validate existence) — cached fan-outs built
         # while it was missing must be rebuilt.
         self._fanout_cache.clear()
+        self._site_member_cache.clear()
         return host
 
     # -- lookup ----------------------------------------------------------
@@ -324,6 +329,18 @@ class Network:
             members = sorted(self._groups.get(group, ()))
             self._member_cache[group] = members
         return members
+
+    def _site_members(self, group: str, members: list[str], site: Site) -> list[Host]:
+        """``group``'s existing member hosts on ``site``, in member order."""
+        cached = self._site_member_cache.get(group)
+        if cached is None or cached[0] is not members:
+            by_site: dict[str, list[Host]] = {}
+            for name in members:
+                host = self._hosts.get(name)
+                if host is not None:
+                    by_site.setdefault(host.site.name, []).append(host)
+            cached = self._site_member_cache[group] = (members, by_site)
+        return cached[1].get(site.name, [])
 
     def members(self, group: str) -> frozenset[str]:
         return frozenset(self._groups.get(group, frozenset()))
@@ -394,13 +411,15 @@ class Network:
         cached = self._fanout_cache.get(fanout_key)
         if cached is None or cached[0] is not members:
             src_site = src.site
-            hosts = self._hosts
+            if ttl is not None and ttl < CROSS_SITE_HOPS:
+                # Scoped below cross-site reach: only the source's own
+                # site can be in range.
+                reachable = self._site_members(group, members, src_site)
+            else:
+                reachable = filter(None, map(self._hosts.get, members))
             pairs: list[tuple[Host, str]] = []
-            for member_name in members:
-                if member_name == src_name:
-                    continue
-                dst = hosts.get(member_name)
-                if dst is None:
+            for dst in reachable:
+                if dst.name == src_name:
                     continue
                 hops = SAME_SITE_HOPS if dst.site is src_site else CROSS_SITE_HOPS
                 if ttl is not None and hops > ttl:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.errors import ConfigError
 from repro.core.hierarchy import (
     LoggerTree,
@@ -198,14 +199,19 @@ class TestRescore:
         tree = build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)
         hubs = tree.at_level(1)
         leaf = tree.children(hubs[0])[0]
-        costs = {(leaf, hubs[0]): 0.05, (leaf, hubs[1]): 0.045}
+        # seed_cost is a static prior (TreeManager docstring): the
+        # alternative starts 10% cheaper and stays that way.
         mgr = _manager(
             tree, hysteresis=1.5, serve_cost=0.0,
-            seed_cost=lambda c, p: costs.get((c, p), 0.05),
+            seed_cost=lambda c, p: 0.045 if (c, p) == (leaf, hubs[1]) else 0.05,
         )
         live = frozenset(tree.nodes)
         assert mgr.rescore(1.0, live=live) == []  # 10% better: inside hysteresis
-        costs[(leaf, hubs[1])] = 0.01  # 5x better: move
+        # The incumbent link degrades the way the runtime reports it:
+        # requests that had to be re-sent.
+        mgr.note_request(leaf, [1, 2], now=1.0)
+        mgr.note_retry(leaf, [1, 2])
+        assert mgr.cost(leaf, hubs[0]) >= 5 * mgr.cost(leaf, hubs[1])  # 5x better: move
         moves = mgr.rescore(2.0, live=live)
         assert [m.child for m in moves] == [leaf]
         assert moves[0].reason == "cost"
@@ -220,6 +226,87 @@ class TestRescore:
             return [m.to_dict() for m in moves], tree.to_dict()
 
         assert run() == run()
+
+
+class TestIncrementalRescore:
+    """rescore examines only children whose decision inputs changed."""
+
+    def _tree(self):
+        return build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)
+
+    def _examined(self, reg):
+        return reg.counter_value("hierarchy.rescore_examined")
+
+    def test_quiet_epochs_examine_nothing(self):
+        with obs.recording() as reg:
+            tree = self._tree()
+            mgr = _manager(tree)
+            live = frozenset(tree.nodes)
+            mgr.rescore(1.0, live=live)
+            assert self._examined(reg) == 10  # first pass: every non-root node
+            mgr.rescore(2.0, live=live)
+            mgr.rescore(3.0, live=frozenset(tree.nodes))  # equal set, new object
+            assert self._examined(reg) == 10
+            assert reg.counter_value("hierarchy.rescore_full_passes") == 1
+            assert reg.counter_value("hierarchy.rescores") == 3
+
+    def test_touched_link_reexamines_its_child_only(self):
+        with obs.recording() as reg:
+            tree = self._tree()
+            mgr = _manager(tree)
+            live = frozenset(tree.nodes)
+            mgr.rescore(1.0, live=live)
+            mgr.note_request("s3", [1], now=1.0)
+            mgr.note_repair("s3", 1, now=1.05)
+            assert mgr.rescore(2.0, live=live) == []
+            assert self._examined(reg) == 10 + 1
+
+    def test_held_link_reference_still_marks_its_child(self):
+        tree = self._tree()
+        hubs = tree.at_level(1)
+        leaf = tree.children(hubs[0])[0]
+        mgr = _manager(tree, serve_cost=0.0)
+        live = frozenset(tree.nodes)
+        link = mgr.link(leaf, hubs[0])
+        link.attempts += 1
+        assert mgr.rescore(1.0, live=live) == []
+        assert mgr.rescore(2.0, live=live) == []
+        for _ in range(6):
+            link.record_retry()  # no manager call in between
+        moves = mgr.rescore(3.0, live=live)
+        assert [(m.child, m.new_parent, m.reason) for m in moves] == [(leaf, hubs[1], "cost")]
+
+    def test_live_saturated_or_tree_change_forces_a_full_pass(self):
+        with obs.recording() as reg:
+            tree = self._tree()
+            hubs = tree.at_level(1)
+            mgr = _manager(tree)
+            live = frozenset(tree.nodes)
+            mgr.rescore(1.0, live=live)
+            mgr.rescore(2.0, live=live, saturated=frozenset({"nobody"}))
+            mgr.rescore(3.0, live=live | {"newcomer"}, saturated=frozenset({"nobody"}))
+            tree.reparent(tree.children(hubs[0])[0], hubs[1])  # behind the manager's back
+            mgr.rescore(4.0, live=live | {"newcomer"}, saturated=frozenset({"nobody"}))
+            assert reg.counter_value("hierarchy.rescore_full_passes") == 4
+            assert self._examined(reg) == 40
+
+    def test_move_mid_pass_examines_everyone_after_it_and_next_pass(self):
+        with obs.recording() as reg:
+            tree = self._tree()
+            hubs = tree.at_level(1)
+            mgr = _manager(tree, serve_cost=0.0)
+            live = frozenset(tree.nodes)
+            mgr.rescore(1.0, live=live)
+            mover = tree.children(hubs[0])[1]  # s1: s0 sorts before it, s2.. after
+            mgr.note_request(mover, [1, 2], now=1.0)
+            mgr.note_retry(mover, [1, 2])
+            moves = mgr.rescore(2.0, live=live)
+            assert [m.child for m in moves] == [mover]
+            assert self._examined(reg) == 10 + 1 + 6  # the mover, then s2..s7
+            mgr.rescore(3.0, live=live)  # loads changed under s0 too
+            assert self._examined(reg) == 10 + 7 + 10
+            mgr.rescore(4.0, live=live)
+            assert self._examined(reg) == 10 + 7 + 10
 
 
 class TestForceReparent:
@@ -250,6 +337,20 @@ class TestLinkMeasurement:
         mgr.note_retry("s0", [1, 2])
         assert mgr.cost("s0", "primary") > base
         assert mgr.stats["retries_seen"] == 2
+
+    def test_outstanding_table_is_capped_by_pruning_stale_entries(self):
+        """4096 entries trigger a prune of everything older than 30 s."""
+        tree = build_tree("primary", [f"s{i}" for i in range(4)], depth=2, fanout=4)
+        mgr = _manager(tree)
+        live = frozenset(tree.nodes)
+        mgr.note_request("s0", range(1, 4001), now=0.0)    # never answered
+        mgr.rescore(100.0, live=live)
+        assert mgr.has_outstanding("s0", 1)                  # under the cap: kept
+        mgr.note_request("s1", range(1, 201), now=99.0)     # 4200 entries: over it
+        mgr.rescore(100.0, live=live)
+        assert not mgr.has_outstanding("s0", 1) and not mgr.has_outstanding("s0", 4000)
+        assert mgr.has_outstanding("s1", 1) and mgr.has_outstanding("s1", 200)
+        assert len(mgr._outstanding) == 200
 
     def test_repair_after_reparent_does_not_credit_new_link(self):
         tree = build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)

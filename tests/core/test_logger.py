@@ -121,6 +121,21 @@ class TestLoggingAndServing:
         retry3 = logger.poll(0.55)
         assert not unicasts(retry3, NackPacket)  # cap reached
 
+    def test_upstream_outstanding_counts_holes_being_fetched(self):
+        """What a tree runtime reads as a hub's saturation signal."""
+        cfg = LbrmConfig(logger=LoggerConfig(upstream_retry=0.1, max_upstream_retries=1))
+        logger = LogServer("g", addr_token="sec", config=cfg,
+                           role=LoggerRole.SECONDARY, parent="primary")
+        logger.handle(data(1), "source", 0.0)
+        assert logger.upstream_outstanding == 0
+        logger.handle(data(4), "source", 0.1)  # holes at 2 and 3
+        assert logger.upstream_outstanding == 2
+        logger.handle(RetransPacket(group="g", seq=2, payload=b"x"), "primary", 0.15)
+        assert logger.upstream_outstanding == 1
+        logger.poll(0.25)  # the one allowed retry for seq 3
+        logger.poll(0.40)  # cap reached: given up, no longer outstanding
+        assert logger.upstream_outstanding == 0
+
     def test_remulticast_after_threshold_requests(self):
         cfg = LbrmConfig(logger=LoggerConfig(remulticast_threshold=3, site_ttl=1))
         logger = LogServer("g", addr_token="sec", config=cfg, role=LoggerRole.SECONDARY)

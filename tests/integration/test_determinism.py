@@ -107,3 +107,54 @@ def test_recording_registry_agrees_with_stats_dicts():
             r.stats["data_received"] for r in dep.receivers
         )
         assert reg.counter_value("sim.events_processed") == dep.sim.processed
+
+
+def _run_tree_scenario(seed: int):
+    """Depth-3 tree through a hub crash: link measurements, crash
+    re-parenting and the quiet epochs after it all happen."""
+    dep = LbrmDeployment(
+        DeploymentSpec(n_sites=9, receivers_per_site=1, depth=3, fanout=3, seed=seed)
+    )
+    dep.start()
+    dep.advance(0.5)
+    dep.send(b"a")
+    dep.advance(0.3)
+    dep.node("hub1-1-logger").crash()
+    dep.burst_site("site5", 0.3)
+    dep.send(b"b")
+    dep.advance(0.3)
+    dep.send(b"c")
+    dep.advance(15.0)
+    return dep
+
+
+def test_noop_mode_changes_no_tree_behavior():
+    """The tree manager reports into the registry too, and that must not
+    change a re-parenting decision, a link estimate or a delivery."""
+
+    def outcome(dep):
+        return {
+            "hierarchy": dep.hierarchy.to_dict(),
+            "interior": [dict(lg.stats) for lg in dep.interior_loggers],
+            **_protocol_outcome(dep),
+        }
+
+    obs.uninstall()
+    plain = outcome(_run_tree_scenario(11))
+    with obs.recording() as reg:
+        dep = _run_tree_scenario(11)
+        recorded = outcome(dep)
+        stats = dep.hierarchy.manager.stats
+        assert stats["reparents_crash"] > 0
+        assert reg.counter_value("hierarchy.rescores") == stats["rescores"]
+        for reason in ("crash", "saturation", "cost", "forced"):
+            assert reg.counter_value(f"hierarchy.reparents.{reason}") == stats[f"reparents_{reason}"]
+        # A few full passes (start, the crash, the pass after its moves),
+        # then only touched children: a fraction of the rescores x nodes
+        # that scanning every child every epoch would examine.
+        full = reg.counter_value("hierarchy.rescore_full_passes")
+        children = len(dep.hierarchy.manager.tree.nodes) - 1
+        assert 1 <= full < stats["rescores"] / 4
+        assert full * children <= reg.counter_value("hierarchy.rescore_examined")
+        assert reg.counter_value("hierarchy.rescore_examined") < stats["rescores"] * children / 4
+    assert plain == recorded

@@ -157,3 +157,42 @@ def test_observer_sees_rx_and_drop():
     sim.run()
     kinds = {k for k, _, _ in seen}
     assert kinds == {"rx", "drop"}
+
+
+def test_scoped_multicast_matches_reference_through_membership_changes():
+    """A TTL-scoped fan-out is built from the per-site member index; it
+    must deliver to exactly the hosts, in exactly the order, of the
+    per-receiver reference loop — also after join, leave, and a host
+    created under a name that had already joined."""
+
+    def run(batch: bool):
+        sim, net, hosts = build()
+        net.batch_delivery = batch
+        log = []
+        net.observer = lambda kind, packet, src, dst, now: log.append((kind, packet.seq, src, dst, now))
+        for name in ("a0", "a1", "b0", "b1"):
+            net.join("g", name)
+        net.join("g", "a2")  # joined before the host exists
+        seq = 0
+
+        def scoped_from_everyone():
+            nonlocal seq
+            for src in sorted(net.members("g") & set(h.name for h in net.hosts)):
+                for ttl in (0, 1, CROSS_SITE_HOPS - 1, CROSS_SITE_HOPS, None):
+                    seq += 1
+                    net.send_multicast(src, "g", DataPacket(group="g", seq=seq, payload=b"x"), ttl=ttl)
+            sim.run()
+
+        scoped_from_everyone()
+        net.add_host("a2", net.site("s0")).attach(Sink())
+        scoped_from_everyone()
+        net.leave("g", "a1")
+        net.join("g", "b2")
+        net.add_host("b2", net.site("s1")).attach(Sink())
+        scoped_from_everyone()
+        return log
+
+    fast, reference = run(True), run(False)
+    assert fast == reference
+    # ttl=1 from a0 after a2 appeared reached a1 and a2 and nobody on s1.
+    assert {dst for kind, _seq, src, dst, _now in fast if src == "a0"} >= {"a1", "a2"}
