@@ -450,8 +450,13 @@ class TreeManager:
             self.stats["retries_seen"] += 1
 
     def has_outstanding(self, child: str, seq: int) -> bool:
-        """True while a request for ``seq`` from ``child`` awaits repair."""
-        return (child, seq) in self._outstanding
+        """True while ``child``'s request for ``seq`` to its current parent awaits repair.
+
+        A request left outstanding at a previous parent does not count: the
+        next NACK for that seq is the new link's first attempt, not a retry.
+        """
+        entry = self._outstanding.get((child, seq))
+        return entry is not None and entry[1] == self.tree.parent(child)
 
     def note_repair(self, child: str, seq: int, now: float) -> None:
         """A repair for ``seq`` reached ``child``: close the RTT sample."""

@@ -352,6 +352,26 @@ class TestLinkMeasurement:
         assert mgr.has_outstanding("s1", 1) and mgr.has_outstanding("s1", 200)
         assert len(mgr._outstanding) == 200
 
+    def test_request_outstanding_at_old_parent_is_new_on_the_new_link(self):
+        """After a re-parent, the first NACK to the new parent for a seq
+        still unanswered by the old one is that link's first attempt —
+        booking it as a retry made a fresh link look 75% lossy."""
+        tree = build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)
+        hubs = tree.at_level(1)
+        leaf = tree.children(hubs[0])[0]
+        mgr = _manager(tree, seed_cost=lambda c, p: 0.05)
+        mgr.note_request(leaf, [7], now=0.0)
+        assert mgr.has_outstanding(leaf, 7)
+        tree.reparent(leaf, hubs[1])
+        assert not mgr.has_outstanding(leaf, 7)  # the runtime will note_request, not note_retry
+        mgr.note_request(leaf, [7], now=0.5)
+        assert mgr.has_outstanding(leaf, 7)
+        fresh = mgr.link(leaf, hubs[1])
+        assert (fresh.attempts, fresh.retries, fresh.loss_rate) == (1, 0, 0.0)
+        assert mgr.cost(leaf, hubs[1]) == pytest.approx(0.05)
+        mgr.note_repair(leaf, 7, now=0.58)  # and the answer is credited to the new link
+        assert mgr.stats["rtt_samples"] == 1
+
     def test_repair_after_reparent_does_not_credit_new_link(self):
         tree = build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)
         hubs = tree.at_level(1)

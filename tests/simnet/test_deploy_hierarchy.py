@@ -147,3 +147,34 @@ def test_saturation_resheds_children():
     dep.advance(15.0)
     assert dep.hierarchy.manager.stats["reparents_saturation"] >= 1
     assert dep.receivers_missing() == 0
+
+
+def test_reparent_with_request_in_flight_starts_the_new_link_clean():
+    """A leaf is moved while its upstream NACK is unanswered (the repair
+    dies on its tail circuit): the retry goes to the new parent and is
+    that link's first attempt, not evidence of loss on it."""
+    dep = LbrmDeployment(_spec(seed=7))
+    manager = dep.hierarchy.manager
+    leaf, old = "site5-logger", "hub1-1-logger"
+    dep.start()
+    dep.advance(0.5)
+    dep.send(b"a")
+    dep.advance(0.2)
+    dep.burst_site("site5", 0.05)
+    dep.send(b"b")  # lost for all of site5
+    dep.advance(0.2)
+    dep.send(b"c")  # reveals the hole: the leaf NACKs its hub for seq 2
+    dep.advance(0.05)
+    dep.burst_site("site5", 0.1)  # the hub's repair will die on the way in
+    while not manager.has_outstanding(leaf, 2):  # the NACK reaches the hub
+        dep.advance(0.005)
+        assert dep.sim.now < 2.0
+    assert manager.tree.parent(leaf) == old
+    move = dep.hierarchy.force_reparent(leaf)
+    assert move is not None and move.old_parent == old
+    assert not manager.has_outstanding(leaf, 2)
+    dep.advance(10.0)
+    assert dep.receivers_missing() == 0
+    fresh = manager.link(leaf, move.new_parent)
+    assert fresh.attempts >= 1
+    assert fresh.retries == 0 and fresh.loss_rate == 0.0
