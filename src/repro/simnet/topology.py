@@ -335,10 +335,8 @@ class Network:
         cached = self._site_member_cache.get(group)
         if cached is None or cached[0] is not members:
             by_site: dict[str, list[Host]] = {}
-            for name in members:
-                host = self._hosts.get(name)
-                if host is not None:
-                    by_site.setdefault(host.site.name, []).append(host)
+            for host in filter(None, map(self._hosts.get, members)):
+                by_site.setdefault(host.site.name, []).append(host)
             cached = self._site_member_cache[group] = (members, by_site)
         return cached[1].get(site.name, [])
 
