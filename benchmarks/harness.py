@@ -1,33 +1,23 @@
 """``repro bench`` — the machine-readable performance harness.
 
-Every scenario runs the same deterministic workload under two engine
-configurations and records throughput side by side:
-
-* ``fast``      — the timer-wheel :class:`~repro.simnet.engine.Simulator`,
-                  batched multicast fan-out, memoized packet codecs.
-* ``reference`` — the pre-wheel pure-heap engine
-                  (:class:`~repro.simnet.engine.ReferenceSimulator`),
-                  per-receiver fan-out, uncached codecs: the pre-PR
-                  baseline.
-
-Both configurations execute bit-identical protocol histories (same
-seeds, same RNG draw order, same delivery order) — the harness asserts
-scenario-specific invariants under each engine and refuses to report a
-speedup for runs that diverge.  Results are written as
-``BENCH_<scenario>.json`` files in ``benchmarks/results/`` so every PR
-leaves a perf trajectory:
+Every scenario runs one deterministic workload once, in the
+configuration the package ships (timer-wheel engine, batched multicast
+fan-out, memoized struct codecs, bundled zero-copy UDP), asserts
+scenario-specific invariants, and records throughput.  Results are
+written as ``BENCH_<scenario>.json`` files in ``benchmarks/results/``;
+``--check`` gates a fresh run against the committed ones (the perf
+history across PRs is the ledger, ``benchmarks/ledger``):
 
 * ``events_per_sec`` — scenario work units (deliveries, requests) per
-  wall-clock second; the unit is engine-independent, so the fast/
-  reference ratio is a true speedup.
+  wall-clock second.
 * ``sim_events`` — events the engine actually executed (batching makes
-  this *smaller* for the same history).
+  this *smaller* than ``events`` for the same history).
 * ``peak_queue_depth`` — high-water mark of live pending events, read
-  from the ``sim.peak_queue_depth`` gauge in the ``repro.obs`` registry.
+  off the simulator.
 
 Run via ``python -m repro bench --quick`` (or ``--full`` for
 paper-scale populations, ``--jobs N`` for multiprocessing across
-scenario runs).
+scenarios).
 """
 
 from __future__ import annotations
@@ -47,7 +37,6 @@ from repro.core.packets import NackPacket
 from repro.scale.deploy import ScaleSpec
 from repro.scale.shard import ScaleScenario, run_sharded
 from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
-from repro.simnet.engine import ReferenceSimulator, Simulator
 
 __all__ = [
     "SCENARIOS",
@@ -55,7 +44,6 @@ __all__ = [
     "AIO_SCENARIOS",
     "HIERARCHY_SCENARIOS",
     "ALL_SCENARIOS",
-    "ENGINES",
     "aio_available",
     "run_scenario",
     "write_result",
@@ -64,37 +52,6 @@ __all__ = [
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-ENGINES = ("fast", "reference")
-
-
-class _EngineMode:
-    """Install one engine configuration process-wide for a measured run."""
-
-    def __init__(self, engine: str) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        self.engine = engine
-        self.fast = engine == "fast"
-
-    def make_sim(self):
-        return Simulator() if self.fast else ReferenceSimulator()
-
-    def __enter__(self) -> "_EngineMode":
-        packets.set_codec_caches(encode=self.fast, decode=self.fast)
-        # The reference configuration is the pre-PR baseline throughout:
-        # heap engine, uncached per-field codecs.  The struct codecs are
-        # part of the fast path being measured.
-        packets.set_codec_mode("struct" if self.fast else "legacy")
-        return self
-
-    def __exit__(self, *exc) -> None:
-        # The fast configuration is the process default.
-        packets.set_codec_caches(encode=True, decode=True)
-        packets.set_codec_mode("struct")
-
-    def configure(self, dep: LbrmDeployment) -> None:
-        dep.network.batch_delivery = self.fast
-
 
 # -- scenarios ---------------------------------------------------------------
 
@@ -102,14 +59,14 @@ class _EngineMode:
 def _fig7_params(tier: str) -> dict:
     if tier == "full":
         # A long steady-state train keeps the timed region ~1s so the
-        # speedup is reproducible run to run; best-of-5 for stability.
+        # rate is reproducible run to run; best-of-5 for stability.
         return {"n_sites": 50, "receivers_per_site": 20, "data_packets": 40,
                 "spacing": 0.25, "repeats": 5}
     return {"n_sites": 10, "receivers_per_site": 5, "data_packets": 5,
             "spacing": 0.25, "repeats": 1}
 
 
-def scenario_fig7_nack_reduction(tier: str, engine: str) -> dict:
+def scenario_fig7_nack_reduction(tier: str) -> dict:
     """Figure 7's world under load: site-wide loss plus steady traffic.
 
     The timed region covers protocol start, a warm-up packet, a
@@ -117,55 +74,52 @@ def scenario_fig7_nack_reduction(tier: str, engine: str) -> dict:
     collapse), NACK-driven recovery, and a steady-state packet train —
     the last exercising exactly the timer churn (receiver watchdogs,
     heartbeat backoff) the wheel engine exists for.  Building the
-    deployment object graph is identical under both engines and is
-    excluded: the harness measures simulation throughput, not setup.
+    deployment object graph is excluded: the harness measures
+    simulation throughput, not setup.
     """
     p = _fig7_params(tier)
     best = None
     for _ in range(p["repeats"]):
         # No recording registry: the harness measures protocol + engine
         # throughput, and queue depths read off the simulator directly.
-        with _EngineMode(engine) as mode:
-            dep = LbrmDeployment(
-                DeploymentSpec(
-                    n_sites=p["n_sites"],
-                    receivers_per_site=p["receivers_per_site"],
-                    seed=1995,
-                ),
-                sim=mode.make_sim(),
+        dep = LbrmDeployment(
+            DeploymentSpec(
+                n_sites=p["n_sites"],
+                receivers_per_site=p["receivers_per_site"],
+                seed=1995,
             )
-            mode.configure(dep)
-            t0 = time.perf_counter()
-            dep.start()
-            dep.advance(0.2)
-            dep.send(b"warm-up")
-            dep.advance(1.0)
-            dep.burst_site("site1", duration=0.1)
-            dep.send(b"the update")
-            dep.advance(5.0)
-            for i in range(p["data_packets"]):
-                dep.send(f"steady-{i}".encode())
-                dep.advance(p["spacing"])
-            dep.advance(5.0)
-            wall = time.perf_counter() - t0
-            delivered = dep.network.stats["delivered"]
-            wan_nacks = dep.trace.cross_site_nacks()
-            recovered = dep.receivers_with(2)
-            run = {
-                "wall_s": wall,
-                "events": delivered,
-                "events_per_sec": delivered / wall,
-                "sim_events": dep.sim.processed,
-                "peak_queue_depth": dep.sim.peak_pending,
-                "final_queue_depth": dep.sim.pending,
-                "tombstones": dep.sim.tombstones,
-                "checks": {
-                    "wan_nacks": wan_nacks,
-                    "recovered_receivers": recovered,
-                    "delivered": delivered,
-                    "dropped": dep.network.stats["dropped"],
-                },
-            }
+        )
+        t0 = time.perf_counter()
+        dep.start()
+        dep.advance(0.2)
+        dep.send(b"warm-up")
+        dep.advance(1.0)
+        dep.burst_site("site1", duration=0.1)
+        dep.send(b"the update")
+        dep.advance(5.0)
+        for i in range(p["data_packets"]):
+            dep.send(f"steady-{i}".encode())
+            dep.advance(p["spacing"])
+        dep.advance(5.0)
+        wall = time.perf_counter() - t0
+        delivered = dep.network.stats["delivered"]
+        wan_nacks = dep.trace.cross_site_nacks()
+        recovered = dep.receivers_with(2)
+        run = {
+            "wall_s": wall,
+            "events": delivered,
+            "events_per_sec": delivered / wall,
+            "sim_events": dep.sim.processed,
+            "peak_queue_depth": dep.sim.peak_pending,
+            "final_queue_depth": dep.sim.pending,
+            "tombstones": dep.sim.tombstones,
+            "checks": {
+                "wan_nacks": wan_nacks,
+                "recovered_receivers": recovered,
+                "delivered": delivered,
+                "dropped": dep.network.stats["dropped"],
+            },
+        }
         if best is None or run["wall_s"] < best["wall_s"]:
             best = run
     best["params"] = p
@@ -174,13 +128,13 @@ def scenario_fig7_nack_reduction(tier: str, engine: str) -> dict:
 
 def _logger_params(tier: str) -> dict:
     if tier == "full":
-        # Long enough that the fast configuration's wall time (~0.3s)
-        # is not dominated by scheduler noise; best-of-5 for stability.
+        # Long enough that the wall time (~0.3s) is not dominated by
+        # scheduler noise; best-of-5 for stability.
         return {"requests": 80000, "log_entries": 200, "payload": 128, "repeats": 5}
     return {"requests": 2000, "log_entries": 200, "payload": 128, "repeats": 1}
 
 
-def scenario_logger_throughput(tier: str, engine: str) -> dict:
+def scenario_logger_throughput(tier: str) -> dict:
     """§3's saturation test: the full decode → serve → encode request path.
 
     Each iteration is one complete repair round trip: encode the NACK,
@@ -193,45 +147,46 @@ def scenario_logger_throughput(tier: str, engine: str) -> dict:
     p = _logger_params(tier)
     best = None
     for _ in range(p["repeats"]):
-        with _EngineMode(engine):
-            logger = LogServer("g", addr_token="sec", config=LbrmConfig(),
-                               role=LoggerRole.SECONDARY)
-            payload = b"x" * p["payload"]
-            for seq in range(1, p["log_entries"] + 1):
-                logger.log.append(seq, payload, now=0.0)
-                logger.tracker.observe_data(seq)
-            # 64 distinct (request, requester) pairs, rotated: a deployed
-            # logger fields repeats of a bounded working set, not one
-            # endlessly re-built object.  Construction happens outside
-            # the timed loop — the path under test starts at encode.
-            requests = [NackPacket(group="g", seqs=(100 + j,)) for j in range(64)]
-            requesters = [f"rx{j}" for j in range(64)]
-            served = 0
-            encoded_bytes = 0
-            t0 = time.perf_counter()
-            for i in range(p["requests"]):
-                j = i & 63
-                wire = packets.encode(requests[j])
-                request = packets.decode(wire)
-                actions = logger.handle(request, requesters[j], 1.0)
-                for action in actions:
-                    t = type(action)
-                    reply = action.packet if (t is SendUnicast or t is SendMulticast) else None
-                    if reply is not None:
-                        reply_wire = packets.encode(reply)
-                        encoded_bytes += len(reply_wire)
-                        packets.decode(reply_wire)  # receiver side of the trip
-                        served += 1
-            wall = time.perf_counter() - t0
-            run = {
-                "wall_s": wall,
-                "events": p["requests"],
-                "events_per_sec": p["requests"] / wall,
-                "per_request_us": wall * 1e6 / p["requests"],
-                "sim_events": 0,
-                "peak_queue_depth": 0,
-                "checks": {"served": served, "encoded_bytes": encoded_bytes},
-            }
+        # The memos are process-wide; every repeat pays the same cold misses.
+        packets.clear_codec_caches()
+        logger = LogServer("g", addr_token="sec", config=LbrmConfig(),
+                           role=LoggerRole.SECONDARY)
+        payload = b"x" * p["payload"]
+        for seq in range(1, p["log_entries"] + 1):
+            logger.log.append(seq, payload, now=0.0)
+            logger.tracker.observe_data(seq)
+        # 64 distinct (request, requester) pairs, rotated: a deployed
+        # logger fields repeats of a bounded working set, not one
+        # endlessly re-built object.  Construction happens outside
+        # the timed loop — the path under test starts at encode.
+        requests = [NackPacket(group="g", seqs=(100 + j,)) for j in range(64)]
+        requesters = [f"rx{j}" for j in range(64)]
+        served = 0
+        encoded_bytes = 0
+        t0 = time.perf_counter()
+        for i in range(p["requests"]):
+            j = i & 63
+            wire = packets.encode(requests[j])
+            request = packets.decode(wire)
+            actions = logger.handle(request, requesters[j], 1.0)
+            for action in actions:
+                t = type(action)
+                reply = action.packet if (t is SendUnicast or t is SendMulticast) else None
+                if reply is not None:
+                    reply_wire = packets.encode(reply)
+                    encoded_bytes += len(reply_wire)
+                    packets.decode(reply_wire)  # receiver side of the trip
+                    served += 1
+        wall = time.perf_counter() - t0
+        run = {
+            "wall_s": wall,
+            "events": p["requests"],
+            "events_per_sec": p["requests"] / wall,
+            "per_request_us": wall * 1e6 / p["requests"],
+            "sim_events": 0,
+            "peak_queue_depth": 0,
+            "checks": {"served": served, "encoded_bytes": encoded_bytes},
+        }
         if best is None or run["wall_s"] < best["wall_s"]:
             best = run
     best["params"] = p
@@ -246,46 +201,43 @@ def _fanout_params(tier: str) -> dict:
             "spacing": 0.05, "repeats": 1}
 
 
-def scenario_multicast_fanout(tier: str, engine: str) -> dict:
+def scenario_multicast_fanout(tier: str) -> dict:
     """Raw fan-out throughput: a dense packet train, no loss.
 
-    Isolates the cost the tentpole attacks: per-receiver delivery events
+    Isolates the cost batched fan-out attacks: per-receiver delivery events
     and per-packet timer churn, with recovery machinery idle.
     """
     p = _fanout_params(tier)
     best = None
     for _ in range(p["repeats"]):
-        with _EngineMode(engine) as mode:
-            dep = LbrmDeployment(
-                DeploymentSpec(
-                    n_sites=p["n_sites"],
-                    receivers_per_site=p["receivers_per_site"],
-                    seed=7,
-                ),
-                sim=mode.make_sim(),
+        dep = LbrmDeployment(
+            DeploymentSpec(
+                n_sites=p["n_sites"],
+                receivers_per_site=p["receivers_per_site"],
+                seed=7,
             )
-            mode.configure(dep)
-            t0 = time.perf_counter()
-            dep.start()
-            dep.advance(0.2)
-            for i in range(p["data_packets"]):
-                dep.send(f"train-{i}".encode())
-                dep.advance(p["spacing"])
-            dep.advance(2.0)
-            wall = time.perf_counter() - t0
-            delivered = dep.network.stats["delivered"]
-            run = {
-                "wall_s": wall,
-                "events": delivered,
-                "events_per_sec": delivered / wall,
-                "sim_events": dep.sim.processed,
-                "peak_queue_depth": dep.sim.peak_pending,
-                "tombstones": dep.sim.tombstones,
-                "checks": {
-                    "delivered": delivered,
-                    "all_received_last": dep.receivers_with(p["data_packets"] + 1),
-                },
-            }
+        )
+        t0 = time.perf_counter()
+        dep.start()
+        dep.advance(0.2)
+        for i in range(p["data_packets"]):
+            dep.send(f"train-{i}".encode())
+            dep.advance(p["spacing"])
+        dep.advance(2.0)
+        wall = time.perf_counter() - t0
+        delivered = dep.network.stats["delivered"]
+        run = {
+            "wall_s": wall,
+            "events": delivered,
+            "events_per_sec": delivered / wall,
+            "sim_events": dep.sim.processed,
+            "peak_queue_depth": dep.sim.peak_pending,
+            "tombstones": dep.sim.tombstones,
+            "checks": {
+                "delivered": delivered,
+                "all_received_last": dep.receivers_with(p["data_packets"] + 1),
+            },
+        }
         if best is None or run["wall_s"] < best["wall_s"]:
             best = run
     best["params"] = p
@@ -304,21 +256,11 @@ SCENARIOS = {
 # The ``--scale`` tier measures the aggregate-receiver machinery
 # (repro.scale): populations the exact engine cannot host are modeled
 # by one AggregateSiteReceiver per site, so a 10^5–10^6 receiver run
-# fits in a few hundred simulated hosts.  Scale scenarios run the fast
-# engine only — the reference engine exists to validate the exact
-# per-receiver path, and the aggregate model's conformance to it is
-# established statistically by tests/scale/, not by replaying the same
-# history under a second engine.  Alongside events/s each scenario
+# fits in a few hundred simulated hosts.  The aggregate model's
+# conformance to the exact per-receiver path is established
+# statistically by tests/scale/.  Alongside events/s each scenario
 # records ``peak_rss_kb`` (ru_maxrss) so BENCH files track the memory
 # cost of scale.
-
-
-def _require_fast(name: str, engine: str) -> None:
-    if engine != "fast":
-        raise ValueError(
-            f"{name} runs the fast engine only; the aggregate model has no "
-            "reference-engine twin (conformance lives in tests/scale/)"
-        )
 
 
 def _scale_fig7_params(tier: str) -> dict:
@@ -330,7 +272,7 @@ def _scale_fig7_params(tier: str) -> dict:
             "interval": 0.05, "receiver_loss": 0.01, "shared_loss": 0.01}
 
 
-def scenario_scale_fig7_aggregate(tier: str, engine: str) -> dict:
+def scenario_scale_fig7_aggregate(tier: str) -> dict:
     """Figure 7's world at 10^5 receivers: burst + steady train, aggregated.
 
     The same shape as ``fig7_nack_reduction`` — a tail-circuit outage
@@ -339,7 +281,6 @@ def scenario_scale_fig7_aggregate(tier: str, engine: str) -> dict:
     single aggregate node drawing Binomial loss counts.  Single worker:
     this scenario prices the aggregate model itself.
     """
-    _require_fast("scale_fig7_aggregate", engine)
     p = _scale_fig7_params(tier)
     spec = ScaleSpec(
         n_sites=p["n_sites"],
@@ -369,7 +310,7 @@ def _scale_fig5_params(tier: str) -> dict:
             "interval": 0.5, "receiver_loss": 0.005, "n_shards": 2}
 
 
-def scenario_scale_fig5_sharded(tier: str, engine: str) -> dict:
+def scenario_scale_fig5_sharded(tier: str) -> dict:
     """Figure 5's regime at 10^6 receivers, sharded across workers.
 
     Sparse traffic with long gaps, so the variable-heartbeat schedule
@@ -378,7 +319,6 @@ def scenario_scale_fig5_sharded(tier: str, engine: str) -> dict:
     conservative time-window barriers — this scenario prices the
     sharded runner end to end (fork, barriers, merge).
     """
-    _require_fast("scale_fig5_sharded", engine)
     p = _scale_fig5_params(tier)
     spec = ScaleSpec(
         n_sites=p["n_sites"],
@@ -436,26 +376,18 @@ SCALE_SCENARIOS = {
 # -- aio scenarios ------------------------------------------------------------
 #
 # The ``--aio`` tier measures the *live* transport (repro.aio) over real
-# loopback sockets, with the same fast/reference convention as the
-# simulator tiers:
+# loopback sockets: TX bundling + zero-copy RX ring + ``decode_from`` +
+# struct codecs.
 #
-# * ``fast``      — TX bundling + zero-copy RX ring + ``decode_from`` +
-#                   struct codecs: the transport fast path.
-# * ``reference`` — the retained pre-fast-path configuration: asyncio
-#                   DatagramTransports (one bytes allocation + one
-#                   callback per datagram), copy-normalizing ``decode``,
-#                   legacy uncached codecs, one datagram per packet.
-#
-# Two scenarios: ``aio_cluster_throughput`` carries the identical
-# packet stream through a real AioCluster (sender + site logger +
-# primary + N receivers) and only counts if every receiver finishes
-# with the complete stream — protocol work (logging, ACK tracking,
-# ordering) is a large fixed cost in both engines, so its ratio is the
-# deployment-visible speedup.  ``aio_transport_blast`` isolates the
-# transport (sender fans the stream to N sink nodes over unicast), so
-# per-datagram cost dominates and its ratio is the transport-fast-path
-# speedup bundling targets.  Throughput is timing-dependent by nature,
-# so ``checks`` holds only deterministic workload facts (counts,
+# Two scenarios: ``aio_cluster_throughput`` carries a packet stream
+# through a real AioCluster (sender + site logger + primary + N
+# receivers) and only counts if every receiver finishes with the
+# complete stream — protocol work (logging, ACK tracking, ordering) is a
+# large fixed cost, so this is the deployment-visible rate.
+# ``aio_transport_blast`` isolates the transport (sender fans the stream
+# to N sink nodes over unicast), so per-datagram cost dominates and it
+# is the number bundling targets.  Throughput is timing-dependent by
+# nature, so ``checks`` holds only deterministic workload facts (counts,
 # completeness) — never rates.
 
 
@@ -466,26 +398,18 @@ def aio_available() -> bool:
     return _available()
 
 
-def scenario_aio_cluster_throughput(tier: str, engine: str) -> dict:
-    """Full LBRM cluster end to end: fast path vs pre-fast-path baseline."""
+def scenario_aio_cluster_throughput(tier: str) -> dict:
+    """Full LBRM cluster end to end over loopback sockets."""
     from repro.aio.bench import run_loopback
 
-    fast = engine == "fast"
-    with _EngineMode(engine):
-        return run_loopback(
-            bundling=fast, tier=tier, legacy_transports=not fast, scenario="cluster"
-        )
+    return run_loopback(tier=tier, scenario="cluster")
 
 
-def scenario_aio_transport_blast(tier: str, engine: str) -> dict:
-    """Transport-isolated fan-out: per-datagram costs dominate the ratio."""
+def scenario_aio_transport_blast(tier: str) -> dict:
+    """Transport-isolated fan-out: per-datagram costs dominate the rate."""
     from repro.aio.bench import run_loopback
 
-    fast = engine == "fast"
-    with _EngineMode(engine):
-        return run_loopback(
-            bundling=fast, tier=tier, legacy_transports=not fast, scenario="blast"
-        )
+    return run_loopback(tier=tier, scenario="blast")
 
 
 AIO_SCENARIOS = {
@@ -504,8 +428,6 @@ AIO_SCENARIOS = {
 # the CDF stretches to seconds.  k-level (depth=3), each interior hub
 # serves its own subtree through its *own* tail circuit, so repair
 # serialization is spread across ~n_sites/fanout links in parallel.
-# Fast engine only, like ``--scale``: the population is the point, and
-# the engines' equivalence is established elsewhere.
 
 
 def _hierarchy_cdf_params(tier: str) -> dict:
@@ -528,7 +450,7 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
-def _recovery_cdf_run(depth: int, p: dict, mode: "_EngineMode") -> dict:
+def _recovery_cdf_run(depth: int, p: dict) -> dict:
     config = LbrmConfig(
         receiver=ReceiverConfig(max_nack_retries=20),
         logger=LoggerConfig(max_upstream_retries=40),
@@ -542,10 +464,8 @@ def _recovery_cdf_run(depth: int, p: dict, mode: "_EngineMode") -> dict:
             tail_bandwidth=p["tail_bandwidth"],
             config=config,
             seed=1995,
-        ),
-        sim=mode.make_sim(),
+        )
     )
-    mode.configure(dep)
     payload = b"x" * p["payload"]
     dep.start()
     dep.advance(0.5)
@@ -580,7 +500,7 @@ def _recovery_cdf_run(depth: int, p: dict, mode: "_EngineMode") -> dict:
     }
 
 
-def scenario_hierarchy_recovery_cdf(tier: str, engine: str) -> dict:
+def scenario_hierarchy_recovery_cdf(tier: str) -> dict:
     """Recovery-latency CDF under a shared outage: flat vs k-level tree.
 
     The acceptance claim (ISSUE 10): at 10k+ sites the k-level tree
@@ -588,13 +508,11 @@ def scenario_hierarchy_recovery_cdf(tier: str, engine: str) -> dict:
     (the heartbeat that reveals the hole) is identical in both runs, so
     the difference is pure repair-path serialization.
     """
-    _require_fast("hierarchy_recovery_cdf", engine)
     p = _hierarchy_cdf_params(tier)
-    with _EngineMode(engine) as mode:
-        t0 = time.perf_counter()
-        flat = _recovery_cdf_run(2, p, mode)
-        klevel = _recovery_cdf_run(3, p, mode)
-        wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    flat = _recovery_cdf_run(2, p)
+    klevel = _recovery_cdf_run(3, p)
+    wall = time.perf_counter() - t0
     for q in ("p50", "p95", "p99"):
         assert klevel[q] < flat[q], (
             f"k-level does not dominate flat at {q}: "
@@ -629,37 +547,26 @@ ALL_SCENARIOS = {**SCENARIOS, **SCALE_SCENARIOS, **AIO_SCENARIOS, **HIERARCHY_SC
 # -- running & reporting -----------------------------------------------------
 
 
-def run_scenario(name: str, tier: str = "quick", engine: str = "fast") -> dict:
-    """Run one (scenario, engine) pair and return its metrics dict."""
+def run_scenario(name: str, tier: str = "quick") -> dict:
+    """Run one scenario and return its metrics dict."""
     try:
         fn = ALL_SCENARIOS[name]
     except KeyError:
         raise ValueError(
             f"unknown scenario {name!r}; have {sorted(ALL_SCENARIOS)}"
         ) from None
-    return fn(tier, engine)
+    return fn(tier)
 
 
-def assemble_result(name: str, tier: str, engine_runs: dict[str, dict]) -> dict:
-    """Combine per-engine runs into one BENCH record (with speedup)."""
-    result = {
+def assemble_result(name: str, tier: str, run: dict) -> dict:
+    """Wrap one run as a BENCH record, under the ``engines.fast`` key
+    every committed baseline was written with (``--check`` reads it)."""
+    return {
         "scenario": name,
         "tier": tier,
         "python": sys.version.split()[0],
-        "engines": engine_runs,
+        "engines": {"fast": run},
     }
-    fast = engine_runs.get("fast")
-    ref = engine_runs.get("reference")
-    if fast and ref:
-        if fast["checks"] != ref["checks"]:
-            raise AssertionError(
-                f"{name}: engines diverged — fast={fast['checks']} reference={ref['checks']}"
-            )
-        result["speedup"] = ref["wall_s"] / fast["wall_s"]
-        result["events_per_sec_ratio"] = (
-            fast["events_per_sec"] / ref["events_per_sec"]
-        )
-    return result
 
 
 def write_result(result: dict, out_dir: Path | str = RESULTS_DIR) -> Path:

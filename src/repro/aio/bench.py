@@ -1,14 +1,9 @@
 """Loopback throughput tier for the real-UDP runtime (``repro bench --aio``).
 
 Measures the live transport the same way the simulator tiers measure
-the engine: deterministic workloads, each run under two configurations —
-
-* ``fast``      — the post-fast-path transport: TX coalescing on
-  (``bundling=True``), raw-socket zero-copy RX ring, struct codecs.
-* ``reference`` — the retained pre-fast-path baseline
-  (``legacy_transports=True``): asyncio datagram transports (one bytes
-  allocation + one callback per datagram), copy-normalizing decode,
-  per-action encode, one datagram per packet on the wire.
+the engine: deterministic workloads over the transport as deployed for
+throughput — TX coalescing on (``bundling=True``), raw-socket zero-copy
+RX ring, struct codecs.
 
 Two scenarios, mirroring the simulator tiers' engine/scale split:
 
@@ -16,14 +11,13 @@ Two scenarios, mirroring the simulator tiers' engine/scale split:
   real :class:`~repro.aio.cluster.AioCluster` (sender + primary + site
   logger + N receivers on loopback multicast) carries a flow-controlled
   stream and every receiver must finish holding the complete stream.
-  Protocol work (logging, ACK tracking, ordering) is a large fixed cost
-  in both configurations, so this ratio is the *deployment-visible*
-  speedup.
-* ``aio_transport_blast`` — the transport fast path in isolation: a
-  sender node fans a stream to N sink receivers over unicast sockets,
-  with minimal per-packet protocol work.  Per-datagram costs dominate,
-  so this ratio is the *transport* speedup the bundling design targets
-  (HolbrookSC95 §4's bundling argument).
+  Protocol work (logging, ACK tracking, ordering) is a large fixed
+  cost, so this is the *deployment-visible* throughput.
+* ``aio_transport_blast`` — the transport in isolation: a sender node
+  fans a stream to N sink receivers over unicast sockets, with minimal
+  per-packet protocol work.  Per-datagram costs dominate, so this is
+  the number the bundling design targets (HolbrookSC95 §4's bundling
+  argument).
 
 Where loopback multicast is unroutable (common on hosted CI) the
 cluster scenario falls back to a unicast star over the identical
@@ -31,8 +25,8 @@ TX-coalescing and RX-ring code paths.  Where even UDP sockets are
 unavailable the caller (``repro bench --aio``) writes an explicit
 "skipped" artifact instead; silence must not read as "no regression".
 
-Alongside packets/s each run records the fixed per-datagram costs the
-fast path amortizes: datagrams sent, ``sendto``/``recvfrom`` syscall
+Alongside packets/s each run records the fixed per-datagram costs
+bundling amortizes: datagrams sent, ``sendto``/``recvfrom`` syscall
 counts, and the bundle-occupancy histogram.
 """
 
@@ -77,13 +71,13 @@ PARAMS = {
 _warmed = False
 
 
-def _warm_up(runner, bundling: bool, legacy: bool, p: dict, seconds: float) -> None:
+def _warm_up(runner, p: dict, seconds: float) -> None:
     """Run (and discard) real scenario work once per process.
 
     The governor ramps each core's clock over the first seconds of
-    sustained load, so a cold process measures whichever engine runs
-    first at a lower frequency than the second — a 2x order bias
-    observed on CI-class hosts.  A synthetic spin loop does not fix
+    sustained load, so a cold process measures its first scenario at a
+    lower frequency than its second — a 2x order bias observed on
+    CI-class hosts.  A synthetic spin loop does not fix
     this (it warms whichever core it lands on, not the ones the event
     loop and socket work migrate across), so the warm-up is the
     benchmark itself: discarded small runs until the budget is spent.
@@ -96,7 +90,7 @@ def _warm_up(runner, bundling: bool, legacy: bool, p: dict, seconds: float) -> N
     small = dict(p, packets=min(800, p["packets"]))
     deadline = time.monotonic() + seconds
     while time.monotonic() < deadline:
-        asyncio.run(runner(bundling, legacy, small))
+        asyncio.run(runner(small))
 
 
 def aio_available() -> bool:
@@ -156,7 +150,7 @@ def _transport_stats(nodes) -> dict:
     }
 
 
-async def _run_multicast(bundling: bool, legacy: bool, p: dict) -> dict:
+async def _run_multicast(p: dict) -> dict:
     from repro.aio.cluster import AioCluster
     from repro.core.config import LbrmConfig
 
@@ -165,9 +159,8 @@ async def _run_multicast(bundling: bool, legacy: bool, p: dict) -> dict:
         LbrmConfig(),
         n_receivers=p["receivers"],
         n_secondaries=p["secondaries"],
-        bundling=bundling,
+        bundling=True,
         max_bundle_bytes=p["max_bundle_bytes"],
-        legacy_transports=legacy,
     )
     payload = b"b" * p["payload"]
     async with cluster:
@@ -179,35 +172,27 @@ async def _run_multicast(bundling: bool, legacy: bool, p: dict) -> dict:
         sent = 0
         while sent < p["packets"]:
             n = min(p["burst"], p["packets"] - sent)
-            if legacy:
-                # The pre-fast-path API: one publish() await per packet
-                # (one coroutine hop and one timer reschedule each).
-                for _ in range(n):
-                    await cluster.publish(payload)
-            else:
-                # One frame's worth of updates enters the stack in one
-                # tick — the arrival pattern (DIS state-update frames)
-                # that TX coalescing packs into bundles.
-                await cluster.publish_burst([payload] * n)
+            # One frame's worth of updates enters the stack in one
+            # tick — the arrival pattern (DIS state-update frames)
+            # that TX coalescing packs into bundles.
+            await cluster.publish_burst([payload] * n)
             sent += n
             # Flow control: never run more than flow_window packets
             # ahead of the slowest receiver, so kernel socket buffers
-            # bound the backlog in both configurations and the number
-            # measured is *sustainable* throughput, not burst-then-
-            # recover.  (+1: the warm-up packet.)
+            # bound the backlog and the number measured is *sustainable*
+            # throughput, not burst-then-recover.  (+1: the warm-up
+            # packet.)
             await _drain(cluster.receiver_nodes, sent + 1 - p["flow_window"])
         await _drain(cluster.receiver_nodes, p["packets"] + 1)
         wall = time.perf_counter() - t0
         delivered = sum(len(n.delivered) for n in cluster.receiver_nodes)
         stats = _transport_stats(cluster.nodes)
-        return _run_dict("multicast", bundling, p, wall, delivered, stats)
+        return _run_dict("multicast", p, wall, delivered, stats)
 
 
-async def _run_blast(
-    bundling: bool, legacy: bool, p: dict, transport: str = "unicast-blast"
-) -> dict:
+async def _run_blast(p: dict, transport: str = "unicast-blast") -> dict:
     """Transport-isolated unicast star: sender fans the stream to N sink
-    nodes with minimal per-packet protocol work, so the measured ratio
+    nodes with minimal per-packet protocol work, so the measured rate
     is dominated by per-datagram transport cost (what bundling + the RX
     ring amortize) rather than by logger/receiver protocol logic.
 
@@ -242,14 +227,10 @@ async def _run_blast(
 
     directory = GroupDirectory()
     sinks = [_Sink() for _ in range(p["receivers"])]
-    receivers = [
-        AioNode([sink], directory=directory, legacy_transports=legacy)
-        for sink in sinks
-    ]
+    receivers = [AioNode([sink], directory=directory) for sink in sinks]
     sender = AioNode(
         [], directory=directory,
-        bundling=bundling, max_bundle_bytes=p["max_bundle_bytes"],
-        legacy_transports=legacy,
+        bundling=True, max_bundle_bytes=p["max_bundle_bytes"],
     )
     nodes = [sender, *receivers]
     try:
@@ -260,9 +241,8 @@ async def _run_blast(
         # Pre-build the workload outside the timed region: packet
         # construction is application work; the clock measures encode →
         # sendto → recvfrom → decode → machine dispatch.  One packet
-        # object fans to every receiver; in fast mode the encode hoist
-        # in AioNode._execute_sync encodes it once, legacy mode
-        # re-encodes per destination (pre-fast-path behaviour).
+        # object fans to every receiver; the encode hoist in
+        # AioNode._execute_sync encodes it once.
         bursts = []
         seq = 1
         sent = 0
@@ -299,13 +279,13 @@ async def _run_blast(
         wall = time.perf_counter() - t0
         delivered = sum(s.count - 1 for s in sinks)
         stats = _transport_stats(nodes)
-        return _run_dict(transport, bundling, p, wall, delivered, stats)
+        return _run_dict(transport, p, wall, delivered, stats)
     finally:
         for node in nodes:
             await node.close()
 
 
-def _run_dict(transport, bundling, p, wall, delivered, stats) -> dict:
+def _run_dict(transport, p, wall, delivered, stats) -> dict:
     packets_total = p["packets"] * p["receivers"]
     return {
         "wall_s": wall,
@@ -313,13 +293,12 @@ def _run_dict(transport, bundling, p, wall, delivered, stats) -> dict:
         "events_per_sec": packets_total / wall,
         "datagrams_per_sec": stats["tx_datagrams"] / wall,
         "transport": transport,
-        "bundling": bundling,
+        "bundling": True,
         "sim_events": 0,
         "peak_queue_depth": 0,
         **stats,
         "checks": {
-            # Deterministic across both modes (counts only; no timing):
-            # bundling=False must carry the identical stream.
+            # Deterministic workload facts (counts only; no timing).
             "transport": transport,
             "packets_offered": p["packets"],
             "receivers": p["receivers"],
@@ -328,19 +307,11 @@ def _run_dict(transport, bundling, p, wall, delivered, stats) -> dict:
     }
 
 
-def run_loopback(
-    bundling: bool,
-    tier: str = "aio",
-    legacy_transports: bool = False,
-    scenario: str = "cluster",
-) -> dict:
+def run_loopback(tier: str = "aio", scenario: str = "cluster") -> dict:
     """One measured run of a loopback scenario; returns a harness run dict.
 
-    ``legacy_transports=True`` selects the retained pre-fast-path RX/TX
-    (asyncio transports, copy-normalizing decode, per-action encode) —
-    the reference configuration of the tier.  ``scenario`` picks
-    ``"cluster"`` (full protocol stack) or ``"blast"`` (transport
-    isolated; see module docstring).
+    ``scenario`` picks ``"cluster"`` (full protocol stack) or ``"blast"``
+    (transport isolated; see module docstring).
     """
     p = PARAMS.get(tier, PARAMS["aio"])[scenario]
     if scenario == "blast":
@@ -349,15 +320,15 @@ def run_loopback(
         runner = _run_multicast
     else:
         runner = _cluster_fallback
-    _warm_up(runner, bundling, legacy_transports, p, p.get("warm_s", 2.0))
+    _warm_up(runner, p, p.get("warm_s", 2.0))
     best = None
     for _ in range(p["repeats"]):
-        run = asyncio.run(runner(bundling, legacy_transports, p))
+        run = asyncio.run(runner(p))
         if best is None or run["wall_s"] < best["wall_s"]:
             best = run
     best["params"] = dict(p)
     return best
 
 
-async def _cluster_fallback(bundling: bool, legacy: bool, p: dict) -> dict:
-    return await _run_blast(bundling, legacy, p, transport="unicast-fallback")
+async def _cluster_fallback(p: dict) -> dict:
+    return await _run_blast(p, transport="unicast-fallback")

@@ -64,7 +64,6 @@ class AioCluster:
         bundling: bool = False,
         max_bundle_bytes: int = 1400,
         max_bundle_delay: float = 0.0,
-        legacy_transports: bool = False,
     ) -> None:
         self.group = group
         self.config = config or LbrmConfig()
@@ -77,7 +76,6 @@ class AioCluster:
             "bundling": bundling,
             "max_bundle_bytes": max_bundle_bytes,
             "max_bundle_delay": max_bundle_delay,
-            "legacy_transports": legacy_transports,
         }
         self._n_receivers = n_receivers
         self._n_replicas = n_replicas

@@ -47,9 +47,7 @@ from repro.core.machine import ProtocolMachine
 from repro.core.packets import (
     BUNDLE_FRAME_OVERHEAD,
     BUNDLE_OVERHEAD,
-    decode,
     decode_from,
-    encode,
     encode_bundle,
     encode_uncached,
     is_bundle,
@@ -97,28 +95,6 @@ def parse_token(token: str) -> tuple[str, int]:
     return host, value
 
 
-class _Endpoint(asyncio.DatagramProtocol):
-    """Pre-fast-path datagram protocol funnelling packets into the node.
-
-    Retained (like :class:`~repro.simnet.engine.ReferenceSimulator` and
-    the legacy per-field codecs) as the measurable pre-bundling
-    baseline: ``AioNode(legacy_transports=True)`` receives through
-    asyncio's transport machinery — one ``bytes`` allocation and one
-    protocol callback per datagram — which is what ``repro bench --aio``
-    reports the fast path's speedup against.
-    """
-
-    def __init__(self, node: "AioNode", group: str | None = None) -> None:
-        self._node = node
-        self._group = group
-
-    def datagram_received(self, data: bytes, addr: tuple[str, int]) -> None:
-        self._node._datagram_legacy(data, addr, group=self._group)
-
-    def error_received(self, exc: OSError) -> None:  # pragma: no cover - OS dependent
-        self._node._socket_error(exc)
-
-
 class AioNode:
     """One LBRM endpoint (sender, logger, or receiver) on real UDP."""
 
@@ -137,7 +113,6 @@ class AioNode:
         max_bundle_bytes: int = 1400,
         max_bundle_delay: float = 0.0,
         max_queued_packets: int = 512,
-        legacy_transports: bool = False,
     ) -> None:
         self.machines: list[ProtocolMachine] = list(machines or [])
         self._host = host
@@ -175,26 +150,10 @@ class AioNode:
         # the obs registry while recording.
         self.bundle_occupancy: dict[int, int] = {}
 
-        # Pre-fast-path RX/TX via asyncio transports + copy-normalizing
-        # decode(); the retained baseline `repro bench --aio` measures
-        # against (see _Endpoint).  Mutually exclusive with bundling.
-        if legacy_transports and bundling:
-            raise ValueError("legacy_transports is the pre-bundling baseline; "
-                             "it cannot coalesce")
-        self._legacy_transports = bool(legacy_transports)
-        if legacy_transports:
-            # Route every action through the retained pre-fast-path
-            # executor (isinstance dispatch, per-action encode, transport
-            # sendto) so the baseline's TX cost is the old TX cost.
-            self._execute_sync = self._execute_sync_legacy
-
         self._loop: asyncio.AbstractEventLoop | None = None
         self._ring: ReceiveRing | None = None
         self._unicast_sock: socket.socket | None = None
         self._mcast_send_sock: socket.socket | None = None
-        self._unicast_transport: asyncio.DatagramTransport | None = None
-        self._mcast_send_transport: asyncio.DatagramTransport | None = None
-        self._group_transports: dict[str, asyncio.DatagramTransport] = {}
         self._mcast_ttl = 1  # last TTL applied to the send socket
         self._group_socks: dict[str, socket.socket] = {}
         self._wakeup_handle: asyncio.TimerHandle | None = None
@@ -278,18 +237,10 @@ class AioNode:
         msock = make_multicast_send_socket(self._interface)
         self._mcast_send_sock = msock
         self._mcast_ttl = 1
-        if self._legacy_transports:
-            self._unicast_transport, _ = await self._loop.create_datagram_endpoint(
-                lambda: _Endpoint(self), sock=usock
-            )
-            self._mcast_send_transport, _ = await self._loop.create_datagram_endpoint(
-                lambda: _Endpoint(self), sock=msock
-            )
-        else:
-            self._loop.add_reader(usock.fileno(), self._on_readable, usock, None)
-            # Datagrams aimed at the send socket's ephemeral port still
-            # reach the node (parity with the transport-based endpoint).
-            self._loop.add_reader(msock.fileno(), self._on_readable, msock, None)
+        self._loop.add_reader(usock.fileno(), self._on_readable, usock, None)
+        # Datagrams aimed at the send socket's ephemeral port still
+        # reach the node.
+        self._loop.add_reader(msock.fileno(), self._on_readable, msock, None)
         for machine in self.machines:
             start = getattr(machine, "start", None)
             if callable(start):
@@ -310,27 +261,16 @@ class AioNode:
             self._wakeup_handle.cancel()
             self._wakeup_handle = None
         loop = self._loop
-        if self._legacy_transports:
-            for transport in self._group_transports.values():
-                transport.close()
-            self._group_transports.clear()
-            self._group_socks.clear()
-            for transport in (self._unicast_transport, self._mcast_send_transport):
-                if transport is not None:
-                    transport.close()
-            self._unicast_transport = None
-            self._mcast_send_transport = None
-        else:
-            for sock in self._group_socks.values():
+        for sock in self._group_socks.values():
+            if loop is not None:
+                loop.remove_reader(sock.fileno())
+            sock.close()
+        self._group_socks.clear()
+        for sock in (self._unicast_sock, self._mcast_send_sock):
+            if sock is not None:
                 if loop is not None:
                     loop.remove_reader(sock.fileno())
                 sock.close()
-            self._group_socks.clear()
-            for sock in (self._unicast_sock, self._mcast_send_sock):
-                if sock is not None:
-                    if loop is not None:
-                        loop.remove_reader(sock.fileno())
-                    sock.close()
         self._unicast_sock = None
         self._mcast_send_sock = None
         # Let any already-queued reader callbacks observe the close.
@@ -366,20 +306,11 @@ class AioNode:
         addr, port = self._directory.resolve(group)
         sock = make_multicast_recv_socket(addr, port, self._interface)
         self._group_socks[group] = sock
-        if self._legacy_transports:
-            transport, _ = await self._loop.create_datagram_endpoint(
-                lambda: _Endpoint(self, group=group), sock=sock
-            )
-            self._group_transports[group] = transport
-        else:
-            self._loop.add_reader(sock.fileno(), self._on_readable, sock, group)
+        self._loop.add_reader(sock.fileno(), self._on_readable, sock, group)
 
     def leave_group(self, group: str) -> None:
         sock = self._group_socks.pop(group, None)
-        transport = self._group_transports.pop(group, None)
-        if transport is not None:
-            transport.close()
-        elif sock is not None:
+        if sock is not None:
             if self._loop is not None:
                 self._loop.remove_reader(sock.fileno())
             sock.close()
@@ -446,40 +377,9 @@ class AioNode:
             self._packet_in(data, addr, group, now)
         self._reschedule()
 
-    def _datagram_legacy(self, data: bytes, addr: tuple[str, int], group: str | None = None) -> None:
-        """The pre-fast-path receive body, kept verbatim for the
-        ``legacy_transports`` baseline: copy-normalizing ``decode``, a
-        per-packet ``self.now`` read, the unconditional machine loop,
-        and an unconditional execute — exactly what every datagram cost
-        before the fast path landed.
-        """
-        if self._closed:
-            return
-        self.stats["rx_datagrams"] += 1
-        try:
-            packet = decode(data)
-        except DecodeError:
-            self.stats["decode_errors"] += 1
-            return
-        if group is not None:
-            pgroup = getattr(packet, "group", None)
-            if pgroup is not None and pgroup != group and not group.startswith(pgroup + "/"):
-                self.stats["group_mismatches"] += 1
-                return
-        self.stats["rx"] += 1
-        now = self.now
-        actions: list[Action] = []
-        for machine in self.machines:
-            actions.extend(machine.handle(packet, addr, now))
-        # Synchronous execution: sends on datagram transports don't block.
-        self._execute_sync(actions)
-        self._reschedule()
-
     def _packet_in(self, data, addr: tuple[str, int], group: str | None, now: float) -> None:
         stats = self.stats
         try:
-            # decode_from parses straight out of the receive buffer (the
-            # legacy path goes through _datagram_legacy instead).
             packet = decode_from(data)
         except DecodeError:
             stats["decode_errors"] += 1
@@ -534,9 +434,7 @@ class AioNode:
         # memo is deliberately bypassed: live traffic is dominated by
         # unique state updates, for which hashing the packet and
         # evicting a cache entry per send is pure overhead — the hoist
-        # already covers the fan-out case the memo existed for.  Legacy
-        # nodes never reach this executor: __init__ rebinds their
-        # _execute_sync to _execute_sync_legacy.
+        # already covers the fan-out case the memo existed for.
         last_packet = None
         last_wire = b""
         for action in actions:
@@ -582,61 +480,6 @@ class AioNode:
             else:  # pragma: no cover - future action types
                 raise TypeError(f"unknown action {action!r}")
 
-    def _execute_sync_legacy(self, actions: list[Action]) -> None:
-        """The pre-fast-path executor, kept verbatim for the
-        ``legacy_transports`` baseline: isinstance dispatch, one
-        ``encode`` per action (no hoist), sends through the asyncio
-        transport, and set/reset ``setsockopt`` per scoped multicast
-        (no TTL cache) — the TX cost every action carried before the
-        fast path landed.
-        """
-        for action in actions:
-            if isinstance(action, SendUnicast):
-                self.stats["tx_unicast"] += 1
-                self.stats["tx_datagrams"] += 1
-                assert self._unicast_transport is not None
-                if self._on_send is not None:
-                    self._on_send(action, self.now)
-                try:
-                    self._unicast_transport.sendto(encode(action.packet), action.dest)
-                except OSError as exc:
-                    self._socket_error(exc)
-            elif isinstance(action, SendMulticast):
-                if self._on_send is not None:
-                    self._on_send(action, self.now)
-                self._send_multicast_legacy(action)
-            elif isinstance(action, Deliver):
-                self.delivered.append(action)
-                self.delivery_queue.put_nowait(action)
-                if self._on_deliver is not None:
-                    self._on_deliver(action, self.now)
-            elif isinstance(action, Notify):
-                self.events.append(action.event)
-                if self._on_event is not None:
-                    self._on_event(action.event, self.now)
-            elif isinstance(action, JoinGroup):
-                assert self._loop is not None
-                self._loop.create_task(self.join_group(action.group))
-            elif isinstance(action, LeaveGroup):
-                self.leave_group(action.group)
-            else:  # pragma: no cover - future action types
-                raise TypeError(f"unknown action {action!r}")
-
-    def _send_multicast_legacy(self, action: SendMulticast) -> None:
-        assert self._mcast_send_transport is not None and self._mcast_send_sock is not None
-        self.stats["tx_multicast"] += 1
-        self.stats["tx_datagrams"] += 1
-        if action.ttl is not None:
-            set_multicast_ttl(self._mcast_send_sock, action.ttl)
-        addr, port = self._directory.resolve(action.group)
-        try:
-            self._mcast_send_transport.sendto(encode(action.packet), (addr, port))
-        except OSError as exc:
-            self._socket_error(exc)
-        finally:
-            if action.ttl is not None:
-                set_multicast_ttl(self._mcast_send_sock, 1)
-
     # -- raw transmission -------------------------------------------------
 
     def _apply_ttl(self, ttl: int) -> None:
@@ -655,8 +498,6 @@ class AioNode:
     def _transmit_unicast(self, wire: bytes, dest) -> None:
         self.stats["tx_datagrams"] += 1
         try:
-            # Raw sendto: legacy nodes transmit through
-            # _execute_sync_legacy (transport sendto) instead.
             self._unicast_sock.sendto(wire, dest)
         except OSError as exc:
             self._socket_error(exc)
@@ -676,34 +517,33 @@ class AioNode:
         """Queue one encoded packet on its destination's bundle."""
         queues = self._tx_queues
         sizes = self._tx_sizes
-        queue = queues.get(key)
-        if queue is None:
-            queue = queues[key] = []
-            sizes[key] = 0
+        queue = queues.get(key)  # present iff non-empty: _flush_key forgets the key
         framed = len(wire) + BUNDLE_FRAME_OVERHEAD
         if framed > self._frame_budget:
             # Too big to ever share a datagram: flush what's queued
             # first (per-destination ordering), then send it alone.
-            if queue:
+            if queue is not None:
                 self._flush_key(key)
             self._note_occupancy(1)
             self._transmit_key(key, wire)
             return
-        if len(queue) >= self._max_queued_packets:
-            # High-water drop policy: the queue holds at most one tick's
-            # backlog, so overflow means the loop is badly starved.
-            # Dropping here behaves exactly like network loss — which
-            # the protocol detects and repairs — instead of growing an
-            # unbounded buffer.
-            self.stats["tx_bundle_drops"] += 1
-            return
-        size = sizes[key] + framed
-        if queue and size > self._frame_budget:
-            self._flush_key(key)
-            queue = queues[key]
-            size = framed
+        if queue is not None:
+            if len(queue) >= self._max_queued_packets:
+                # High-water drop policy: the queue holds at most one tick's
+                # backlog, so overflow means the loop is badly starved.
+                # Dropping here behaves exactly like network loss — which
+                # the protocol detects and repairs — instead of growing an
+                # unbounded buffer.
+                self.stats["tx_bundle_drops"] += 1
+                return
+            if sizes[key] + framed > self._frame_budget:
+                self._flush_key(key)
+                queue = None
+        if queue is None:
+            queue = queues[key] = []
+            sizes[key] = 0
         queue.append(wire)
-        sizes[key] = size
+        sizes[key] += framed
         if self._flush_handle is None:
             assert self._loop is not None
             if self._max_bundle_delay > 0.0:
@@ -722,11 +562,12 @@ class AioNode:
             self._flush_key(key)
 
     def _flush_key(self, key: tuple) -> None:
-        queue = self._tx_queues.get(key)
-        if not queue:
+        # Forget the key too: unicast keys carry remote addresses, so
+        # keeping them would grow the tables with every peer answered.
+        queue = self._tx_queues.pop(key, None)
+        if queue is None:
             return
-        self._tx_queues[key] = []
-        self._tx_sizes[key] = 0
+        del self._tx_sizes[key]
         occupancy = len(queue)
         self._note_occupancy(occupancy)
         if occupancy == 1:

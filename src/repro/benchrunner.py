@@ -46,27 +46,25 @@ def load_harness(path: str | pathlib.Path | None = None):
     return module
 
 
-def _run_one(harness_path: str, name: str, tier: str, engine: str) -> tuple[str, str, dict]:
-    """Worker entry point: one (scenario, engine) run in this process."""
-    harness = load_harness(harness_path)
-    return name, engine, harness.run_scenario(name, tier=tier, engine=engine)
+def _run_one(harness_path: str, name: str, tier: str) -> dict:
+    """Worker entry point: one scenario run in this process."""
+    return load_harness(harness_path).run_scenario(name, tier=tier)
 
 
 def profile_scenario(
     harness_path: str,
     name: str,
     tier: str,
-    engine: str,
     out_dir: pathlib.Path,
 ) -> tuple[dict, pathlib.Path, pathlib.Path]:
-    """Run one (scenario, engine) pair under cProfile.
+    """Run one scenario under cProfile.
 
     Writes two artifacts next to the BENCH results:
 
-    * ``PROFILE_<scenario>_<engine>.pstats`` — the raw profile, loadable
+    * ``PROFILE_<scenario>.pstats`` — the raw profile, loadable
       with :mod:`pstats` and flamegraph front-ends (snakeviz, flameprof,
       ``gprof2dot``).
-    * ``PROFILE_<scenario>_<engine>.txt`` — the top functions by
+    * ``PROFILE_<scenario>.txt`` — the top functions by
       cumulative and by internal time, for reading in a terminal or a CI
       log without extra tooling.
 
@@ -82,18 +80,18 @@ def profile_scenario(
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        run = harness.run_scenario(name, tier=tier, engine=engine)
+        run = harness.run_scenario(name, tier=tier)
     finally:
         profiler.disable()
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"PROFILE_{name}_{engine}"
+    stem = f"PROFILE_{name}"
     pstats_path = out_dir / f"{stem}.pstats"
     profiler.dump_stats(pstats_path)
 
     buf = io.StringIO()
     stats = pstats.Stats(profiler, stream=buf)
     stats.strip_dirs()
-    buf.write(f"# {name} [{tier}] engine={engine}\n")
+    buf.write(f"# {name} [{tier}]\n")
     buf.write(f"# events_per_sec (profiled, overhead-laden): {run['events_per_sec']:,.0f}\n\n")
     buf.write("== top 30 by cumulative time ==\n")
     stats.sort_stats("cumulative").print_stats(30)
@@ -113,9 +111,9 @@ def check_results(
     """Compare fresh bench results against committed baselines.
 
     For every assembled result whose scenario has a
-    ``BENCH_<scenario>.json`` in ``baseline_dir``, the fast engine's
-    ``events_per_sec`` must be no more than ``tolerance`` below the
-    baseline's.  Returns a list of human-readable failures (empty ⇒
+    ``BENCH_<scenario>.json`` in ``baseline_dir``, ``events_per_sec``
+    (recorded under ``engines.fast``) must be no more than ``tolerance``
+    below the baseline's.  Returns a list of human-readable failures (empty ⇒
     gate passes).  Pure function — no I/O besides reading baselines — so
     the gate itself is unit-testable.
 
@@ -157,7 +155,7 @@ def check_results(
         base_run = baseline.get("engines", {}).get("fast")
         new_run = result.get("engines", {}).get("fast")
         if base_run is None or new_run is None:
-            failures.append(f"{name}: fast-engine metrics missing from baseline or run")
+            failures.append(f"{name}: engines.fast metrics missing from baseline or run")
             continue
         base_eps = base_run["events_per_sec"]
         new_eps = new_run["events_per_sec"]
@@ -186,34 +184,30 @@ def build_bench_parser(parser: argparse.ArgumentParser | None = None) -> argpars
                       help="paper-scale populations, best of three repeats")
     tier.add_argument("--scale", dest="tier", action="store_const", const="scale",
                       help="aggregate-scale scenarios (10^5-10^6 modeled "
-                           "receivers via repro.scale); fast engine only")
+                           "receivers via repro.scale)")
     tier.add_argument("--hierarchy", dest="tier", action="store_const", const="hierarchy",
                       help="k-level repair-tree scenarios (recovery-latency CDF, "
-                           "flat vs depth-3 at 10k sites); fast engine only")
+                           "flat vs depth-3 at 10k sites)")
     tier.add_argument("--aio", dest="tier", action="store_const", const="aio",
-                      help="live-UDP loopback transport tier: bundled zero-copy "
-                           "fast path (fast) vs the pre-bundling transport "
-                           "baseline (reference) over real sockets; writes an "
+                      help="live-UDP loopback transport tier (bundled zero-copy "
+                           "datagram path over real sockets); writes an "
                            "explicit skipped artifact where sockets are "
                            "unavailable")
     parser.set_defaults(tier="quick")
     parser.add_argument("--only", metavar="NAME[,NAME...]", default=None,
                         help="run only these scenarios (comma separated)")
-    parser.add_argument("--engine", choices=["both", "fast", "reference"], default="both",
-                        help="engine configurations to measure (default both, "
-                             "which also records the fast/reference speedup)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run scenario measurements across N processes")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="output directory for BENCH_*.json "
                              "(default benchmarks/results/)")
     parser.add_argument("--profile", action="store_true",
-                        help="run each (scenario, engine) pair under cProfile and "
+                        help="run each scenario under cProfile and "
                              "write PROFILE_*.pstats / PROFILE_*.txt artifacts "
                              "(throughput numbers are not recorded: profiled runs "
                              "carry instrumentation overhead)")
     parser.add_argument("--check", metavar="BASELINE_DIR", default=None,
-                        help="after measuring, fail if any scenario's fast-engine "
+                        help="after measuring, fail if any scenario's "
                              "events_per_sec fell more than the tolerance below "
                              "the committed BENCH_*.json in BASELINE_DIR")
     parser.add_argument("--check-tolerance", type=float, default=0.15, metavar="FRAC",
@@ -232,9 +226,9 @@ def run_bench(args: argparse.Namespace) -> int:
         print(f"bench: {exc}", file=sys.stderr)
         return 1
 
-    # The scale tier runs its own scenario set (aggregate-model runs the
-    # reference engine has no twin for); the aio tier runs the live-UDP
-    # scenarios; quick/full run the exact set.
+    # The scale tier runs the aggregate-model scenarios, the hierarchy
+    # tier the 10k-site tree, the aio tier the live-UDP scenarios;
+    # quick/full run the exact-engine set.
     if args.tier == "scale":
         scenario_map = getattr(harness, "SCALE_SCENARIOS", {})
         if not scenario_map:
@@ -275,78 +269,51 @@ def run_bench(args: argparse.Namespace) -> int:
             print(f"bench: unknown scenario(s) {unknown}; "
                   f"have {sorted(scenario_map)}", file=sys.stderr)
             return 2
-    if args.tier in ("scale", "hierarchy"):
-        if args.engine == "reference":
-            print(f"bench: {args.tier} scenarios run the fast engine only", file=sys.stderr)
-            return 2
-        engines = ["fast"]
-    else:
-        engines = ["fast", "reference"] if args.engine == "both" else [args.engine]
     out_dir = pathlib.Path(args.out) if args.out else harness.RESULTS_DIR
 
     if getattr(args, "profile", False):
         # Profiling replaces measurement: results are not written (they
         # would poison the perf trajectory with instrumented numbers).
         for name in names:
-            for engine in engines:
-                run, pstats_path, txt_path = profile_scenario(
-                    harness_path, name, args.tier, engine, out_dir
-                )
-                print(f"bench --profile {name} [{args.tier}] {engine}: "
-                      f"{run['events_per_sec']:,.0f} ev/s (instrumented)")
-                print(f"  -> {pstats_path}")
-                print(f"  -> {txt_path}")
+            run, pstats_path, txt_path = profile_scenario(
+                harness_path, name, args.tier, out_dir
+            )
+            print(f"bench --profile {name} [{args.tier}]: "
+                  f"{run['events_per_sec']:,.0f} ev/s (instrumented)")
+            print(f"  -> {pstats_path}")
+            print(f"  -> {txt_path}")
         return 0
 
-    jobs = [(name, engine) for name in names for engine in engines]
-    runs: dict[str, dict[str, dict]] = {name: {} for name in names}
-    if args.jobs > 1 and len(jobs) > 1:
+    if args.jobs > 1 and len(names) > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_run_one, harness_path, name, args.tier, engine)
-                for name, engine in jobs
-            ]
-            for future in concurrent.futures.as_completed(futures):
-                name, engine, run = future.result()
-                runs[name][engine] = run
+            futures = {
+                name: pool.submit(_run_one, harness_path, name, args.tier) for name in names
+            }
+            runs = {name: future.result() for name, future in futures.items()}
     else:
-        for name, engine in jobs:
-            _, _, run = _run_one(harness_path, name, args.tier, engine)
-            runs[name][engine] = run
+        runs = {name: _run_one(harness_path, name, args.tier) for name in names}
 
-    failures = 0
     results: list[dict] = []
-    for name in names:
-        try:
-            result = harness.assemble_result(name, args.tier, runs[name])
-        except AssertionError as exc:
-            print(f"bench: FAILED {exc}", file=sys.stderr)
-            failures += 1
-            continue
+    for name, run in runs.items():
+        result = harness.assemble_result(name, args.tier, run)
         results.append(result)
         path = harness.write_result(result, out_dir)
-        line = f"bench {name} [{args.tier}]"
-        for engine in engines:
-            run = runs[name][engine]
-            line += f"  {engine}: {run['events_per_sec']:,.0f} ev/s ({run['wall_s']:.3f}s)"
-        if "speedup" in result:
-            line += f"  speedup: {result['speedup']:.2f}x"
-        print(line)
+        print(f"bench {name} [{args.tier}]  "
+              f"{run['events_per_sec']:,.0f} ev/s ({run['wall_s']:.3f}s)")
         print(f"  -> {path}")
 
     check_dir = getattr(args, "check", None)
-    if check_dir:
-        gate_failures = check_results(
-            results, check_dir, tolerance=getattr(args, "check_tolerance", 0.15),
-            expect_complete=not args.only,
-        )
-        for failure in gate_failures:
-            print(f"bench --check: FAILED {failure}", file=sys.stderr)
-        if gate_failures:
-            failures += len(gate_failures)
-        else:
-            print(f"bench --check: OK — no scenario regressed more than "
-                  f"{getattr(args, 'check_tolerance', 0.15):.0%} vs {check_dir}")
-    return 1 if failures else 0
+    if not check_dir:
+        return 0
+    gate_failures = check_results(
+        results, check_dir, tolerance=getattr(args, "check_tolerance", 0.15),
+        expect_complete=not args.only,
+    )
+    for failure in gate_failures:
+        print(f"bench --check: FAILED {failure}", file=sys.stderr)
+    if not gate_failures:
+        print(f"bench --check: OK — no scenario regressed more than "
+              f"{getattr(args, 'check_tolerance', 0.15):.0%} vs {check_dir}")
+    return 1 if gate_failures else 0

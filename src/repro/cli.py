@@ -11,7 +11,8 @@ Commands
 ``headline``   — print the paper's headline numbers, recomputed live.
 ``metrics``    — run a canned loss scenario with observability on and
                  dump the metrics registry (text or JSON).
-``bench``      — run the performance harness (fast vs reference engine)
+``bench``      — run the performance harness (each scenario measured
+                 once; ``--check`` gates against committed baselines)
                  and write machine-readable ``BENCH_*.json`` results.
 ``chaos``      — run the randomized fault-injection conformance campaign
                  (seeded schedules, invariant oracle, reproducer seeds).

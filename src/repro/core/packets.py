@@ -59,6 +59,8 @@ __all__ = [
     "encode_uncached",
     "decode_uncached",
     "decode_from",
+    "encode_reference",
+    "decode_reference",
     "encode_bundle",
     "iter_bundle",
     "is_bundle",
@@ -68,9 +70,6 @@ __all__ = [
     "register_packet",
     "codec_cache_stats",
     "clear_codec_caches",
-    "set_codec_caches",
-    "set_codec_mode",
-    "codec_mode",
 ]
 
 _MAGIC = b"LB"
@@ -181,17 +180,17 @@ P = TypeVar("P", bound=Type[Packet])
 def register_packet(cls: P) -> P:
     """Class decorator adding ``cls`` to the wire-format registry.
 
-    Classes declaring a ``WIRE`` spec additionally get a precompiled
-    struct codec (see :func:`_compile_struct_codec`); the rest fall back
-    to their per-field ``encode_body``/``decode_body`` in both modes.
+    ``cls`` must declare a ``WIRE`` spec (else :class:`EncodeError`): the
+    struct codec compiled from it (see :func:`_compile_struct_codec`) is
+    the only one :func:`encode`/:func:`decode` dispatch to.
     """
     ptype = int(cls.TYPE)
     existing = _REGISTRY.get(ptype)
     if existing is not None and existing is not cls:
         raise EncodeError(f"packet type {ptype} already registered to {existing.__name__}")
+    _compile_struct_codec(cls)
     _REGISTRY[ptype] = cls
     _install_cached_hash(cls)
-    _compile_struct_codec(cls)
     return cls
 
 
@@ -210,15 +209,17 @@ def _install_cached_hash(cls: Type[Packet]) -> None:
     cls.__hash__ = __hash__
 
 
-# -- struct-codec fast path --------------------------------------------------
+# -- struct codecs -----------------------------------------------------------
 #
-# A packet class may declare ``WIRE``: a tuple of ``(field_name, kind)``
+# Every packet class declares ``WIRE``: a tuple of ``(field_name, kind)``
 # pairs in *wire* order, from which one precompiled :class:`struct.Struct`
-# codec is built at registration time.  The per-field ``encode_body`` /
-# ``decode_body`` methods remain the executable conformance specification —
-# the property suite fuzzes every registered type and asserts both paths
-# produce identical bytes and identical values, and both reject truncated
-# or garbage-suffixed datagrams with :class:`DecodeError`
+# codec is built at registration time.  That codec is the runtime.  The
+# per-field ``encode_body`` / ``decode_body`` methods are the executable
+# conformance specification, reached only through
+# :func:`encode_reference` / :func:`decode_reference` — the property
+# suite fuzzes every registered type and asserts both produce identical
+# bytes and identical values, and both reject truncated or
+# garbage-suffixed datagrams with :class:`DecodeError`
 # (tests/property/test_codec_conformance.py).
 #
 # Allowed shape: any run of fixed-width fields plus at most one
@@ -247,7 +248,7 @@ def _compile_struct_codec(cls: Type[Packet]) -> None:
     """Build and register the precompiled codec pair for ``cls.WIRE``."""
     wire = cls.__dict__.get("WIRE")
     if wire is None:
-        return
+        raise EncodeError(f"{cls.__name__} declares no WIRE spec")
     tname = cls.TYPE.name
     fixed_names: list[str] = []
     fmt = "!"
@@ -939,37 +940,16 @@ class ReplStatusQueryPacket(Packet):
         return cls(group=group)
 
 
-# Which body codec serves encode/decode: "struct" is the precompiled
-# fast path, "legacy" the per-field conformance spec.  The benchmark
-# harness's reference mode selects "legacy" to measure the pre-struct
-# baseline; everything else runs "struct".
-_CODEC_MODE = "struct"
-
-
-def set_codec_mode(mode: str) -> None:
-    """Select ``"struct"`` (default) or ``"legacy"`` codecs.
-
-    Clears both memo caches so cached objects and hit/miss stats always
-    come from a single mode.
-    """
-    global _CODEC_MODE
-    if mode not in ("struct", "legacy"):
-        raise ValueError(f"codec mode must be 'struct' or 'legacy', got {mode!r}")
-    _CODEC_MODE = mode
-    clear_codec_caches()
-
-
-def codec_mode() -> str:
-    """The currently selected body codec ("struct" or "legacy")."""
-    return _CODEC_MODE
-
-
 def encode_uncached(packet: Packet) -> bytes:
     """Serialize ``packet`` to its wire representation (no memoization)."""
-    if _CODEC_MODE == "struct":
-        enc = _STRUCT_ENCODERS.get(type(packet))
-        if enc is not None:
-            return enc(packet)
+    enc = _STRUCT_ENCODERS.get(type(packet))
+    if enc is None:
+        raise EncodeError(f"{type(packet).__name__} is not a registered packet type")
+    return enc(packet)
+
+
+def encode_reference(packet: Packet) -> bytes:
+    """Conformance oracle for :func:`encode_uncached`: per-field ``encode_body``."""
     header = _HEADER.pack(_MAGIC, _VERSION, int(packet.TYPE))
     return header + _pack_str(packet.group) + packet.encode_body()
 
@@ -1009,6 +989,12 @@ def decode_from(buf, offset: int = 0, length: int | None = None) -> Packet:
     return _decode_view(view)
 
 
+def decode_reference(data: bytes) -> Packet:
+    """Conformance oracle for :func:`decode_uncached`: same header and
+    group parse, then the class's per-field ``decode_body``."""
+    return _decode_view(bytes(data), reference=True)
+
+
 # One-entry group-name memo for the RX hot path: a receive socket sees
 # the same group on (nearly) every packet, and memoryview == bytes is a
 # C-level compare — so a hit replaces the per-packet UTF-8 decode and
@@ -1018,7 +1004,7 @@ _LAST_GROUP_RAW: bytes = b"\xff"  # never equals valid UTF-8 group bytes
 _LAST_GROUP: str = ""
 
 
-def _decode_view(data) -> Packet:
+def _decode_view(data, reference: bool = False) -> Packet:
     """Shared datagram parse over any buffer (``bytes`` or memoryview)."""
     global _LAST_GROUP_RAW, _LAST_GROUP
     n = len(data)
@@ -1029,10 +1015,9 @@ def _decode_view(data) -> Packet:
         raise DecodeError(f"bad magic {magic!r}", bytes(data))
     if version != _VERSION:
         raise DecodeError(f"unsupported version {version}", bytes(data))
-    cls = _REGISTRY.get(ptype)
-    if cls is None:
+    dec = _STRUCT_DECODERS.get(ptype)
+    if dec is None:
         raise DecodeError(f"unknown packet type {ptype}", bytes(data))
-    # Both modes share the header/group parse (and its error behavior).
     if n < 5:
         raise DecodeError("truncated string length", bytes(data))
     end = 5 + data[4]
@@ -1047,11 +1032,9 @@ def _decode_view(data) -> Packet:
         except UnicodeDecodeError as exc:
             raise DecodeError(f"group is not UTF-8: {exc}", bytes(data)) from None
         _LAST_GROUP_RAW, _LAST_GROUP = bytes(raw), group
-    if _CODEC_MODE == "struct":
-        dec = _STRUCT_DECODERS.get(ptype)
-        if dec is not None:
-            return dec(data, end, group)
-    return cls.decode_body(group, memoryview(data)[end:])
+    if reference:
+        return _REGISTRY[ptype].decode_body(group, memoryview(data)[end:])
+    return dec(data, end, group)
 
 
 # -- bundle framing -----------------------------------------------------------
@@ -1160,7 +1143,7 @@ class _CodecCache:
     registry changes (one identity check per call).
     """
 
-    __slots__ = ("name", "max_entries", "entries", "hits", "misses", "enabled",
+    __slots__ = ("name", "max_entries", "entries", "hits", "misses",
                  "_reg", "_mirror", "_hit_ctr", "_miss_ctr")
 
     def __init__(self, name: str, max_entries: int = 4096) -> None:
@@ -1169,7 +1152,6 @@ class _CodecCache:
         self.entries: dict = {}
         self.hits = 0
         self.misses = 0
-        self.enabled = True
         self._reg = None
         self._mirror = False  # skip no-op counter calls off-recording
         self._hit_ctr = None
@@ -1221,8 +1203,6 @@ def encode(packet: Packet) -> bytes:
     retransmissions for free.
     """
     cache = _ENCODE_CACHE
-    if not cache.enabled:
-        return encode_uncached(packet)
     wire = cache.entries.get(packet)
     if wire is not None:
         # hit() inlined: this is the hottest line in a multicast send.
@@ -1246,8 +1226,6 @@ def decode(data: bytes) -> Packet:
     cached.
     """
     cache = _DECODE_CACHE
-    if not cache.enabled:
-        return decode_uncached(data)
     if type(data) is not bytes:
         # bytearray/memoryview from a transport is unhashable — normalize
         # before probing the memo (decode_uncached does the same).
@@ -1272,13 +1250,11 @@ def codec_cache_stats() -> dict:
             "hits": _ENCODE_CACHE.hits,
             "misses": _ENCODE_CACHE.misses,
             "size": len(_ENCODE_CACHE.entries),
-            "enabled": _ENCODE_CACHE.enabled,
         },
         "decode": {
             "hits": _DECODE_CACHE.hits,
             "misses": _DECODE_CACHE.misses,
             "size": len(_DECODE_CACHE.entries),
-            "enabled": _DECODE_CACHE.enabled,
         },
     }
 
@@ -1287,16 +1263,3 @@ def clear_codec_caches() -> None:
     """Drop all memoized encodings/decodings and zero the counters."""
     _ENCODE_CACHE.clear()
     _DECODE_CACHE.clear()
-
-
-def set_codec_caches(encode: bool | None = None, decode: bool | None = None) -> None:
-    """Enable/disable the codec memos (the benchmark harness's baseline
-    mode turns them off to measure the pre-memoization path)."""
-    if encode is not None:
-        _ENCODE_CACHE.enabled = encode
-        if not encode:
-            _ENCODE_CACHE.clear()
-    if decode is not None:
-        _DECODE_CACHE.enabled = decode
-        if not decode:
-            _DECODE_CACHE.clear()

@@ -9,8 +9,7 @@ Two implementations of the same contract:
 * :class:`ReferenceSimulator` — the original pure-heap engine, kept as
   the executable specification.  Property tests drive both with random
   schedule/cancel/reschedule interleavings and assert identical
-  execution orders; the benchmark harness uses it as the pre-wheel
-  baseline.
+  execution orders; the chaos campaigns replay every case on both.
 
 The ordering contract both implement: events execute in ``(time, tie)``
 order, where ``tie`` is a monotone counter assigned at schedule time —
@@ -389,9 +388,9 @@ class WakeupMux:
     site.  Scheduling one event per distinct deadline and fanning the
     polls out inside the callback removes the dominant event-count term
     from steady-state traffic, the same move the network's batched
-    delivery makes for arrivals.  The mux is therefore part of the fast
-    path only (see ``Network.batch_delivery``); the reference
-    configuration keeps one event per node wakeup.
+    delivery makes for arrivals.  The mux is tied to
+    ``Network.batch_delivery``; with that off (a test oracle) every node
+    wakeup is its own event.
 
     Cancellation is lazy: re-arming never removes a node from an earlier
     bucket.  The fire loop skips any node whose armed deadline
@@ -431,8 +430,7 @@ class ReferenceSimulator:
 
     Kept verbatim (modulo live-``pending`` accounting) so the property
     suite can assert the wheel engine's execution order against it and
-    the benchmark harness can measure the fast path's speedup over the
-    pre-wheel baseline.
+    the chaos/sweep campaigns can demand identical digests from both.
     """
 
     def __init__(self, start: float = 0.0) -> None:

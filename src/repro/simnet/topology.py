@@ -151,9 +151,9 @@ class Network:
         # Fast path: one delivery event per distinct arrival time instead
         # of one per receiver, and one wakeup event per distinct node
         # deadline (the WakeupMux).  Off = the pre-batching per-receiver
-        # loop and per-node wakeups (kept as the reference baseline for
-        # the benchmark harness); both produce identical delivery and
-        # RNG-draw orderings.
+        # loop and per-node wakeups, which only tests select (the oracle
+        # of tests/simnet/test_loss_batch.py); both produce identical
+        # delivery and RNG-draw orderings.
         self.wakeup_mux: WakeupMux | None = None
         self.batch_delivery = True
         # Optional observer called for every delivered/dropped packet:
@@ -181,8 +181,8 @@ class Network:
     @batch_delivery.setter
     def batch_delivery(self, on: bool) -> None:
         self._batch_delivery = on
-        # The wakeup mux is part of the same fast path; the reference
-        # configuration keeps one simulator event per node wakeup.
+        # The wakeup mux is part of the same fast path; with batching
+        # off there is one simulator event per node wakeup.
         # Buckets already scheduled by an old mux self-heal: their fire
         # loop skips nodes whose armed deadline no longer matches, and a
         # spurious poll is legal under the machine contract.

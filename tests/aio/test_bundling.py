@@ -199,6 +199,55 @@ def test_high_water_drop_policy_bounds_the_queue():
     assert [p.payload for p in delivered] == payloads[:4]
 
 
+def test_tx_tables_forget_flushed_destinations():
+    """Unicast queue keys carry remote addresses (every NACK source a
+    logger answers), so a flush must forget the key, not park an empty
+    entry per peer ever seen — and forgetting must not change what goes
+    on the wire: same bytes, same per-destination order as bundling off."""
+    dests = [("127.0.0.1", 20000 + i) for i in range(60)]
+    payload = b"r" * 500  # the third per tick overflows the budget mid-call
+
+    class _Capture(_RecordingSock):
+        def sendto(self, wire, dest):
+            self.wires.append((dest, bytes(wire)))
+            return len(wire)
+
+    async def run(bundling: bool):
+        sender = AioNode([], bundling=bundling)
+        try:
+            await sender.start()
+            capture = _Capture(sender._unicast_sock)
+            sender._unicast_sock = capture
+            seq = 0
+            table_sizes = []
+            for _tick in range(4):
+                for dest in dests:
+                    for _ in range(3):
+                        seq += 1
+                        packet = DataPacket(group="t/bundle", seq=seq, payload=payload)
+                        sender._execute_sync([SendUnicast(dest=dest, packet=packet)])
+                while sender._flush_handle is not None:
+                    await asyncio.sleep(0)
+                table_sizes.append((len(sender._tx_queues), len(sender._tx_sizes)))
+            return capture.wires, table_sizes
+        finally:
+            await sender.close()
+
+    def per_destination(wires):
+        streams: dict = {}
+        for dest, wire in wires:
+            frames = P.iter_bundle(wire) if P.is_bundle(wire) else [wire]
+            streams.setdefault(dest, []).extend(bytes(f) for f in frames)
+        return streams
+
+    off_wires, _ = asyncio.run(run(False))
+    on_wires, table_sizes = asyncio.run(run(True))
+    assert table_sizes == [(0, 0)] * 4
+    assert any(P.is_bundle(wire) for _, wire in on_wires)
+    assert per_destination(on_wires) == per_destination(off_wires)
+    assert set(per_destination(on_wires)) == set(dests)
+
+
 def test_bundle_delay_coalesces_across_ticks():
     """With max_bundle_delay > 0 the flush timer spans event-loop ticks,
     so two temporally close bursts share one datagram."""

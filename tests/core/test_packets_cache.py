@@ -35,11 +35,9 @@ EVERY_PACKET = ALL_PACKETS + EXTENSION_PACKETS
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Each test sees empty, enabled memos and leaves none behind."""
-    P.set_codec_caches(encode=True, decode=True)
+    """Each test sees empty memos and leaves none behind."""
     P.clear_codec_caches()
     yield
-    P.set_codec_caches(encode=True, decode=True)
     P.clear_codec_caches()
 
 
@@ -127,19 +125,7 @@ def test_hits_off_recording_skip_registry_entirely():
         "hits": 1,
         "misses": 1,
         "size": 1,
-        "enabled": True,
     }
-
-
-def test_disabled_cache_takes_uncached_path():
-    P.set_codec_caches(encode=False, decode=False)
-    packet = P.DataPacket(group="g", seq=9, payload=b"raw")
-    wire = P.encode(packet)
-    assert wire == P.encode_uncached(packet)
-    assert P.decode(wire) == packet
-    stats = P.codec_cache_stats()
-    assert stats["encode"] == {"hits": 0, "misses": 0, "size": 0, "enabled": False}
-    assert stats["decode"] == {"hits": 0, "misses": 0, "size": 0, "enabled": False}
 
 
 def test_encode_cache_is_fifo_bounded():

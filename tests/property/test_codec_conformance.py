@@ -1,11 +1,13 @@
-"""Differential codec conformance: struct fast path vs legacy spec.
+"""Differential codec conformance: struct codecs vs the per-field spec.
 
 The per-field ``encode_body`` / ``decode_body`` methods are the
-executable wire-format specification; the precompiled ``struct`` codecs
-are the fast path the hot loops actually run.  This suite fuzzes every
-registered packet type — the strategies are derived from each class's
-``WIRE`` declaration, so a new packet type is covered the moment it is
-registered — and asserts the two paths are indistinguishable:
+executable wire-format specification, reached through
+``encode_reference`` / ``decode_reference``; the precompiled ``struct``
+codecs are the only thing ``encode`` / ``decode`` run.  This suite
+fuzzes every registered packet type — the strategies are derived from
+each class's ``WIRE`` declaration, so a new packet type is covered the
+moment it is registered — and asserts the two paths are
+indistinguishable:
 
 * identical bytes out of ``encode`` for identical packets,
 * identical packets out of ``decode`` for identical bytes,
@@ -13,10 +15,9 @@ registered — and asserts the two paths are indistinguishable:
   always via :class:`DecodeError` — a raw ``struct.error`` escaping
   either path is a crash bug in a transport callback.
 
-A ``DecodeError`` from one mode with a successful parse in the other
-would let a mixed fleet (old decoder, new encoder or vice versa)
-disagree about what is on the wire, so every assertion here runs the
-same input through both modes.
+A ``DecodeError`` from one path with a successful parse in the other
+would mean the runtime codec no longer implements the specification,
+so every assertion here runs the same input through both.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import packets as P
-from repro.core.errors import DecodeError
+from repro.core.errors import DecodeError, EncodeError
 
 # -- strategies derived from the WIRE specs ----------------------------------
 
@@ -61,27 +62,17 @@ _ALL_CLASSES = [cls for _, cls in sorted(P._REGISTRY.items())]
 _PACKETS = st.one_of([_packet_strategy(cls) for cls in _ALL_CLASSES])
 
 
-def _with_mode(mode, fn):
-    """Run ``fn`` under a codec mode, restoring the process default."""
-    prior = P.codec_mode()
-    P.set_codec_mode(mode)
-    try:
-        return fn()
-    finally:
-        P.set_codec_mode(prior)
-
-
 def _decode_both(data):
-    """Decode under both modes; return (struct_outcome, legacy_outcome).
+    """Decode through both paths; return (struct_outcome, legacy_outcome).
 
     Outcomes are ``("ok", packet)`` or ``("error", message)``.  Only
     :class:`DecodeError` counts as rejection — anything else (above all
     ``struct.error``) propagates and fails the test.
     """
     outcomes = []
-    for mode in ("struct", "legacy"):
+    for decode in (P.decode_uncached, P.decode_reference):
         try:
-            packet = _with_mode(mode, lambda: P.decode_uncached(data))
+            packet = decode(data)
         except DecodeError:
             outcomes.append(("error",))
         else:
@@ -91,25 +82,46 @@ def _decode_both(data):
 
 @pytest.mark.parametrize("cls", _ALL_CLASSES, ids=lambda c: c.__name__)
 def test_every_registered_type_has_a_struct_codec(cls):
-    """The fast path may never silently fall back for a registered type."""
+    """Registration compiles a struct codec or fails; there is no fallback."""
     assert cls in P._STRUCT_ENCODERS
     assert int(cls.TYPE) in P._STRUCT_DECODERS
+
+
+def test_registering_a_class_without_wire_is_refused():
+    ptype = 250
+    assert ptype not in P._REGISTRY
+
+    class NoWirePacket(P.Packet):
+        TYPE = ptype
+
+        def encode_body(self) -> bytes:
+            return b""
+
+        @classmethod
+        def decode_body(cls, group, buf):
+            return cls(group=group)
+
+    with pytest.raises(EncodeError, match="WIRE"):
+        P.register_packet(NoWirePacket)
+    # Refused before registration: nothing decodes to it, nothing encodes it.
+    assert ptype not in P._REGISTRY
+    assert ptype not in P._STRUCT_DECODERS
+    with pytest.raises(EncodeError):
+        P.encode(NoWirePacket(group="g"))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_PACKETS)
 def test_struct_and_legacy_encodings_identical(pkt):
-    wire_struct = _with_mode("struct", lambda: P.encode_uncached(pkt))
-    wire_legacy = _with_mode("legacy", lambda: P.encode_uncached(pkt))
-    assert wire_struct == wire_legacy
+    assert P.encode_uncached(pkt) == P.encode_reference(pkt)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_PACKETS)
 def test_struct_and_legacy_roundtrip_identical(pkt):
-    wire = _with_mode("legacy", lambda: P.encode_uncached(pkt))
-    via_struct = _with_mode("struct", lambda: P.decode_uncached(wire))
-    via_legacy = _with_mode("legacy", lambda: P.decode_uncached(wire))
+    wire = P.encode_reference(pkt)
+    via_struct = P.decode_uncached(wire)
+    via_legacy = P.decode_reference(wire)
     assert type(via_struct) is type(pkt)
     assert via_struct == pkt
     assert via_legacy == pkt
@@ -118,8 +130,8 @@ def test_struct_and_legacy_roundtrip_identical(pkt):
 @settings(max_examples=150, deadline=None)
 @given(_PACKETS, st.data())
 def test_truncation_rejected_identically(pkt, data):
-    """Any proper prefix of a valid datagram fails in both modes."""
-    wire = _with_mode("struct", lambda: P.encode_uncached(pkt))
+    """Any proper prefix of a valid datagram fails on both paths."""
+    wire = P.encode_uncached(pkt)
     cut = data.draw(st.integers(min_value=1, max_value=len(wire)))
     struct_out, legacy_out = _decode_both(wire[: len(wire) - cut])
     # Cutting from a correct encoding can never leave a shorter valid
@@ -131,7 +143,7 @@ def test_truncation_rejected_identically(pkt, data):
 @settings(max_examples=150, deadline=None)
 @given(_PACKETS, st.binary(min_size=1, max_size=8))
 def test_trailing_garbage_rejected_identically(pkt, suffix):
-    wire = _with_mode("struct", lambda: P.encode_uncached(pkt))
+    wire = P.encode_uncached(pkt)
     struct_out, legacy_out = _decode_both(wire + suffix)
     assert struct_out == ("error",)
     assert legacy_out == ("error",)
@@ -140,7 +152,7 @@ def test_trailing_garbage_rejected_identically(pkt, suffix):
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=128))
 def test_garbage_outcomes_identical(data):
-    """Arbitrary bytes: both modes agree — same packet or both reject."""
+    """Arbitrary bytes: both paths agree — same packet or both reject."""
     struct_out, legacy_out = _decode_both(data)
     assert struct_out == legacy_out
 
@@ -155,7 +167,7 @@ def test_flipped_byte_never_escapes_decode_error(pkt, data):
     or UnicodeDecodeError out.  _decode_both re-raises anything that is
     not a DecodeError.
     """
-    wire = bytearray(_with_mode("struct", lambda: P.encode_uncached(pkt)))
+    wire = bytearray(P.encode_uncached(pkt))
     index = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
     flip = data.draw(st.integers(min_value=1, max_value=255))
     wire[index] ^= flip

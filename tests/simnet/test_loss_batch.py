@@ -6,9 +6,10 @@ strict stream equivalence: same verdicts as sequential ``drops`` calls,
 same RNG consumption, same model state afterwards — a same-seed run may
 never change by a byte when batching is toggled.  The suite closes with
 the end-to-end form of that guarantee: a fig7-style lossy deployment
-replayed with ``batch_delivery`` on and off (which also toggles the
-shared-deadline :class:`~repro.simnet.engine.WakeupMux`) produces
-byte-identical packet traces and protocol outcomes.
+replayed on the wheel engine with ``batch_delivery`` on (which also
+turns on the shared-deadline :class:`~repro.simnet.engine.WakeupMux`)
+and on the heap engine with it off produces byte-identical packet
+traces and protocol outcomes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.packets import clear_codec_caches
 from repro.simnet import BernoulliLoss, DeploymentSpec, LbrmDeployment
+from repro.simnet.engine import ReferenceSimulator, Simulator
 from repro.simnet.loss import BurstLoss, CompositeLoss, GilbertElliottLoss, NoLoss
 from repro.simnet.topology import clear_wire_size_cache
 
@@ -120,12 +122,14 @@ def test_batched_loss_rate_statistics():
 # -- end-to-end: batching toggles nothing observable -------------------------
 
 
-def _lossy_scenario(seed: int, batch: bool):
+def _lossy_scenario(seed: int, sim, batch: bool):
     """Fig7's shape in miniature: burst outage + steady seeded loss."""
     clear_codec_caches()
     clear_wire_size_cache()
     with obs.recording() as reg:
-        dep = LbrmDeployment(DeploymentSpec(n_sites=3, receivers_per_site=3, seed=seed))
+        dep = LbrmDeployment(
+            DeploymentSpec(n_sites=3, receivers_per_site=3, seed=seed), sim=sim
+        )
         dep.network.batch_delivery = batch
         dep.start()
         dep.network.host("site2-rx0").inbound_loss = BernoulliLoss(
@@ -151,10 +155,15 @@ def _lossy_scenario(seed: int, batch: bool):
 
 @pytest.mark.parametrize("seed", [11, 1995])
 def test_same_seed_trace_identical_with_and_without_batching(seed):
-    """The satellite's headline guarantee: toggling the batched fast path
-    (delivery batching + wakeup mux) changes no trace byte, no stat."""
-    trace_batched, outcome_batched = _lossy_scenario(seed, batch=True)
-    trace_reference, outcome_reference = _lossy_scenario(seed, batch=False)
+    """The shipped configuration (wheel engine, delivery batching +
+    wakeup mux) against the whole pre-batching one (heap engine,
+    per-receiver fan-out): no trace byte, no stat differs.  This is the
+    differential ``repro bench`` ran between its two legs before it
+    measured only the shipped one."""
+    trace_batched, outcome_batched = _lossy_scenario(seed, Simulator(), batch=True)
+    trace_reference, outcome_reference = _lossy_scenario(
+        seed, ReferenceSimulator(), batch=False
+    )
     assert len(trace_batched) > 0
     assert trace_batched == trace_reference
     assert outcome_batched == outcome_reference

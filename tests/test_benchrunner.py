@@ -1,7 +1,7 @@
 """The perf gate and profiler plumbing behind ``repro bench``.
 
 ``check_results`` is the CI regression gate: it compares fresh
-fast-engine throughput against committed ``BENCH_*.json`` baselines and
+throughput against committed ``BENCH_*.json`` baselines and
 must catch a real slowdown (the synthetic 20% case below) while staying
 quiet inside the tolerance band.  ``profile_scenario`` must leave both
 artifacts a human and a flamegraph tool can read.
@@ -116,6 +116,11 @@ class TestBenchParser:
         with pytest.raises(SystemExit):
             build_bench_parser().parse_args(["--aio", "--full"])
 
+    def test_engine_flag_is_gone(self):
+        # One measured leg: there is no second engine to select.
+        with pytest.raises(SystemExit):
+            build_bench_parser().parse_args(["--engine", "reference"])
+
 
 # A minimal stand-in for benchmarks/harness.py: records which scenarios
 # ran so the tier-selection tests below stay fast and deterministic
@@ -133,14 +138,14 @@ def aio_available():
     return {available}
 
 
-def run_scenario(name, tier="quick", engine="fast"):
+def run_scenario(name, tier="quick"):
     with _CALLS.open("a") as fh:
-        fh.write(json.dumps([name, tier, engine]) + "\\n")
+        fh.write(json.dumps([name, tier]) + "\\n")
     return {{"events_per_sec": 100.0, "wall_s": 1.0}}
 
 
-def assemble_result(name, tier, runs):
-    return {{"scenario": name, "tier": tier, "engines": runs}}
+def assemble_result(name, tier, run):
+    return {{"scenario": name, "tier": tier, "engines": {{"fast": run}}}}
 
 
 def write_result(result, out_dir):
@@ -172,11 +177,9 @@ class TestAioTier:
             ["--aio", "--out", str(tmp_path / "out"), "--harness", str(harness)]
         )
         assert run_bench(args) == 0
-        ran = {name for name, _, _ in _calls(tmp_path)}
-        assert ran == {"aio_cluster_throughput", "aio_transport_blast"}
-        # Both engines measured: the tier's point is the fast/reference ratio.
-        engines = {engine for _, _, engine in _calls(tmp_path)}
-        assert engines == {"fast", "reference"}
+        # Each scenario measured exactly once.
+        ran = sorted(name for name, _ in _calls(tmp_path))
+        assert ran == ["aio_cluster_throughput", "aio_transport_blast"]
         for name in ran:
             assert (tmp_path / "out" / f"BENCH_{name}.json").exists()
 
@@ -217,7 +220,7 @@ class TestAioTier:
 @pytest.mark.slow
 def test_profile_scenario_writes_readable_artifacts(tmp_path):
     run, pstats_path, txt_path = profile_scenario(
-        str(default_harness_path()), "logger_throughput", "quick", "fast", tmp_path
+        str(default_harness_path()), "logger_throughput", "quick", tmp_path
     )
     assert run["events_per_sec"] > 0
     assert pstats_path.exists() and pstats_path.stat().st_size > 0

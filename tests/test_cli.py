@@ -93,18 +93,22 @@ def test_chaos_sabotage_exits_nonzero(tmp_path, capsys):
 
 def test_bench_quick_writes_json(tmp_path, capsys):
     import json
+    import pathlib
 
     assert main([
         "bench", "--quick", "--only", "logger_throughput", "--out", str(tmp_path)
     ]) == 0
     out = capsys.readouterr().out
-    assert "logger_throughput" in out and "speedup" in out
+    assert "logger_throughput" in out and "speedup" not in out
     result = json.loads((tmp_path / "BENCH_logger_throughput.json").read_text())
     assert result["tier"] == "quick"
-    assert set(result["engines"]) == {"fast", "reference"}
-    # The harness asserts cross-engine agreement before writing.
-    assert result["engines"]["fast"]["checks"] == result["engines"]["reference"]["checks"]
-    assert result["speedup"] > 0
+    # One measured leg, under the key the committed baselines gate on,
+    # and the same deterministic workload facts as the committed one.
+    assert set(result["engines"]) == {"fast"}
+    assert "speedup" not in result
+    committed = pathlib.Path(__file__).resolve().parents[1] / "benchmarks/results/quick"
+    baseline = json.loads((committed / "BENCH_logger_throughput.json").read_text())
+    assert result["engines"]["fast"]["checks"] == baseline["engines"]["fast"]["checks"]
 
 
 def test_bench_rejects_unknown_scenario(tmp_path, capsys):
