@@ -115,9 +115,11 @@ def test_small_packet_repeat(benchmark, report):
 
 
 def test_multilevel_hierarchy(benchmark, report):
-    def primary_load(region_size: int):
+    def primary_load(fanout: int):
+        # fanout sites share one interior hub (depth 3); 0 = the flat layout
+        shape = {"depth": 3, "fanout": fanout} if fanout else {}
         dep = LbrmDeployment(DeploymentSpec(n_sites=24, receivers_per_site=2,
-                                            region_size=region_size, seed=13))
+                                            seed=13, **shape))
         dep.start()
         dep.advance(0.2)
         dep.send(b"warm")

@@ -33,7 +33,7 @@ from repro.core.config import DiscoveryConfig, LbrmConfig
 from repro.core.discovery import DiscoveryClient
 from repro.core.errors import ConfigError
 from repro.core.events import DiscoveryExhausted, Event, LoggerDiscovered
-from repro.core.hierarchy import LoggerTree, build_tree
+from repro.core.hierarchy import LoggerTree, build_tree, tree_logger
 from repro.core.logger import LoggerRole, LogServer
 from repro.core.receiver import LbrmReceiver
 from repro.core.retranschannel import RetransChannelConfig
@@ -79,23 +79,30 @@ class AioCluster:
         }
         self._n_receivers = n_receivers
         self._n_replicas = n_replicas
-        self._n_secondaries = n_secondaries
-        # DESIGN §11: depth>=3 inserts interior repair hubs between the
-        # site secondaries (the tree's leaves) and the primary.  The aio
-        # tree is *static* — built once from the balanced contiguous
+        # DESIGN §11: who logs for whom is a logger tree whose leaves are
+        # the site secondaries; depth=2 is the paper's flat layout,
+        # depth>=3 inserts interior repair hubs under the primary.  The
+        # aio tree is *static* — built once from the balanced contiguous
         # construction; runtime re-scoring is a simulator feature (real
         # deployments would re-score from the same TWaitEstimator data).
+        # Tree nodes are named abstractly ("leaf{i}", "hub{level}-{k}-
+        # logger"); ``members`` maps them to machines and sockets.
         if depth < 2:
             raise ConfigError(f"depth must be >= 2, got {depth}")
         if depth > 2 and n_secondaries < 1:
             raise ConfigError("depth > 2 requires n_secondaries >= 1")
-        self._depth = depth
-        self._fanout = fanout
+        self._leaves = [f"leaf{i}" for i in range(n_secondaries)]
+        if self._leaves:
+            self.tree = build_tree("primary", self._leaves, depth=depth, fanout=fanout)
+        else:
+            self.tree = LoggerTree("primary")
         self._use_discovery = use_discovery
         self._discovery_config = discovery or DiscoveryConfig()
         self._enable_statack = enable_statack
         self._retrans_channel = retrans_channel
 
+        # tree-node name -> (machine, node) for every logger of the tree.
+        self.members: dict[str, tuple[LogServer, AioNode]] = {}
         self.primary: LogServer | None = None
         self.primary_node: AioNode | None = None
         self.replicas: list[LogServer] = []
@@ -104,8 +111,6 @@ class AioCluster:
         self.secondary_nodes: list[AioNode] = []
         self.interior_loggers: list[LogServer] = []
         self.interior_nodes: list[AioNode] = []
-        self._tree: LoggerTree | None = None
-        self._addr_of: dict[str, object] = {}
         self.sender: LbrmSender | None = None
         self.sender_node: AioNode | None = None
         self.receivers: list[LbrmReceiver] = []
@@ -115,6 +120,27 @@ class AioCluster:
 
     # -- lifecycle ----------------------------------------------------------
 
+    async def _start_node(self, machine_for) -> tuple:
+        """Bind a node, build its machine from it, and start the machine."""
+        node = AioNode(directory=self.directory, interface=self._interface, **self._node_kwargs)
+        await node.start()
+        machine = machine_for(node)
+        node.machines.append(machine)
+        await node.run_machine(machine.start, node.now)
+        return machine, node
+
+    async def _start_logger(self, name: str, **kwargs) -> tuple[LogServer, AioNode]:
+        """Start tree node ``name``'s log server (its parent is bound already)."""
+        self.members[name] = entry = await self._start_node(
+            lambda node: tree_logger(
+                self.tree, name, self.group, self.config,
+                addr_token=node.token,
+                address_of=lambda parent: self.members[parent][1].address,
+                **kwargs,
+            )
+        )
+        return entry
+
     async def start(self) -> None:
         """Bind every endpoint and wire addresses in dependency order."""
         if self._started:
@@ -122,122 +148,59 @@ class AioCluster:
         self._started = True
 
         # Replicas first: the primary needs their addresses.
-        for i in range(self._n_replicas):
-            node = AioNode(directory=self.directory, interface=self._interface, **self._node_kwargs)
-            await node.start()
-            replica = LogServer(
-                self.group, addr_token=node.token, config=self.config,
-                role=LoggerRole.REPLICA, parse_token=parse_token,
+        for _ in range(self._n_replicas):
+            replica, node = await self._start_node(
+                lambda node: LogServer(
+                    self.group, addr_token=node.token, config=self.config,
+                    role=LoggerRole.REPLICA, parse_token=parse_token,
+                )
             )
-            node.machines.append(replica)
-            await node.run_machine(replica.start, node.now)
             self.replicas.append(replica)
             self.replica_nodes.append(node)
 
-        self.primary_node = AioNode(directory=self.directory, interface=self._interface, **self._node_kwargs)
-        await self.primary_node.start()
-        self.primary = LogServer(
-            self.group, addr_token=self.primary_node.token, config=self.config,
-            role=LoggerRole.PRIMARY, level=0,
-            replicas=tuple(n.address for n in self.replica_nodes),
-            parse_token=parse_token,
+        # The tree top-down, so each level's parents are already bound
+        # when its children start: primary, interior hubs, then the site
+        # secondaries — each joins the group, logs the stream, and
+        # escalates its own holes to its tree parent's address.
+        self.primary, self.primary_node = await self._start_logger(
+            "primary", replicas=tuple(n.address for n in self.replica_nodes)
         )
-        self.primary_node.machines.append(self.primary)
-        await self.primary_node.run_machine(self.primary.start, self.primary_node.now)
-
-        # Interior repair hubs (depth >= 3), built top-down so each
-        # level's parents are already bound when its children start.
-        # Tree nodes are named abstractly ("leaf{i}", "hub{level}-{k}-
-        # logger") and mapped to socket addresses as the nodes bind.
-        self._addr_of = {"primary": self.primary_node.address}
-        if self._depth > 2:
-            self._tree = build_tree(
-                "primary",
-                [f"leaf{i}" for i in range(self._n_secondaries)],
-                depth=self._depth,
-                fanout=self._fanout,
-            )
-            for level in range(1, self._depth - 1):
-                for name in self._tree.at_level(level):
-                    node = AioNode(
-                        directory=self.directory, interface=self._interface, **self._node_kwargs
-                    )
-                    await node.start()
-                    parent_name = self._tree.parent(name)
-                    assert parent_name is not None
-                    hub = LogServer(
-                        self.group, addr_token=node.token, config=self.config,
-                        role=LoggerRole.SECONDARY, level=level,
-                        parent=self._addr_of[parent_name],
-                        # Hub requesters are remote secondaries; a
-                        # TTL-scoped re-multicast cannot reach them.
-                        site_scoped_repairs=False,
-                    )
-                    node.machines.append(hub)
-                    await node.run_machine(hub.start, node.now)
-                    self._addr_of[name] = node.address
-                    self.interior_loggers.append(hub)
-                    self.interior_nodes.append(node)
-
-        # Site secondaries: each joins the group, logs the stream, and
-        # serves nearby receivers; its parent (escalation target) is its
-        # tree parent's address — the primary in the flat layout.
-        for i in range(self._n_secondaries):
-            node = AioNode(directory=self.directory, interface=self._interface, **self._node_kwargs)
-            await node.start()
-            if self._tree is not None:
-                parent_name = self._tree.parent(f"leaf{i}")
-                assert parent_name is not None
-                parent_address = self._addr_of[parent_name]
-                level = self._depth - 1
-            else:
-                parent_address = self.primary_node.address
-                level = 1
-            secondary = LogServer(
-                self.group, addr_token=node.token, config=self.config,
-                role=LoggerRole.SECONDARY, level=level,
-                parent=parent_address,
-            )
-            node.machines.append(secondary)
-            await node.run_machine(secondary.start, node.now)
+        for level in range(1, self.tree.depth - 1):
+            for name in self.tree.at_level(level):
+                hub, node = await self._start_logger(name)
+                self.interior_loggers.append(hub)
+                self.interior_nodes.append(node)
+        for name in self._leaves:
+            secondary, node = await self._start_logger(name)
             self.secondaries.append(secondary)
             self.secondary_nodes.append(node)
 
-        self.sender_node = AioNode(directory=self.directory, interface=self._interface, **self._node_kwargs)
-        await self.sender_node.start()
-        self.sender = LbrmSender(
-            self.group, self.config,
-            primary=self.primary_node.address,
-            replicas=tuple(n.address for n in self.replica_nodes),
-            enable_statack=self._enable_statack,
-            retrans_channel=self._retrans_channel,
-            addr_token=self.sender_node.token,
-            # Tuple addresses must re-render as "host:port" tokens after a
-            # failover; str() would produce an unparseable repr.
-            format_token=addr_token,
+        self.sender, self.sender_node = await self._start_node(
+            lambda node: LbrmSender(
+                self.group, self.config,
+                primary=self.primary_node.address,
+                replicas=tuple(n.address for n in self.replica_nodes),
+                enable_statack=self._enable_statack,
+                retrans_channel=self._retrans_channel,
+                addr_token=node.token,
+                # Tuple addresses must re-render as "host:port" tokens after a
+                # failover; str() would produce an unparseable repr.
+                format_token=addr_token,
+            )
         )
-        self.sender_node.machines.append(self.sender)
-        await self.sender_node.run_machine(self.sender.start, self.sender_node.now)
-        self.primary.set_source(self.sender_node.address)
-        for replica in self.replicas:
-            replica.set_source(self.sender_node.address)
-        for secondary in self.secondaries:
-            secondary.set_source(self.sender_node.address)
-        for hub in self.interior_loggers:
-            hub.set_source(self.sender_node.address)
+        for logger in (*self.replicas, *(machine for machine, _ in self.members.values())):
+            logger.set_source(self.sender_node.address)
 
         for i in range(self._n_receivers):
-            node = AioNode(directory=self.directory, interface=self._interface, **self._node_kwargs)
-            await node.start()
-            receiver = LbrmReceiver(
-                self.group, self.config.receiver,
-                logger_chain=() if self._use_discovery else self._static_chain(i),
-                source=self.sender_node.address,
-                heartbeat=self.config.heartbeat,
-                parse_token=parse_token,
+            receiver, node = await self._start_node(
+                lambda node: LbrmReceiver(
+                    self.group, self.config.receiver,
+                    logger_chain=() if self._use_discovery else self._static_chain(i),
+                    source=self.sender_node.address,
+                    heartbeat=self.config.heartbeat,
+                    parse_token=parse_token,
+                )
             )
-            node.machines.append(receiver)
-            await node.run_machine(receiver.start, node.now)
             if self._use_discovery:
                 client = DiscoveryClient(
                     self.group, self._discovery_config, parse_token=parse_token
@@ -249,21 +212,16 @@ class AioCluster:
             self.receivers.append(receiver)
             self.receiver_nodes.append(node)
 
+    def _chain_from(self, name: str) -> tuple:
+        """Addresses of the escalation chain from tree node ``name`` up
+        through every interior hub to the primary."""
+        return tuple(self.members[n][1].address for n in self.tree.chain(name))
+
     def _static_chain(self, receiver_index: int) -> tuple:
-        """Recovery chain for one receiver: its site logger, then every
-        interior hub on the path up, then the primary (round-robin
-        assignment across secondaries)."""
-        assert self.primary_node is not None
-        if not self.secondary_nodes:
-            return (self.primary_node.address,)
-        index = receiver_index % len(self.secondary_nodes)
-        site = self.secondary_nodes[index]
-        if self._tree is not None:
-            ancestors = tuple(
-                self._addr_of[name] for name in self._tree.chain(f"leaf{index}")[1:]
-            )
-            return (site.address, *ancestors)
-        return (site.address, self.primary_node.address)
+        """Recovery chain for one receiver (round-robin assignment
+        across the site secondaries; the primary alone without any)."""
+        leaves = self._leaves or [self.tree.root]
+        return self._chain_from(leaves[receiver_index % len(leaves)])
 
     def _make_discovery_handler(self, receiver: LbrmReceiver):
         """Event tap installing the discovered (or fallback) chain."""
@@ -271,10 +229,16 @@ class AioCluster:
         def on_event(event: Event, now: float) -> None:
             assert self.primary_node is not None
             if isinstance(event, LoggerDiscovered):
-                chain = (event.logger,)
-                if event.logger != self.primary_node.address:
-                    chain += (self.primary_node.address,)
-                receiver.set_logger_chain(chain)
+                # A logger of this tree brings its whole chain (so a
+                # site secondary under interior hubs escalates through
+                # them); a stranger is tried first, then the primary.
+                name = next(
+                    (n for n, (_m, node) in self.members.items() if node.address == event.logger),
+                    None,
+                )
+                receiver.set_logger_chain(
+                    self._chain_from(name) if name else (event.logger, self.primary_node.address)
+                )
             elif isinstance(event, DiscoveryExhausted):
                 # §2.2.1: every ring stayed silent — fall back to the
                 # statically configured primary.

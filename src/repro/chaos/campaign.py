@@ -84,6 +84,9 @@ class CampaignShape:
     receivers_per_site: int
     n_replicas: int
     packets: int
+    # The logger tree (DESIGN §11); the flat layout unless a tier says otherwise.
+    depth: int = 2
+    fanout: int = 8
 
 
 TIERS: dict[str, CampaignShape] = {
@@ -211,6 +214,7 @@ class CaseOutcome:
     violations: list[Violation]
     faults_injected: int
     digest: str
+    reparents: int = 0
 
 
 def run_case(
@@ -219,13 +223,21 @@ def run_case(
     case_seed: int,
     engine: str = "fast",
     sabotage: str | None = None,
+    tag: str = "chaos",
 ) -> CaseOutcome:
-    """Run one schedule against one deployment under one engine."""
+    """Run one schedule against one deployment under one engine.
+
+    On a tree with interior hubs the digest additionally covers the
+    hierarchy snapshot (final parent map, every applied move, manager
+    counters): the engines must agree on the exact tree surgery too.
+    """
     sim = Simulator() if engine == "fast" else ReferenceSimulator()
     spec = DeploymentSpec(
         n_sites=shape.n_sites,
         receivers_per_site=shape.receivers_per_site,
         n_replicas=shape.n_replicas,
+        depth=shape.depth,
+        fanout=shape.fanout,
         config=_CAMPAIGN_CONFIG,
         seed=case_seed,
     )
@@ -240,19 +252,26 @@ def run_case(
         for i in range(shape.packets):
             send_at = WARMUP + (i + 0.5) * span / shape.packets
             dep.advance(send_at - dep.sim.now)
-            dep.send(f"chaos-{i}".encode())
+            dep.send(f"{tag}-{i}".encode())
         dep.advance(ACTIVE_END - dep.sim.now + DRAIN)
         violations = oracle.finish()
+    if dep.hierarchy is None:
+        return CaseOutcome(violations, controller.faults_injected, end_state_digest(dep))
+    stats = dep.hierarchy.manager.stats
     return CaseOutcome(
         violations=violations,
         faults_injected=controller.faults_injected,
-        digest=_digest(dep),
+        digest=end_state_digest(dep, hierarchy=dep.hierarchy.to_dict()),
+        reparents=sum(v for k, v in stats.items() if k.startswith("reparents_")),
     )
 
 
-def _digest(dep: LbrmDeployment) -> str:
-    """Fingerprint of the end state, for cross-engine agreement checks."""
-    assert dep.sender is not None
+def end_state_digest(dep: LbrmDeployment, **extras) -> str:
+    """Fingerprint of the end state, for cross-engine agreement checks.
+
+    ``extras`` are the further state a campaign's digest covers (the
+    tree surgery, the replicated logs).
+    """
     state = {
         "seq": dep.sender.seq,
         "released": dep.sender.released_up_to,
@@ -262,6 +281,7 @@ def _digest(dep: LbrmDeployment) -> str:
             node.name: [s for s in range(1, dep.sender.seq + 1) if rx.tracker.has(s)]
             for rx, node in zip(dep.receivers, dep.receiver_nodes)
         },
+        **extras,
     }
     return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -272,11 +292,12 @@ def minimize_schedule(
     case_seed: int,
     engine: str = "fast",
     sabotage: str | None = None,
+    tag: str = "chaos",
 ) -> FaultSchedule:
     """Greedily drop faults while the violation persists (ddmin-lite)."""
 
     def violates(candidate: FaultSchedule) -> bool:
-        return bool(run_case(shape, candidate, case_seed, engine, sabotage).violations)
+        return bool(run_case(shape, candidate, case_seed, engine, sabotage, tag).violations)
 
     current = schedule
     index = len(current.faults) - 1
@@ -291,8 +312,8 @@ def minimize_schedule(
 # -- the campaign ----------------------------------------------------------
 
 
-def _case_seed(campaign_seed: int, index: int) -> int:
-    digest = hashlib.sha256(f"chaos:{campaign_seed}:{index}".encode()).digest()
+def derive_case_seed(campaign_seed: int, index: int, campaign: str = "chaos") -> int:
+    digest = hashlib.sha256(f"{campaign}:{campaign_seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:4], "big")
 
 
@@ -311,7 +332,7 @@ def run_campaign(
     total_faults = 0
     total_violations = 0
     for index in range(n_runs):
-        case_seed = _case_seed(seed, index)
+        case_seed = derive_case_seed(seed, index)
         schedule = sample_schedule(random.Random(f"chaos-campaign:{seed}:{index}"), shape)
         per_engine = {}
         for engine in engines:

@@ -23,20 +23,20 @@ disturbance heals inside the drain window's retry budgets.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.chaos.campaign import ACTIVE_END, DRAIN, WARMUP
-from repro.chaos.controller import ChaosController
-from repro.chaos.oracle import ChaosOracle, Violation
+from repro.chaos.campaign import (
+    CampaignShape,
+    CaseOutcome,
+    derive_case_seed,
+    minimize_schedule,
+    run_case,
+)
 from repro.chaos.schedule import Fault, FaultSchedule
-from repro.core.config import LbrmConfig, LoggerConfig, ReceiverConfig
 from repro.core.hierarchy import interior_name, plan_level_sizes
-from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
-from repro.simnet.engine import ReferenceSimulator, Simulator
 
 __all__ = [
     "HierarchyShape",
@@ -48,24 +48,10 @@ __all__ = [
     "run_hierarchy_chaos",
 ]
 
-# Retry budgets match the flat campaign: every samplable fault fits.
-_CAMPAIGN_CONFIG = LbrmConfig(
-    receiver=ReceiverConfig(max_nack_retries=10),
-    logger=LoggerConfig(max_upstream_retries=30),
-)
-
 
 @dataclass(frozen=True)
-class HierarchyShape:
-    """Deployment dimensions and workload for one campaign tier."""
-
-    runs: int
-    n_sites: int
-    receivers_per_site: int
-    n_replicas: int
-    depth: int
-    fanout: int
-    packets: int
+class HierarchyShape(CampaignShape):
+    """A campaign tier on a deep tree (same retry budgets as the flat one)."""
 
     def hubs(self) -> list[str]:
         """Interior-logger names this shape's deployment will build."""
@@ -155,92 +141,17 @@ def sample_hierarchy_schedule(rng: random.Random, shape: HierarchyShape) -> Faul
 # -- single case ----------------------------------------------------------
 
 
-@dataclass
-class HierarchyCaseOutcome:
-    violations: list[Violation]
-    faults_injected: int
-    reparents: int
-    digest: str
-
-
 def run_hierarchy_case(
     shape: HierarchyShape,
     schedule: FaultSchedule,
     case_seed: int,
     engine: str = "fast",
-) -> HierarchyCaseOutcome:
+) -> CaseOutcome:
     """Run one schedule against one deep deployment under one engine."""
-    sim = Simulator() if engine == "fast" else ReferenceSimulator()
-    spec = DeploymentSpec(
-        n_sites=shape.n_sites,
-        receivers_per_site=shape.receivers_per_site,
-        n_replicas=shape.n_replicas,
-        depth=shape.depth,
-        fanout=shape.fanout,
-        config=_CAMPAIGN_CONFIG,
-        seed=case_seed,
-    )
-    dep = LbrmDeployment(spec, sim=sim)
-    controller = ChaosController(dep, schedule)
-    controller.install()
-    oracle = ChaosOracle(dep, controller)
-    oracle.install()
-    dep.start()
-    span = ACTIVE_END - WARMUP
-    for i in range(shape.packets):
-        send_at = WARMUP + (i + 0.5) * span / shape.packets
-        dep.advance(send_at - dep.sim.now)
-        dep.send(f"hchaos-{i}".encode())
-    dep.advance(ACTIVE_END - dep.sim.now + DRAIN)
-    violations = oracle.finish()
-    assert dep.hierarchy is not None
-    stats = dep.hierarchy.manager.stats
-    reparents = sum(v for k, v in stats.items() if k.startswith("reparents_"))
-    return HierarchyCaseOutcome(
-        violations=violations,
-        faults_injected=controller.faults_injected,
-        reparents=reparents,
-        digest=_digest(dep),
-    )
-
-
-def _digest(dep: LbrmDeployment) -> str:
-    """End-state fingerprint: receiver contents *and* the tree surgery."""
-    assert dep.sender is not None and dep.hierarchy is not None
-    state = {
-        "seq": dep.sender.seq,
-        "released": dep.sender.released_up_to,
-        "primary": str(dep.sender.primary),
-        "network": dep.network.stats,
-        "receivers": {
-            node.name: [s for s in range(1, dep.sender.seq + 1) if rx.tracker.has(s)]
-            for rx, node in zip(dep.receivers, dep.receiver_nodes)
-        },
-        "hierarchy": dep.hierarchy.to_dict(),
-    }
-    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def _minimize(
-    shape: HierarchyShape, schedule: FaultSchedule, case_seed: int, engine: str
-) -> FaultSchedule:
-    """Greedily drop faults while the violation persists (ddmin-lite)."""
-    current = schedule
-    index = len(current.faults) - 1
-    while index >= 0:
-        candidate = current.without(index)
-        if run_hierarchy_case(shape, candidate, case_seed, engine).violations:
-            current = candidate
-        index -= 1
-    return current
+    return run_case(shape, schedule, case_seed, engine, tag="hchaos")
 
 
 # -- the campaign ----------------------------------------------------------
-
-
-def _case_seed(campaign_seed: int, index: int) -> int:
-    digest = hashlib.sha256(f"hierarchy-chaos:{campaign_seed}:{index}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 def run_hierarchy_campaign(
@@ -258,7 +169,7 @@ def run_hierarchy_campaign(
     total_violations = 0
     total_reparents = 0
     for index in range(n_runs):
-        case_seed = _case_seed(seed, index)
+        case_seed = derive_case_seed(seed, index, "hierarchy-chaos")
         schedule = sample_hierarchy_schedule(
             random.Random(f"hierarchy-chaos:{seed}:{index}"), shape
         )
@@ -285,7 +196,7 @@ def run_hierarchy_campaign(
         cases.append(case)
         violated = any(e["violations"] for e in per_engine.values())
         if violated or not engines_agree:
-            minimized = _minimize(shape, schedule, case_seed, engines[0])
+            minimized = minimize_schedule(shape, schedule, case_seed, engines[0], tag="hchaos")
             failures.append({
                 "index": index,
                 "case_seed": case_seed,

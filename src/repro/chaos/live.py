@@ -234,7 +234,7 @@ class LiveOracle:
         if sender is None or sender.seq == 0:
             return
         high = sender.seq
-        for machine, node in zip(cluster.secondaries, cluster.secondary_nodes):
+        for machine, node in (cluster.members[name] for name in cluster.tree.top_down()):
             if node.closed:
                 continue
             self.ledger.check_log_completeness(now, node.token, machine.primary_seq, high)

@@ -268,10 +268,7 @@ class ChaosOracle:
         if sender is None or sender.seq == 0:
             return
         high = sender.seq
-        loggers = list(zip(dep.site_loggers, dep.site_logger_nodes))
-        loggers.extend(zip(dep.regional_loggers, dep.regional_logger_nodes))
-        loggers.extend(zip(dep.interior_loggers, dep.interior_logger_nodes))
-        for machine, node in loggers:
+        for machine, node in (dep.members[name] for name in dep.tree.top_down()):
             if not node.alive:
                 continue
             self.ledger.check_log_completeness(now, node.name, machine.primary_seq, high)

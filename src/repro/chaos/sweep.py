@@ -41,11 +41,11 @@ the freshly promoted replica is provably zero-loss.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.chaos.campaign import end_state_digest
 from repro.chaos.oracle import ChaosOracle, Violation
 from repro.core.config import (
     LbrmConfig,
@@ -290,34 +290,19 @@ def run_crash_case(
         promoted = str(dep.sender.primary)
     return CrashOutcome(
         violations=violations,
-        digest=_digest(dep),
+        digest=end_state_digest(
+            dep,
+            log_epoch=dep.sender.log_epoch,
+            logs={
+                node.name: machine.primary_seq
+                for machine, node in zip(
+                    [dep.primary, *dep.replicas], [dep.primary_node, *dep.replica_nodes]
+                )
+            },
+        ),
         promoted=promoted,
         log_epoch=dep.sender.log_epoch,
     )
-
-
-def _digest(dep: LbrmDeployment) -> str:
-    """Fingerprint of the end state, for cross-engine agreement checks."""
-    assert dep.sender is not None
-    state = {
-        "seq": dep.sender.seq,
-        "released": dep.sender.released_up_to,
-        "primary": str(dep.sender.primary),
-        "log_epoch": dep.sender.log_epoch,
-        "network": dep.network.stats,
-        "logs": {
-            node.name: machine.primary_seq
-            for machine, node in zip(
-                [dep.primary, *dep.replicas],
-                [dep.primary_node, *dep.replica_nodes],
-            )
-        },
-        "receivers": {
-            node.name: [s for s in range(1, dep.sender.seq + 1) if rx.tracker.has(s)]
-            for rx, node in zip(dep.receivers, dep.receiver_nodes)
-        },
-    }
-    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # -- the sweep ----------------------------------------------------------

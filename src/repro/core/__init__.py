@@ -37,6 +37,7 @@ from repro.core.hierarchy import (
     build_tree,
     interior_name,
     plan_level_sizes,
+    tree_logger,
 )
 from repro.core.errors import (
     ConfigError,
@@ -97,6 +98,7 @@ __all__ = [
     "build_tree",
     "interior_name",
     "plan_level_sizes",
+    "tree_logger",
     # errors
     "ConfigError",
     "DecodeError",

@@ -59,10 +59,14 @@ from typing import Callable, Iterable, Mapping
 
 from repro import obs
 from repro.core.errors import ConfigError
+from repro.core.actions import Address
+from repro.core.config import LbrmConfig
 from repro.core.estimator import TWaitEstimator
+from repro.core.logger import LoggerRole, LogServer
 
 __all__ = [
     "LoggerTree",
+    "tree_logger",
     "LinkEstimate",
     "Reparent",
     "TreeManager",
@@ -172,6 +176,11 @@ class LoggerTree:
     def at_level(self, level: int) -> tuple[str, ...]:
         return tuple(self._by_level.get(level, ()))
 
+    @property
+    def depth(self) -> int:
+        """Number of tiers: 1 for the root alone, 2 for the paper's flat layout."""
+        return max(self._by_level) + 1
+
     def top_down(self) -> list[str]:
         """Every non-root node in (level, name) order."""
         return [n for level in sorted(self._by_level)[1:] for n in self._by_level[level]]
@@ -268,6 +277,45 @@ def build_tree(
         parent = parents_above[i * len(parents_above) // n]
         tree.add(leaf, parent, depth - 1)
     return tree
+
+
+def tree_logger(
+    tree: LoggerTree,
+    name: str,
+    group: str,
+    config: LbrmConfig,
+    *,
+    addr_token: str | None = None,
+    address_of: Callable[[str], Address] = lambda name: name,
+    source: Address | None = None,
+    **kwargs,
+) -> LogServer:
+    """The log server for tree node ``name``, in any runtime.
+
+    Role, tier, upstream parent and repair scope all follow from the
+    node's position in ``tree``; a runtime supplies only how tree names
+    map to its addresses (``address_of``; the simulator's are the names)
+    and what it knows of the source.  ``kwargs`` pass through to
+    :class:`LogServer` (``replicas``, ``rng``).
+    """
+    level = tree.level(name)
+    parent = tree.parent(name)
+    return LogServer(
+        group,
+        addr_token=addr_token or name,
+        config=config,
+        role=LoggerRole.PRIMARY if parent is None else LoggerRole.SECONDARY,
+        # The source is the primary's upstream (§2.2.3): it buffers
+        # exactly the packets the log has not acknowledged, so the
+        # primary backfills its own multicast losses from there.
+        parent=source if parent is None else address_of(parent),
+        source=source,
+        level=level,
+        # An interior hub's repair clients are remote loggers; a
+        # TTL-scoped re-multicast could never reach them.
+        site_scoped_repairs=not 0 < level < tree.depth - 1,
+        **kwargs,
+    )
 
 
 class LinkEstimate:

@@ -1,8 +1,9 @@
 """Aggregate-scale LBRM deployments.
 
-Mirrors :class:`repro.simnet.deploy.LbrmDeployment` — same hub site
-(source + primary at ``site0``), same site loggers (real
-:class:`~repro.core.logger.LogServer` machines), same link latencies —
+The same :class:`repro.simnet.deploy.TreeDeployment` build as
+:class:`~repro.simnet.deploy.LbrmDeployment` — hub site (source +
+primary at ``site0``), logger tree of real
+:class:`~repro.core.logger.LogServer` machines, lifecycle —
 but each receiver site hosts a single :class:`AggregateSiteReceiver`
 standing in for N receivers instead of N receiver nodes.  A 200-site ×
 500-receiver deployment is 402 simulated hosts modeling 100,000
@@ -32,14 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import LbrmConfig
-from repro.core.logger import LoggerRole, LogServer
-from repro.core.sender import LbrmSender
 from repro.scale.aggregate import AggregateSiteReceiver
+from repro.simnet.deploy import TreeDeployment
 from repro.simnet.engine import Simulator
 from repro.simnet.loss import BernoulliLoss
 from repro.simnet.node import SimNode
-from repro.simnet.rng import RngStreams
-from repro.simnet.topology import Network, Site
+from repro.simnet.topology import Site
 
 __all__ = ["ScaleSpec", "AggregateDeployment"]
 
@@ -84,7 +83,7 @@ class ScaleSpec:
         return 2 * self.lan_latency + 2 * self.tail_latency + self.backbone_latency
 
 
-class AggregateDeployment:
+class AggregateDeployment(TreeDeployment):
     """A built aggregate-scale deployment: hub, site loggers, aggregates."""
 
     def __init__(
@@ -93,12 +92,7 @@ class AggregateDeployment:
         sim: Simulator | None = None,
         site_indices: tuple[int, ...] | None = None,
     ) -> None:
-        self.spec = spec or ScaleSpec()
-        self.sim = sim or Simulator()
-        self.streams = RngStreams(self.spec.seed)
-        self.network = Network(
-            self.sim, streams=self.streams, backbone_latency=self.spec.backbone_latency
-        )
+        super().__init__(spec or ScaleSpec(), sim)
         if site_indices is None:
             site_indices = tuple(range(1, self.spec.n_sites + 1))
         else:
@@ -106,135 +100,56 @@ class AggregateDeployment:
             if bad:
                 raise ValueError(f"site indices out of range 1..{self.spec.n_sites}: {bad}")
         self.site_indices = tuple(site_indices)
-
-        self.source_site: Site | None = None
-        self.sender: LbrmSender | None = None
-        self.source_node: SimNode | None = None
-        self.primary: LogServer | None = None
-        self.primary_node: SimNode | None = None
-        self.site_loggers: list[LogServer] = []
-        self.site_logger_nodes: list[SimNode] = []
         self.aggregates: list[AggregateSiteReceiver] = []
         self.aggregate_nodes: list[SimNode] = []
-        self._build()
+        self._build(self.site_indices)
 
     # -- construction ----------------------------------------------------
 
-    def _build(self) -> None:
+    def _add_site(self, name: str) -> Site:
         spec = self.spec
-        self.source_site = self.network.add_site(
-            "site0", lan_latency=spec.lan_latency, tail_latency=spec.tail_latency
+        shared = None
+        if name != "site0" and spec.shared_loss > 0.0:  # hub links stay deterministic
+            shared = BernoulliLoss(
+                spec.shared_loss, rng=self.streams.stream(f"loss:{name}.tail.down")
+            )
+        return self.network.add_site(
+            name,
+            lan_latency=spec.lan_latency,
+            tail_latency=spec.tail_latency,
+            tail_loss_down=shared,
         )
-        source_host = self.network.add_host("source", self.source_site)
-        primary_host = self.network.add_host("primary", self.source_site)
 
-        self.primary = LogServer(
+    def _populate(
+        self, site: Site, index: int, chain: tuple[str, ...]
+    ) -> list[AggregateSiteReceiver]:
+        spec = self.spec
+        agg_name = f"{site.name}-agg"
+        aggregate = AggregateSiteReceiver(
             spec.group,
-            addr_token="primary",
-            config=spec.config,
-            role=LoggerRole.PRIMARY,
-            source="source",
-            parent="source",
-            level=0,
+            spec.receivers_per_site,
+            spec.receiver_loss,
+            self.streams.stream(f"site:{site.name}:agg"),
+            config=spec.config.receiver,
+            logger_chain=chain,
+            heartbeat=spec.config.heartbeat,
+            remulticast_threshold=spec.config.logger.remulticast_threshold,
+            node_name=agg_name,
         )
-        self.primary_node = SimNode(self.network, primary_host, [self.primary])
-
-        self.sender = LbrmSender(
-            spec.group,
-            spec.config,
-            primary="primary",
-            enable_statack=False,
-            addr_token="source",
-            rng=self.streams.stream("sender"),
+        self.aggregates.append(aggregate)
+        self.aggregate_nodes.append(
+            self._add_node(agg_name, site, aggregate, represents=spec.receivers_per_site)
         )
-        self.source_node = SimNode(self.network, source_host, [self.sender])
+        return [aggregate]
 
-        threshold = spec.config.logger.remulticast_threshold
-        for i in self.site_indices:
-            site_name = f"site{i}"
-            shared = None
-            if spec.shared_loss > 0.0:
-                shared = BernoulliLoss(
-                    spec.shared_loss,
-                    rng=self.streams.stream(f"loss:{site_name}.tail.down"),
-                )
-            site = self.network.add_site(
-                site_name,
-                lan_latency=spec.lan_latency,
-                tail_latency=spec.tail_latency,
-                tail_loss_down=shared,
-            )
-            logger_name = f"{site_name}-logger"
-            logger_host = self.network.add_host(logger_name, site)
-            logger = LogServer(
-                spec.group,
-                addr_token=logger_name,
-                config=spec.config,
-                role=LoggerRole.SECONDARY,
-                parent="primary",
-                source="source",
-                level=1,
-                rng=self.streams.stream(f"logger:{logger_name}"),
-            )
-            self.site_loggers.append(logger)
-            self.site_logger_nodes.append(SimNode(self.network, logger_host, [logger]))
-
-            agg_name = f"{site_name}-agg"
-            agg_host = self.network.add_host(
-                agg_name, site, represents=spec.receivers_per_site
-            )
-            aggregate = AggregateSiteReceiver(
-                spec.group,
-                spec.receivers_per_site,
-                spec.receiver_loss,
-                self.streams.stream(f"site:{site_name}:agg"),
-                config=spec.config.receiver,
-                logger_chain=(logger_name, "primary"),
-                heartbeat=spec.config.heartbeat,
-                remulticast_threshold=threshold,
-                node_name=agg_name,
-            )
-            self.aggregates.append(aggregate)
-            self.aggregate_nodes.append(SimNode(self.network, agg_host, [aggregate]))
+    def _population_nodes(self) -> list[SimNode]:
+        return self.aggregate_nodes
 
     # -- operation ----------------------------------------------------------
-
-    def start(self) -> None:
-        for node in self.all_nodes():
-            node.start()
-
-    def all_nodes(self) -> list[SimNode]:
-        nodes: list[SimNode] = []
-        if self.primary_node is not None:
-            nodes.append(self.primary_node)
-        nodes.extend(self.site_logger_nodes)
-        nodes.extend(self.aggregate_nodes)
-        if self.source_node is not None:
-            nodes.append(self.source_node)
-        return nodes
-
-    def send(self, payload: bytes) -> int:
-        assert self.sender is not None and self.source_node is not None
-        self.source_node.send_app(self.sender, payload)
-        return self.sender.seq
-
-    def advance(self, dt: float) -> None:
-        self.sim.run_until(self.sim.now + dt)
 
     def advance_to(self, t: float) -> None:
         """Run the simulation to absolute time ``t`` (barrier step)."""
         self.sim.run_until(t)
-
-    # -- experiment hooks ----------------------------------------------------
-
-    def burst_site(self, site_name: str, duration: float, start: float | None = None) -> None:
-        """Drop everything entering ``site_name`` for ``duration`` seconds
-        (Figure 1's congested-tail-circuit event), by default starting now."""
-        from repro.simnet.loss import BurstLoss
-
-        begin = self.sim.now if start is None else start
-        site = self.network.site(site_name)
-        site.tail_down.loss = BurstLoss([(begin, begin + duration)], base=site.tail_down.loss)
 
     def outstanding(self) -> int:
         """Modeled receivers still missing at least one packet."""
@@ -249,7 +164,6 @@ class AggregateDeployment:
 
     def hub_stats(self) -> dict:
         """Hub-side counters (primary log service + sender)."""
-        assert self.primary is not None and self.sender is not None
         return {
             "primary": dict(self.primary.stats),
             "sender_seq": self.sender.seq,

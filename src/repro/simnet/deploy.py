@@ -7,26 +7,36 @@ across the WAN and ~4 ms RTT within a site.  :class:`LbrmDeployment`
 builds exactly that (any dimensions), wires senders, loggers, replicas,
 and receivers together, and exposes the pieces for experiments to poke
 at — inject loss on one tail circuit, kill the primary, etc.
+
+Who logs for whom is always a :class:`~repro.core.hierarchy.LoggerTree`:
+the paper's two-level layout is ``depth=2`` (a root plus one leaf per
+site), its §7 multi-level hierarchy any deeper tree.
+:class:`TreeDeployment` builds the tree, the hub site and every logger
+once for every simulated runtime; a subclass supplies what lives behind
+each site logger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.config import LbrmConfig
 from repro.core.errors import ConfigError
-from repro.core.hierarchy import build_tree
+from repro.core.hierarchy import LoggerTree, build_tree, tree_logger
 from repro.core.logger import LoggerRole, LogServer
+from repro.core.machine import ProtocolMachine
 from repro.core.receiver import LbrmReceiver
 from repro.core.sender import LbrmSender
 from repro.simnet.engine import Simulator
 from repro.simnet.hierarchy import HierarchyRuntime
+from repro.simnet.loss import BurstLoss
 from repro.simnet.node import SimNode
 from repro.simnet.rng import RngStreams
 from repro.simnet.topology import Network, Site
 from repro.simnet.trace import PacketTrace
 
-__all__ = ["DeploymentSpec", "LbrmDeployment"]
+__all__ = ["DeploymentSpec", "TreeDeployment", "LbrmDeployment"]
 
 
 @dataclass(frozen=True)
@@ -49,19 +59,15 @@ class DeploymentSpec:
     tail_bandwidth: float = 0.0  # bits/s; 0 = uncongested
     tail_queue: int = 0
     secondary_loggers: bool = True
-    # §7 extension: "A multi-level hierarchy of logging servers may be
-    # used to further reduce NACK bandwidth in large groups."  When > 0,
-    # every `region_size` consecutive sites share a *regional* logger
-    # that site loggers call back to, and only regions NACK the primary.
-    region_size: int = 0
-    # DESIGN §11: arbitrary-depth logger tree.  ``depth`` counts logger
-    # levels including the primary (0) and the site loggers (depth-1);
-    # depth=2 is the paper's flat layout and leaves behaviour untouched.
-    # depth>=3 inserts makespan-aware interior hubs ("hub{level}-{k}-
-    # logger") between the site loggers and the primary, maintained at
-    # runtime by :class:`~repro.simnet.hierarchy.HierarchyRuntime`
-    # (re-scoring, saturation/crash re-parenting).  ``fanout`` bounds
-    # children per interior logger.
+    # DESIGN §11: the logger tree.  ``depth`` counts logger levels
+    # including the primary (0) and the site loggers (depth-1); depth=2
+    # is the paper's flat layout.  depth>=3 is §7's "multi-level
+    # hierarchy of logging servers": makespan-aware interior hubs
+    # ("hub{level}-{k}-logger") between the site loggers and the
+    # primary, maintained at runtime by
+    # :class:`~repro.simnet.hierarchy.HierarchyRuntime` (re-scoring,
+    # saturation/crash re-parenting).  ``fanout`` bounds children per
+    # interior logger.
     depth: int = 2
     fanout: int = 8
     enable_statack: bool = False
@@ -69,73 +75,65 @@ class DeploymentSpec:
     seed: int = 0
 
 
-class LbrmDeployment:
-    """A built deployment: network, nodes, and protocol machines."""
+class TreeDeployment:
+    """Hub site, logger tree and lifecycle of a simulated deployment.
 
-    def __init__(self, spec: DeploymentSpec | None = None, sim: Simulator | None = None) -> None:
-        self.spec = spec or DeploymentSpec()
+    Built once for the exact and the aggregate runtime: the source and
+    primary (plus replicas) at ``site0``, one receiver site per tree
+    leaf, and every interior hub hosted at the site of its first
+    descendant leaf.  A subclass says how a site's links are
+    parameterised (``_add_site``), what lives behind each site logger
+    (``_populate``) and which nodes those are (``_population_nodes``).
+    """
+
+    def __init__(self, spec, sim: Simulator | None = None) -> None:
+        self.spec = spec
         self.sim = sim or Simulator()
-        self.streams = RngStreams(self.spec.seed)
+        self.streams = RngStreams(spec.seed)
         self.network = Network(
-            self.sim, streams=self.streams, backbone_latency=self.spec.backbone_latency
+            self.sim, streams=self.streams, backbone_latency=spec.backbone_latency
         )
-        self.trace = PacketTrace(self.network)
-
-        self.source_site: Site | None = None
+        # name -> (machine, node) for every node, in build order; the
+        # tree's names pick the loggers out of it.
+        self.members: dict[str, tuple[ProtocolMachine, SimNode]] = {}
         self.receiver_sites: list[Site] = []
-        self.sender: LbrmSender | None = None
-        self.source_node: SimNode | None = None
-        self.primary: LogServer | None = None
-        self.primary_node: SimNode | None = None
         self.replicas: list[LogServer] = []
         self.replica_nodes: list[SimNode] = []
         self.site_loggers: list[LogServer] = []
         self.site_logger_nodes: list[SimNode] = []
-        self.regional_loggers: list[LogServer] = []
-        self.regional_logger_nodes: list[SimNode] = []
         self.interior_loggers: list[LogServer] = []
         self.interior_logger_nodes: list[SimNode] = []
-        self.receivers: list[LbrmReceiver] = []
-        self.receiver_nodes: list[SimNode] = []
         self.hierarchy: HierarchyRuntime | None = None
-        self._build()
 
     # -- construction ----------------------------------------------------
 
-    def _build(self) -> None:
+    def _build(
+        self,
+        site_indices: Iterable[int],
+        *,
+        depth: int = 2,
+        fanout: int = 8,
+        secondary_loggers: bool = True,
+        n_replicas: int = 0,
+        enable_statack: bool = False,
+    ) -> None:
+        """Build the sites in ``site_indices`` (a shard's view may hold a
+        subset) under the tree over all of the spec's sites."""
         spec = self.spec
-        if spec.depth < 2:
-            raise ConfigError(f"tree depth must be >= 2 (root + site loggers), got {spec.depth}")
-        if spec.depth > 2:
-            if not spec.secondary_loggers:
-                raise ConfigError("depth > 2 requires secondary_loggers")
-            if spec.region_size > 0:
-                raise ConfigError(
-                    "depth/fanout and the legacy region_size knob are exclusive; "
-                    "use depth=3 instead of region_size"
-                )
+        leaves = [f"site{i}-logger" for i in range(1, spec.n_sites + 1)]
+        if secondary_loggers:
+            tree = build_tree("primary", leaves, depth=depth, fanout=fanout)
+        else:  # the centralized baseline: the root logs for everyone
+            tree = LoggerTree("primary")
+        self.tree = tree
+
         self.source_site = self._add_site("site0")
         source_host = self.network.add_host("source", self.source_site)
-        primary_host = self.network.add_host("primary", self.source_site)
-
-        replica_names = [f"replica{i}" for i in range(spec.n_replicas)]
-        self.primary = LogServer(
-            spec.group,
-            addr_token="primary",
-            config=spec.config,
-            role=LoggerRole.PRIMARY,
-            source="source",
-            # The source is the primary's upstream (§2.2.3): it buffers
-            # exactly the packets the log has not acknowledged, so the
-            # primary backfills its own multicast losses from there.
-            parent="source",
-            replicas=tuple(replica_names),
-            level=0,
+        replica_names = [f"replica{i}" for i in range(n_replicas)]
+        self.primary, self.primary_node = self._add_logger(
+            "primary", self.source_site, replicas=tuple(replica_names)
         )
-        self.primary_node = SimNode(self.network, primary_host, [self.primary])
-
         for name in replica_names:
-            host = self.network.add_host(name, self.source_site)
             replica = LogServer(
                 spec.group,
                 addr_token=name,
@@ -144,179 +142,79 @@ class LbrmDeployment:
                 source="source",
             )
             self.replicas.append(replica)
-            self.replica_nodes.append(SimNode(self.network, host, [replica]))
+            self.replica_nodes.append(self._add_node(name, self.source_site, replica))
 
         self.sender = LbrmSender(
             spec.group,
             spec.config,
             primary="primary",
             replicas=tuple(replica_names),
-            enable_statack=spec.enable_statack,
+            enable_statack=enable_statack,
             addr_token="source",
             rng=self.streams.stream("sender"),
         )
         self.source_node = SimNode(self.network, source_host, [self.sender])
+        self.members["source"] = (self.sender, self.source_node)
 
-        if spec.depth > 2:
-            self._build_deep()
-            return
-
-        for i in range(1, spec.n_sites + 1):
-            site = self._add_site(f"site{i}")
-            self.receiver_sites.append(site)
-            # Multi-level hierarchy: a regional logger at the first site
-            # of each region, parented to the primary (§7 extension).
-            regional_name: str | None = None
-            if spec.secondary_loggers and spec.region_size > 0:
-                region_index = (i - 1) // spec.region_size
-                regional_name = f"region{region_index}-logger"
-                if (i - 1) % spec.region_size == 0:
-                    regional_host = self.network.add_host(regional_name, site)
-                    regional = LogServer(
-                        spec.group,
-                        addr_token=regional_name,
-                        config=spec.config,
-                        role=LoggerRole.SECONDARY,
-                        parent="primary",
-                        source="source",
-                        level=1,
-                        rng=self.streams.stream(f"logger:{regional_name}"),
-                    )
-                    self.regional_loggers.append(regional)
-                    self.regional_logger_nodes.append(
-                        SimNode(self.network, regional_host, [regional])
-                    )
-            chain: tuple[str, ...]
-            if spec.secondary_loggers:
-                logger_name = f"site{i}-logger"
-                logger_host = self.network.add_host(logger_name, site)
-                parent = regional_name if regional_name is not None else "primary"
-                logger = LogServer(
-                    spec.group,
-                    addr_token=logger_name,
-                    config=spec.config,
-                    role=LoggerRole.SECONDARY,
-                    parent=parent,
-                    source="source",
-                    level=2 if regional_name is not None else 1,
-                    rng=self.streams.stream(f"logger:{logger_name}"),
-                )
-                self.site_loggers.append(logger)
-                self.site_logger_nodes.append(SimNode(self.network, logger_host, [logger]))
-                if regional_name is not None:
-                    chain = (logger_name, regional_name, "primary")
-                else:
-                    chain = (logger_name, "primary")
-            else:
-                chain = ("primary",)
-            for j in range(spec.receivers_per_site):
-                rx_name = f"site{i}-rx{j}"
-                rx_host = self.network.add_host(rx_name, site)
-                receiver = LbrmReceiver(
-                    spec.group,
-                    spec.config.receiver,
-                    logger_chain=chain,
-                    source="source",
-                    heartbeat=spec.config.heartbeat,
-                )
-                self.receivers.append(receiver)
-                self.receiver_nodes.append(SimNode(self.network, rx_host, [receiver]))
-
-    def _build_deep(self) -> None:
-        """depth >= 3: site loggers under makespan-managed interior hubs.
-
-        The initial tree is the balanced contiguous construction of
-        :func:`~repro.core.hierarchy.build_tree`; each hub is hosted at
-        the site of its first descendant leaf (a hub is an ordinary
-        SECONDARY log server — it logs off the multicast group, serves
-        its children's NACKs, and escalates its own holes to its tree
-        parent).  :class:`HierarchyRuntime` then re-scores the tree at
-        runtime from measured per-link RTT/loss.
-        """
-        spec = self.spec
-        leaf_names = [f"site{i}-logger" for i in range(1, spec.n_sites + 1)]
-        tree = build_tree("primary", leaf_names, depth=spec.depth, fanout=spec.fanout)
+        # Where each tree node is hosted: a leaf at its site, a hub at
+        # the site of its first descendant leaf.
         site_of: dict[str, str] = {"primary": "site0"}
-        receivers_by_leaf: dict[str, list[LbrmReceiver]] = {}
-        for i in range(1, spec.n_sites + 1):
+        receivers_by_leaf: dict[str, list] = {}
+        for i in site_indices:
             site = self._add_site(f"site{i}")
             self.receiver_sites.append(site)
             leaf = f"site{i}-logger"
-            site_of[leaf] = f"site{i}"
-            logger_host = self.network.add_host(leaf, site)
-            logger = LogServer(
-                spec.group,
-                addr_token=leaf,
-                config=spec.config,
-                role=LoggerRole.SECONDARY,
-                parent=tree.parent(leaf),
-                source="source",
-                level=spec.depth - 1,
-                rng=self.streams.stream(f"logger:{leaf}"),
-            )
-            self.site_loggers.append(logger)
-            self.site_logger_nodes.append(SimNode(self.network, logger_host, [logger]))
-            chain = tree.chain(leaf)
-            receivers_by_leaf[leaf] = []
-            for j in range(spec.receivers_per_site):
-                rx_name = f"site{i}-rx{j}"
-                rx_host = self.network.add_host(rx_name, site)
-                receiver = LbrmReceiver(
-                    spec.group,
-                    spec.config.receiver,
-                    logger_chain=chain,
-                    source="source",
-                    heartbeat=spec.config.heartbeat,
+            chain: tuple[str, ...] = (tree.root,)
+            if leaf in tree:
+                logger, node = self._add_logger(
+                    leaf, site, rng=self.streams.stream(f"logger:{leaf}")
                 )
-                self.receivers.append(receiver)
-                self.receiver_nodes.append(SimNode(self.network, rx_host, [receiver]))
-                receivers_by_leaf[leaf].append(receiver)
+                self.site_loggers.append(logger)
+                self.site_logger_nodes.append(node)
+                chain = tree.chain(leaf)
+                for name in chain:
+                    site_of.setdefault(name, site.name)
+            receivers_by_leaf[leaf] = self._populate(site, i, chain)
 
-        def leaf_index(name: str) -> int:
-            return int(name[len("site"): name.index("-")])
-
-        for level in range(1, spec.depth - 1):
+        for level in range(1, tree.depth - 1):
             for name in tree.at_level(level):
-                leaves_below = [
-                    n for n in tree.subtree(name) if tree.level(n) == spec.depth - 1
-                ]
-                anchor = min(leaves_below, key=leaf_index)
-                site_of[name] = site_of[anchor]
-                hub_host = self.network.add_host(name, self.network.site(site_of[name]))
-                hub = LogServer(
-                    spec.group,
-                    addr_token=name,
-                    config=spec.config,
-                    role=LoggerRole.SECONDARY,
-                    parent=tree.parent(name),
-                    source="source",
-                    level=level,
-                    # A hub's repair clients are remote site loggers; a
-                    # TTL-scoped re-multicast could never reach them.
-                    site_scoped_repairs=False,
+                hub, node = self._add_logger(
+                    name,
+                    self.network.site(site_of[name]),
                     rng=self.streams.stream(f"logger:{name}"),
                 )
                 self.interior_loggers.append(hub)
-                self.interior_logger_nodes.append(SimNode(self.network, hub_host, [hub]))
+                self.interior_logger_nodes.append(node)
 
-        self.hierarchy = HierarchyRuntime(
-            self,
-            tree,
-            config=spec.config.hierarchy,
-            fanout=spec.fanout,
-            site_of=site_of,
-            receivers_by_leaf=receivers_by_leaf,
+        # Re-scoring needs an alternative parent to move a child to; a
+        # depth-2 tree has none, so there is nothing to measure.
+        if tree.depth > 2:
+            self.hierarchy = HierarchyRuntime(
+                self, fanout=fanout, site_of=site_of, receivers_by_leaf=receivers_by_leaf
+            )
+
+    def _add_node(self, name: str, site: Site, machine: ProtocolMachine, **host) -> SimNode:
+        node = SimNode(self.network, self.network.add_host(name, site, **host), [machine])
+        self.members[name] = (machine, node)
+        return node
+
+    def _add_logger(self, name: str, site: Site, **kwargs) -> tuple[LogServer, SimNode]:
+        """Host tree node ``name``'s log server at ``site``."""
+        logger = tree_logger(
+            self.tree, name, self.spec.group, self.spec.config, source="source", **kwargs
         )
+        return logger, self._add_node(name, site, logger)
 
     def _add_site(self, name: str) -> Site:
-        spec = self.spec
-        return self.network.add_site(
-            name,
-            lan_latency=spec.lan_latency,
-            tail_latency=spec.tail_latency,
-            tail_bandwidth=spec.tail_bandwidth,
-            tail_queue=spec.tail_queue,
-        )
+        raise NotImplementedError
+
+    def _populate(self, site: Site, index: int, chain: tuple[str, ...]) -> list:
+        """Build receiver site ``index``'s population; returns the
+        machines that hold ``chain`` (re-pointed when the tree moves)."""
+        raise NotImplementedError
+
+    def _population_nodes(self) -> list[SimNode]:
+        raise NotImplementedError
 
     # -- operation ----------------------------------------------------------
 
@@ -329,27 +227,21 @@ class LbrmDeployment:
 
     def node(self, name: str) -> SimNode:
         """The node hosting ``name`` (receivers, loggers, replicas, source)."""
-        for node in self.all_nodes():
-            if node.name == name:
-                return node
-        raise KeyError(f"no node named {name!r}")
+        return self.members[name][1]
 
     def all_nodes(self) -> list[SimNode]:
-        nodes: list[SimNode] = []
-        if self.primary_node is not None:
-            nodes.append(self.primary_node)
-        nodes.extend(self.replica_nodes)
-        nodes.extend(self.regional_logger_nodes)
-        nodes.extend(self.interior_logger_nodes)
-        nodes.extend(self.site_logger_nodes)
-        nodes.extend(self.receiver_nodes)
-        if self.source_node is not None:
-            nodes.append(self.source_node)
-        return nodes
+        """Every node, in start order."""
+        return [
+            self.primary_node,
+            *self.replica_nodes,
+            *self.interior_logger_nodes,
+            *self.site_logger_nodes,
+            *self._population_nodes(),
+            self.source_node,
+        ]
 
     def send(self, payload: bytes) -> int:
         """Multicast one data packet from the source; returns its seq."""
-        assert self.sender is not None and self.source_node is not None
         self.source_node.send_app(self.sender, payload)
         return self.sender.seq
 
@@ -359,18 +251,77 @@ class LbrmDeployment:
 
     # -- experiment hooks ----------------------------------------------------
 
-    def burst_site(self, site_name: str, duration: float) -> None:
+    def burst_site(self, site_name: str, duration: float, start: float | None = None) -> None:
         """Drop everything entering ``site_name`` for ``duration`` seconds
-        starting now — the Figure 1 congested-tail-circuit event."""
-        from repro.simnet.loss import BurstLoss
+        (Figure 1's congested-tail-circuit event), by default starting now.
 
-        site = self.network.site(site_name)
-        site.tail_down.loss = BurstLoss([(self.sim.now, self.sim.now + duration)])
+        The tail circuit's configured loss model keeps applying outside
+        the window; bursting a site again adds a window instead of
+        wrapping the model once more.
+        """
+        begin = self.sim.now if start is None else start
+        link = self.network.site(site_name).tail_down
+        windows, base = [(begin, begin + duration)], link.loss
+        if isinstance(base, BurstLoss):
+            windows += [w for w in base.windows if w[1] > self.sim.now]
+            base = base.base
+        link.loss = BurstLoss(windows, base=base)
 
     def burst_sites(self, site_names: list[str], duration: float) -> None:
         """Burst several sites' tail circuits simultaneously."""
         for name in site_names:
             self.burst_site(name, duration)
+
+
+class LbrmDeployment(TreeDeployment):
+    """A built deployment: network, nodes, and protocol machines."""
+
+    def __init__(self, spec: DeploymentSpec | None = None, sim: Simulator | None = None) -> None:
+        super().__init__(spec or DeploymentSpec(), sim)
+        spec = self.spec
+        self.trace = PacketTrace(self.network)
+        self.receivers: list[LbrmReceiver] = []
+        self.receiver_nodes: list[SimNode] = []
+        if spec.depth > 2 and not spec.secondary_loggers:
+            raise ConfigError("depth > 2 requires secondary_loggers")
+        self._build(
+            range(1, spec.n_sites + 1),
+            depth=spec.depth,
+            fanout=spec.fanout,
+            secondary_loggers=spec.secondary_loggers,
+            n_replicas=spec.n_replicas,
+            enable_statack=spec.enable_statack,
+        )
+
+    def _add_site(self, name: str) -> Site:
+        spec = self.spec
+        return self.network.add_site(
+            name,
+            lan_latency=spec.lan_latency,
+            tail_latency=spec.tail_latency,
+            tail_bandwidth=spec.tail_bandwidth,
+            tail_queue=spec.tail_queue,
+        )
+
+    def _populate(self, site: Site, index: int, chain: tuple[str, ...]) -> list[LbrmReceiver]:
+        spec = self.spec
+        first = len(self.receivers)
+        for j in range(spec.receivers_per_site):
+            receiver = LbrmReceiver(
+                spec.group,
+                spec.config.receiver,
+                logger_chain=chain,
+                source="source",
+                heartbeat=spec.config.heartbeat,
+            )
+            self.receivers.append(receiver)
+            self.receiver_nodes.append(self._add_node(f"site{index}-rx{j}", site, receiver))
+        return self.receivers[first:]
+
+    def _population_nodes(self) -> list[SimNode]:
+        return self.receiver_nodes
+
+    # -- experiment hooks ----------------------------------------------------
 
     def kill_site_logger(self, index: int) -> None:
         """Crash one secondary logger (0-based, in site order)."""
@@ -378,7 +329,6 @@ class LbrmDeployment:
 
     def kill_primary(self) -> None:
         """Crash the primary logger: it stops answering everything."""
-        assert self.primary_node is not None
         self.primary_node.machines.clear()
 
     def receivers_missing(self) -> int:

@@ -1,7 +1,7 @@
 """Simulator adapter for the k-level repair tree (DESIGN §11).
 
 :class:`HierarchyRuntime` connects a :class:`~repro.core.hierarchy.TreeManager`
-to a built :class:`~repro.simnet.deploy.LbrmDeployment`:
+to a built :class:`~repro.simnet.deploy.TreeDeployment`:
 
 * it **measures**: a read-only tap on the network observer pairs each
   logger's upstream NACK with the repair that answers it, feeding
@@ -25,15 +25,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.config import HierarchyConfig
-from repro.core.hierarchy import LoggerTree, Reparent, TreeManager
+from repro.core.hierarchy import Reparent, TreeManager
 from repro.core.packets import NackPacket, RetransPacket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.logger import LogServer
     from repro.core.receiver import LbrmReceiver
-    from repro.simnet.deploy import LbrmDeployment
-    from repro.simnet.node import SimNode
+    from repro.simnet.deploy import TreeDeployment
 
 __all__ = ["HierarchyRuntime"]
 
@@ -43,19 +40,17 @@ class HierarchyRuntime:
 
     def __init__(
         self,
-        deployment: "LbrmDeployment",
-        tree: LoggerTree,
+        deployment: "TreeDeployment",
         *,
-        config: HierarchyConfig,
         fanout: int,
         site_of: dict[str, str],
         receivers_by_leaf: dict[str, list["LbrmReceiver"]],
     ) -> None:
         self.deployment = deployment
-        self.config = config
-        self._site_of = site_of
         self._receivers_by_leaf = receivers_by_leaf
         spec = deployment.spec
+        tree = deployment.tree
+        self.config = config = spec.config.hierarchy
         lan = 2.0 * spec.lan_latency
         wan = 2.0 * (2 * spec.lan_latency + 2 * spec.tail_latency + spec.backbone_latency)
 
@@ -75,12 +70,8 @@ class HierarchyRuntime:
             max_widen=config.link_max_widen,
             seed_cost=seed_cost,
         )
-        # name -> (machine, node) for every logger that is a tree node.
-        self._loggers: dict[str, tuple["LogServer", "SimNode"]] = {}
-        for machine, node in zip(deployment.site_loggers, deployment.site_logger_nodes):
-            self._loggers[machine.addr_token] = (machine, node)
-        for machine, node in zip(deployment.interior_loggers, deployment.interior_logger_nodes):
-            self._loggers[machine.addr_token] = (machine, node)
+        # name -> (machine, node) for every logger below the root.
+        self._loggers = {name: deployment.members[name] for name in tree.top_down()}
         # Last chain pushed to each leaf's receivers (change detection).
         self._chains: dict[str, tuple[str, ...]] = {
             leaf: tree.chain(leaf) for leaf in receivers_by_leaf

@@ -111,6 +111,10 @@ class BurstLoss:
     def windows(self) -> list[tuple[float, float]]:
         return list(self._windows)
 
+    @property
+    def base(self) -> LossModel:
+        return self._base
+
     def drops(self, now: float) -> bool:
         for start, end in self._windows:
             if start <= now < end:

@@ -13,6 +13,7 @@ import asyncio
 import pytest
 
 from repro.aio import AioCluster, AioNode, GroupDirectory
+from repro.chaos.live import LiveOracle
 from repro.core.errors import ConfigError
 
 from tests.aio._netutil import free_udp_port
@@ -102,6 +103,37 @@ async def _run_local_repair():
         assert cluster.primary.stats["nacks_received"] == 0
         for hub in cluster.interior_loggers:
             assert hub.stats["nacks_received"] == 0
+
+
+def test_discovered_secondary_brings_its_hub_chain():
+    asyncio.run(_run_discovered_chain())
+
+
+async def _run_discovered_chain():
+    """Discovery installs the found secondary's whole tree chain, so the
+    receiver escalates through the interior hub, not past it; the live
+    oracle holds the hubs to I3 log completeness like any tree logger."""
+    async with AioCluster(
+        GROUP, n_receivers=2, n_secondaries=2, depth=3, fanout=2,
+        use_discovery=True, directory=_directory(4),
+    ) as cluster:
+        oracle = LiveOracle(cluster)
+        oracle.install()
+        await cluster.wait_discovery()
+        leaf_addresses = [node.address for node in cluster.secondary_nodes]
+        for receiver in cluster.receivers:
+            chain = receiver.logger_chain
+            # Loopback TTL does not scope: every logger answers and the
+            # deepest level in range (a site secondary) wins.
+            leaf = leaf_addresses.index(chain[0])
+            hub = cluster.members[cluster.tree.parent(f"leaf{leaf}")][1].address
+            assert chain == (chain[0], hub, cluster.primary_node.address)
+        for i in range(3):
+            await cluster.publish(b"tick-%d" % i)
+        for i in range(2):
+            await asyncio.wait_for(cluster.deliveries(i, 3), 5.0)
+        await asyncio.sleep(0.2)
+        oracle.assert_ok()
 
 
 def test_depth_requires_secondaries():

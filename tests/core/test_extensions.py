@@ -91,23 +91,23 @@ class TestSmallPacketRepeat:
 
 
 class TestMultiLevelHierarchy:
-    def test_regional_loggers_built(self):
+    def test_interior_hubs_built(self):
         dep = LbrmDeployment(DeploymentSpec(n_sites=6, receivers_per_site=1,
-                                            region_size=3, seed=9))
-        assert len(dep.regional_loggers) == 2
-        assert dep.receivers[0].logger_chain == ("site1-logger", "region0-logger", "primary")
-        assert dep.receivers[5].logger_chain == ("site6-logger", "region1-logger", "primary")
+                                            depth=3, fanout=3, seed=9))
+        assert len(dep.interior_loggers) == 2
+        assert dep.receivers[0].logger_chain == ("site1-logger", "hub1-0-logger", "primary")
+        assert dep.receivers[5].logger_chain == ("site6-logger", "hub1-1-logger", "primary")
 
     def test_no_regions_by_default(self):
         dep = LbrmDeployment(DeploymentSpec(n_sites=4, receivers_per_site=1, seed=9))
-        assert dep.regional_loggers == []
+        assert dep.interior_loggers == []
 
     def test_widespread_loss_primary_sees_one_nack_per_region(self):
         """'A multi-level hierarchy of logging servers may be used to
         further reduce NACK bandwidth in large groups' (§7)."""
-        def primary_nacks(region_size):
+        def primary_nacks(depth, fanout=8):
             dep = LbrmDeployment(DeploymentSpec(n_sites=12, receivers_per_site=2,
-                                                region_size=region_size, seed=13))
+                                                depth=depth, fanout=fanout, seed=13))
             dep.start()
             dep.advance(0.2)
             dep.send(b"warm")
@@ -120,14 +120,14 @@ class TestMultiLevelHierarchy:
             assert dep.receivers_with(2) == len(dep.receivers)
             return dep.primary.stats["nacks_received"]
 
-        flat = primary_nacks(0)
-        regional = primary_nacks(4)
+        flat = primary_nacks(2)
+        regional = primary_nacks(3, fanout=4)
         assert flat == 12  # one per site logger
-        assert regional == 3  # one per regional logger
+        assert regional == 3  # one per interior hub
 
     def test_recovery_works_through_all_levels(self):
         dep = LbrmDeployment(DeploymentSpec(n_sites=4, receivers_per_site=2,
-                                            region_size=2, seed=14))
+                                            depth=3, fanout=2, seed=14))
         dep.start()
         dep.advance(0.2)
         dep.send(b"a")
@@ -137,5 +137,5 @@ class TestMultiLevelHierarchy:
         dep.send(b"b")
         dep.advance(5.0)
         assert dep.receivers_with(2) == len(dep.receivers)
-        # regional logger at site3's region also holds the full log
-        assert all(len(l.log) == 2 for l in dep.regional_loggers)
+        # the hub above site3 also holds the full log
+        assert all(len(l.log) == 2 for l in dep.interior_loggers)

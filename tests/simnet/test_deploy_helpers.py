@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.simnet import DeploymentSpec, LbrmDeployment
+from repro.simnet.loss import BernoulliLoss, BurstLoss
 
 
 def make():
@@ -27,6 +28,37 @@ def test_burst_site_drops_whole_site():
     assert all(rx.tracker.has(2) for rx in others)
     dep.advance(5.0)
     assert dep.receivers_with(2) == len(dep.receivers)
+
+
+def test_burst_site_keeps_the_configured_loss_model():
+    """A burst adds a window over the tail circuit's own model; bursting
+    the same site again adds a window, not another wrapper."""
+    dep = make()
+    dep.send(b"warm")
+    dep.advance(1.0)
+    link = dep.network.site("site1").tail_down
+    link.loss = configured = BernoulliLoss(1.0, dep.streams.stream("always"))
+    for _ in range(3):
+        dep.burst_site("site1", 0.1)
+        dep.advance(0.2)  # the window closes
+        assert isinstance(link.loss, BurstLoss)
+        assert link.loss.base is configured
+        assert len(link.loss.windows) == 1  # expired windows are dropped
+    # Outside every window the configured model still draws.
+    dep.send(b"lost to the configured model")
+    dep.advance(0.1)
+    assert all(not rx.tracker.has(2) for rx in dep.receivers[:2])
+    assert all(rx.tracker.has(2) for rx in dep.receivers[2:])
+
+
+def test_overlapping_bursts_keep_the_longer_window():
+    dep = make()
+    dep.burst_site("site1", 1.0)
+    dep.burst_site("site1", 0.1)
+    dep.advance(0.5)
+    dep.send(b"inside the first window")
+    dep.advance(0.1)
+    assert all(not rx.tracker.has(1) for rx in dep.receivers[:2])
 
 
 def test_burst_sites_plural():

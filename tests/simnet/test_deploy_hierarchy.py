@@ -57,7 +57,7 @@ def test_depth_four_builds_two_interior_levels():
 
 def test_depth_conflicts_rejected():
     with pytest.raises(ConfigError):
-        LbrmDeployment(_spec(region_size=3))
+        LbrmDeployment(_spec(fanout=1))
     with pytest.raises(ConfigError):
         LbrmDeployment(_spec(secondary_loggers=False))
     with pytest.raises(ConfigError):
