@@ -1,7 +1,7 @@
 # LBRM reproduction — developer entry points.  Everything runs from the
 # source checkout: the package is on PYTHONPATH, never installed.
 
-.PHONY: test bench examples loc all
+.PHONY: test bench examples loc pairs all
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
@@ -19,5 +19,11 @@ examples:
 # ROADMAP aim 2: net source lines go down.
 loc:
 	@find src -name '*.py' | xargs wc -l | tail -1
+
+# Did this change move performance?  Alternating parent/change pairs of one
+# ledger workload with the choosing-metrics §8 verdict per end-to-end metric:
+#   make pairs REF=HEAD W=exact_fanout [PAIRS=10] [SEED=1995]
+pairs:
+	python3 tools/ledger_pairs.py $(REF) --workload $(W) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
 
 all: test bench

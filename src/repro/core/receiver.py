@@ -16,6 +16,7 @@ without any protocol involvement from the source.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro import obs
@@ -50,6 +51,33 @@ from repro.core.packets import (
 from repro.core.sequence import SequenceTracker
 
 __all__ = ["LbrmReceiver"]
+
+# A packet is one immutable datum for the whole group, so its original
+# (non-recovered) delivery record is one value: minted for the first
+# receiver, handed to the rest.  One entry, keyed on the packet *object*
+# (never on field equality), swapped as a single tuple so every reader
+# sees a matching pair.  Recovered deliveries are per receiver and never
+# pass through here.
+_shared_delivery: tuple[Packet | None, Deliver | None] = (None, None)
+
+
+def _deliver_original(packet: DataPacket) -> Deliver:
+    global _shared_delivery
+    shared = _shared_delivery
+    if shared[0] is not packet:
+        _shared_delivery = shared = (packet, Deliver(packet.seq, packet.payload, False))
+    return shared[1]
+
+
+def _saturation_index(hb: HeartbeatConfig) -> int:
+    """A schedule index from which every interval is ``h_max``: the first
+    such, unless log() rounds up (any later one serves as well)."""
+    if hb.is_fixed:
+        return 0
+    index = math.ceil(math.log(hb.h_max / hb.h_min, hb.backoff))
+    while hb.h_min * hb.backoff**index < hb.h_max:  # log() rounded down
+        index += 1
+    return index
 
 
 @dataclass
@@ -123,7 +151,11 @@ class LbrmReceiver(ProtocolMachine):
         # caching slack·interval alongside saves the per-packet multiply.
         # (Like the pre-existing interval memo, this bakes in the config
         # at first use — reconfiguring a live receiver is unsupported.)
+        # ``hb_index`` comes off the wire: indexes at or past the point
+        # where the schedule reaches h_max share one entry, so the memo
+        # is bounded and ``backoff**index`` cannot overflow.
         self._hb_wd: dict[int, tuple[float, float]] = {}
+        self._hb_saturation = 0 if heartbeat is None else _saturation_index(heartbeat)
 
         # Receivers are the most numerous machines (thousands in the
         # paper's deployments), so their registry counters aggregate
@@ -183,14 +215,17 @@ class LbrmReceiver(ProtocolMachine):
         return self._config.watchdog_slack * self._expected_interval
 
     def _hb_schedule(self, hb_index: int) -> tuple[float, float]:
-        """(heartbeat interval, watchdog timeout) for one schedule index."""
-        if self._heartbeat is None:
-            interval = self._config.max_idle_time
-        else:
-            hb = self._heartbeat
-            interval = min(hb.h_min * hb.backoff**hb_index, hb.h_max)
-        pair = (interval, self._config.watchdog_slack * interval)
-        self._hb_wd[hb_index] = pair
+        """(heartbeat interval, watchdog timeout) for one schedule index:
+        the ``_hb_wd`` miss path, which saturated indexes take every time."""
+        hb_index = min(hb_index, self._hb_saturation)
+        pair = self._hb_wd.get(hb_index)
+        if pair is None:
+            if self._heartbeat is None:
+                interval = self._config.max_idle_time
+            else:
+                hb = self._heartbeat
+                interval = min(hb.h_min * hb.backoff**hb_index, hb.h_max)
+            pair = self._hb_wd[hb_index] = (interval, self._config.watchdog_slack * interval)
         return pair
 
     def set_logger_chain(self, chain: tuple[Address, ...]) -> None:
@@ -217,6 +252,24 @@ class LbrmReceiver(ProtocolMachine):
     def handle(self, packet: Packet, src: Address, now: float) -> list[Action]:
         t = type(packet)
         if t is DataPacket:
+            tracker = self._tracker
+            if (
+                packet.seq == tracker._highest + 1
+                and tracker._first  # started: the first packet sets the baseline
+                and self._fresh
+                and not self._on_channel
+            ):
+                # The next packet in order, nothing to restore or leave:
+                # what _on_data does for it, without the report, the
+                # action list growth or the branches that cannot fire.
+                tracker._highest = packet.seq
+                self._repeat_count = 0
+                sched = self._hb_wd.get(0) or self._hb_schedule(0)
+                self._expected_interval = sched[0]
+                self._last_rx = now
+                self._maxit_deadline = now + sched[1]
+                self.stats["data_received"] += 1
+                return [_deliver_original(packet)]
             return self._on_data(packet, now)
         if t is HeartbeatPacket:
             return self._on_heartbeat(packet, now)
@@ -268,10 +321,12 @@ class LbrmReceiver(ProtocolMachine):
         if report.is_new:
             # Receiver-reliable: fresh data is delivered immediately, never
             # held for in-order completion (§1, §5).
-            actions.append(Deliver(packet.seq, packet.payload, report.filled_gap))
-            if report.filled_gap:
+            if not report.filled_gap:
+                actions.append(_deliver_original(packet))
+            else:
                 # A sender repeat (§7 small-packet extension) or a
                 # re-multicast repaired this gap before our NACK did.
+                actions.append(Deliver(packet.seq, packet.payload, True))
                 recovery = self._recoveries.pop(packet.seq, None)
                 self.timers.cancel(("nack", packet.seq))
                 if recovery is not None:

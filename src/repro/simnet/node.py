@@ -25,7 +25,7 @@ for the same deadline.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.actions import (
     Action,
@@ -40,7 +40,9 @@ from repro.core.events import Event
 from repro.core.machine import ProtocolMachine
 from repro.core.packets import Packet
 from repro.simnet.engine import ScheduledEvent, Simulator
-from repro.simnet.topology import Host, Network
+
+if TYPE_CHECKING:  # topology imports this module for the delivery loop
+    from repro.simnet.topology import Host, Network
 
 __all__ = ["SimNode"]
 
@@ -115,49 +117,73 @@ class SimNode:
     # -- the harness contract ---------------------------------------------------
 
     def receive(self, packet: Packet, src: str, now: float) -> None:
-        """Network delivery entry point (called by :class:`Network`)."""
-        if self.paused:
-            return  # alive but unresponsive: inbound traffic is lost
-        if self.clock_skew:
-            now = now + self.clock_skew
-        machines = self.machines
-        if len(machines) == 1:
-            # The common shape: one receiver per host.  Skipping the loop
-            # frame shaves a measurable slice off every delivery — and the
-            # single-machine _reschedule is inlined below for the same
-            # reason (it runs once per packet in every scenario).
+        """Network delivery entry point for one host (unicast, chaos
+        arrivals, the per-receiver reference fan-out)."""
+        SimNode.receive_batch((self,), packet, src, now)
+
+    @staticmethod
+    def receive_batch(endpoints, packet: Packet, src: str, now: float) -> None:
+        """Deliver ``packet`` to each endpoint in turn: the one delivery
+        loop, entered by :class:`Network` once per co-timed batch.
+
+        Everything is read per node, nothing hoisted: an earlier node's
+        ``on_deliver``/``on_event`` callback may pause or crash a later
+        one in the same batch.  This runs once per (receiver, packet) in
+        every scenario, so for the common shape — one machine per node —
+        the lone ``Deliver`` is carried out and the wakeup armed in
+        place, not through :meth:`execute` and :meth:`_reschedule` (worth
+        1.08x on a loss-free run; a generic machine loop here, 1.01x).
+        """
+        for node in endpoints:
+            if not isinstance(node, SimNode):
+                if node is not None:
+                    node.receive(packet, src, now)
+                continue
+            if node.paused:
+                continue  # alive but unresponsive: inbound traffic is lost
+            skew = node.clock_skew
+            machines = node.machines
+            if len(machines) != 1:
+                node._receive_each(machines, packet, src, now + skew)
+                continue
             machine = machines[0]
+            actions = machine.handle(packet, src, now + skew if skew else now)
+            if actions:
+                if len(actions) == 1 and type(actions[0]) is Deliver and node._on_deliver is None:
+                    node.delivered.append(actions[0])
+                else:
+                    node.execute(actions)
+                    if not node.alive:
+                        continue  # an executed action stopped us; resume()/restart() re-arm
+            next_due = machine.next_wakeup()
+            if next_due is None:
+                node._disarm()
+                continue
+            if skew:
+                next_due = next_due - skew
+            mux = node._network.wakeup_mux
+            if mux is not None:
+                cur = node._mux_due
+                if cur is None or cur > next_due:
+                    node._mux_due = next_due
+                    mux.arm(node, next_due)
+                continue  # else an earlier-or-equal mux wakeup is pending
+            wakeup = node._wakeup
+            if wakeup is not None:
+                if wakeup.time <= next_due and not wakeup.cancelled:
+                    continue  # an earlier-or-equal wakeup is already pending
+                wakeup.cancel()
+            node._wakeup = node._sim.schedule(next_due, node.poll)
+
+    def _receive_each(self, machines, packet, src, now) -> None:
+        """The rare shapes: several machines on one node, or none left."""
+        for machine in machines:
             actions = machine.handle(packet, src, now)
             if actions:
                 self.execute(actions)
-            if self.paused:
-                return  # an executed action paused us; resume() re-arms
-            next_due = machine.next_wakeup()
-            if next_due is None:
-                self._disarm()
-                return
-            if self.clock_skew:
-                next_due = next_due - self.clock_skew
-            mux = self._network.wakeup_mux
-            if mux is not None:
-                cur = self._mux_due
-                if cur is not None and cur <= next_due:
-                    return  # an earlier-or-equal mux wakeup is pending
-                self._mux_due = next_due
-                mux.arm(self, next_due)
-                return
-            wakeup = self._wakeup
-            if wakeup is not None:
-                if wakeup.time <= next_due and not wakeup.cancelled:
-                    return  # an earlier-or-equal wakeup is already pending
-                wakeup.cancel()
-            self._wakeup = self._sim.schedule(next_due, self.poll)
-        else:
-            for machine in machines:
-                actions = machine.handle(packet, src, now)
-                if actions:  # usually empty — skip the dispatch loop
-                    self.execute(actions)
-            self._reschedule()
+                if not self.alive:
+                    return  # the other machines never see the packet
+        self._reschedule()
 
     def poll(self) -> None:
         self._wakeup = None

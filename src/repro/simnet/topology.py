@@ -28,6 +28,7 @@ from repro.core.packets import Packet, encode
 from repro.simnet.engine import Simulator, WakeupMux
 from repro.simnet.links import Link
 from repro.simnet.loss import LossModel
+from repro.simnet.node import SimNode
 from repro.simnet.rng import RngStreams
 
 __all__ = [
@@ -562,28 +563,26 @@ class Network:
 
         Iteration order is membership order, matching the tie-breaker
         order the per-receiver reference path produces for simultaneous
-        deliveries.  The delivered count and (when its owner installed
-        one) the observer are charged once per batch, not per host.
+        deliveries.  The delivered count, the hosts' ``rx_packets`` and
+        (when its owner installed one) the observer are charged once per
+        batch, then :meth:`SimNode.receive_batch` walks the endpoints.
         """
         now = self.sim.now
         self.stats["delivered"] += len(co_timed)
-        batch_obs = self.batch_observer
+        batch_obs, observer = self.batch_observer, self._observer
+        if batch_obs is None and observer is not None:
+            # A foreign per-packet observer (the chaos oracle and the
+            # hierarchy runtime chain one): observe -> receive, per host.
+            for dst in co_timed:
+                dst.rx_packets += 1
+                observer("rx", packet, src_name, dst.name, now)
+                SimNode.receive_batch((dst.endpoint,), packet, src_name, now)
+            return
         if batch_obs is not None:
             batch_obs(packet, src_name, co_timed, now)
-            for dst in co_timed:
-                dst.rx_packets += 1
-                endpoint = dst.endpoint
-                if endpoint is not None:
-                    endpoint.receive(packet, src_name, now)
-        else:
-            observer = self._observer
-            for dst in co_timed:
-                dst.rx_packets += 1
-                if observer is not None:
-                    observer("rx", packet, src_name, dst.name, now)
-                endpoint = dst.endpoint
-                if endpoint is not None:
-                    endpoint.receive(packet, src_name, now)
+        for dst in co_timed:
+            dst.rx_packets += 1
+        SimNode.receive_batch([dst.endpoint for dst in co_timed], packet, src_name, now)
 
     def _drop(self, packet: Packet, src_name: str, dst_name: str, now: float) -> None:
         self.stats["dropped"] += 1

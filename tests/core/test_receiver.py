@@ -223,3 +223,71 @@ def test_set_logger_chain_rebinds_levels():
     actions = r.poll(1.0)
     sent = nacks(actions)
     assert sent and sent[0].dest == "other-logger"
+
+
+# -- hb_index comes off the wire: the schedule memo saturates at h_max --------
+
+
+@pytest.mark.parametrize(
+    "hb_cfg, saturation",
+    [
+        (HeartbeatConfig(h_min=0.25, backoff=2.0, h_max=32.0), 7),
+        (HeartbeatConfig(h_min=0.25, backoff=2.0, h_max=30.0), 7),
+        (HeartbeatConfig(h_min=0.1, backoff=1.5, h_max=7.0), 11),
+        (HeartbeatConfig(h_min=0.5, backoff=1.0, h_max=8.0), 0),
+        (HeartbeatConfig(h_min=2.0, backoff=3.0, h_max=2.0), 0),
+    ],
+)
+def test_hb_schedule_exact_below_saturation_and_h_max_from_there(hb_cfg, saturation):
+    r = LbrmReceiver("g", ReceiverConfig(), heartbeat=hb_cfg)
+    assert r._hb_saturation == saturation
+    slack = ReceiverConfig().watchdog_slack
+    for i in range(saturation + 4):
+        # The very expression the schedule always used: digests hang on it.
+        interval = min(hb_cfg.h_min * hb_cfg.backoff**i, hb_cfg.h_max)
+        assert r._hb_schedule(i) == (interval, slack * interval)
+    top = r._hb_schedule(saturation)
+    assert top[0] == (hb_cfg.h_min if hb_cfg.backoff == 1.0 else hb_cfg.h_max)
+    assert saturation == 0 or r._hb_schedule(saturation - 1)[0] < hb_cfg.h_max
+
+
+def test_huge_hb_index_is_handled_and_gets_the_h_max_schedule():
+    """backoff**hb_index overflowed a float from index 1024 on: one
+    heartbeat from the wire raised OverflowError out of handle()."""
+    hb_cfg = HeartbeatConfig(h_min=0.25, backoff=2.0, h_max=32.0)
+    r = LbrmReceiver("g", ReceiverConfig(), logger_chain=("l",), heartbeat=hb_cfg)
+    r.start(0.0)
+    r.handle(data(1), "source", 0.0)
+    for hb_index in (1024, 2**32 - 1):
+        assert r.handle(HeartbeatPacket(group="g", seq=1, hb_index=hb_index), "source", 1.0) == []
+        assert r._hb_schedule(hb_index) == (32.0, 64.0)
+        assert r.next_wakeup() == 1.0 + 64.0
+
+
+def test_hb_schedule_memo_is_bounded_by_the_saturation_index():
+    hb_cfg = HeartbeatConfig(h_min=0.25, backoff=2.0, h_max=32.0)
+    r = LbrmReceiver("g", ReceiverConfig(), logger_chain=("l",), heartbeat=hb_cfg)
+    r.start(0.0)
+    r.handle(data(1), "source", 0.0)
+    for hb_index in range(10_000):
+        r.handle(HeartbeatPacket(group="g", seq=1, hb_index=hb_index * 7919), "source", 1.0)
+    assert len(r._hb_wd) <= r._hb_saturation + 1
+    # Without a heartbeat config every index is the fixed MaxIT.
+    fixed = make_receiver()
+    fixed.start(0.0)
+    for hb_index in range(100):
+        fixed.handle(HeartbeatPacket(group="g", seq=0, hb_index=hb_index), "source", 1.0)
+    assert len(fixed._hb_wd) == 1
+
+
+def test_repeats_of_the_newest_packet_saturate_like_heartbeats():
+    """A §7 repeat occupies heartbeat slot ``_repeat_count``; 1024 of them
+    in a row overflowed the same expression."""
+    hb_cfg = HeartbeatConfig(h_min=0.25, backoff=2.0, h_max=32.0)
+    r = LbrmReceiver("g", ReceiverConfig(), logger_chain=("l",), heartbeat=hb_cfg)
+    r.start(0.0)
+    r.handle(data(1), "source", 0.0)
+    for k in range(1100):
+        r.handle(data(1), "source", 0.001 * k)
+    assert r._expected_interval == 32.0
+    assert len(r._hb_wd) <= r._hb_saturation + 1

@@ -9,7 +9,9 @@ the end-to-end form of that guarantee: a fig7-style lossy deployment
 replayed on the wheel engine with ``batch_delivery`` on (which also
 turns on the shared-deadline :class:`~repro.simnet.engine.WakeupMux`)
 and on the heap engine with it off produces byte-identical packet
-traces and protocol outcomes.
+traces and protocol outcomes — down to every node's delivery list and
+every host's counters, and through every kind of endpoint the one
+delivery loop (:meth:`SimNode.receive_batch`) has to get right.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.machine import ProtocolMachine
 from repro.core.packets import clear_codec_caches
 from repro.simnet import BernoulliLoss, DeploymentSpec, LbrmDeployment
 from repro.simnet.engine import ReferenceSimulator, Simulator
@@ -122,6 +125,19 @@ def test_batched_loss_rate_statistics():
 # -- end-to-end: batching toggles nothing observable -------------------------
 
 
+def _outcome(dep: LbrmDeployment) -> dict:
+    """Every count, and what each node's application saw, delivery by delivery."""
+    return {
+        "network": dict(dep.network.stats),
+        "receivers": [dict(r.stats) for r in dep.receivers],
+        "missing": dep.receivers_missing(),
+        "trace_counts": dict(dep.trace.counts),
+        "delivered": {n.name: [tuple(d) for d in n.delivered] for n in dep.all_nodes()},
+        "events": {n.name: list(n.events) for n in dep.all_nodes()},
+        "hosts": {h.name: (h.rx_packets, h.rx_dropped) for h in dep.network.hosts},
+    }
+
+
 def _lossy_scenario(seed: int, sim, batch: bool):
     """Fig7's shape in miniature: burst outage + steady seeded loss."""
     clear_codec_caches()
@@ -144,13 +160,7 @@ def _lossy_scenario(seed: int, sim, batch: bool):
             dep.send(f"packet-{i}".encode())
             dep.advance(0.3)
         dep.advance(8.0)
-        outcome = {
-            "network": dict(dep.network.stats),
-            "receivers": [dict(r.stats) for r in dep.receivers],
-            "missing": dep.receivers_missing(),
-            "trace_counts": dict(dep.trace.counts),
-        }
-        return reg.trace.events(), outcome
+        return reg.trace.events(), _outcome(dep)
 
 
 @pytest.mark.parametrize("seed", [11, 1995])
@@ -167,3 +177,87 @@ def test_same_seed_trace_identical_with_and_without_batching(seed):
     assert len(trace_batched) > 0
     assert trace_batched == trace_reference
     assert outcome_batched == outcome_reference
+
+
+class _Tap:
+    """A non-``SimNode`` endpoint: records what the network hands it."""
+
+    def __init__(self) -> None:
+        self.received: list[tuple] = []
+
+    def receive(self, packet, src, now) -> None:
+        self.received.append((type(packet).__name__, getattr(packet, "seq", None), src, now))
+
+
+class _Seen(ProtocolMachine):
+    """A second machine on a receiver's node: logs the times it is shown."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen: list[tuple] = []
+
+    def handle(self, packet, src, now):
+        self.seen.append((type(packet).__name__, getattr(packet, "seq", None), now))
+        return []
+
+
+def _every_endpoint_scenario(sim, batch: bool, foreign_observer: bool):
+    """A loss-free train through one of each thing the delivery loop must
+    treat per host: a skewed clock, a paused node, a crashed node, two
+    machines on one node, a foreign endpoint, and a delivery callback
+    that pauses the *next* receiver of the same co-timed batch."""
+    clear_codec_caches()
+    clear_wire_size_cache()
+    dep = LbrmDeployment(DeploymentSpec(n_sites=2, receivers_per_site=5, seed=7), sim=sim)
+    net = dep.network
+    net.batch_delivery = batch
+    observed: list[tuple] = []
+    if foreign_observer:
+        # What the chaos oracle does: chain the per-packet observer (which
+        # drops the amortized batch observer, so every host is observed
+        # right before its own receive).
+        chained = net.observer
+
+        def observer(kind, packet, src, dst, now):
+            observed.append((kind, type(packet).__name__, src, dst, now, net.host(dst).rx_packets))
+            chained(kind, packet, src, dst, now)
+
+        net.observer = observer
+    tap = _Tap()
+    net.add_host("site1-tap", net.site("site1")).attach(tap)
+    net.join(dep.spec.group, "site1-tap")
+    second = _Seen()
+    dep.node("site1-rx3").add_machine(second)
+    dep.node("site1-rx0").clock_skew = 0.3
+    pauser, paused_next = dep.node("site2-rx0"), dep.node("site2-rx1")
+    pauser._on_deliver = lambda d, now: paused_next.pause() if d.seq == 3 else None
+    dep.start()
+    dep.advance(0.2)
+    for i in range(8):
+        if i == 2:
+            dep.node("site1-rx1").pause()
+            dep.node("site1-rx2").crash()
+        if i == 5:
+            dep.node("site1-rx1").resume()
+            dep.node("site1-rx2").restart()
+            paused_next.resume()
+        dep.send(f"packet-{i}".encode())
+        dep.advance(0.05)
+    dep.advance(8.0)
+    return {"tap": tap.received, "second_machine": second.seen, "observed": observed, **_outcome(dep)}
+
+
+@pytest.mark.parametrize("foreign_observer", [False, True])
+def test_delivery_loop_matches_the_reference_fanout_for_every_endpoint(foreign_observer):
+    batched = _every_endpoint_scenario(Simulator(), True, foreign_observer)
+    reference = _every_endpoint_scenario(ReferenceSimulator(), False, foreign_observer)
+    assert batched == reference
+    # The scenario reached what it is for.
+    delivered = batched["delivered"]
+    assert [d[0] for d in delivered["site2-rx0"]] == list(range(1, 9))
+    assert (3, b"packet-2", True) in delivered["site2-rx1"]  # paused by its neighbour mid-batch
+    assert any(d[2] for d in delivered["site1-rx1"]) and any(d[2] for d in delivered["site1-rx2"])
+    assert delivered["site1-rx0"] == delivered["site2-rx0"]  # skew moves no delivery
+    assert len([t for t in batched["tap"] if t[0] == "DataPacket"]) == 8
+    assert [s for s in batched["second_machine"] if s[0] == "DataPacket"]
+    assert bool(batched["observed"]) == foreign_observer

@@ -102,6 +102,44 @@ def test_events_of_filter():
     assert len(n1.events_of(LossDetected)) == 1
 
 
+class Counting(ProtocolMachine):
+    """Test machine: counts the packets it is shown; optionally wakes."""
+
+    def __init__(self, wake_at=None):
+        super().__init__()
+        self.seen = 0
+        if wake_at is not None:
+            self.timers.set(("wake",), wake_at)
+
+    def handle(self, packet, src, now):
+        self.seen += 1
+        return []
+
+
+@pytest.mark.parametrize("stop", ["pause", "crash"])
+def test_a_node_stopped_by_its_first_machine_hides_the_packet_from_the_rest(stop):
+    """One guard for the one delivery body: once an executed action has
+    paused or crashed the node, the remaining machines never see the
+    packet and no wakeup is armed (the multi-machine branch used to keep
+    dispatching; only the single-machine one checked)."""
+    sim, net, h1, h2 = build()
+    second = Counting(wake_at=5.0)
+    node = SimNode(net, h1, [Echo(), second], on_event=lambda event, now: getattr(node, stop)())
+    node.start()
+    net.send_unicast("h2", "h1", DataPacket(group="g", seq=1, payload=b"x"))
+    sim.run_until(1.0)
+    assert not node.alive
+    assert [d.seq for d in node.delivered] == [1]  # the Deliver ahead of the Notify ran
+    assert second.seen == 0
+    assert node._mux_due is None and node._wakeup is None
+    # Un-stopped, the same node shows every machine every packet.
+    node.resume() if stop == "pause" else node.restart()
+    node._on_event = None
+    net.send_unicast("h2", "h1", DataPacket(group="g", seq=2, payload=b"x"))
+    sim.run_until(2.0)
+    assert second.seen == 1
+
+
 class TestTrace:
     def test_counts_by_type_and_scope(self):
         sim = Simulator()
