@@ -20,10 +20,11 @@ examples:
 loc:
 	@find src -name '*.py' | xargs wc -l | tail -1
 
-# Did this change move performance?  Alternating parent/change pairs of one
-# ledger workload with the choosing-metrics §8 verdict per end-to-end metric:
-#   make pairs REF=HEAD W=exact_fanout [PAIRS=10] [SEED=1995]
+# Did this change move performance?  Alternating parent/change pairs of each
+# BENCHMARK.json workload (or of W, a comma list) with the choosing-metrics §8
+# verdict per end-to-end metric; exit 1 on any worse/refused/unequal sim block:
+#   make pairs REF=HEAD [W=exact_fanout] [PAIRS=10] [SEED=1995]
 pairs:
-	python3 tools/ledger_pairs.py $(REF) --workload $(W) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
+	python3 tools/ledger_pairs.py $(REF) $(if $(W),--workload $(W)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
 
 all: test bench

@@ -1,7 +1,7 @@
 """``repro bench`` — the machine-readable performance harness.
 
 Every scenario runs one deterministic workload once, in the
-configuration the package ships (timer-wheel engine, batched multicast
+configuration the package ships (binary-heap engine, batched multicast
 fan-out, memoized struct codecs, bundled zero-copy UDP), asserts
 scenario-specific invariants, and records throughput.  Results are
 written as ``BENCH_<scenario>.json`` files in ``benchmarks/results/``;
@@ -72,8 +72,8 @@ def scenario_fig7_nack_reduction(tier: str) -> dict:
     The timed region covers protocol start, a warm-up packet, a
     tail-circuit burst that costs one site an update (the per-site NACK
     collapse), NACK-driven recovery, and a steady-state packet train —
-    the last exercising exactly the timer churn (receiver watchdogs,
-    heartbeat backoff) the wheel engine exists for.  Building the
+    the last exercising the timer churn (receiver watchdogs, heartbeat
+    backoff) that the wakeup mux folds into shared deadlines.  Building the
     deployment object graph is excluded: the harness measures
     simulation throughput, not setup.
     """

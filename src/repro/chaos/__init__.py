@@ -15,12 +15,12 @@ inside individual tests into one reusable layer:
 * :mod:`repro.chaos.oracle` — :class:`ChaosOracle`, a runtime checker
   for the paper's receiver-reliability invariants (see DESIGN.md §7).
 * :mod:`repro.chaos.campaign` — the randomized conformance campaign
-  behind ``repro chaos``: seeded schedule sampling, runs under both
-  engines, reproducer seeds and schedule minimization on violation.
-* :mod:`repro.chaos.hierarchy` — the same conformance contract on
-  k-level repair trees behind ``repro hierarchy-chaos``: hub crashes
-  and mid-epoch ``reparent`` mutations, with cross-engine digests that
-  fold in the tree surgery (DESIGN §11).
+  behind ``repro chaos``: seeded schedule sampling, reproducer seeds
+  and schedule minimization on violation; one loop for every campaign.
+* :mod:`repro.chaos.hierarchy` — the same campaign on k-level repair
+  trees behind ``repro hierarchy-chaos``: tiers and a sampler of hub
+  crashes and mid-epoch ``reparent`` mutations, with digests that fold
+  in the tree surgery (DESIGN §11).
 * :mod:`repro.chaos.invariants` — :class:`InvariantLedger`, the
   transport-agnostic judgement shared by both oracles.
 * :mod:`repro.chaos.live` — :class:`LiveOracle`, the same invariants
@@ -30,9 +30,9 @@ inside individual tests into one reusable layer:
   point, crash the primary at each, grade every replay.
 """
 
-from repro.chaos.campaign import run_campaign, sample_schedule
+from repro.chaos.campaign import CHAOS, run_campaign, sample_schedule
 from repro.chaos.controller import ChaosController
-from repro.chaos.hierarchy import run_hierarchy_campaign, sample_hierarchy_schedule
+from repro.chaos.hierarchy import HIERARCHY_CHAOS, sample_hierarchy_schedule
 from repro.chaos.invariants import InvariantLedger, Violation
 from repro.chaos.live import LiveOracle
 from repro.chaos.oracle import ChaosOracle
@@ -40,6 +40,8 @@ from repro.chaos.schedule import Fault, FaultSchedule, PacketChaos
 from repro.chaos.sweep import enumerate_crash_points, run_crash_case, run_sweep_campaign
 
 __all__ = [
+    "CHAOS",
+    "HIERARCHY_CHAOS",
     "Fault",
     "FaultSchedule",
     "PacketChaos",
@@ -51,7 +53,6 @@ __all__ = [
     "enumerate_crash_points",
     "run_campaign",
     "run_crash_case",
-    "run_hierarchy_campaign",
     "run_sweep_campaign",
     "sample_hierarchy_schedule",
     "sample_schedule",

@@ -1,12 +1,15 @@
 """The randomized chaos conformance campaign behind ``repro chaos``.
 
 A campaign samples fault schedules from a seed, runs each one against a
-small LBRM deployment under **both** simulation engines (the timer-wheel
-``Simulator`` and the pure-heap ``ReferenceSimulator``), checks the
-:class:`~repro.chaos.oracle.ChaosOracle` invariants throughout, and
-cross-checks that the two engines produced bit-identical end states.
+small LBRM deployment and checks the
+:class:`~repro.chaos.oracle.ChaosOracle` invariants throughout.
 On any violation it prints a reproducer seed and a greedily *minimized*
 schedule — the smallest fault subset that still breaks the invariant.
+
+One loop, one parser and one printer serve every campaign; what tells
+``repro chaos`` from ``repro hierarchy-chaos`` is a :class:`Campaign`
+record (tiers, sampler, names), and whether a tier's tree has interior
+hubs decides whether re-parenting is reported.
 
 Everything is derived from the campaign seed: schedules, deployment
 RNG streams, and packet-chaos draws.  Reports contain no wallclock
@@ -38,6 +41,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from repro.chaos.controller import ChaosController
 from repro.chaos.oracle import ChaosOracle, Violation
@@ -45,10 +49,11 @@ from repro.chaos.schedule import Fault, FaultSchedule
 from repro.core.config import LbrmConfig, LoggerConfig, ReceiverConfig
 from repro.core.logger import LogServer
 from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
-from repro.simnet.engine import ReferenceSimulator, Simulator
 
 __all__ = [
     "CampaignShape",
+    "Campaign",
+    "CHAOS",
     "TIERS",
     "SABOTAGES",
     "sample_schedule",
@@ -87,6 +92,22 @@ class CampaignShape:
     # The logger tree (DESIGN §11); the flat layout unless a tier says otherwise.
     depth: int = 2
     fanout: int = 8
+    # Payload prefix of the data stream (part of every case's packet bytes).
+    tag: str = "chaos"
+
+    @property
+    def has_hubs(self) -> bool:
+        """Interior hubs exist, so the tree can re-parent and reports say so."""
+        return self.depth > 2
+
+    def targets(self) -> tuple[list[str], list[str], list[str]]:
+        """(sites, receivers, site loggers) this shape's deployment builds."""
+        indices = range(1, self.n_sites + 1)
+        return (
+            [f"site{i}" for i in indices],
+            [f"site{i}-rx{j}" for i in indices for j in range(self.receivers_per_site)],
+            [f"site{i}-logger" for i in indices],
+        )
 
 
 TIERS: dict[str, CampaignShape] = {
@@ -119,13 +140,7 @@ def _sabotaged(name: str | None):
 
 def sample_schedule(rng: random.Random, shape: CampaignShape) -> FaultSchedule:
     """Draw one recoverable-by-construction fault schedule."""
-    sites = [f"site{i}" for i in range(1, shape.n_sites + 1)]
-    receivers = [
-        f"site{i}-rx{j}"
-        for i in range(1, shape.n_sites + 1)
-        for j in range(shape.receivers_per_site)
-    ]
-    loggers = [f"site{i}-logger" for i in range(1, shape.n_sites + 1)]
+    sites, receivers, loggers = shape.targets()
     faults: list[Fault] = []
 
     def at(lo: float = 0.8, hi: float = 7.8) -> float:
@@ -141,7 +156,7 @@ def sample_schedule(rng: random.Random, shape: CampaignShape) -> FaultSchedule:
         # loggers keep seeing the multicast stream directly.
         faults.append(Fault("crash", at(1.0, 4.0), "primary"))
         for _ in range(rng.randrange(0, 3)):
-            faults.extend(_receiver_blip(rng, receivers, at, dur))
+            faults.extend(blip(rng, receivers, at, dur))
         return FaultSchedule(faults=tuple(faults), seed=rng.randrange(2**32))
 
     menu = [
@@ -153,16 +168,13 @@ def sample_schedule(rng: random.Random, shape: CampaignShape) -> FaultSchedule:
     for _ in range(rng.randrange(2, 6)):
         pick = rng.choice(menu)
         if pick == "rx-blip":
-            faults.extend(_receiver_blip(rng, receivers, at, dur))
+            faults.extend(blip(rng, receivers, at, dur))
         elif pick == "rx-pause":
             start = at()
             faults.append(Fault("pause", start, rng.choice(receivers)))
             faults.append(Fault("resume", round(start + dur(0.3, 2.0), 3), faults[-1].target))
         elif pick == "logger-blip":
-            start = at()
-            victim = rng.choice(loggers)
-            faults.append(Fault("crash", start, victim))
-            faults.append(Fault("restart", round(start + dur(0.3, 2.0), 3), victim))
+            faults.extend(blip(rng, loggers, at, dur))
         elif pick == "partition":
             faults.append(Fault("partition", at(), rng.choice(sites), duration=dur(0.5, 2.5)))
         elif pick == "skew":
@@ -193,13 +205,18 @@ def sample_schedule(rng: random.Random, shape: CampaignShape) -> FaultSchedule:
             faults.append(Fault("pause", start, "primary"))
             faults.append(Fault("resume", round(start + dur(0.3, 1.4), 3), "primary"))
     if not faults:  # pragma: no cover - menu always yields something
-        faults.extend(_receiver_blip(rng, receivers, at, dur))
+        faults.extend(blip(rng, receivers, at, dur))
     return FaultSchedule(faults=tuple(faults), seed=rng.randrange(2**32))
 
 
-def _receiver_blip(rng: random.Random, receivers: list[str], at, dur) -> list[Fault]:
+def blip(rng: random.Random, victims: list[str], at, dur) -> list[Fault]:
+    """Crash one of ``victims`` and restart it 0.3-2 s later.
+
+    Draw order (start, victim, downtime) is part of every sampled
+    schedule: both samplers go through here.
+    """
     start = at()
-    victim = rng.choice(receivers)
+    victim = rng.choice(victims)
     return [
         Fault("crash", start, victim),
         Fault("restart", round(start + dur(0.3, 2.0), 3), victim),
@@ -221,17 +238,14 @@ def run_case(
     shape: CampaignShape,
     schedule: FaultSchedule,
     case_seed: int,
-    engine: str = "fast",
     sabotage: str | None = None,
-    tag: str = "chaos",
 ) -> CaseOutcome:
-    """Run one schedule against one deployment under one engine.
+    """Run one schedule against one deployment.
 
     On a tree with interior hubs the digest additionally covers the
     hierarchy snapshot (final parent map, every applied move, manager
-    counters): the engines must agree on the exact tree surgery too.
+    counters): a same-seed rerun must repeat the exact tree surgery too.
     """
-    sim = Simulator() if engine == "fast" else ReferenceSimulator()
     spec = DeploymentSpec(
         n_sites=shape.n_sites,
         receivers_per_site=shape.receivers_per_site,
@@ -242,7 +256,7 @@ def run_case(
         seed=case_seed,
     )
     with _sabotaged(sabotage):
-        dep = LbrmDeployment(spec, sim=sim)
+        dep = LbrmDeployment(spec)
         controller = ChaosController(dep, schedule)
         controller.install()
         oracle = ChaosOracle(dep, controller)
@@ -252,7 +266,7 @@ def run_case(
         for i in range(shape.packets):
             send_at = WARMUP + (i + 0.5) * span / shape.packets
             dep.advance(send_at - dep.sim.now)
-            dep.send(f"{tag}-{i}".encode())
+            dep.send(f"{shape.tag}-{i}".encode())
         dep.advance(ACTIVE_END - dep.sim.now + DRAIN)
         violations = oracle.finish()
     if dep.hierarchy is None:
@@ -267,7 +281,7 @@ def run_case(
 
 
 def end_state_digest(dep: LbrmDeployment, **extras) -> str:
-    """Fingerprint of the end state, for cross-engine agreement checks.
+    """Fingerprint of the end state, for same-seed determinism checks.
 
     ``extras`` are the further state a campaign's digest covers (the
     tree surgery, the replicated logs).
@@ -290,14 +304,12 @@ def minimize_schedule(
     shape: CampaignShape,
     schedule: FaultSchedule,
     case_seed: int,
-    engine: str = "fast",
     sabotage: str | None = None,
-    tag: str = "chaos",
 ) -> FaultSchedule:
     """Greedily drop faults while the violation persists (ddmin-lite)."""
 
     def violates(candidate: FaultSchedule) -> bool:
-        return bool(run_case(shape, candidate, case_seed, engine, sabotage, tag).violations)
+        return bool(run_case(shape, candidate, case_seed, sabotage).violations)
 
     current = schedule
     index = len(current.faults) - 1
@@ -312,129 +324,157 @@ def minimize_schedule(
 # -- the campaign ----------------------------------------------------------
 
 
-def derive_case_seed(campaign_seed: int, index: int, campaign: str = "chaos") -> int:
-    digest = hashlib.sha256(f"{campaign}:{campaign_seed}:{index}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
+@dataclass(frozen=True)
+class Campaign:
+    """What tells one campaign command from another: data, not code."""
+
+    #: CLI subcommand; also labels case seeds, reproducer lines and the
+    #: report file (``CHAOS_seed<seed>.json`` for ``chaos``).
+    name: str
+    #: Label of the schedule RNG (differs from ``name`` for the flat
+    #: campaign; changing either would re-sample every schedule).
+    rng_label: str
+    tiers: dict[str, CampaignShape]
+    sampler: Callable[[random.Random, CampaignShape], FaultSchedule]
+    #: Sabotages the command offers (``--sabotage`` exists iff any).
+    sabotages: tuple[str, ...] = ()
+
+    def outfile(self, seed: object) -> str:
+        return f"{self.name.upper().replace('-', '_')}_seed{seed}.json"
+
+    def case_seed(self, campaign_seed: int, index: int) -> int:
+        digest = hashlib.sha256(f"{self.name}:{campaign_seed}:{index}".encode()).digest()
+        return int.from_bytes(digest[:4], "big")
+
+
+CHAOS = Campaign("chaos", "chaos-campaign", TIERS, sample_schedule, tuple(SABOTAGES))
 
 
 def run_campaign(
     seed: int,
     tier: str = "quick",
-    engines: tuple[str, ...] = ("fast", "reference"),
     sabotage: str | None = None,
     runs: int | None = None,
+    campaign: Campaign = CHAOS,
 ) -> dict:
-    """Run the campaign; returns the (JSON-stable) report dict."""
-    shape = TIERS[tier]
+    """Run ``campaign``; returns the (JSON-stable) report dict."""
+    shape = campaign.tiers[tier]
     n_runs = runs if runs is not None else shape.runs
     cases = []
     failures = []
-    total_faults = 0
-    total_violations = 0
     for index in range(n_runs):
-        case_seed = derive_case_seed(seed, index)
-        schedule = sample_schedule(random.Random(f"chaos-campaign:{seed}:{index}"), shape)
-        per_engine = {}
-        for engine in engines:
-            outcome = run_case(shape, schedule, case_seed, engine, sabotage)
-            per_engine[engine] = {
-                "digest": outcome.digest,
-                "faults_injected": outcome.faults_injected,
-                "violations": [v.to_dict() for v in outcome.violations],
-            }
-            total_faults += outcome.faults_injected
-            total_violations += len(outcome.violations)
-        engines_agree = len({e["digest"] for e in per_engine.values()}) == 1
+        case_seed = campaign.case_seed(seed, index)
+        schedule = campaign.sampler(random.Random(f"{campaign.rng_label}:{seed}:{index}"), shape)
+        outcome = run_case(shape, schedule, case_seed, sabotage)
         case = {
             "index": index,
             "case_seed": case_seed,
             "schedule": schedule.to_dict(),
-            "engines": per_engine,
-            "engines_agree": engines_agree,
+            "digest": outcome.digest,
+            "faults_injected": outcome.faults_injected,
+            "violations": [v.to_dict() for v in outcome.violations],
         }
+        if shape.has_hubs:
+            case["reparents"] = outcome.reparents
         cases.append(case)
-        violated = any(e["violations"] for e in per_engine.values())
-        if violated or not engines_agree:
-            minimized = minimize_schedule(shape, schedule, case_seed, engines[0], sabotage)
+        if outcome.violations:
+            minimized = minimize_schedule(shape, schedule, case_seed, sabotage)
             failures.append({
                 "index": index,
                 "case_seed": case_seed,
-                "reproducer": f"repro chaos --{tier} --seed {seed} --runs {n_runs}",
+                "reproducer": f"repro {campaign.name} --{tier} --seed {seed} --runs {n_runs}",
                 "minimized_schedule": minimized.to_dict(),
             })
+    shape_block = {
+        "n_sites": shape.n_sites,
+        "receivers_per_site": shape.receivers_per_site,
+        "n_replicas": shape.n_replicas,
+        "packets": shape.packets,
+    }
+    totals = {
+        "faults_injected": sum(case["faults_injected"] for case in cases),
+        "violations": sum(len(case["violations"]) for case in cases),
+    }
+    if shape.has_hubs:
+        shape_block.update(depth=shape.depth, fanout=shape.fanout)
+        totals["reparents"] = sum(case["reparents"] for case in cases)
     return {
         "campaign": {
             "seed": seed,
             "tier": tier,
             "runs": n_runs,
-            "engines": list(engines),
             "sabotage": sabotage,
-            "shape": {
-                "n_sites": shape.n_sites,
-                "receivers_per_site": shape.receivers_per_site,
-                "n_replicas": shape.n_replicas,
-                "packets": shape.packets,
-            },
+            "shape": shape_block,
         },
         "cases": cases,
         "failures": failures,
-        "totals": {"faults_injected": total_faults, "violations": total_violations},
+        "totals": totals,
     }
 
 
 # -- CLI ----------------------------------------------------------
 
 
-def build_chaos_parser(parser: argparse.ArgumentParser) -> None:
+def build_chaos_parser(parser: argparse.ArgumentParser, campaign: Campaign = CHAOS) -> None:
     tier = parser.add_mutually_exclusive_group()
-    tier.add_argument("--quick", action="store_const", const="quick", dest="tier",
-                      help="small campaign (default): 3 cases, 2 sites")
-    tier.add_argument("--full", action="store_const", const="full", dest="tier",
-                      help="larger campaign: 8 cases, 3 sites, 2 replicas")
-    parser.set_defaults(tier="quick")
+    for name, shape in campaign.tiers.items():
+        tier.add_argument(
+            f"--{name}", action="store_const", const=name, dest="tier",
+            help=f"{shape.runs} cases: {shape.n_sites} sites x {shape.receivers_per_site} "
+                 f"receivers, {shape.n_replicas} replica(s), depth {shape.depth}",
+        )
+    parser.set_defaults(tier="quick", campaign=campaign, sabotage=None)
     parser.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
     parser.add_argument("--runs", type=int, default=None, help="override the tier's case count")
-    parser.add_argument("--engine", choices=("both", "fast", "reference"), default="both",
-                        help="simulation engine(s) to run each case under (default both)")
-    parser.add_argument("--sabotage", choices=sorted(SABOTAGES), default=None,
-                        help="deliberately break the protocol to demo oracle detection")
+    if campaign.sabotages:
+        parser.add_argument("--sabotage", choices=sorted(campaign.sabotages),
+                            help="deliberately break the protocol to demo oracle detection")
     parser.add_argument("--out", default=None, metavar="DIR",
-                        help="write CHAOS_seed<seed>.json into DIR")
+                        help=f"write {campaign.outfile('<seed>')} into DIR")
     parser.add_argument("--json", action="store_true", help="print the full report as JSON")
 
 
 def run_chaos(args: argparse.Namespace) -> int:
-    engines = ("fast", "reference") if args.engine == "both" else (args.engine,)
+    campaign: Campaign = args.campaign
     report = run_campaign(
-        args.seed, tier=args.tier, engines=engines, sabotage=args.sabotage, runs=args.runs
+        args.seed, tier=args.tier, sabotage=args.sabotage, runs=args.runs, campaign=campaign
     )
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"CHAOS_seed{args.seed}.json").write_text(text + "\n")
+        (out_dir / campaign.outfile(args.seed)).write_text(text + "\n")
     if args.json:
         print(text)
     else:
-        meta = report["campaign"]
-        print(
-            f"chaos campaign: seed={meta['seed']} tier={meta['tier']} "
-            f"cases={meta['runs']} engines={','.join(meta['engines'])}"
-            + (f" sabotage={meta['sabotage']}" if meta["sabotage"] else "")
-        )
-        for case in report["cases"]:
-            n_violations = sum(len(e["violations"]) for e in case["engines"].values())
-            print(
-                f"  case {case['index']}: seed={case['case_seed']} "
-                f"faults={len(case['schedule']['faults'])} "
-                f"violations={n_violations} "
-                f"engines_agree={'yes' if case['engines_agree'] else 'NO'}"
-            )
-        totals = report["totals"]
-        print(f"totals: faults_injected={totals['faults_injected']} "
-              f"violations={totals['violations']}")
-        for failure in report["failures"]:
-            print(f"FAILURE in case {failure['index']} (case_seed {failure['case_seed']})")
-            print(f"  reproducer: {failure['reproducer']}")
-            print(f"  minimized schedule: {json.dumps(failure['minimized_schedule'], sort_keys=True)}")
+        _print_report(campaign, report)
     return 1 if report["failures"] else 0
+
+
+def _print_report(campaign: Campaign, report: dict) -> None:
+    meta = report["campaign"]
+    shape = meta["shape"]
+    tree = "depth" in shape  # reparents are reported iff the tree has hubs
+    print(
+        f"{campaign.name.replace('-', ' ')} campaign: seed={meta['seed']} "
+        f"tier={meta['tier']} cases={meta['runs']}"
+        + (f" depth={shape['depth']} fanout={shape['fanout']}" if tree else "")
+        + (f" sabotage={meta['sabotage']}" if meta["sabotage"] else "")
+    )
+    for case in report["cases"]:
+        print(
+            f"  case {case['index']}: seed={case['case_seed']} "
+            f"faults={len(case['schedule']['faults'])} "
+            + (f"reparents={case['reparents']} " if tree else "")
+            + f"violations={len(case['violations'])} digest={case['digest']}"
+        )
+    totals = report["totals"]
+    print(
+        f"totals: faults_injected={totals['faults_injected']} "
+        + (f"reparents={totals['reparents']} " if tree else "")
+        + f"violations={totals['violations']}"
+    )
+    for failure in report["failures"]:
+        print(f"FAILURE in case {failure['index']} (case_seed {failure['case_seed']})")
+        print(f"  reproducer: {failure['reproducer']}")
+        print(f"  minimized schedule: {json.dumps(failure['minimized_schedule'], sort_keys=True)}")

@@ -21,9 +21,7 @@ indistinguishable from crashing it at the later point: the point list
 *is* the complete set of distinguishable crash instants.  The baseline
 is recorded **without** the oracle attached (the oracle schedules its
 own periodic sweeps, which would pollute the point set with observer
-artifacts); replays run with it.  Both engines enumerate the same
-scenario and the sweep asserts their point lists are identical before
-comparing per-point digests.
+artifacts); replays run with it.
 
 Recoverable by construction
 ---------------------------
@@ -55,14 +53,13 @@ from repro.core.config import (
 )
 from repro.core.logger import LoggerRole
 from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
-from repro.simnet.engine import ReferenceSimulator, Simulator
+from repro.simnet.engine import Simulator
 from repro.simnet.loss import BernoulliLoss
 
 __all__ = [
     "SweepShape",
     "TIERS",
     "RecordingSimulator",
-    "RecordingReferenceSimulator",
     "sweep_config",
     "enumerate_crash_points",
     "run_crash_case",
@@ -133,24 +130,11 @@ DOUBLE_OFFSETS = (0.9, 1.6)
 READOPT_WIPE_AT = 1.0
 
 
-# -- recording engines ------------------------------------------------------
+# -- recording engine -------------------------------------------------------
 
 
 class RecordingSimulator(Simulator):
-    """Timer-wheel engine that records every distinct schedule point."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.points: set[float] = set()
-
-    def schedule(self, at, callback, *args):
-        t = at if at > self.now else self.now
-        self.points.add(round(t, _ROUND))
-        return super().schedule(at, callback, *args)
-
-
-class RecordingReferenceSimulator(ReferenceSimulator):
-    """Pure-heap engine that records every distinct schedule point."""
+    """The engine, recording every distinct schedule point."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -202,12 +186,12 @@ def _drive(dep: LbrmDeployment, shape: SweepShape) -> None:
     dep.advance(ACTIVE_END - dep.sim.now + DRAIN)
 
 
-def enumerate_crash_points(shape: SweepShape, seed: int, engine: str = "fast",
+def enumerate_crash_points(shape: SweepShape, seed: int,
                            config: LbrmConfig | None = None) -> list[float]:
-    """Replay the fault-free scenario under a recording engine and return
+    """Replay the fault-free scenario under the recording engine and return
     every distinct schedule point in the crash window ``[0, ACTIVE_END]``."""
     config = config or sweep_config()
-    sim = RecordingSimulator() if engine == "fast" else RecordingReferenceSimulator()
+    sim = RecordingSimulator()
     dep = LbrmDeployment(_spec(shape, seed, config), sim=sim)
     _apply_receiver_loss(dep, shape)
     _drive(dep, shape)
@@ -262,24 +246,22 @@ def run_crash_case(
     shape: SweepShape,
     seed: int,
     crash_at: float,
-    engine: str = "fast",
     config: LbrmConfig | None = None,
     second_crash_at: float | None = None,
     wipe_at: float | None = None,
 ) -> CrashOutcome:
     """One replay: crash the primary at ``crash_at``, grade with the oracle."""
     config = config or sweep_config()
-    sim = Simulator() if engine == "fast" else ReferenceSimulator()
-    dep = LbrmDeployment(_spec(shape, seed, config), sim=sim)
+    dep = LbrmDeployment(_spec(shape, seed, config))
     _apply_receiver_loss(dep, shape)
     # Scheduled before start: among equal-time events the crash fires
     # first (insertion-order tie-break), i.e. "just before" the point.
     assert dep.primary_node is not None
-    sim.schedule(crash_at, dep.primary_node.crash)
+    dep.sim.schedule(crash_at, dep.primary_node.crash)
     if second_crash_at is not None:
-        sim.schedule(second_crash_at, _crash_current_primary, dep)
+        dep.sim.schedule(second_crash_at, _crash_current_primary, dep)
     if wipe_at is not None:
-        sim.schedule(wipe_at, _wipe_restart_replica, dep)
+        dep.sim.schedule(wipe_at, _wipe_restart_replica, dep)
     oracle = ChaosOracle(dep)
     oracle.install()
     _drive(dep, shape)
@@ -311,12 +293,11 @@ def run_crash_case(
 def run_sweep_campaign(
     seed: int,
     tier: str = "quick",
-    engines: tuple[str, ...] = ("fast", "reference"),
     double: bool = False,
     max_points: int | None = None,
     readopt: bool = False,
 ) -> dict:
-    """Enumerate crash points and replay each under every engine.
+    """Enumerate crash points and replay the scenario once per point.
 
     Returns the (JSON-stable) report dict.  ``double=True`` runs the
     double-failure variant: two replicas with ``min_replicas_acked=2``
@@ -340,12 +321,7 @@ def run_sweep_campaign(
     config = sweep_config(min_replicas_acked=2 if (double or readopt) else 1)
     wipe_at = round(READOPT_WIPE_AT, _ROUND) if readopt else None
 
-    per_engine_points = {
-        engine: enumerate_crash_points(shape, seed, engine, config) for engine in engines
-    }
-    point_lists = list(per_engine_points.values())
-    points_agree = all(p == point_lists[0] for p in point_lists[1:])
-    points = sorted(set().union(*point_lists))
+    points = enumerate_crash_points(shape, seed, config)
     truncated = 0
     if max_points is not None and len(points) > max_points:
         # Even coverage of the window rather than a prefix: take every
@@ -358,35 +334,23 @@ def run_sweep_campaign(
 
     cases = []
     failures = []
-    total_violations = 0
     variants: list[float | None] = [None]
     if double:
         variants = [round(offset, _ROUND) for offset in DOUBLE_OFFSETS]
     for crash_at in points:
         for offset in variants:
             second = None if offset is None else round(crash_at + offset, _ROUND)
-            per_engine = {}
-            for engine in engines:
-                outcome = run_crash_case(
-                    shape, seed, crash_at, engine, config, second, wipe_at=wipe_at
-                )
-                per_engine[engine] = {
-                    "digest": outcome.digest,
-                    "promoted": outcome.promoted,
-                    "log_epoch": outcome.log_epoch,
-                    "violations": [v.to_dict() for v in outcome.violations],
-                }
-                total_violations += len(outcome.violations)
-            engines_agree = len({e["digest"] for e in per_engine.values()}) == 1
-            case = {
+            outcome = run_crash_case(shape, seed, crash_at, config, second, wipe_at=wipe_at)
+            cases.append({
                 "crash_at": crash_at,
                 "second_crash_at": second,
                 "wipe_at": wipe_at,
-                "engines": per_engine,
-                "engines_agree": engines_agree,
-            }
-            cases.append(case)
-            if any(e["violations"] for e in per_engine.values()) or not engines_agree:
+                "digest": outcome.digest,
+                "promoted": outcome.promoted,
+                "log_epoch": outcome.log_epoch,
+                "violations": [v.to_dict() for v in outcome.violations],
+            })
+            if outcome.violations:
                 failures.append({
                     "crash_at": crash_at,
                     "second_crash_at": second,
@@ -396,17 +360,10 @@ def run_sweep_campaign(
                         + (" --readopt" if readopt else "")
                     ),
                 })
-    if not points_agree:
-        failures.append({
-            "crash_at": None,
-            "second_crash_at": None,
-            "reproducer": "engines enumerated different schedule-point lists",
-        })
     return {
         "sweep": {
             "seed": seed,
             "tier": tier,
-            "engines": list(engines),
             "double": double,
             "readopt": readopt,
             "wipe_at": wipe_at,
@@ -418,15 +375,14 @@ def run_sweep_campaign(
                 "rx_loss": shape.rx_loss,
             },
             "points": points,
-            "points_agree": points_agree,
             "points_truncated": truncated,
         },
         "cases": cases,
         "failures": failures,
         "totals": {
             "points": len(points),
-            "replays": len(cases) * len(engines),
-            "violations": total_violations,
+            "replays": len(cases),
+            "violations": sum(len(case["violations"]) for case in cases),
         },
     }
 
@@ -444,8 +400,6 @@ def build_sweep_parser(parser: argparse.ArgumentParser) -> None:
                       help="large sweep: 3 sites, 2 replicas, 10 packets")
     parser.set_defaults(tier="quick")
     parser.add_argument("--seed", type=int, default=0, help="scenario seed (default 0)")
-    parser.add_argument("--engine", choices=("both", "fast", "reference"), default="both",
-                        help="simulation engine(s) to replay under (default both)")
     parser.add_argument("--double", action="store_true",
                         help="double-failure variant: also crash the promoted primary")
     parser.add_argument("--readopt", action="store_true",
@@ -461,9 +415,8 @@ def build_sweep_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    engines = ("fast", "reference") if args.engine == "both" else (args.engine,)
     report = run_sweep_campaign(
-        args.seed, tier=args.tier, engines=engines, double=args.double,
+        args.seed, tier=args.tier, double=args.double,
         max_points=args.max_points, readopt=args.readopt,
     )
     text = json.dumps(report, sort_keys=True, indent=2)
@@ -477,15 +430,13 @@ def run_sweep(args: argparse.Namespace) -> int:
         meta = report["sweep"]
         totals = report["totals"]
         print(
-            f"failover sweep: seed={meta['seed']} tier={meta['tier']} "
-            f"engines={','.join(meta['engines'])}"
+            f"failover sweep: seed={meta['seed']} tier={meta['tier']}"
             + (" double" if meta["double"] else "")
             + (" readopt" if meta["readopt"] else "")
         )
         print(
             f"  points={totals['points']} replays={totals['replays']} "
-            f"violations={totals['violations']} "
-            f"points_agree={'yes' if meta['points_agree'] else 'NO'}"
+            f"violations={totals['violations']}"
             + (f" (truncated {meta['points_truncated']})" if meta["points_truncated"] else "")
         )
         for failure in report["failures"]:

@@ -18,7 +18,7 @@ Commands
                  (seeded schedules, invariant oracle, reproducer seeds).
 ``hierarchy-chaos`` — the same conformance contract on k-level repair
                  trees: hub crashes, mid-epoch re-parenting mutations,
-                 cross-engine digests that include the tree surgery.
+                 digests that include the tree surgery.
 ``failover-sweep`` — exhaustively crash the primary at every distinct
                  schedule point and grade each replay (zero-loss proof).
 ``aio-smoke``  — run a real-UDP cluster (site secondary + replica) under
@@ -188,21 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     build_bench_parser(bench)
     bench.set_defaults(fn=run_bench)
-    from repro.chaos.campaign import build_chaos_parser, run_chaos
+    from repro.chaos.campaign import CHAOS, build_chaos_parser, run_chaos
+    from repro.chaos.hierarchy import HIERARCHY_CHAOS
 
-    chaos = sub.add_parser(
-        "chaos", help="run the randomized fault-injection conformance campaign"
-    )
-    build_chaos_parser(chaos)
-    chaos.set_defaults(fn=run_chaos)
-    from repro.chaos.hierarchy import build_hierarchy_chaos_parser, run_hierarchy_chaos
-
-    hierarchy_chaos = sub.add_parser(
-        "hierarchy-chaos",
-        help="chaos campaign on k-level repair trees (hub crashes, reparent mutations)",
-    )
-    build_hierarchy_chaos_parser(hierarchy_chaos)
-    hierarchy_chaos.set_defaults(fn=run_hierarchy_chaos)
+    for campaign, text in (
+        (CHAOS, "run the randomized fault-injection conformance campaign"),
+        (HIERARCHY_CHAOS,
+         "chaos campaign on k-level repair trees (hub crashes, reparent mutations)"),
+    ):
+        chaos = sub.add_parser(campaign.name, help=text)
+        build_chaos_parser(chaos, campaign)
+        chaos.set_defaults(fn=run_chaos)
     from repro.chaos.sweep import build_sweep_parser, run_sweep
 
     sweep = sub.add_parser(

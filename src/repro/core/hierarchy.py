@@ -601,7 +601,7 @@ class TreeManager:
 
         Moves are applied eagerly so later decisions in the same pass
         see updated loads; iteration order (level, name) is
-        deterministic across engines.
+        deterministic.
 
         A child's verdict is a pure function of its parent, ``live``,
         ``saturated``, the candidates' child counts and its link costs,

@@ -503,9 +503,18 @@ class LogServer(ProtocolMachine):
             # 0 = initial request sent; only re-requests count as retries.
             self._upstream_retries[seq] = 0
             self.timers.set(("upstream", seq), now + self._config.logger.upstream_retry)
-        self.stats["upstream_nacks"] += 1
-        nack = NackPacket(group=self._group, seqs=tuple(sorted(fresh))[: NackPacket.MAX_SEQS])
-        return [SendUnicast(dest=self._parent, packet=nack)]
+        fresh.sort()
+        actions: list[Action] = []
+        # Every fresh gap is requested now, MAX_SEQS to a NACK, the way
+        # LbrmReceiver._fire_nacks batches: a gap left out would wait a
+        # whole upstream_retry for a "retry" of a request never made.
+        for start in range(0, len(fresh), NackPacket.MAX_SEQS):
+            chunk = tuple(fresh[start : start + NackPacket.MAX_SEQS])
+            self.stats["upstream_nacks"] += 1
+            actions.append(
+                SendUnicast(dest=self._parent, packet=NackPacket(group=self._group, seqs=chunk))
+            )
+        return actions
 
     # -- statistical acknowledgement participation ---------------------------
 

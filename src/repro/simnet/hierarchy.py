@@ -17,8 +17,8 @@ to a built :class:`~repro.simnet.deploy.TreeDeployment`:
 
 The tap is read-only and the rescore pass is a deterministic function of
 simulated state, so a run with the runtime installed on a healthy tree
-is packet-for-packet identical across engines — the differential chaos
-campaign leans on that.
+is packet-for-packet identical from run to run — the chaos campaign's
+same-seed diff leans on that.
 """
 
 from __future__ import annotations

@@ -20,21 +20,21 @@ from repro.chaos.schedule import PACKET_KINDS
 def test_same_seed_campaigns_are_byte_identical():
     """The regression the loss-RNG audit protects: a reproducer seed must
     reproduce, byte for byte — violation reports included."""
-    kw = dict(tier="quick", engines=("fast",), runs=2)
+    kw = dict(tier="quick", runs=2)
     first = json.dumps(run_campaign(7, **kw), sort_keys=True, indent=2)
     second = json.dumps(run_campaign(7, **kw), sort_keys=True, indent=2)
     assert first == second
 
 
 def test_same_seed_sabotaged_campaigns_report_identically():
-    kw = dict(tier="quick", engines=("fast",), runs=1, sabotage="logger-retrans")
+    kw = dict(tier="quick", runs=1, sabotage="logger-retrans")
     first = json.dumps(run_campaign(3, **kw), sort_keys=True, indent=2)
     second = json.dumps(run_campaign(3, **kw), sort_keys=True, indent=2)
     assert first == second
 
 
 def test_sabotage_is_caught_with_reproducer():
-    report = run_campaign(4, tier="quick", engines=("fast",), sabotage="logger-retrans")
+    report = run_campaign(4, tier="quick", sabotage="logger-retrans")
     assert report["totals"]["violations"] > 0
     assert report["failures"]
     for failure in report["failures"]:
@@ -46,16 +46,16 @@ def test_minimized_schedule_still_fails_and_is_no_larger():
     shape = TIERS["quick"]
     index = 0
     schedule = sample_schedule(random.Random(f"chaos-campaign:4:{index}"), shape)
-    case_seed = run_campaign(4, tier="quick", engines=("fast",), runs=1)["cases"][0]["case_seed"]
-    minimized = minimize_schedule(shape, schedule, case_seed, "fast", "logger-retrans")
+    case_seed = run_campaign(4, tier="quick", runs=1)["cases"][0]["case_seed"]
+    minimized = minimize_schedule(shape, schedule, case_seed, "logger-retrans")
     assert len(minimized) <= len(schedule)
-    outcome = run_case(shape, minimized, case_seed, "fast", "logger-retrans")
+    outcome = run_case(shape, minimized, case_seed, "logger-retrans")
     assert outcome.violations
 
 
 def test_unknown_sabotage_rejected():
     with pytest.raises(ValueError, match="unknown sabotage"):
-        run_campaign(0, tier="quick", engines=("fast",), runs=1, sabotage="nope")
+        run_campaign(0, tier="quick", runs=1, sabotage="nope")
 
 
 class TestSamplerDiscipline:

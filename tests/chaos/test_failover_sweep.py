@@ -5,9 +5,8 @@ failover work: the primary is crashed at **every** distinct schedule
 point of the scenario (not a sample), each replay is graded by the
 full ChaosOracle — delivery (I1), silence (I2), log safety and
 completeness (I3), monotone promotion (I4), and the commit-point
-invariant I6 (no committed packet lost, recovery stalls bounded) —
-and both simulation engines must agree on the end state of every
-replay.  The ``slow``-marked tests extend the proof to the full shape
+invariant I6 (no committed packet lost, recovery stalls bounded).
+The ``slow``-marked tests extend the proof to the full shape
 and to double failures (primary, then the freshly promoted replica).
 """
 
@@ -29,31 +28,29 @@ from repro.chaos.sweep import (
 def _assert_clean(report: dict) -> None:
     problems = []
     for case in report["cases"]:
-        for engine, result in case["engines"].items():
-            for violation in result["violations"]:
-                problems.append(f"crash_at={case['crash_at']} [{engine}]: {violation}")
-        if not case["engines_agree"]:
-            problems.append(f"crash_at={case['crash_at']}: engine digests diverge")
+        for violation in case["violations"]:
+            problems.append(f"crash_at={case['crash_at']}: {violation}")
     assert not problems, "sweep violations:\n" + "\n".join(problems[:20])
-    assert report["sweep"]["points_agree"], "engines enumerated different point lists"
     assert not report["failures"]
+    assert report["totals"]["replays"] == len(report["cases"])  # one replay per case
 
 
 def test_micro_sweep_is_exhaustive_and_clean():
     """Tier-1 gate: every schedule point of the micro scenario survives a
-    primary crash with zero I1–I6 violations on both engines."""
-    report = run_sweep_campaign(0, tier="micro", engines=("fast", "reference"))
+    primary crash with zero I1–I6 violations."""
+    report = run_sweep_campaign(0, tier="micro")
     assert report["totals"]["points"] > 20  # genuinely a sweep, not a sample
     assert report["sweep"]["points_truncated"] == 0
     _assert_clean(report)
 
 
 def test_engines_enumerate_identical_point_lists():
+    """Two recording engines, one scenario: the point list is a function
+    of the seed (nothing leaks from one in-process run into the next)."""
     shape = TIERS["micro"]
-    fast = enumerate_crash_points(shape, 3, "fast")
-    reference = enumerate_crash_points(shape, 3, "reference")
-    assert fast == reference
-    assert fast == sorted(set(fast))  # sorted, deduplicated
+    first = enumerate_crash_points(shape, 3)
+    assert first == enumerate_crash_points(shape, 3)
+    assert first == sorted(set(first))  # sorted, deduplicated
 
 
 def test_crash_points_cover_send_instants():
@@ -61,29 +58,28 @@ def test_crash_points_cover_send_instants():
     from repro.chaos.sweep import _send_times
 
     shape = TIERS["micro"]
-    points = set(enumerate_crash_points(shape, 0, "fast"))
+    points = set(enumerate_crash_points(shape, 0))
     assert set(_send_times(shape)) <= points
 
 
 def test_single_replay_promotes_with_new_epoch():
     shape = TIERS["micro"]
-    points = enumerate_crash_points(shape, 0, "fast")
+    points = enumerate_crash_points(shape, 0)
     crash_at = points[len(points) // 2]  # mid-stream, data outstanding
-    outcome = run_crash_case(shape, 0, crash_at, "fast")
+    outcome = run_crash_case(shape, 0, crash_at)
     assert not outcome.violations
     assert outcome.promoted == "replica0"
     assert outcome.log_epoch == 2  # configured primary was term 1
 
 
 def test_same_seed_sweep_reports_are_byte_identical():
-    kw = dict(tier="micro", engines=("fast",))
-    first = json.dumps(run_sweep_campaign(5, **kw), sort_keys=True, indent=2)
-    second = json.dumps(run_sweep_campaign(5, **kw), sort_keys=True, indent=2)
+    first = json.dumps(run_sweep_campaign(5, tier="micro"), sort_keys=True, indent=2)
+    second = json.dumps(run_sweep_campaign(5, tier="micro"), sort_keys=True, indent=2)
     assert first == second
 
 
 def test_max_points_truncation_is_recorded_not_silent():
-    report = run_sweep_campaign(0, tier="micro", engines=("fast",), max_points=10)
+    report = run_sweep_campaign(0, tier="micro", max_points=10)
     assert report["totals"]["points"] == 10
     assert report["sweep"]["points_truncated"] > 0
     _assert_clean(report)
@@ -99,15 +95,14 @@ def test_sweep_detects_broken_replication():
     original = LogServer._on_repl_update
     LogServer._on_repl_update = lambda self, packet, src, now: []
     try:
-        report = run_sweep_campaign(0, tier="micro", engines=("fast",))
+        report = run_sweep_campaign(0, tier="micro")
     finally:
         LogServer._on_repl_update = original
     assert report["failures"]
     kinds = {
         v["invariant"]
         for case in report["cases"]
-        for engine in case["engines"].values()
-        for v in engine["violations"]
+        for v in case["violations"]
     }
     assert "failover-stall" in kinds
 
@@ -146,8 +141,8 @@ def test_follower_restart_readoption_and_backfill():
 
 def test_readopt_sweep_is_clean():
     """Every crash point survives a follower wipe-restart mid-stream:
-    re-adoption and backfill keep I1–I6 green on both engines."""
-    report = run_sweep_campaign(0, tier="micro", engines=("fast", "reference"), readopt=True)
+    re-adoption and backfill keep I1–I6 green."""
+    report = run_sweep_campaign(0, tier="micro", readopt=True)
     assert report["sweep"]["readopt"] is True
     assert report["sweep"]["shape"]["n_replicas"] >= 2
     _assert_clean(report)
@@ -155,7 +150,7 @@ def test_readopt_sweep_is_clean():
 
 @pytest.mark.slow
 def test_full_sweep_is_clean():
-    report = run_sweep_campaign(0, tier="full", engines=("fast", "reference"))
+    report = run_sweep_campaign(0, tier="full")
     assert report["totals"]["points"] > 50
     _assert_clean(report)
 
@@ -165,15 +160,13 @@ def test_double_failure_sweep_is_clean():
     """Primary crash followed by a crash of whatever node the sender then
     trusts: with min_replicas_acked=2 the release point never passes
     what *both* replicas hold, so any crash pair must be zero-loss."""
-    report = run_sweep_campaign(0, tier="quick", engines=("fast", "reference"), double=True)
+    report = run_sweep_campaign(0, tier="quick", double=True)
     assert report["sweep"]["double"] is True
     assert report["sweep"]["shape"]["n_replicas"] >= 2
     _assert_clean(report)
     # The variant genuinely exercises second failovers: some replay must
     # end in a term beyond the first promotion's.
-    assert any(
-        case["engines"]["fast"]["log_epoch"] >= 3 for case in report["cases"]
-    )
+    assert any(case["log_epoch"] >= 3 for case in report["cases"])
 
 
 def test_double_failure_config_requires_two_acks():

@@ -7,13 +7,9 @@ import random
 
 import pytest
 
+from repro.chaos.campaign import run_campaign, run_case
 from repro.chaos.controller import ChaosController
-from repro.chaos.hierarchy import (
-    TIERS,
-    run_hierarchy_campaign,
-    run_hierarchy_case,
-    sample_hierarchy_schedule,
-)
+from repro.chaos.hierarchy import HIERARCHY_CHAOS, TIERS, sample_hierarchy_schedule
 from repro.chaos.schedule import Fault, FaultSchedule, TREE_KINDS
 from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
 
@@ -93,27 +89,44 @@ def test_sampler_always_disturbs_the_tree():
 
 
 def test_same_seed_campaigns_are_byte_identical():
-    kw = dict(tier="quick", engines=("fast",), runs=2)
-    first = json.dumps(run_hierarchy_campaign(7, **kw), sort_keys=True, indent=2)
-    second = json.dumps(run_hierarchy_campaign(7, **kw), sort_keys=True, indent=2)
+    kw = dict(tier="quick", runs=2, campaign=HIERARCHY_CHAOS)
+    first = json.dumps(run_campaign(7, **kw), sort_keys=True, indent=2)
+    second = json.dumps(run_campaign(7, **kw), sort_keys=True, indent=2)
     assert first == second
 
 
 def test_quick_campaign_is_clean_and_engines_agree():
-    report = run_hierarchy_campaign(0, tier="quick", runs=1)
+    """The campaign is clean, and a second engine — a replay of the
+    reported (case_seed, schedule) through ``run_case``, which is what a
+    reproducer does — agrees with the campaign's own run."""
+    report = run_campaign(0, tier="quick", runs=1, campaign=HIERARCHY_CHAOS)
     assert report["totals"]["violations"] == 0
     assert not report["failures"]
-    assert all(case["engines_agree"] for case in report["cases"])
+    (case,) = report["cases"]
+    replay = run_case(
+        TIERS["quick"], FaultSchedule.from_dict(case["schedule"]), case["case_seed"]
+    )
     # The digest folds in the hierarchy snapshot, so agreement here means
-    # both engines performed the same tree surgery.
-    assert report["totals"]["reparents"] > 0
+    # both runs performed the same tree surgery.
+    assert (replay.digest, replay.reparents) == (case["digest"], case["reparents"])
+    assert report["totals"]["reparents"] == case["reparents"] > 0
+
+
+def test_flat_and_tree_campaigns_differ_only_by_their_data():
+    """One loop: the flat report carries no tree keys, the tree report
+    carries them in the shape, every case and the totals."""
+    flat = run_campaign(0, tier="quick", runs=1)
+    tree = run_campaign(0, tier="quick", runs=1, campaign=HIERARCHY_CHAOS)
+    assert set(tree["cases"][0]) - set(flat["cases"][0]) == {"reparents"}
+    assert set(tree["totals"]) - set(flat["totals"]) == {"reparents"}
+    assert set(tree["campaign"]["shape"]) - set(flat["campaign"]["shape"]) == {"depth", "fanout"}
 
 
 def test_case_digest_covers_tree_state():
     shape = TIERS["quick"]
     schedule = FaultSchedule(faults=(Fault("reparent", 2.0, "site2-logger"),))
-    with_fault = run_hierarchy_case(shape, schedule, case_seed=9, engine="fast")
-    without = run_hierarchy_case(shape, FaultSchedule(), case_seed=9, engine="fast")
+    with_fault = run_case(shape, schedule, case_seed=9)
+    without = run_case(shape, FaultSchedule(), case_seed=9)
     assert not with_fault.violations and not without.violations
     assert with_fault.reparents >= 1
     # Same receiver contents, different tree: digests must differ.

@@ -121,6 +121,23 @@ class TestLoggingAndServing:
         retry3 = logger.poll(0.55)
         assert not unicasts(retry3, NackPacket)  # cap reached
 
+    def test_long_gap_is_requested_whole_in_batches(self):
+        """A gap longer than one NACK holds goes upstream at once, in
+        ceil(n / MAX_SEQS) NACKs — not 64 now and the rest one by one
+        after ``upstream_retry`` (NackPacket: "longer loss runs are
+        requested in batches")."""
+        logger = make_secondary()
+        logger.handle(data(1), "source", 0.0)
+        actions = logger.handle(data(152), "source", 0.1)  # holes 2..151
+        nacks = unicasts(actions, NackPacket)
+        assert [len(a.packet.seqs) for a in nacks] == [64, 64, 22]
+        assert all(a.dest == "primary" for a in nacks)
+        assert [s for a in nacks for s in a.packet.seqs] == list(range(2, 152))
+        assert logger.stats["upstream_nacks"] == 3
+        assert logger.upstream_outstanding == 150
+        # Nothing has been *re*-requested yet: every retry counter reads 0.
+        assert set(logger._upstream_retries.values()) == {0}
+
     def test_upstream_outstanding_counts_holes_being_fetched(self):
         """What a tree runtime reads as a hub's saturation signal."""
         cfg = LbrmConfig(logger=LoggerConfig(upstream_retry=0.1, max_upstream_retries=1))

@@ -8,21 +8,19 @@ test's original assertions kept as cross-checks.
 
 from __future__ import annotations
 
-import pytest
 
 from repro.chaos import Fault
 from repro.core.events import PrimaryFailover, PromotedToPrimary
 from repro.core.logger import LoggerRole
 from repro.simnet import DeploymentSpec, LbrmDeployment
-from repro.simnet.engine import ReferenceSimulator, Simulator
 
 from tests.integration._chaos import arm
 
 
-def deployment(n_replicas=2, seed=21, sim=None):
+def deployment(n_replicas=2, seed=21):
     return LbrmDeployment(DeploymentSpec(
         n_sites=3, receivers_per_site=2, n_replicas=n_replicas, seed=seed,
-    ), sim=sim)
+    ))
 
 
 def test_replication_keeps_replicas_current():
@@ -108,13 +106,11 @@ def test_no_failover_without_outstanding_data():
     assert dep.source_node.events_of(PrimaryFailover) == []
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
-def test_equal_prefix_tie_breaks_to_lowest_node_id(engine):
+def test_equal_prefix_tie_breaks_to_lowest_node_id():
     """Both replicas are fully caught up when the primary dies mid-flight
     with one packet unlogged: their votes tie exactly, and promotion must
-    pick replica0 (lowest node id) on either simulation engine."""
-    sim = Simulator() if engine == "fast" else ReferenceSimulator()
-    dep = deployment(sim=sim)
+    pick replica0 (lowest node id), whichever vote arrived first."""
+    dep = deployment()
     oracle = arm(dep, [Fault("crash", 0.69, "primary")])
     dep.start()
     dep.advance(0.2)

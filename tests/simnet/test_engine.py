@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.simnet.engine import ReferenceSimulator, Simulator
+from repro.simnet.engine import Simulator
 
 
 def test_events_fire_in_time_order():
@@ -50,10 +50,34 @@ def test_run_until_stops_and_pins_clock():
 def test_cancel_prevents_firing():
     sim = Simulator()
     fired = []
-    handle = sim.schedule(1.0, fired.append, "x")
+    sim.schedule(2.0, fired.append, "b")
+    sim.schedule(1.0, fired.append, "a")
+    handle = sim.schedule(1.5, fired.append, "dropped")
     handle.cancel()
+    assert sim.pending == 2 and sim.tombstones == 1
     sim.run()
-    assert fired == []
+    assert fired == ["a", "b"]
+    assert sim.pending == 0 and sim.tombstones == 0 and sim.processed == 2
+
+
+def test_cancel_after_firing_is_a_noop():
+    sim = Simulator()
+    fired = []
+    handle = sim.schedule(1.0, fired.append, "x")
+    sim.schedule(2.0, fired.append, "y")
+    sim.run_until(1.5)
+    handle.cancel()  # already fired: must not book a tombstone
+    assert sim.pending == 1 and sim.tombstones == 0
+    sim.run()
+    assert fired == ["x", "y"]
+
+
+def test_start_is_the_only_constructor_parameter():
+    """The knobs went with the wheel (DESIGN §6): nothing to tune."""
+    with pytest.raises(TypeError):
+        Simulator(wheel_slots=4)
+    with pytest.raises(TypeError):
+        Simulator(0.0, 0.01)
 
 
 def test_schedule_in_relative():
@@ -150,27 +174,9 @@ def test_double_cancel_counts_once():
     assert sim.pending == 0
 
 
-def test_compaction_drops_shells_and_preserves_order():
-    """Forced compaction removes tombstones without touching live order."""
-    sim = Simulator(compact_min=4, compact_ratio=0.0)
-    fired = []
-    doomed = [sim.schedule(0.5 + i, fired.append, f"dead{i}") for i in range(4)]
-    for i in range(3):
-        sim.schedule(1.0 + i, fired.append, i)
-    for handle in doomed:
-        handle.cancel()
-    assert sim.compactions >= 1
-    assert sim.tombstones == 0
-    assert sim.pending == 3
-    sim.run()
-    assert fired == [0, 1, 2]
-
-
 def test_cancel_inside_callback_during_run():
-    """Regression: a callback cancelling a sibling may trigger compaction
-    mid-run; the loop must keep draining the *same* queue (in-place
-    compaction), losing and reordering nothing."""
-    sim = Simulator(compact_min=1, compact_ratio=0.0)
+    """A callback cancelling siblings mid-run loses and reorders nothing."""
+    sim = Simulator()
     fired = []
     victims = [sim.schedule(2.0 + i * 0.001, fired.append, f"victim{i}") for i in range(8)]
 
@@ -183,13 +189,11 @@ def test_cancel_inside_callback_during_run():
     sim.schedule(3.0, fired.append, "survivor")
     sim.run()
     assert fired == ["reap", "survivor"]
-    assert sim.compactions >= 1
     assert sim.pending == 0 and sim.tombstones == 0
 
 
-def test_wheel_horizon_fallback_to_heap():
-    """Events beyond the wheel horizon still fire in order."""
-    sim = Simulator(wheel_granularity=0.01, wheel_slots=4)  # horizon 0.04s
+def test_far_mid_and_near_events_fire_in_order():
+    sim = Simulator()
     fired = []
     sim.schedule(100.0, fired.append, "far")
     sim.schedule(0.02, fired.append, "near")
@@ -208,17 +212,3 @@ def test_obs_gauges_reflect_queue_depth():
         assert reg.gauge_value("sim.peak_queue_depth") == 6
         sim.run()
         assert reg.gauge_value("sim.queue_depth") == 0
-
-
-def test_reference_simulator_same_contract():
-    """The executable spec honors the identical external contract."""
-    ref = ReferenceSimulator()
-    fired = []
-    ref.schedule(2.0, fired.append, "b")
-    ref.schedule(1.0, fired.append, "a")
-    handle = ref.schedule(1.5, fired.append, "dropped")
-    handle.cancel()
-    assert ref.pending == 2 and ref.tombstones == 1
-    ref.run()
-    assert fired == ["a", "b"]
-    assert ref.pending == 0 and ref.processed == 2

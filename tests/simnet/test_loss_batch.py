@@ -6,10 +6,10 @@ strict stream equivalence: same verdicts as sequential ``drops`` calls,
 same RNG consumption, same model state afterwards — a same-seed run may
 never change by a byte when batching is toggled.  The suite closes with
 the end-to-end form of that guarantee: a fig7-style lossy deployment
-replayed on the wheel engine with ``batch_delivery`` on (which also
-turns on the shared-deadline :class:`~repro.simnet.engine.WakeupMux`)
-and on the heap engine with it off produces byte-identical packet
-traces and protocol outcomes — down to every node's delivery list and
+replayed with ``batch_delivery`` on (which also turns on the
+shared-deadline :class:`~repro.simnet.engine.WakeupMux`) and with it
+off (one engine event per receiver, one cancellable wakeup per node)
+produces byte-identical packet traces and protocol outcomes — down to every node's delivery list and
 every host's counters, and through every kind of endpoint the one
 delivery loop (:meth:`SimNode.receive_batch`) has to get right.
 """
@@ -26,7 +26,6 @@ from repro import obs
 from repro.core.machine import ProtocolMachine
 from repro.core.packets import clear_codec_caches
 from repro.simnet import BernoulliLoss, DeploymentSpec, LbrmDeployment
-from repro.simnet.engine import ReferenceSimulator, Simulator
 from repro.simnet.loss import BurstLoss, CompositeLoss, GilbertElliottLoss, NoLoss
 from repro.simnet.topology import clear_wire_size_cache
 
@@ -138,45 +137,55 @@ def _outcome(dep: LbrmDeployment) -> dict:
     }
 
 
-def _lossy_scenario(seed: int, sim, batch: bool):
-    """Fig7's shape in miniature: burst outage + steady seeded loss."""
+def _lossy_scenario(seed: int, batch: bool):
+    """Fig7's shape in miniature: burst outage + steady seeded loss.
+
+    Returns the trace, the outcome and the engine's tombstone count
+    after every ``advance``."""
     clear_codec_caches()
     clear_wire_size_cache()
     with obs.recording() as reg:
-        dep = LbrmDeployment(
-            DeploymentSpec(n_sites=3, receivers_per_site=3, seed=seed), sim=sim
-        )
+        dep = LbrmDeployment(DeploymentSpec(n_sites=3, receivers_per_site=3, seed=seed))
         dep.network.batch_delivery = batch
+        tombstones = []
+
+        def advance(dt: float) -> None:
+            dep.advance(dt)
+            tombstones.append(dep.sim.tombstones)
+
         dep.start()
         dep.network.host("site2-rx0").inbound_loss = BernoulliLoss(
             0.3, dep.streams.stream("flaky-rx")
         )
-        dep.advance(0.2)
+        advance(0.2)
         for i in range(3):
             dep.send(f"packet-{i}".encode())
-            dep.advance(0.3)
+            advance(0.3)
         dep.burst_site("site1", duration=0.2)
         for i in range(3, 6):
             dep.send(f"packet-{i}".encode())
-            dep.advance(0.3)
-        dep.advance(8.0)
-        return reg.trace.events(), _outcome(dep)
+            advance(0.3)
+        advance(8.0)
+        return reg.trace.events(), _outcome(dep), tombstones
 
 
 @pytest.mark.parametrize("seed", [11, 1995])
 def test_same_seed_trace_identical_with_and_without_batching(seed):
-    """The shipped configuration (wheel engine, delivery batching +
-    wakeup mux) against the whole pre-batching one (heap engine,
-    per-receiver fan-out): no trace byte, no stat differs.  This is the
-    differential ``repro bench`` ran between its two legs before it
-    measured only the shipped one."""
-    trace_batched, outcome_batched = _lossy_scenario(seed, Simulator(), batch=True)
-    trace_reference, outcome_reference = _lossy_scenario(
-        seed, ReferenceSimulator(), batch=False
-    )
+    """The shipped configuration (delivery batching + wakeup mux)
+    against the per-receiver fan-out with one cancellable wakeup per
+    node: no trace byte, no stat differs.  This is the differential
+    ``repro bench`` ran between its two legs before it measured only
+    the shipped one."""
+    trace_batched, outcome_batched, tombstones_batched = _lossy_scenario(seed, batch=True)
+    trace_reference, outcome_reference, tombstones_reference = _lossy_scenario(seed, batch=False)
     assert len(trace_batched) > 0
     assert trace_batched == trace_reference
     assert outcome_batched == outcome_reference
+    # The per-receiver leg is the only producer of cancels left (DESIGN §6,
+    # tests/simnet/test_engine_traffic.py): it did cancel, and the heap's
+    # lazy deletion drained every tombstone by the end.
+    assert set(tombstones_batched) == {0}
+    assert max(tombstones_reference) > 0 and tombstones_reference[-1] == 0
 
 
 class _Tap:
@@ -201,14 +210,14 @@ class _Seen(ProtocolMachine):
         return []
 
 
-def _every_endpoint_scenario(sim, batch: bool, foreign_observer: bool):
+def _every_endpoint_scenario(batch: bool, foreign_observer: bool):
     """A loss-free train through one of each thing the delivery loop must
     treat per host: a skewed clock, a paused node, a crashed node, two
     machines on one node, a foreign endpoint, and a delivery callback
     that pauses the *next* receiver of the same co-timed batch."""
     clear_codec_caches()
     clear_wire_size_cache()
-    dep = LbrmDeployment(DeploymentSpec(n_sites=2, receivers_per_site=5, seed=7), sim=sim)
+    dep = LbrmDeployment(DeploymentSpec(n_sites=2, receivers_per_site=5, seed=7))
     net = dep.network
     net.batch_delivery = batch
     observed: list[tuple] = []
@@ -249,8 +258,8 @@ def _every_endpoint_scenario(sim, batch: bool, foreign_observer: bool):
 
 @pytest.mark.parametrize("foreign_observer", [False, True])
 def test_delivery_loop_matches_the_reference_fanout_for_every_endpoint(foreign_observer):
-    batched = _every_endpoint_scenario(Simulator(), True, foreign_observer)
-    reference = _every_endpoint_scenario(ReferenceSimulator(), False, foreign_observer)
+    batched = _every_endpoint_scenario(True, foreign_observer)
+    reference = _every_endpoint_scenario(False, foreign_observer)
     assert batched == reference
     # The scenario reached what it is for.
     delivered = batched["delivered"]

@@ -71,8 +71,7 @@ def test_chaos_quick_writes_json(tmp_path, capsys):
     import json
 
     assert main([
-        "chaos", "--quick", "--seed", "4", "--runs", "1", "--engine", "fast",
-        "--out", str(tmp_path),
+        "chaos", "--quick", "--seed", "4", "--runs", "1", "--out", str(tmp_path),
     ]) == 0
     out = capsys.readouterr().out
     assert "chaos campaign" in out and "violations=0" in out
@@ -84,11 +83,31 @@ def test_chaos_quick_writes_json(tmp_path, capsys):
 
 def test_chaos_sabotage_exits_nonzero(tmp_path, capsys):
     assert main([
-        "chaos", "--quick", "--seed", "4", "--runs", "1", "--engine", "fast",
+        "chaos", "--quick", "--seed", "4", "--runs", "1",
         "--sabotage", "logger-retrans", "--out", str(tmp_path),
     ]) == 1
     out = capsys.readouterr().out
     assert "FAILURE" in out and "--seed 4" in out
+
+
+@pytest.mark.parametrize("command", ["chaos", "hierarchy-chaos", "failover-sweep"])
+def test_engine_flag_is_gone(command, capsys):
+    # One engine: there is no second one to select.
+    with pytest.raises(SystemExit):
+        main([command, "--engine", "fast"])
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
+def test_hierarchy_chaos_shares_the_chaos_cli(tmp_path, capsys):
+    import json
+
+    assert main(["hierarchy-chaos", "--runs", "1", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "hierarchy chaos campaign" in out and "depth=3" in out and "reparents=" in out
+    report = json.loads((tmp_path / "HIERARCHY_CHAOS_seed0.json").read_text())
+    assert report["totals"]["reparents"] == report["cases"][0]["reparents"]
+    with pytest.raises(SystemExit):  # the sabotage demo stays on `chaos` only
+        main(["hierarchy-chaos", "--sabotage", "logger-retrans"])
 
 
 def test_bench_quick_writes_json(tmp_path, capsys):

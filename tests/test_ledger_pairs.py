@@ -48,3 +48,60 @@ def test_a_win_needs_nine_tenths_of_the_pairs_and_ties_count_for_neither():
 def test_higher_is_better_metrics_are_mirrored():
     assert ledger_pairs.verdict(PARENT, _shift(PARENT, 1.5), False, 0.25) == ("gain", 10)
     assert ledger_pairs.verdict(PARENT, _shift(PARENT, 0.5), False, 0.25) == ("worse", 0)
+
+
+# -- the list form: --workload all | W,W ------------------------------------------
+
+
+def test_all_means_every_declared_workload_and_a_comma_list_is_taken_as_given():
+    bench = {"workloads": [{"name": "a", "why": ""}, {"name": "b", "why": ""}]}
+    assert ledger_pairs.workload_names("all", bench) == ["a", "b"]
+    assert ledger_pairs.workload_names("b", bench) == ["b"]
+    # Ledger-only workloads (not offered to the driver) can still be named.
+    assert ledger_pairs.workload_names("b,agg_sharded,", bench) == ["b", "agg_sharded"]
+
+
+def _fake_ledger(monkeypatch, slow=(), sims_differ=()):
+    """Stub the three functions that touch git or run the benchmark: the
+    change costs 3x the parent's time on ``slow`` workloads."""
+    ran = []
+
+    def run_once(tree, command, args):
+        workload = args[args.index("--workload") + 1]
+        ran.append((tree.name, workload))
+        cost = 3.0 if tree.name == "change" and workload in slow else 1.0
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {m: {"value": cost} for m in ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")}}
+
+    def sim_block(tree, command, workload, seed, out):
+        return {"events": 2 if tree.name == "change" and workload in sims_differ else 1}
+
+    monkeypatch.setattr(ledger_pairs, "unpack", lambda ref, parent, change: None)
+    monkeypatch.setattr(ledger_pairs, "run_once", run_once)
+    monkeypatch.setattr(ledger_pairs, "sim_block", sim_block)
+    return ran
+
+
+def test_every_listed_workload_runs_and_gets_its_own_table(monkeypatch, capsys):
+    ran = _fake_ledger(monkeypatch)
+    assert ledger_pairs.main(["HEAD", "--workload", "exact_lossy,tree_outage", "--pairs", "2"]) == 0
+    # Alternating order inside each workload, one workload after the other.
+    assert ran == [
+        ("parent", "exact_lossy"), ("change", "exact_lossy"),
+        ("change", "exact_lossy"), ("parent", "exact_lossy"),
+        ("parent", "tree_outage"), ("change", "tree_outage"),
+        ("change", "tree_outage"), ("parent", "tree_outage"),
+    ]
+    out = capsys.readouterr().out
+    assert out.count("sim blocks equal") == 2
+    assert "\nexact_lossy, seed 1995, 2 pairs" in out and "\ntree_outage, seed 1995, 2 pairs" in out
+
+
+def test_default_is_all_and_one_bad_workload_fails_the_run(monkeypatch, capsys):
+    ran = _fake_ledger(monkeypatch, slow=("exact_lossy",), sims_differ=("tree_outage",))
+    assert ledger_pairs.main(["HEAD", "--pairs", "2"]) == 1
+    declared = ["exact_fanout", "exact_lossy", "tree_outage", "logger_service"]  # BENCHMARK.json
+    assert sorted({w for _side, w in ran}, key=declared.index) == declared
+    tables = capsys.readouterr().out.split("pairs of")[1:]
+    assert ["worse" in t for t in tables] == [False, True, False, False]
+    assert ["sim blocks DIFFER" in t for t in tables] == [False, False, True, False]

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one ledger workload, with the verdict.
+"""Alternating parent/change pairs of ledger workloads, with the verdict.
 
-``tools/ledger_pairs.py REF --workload W [--pairs 10] [--seed 1995]``
+``tools/ledger_pairs.py REF [--workload all | W[,W...]] [--pairs 10] [--seed 1995]``
+
+``all`` (the default) is every workload ``BENCHMARK.json`` declares;
+each workload named is run in turn and gets its own table.
 
 Unpacks commit ``REF`` (the parent) with ``git archive`` and copies this
 working tree (tracked and untracked files, not ignored ones) into two
@@ -32,8 +35,8 @@ the change fails a larger share of its operations.  The result line
 carries no simulated quantities, so one whole-ledger run per side
 (``run.py --only W --repeats 3 --out DIR``) follows and their ``sim``
 blocks — every simulated count and latency — are compared for equality.
-Exit status: 0, or 1 on a refused verdict, a ``worse`` or unequal ``sim``
-blocks.
+Exit status: 0, or 1 if any workload had a refused verdict, a ``worse`` or
+unequal ``sim`` blocks.
 """
 
 from __future__ import annotations
@@ -102,10 +105,18 @@ def verdict(parent: list[float], change: list[float], lower_is_better: bool, bou
     return ("worse" if min(change) > max(parent) else "unresolved"), wins
 
 
+def workload_names(arg: str, bench: dict) -> list[str]:
+    """``all`` is every workload ``bench`` declares; otherwise a comma list."""
+    if arg == "all":
+        return [w["name"] for w in bench["workloads"]]
+    return [name for name in arg.split(",") if name]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="the parent commit")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", default="all",
+                        help="all (default: every BENCHMARK.json workload) or a comma list")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1995)
     args = parser.parse_args(argv)
@@ -113,27 +124,34 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("quartiles need at least two pairs")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    command = bench["command"]
-    run_args = ["--workload", args.workload, "--seed", str(args.seed),
-                "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     with tempfile.TemporaryDirectory(prefix="ledger_pairs_") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         unpack(args.ref, trees["parent"], trees["change"])
+        # Every workload runs, whatever the ones before it said.
+        statuses = [compare(workload, trees, bench, args)
+                    for workload in workload_names(args.workload, bench)]
+    return max(statuses, default=0)
 
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_once(trees[side], command, run_args))
-            row = "  ".join(
-                f"{side} " + " ".join(f"{m['name']}={runs[side][-1]['metrics'][m['name']]['value']:.4g}"
-                                      for m in bench["end_to_end"])
-                for side in ("parent", "change")
-            )
-            print(f"pair {pair + 1:2d} ({order[0]} first): {row}", flush=True)
 
-        sims = {side: sim_block(tree, command, args.workload, args.seed, Path(tmp) / f"sim_{side}")
-                for side, tree in trees.items()}
+def compare(workload: str, trees: dict[str, Path], bench: dict, args: argparse.Namespace) -> int:
+    """Pairs, verdict table and ``sim`` comparison of one workload; its exit status."""
+    command = bench["command"]
+    run_args = ["--workload", workload, "--seed", str(args.seed),
+                "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(trees[side], command, run_args))
+        row = "  ".join(
+            f"{side} " + " ".join(f"{m['name']}={runs[side][-1]['metrics'][m['name']]['value']:.4g}"
+                                  for m in bench["end_to_end"])
+            for side in ("parent", "change")
+        )
+        print(f"pair {pair + 1:2d} ({order[0]} first): {row}", flush=True)
+
+    sims = {side: sim_block(tree, command, workload, args.seed, tree.parent / f"sim_{side}_{workload}")
+            for side, tree in trees.items()}
 
     failed = {side: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
               for side, rs in runs.items()}
@@ -144,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     elif failed["change"] > failed["parent"]:
         refused = f"the change fails more: {failed['change']:.3g} of attempted vs {failed['parent']:.3g}"
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {bench['run_seconds']} s, "
+    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of {bench['run_seconds']} s, "
           f"parent {args.ref}; failed {failed['parent']:.3g} -> {failed['change']:.3g}")
     print(f"{'metric':12s} {'parent median (q1-q3)':>30s} {'change median (q1-q3)':>30s} "
           f"{'ratio':>6s} {'wins':>6s} {'bound':>6s}  verdict")
