@@ -141,24 +141,21 @@ def scenario_logger_throughput(tier: str) -> dict:
     decode it at the logger, serve it, encode every reply packet, and
     decode the reply back at the requesting receiver — the full
     per-request codec+protocol cost a deployed repair path pays.  The
-    paper's RS/6000 did one request per 630 µs; the memoized codec path
-    is what moves our number.
+    paper's RS/6000 did one request per 630 µs; ours is four struct-codec
+    calls around one ``LogServer.handle``.
     """
     p = _logger_params(tier)
     best = None
     for _ in range(p["repeats"]):
-        # The memos are process-wide; every repeat pays the same cold misses.
-        packets.clear_codec_caches()
         logger = LogServer("g", addr_token="sec", config=LbrmConfig(),
                            role=LoggerRole.SECONDARY)
         payload = b"x" * p["payload"]
         for seq in range(1, p["log_entries"] + 1):
             logger.log.append(seq, payload, now=0.0)
             logger.tracker.observe_data(seq)
-        # 64 distinct (request, requester) pairs, rotated: a deployed
-        # logger fields repeats of a bounded working set, not one
-        # endlessly re-built object.  Construction happens outside
-        # the timed loop — the path under test starts at encode.
+        # 64 distinct (request, requester) pairs, rotated.  Construction
+        # happens outside the timed loop — the path under test starts at
+        # encode, and every encode/decode runs the struct codec.
         requests = [NackPacket(group="g", seqs=(100 + j,)) for j in range(64)]
         requesters = [f"rx{j}" for j in range(64)]
         served = 0

@@ -164,8 +164,9 @@ async def _run_multicast(p: dict) -> dict:
     )
     payload = b"b" * p["payload"]
     async with cluster:
-        # Warm-up: one packet end to end primes sockets, codec caches,
-        # and the receivers' watchdog state before the timed region.
+        # Warm-up: one packet end to end primes sockets, the codec's
+        # group-header memo and the receivers' watchdog state before
+        # the timed region.
         await cluster.publish(b"warm-up")
         await _drain(cluster.receiver_nodes, 1)
         t0 = time.perf_counter()

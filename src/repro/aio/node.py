@@ -48,8 +48,8 @@ from repro.core.packets import (
     BUNDLE_FRAME_OVERHEAD,
     BUNDLE_OVERHEAD,
     decode_from,
+    encode,
     encode_bundle,
-    encode_uncached,
     is_bundle,
     iter_bundle,
 )
@@ -429,12 +429,7 @@ class AioNode:
     def _execute_sync(self, actions: list[Action]) -> None:
         # Repair fan-outs emit the same packet to many destinations;
         # encode once per distinct packet object and reuse the wire
-        # across consecutive sends (the codec memo would also hit, but a
-        # local identity check skips even the cache probe).  The encode
-        # memo is deliberately bypassed: live traffic is dominated by
-        # unique state updates, for which hashing the packet and
-        # evicting a cache entry per send is pure overhead — the hoist
-        # already covers the fan-out case the memo existed for.
+        # across consecutive sends.
         last_packet = None
         last_wire = b""
         for action in actions:
@@ -444,7 +439,7 @@ class AioNode:
                 if packet is last_packet:
                     wire = last_wire
                 else:
-                    wire = encode_uncached(packet)
+                    wire = encode(packet)
                     last_packet, last_wire = packet, wire
                 if self._on_send is not None:
                     self._on_send(action, self.now)

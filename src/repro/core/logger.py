@@ -156,13 +156,9 @@ class LogServer(ProtocolMachine):
         self._site_requests = SiteRequestTracker(log_cfg)
         # seq -> requesters waiting for a packet we do not hold yet.
         self._pending: dict[int, set[Address]] = {}
-        # seq -> shared frozen RetransPacket for repeat repairs.
+        # seq -> shared frozen RetransPacket for repeat repairs of an
+        # in-memory log entry; bounded by the log (see _repair).
         self._retrans_memo: dict[int, RetransPacket] = {}
-        # (seq, requester) -> shared single-action reply for repeat
-        # unicast repairs; actions are immutable value objects and every
-        # caller only iterates the returned list, so retries reuse one
-        # list instance outright.
-        self._unicast_memo: dict[tuple[int, Address], list] = {}
         # seq -> upstream retries performed so far.
         self._upstream_retries: dict[int, int] = {}
         # Sequences this server itself had to fetch from upstream.
@@ -438,10 +434,20 @@ class LogServer(ProtocolMachine):
         # RetransPacket is frozen, so one instance per log entry serves
         # every requester.  The payload identity check guards against a
         # re-logged entry after expiry.
-        retrans = self._retrans_memo.get(seq)
+        memo = self._retrans_memo
+        retrans = memo.get(seq)
         if retrans is None or retrans.payload is not entry.payload:
             retrans = RetransPacket(group=self._group, seq=seq, payload=entry.payload)
-            self._retrans_memo[seq] = retrans
+            held = self._log_entries
+            # A memo entry must not pin a payload the log's caps already
+            # let go of: a spooled entry (fresh bytes per read, so it
+            # could never hit) is not memoised, and entries whose log
+            # entry expired or was evicted are swept once they outnumber
+            # the live ones — at most 2 * len(log) + 64 are ever held.
+            if seq in held:
+                if len(memo) >= 2 * len(held) + 64:
+                    memo = self._retrans_memo = {s: r for s, r in memo.items() if s in held}
+                memo[seq] = retrans
         # The TTL-scoped re-multicast only helps a SECONDARY repairing its
         # own site; a primary's requesters are on other sites, beyond any
         # site-local scope, so it always unicasts (group-wide re-multicast
@@ -459,17 +465,7 @@ class LogServer(ProtocolMachine):
                 Notify(Remulticast(seq=seq, reason="site-wide loss")),
             ]
         self.stats["retrans_unicast"] += 1
-        # NACK retries re-request the same (seq, requester) pair; the
-        # packet identity check invalidates the memo when the retrans
-        # instance above was rebuilt (re-logged entry).
-        memo_key = (seq, requester)
-        reply = self._unicast_memo.get(memo_key)
-        if reply is None or reply[0].packet is not retrans:
-            reply = [SendUnicast(dest=requester, packet=retrans)]
-            if len(self._unicast_memo) >= 4096:
-                self._unicast_memo.clear()
-            self._unicast_memo[memo_key] = reply
-        return reply
+        return [SendUnicast(dest=requester, packet=retrans)]
 
     def _serve_pending(self, seq: int, payload: bytes, now: float) -> list[Action]:
         waiting = self._pending.pop(seq, None)
@@ -679,7 +675,6 @@ class LogServer(ProtocolMachine):
         self._site_requests = SiteRequestTracker(log_cfg)
         self._pending.clear()
         self._retrans_memo.clear()
-        self._unicast_memo.clear()
         self._upstream_retries.clear()
         self._self_lost.clear()
         self._acking_epochs.clear()

@@ -25,12 +25,11 @@ point for every transport.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from operator import attrgetter
 from typing import Callable, ClassVar, Type, TypeVar
 
-from repro import obs
 from repro.core.errors import DecodeError, EncodeError
 
 __all__ = [
@@ -56,8 +55,6 @@ __all__ = [
     "ReplStatusQueryPacket",
     "encode",
     "decode",
-    "encode_uncached",
-    "decode_uncached",
     "decode_from",
     "encode_reference",
     "decode_reference",
@@ -68,8 +65,6 @@ __all__ = [
     "BUNDLE_OVERHEAD",
     "BUNDLE_FRAME_OVERHEAD",
     "register_packet",
-    "codec_cache_stats",
-    "clear_codec_caches",
 ]
 
 _MAGIC = b"LB"
@@ -153,14 +148,6 @@ class Packet:
     """Base class: every LBRM message belongs to a multicast group."""
 
     group: str
-    # Memo slot for hash(packet); -1 = not yet computed (CPython hashes
-    # never return -1, it is reserved for errors).  The codec memos probe
-    # dicts keyed by packet values on every encode, and the generated
-    # dataclass __hash__ rebuilds and re-hashes the full field tuple each
-    # call — register_packet wraps it so that cost is paid once per
-    # instance.  init=False/compare=False keeps the slot out of
-    # __init__, __eq__, and repr.
-    _hash: int = field(init=False, repr=False, compare=False, default=-1)
 
     TYPE: ClassVar[PacketType]
 
@@ -190,23 +177,7 @@ def register_packet(cls: P) -> P:
         raise EncodeError(f"packet type {ptype} already registered to {existing.__name__}")
     _compile_struct_codec(cls)
     _REGISTRY[ptype] = cls
-    _install_cached_hash(cls)
     return cls
-
-
-def _install_cached_hash(cls: Type[Packet]) -> None:
-    """Wrap the generated ``__hash__`` to memoize into the ``_hash`` slot."""
-    base_hash = cls.__hash__
-
-    def __hash__(self, _base=base_hash, _set=object.__setattr__):
-        h = self._hash
-        if h != -1:
-            return h
-        h = _base(self)
-        _set(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
 
 
 # -- struct codecs -----------------------------------------------------------
@@ -301,7 +272,7 @@ def _compile_struct_codec(cls: Type[Packet]) -> None:
     wire_names = set(fixed_names) | ({tail_name} if tail_name is not None else set())
     arg_src: list[int] = []
     for f in fields(cls):
-        if f.name == "group" or f.name == "_hash":
+        if f.name == "group":
             continue
         if f.name == tail_name:
             arg_src.append(-1)
@@ -940,8 +911,8 @@ class ReplStatusQueryPacket(Packet):
         return cls(group=group)
 
 
-def encode_uncached(packet: Packet) -> bytes:
-    """Serialize ``packet`` to its wire representation (no memoization)."""
+def encode(packet: Packet) -> bytes:
+    """Serialize ``packet`` to its wire representation."""
     enc = _STRUCT_ENCODERS.get(type(packet))
     if enc is None:
         raise EncodeError(f"{type(packet).__name__} is not a registered packet type")
@@ -949,13 +920,13 @@ def encode_uncached(packet: Packet) -> bytes:
 
 
 def encode_reference(packet: Packet) -> bytes:
-    """Conformance oracle for :func:`encode_uncached`: per-field ``encode_body``."""
+    """Conformance oracle for :func:`encode`: per-field ``encode_body``."""
     header = _HEADER.pack(_MAGIC, _VERSION, int(packet.TYPE))
     return header + _pack_str(packet.group) + packet.encode_body()
 
 
-def decode_uncached(data: bytes) -> Packet:
-    """Parse a datagram back into a packet object (no memoization).
+def decode(data: bytes) -> Packet:
+    """Parse a datagram back into a packet object.
 
     Raises :class:`~repro.core.errors.DecodeError` on any malformed
     input; transports should count and drop such datagrams rather than
@@ -977,10 +948,8 @@ def decode_from(buf, offset: int = 0, length: int | None = None) -> Packet:
     (:func:`iter_bundle`): the header and fixed fields are parsed in
     place via ``unpack_from`` and only variable-length tails (payload,
     strings) are materialized into the returned packet object.  The
-    result is indistinguishable from ``decode_uncached(bytes(...))`` —
-    the buffer may be reused immediately after the call returns.
-    Bypasses the decode memo (a buffer slice has no hashable key without
-    the very copy this path exists to avoid).
+    result is indistinguishable from ``decode(bytes(...))`` — the buffer
+    may be reused immediately after the call returns.
     """
     view = memoryview(buf)
     if offset or length is not None:
@@ -990,7 +959,7 @@ def decode_from(buf, offset: int = 0, length: int | None = None) -> Packet:
 
 
 def decode_reference(data: bytes) -> Packet:
-    """Conformance oracle for :func:`decode_uncached`: same header and
+    """Conformance oracle for :func:`decode`: same header and
     group parse, then the class's per-field ``decode_body``."""
     return _decode_view(bytes(data), reference=True)
 
@@ -1132,134 +1101,19 @@ def iter_bundle(data) -> list:
     return frames
 
 
-class _CodecCache:
-    """Bounded FIFO memo for one codec direction, with obs accounting.
+# -- frozen-benchmark surface ----------------------------------------------------
+#
+# There is no codec memo (DESIGN §6).  benchmarks/ledger/** still reads
+# these three names and may not be edited by a PR that claims a gain;
+# they go when the next `benchmark` PR drops the calls (ROADMAP item 1a).
 
-    Safe because packets are frozen (hashable, immutable) dataclasses
-    and wire strings are ``bytes``: a memoized result can never drift
-    from what the uncached path would produce.  Hit/miss counts mirror
-    into ``packets.<name>_cache{result=...}`` whenever a recording
-    registry is installed; counters re-resolve when the installed
-    registry changes (one identity check per call).
-    """
-
-    __slots__ = ("name", "max_entries", "entries", "hits", "misses",
-                 "_reg", "_mirror", "_hit_ctr", "_miss_ctr")
-
-    def __init__(self, name: str, max_entries: int = 4096) -> None:
-        self.name = name
-        self.max_entries = max_entries
-        self.entries: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self._reg = None
-        self._mirror = False  # skip no-op counter calls off-recording
-        self._hit_ctr = None
-        self._miss_ctr = None
-
-    def _resolve(self) -> None:
-        reg = obs.registry()
-        self._reg = reg
-        self._mirror = reg.enabled
-        self._hit_ctr = reg.counter(f"packets.{self.name}_cache", result="hit")
-        self._miss_ctr = reg.counter(f"packets.{self.name}_cache", result="miss")
-
-    def hit(self) -> None:
-        self.hits += 1
-        # obs._current is the module global behind obs.registry(); the
-        # attribute read skips a function call on a path hit over a
-        # million times per benchmark run.
-        if obs._current is not self._reg:
-            self._resolve()
-        if self._mirror:
-            self._hit_ctr.inc()
-
-    def miss(self, key, value) -> None:
-        self.misses += 1
-        if obs._current is not self._reg:
-            self._resolve()
-        if self._mirror:
-            self._miss_ctr.inc()
-        entries = self.entries
-        if len(entries) >= self.max_entries:
-            del entries[next(iter(entries))]
-        entries[key] = value
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_ENCODE_CACHE = _CodecCache("encode")
-_DECODE_CACHE = _CodecCache("decode")
-
-
-def encode(packet: Packet) -> bytes:
-    """Serialize ``packet``, memoized per (frozen) packet value.
-
-    A multicast transmission encodes its packet once no matter the
-    fan-out, and the asyncio UDP path re-sends identical heartbeats and
-    retransmissions for free.
-    """
-    cache = _ENCODE_CACHE
-    wire = cache.entries.get(packet)
-    if wire is not None:
-        # hit() inlined: this is the hottest line in a multicast send.
-        cache.hits += 1
-        if obs._current is not cache._reg:
-            cache._resolve()
-        if cache._mirror:
-            cache._hit_ctr.inc()
-        return wire
-    wire = encode_uncached(packet)
-    cache.miss(packet, wire)
-    return wire
-
-
-def decode(data: bytes) -> Packet:
-    """Parse a datagram into a packet object, memoized per wire string.
-
-    Identical datagrams (retransmission floods, repeated heartbeats)
-    decode once and return the shared frozen packet instance.  Malformed
-    input raises :class:`~repro.core.errors.DecodeError` and is never
-    cached.
-    """
-    cache = _DECODE_CACHE
-    if type(data) is not bytes:
-        # bytearray/memoryview from a transport is unhashable — normalize
-        # before probing the memo (decode_uncached does the same).
-        data = bytes(data)
-    packet = cache.entries.get(data)
-    if packet is not None:
-        cache.hits += 1
-        if obs._current is not cache._reg:
-            cache._resolve()
-        if cache._mirror:
-            cache._hit_ctr.inc()
-        return packet
-    packet = decode_uncached(data)
-    cache.miss(data, packet)
-    return packet
+encode_uncached = encode  # benchmarks/ledger/tracing.py wraps it by name
 
 
 def codec_cache_stats() -> dict:
-    """Hit/miss/size accounting for both codec memos (for tests/benchmarks)."""
-    return {
-        "encode": {
-            "hits": _ENCODE_CACHE.hits,
-            "misses": _ENCODE_CACHE.misses,
-            "size": len(_ENCODE_CACHE.entries),
-        },
-        "decode": {
-            "hits": _DECODE_CACHE.hits,
-            "misses": _DECODE_CACHE.misses,
-            "size": len(_DECODE_CACHE.entries),
-        },
-    }
+    """All zeros: benchmarks/ledger/workloads.py derives hit ratios from it."""
+    return {side: {"hits": 0, "misses": 0, "size": 0} for side in ("encode", "decode")}
 
 
 def clear_codec_caches() -> None:
-    """Drop all memoized encodings/decodings and zero the counters."""
-    _ENCODE_CACHE.clear()
-    _DECODE_CACHE.clear()
+    """No-op: benchmarks/ledger/workloads.py calls it before every unit."""

@@ -36,7 +36,6 @@ __all__ = [
     "Site",
     "Network",
     "wire_size",
-    "clear_wire_size_cache",
     "SAME_SITE_HOPS",
     "CROSS_SITE_HOPS",
 ]
@@ -49,11 +48,6 @@ CROSS_SITE_HOPS = 4
 _NO_ARRIVAL = object()
 
 _SIZE_CACHE: dict[int, int] = {}
-
-
-def clear_wire_size_cache() -> None:
-    """Drop memoized packet sizes (tests that demand cold-start runs)."""
-    _SIZE_CACHE.clear()
 
 
 def wire_size(packet: Packet) -> int:

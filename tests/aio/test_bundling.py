@@ -124,7 +124,7 @@ def test_bundling_off_is_byte_identical_to_plain_encode():
     payloads = [b"alpha", b"beta", b"gamma"]
     delivered, _, _, wires = asyncio.run(_run_stream(False, payloads))
     expected = [
-        P.encode_uncached(DataPacket(group="t/bundle", seq=i + 1, payload=pl))
+        P.encode(DataPacket(group="t/bundle", seq=i + 1, payload=pl))
         for i, pl in enumerate(payloads)
     ]
     assert wires == expected
@@ -136,7 +136,7 @@ def test_single_queued_packet_ships_unframed():
     """A flush with occupancy 1 sends the bare packet wire (6 bytes
     cheaper than a 1-bundle and byte-identical to bundling=False)."""
     delivered, stats, occupancy, wires = asyncio.run(_run_stream(True, [b"solo"]))
-    assert wires == [P.encode_uncached(DataPacket(group="t/bundle", seq=1,
+    assert wires == [P.encode(DataPacket(group="t/bundle", seq=1,
                                                   payload=b"solo"))]
     assert stats["tx_bundles"] == 0
     assert occupancy == {1: 1}

@@ -51,9 +51,10 @@ def data(seq, payload=b"p"):
 
 
 def make_secondary(**kwargs) -> LogServer:
-    defaults = dict(role=LoggerRole.SECONDARY, parent="primary", source="source", level=1)
+    defaults = dict(role=LoggerRole.SECONDARY, parent="primary", source="source", level=1,
+                    config=LbrmConfig())
     defaults.update(kwargs)
-    return LogServer("g", addr_token="sec", config=LbrmConfig(), **defaults)
+    return LogServer("g", addr_token="sec", **defaults)
 
 
 def make_primary(replicas=()) -> LogServer:
@@ -164,6 +165,29 @@ class TestLoggingAndServing:
         assert len(remote) == 1
         assert remote[0].ttl == 1  # scoped to the site
         assert any(isinstance(a, Notify) and isinstance(a.event, Remulticast) for a in actions)
+
+    def test_retrans_memo_is_bounded_by_the_log(self, tmp_path):
+        """A memoised repair must not pin a payload the log's caps let go
+        of: 5,000 packets each NACKed once through an 8-entry log."""
+        config = LbrmConfig(logger=LoggerConfig(max_packets=8))
+        for spool_path in (None, str(tmp_path / "log.spool")):
+            logger = make_secondary(config=config, spool_path=spool_path)
+            for seq in range(1, 5001):
+                logger.handle(data(seq, payload=bytes(1000)), "source", 0.0)
+                reply = logger.handle(NackPacket(group="g", seqs=(seq,)), "rx1", 0.0)
+                assert unicasts(reply, RetransPacket)[0].packet.seq == seq
+            assert len(logger.log._entries) == 8
+            assert len(logger._retrans_memo) <= 2 * 8 + 64
+            # An entry still in memory keeps its shared repair packet ...
+            first = logger.handle(NackPacket(group="g", seqs=(5000,)), "rx2", 0.0)
+            again = logger.handle(NackPacket(group="g", seqs=(5000,)), "rx3", 0.0)
+            assert first[0].packet is again[0].packet
+            if spool_path is not None:
+                # ... a spooled one is served, but never memoised.
+                spooled = logger.handle(NackPacket(group="g", seqs=(1,)), "rx2", 0.0)
+                assert spooled[0].packet.payload == bytes(1000)
+                assert 1 not in logger._retrans_memo
+            logger.log.close()
 
     def test_primary_seq_is_contiguous_watermark(self):
         logger = make_secondary()

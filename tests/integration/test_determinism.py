@@ -13,22 +13,8 @@ Two guarantees this suite locks in:
 from __future__ import annotations
 
 from repro import obs
-from repro.core.packets import clear_codec_caches
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet import BernoulliLoss, BurstLoss, DeploymentSpec, LbrmDeployment
-from repro.simnet.topology import clear_wire_size_cache
-
-
-def _cold_start() -> None:
-    """Drop process-global memos so two runs see identical cache warmth.
-
-    The codec and wire-size memos outlive a deployment; whichever run
-    encodes first registers cache counters the second run would skip,
-    breaking byte-identity for reasons that have nothing to do with the
-    protocol.  Cold-starting both runs pins the comparison.
-    """
-    clear_codec_caches()
-    clear_wire_size_cache()
 
 
 def _run_scenario(seed: int):
@@ -53,7 +39,6 @@ def _run_scenario(seed: int):
 
 
 def _record(seed: int):
-    _cold_start()
     with obs.recording(MetricsRegistry()) as reg:
         dep = _run_scenario(seed)
         return reg.to_json(), reg.trace.events(), dep

@@ -60,7 +60,7 @@ _PACKET_LISTS = st.lists(_PACKETS, min_size=1, max_size=12)
 @given(_PACKET_LISTS)
 def test_bundle_roundtrip_every_registered_type(pkts):
     """encode_bundle → iter_bundle → decode_from is the identity."""
-    wires = [P.encode_uncached(p) for p in pkts]
+    wires = [P.encode(p) for p in pkts]
     bundle = P.encode_bundle(wires)
     assert P.is_bundle(bundle)
     frames = P.iter_bundle(bundle)
@@ -73,7 +73,7 @@ def test_bundle_roundtrip_every_registered_type(pkts):
 def test_decoded_packets_survive_buffer_reuse(pkts):
     """decode_from materializes packets: scribbling over the receive
     buffer afterwards (as a recv ring does) must not corrupt them."""
-    wires = [P.encode_uncached(p) for p in pkts]
+    wires = [P.encode(p) for p in pkts]
     buf = bytearray(P.encode_bundle(wires))
     decoded = [P.decode_from(f) for f in P.iter_bundle(buf)]
     buf[:] = b"\xaa" * len(buf)
@@ -84,7 +84,7 @@ def test_decoded_packets_survive_buffer_reuse(pkts):
 @given(_PACKET_LISTS, st.data())
 def test_truncated_bundle_always_raises_decode_error(pkts, data):
     """Any proper prefix of a bundle fails atomically in iter_bundle."""
-    bundle = P.encode_bundle([P.encode_uncached(p) for p in pkts])
+    bundle = P.encode_bundle([P.encode(p) for p in pkts])
     cut = data.draw(st.integers(min_value=1, max_value=len(bundle)))
     with pytest.raises(DecodeError):
         P.iter_bundle(bundle[: len(bundle) - cut])
@@ -97,7 +97,7 @@ def test_every_truncation_point_of_trailing_frame_raises():
     length-prefix in particular must never be read as "frame of length
     <first byte>" or silently dropped."""
     wires = [
-        P.encode_uncached(P.ProbeReplyPacket(group="g", probe_id=i))
+        P.encode(P.ProbeReplyPacket(group="g", probe_id=i))
         for i in range(1, 4)
     ]
     bundle = P.encode_bundle(wires)
@@ -112,8 +112,8 @@ def test_one_byte_final_length_prefix_raises():
     frame's length prefix is gone, so reading a u16 there would run off
     the buffer.  The frame-table validation must reject it eagerly."""
     wires = [
-        P.encode_uncached(P.ProbeReplyPacket(group="g", probe_id=1)),
-        P.encode_uncached(P.ReplAckPacket(group="g", cum_seq=9)),
+        P.encode(P.ProbeReplyPacket(group="g", probe_id=1)),
+        P.encode(P.ReplAckPacket(group="g", cum_seq=9)),
     ]
     bundle = P.encode_bundle(wires)
     short = bundle[: len(bundle) - len(wires[-1]) - 1]  # 1 byte of u16 left
@@ -128,7 +128,7 @@ def test_truncated_final_packet_in_honest_frame_raises(pkts, data):
     truncated before bundling: iter_bundle hands the short frame over
     (the frame table is honest about its length), and decode_from must
     then raise — never return a partially-populated packet."""
-    wires = [P.encode_uncached(p) for p in pkts]
+    wires = [P.encode(p) for p in pkts]
     cut = data.draw(st.integers(min_value=1, max_value=len(wires[-1]) - 1))
     wires[-1] = wires[-1][:-cut]
     frames = P.iter_bundle(P.encode_bundle(wires))
@@ -140,7 +140,7 @@ def test_truncated_final_packet_in_honest_frame_raises(pkts, data):
 @settings(max_examples=150, deadline=None)
 @given(_PACKET_LISTS, st.binary(min_size=1, max_size=8))
 def test_trailing_garbage_rejected(pkts, suffix):
-    bundle = P.encode_bundle([P.encode_uncached(p) for p in pkts])
+    bundle = P.encode_bundle([P.encode(p) for p in pkts])
     with pytest.raises(DecodeError):
         P.iter_bundle(bundle + suffix)
 
@@ -151,7 +151,7 @@ def test_flipped_byte_never_escapes_decode_error(pkts, data):
     """Single-byte corruption anywhere in a bundle either still parses
     (flip landed in a payload) or raises DecodeError at iter_bundle or
     decode_from — never struct.error, UnicodeDecodeError, IndexError."""
-    bundle = bytearray(P.encode_bundle([P.encode_uncached(p) for p in pkts]))
+    bundle = bytearray(P.encode_bundle([P.encode(p) for p in pkts]))
     index = data.draw(st.integers(min_value=0, max_value=len(bundle) - 1))
     bundle[index] ^= data.draw(st.integers(min_value=1, max_value=255))
     try:
@@ -185,7 +185,7 @@ def test_garbage_never_crashes_iter_bundle(data):
 def test_single_packet_wire_is_never_mistaken_for_a_bundle(pkt):
     """The magics ('LB' packet vs 'Lb' bundle) are disjoint: a plain
     datagram never takes the bundle branch and vice versa."""
-    wire = P.encode_uncached(pkt)
+    wire = P.encode(pkt)
     assert not P.is_bundle(wire)
     bundle = P.encode_bundle([wire])
     with pytest.raises(DecodeError):
@@ -193,7 +193,7 @@ def test_single_packet_wire_is_never_mistaken_for_a_bundle(pkt):
 
 
 def test_encode_bundle_rejects_empty_and_oversized():
-    wire = P.encode_uncached(P.ProbeReplyPacket(group="g", probe_id=1))
+    wire = P.encode(P.ProbeReplyPacket(group="g", probe_id=1))
     with pytest.raises(EncodeError):
         P.encode_bundle([])
     with pytest.raises(EncodeError):
@@ -204,7 +204,7 @@ def test_encode_bundle_rejects_empty_and_oversized():
 
 
 def test_iter_bundle_rejects_zero_count_and_bad_version():
-    wire = P.encode_uncached(P.ProbeReplyPacket(group="g", probe_id=1))
+    wire = P.encode(P.ProbeReplyPacket(group="g", probe_id=1))
     bundle = bytearray(P.encode_bundle([wire]))
     zero = bytes(bundle[:3]) + b"\x00"  # header with count=0, no frames
     with pytest.raises(DecodeError):
@@ -217,8 +217,8 @@ def test_iter_bundle_rejects_zero_count_and_bad_version():
 def test_bundle_overhead_constants_match_the_wire():
     """The TX coalescer budgets datagrams with these constants; they
     must equal the actual framing cost."""
-    w1 = P.encode_uncached(P.ProbeReplyPacket(group="g", probe_id=1))
-    w2 = P.encode_uncached(P.ReplAckPacket(group="g", cum_seq=9))
+    w1 = P.encode(P.ProbeReplyPacket(group="g", probe_id=1))
+    w2 = P.encode(P.ReplAckPacket(group="g", cum_seq=9))
     bundle = P.encode_bundle([w1, w2])
     expected = (
         P.BUNDLE_OVERHEAD

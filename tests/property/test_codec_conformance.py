@@ -70,7 +70,7 @@ def _decode_both(data):
     ``struct.error``) propagates and fails the test.
     """
     outcomes = []
-    for decode in (P.decode_uncached, P.decode_reference):
+    for decode in (P.decode, P.decode_reference):
         try:
             packet = decode(data)
         except DecodeError:
@@ -113,14 +113,14 @@ def test_registering_a_class_without_wire_is_refused():
 @settings(max_examples=300, deadline=None)
 @given(_PACKETS)
 def test_struct_and_legacy_encodings_identical(pkt):
-    assert P.encode_uncached(pkt) == P.encode_reference(pkt)
+    assert P.encode(pkt) == P.encode_reference(pkt)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_PACKETS)
 def test_struct_and_legacy_roundtrip_identical(pkt):
     wire = P.encode_reference(pkt)
-    via_struct = P.decode_uncached(wire)
+    via_struct = P.decode(wire)
     via_legacy = P.decode_reference(wire)
     assert type(via_struct) is type(pkt)
     assert via_struct == pkt
@@ -131,7 +131,7 @@ def test_struct_and_legacy_roundtrip_identical(pkt):
 @given(_PACKETS, st.data())
 def test_truncation_rejected_identically(pkt, data):
     """Any proper prefix of a valid datagram fails on both paths."""
-    wire = P.encode_uncached(pkt)
+    wire = P.encode(pkt)
     cut = data.draw(st.integers(min_value=1, max_value=len(wire)))
     struct_out, legacy_out = _decode_both(wire[: len(wire) - cut])
     # Cutting from a correct encoding can never leave a shorter valid
@@ -143,7 +143,7 @@ def test_truncation_rejected_identically(pkt, data):
 @settings(max_examples=150, deadline=None)
 @given(_PACKETS, st.binary(min_size=1, max_size=8))
 def test_trailing_garbage_rejected_identically(pkt, suffix):
-    wire = P.encode_uncached(pkt)
+    wire = P.encode(pkt)
     struct_out, legacy_out = _decode_both(wire + suffix)
     assert struct_out == ("error",)
     assert legacy_out == ("error",)
@@ -167,7 +167,7 @@ def test_flipped_byte_never_escapes_decode_error(pkt, data):
     or UnicodeDecodeError out.  _decode_both re-raises anything that is
     not a DecodeError.
     """
-    wire = bytearray(P.encode_uncached(pkt))
+    wire = bytearray(P.encode(pkt))
     index = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
     flip = data.draw(st.integers(min_value=1, max_value=255))
     wire[index] ^= flip
@@ -180,37 +180,25 @@ def test_flipped_byte_never_escapes_decode_error(pkt, data):
 
 
 def test_decode_accepts_bytearray_and_memoryview():
-    """Regression: asyncio transports deliver bytearray/memoryview.
-
-    The memoized ``decode`` probes a dict keyed by wire bytes; an
-    unhashable bytearray used to raise TypeError before normalization.
-    Both views must parse, hit the same memo entry as the bytes input,
-    and never poison the cache with a non-bytes key.
-    """
+    """Regression: asyncio transports deliver bytearray/memoryview; every
+    buffer type parses to the same value as the bytes input."""
     pkt = P.DataPacket(group="g", seq=7, payload=b"payload", epoch=3)
     wire = P.encode(pkt)
-    P.clear_codec_caches()
     from_bytes = P.decode(wire)
     from_bytearray = P.decode(bytearray(wire))
     from_memoryview = P.decode(memoryview(wire))
     assert from_bytes == from_bytearray == from_memoryview == pkt
-    # All three probes resolved to one cached object (one miss, two hits)
-    # and the memo holds only hashable bytes keys.
-    assert from_bytes is from_bytearray is from_memoryview
-    stats = P.codec_cache_stats()["decode"]
-    assert stats["size"] >= 1
-    assert all(type(k) is bytes for k in P._DECODE_CACHE.entries)
 
 
-def test_decode_uncached_accepts_bytearray_and_memoryview():
+def test_decode_from_accepts_bytearray_and_memoryview():
     pkt = P.NackPacket(group="g", seqs=(4, 9))
-    wire = P.encode_uncached(pkt)
-    assert P.decode_uncached(bytearray(wire)) == pkt
-    assert P.decode_uncached(memoryview(wire)) == pkt
+    wire = P.encode(pkt)
+    assert P.decode_from(bytearray(wire)) == pkt
+    assert P.decode_from(memoryview(wire)) == pkt
 
 
 def test_decode_rejects_malformed_bytearray_with_decode_error():
     with pytest.raises(DecodeError):
         P.decode(bytearray(b"\x00\x01\x02"))
     with pytest.raises(DecodeError):
-        P.decode_uncached(memoryview(b"LBRM-but-not-really"))
+        P.decode(memoryview(b"LBRM-but-not-really"))

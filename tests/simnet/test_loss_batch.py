@@ -24,10 +24,8 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.machine import ProtocolMachine
-from repro.core.packets import clear_codec_caches
 from repro.simnet import BernoulliLoss, DeploymentSpec, LbrmDeployment
 from repro.simnet.loss import BurstLoss, CompositeLoss, GilbertElliottLoss, NoLoss
-from repro.simnet.topology import clear_wire_size_cache
 
 # -- model-level stream equivalence ------------------------------------------
 
@@ -142,8 +140,6 @@ def _lossy_scenario(seed: int, batch: bool):
 
     Returns the trace, the outcome and the engine's tombstone count
     after every ``advance``."""
-    clear_codec_caches()
-    clear_wire_size_cache()
     with obs.recording() as reg:
         dep = LbrmDeployment(DeploymentSpec(n_sites=3, receivers_per_site=3, seed=seed))
         dep.network.batch_delivery = batch
@@ -215,8 +211,6 @@ def _every_endpoint_scenario(batch: bool, foreign_observer: bool):
     treat per host: a skewed clock, a paused node, a crashed node, two
     machines on one node, a foreign endpoint, and a delivery callback
     that pauses the *next* receiver of the same co-timed batch."""
-    clear_codec_caches()
-    clear_wire_size_cache()
     dep = LbrmDeployment(DeploymentSpec(n_sites=2, receivers_per_site=5, seed=7))
     net = dep.network
     net.batch_delivery = batch

@@ -74,7 +74,8 @@ def _fake_ledger(monkeypatch, slow=(), sims_differ=()):
                 "metrics": {m: {"value": cost} for m in ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")}}
 
     def sim_block(tree, command, workload, seed, out):
-        return {"events": 2 if tree.name == "change" and workload in sims_differ else 1}
+        differs = tree.name == "change" and workload in sims_differ
+        return {"events": 2 if differs else 1, "served": 7, "digest": "ab" if differs else "aa"}
 
     monkeypatch.setattr(ledger_pairs, "unpack", lambda ref, parent, change: None)
     monkeypatch.setattr(ledger_pairs, "run_once", run_once)
@@ -105,3 +106,13 @@ def test_default_is_all_and_one_bad_workload_fails_the_run(monkeypatch, capsys):
     tables = capsys.readouterr().out.split("pairs of")[1:]
     assert ["worse" in t for t in tables] == [False, True, False, False]
     assert ["sim blocks DIFFER" in t for t in tables] == [False, False, True, False]
+
+
+def test_unequal_sim_blocks_print_only_the_keys_that_differ(monkeypatch, capsys):
+    _fake_ledger(monkeypatch, sims_differ=("logger_service",))
+    assert ledger_pairs.main(["HEAD", "--workload", "logger_service", "--pairs", "2"]) == 1
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("sim blocks")]
+    assert line == 'sim blocks DIFFER (key: parent -> change): digest: "aa" -> "ab"; events: 1 -> 2'
+    assert ledger_pairs.sim_diff({"a": 1, "gone": 0}, {"a": 1, "new": 2}) == [
+        'gone: 0 -> "absent"', 'new: "absent" -> 2',
+    ]

@@ -34,7 +34,8 @@ No verdict is given if a run of either side reports ``correct: false`` or
 the change fails a larger share of its operations.  The result line
 carries no simulated quantities, so one whole-ledger run per side
 (``run.py --only W --repeats 3 --out DIR``) follows and their ``sim``
-blocks — every simulated count and latency — are compared for equality.
+blocks — every simulated count and latency — are compared for equality;
+where they differ, the keys that do are printed as ``key: parent -> change``.
 Exit status: 0, or 1 if any workload had a refused verdict, a ``worse`` or
 unequal ``sim`` blocks.
 """
@@ -112,6 +113,16 @@ def workload_names(arg: str, bench: dict) -> list[str]:
     return [name for name in arg.split(",") if name]
 
 
+def sim_diff(parent: dict, change: dict) -> list[str]:
+    """``key: parent -> change`` for every key whose values differ."""
+    rows = []
+    for key in sorted(parent.keys() | change.keys()):
+        before, after = parent.get(key, "absent"), change.get(key, "absent")
+        if before != after:
+            rows.append(f"{key}: {json.dumps(before)} -> {json.dumps(after)}")
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="the parent commit")
@@ -182,10 +193,10 @@ def compare(workload: str, trees: dict[str, Path], bench: dict, args: argparse.N
               f"{ratio:5.2f}x {wins:3d}/{args.pairs:<2d} {metric['bound']:6.2f}  {result}")
     if refused:
         print(f"no verdict: {refused}")
-    equal = sims["parent"] == sims["change"]
-    print(f"sim blocks {'equal' if equal else 'DIFFER'}: " + json.dumps(sims["change"], sort_keys=True))
-    if not equal:
-        print("parent's:         " + json.dumps(sims["parent"], sort_keys=True))
+    if sims["parent"] == sims["change"]:
+        print("sim blocks equal: " + json.dumps(sims["change"], sort_keys=True))
+    else:
+        print("sim blocks DIFFER (key: parent -> change): " + "; ".join(sim_diff(**sims)))
         status = 1
     return status
 
