@@ -14,7 +14,6 @@ exactly the paper's memory-then-disk model).
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from collections import OrderedDict
@@ -67,10 +66,6 @@ class PacketLog:
         self._spool_index: dict[int, tuple[int, int, float]] = {}  # seq -> (offset, len, logged_at)
         self._spool_file = None
         self._dropped = 0
-        # Lower bound on every held ``logged_at`` (memory and spool), so
-        # expire() can tell without a scan that nothing is due.  Exact
-        # after each scan; evictions and trims only leave it too low.
-        self._oldest = math.inf
         # Process-wide totals across every PacketLog instance; per-store
         # levels are published by the owning LogServer's labelled gauges.
         registry = obs.registry()
@@ -131,8 +126,6 @@ class PacketLog:
         if seq in self._entries or seq in self._spool_index:
             return False
         self._entries[seq] = LogEntry(seq=seq, payload=payload, logged_at=now)
-        if now < self._oldest:
-            self._oldest = now
         self._byte_size += len(payload)
         self._obs_appended.inc()
         self._enforce_caps()
@@ -171,9 +164,9 @@ class PacketLog:
 
     def expire(self, now: float) -> int:
         """Drop entries older than the configured lifetime.  Returns count."""
-        cutoff = now - self._lifetime
-        if not self._lifetime or self._oldest >= cutoff:
+        if not self._lifetime:
             return 0
+        cutoff = now - self._lifetime
         expired = [seq for seq, e in self._entries.items() if e.logged_at < cutoff]
         for seq in expired:
             entry = self._entries.pop(seq)
@@ -181,10 +174,6 @@ class PacketLog:
         spool_expired = [seq for seq, (_, _, t) in self._spool_index.items() if t < cutoff]
         for seq in spool_expired:
             del self._spool_index[seq]
-        self._oldest = min(
-            min((e.logged_at for e in self._entries.values()), default=math.inf),
-            min((t for _, _, t in self._spool_index.values()), default=math.inf),
-        )
         total = len(expired) + len(spool_expired)
         if total:
             self._obs_expired.inc(total)

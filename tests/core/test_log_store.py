@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import pytest
 
 from repro.core.errors import LogMissError
@@ -73,35 +71,6 @@ def test_lifetime_expiry():
     log.append(2, b"new", 4.0)
     assert log.expire(6.0) == 1
     assert 1 not in log and 2 in log
-
-
-class _CountingEntries(OrderedDict):
-    """Stand-in for ``PacketLog._entries`` that counts full scans."""
-
-    scans = 0
-
-    def items(self):
-        self.scans += 1
-        return super().items()
-
-
-def test_expire_does_not_scan_before_the_first_deadline():
-    log = PacketLog(lifetime=5000.0)
-    entries = log._entries = _CountingEntries()
-    for seq in range(1, 2001):
-        log.append(seq, b"p", now=float(seq))
-    for now in range(0, 5000, 5):  # 1,000 calls; the first deadline is past 5001
-        assert log.expire(float(now)) == 0
-    assert log.expire(5001.0) == 0  # cutoff == the oldest logged_at: still held
-    assert entries.scans == 0
-    assert log.expire(5001.5) == 1 and 1 not in log and 2 in log
-    assert log.expire(6000.0) == 998 and log.lowest == 1000
-    scans = entries.scans
-    assert log.expire(6000.0) == 0 and entries.scans == scans  # oldest recomputed by the scan
-    assert log.expire(100.0) == 0 and entries.scans == scans  # ``now`` need not be monotone
-    log.append(5000, b"late", now=1.0)  # older than anything still held
-    assert log.expire(5001.5) == 1 and 5000 not in log
-    assert log.expire(9000.0) == 1001 and len(log) == 0
 
 
 def test_get_with_now_applies_expiry():
