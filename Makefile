@@ -23,8 +23,10 @@ loc:
 # Did this change move performance?  Alternating parent/change pairs of each
 # BENCHMARK.json workload (or of W, a comma list) with the choosing-metrics §8
 # verdict per end-to-end metric; exit 1 on any worse/refused/unequal sim block:
-#   make pairs REF=HEAD [W=exact_fanout] [PAIRS=10] [SEED=1995]
+#   make pairs REF=HEAD [W=exact_fanout] [PAIRS=10] [SEED=1995] [LAYERS=1]
+# LAYERS=1 adds one traced run per side: which layers' self time moved, and
+# any per-layer count that differs (exit 1, like an unequal sim block).
 pairs:
-	python3 tools/ledger_pairs.py $(REF) $(if $(W),--workload $(W)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
+	python3 tools/ledger_pairs.py $(REF) $(if $(W),--workload $(W)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED)) $(if $(LAYERS),--layers)
 
 all: test bench

@@ -223,6 +223,10 @@ def scenario_multicast_fanout(tier: str) -> dict:
         dep.advance(2.0)
         wall = time.perf_counter() - t0
         delivered = dep.network.stats["delivered"]
+        received_last = dep.receivers_with(p["data_packets"])  # seqs start at 1
+        assert received_last == len(dep.receivers), (
+            f"the last packet reached {received_last} of {len(dep.receivers)} receivers"
+        )
         run = {
             "wall_s": wall,
             "events": delivered,
@@ -232,7 +236,7 @@ def scenario_multicast_fanout(tier: str) -> dict:
             "tombstones": dep.sim.tombstones,
             "checks": {
                 "delivered": delivered,
-                "all_received_last": dep.receivers_with(p["data_packets"] + 1),
+                "all_received_last": received_last,
             },
         }
         if best is None or run["wall_s"] < best["wall_s"]:

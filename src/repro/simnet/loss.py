@@ -37,8 +37,15 @@ class LossModel(Protocol):
 
         Must be stream-equivalent to ``count`` sequential :meth:`drops`
         calls: same RNG consumption, same verdicts, same state
-        afterwards — the batched fast path may never change a same-seed
-        report by a byte.
+        afterwards.
+
+        Nothing under ``src/`` calls it: no shipped configuration shares
+        one model between hosts, so the fan-out draws ``drops(at)`` per
+        host (DESIGN §6, "Fan-out is per-site work").  It stays, on every
+        model, because the frozen ``benchmarks/ledger/tracing.py`` looks
+        ``BernoulliLoss.drops_batch`` and ``BurstLoss.drops_batch`` up at
+        install; once a ``benchmark`` PR drops those two ``ENTRY_POINTS``
+        rows (ROADMAP 1a) the implementations go.
         """
         ...
 

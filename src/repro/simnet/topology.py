@@ -22,7 +22,7 @@ site" (§2.2.2) come out naturally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from repro.core.packets import Packet, encode
 from repro.simnet.engine import Simulator, WakeupMux
@@ -42,10 +42,6 @@ __all__ = [
 
 SAME_SITE_HOPS = 1
 CROSS_SITE_HOPS = 4
-
-# Sentinel for "no arrival time computed yet" in the fan-out site cache
-# (None is a real stored value there: it means the path dropped).
-_NO_ARRIVAL = object()
 
 _SIZE_CACHE: dict[int, int] = {}
 
@@ -77,7 +73,6 @@ class PacketChaosHook(Protocol):
     def arrivals(self, packet: Packet, src: str, dst: str, at: float) -> list[float]: ...
 
 
-@dataclass
 class Host:
     """A simulated host: a name, a site, and an attached endpoint.
 
@@ -86,19 +81,46 @@ class Host:
     while ordinary hosts represent exactly themselves.  The network's
     routing treats every host identically — multiplicity only affects
     population accounting (:meth:`Network.modeled_stats`).
+
+    Every attribute is assigned in ``__init__``, in one order, so all
+    hosts share one key table: ``_arrive_batch`` reads ``rx_packets`` and
+    ``endpoint`` once per (receiver, packet).
     """
 
-    name: str
-    site: "Site"
-    inbound_loss: LossModel | None = None
-    endpoint: Endpoint | None = None
-    represents: int = 1
+    def __init__(
+        self,
+        name: str,
+        site: "Site",
+        inbound_loss: LossModel | None = None,
+        represents: int = 1,
+    ) -> None:
+        self.name = name
+        self.site = site
+        self.endpoint: Endpoint | None = None
+        self.represents = represents
+        self.rx_packets = 0
+        self.rx_dropped = 0
+        self._inbound_loss = inbound_loss
+        self._network: "Network | None" = None  # set by Network.add_host
 
-    rx_packets: int = 0
-    rx_dropped: int = 0
+    @property
+    def inbound_loss(self) -> LossModel | None:
+        return self._inbound_loss
+
+    @inbound_loss.setter
+    def inbound_loss(self, loss: LossModel | None) -> None:
+        # The network's fan-out segments record which of them hold a
+        # lossy host: whoever assigns a model mid-run (every lossy
+        # scenario does, after warm-up) must be heard by the next send.
+        self._inbound_loss = loss
+        if self._network is not None:
+            self._network._segments.clear()
 
     def attach(self, endpoint: Endpoint) -> None:
         self.endpoint = endpoint
+
+    def __repr__(self) -> str:
+        return f"Host({self.name!r} @ {self.site.name})"
 
 
 @dataclass
@@ -110,6 +132,21 @@ class Site:
     tail_up: Link
     tail_down: Link
     hosts: list[Host] = field(default_factory=list)
+
+
+class _Segment(NamedTuple):
+    """A maximal run of *consecutive* sorted group members behind one site.
+
+    Everything behind one tree edge shares one outcome, so the fan-out
+    decides per segment, not per member.  Runs, not a per-site grouping:
+    member order is sorted host names, two sites' names may interleave
+    (``a1@A, b1@B, a2@A``), and loss draws, ``drop`` observer calls,
+    first link crossings and co-timed deliveries all go in member order.
+    """
+
+    site: Site
+    hosts: list[Host]
+    lossy: bool  # some host here has an inbound-loss model
 
 
 class Network:
@@ -129,20 +166,12 @@ class Network:
         self._sites: dict[str, Site] = {}
         self._hosts: dict[str, Host] = {}
         self._groups: dict[str, set[str]] = {}
-        # Sorted membership, cached per group (invalidated on join/leave):
-        # multicast iterates it on every transmission.
-        self._member_cache: dict[str, list[str]] = {}
-        # (group, src, ttl) -> (member-list identity, [(Host, site name)])
-        # for the batched fan-out: the per-member host lookup, site
-        # resolution, and TTL filter are membership-derived, so one walk
-        # serves every transmission until membership changes (validity is
-        # keyed on the cached member list object, which join/leave
-        # replace) or a host appears (add_host clears it).
-        self._fanout_cache: dict[tuple[str, str, int | None], tuple[list[str], list]] = {}
-        # group -> (member-list identity, {site name: [Host]} in member
-        # order): a TTL-scoped fan-out miss walks one site, not the group.
-        # Same validity rule and invalidation points as _fanout_cache.
-        self._site_member_cache: dict[str, tuple[list[str], dict[str, list[Host]]]] = {}
+        # group -> (segments in member order, {site name: its segments})
+        # for the batched fan-out, one entry per group whoever sends and
+        # at whatever TTL (see _group_segments).  Dropped when the
+        # group's membership changes (join/leave), and cleared when a
+        # host appears (add_host) or a host's inbound_loss is assigned.
+        self._segments: dict[str, tuple[list[_Segment], dict[str, list[_Segment]]]] = {}
         # Fast path: one delivery event per distinct arrival time instead
         # of one per receiver, and one wakeup event per distinct node
         # deadline (the WakeupMux).  Off = the pre-batching per-receiver
@@ -255,14 +284,14 @@ class Network:
             raise ValueError(f"host {name!r} already exists")
         if represents < 1:
             raise ValueError(f"represents must be >= 1, got {represents}")
-        host = Host(name=name, site=site, inbound_loss=inbound_loss, represents=represents)
+        host = Host(name, site, inbound_loss, represents)
+        host._network = self
         site.hosts.append(host)
         self._hosts[name] = host
         # A host may be created under a name that already joined a group
-        # (join() does not validate existence) — cached fan-outs built
-        # while it was missing must be rebuilt.
-        self._fanout_cache.clear()
-        self._site_member_cache.clear()
+        # (join() does not validate existence) — segments built while it
+        # was missing must be rebuilt.
+        self._segments.clear()
         return host
 
     # -- lookup ----------------------------------------------------------
@@ -305,35 +334,35 @@ class Network:
 
     def join(self, group: str, host_name: str) -> None:
         self._groups.setdefault(group, set()).add(host_name)
-        self._member_cache.pop(group, None)
+        self._segments.pop(group, None)
 
     def leave(self, group: str, host_name: str) -> None:
         members = self._groups.get(group)
         if members is not None:
             members.discard(host_name)
-            self._member_cache.pop(group, None)
+            self._segments.pop(group, None)
 
     def _sorted_members(self, group: str) -> list[str]:
-        """Sorted member list, cached between membership changes.
+        """Sorted: RNG consumption order must not depend on set-hash randomization."""
+        return sorted(self._groups.get(group, ()))
 
-        Sorted iteration keeps RNG consumption order (and therefore the
-        whole simulation) independent of set-hash randomization.
-        """
-        members = self._member_cache.get(group)
-        if members is None:
-            members = sorted(self._groups.get(group, ()))
-            self._member_cache[group] = members
-        return members
-
-    def _site_members(self, group: str, members: list[str], site: Site) -> list[Host]:
-        """``group``'s existing member hosts on ``site``, in member order."""
-        cached = self._site_member_cache.get(group)
-        if cached is None or cached[0] is not members:
-            by_site: dict[str, list[Host]] = {}
-            for host in filter(None, map(self._hosts.get, members)):
-                by_site.setdefault(host.site.name, []).append(host)
-            cached = self._site_member_cache[group] = (members, by_site)
-        return cached[1].get(site.name, [])
+    def _group_segments(self, group: str) -> tuple[list[_Segment], dict[str, list[_Segment]]]:
+        """``group``'s existing members cut into segments, in member order
+        and by site name."""
+        runs: list[tuple[Site, list[Host]]] = []
+        for host in filter(None, map(self._hosts.get, self._sorted_members(group))):
+            if runs and runs[-1][0] is host.site:
+                runs[-1][1].append(host)
+            else:
+                runs.append((host.site, [host]))
+        segments = [
+            _Segment(site, hosts, any(host._inbound_loss is not None for host in hosts))
+            for site, hosts in runs
+        ]
+        by_site: dict[str, list[_Segment]] = {}
+        for segment in segments:
+            by_site.setdefault(segment.site.name, []).append(segment)
+        return segments, by_site
 
     def members(self, group: str) -> frozenset[str]:
         return frozenset(self._groups.get(group, frozenset()))
@@ -394,104 +423,63 @@ class Network:
                 outcomes[key] = link.transit(size, at)
             return outcomes[key]
 
-        members = self._sorted_members(group)
         if not self.batch_delivery:
+            members = self._sorted_members(group)
             self._send_multicast_reference(src, src_name, members, packet, ttl, now, cross)
             return
 
-        # Membership-derived fan-out targets, cached across transmissions.
-        fanout_key = (group, src_name, ttl)
-        cached = self._fanout_cache.get(fanout_key)
-        if cached is None or cached[0] is not members:
-            src_site = src.site
-            if ttl is not None and ttl < CROSS_SITE_HOPS:
-                # Scoped below cross-site reach: only the source's own
-                # site can be in range.
-                reachable = self._site_members(group, members, src_site)
-            else:
-                reachable = filter(None, map(self._hosts.get, members))
-            pairs: list[tuple[Host, str]] = []
-            for dst in reachable:
-                if dst.name == src_name:
-                    continue
-                hops = SAME_SITE_HOPS if dst.site is src_site else CROSS_SITE_HOPS
-                if ttl is not None and hops > ttl:
-                    continue  # scoped out, not an error
-                pairs.append((dst, dst.site.name))
-            if len(self._fanout_cache) >= 256:
-                self._fanout_cache.clear()
-            self._fanout_cache[fanout_key] = (members, pairs)
+        entry = self._segments.get(group)
+        if entry is None:
+            entry = self._segments[group] = self._group_segments(group)
+        src_site = src.site
+        if ttl is None or ttl >= CROSS_SITE_HOPS:
+            segments = entry[0]
+        elif ttl >= SAME_SITE_HOPS:
+            # Scoped below cross-site reach: only the source's own site.
+            segments = entry[1].get(src_site.name, ())
         else:
-            pairs = cached[1]
+            return  # reaches nobody
 
-        # Site name -> arrival time (None = shared drop on the path); all
-        # receivers behind the same tree edges share one outcome.
-        site_at: dict[str, float | None] = {}
         batches: dict[float, list[Host]] = {}
         chaos = self.chaos
-
-        # Consecutive members sharing one inbound-loss instance and one
-        # arrival time (a site behind a site-level loss model) get their
-        # fates from a single drops_batch() call.  Per-instance stream
-        # order — all determinism requires — is preserved, and flushing
-        # whenever a member breaks the run keeps drop/delivery processing
-        # in exact member order.
-        run_hosts: list[Host] = []
-        run_loss: "LossModel | None" = None
-        run_at = 0.0
-
-        def flush_run() -> None:
-            verdicts = run_loss.drops_batch(run_at, len(run_hosts))  # type: ignore[union-attr]
-            for dst, dead in zip(run_hosts, verdicts):
-                if dead:
-                    self._drop(packet, src_name, dst.name, run_at)
-                elif chaos is not None:
-                    self._deliver_chaos(dst, packet, src_name, run_at)
-                else:
-                    bucket = batches.get(run_at)
-                    if bucket is None:
-                        batches[run_at] = [dst]
-                    else:
-                        bucket.append(dst)
-            run_hosts.clear()
-
-        site_at_get = site_at.get
-        for dst, site_name in pairs:
-            at = site_at_get(site_name, _NO_ARRIVAL)
-            if at is _NO_ARRIVAL:
-                at = now
-                for link in self.path(src, dst)[0]:
-                    at = cross(link, at)  # type: ignore[arg-type]
-                    if at is None:
-                        break
-                site_at[site_name] = at
+        for site, hosts, lossy in segments:
+            if site is src_site:
+                # The source hears nothing of its own (every logger that
+                # multicasts a repair is a member), and crosses no link
+                # for a run that holds nobody else.
+                hosts = [dst for dst in hosts if dst is not src]
+                if not hosts:
+                    continue
+            # One arrival time (None = shared drop on the path) for everyone
+            # behind the same tree edges; a site met again in a later run
+            # gets the same one, each link's outcome being cached.
+            at: float | None = now
+            for link in self.path(src, hosts[0])[0]:
+                at = cross(link, at)
+                if at is None:
+                    break
             if at is None:
-                if run_hosts:
-                    flush_run()
-                self._drop(packet, src_name, dst.name, now)
-                continue
-            loss = dst.inbound_loss
-            if loss is not None:
-                if run_hosts and (loss is not run_loss or at != run_at):
-                    flush_run()
-                run_loss, run_at = loss, at
-                run_hosts.append(dst)
-                continue
-            if run_hosts:
-                flush_run()
-            if chaos is not None:
-                self._deliver_chaos(dst, packet, src_name, at)
+                for dst in hosts:
+                    self._drop(packet, src_name, dst.name, now)
                 continue
             bucket = batches.get(at)
             if bucket is None:
-                batches[at] = [dst]
-            else:
-                bucket.append(dst)
-        if run_hosts:
-            flush_run()
+                bucket = batches[at] = []
+            if chaos is None and not lossy:
+                bucket.extend(hosts)
+                continue
+            for dst in hosts:
+                loss = dst._inbound_loss
+                if loss is not None and loss.drops(at):
+                    self._drop(packet, src_name, dst.name, at)
+                elif chaos is not None:
+                    self._deliver_chaos(dst, packet, src_name, at)
+                else:
+                    bucket.append(dst)
         schedule = self.sim.schedule
         for at, co_timed in batches.items():
-            schedule(at, self._arrive_batch, co_timed, packet, src_name)
+            if co_timed:  # everyone due at ``at`` may have dropped
+                schedule(at, self._arrive_batch, co_timed, packet, src_name)
 
     def _send_multicast_reference(
         self,
@@ -526,7 +514,8 @@ class Network:
     # -- delivery ----------------------------------------------------------
 
     def _deliver(self, dst: Host, packet: Packet, src_name: str, at: float) -> None:
-        if dst.inbound_loss is not None and dst.inbound_loss.drops(at):
+        loss = dst._inbound_loss
+        if loss is not None and loss.drops(at):
             self._drop(packet, src_name, dst.name, at)
             return
         if self.chaos is not None:

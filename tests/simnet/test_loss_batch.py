@@ -1,17 +1,22 @@
-"""Vectorized loss draws: batched fan-out must be draw-for-draw exact.
+"""Loss draws and the batched fan-out: draw-for-draw exact.
 
-``drops_batch`` exists so one multicast transmission makes one call per
-loss-model instance instead of one per receiver.  Its contract is
-strict stream equivalence: same verdicts as sequential ``drops`` calls,
-same RNG consumption, same model state afterwards — a same-seed run may
-never change by a byte when batching is toggled.  The suite closes with
-the end-to-end form of that guarantee: a fig7-style lossy deployment
+``drops_batch``'s contract is strict stream equivalence: same verdicts as
+sequential ``drops`` calls, same RNG consumption, same model state
+afterwards.  (The fan-out no longer calls it — no shipped configuration
+shares one model between hosts, so it draws ``drops(at)`` per host — but
+the frozen perf ledger still wraps it, so the models keep it and this
+suite keeps its contract.)  Then the end-to-end form of the guarantee
+that matters: a same-seed run may never change by a byte when batching
+is toggled.  A fig7-style lossy deployment
 replayed with ``batch_delivery`` on (which also turns on the
 shared-deadline :class:`~repro.simnet.engine.WakeupMux`) and with it
 off (one engine event per receiver, one cancellable wakeup per node)
 produces byte-identical packet traces and protocol outcomes — down to every node's delivery list and
 every host's counters, and through every kind of endpoint the one
-delivery loop (:meth:`SimNode.receive_batch`) has to get right.
+delivery loop (:meth:`SimNode.receive_batch`) has to get right.  The
+suite closes with the same differential as a property over small random
+networks: the fan-out's walk over per-site segments against the
+per-receiver reference loop.
 """
 
 from __future__ import annotations
@@ -24,8 +29,11 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.machine import ProtocolMachine
+from repro.core.packets import DataPacket
 from repro.simnet import BernoulliLoss, DeploymentSpec, LbrmDeployment
+from repro.simnet.engine import Simulator
 from repro.simnet.loss import BurstLoss, CompositeLoss, GilbertElliottLoss, NoLoss
+from repro.simnet.topology import Network
 
 # -- model-level stream equivalence ------------------------------------------
 
@@ -264,3 +272,114 @@ def test_delivery_loop_matches_the_reference_fanout_for_every_endpoint(foreign_o
     assert len([t for t in batched["tap"] if t[0] == "DataPacket"]) == 8
     assert [s for s in batched["second_machine"] if s[0] == "DataPacket"]
     assert bool(batched["observed"]) == foreign_observer
+
+
+# -- the segment walk against the per-receiver loop, as a property -----------
+
+
+class _SeqChaos:
+    """A chaos hook that drops, duplicates or passes by sequence number,
+    and remembers the order it was asked in."""
+
+    def __init__(self) -> None:
+        self.asked: list[tuple] = []
+
+    def arrivals(self, packet, src, dst, at):
+        self.asked.append((packet.seq, dst, at))
+        return [[], [at, at + 0.004], [at]][(packet.seq + len(dst)) % 3]
+
+
+_LOSS_KINDS = st.sampled_from(["none", "own", "shared", "burst"])
+
+
+@st.composite
+def _fanout_worlds(draw):
+    """A small network as plain data (built twice, once per delivery path).
+
+    Host names are ``h<rank>`` with the ranks shuffled over all hosts, so
+    two sites' members interleave in the sorted member order the fan-out
+    walks."""
+    sites = draw(st.lists(st.lists(_LOSS_KINDS, max_size=4), min_size=2, max_size=4))
+    slots = [(s, kind) for s, kinds in enumerate(sites) for kind in kinds]
+    ranks = draw(st.permutations(range(len(slots))))
+    hosts = [(f"h{rank}", s, kind) for rank, (s, kind) in zip(ranks, slots)]
+    inside = bool(hosts) and draw(st.booleans())
+    return {
+        "tail_latency": [draw(st.sampled_from([0.02, 0.03])) for _ in sites],
+        "lossy_tails": [draw(st.booleans()) for _ in sites],
+        "hosts": hosts,
+        "src": draw(st.sampled_from(hosts))[0] if inside else None,
+        "outsider_site": draw(st.integers(0, len(sites) - 1)),
+        "ttl": draw(st.sampled_from([None, 0, 1, 4])),
+        "chaos": draw(st.booleans()),
+        "seed": draw(_SEEDS),
+    }
+
+
+def _fanout_train(world: dict, batch: bool) -> dict:
+    """Send a short train through ``world``; everything anyone could see."""
+    sim = Simulator()
+    net = Network(sim)
+    net.batch_delivery = batch
+    rngs = [random.Random(world["seed"] + k) for k in range(len(world["hosts"]) + 5)]
+    spare = iter(rngs)
+    for s, latency in enumerate(world["tail_latency"]):
+        net.add_site(
+            f"s{s}", tail_latency=latency,
+            tail_loss_down=BernoulliLoss(0.3, next(spare)) if world["lossy_tails"][s] else None,
+        )
+    shared = BernoulliLoss(0.4, next(spare))
+    received: list[tuple] = []
+
+    class Sink:
+        def __init__(self, name):
+            self.name = name
+
+        def receive(self, packet, src, now):
+            received.append((self.name, packet.seq, src, now))
+
+    for name, s, kind in world["hosts"]:
+        loss = None
+        if kind == "own":
+            loss = BernoulliLoss(0.4, next(spare))
+        elif kind == "shared":
+            loss = shared
+        elif kind == "burst":
+            loss = BurstLoss([(0.05, 0.16)])
+        net.add_host(name, net.site(f"s{s}"), inbound_loss=loss).attach(Sink(name))
+        net.join("g", name)
+    src = world["src"]
+    if src is None:
+        src = "outsider"
+        net.add_host(src, net.site(f"s{world['outsider_site']}")).attach(Sink(src))
+    observed: list[tuple] = []
+    net.observer = lambda kind, packet, s, dst, now: observed.append((kind, packet.seq, s, dst, now))
+    chaos = net.chaos = _SeqChaos() if world["chaos"] else None
+    for seq in range(1, 5):
+        net.send_multicast(src, "g", DataPacket(group="g", seq=seq, payload=b"x"), ttl=world["ttl"])
+        sim.run_until(sim.now + 0.05)
+    sim.run()
+    return {
+        "observed": observed,
+        "received": received,
+        "hosts": {h.name: (h.rx_packets, h.rx_dropped) for h in net.hosts},
+        "stats": dict(net.stats),
+        "ended_at": sim.now,
+        "chaos": chaos.asked if chaos else None,
+        "links": {
+            link.name: vars(link.stats)
+            for site in net.sites for link in (site.lan, site.tail_up, site.tail_down)
+        },
+        "rng_states": [rng.getstate() for rng in rngs],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fanout_worlds())
+def test_segment_walk_matches_the_per_receiver_loop(world):
+    """``send_multicast`` decides per run of consecutive same-site members;
+    ``_send_multicast_reference`` decides per member.  Whatever the member
+    order, loss models, scope, source and chaos hook: the same ordered
+    observer calls, the same deliveries, counters and link charges, and
+    every RNG left where the reference leaves it."""
+    assert _fanout_train(world, batch=True) == _fanout_train(world, batch=False)

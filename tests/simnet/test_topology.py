@@ -160,7 +160,7 @@ def test_observer_sees_rx_and_drop():
 
 
 def test_scoped_multicast_matches_reference_through_membership_changes():
-    """A TTL-scoped fan-out is built from the per-site member index; it
+    """A TTL-scoped fan-out walks only the source site's segments; it
     must deliver to exactly the hosts, in exactly the order, of the
     per-receiver reference loop — also after join, leave, and a host
     created under a name that had already joined."""

@@ -217,6 +217,21 @@ class TestAioTier:
         assert set(real.AIO_SCENARIOS) <= set(real.ALL_SCENARIOS)
 
 
+def test_fanout_scenario_checks_the_last_packet_it_sent():
+    """It asked for a sequence one past the train, so "0 receivers" was
+    the committed expectation and a fan-out that lost the last packet
+    everywhere would have matched it."""
+    import benchmarks.harness as real
+
+    checks = real.scenario_multicast_fanout("quick")["checks"]
+    params = real._fanout_params("quick")
+    assert checks["all_received_last"] == params["n_sites"] * params["receivers_per_site"]
+    baseline = json.loads(
+        (default_harness_path().parent / "results" / "quick" / "BENCH_multicast_fanout.json").read_text()
+    )
+    assert checks == baseline["engines"]["fast"]["checks"]
+
+
 @pytest.mark.slow
 def test_profile_scenario_writes_readable_artifacts(tmp_path):
     run, pstats_path, txt_path = profile_scenario(

@@ -61,13 +61,16 @@ def test_all_means_every_declared_workload_and_a_comma_list_is_taken_as_given():
     assert ledger_pairs.workload_names("b,agg_sharded,", bench) == ["b", "agg_sharded"]
 
 
-def _fake_ledger(monkeypatch, slow=(), sims_differ=()):
+def _fake_ledger(monkeypatch, slow=(), sims_differ=(), traced=None):
     """Stub the three functions that touch git or run the benchmark: the
-    change costs 3x the parent's time on ``slow`` workloads."""
+    change costs 3x the parent's time on ``slow`` workloads; ``traced``
+    maps a side to the ``metrics`` of its ``--trace 1`` result line."""
     ran = []
 
     def run_once(tree, command, args):
         workload = args[args.index("--workload") + 1]
+        if args[args.index("--trace") + 1] == "1":
+            return {"correct": True, "attempted": 10, "failed": 0, "metrics": traced[tree.name]}
         ran.append((tree.name, workload))
         cost = 3.0 if tree.name == "change" and workload in slow else 1.0
         return {"correct": True, "attempted": 10, "failed": 0,
@@ -116,3 +119,36 @@ def test_unequal_sim_blocks_print_only_the_keys_that_differ(monkeypatch, capsys)
     assert ledger_pairs.sim_diff({"a": 1, "gone": 0}, {"a": 1, "new": 2}) == [
         'gone: 0 -> "absent"', 'new: "absent" -> 2',
     ]
+
+
+# -- --layers: where the saving appears -------------------------------------------
+
+
+def _traced_line(multicast_s, draw_s, draw_calls):
+    """The per-layer ``metrics`` of a traced result line, cut to what matters."""
+    return {
+        "simnet.engine.run_self_s": {"value": 1.0, "unit": "s"},
+        "simnet.topology.multicast_self_s": {"value": multicast_s, "unit": "s"},
+        "simnet.loss.draw_self_s": {"value": draw_s, "unit": "s"},
+        "trace.unattributed_s": {"value": 0.2, "unit": "s"},
+        "simnet.loss.draw_calls": {"value": draw_calls, "unit": "count"},
+        "simnet.loss.drop_ratio": {"value": 0.03 * multicast_s, "unit": "ratio"},  # not a count
+    }
+
+
+def test_layers_names_the_self_times_that_moved_and_fails_on_a_count_that_did(monkeypatch, capsys):
+    traced = {"parent": _traced_line(0.8, 0.5, 448_624), "change": _traced_line(0.45, 0.3, 448_624)}
+    ran = _fake_ledger(monkeypatch, traced=traced)
+    assert ledger_pairs.main(["HEAD", "--workload", "exact_lossy", "--pairs", "2", "--layers"]) == 0
+    assert len(ran) == 4  # the traced runs are beside the pairs, not among them
+    out = capsys.readouterr().out
+    # 10 % of the parent's 2.5 traced seconds: 0.35 moved, 0.2 did not.
+    assert ("(2.5 -> 1.95 s; self times that moved by more than 10% of the parent's): "
+            "simnet.topology.multicast_self_s: 0.8 -> 0.45\n") in out
+    assert "layer counts equal" in out
+
+    traced["change"] = _traced_line(0.8, 0.5, 448_000)
+    assert ledger_pairs.main(["HEAD", "--workload", "exact_lossy", "--pairs", "2", "--layers"]) == 1
+    out = capsys.readouterr().out
+    assert "of the parent's): none\n" in out
+    assert "layer counts DIFFER (name: parent -> change): simnet.loss.draw_calls: 448624 -> 448000\n" in out

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of ledger workloads, with the verdict.
 
-``tools/ledger_pairs.py REF [--workload all | W[,W...]] [--pairs 10] [--seed 1995]``
+``tools/ledger_pairs.py REF [--workload all | W[,W...]] [--pairs 10] [--seed 1995] [--layers]``
 
 ``all`` (the default) is every workload ``BENCHMARK.json`` declares;
 each workload named is run in turn and gets its own table.
@@ -36,8 +36,15 @@ carries no simulated quantities, so one whole-ledger run per side
 (``run.py --only W --repeats 3 --out DIR``) follows and their ``sim``
 blocks — every simulated count and latency — are compared for equality;
 where they differ, the keys that do are printed as ``key: parent -> change``.
-Exit status: 0, or 1 if any workload had a refused verdict, a ``worse`` or
-unequal ``sim`` blocks.
+With ``--layers`` one traced run per side (``--trace 1``) follows that, to
+show *where* a saving appears (choosing-metrics §6.6): every per-layer
+``*_self_s`` that moved by more than a tenth of the parent's traced CPU
+time is printed as ``name: parent -> change`` (raw seconds of one run
+each: indicative, not a verdict), and so is every per-layer count that
+differs at all — a count that moves when nothing simulated changed is a
+finding.
+Exit status: 0, or 1 if any workload had a refused verdict, a ``worse``,
+unequal ``sim`` blocks or unequal layer counts.
 """
 
 from __future__ import annotations
@@ -123,6 +130,34 @@ def sim_diff(parent: dict, change: dict) -> list[str]:
     return rows
 
 
+LAYER_MOVE = 0.10  # of the parent's traced cpu_s
+
+
+def layer_diff(parent: dict, change: dict) -> tuple[float, float, list[str], list[str]]:
+    """Two traced result lines' ``metrics``, compared.
+
+    Returns each side's traced seconds (every span's self time plus the
+    CPU time no span covered), ``name: parent -> change`` for every
+    ``*_self_s`` that moved by more than ``LAYER_MOVE`` of the parent's,
+    and the same for every count that differs.
+    """
+    parent_s, change_s = (
+        sum(entry["value"] for name, entry in metrics.items()
+            if name.endswith("_self_s") or name == "trace.unattributed_s")
+        for metrics in (parent, change)
+    )
+    absent = {"value": 0, "unit": None}
+    moved, counts = [], []
+    for name in sorted(parent.keys() | change.keys()):
+        before, after = parent.get(name, absent), change.get(name, absent)
+        if name.endswith("_self_s"):
+            if abs(after["value"] - before["value"]) > LAYER_MOVE * parent_s:
+                moved.append(f"{name}: {before['value']:.3g} -> {after['value']:.3g}")
+        elif "count" in (before["unit"], after["unit"]) and before["value"] != after["value"]:
+            counts.append(f"{name}: {before['value']:g} -> {after['value']:g}")
+    return parent_s, change_s, moved, counts
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="the parent commit")
@@ -130,6 +165,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="all (default: every BENCHMARK.json workload) or a comma list")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1995)
+    parser.add_argument("--layers", action="store_true",
+                        help="one traced run per side: the layers whose self time moved, "
+                             "and any per-layer count that differs")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least two pairs")
@@ -198,6 +236,18 @@ def compare(workload: str, trees: dict[str, Path], bench: dict, args: argparse.N
     else:
         print("sim blocks DIFFER (key: parent -> change): " + "; ".join(sim_diff(**sims)))
         status = 1
+    if args.layers:
+        traced = {side: run_once(tree, command, ["--workload", workload, "--seed", str(args.seed),
+                                                 "--trace", "1"])["metrics"]
+                  for side, tree in trees.items()}
+        parent_s, change_s, moved, counts = layer_diff(**traced)
+        print(f"layers, one traced run per side ({parent_s:.3g} -> {change_s:.3g} s; self times "
+              f"that moved by more than {LAYER_MOVE:.0%} of the parent's): " + ("; ".join(moved) or "none"))
+        if counts:
+            print("layer counts DIFFER (name: parent -> change): " + "; ".join(counts))
+            status = 1
+        else:
+            print("layer counts equal")
     return status
 
 
