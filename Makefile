@@ -1,7 +1,7 @@
 # LBRM reproduction — developer entry points.  Everything runs from the
 # source checkout: the package is on PYTHONPATH, never installed.
 
-.PHONY: test bench examples loc pairs all
+.PHONY: test bench examples loc census pairs all
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
@@ -19,6 +19,12 @@ examples:
 # ROADMAP aim 2: net source lines go down.
 loc:
 	@find src -name '*.py' | xargs wc -l | tail -1
+
+# Who calls what (docs/TRAFFIC.md): every shipped entry point, then tier-1,
+# under a profile hook (~3 min); rewrites docs/traffic_census.json, which
+# tests/test_traffic_census.py holds to src/ and to tools/census_allowlist.json.
+census:
+	python tools/traffic_census.py --with-tests --write
 
 # Did this change move performance?  Alternating parent/change pairs of each
 # BENCHMARK.json workload (or of W, a comma list) with the choosing-metrics §8

@@ -43,12 +43,12 @@ def hundred_requests(logger: LogServer) -> int:
     return served
 
 
-def test_logger_throughput(benchmark, report):
+def test_logger_throughput(benchmark, report, mean_seconds):
     logger = make_logger()
     served = benchmark(hundred_requests, logger)
     assert served == 100
 
-    burst_seconds = benchmark.stats["mean"]
+    burst_seconds = mean_seconds(hundred_requests, logger)
     per_request_us = burst_seconds * 1e6 / 100
     rate = 100 / burst_seconds
     rows = [

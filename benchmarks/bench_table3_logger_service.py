@@ -48,13 +48,13 @@ def serve_request(logger: LogServer, request: bytes) -> bytes:
     return encode(actions[0].packet)
 
 
-def test_table3_logger_response_time(benchmark, report):
+def test_table3_logger_response_time(benchmark, report, mean_seconds):
     logger, request = make_loaded_logger()
 
     reply = benchmark(serve_request, logger, request)
     assert len(reply) > 128  # the repair carries the payload
 
-    processing_us = benchmark.stats["mean"] * 1e6
+    processing_us = mean_seconds(serve_request, logger, request) * 1e6
     total_us = processing_us + ETHERNET_US + OS_MISC_US
     rows = [
         ("server request processing (µs)", PAPER_PROCESSING_US, f"{processing_us:.0f}"),

@@ -14,6 +14,7 @@ timing one reproducible run, not microbenchmarking the simulator.
 from __future__ import annotations
 
 import pathlib
+import time
 
 import pytest
 
@@ -30,3 +31,21 @@ def report():
         print(f"\n{text}\n")
 
     return _report
+
+
+@pytest.fixture
+def mean_seconds(benchmark):
+    """Mean time of the call ``benchmark`` just measured.
+
+    Under ``--benchmark-disable`` (how ``tools/traffic_census.py`` runs the
+    benches) ``benchmark.stats`` is ``None``: time one more call instead.
+    """
+
+    def _mean(fn, *args) -> float:
+        if benchmark.stats is not None:
+            return benchmark.stats["mean"]
+        start = time.perf_counter()
+        fn(*args)
+        return time.perf_counter() - start
+
+    return _mean

@@ -196,11 +196,6 @@ class AioNode:
         return self._closed
 
     @property
-    def bundling(self) -> bool:
-        """Whether outbound traffic is coalesced into bundle datagrams."""
-        return self._bundling
-
-    @property
     def on_event(self) -> Callable[[Event, float], None] | None:
         return self._on_event
 

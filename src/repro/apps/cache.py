@@ -130,9 +130,6 @@ class CacheClient:
             return None
         return self._cache.get(key)
 
-    def __len__(self) -> int:
-        return len(self._cache)
-
     def on_deliver(self, delivery: Deliver) -> None:
         message = InvalidationMessage.decode(delivery.payload)
         if message.version <= self._versions.get(message.key, 0):

@@ -77,10 +77,6 @@ class DeadReckoningSource:
         self._update_id = 0
         self.stats = {"moves": 0, "updates_emitted": 0}
 
-    @property
-    def last_broadcast(self) -> KinematicState | None:
-        return self._last_broadcast
-
     def move(self, x: float, y: float, vx: float, vy: float, now: float) -> KinematicState | None:
         """Report the entity's true state; returns an update to send or None."""
         self.stats["moves"] += 1
@@ -128,6 +124,3 @@ class DeadReckoningMirror:
         if state is None:
             return None
         return state.extrapolate(now)
-
-    def __len__(self) -> int:
-        return len(self._states)

@@ -98,10 +98,6 @@ class MobileMonitor:
         self._disconnected = False
         self.stats = {"live_samples": 0, "recovered_samples": 0, "disconnects": 0}
 
-    @property
-    def disconnected(self) -> bool:
-        return self._disconnected
-
     def disconnect(self) -> None:
         """Walk out of radio range."""
         if not self._disconnected:

@@ -124,10 +124,6 @@ class HttpInvalidationServer:
     def group_address(self) -> str:
         return self._group_address
 
-    @property
-    def seq(self) -> int:
-        return self._seq
-
     def publish(self, url: str, content: str) -> str:
         """Store a document, prepending the multicast comment line."""
         body = f"{make_multicast_comment(self._group_address)}\n{content}"

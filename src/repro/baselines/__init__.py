@@ -10,7 +10,7 @@
   multicast with per-receiver state and ACK implosion (§1, §5).
 """
 
-from repro.baselines.centralized import build_centralized, centralized_spec
+from repro.baselines.centralized import centralized_spec
 from repro.baselines.fixed_heartbeat import FIXED_DEFAULT, fixed_heartbeat_config
 from repro.baselines.senderreliable import (
     PosAckDataPacket,
@@ -27,7 +27,6 @@ from repro.baselines.srm import (
 )
 
 __all__ = [
-    "build_centralized",
     "centralized_spec",
     "FIXED_DEFAULT",
     "fixed_heartbeat_config",

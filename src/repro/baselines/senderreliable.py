@@ -109,10 +109,6 @@ class PosAckSender(ProtocolMachine):
         }
 
     @property
-    def seq(self) -> int:
-        return self._seq
-
-    @property
     def unreleased(self) -> int:
         """Packets still buffered awaiting the full ACK quorum."""
         return len(self._buffer)

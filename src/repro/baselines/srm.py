@@ -142,10 +142,6 @@ class SrmSender(ProtocolMachine):
         self._seq = 0
         self.stats = {"data_sent": 0, "sessions_sent": 0}
 
-    @property
-    def seq(self) -> int:
-        return self._seq
-
     def start(self, now: float) -> list[Action]:
         self.timers.set(("session",), now + self._interval)
         return [JoinGroup(group=self._group)]
@@ -219,10 +215,6 @@ class SrmMember(ProtocolMachine):
         }
 
     # -- introspection ----------------------------------------------------
-
-    @property
-    def tracker(self) -> SequenceTracker:
-        return self._tracker
 
     @property
     def missing(self) -> frozenset[int]:

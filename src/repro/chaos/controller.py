@@ -101,8 +101,8 @@ class ChaosController:
         finite = [(s, e if e != float("inf") else 1e18) for s, e in windows]
         # Both directions die: that is what a severed tail circuit does.
         # BurstLoss keeps the link's previous model as its base, so a
-        # partition composes with Bernoulli/Gilbert-Elliott background
-        # loss instead of replacing it.
+        # partition composes with background loss instead of replacing
+        # it.
         site.tail_down.loss = BurstLoss(finite, base=site.tail_down.loss)
         site.tail_up.loss = BurstLoss(finite, base=site.tail_up.loss)
         sim = self.deployment.sim

@@ -45,10 +45,6 @@ from repro.core.errors import (
     EncodeError,
     LbrmError,
     LogMissError,
-    LogOverflowError,
-    NotPrimaryError,
-    ReplicationError,
-    StaleEpochError,
 )
 from repro.core.heartbeat import (
     FixedHeartbeatSchedule,
@@ -105,10 +101,6 @@ __all__ = [
     "EncodeError",
     "LbrmError",
     "LogMissError",
-    "LogOverflowError",
-    "NotPrimaryError",
-    "ReplicationError",
-    "StaleEpochError",
     # heartbeat
     "FixedHeartbeatSchedule",
     "HeartbeatSchedule",

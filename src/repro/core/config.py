@@ -146,9 +146,7 @@ class StatAckConfig:
     Packet is sent.  ``sites_per_acker_multicast`` is the re-multicast
     trigger: when one missing ACK statistically represents at least this
     many sites, the source re-multicasts immediately (§2.3.2).
-    ``initial_t_wait`` seeds the RTT estimator before any ACKs arrive,
-    and ``selection_wait_factor`` scales how long the source waits for
-    ACKER_RESPONSEs after a selection packet (in multiples of t_wait).
+    ``initial_t_wait`` seeds the RTT estimator before any ACKs arrive.
     ``t_wait_max_widen`` caps loss-episode widening of ``t_wait`` at
     this multiple of the EWMA RTT estimate (fresh samples decay the
     widening back toward 1).
@@ -159,8 +157,6 @@ class StatAckConfig:
     epoch_length: int = 64
     sites_per_acker_multicast: float = 2.0
     initial_t_wait: float = 0.1
-    selection_wait_factor: float = 2.0
-    initial_group_size: float = 1.0
     t_wait_max_widen: float = 16.0
 
     def __post_init__(self) -> None:
@@ -169,8 +165,6 @@ class StatAckConfig:
         _require(self.epoch_length >= 1, "epoch_length must be >= 1")
         _require(self.sites_per_acker_multicast >= 1.0, "sites_per_acker_multicast must be >= 1")
         _require(self.initial_t_wait > 0, "initial_t_wait must be positive")
-        _require(self.selection_wait_factor >= 1.0, "selection_wait_factor must be >= 1")
-        _require(self.initial_group_size >= 1.0, "initial_group_size must be >= 1")
         _require(self.t_wait_max_widen >= 1.0, "t_wait_max_widen must be >= 1")
 
 
@@ -245,29 +239,17 @@ class HierarchyConfig:
     reacts on the same timescale as liveness detection.
     ``saturation_outstanding`` is the outstanding-upstream-repair queue
     depth at which an interior logger is treated as saturated and its
-    children become eligible for re-parenting.  ``serve_cost`` is the
-    per-child serialization term of the makespan objective (seconds a
-    parent spends per child's repair batch before the next child's can
-    start).  ``hysteresis`` is the stickiness factor: a child only moves
-    for cost reasons when the alternative beats the incumbent by this
-    multiple.  ``link_alpha``/``link_max_widen`` parameterize the
-    per-link repair-RTT estimator (same EWMA family as §2.3.2).
+    children become eligible for re-parenting.  The scoring constants
+    (serve cost, hysteresis, link EWMA gain) are
+    :class:`~repro.core.hierarchy.TreeManager`'s own defaults.
     """
 
     rescore_interval: float = 0.25
     saturation_outstanding: int = 8
-    serve_cost: float = 0.0005
-    hysteresis: float = 1.5
-    link_alpha: float = 0.125
-    link_max_widen: float = 16.0
 
     def __post_init__(self) -> None:
         _require(self.rescore_interval > 0, "rescore_interval must be positive")
         _require(self.saturation_outstanding >= 1, "saturation_outstanding must be >= 1")
-        _require(self.serve_cost >= 0, "serve_cost must be >= 0")
-        _require(self.hysteresis >= 1.0, "hysteresis must be >= 1")
-        _require(0.0 < self.link_alpha <= 1.0, "link_alpha must be in (0, 1]")
-        _require(self.link_max_widen >= 1.0, "link_max_widen must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,6 @@ __all__ = [
     "DecodeError",
     "EncodeError",
     "LogMissError",
-    "LogOverflowError",
-    "StaleEpochError",
-    "NotPrimaryError",
-    "ReplicationError",
 ]
 
 
@@ -54,24 +50,3 @@ class LogMissError(LbrmError):
     def __init__(self, seq: int) -> None:
         super().__init__(f"sequence {seq} not in log")
         self.seq = seq
-
-
-class LogOverflowError(LbrmError):
-    """The log store refused an append because a hard cap was reached."""
-
-
-class StaleEpochError(LbrmError):
-    """A statistical-acknowledgement message referenced an old epoch."""
-
-    def __init__(self, got: int, current: int) -> None:
-        super().__init__(f"epoch {got} is stale (current epoch is {current})")
-        self.got = got
-        self.current = current
-
-
-class NotPrimaryError(LbrmError):
-    """A primary-only operation was invoked on a non-primary logger."""
-
-
-class ReplicationError(LbrmError):
-    """The replication subsystem hit an unrecoverable inconsistency."""

@@ -45,11 +45,6 @@ class HeartbeatSchedule(Protocol):
         """A heartbeat was transmitted at ``now``; returns the next one."""
         ...
 
-    @property
-    def next_due(self) -> float | None:
-        """Absolute time of the next scheduled heartbeat."""
-        ...
-
 
 class VariableHeartbeatSchedule:
     """The paper's variable (exponential-backoff) heartbeat (§2.1)."""
@@ -57,40 +52,29 @@ class VariableHeartbeatSchedule:
     def __init__(self, config: HeartbeatConfig | None = None) -> None:
         self._config = config or HeartbeatConfig()
         self._h = self._config.h_min
-        self._next: float | None = None
         registry = obs.registry()
         self._obs_sent = registry.counter("heartbeat.sent", scheme="variable")
         self._obs_interval = registry.histogram("heartbeat.interval")
-
-    @property
-    def config(self) -> HeartbeatConfig:
-        return self._config
 
     @property
     def current_interval(self) -> float:
         """The current inter-heartbeat time ``h``."""
         return self._h
 
-    @property
-    def next_due(self) -> float | None:
-        return self._next
-
     def on_data(self, now: float) -> float | None:
         # "When the sender transmits a data packet, it initializes the
         # inter-heartbeat time h to h_min."
         self._h = self._config.h_min
-        self._next = now + self._h
         self._obs_interval.observe(self._h)
-        return self._next
+        return now + self._h
 
     def on_heartbeat(self, now: float) -> float | None:
         # "After every subsequent heartbeat packet is sent, the value of
         # h is [multiplied by the backoff] ... until it reaches h_max."
         self._obs_sent.inc()
         self._h = min(self._h * self._config.backoff, self._config.h_max)
-        self._next = now + self._h
         self._obs_interval.observe(self._h)
-        return self._next
+        return now + self._h
 
 
 class FixedHeartbeatSchedule:
@@ -100,25 +84,18 @@ class FixedHeartbeatSchedule:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self._interval = interval
-        self._next: float | None = None
         self._obs_sent = obs.registry().counter("heartbeat.sent", scheme="fixed")
 
     @property
     def interval(self) -> float:
         return self._interval
 
-    @property
-    def next_due(self) -> float | None:
-        return self._next
-
     def on_data(self, now: float) -> float | None:
-        self._next = now + self._interval
-        return self._next
+        return now + self._interval
 
     def on_heartbeat(self, now: float) -> float | None:
         self._obs_sent.inc()
-        self._next = now + self._interval
-        return self._next
+        return now + self._interval
 
 
 def make_schedule(config: HeartbeatConfig) -> HeartbeatSchedule:

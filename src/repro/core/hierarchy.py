@@ -318,6 +318,11 @@ def tree_logger(
     )
 
 
+# Cap on a link's loss-episode widening, as a multiple of its EWMA RTT
+# (the source's ``t_wait_max_widen``, §2.3.2).
+_LINK_MAX_WIDEN = 16.0
+
+
 class LinkEstimate:
     """Repair-RTT and loss tracking for one child→parent repair link.
 
@@ -337,10 +342,9 @@ class LinkEstimate:
         *,
         alpha: float,
         initial: float,
-        max_widen: float,
         touched: Callable[[], object] = lambda: None,
     ) -> None:
-        self._rtt = TWaitEstimator(alpha=alpha, initial=initial, max_widen=max_widen)
+        self._rtt = TWaitEstimator(alpha=alpha, initial=initial, max_widen=_LINK_MAX_WIDEN)
         self._attempts = 0
         self.retries = 0
         # Called on every mutation that can change ``cost``: the owning
@@ -355,10 +359,6 @@ class LinkEstimate:
     def attempts(self, value: int) -> None:
         self._attempts = value
         self._touched()
-
-    @property
-    def rtt(self) -> float:
-        return self._rtt.t_wait
 
     @property
     def loss_rate(self) -> float:
@@ -427,7 +427,6 @@ class TreeManager:
         serve_cost: float = 0.0005,
         hysteresis: float = 1.5,
         link_alpha: float = 0.125,
-        max_widen: float = 16.0,
         seed_cost: Callable[[str, str], float] | None = None,
     ) -> None:
         if fanout < 2:
@@ -439,7 +438,6 @@ class TreeManager:
         self._serve_cost = serve_cost
         self._hysteresis = hysteresis
         self._link_alpha = link_alpha
-        self._max_widen = max_widen
         self._seed_cost = seed_cost or (lambda child, parent: 0.05)
         self._links: dict[tuple[str, str], LinkEstimate] = {}
         self._outstanding: dict[tuple[str, int], tuple[float, str]] = {}
@@ -471,7 +469,6 @@ class TreeManager:
             est = LinkEstimate(
                 alpha=self._link_alpha,
                 initial=max(self._seed_cost(child, parent), 1e-6),
-                max_widen=self._max_widen,
                 touched=partial(self._dirty.add, child),
             )
             self._links[key] = est

@@ -208,10 +208,6 @@ class LogServer(ProtocolMachine):
         return self._role
 
     @property
-    def group(self) -> str:
-        return self._group
-
-    @property
     def addr_token(self) -> str:
         return self._addr_token
 
@@ -238,21 +234,6 @@ class LogServer(ProtocolMachine):
     def log_epoch(self) -> int:
         """Highest promotion term this server has seen (0 = none yet)."""
         return self._log_epoch
-
-    @property
-    def commit_point(self) -> int:
-        """The commit point this server can vouch for.
-
-        A primary with followers reports its replication commit point; a
-        primary without followers is the only copy, so its own prefix is
-        the best available notion; a follower reports its committed
-        prefix (learned commit capped by what it holds).
-        """
-        if self._replication is not None:
-            if self._replication.members:
-                return self._replication.commit_seq
-            return self.primary_seq
-        return self._commit_for_ack()
 
     def _commit_for_ack(self) -> int:
         commit = self._commit_learned
@@ -283,10 +264,9 @@ class LogServer(ProtocolMachine):
 
     # Exact-type dispatch: packets are final frozen dataclasses, so one
     # dict probe replaces the isinstance ladder on the per-packet hot
-    # path (subclasses fall through to _handle_any).  The table maps to
-    # method *names*, resolved per call, so class-level monkeypatching —
-    # the chaos campaign's unresponsive-logger fault swaps _on_nack —
-    # keeps working.
+    # path.  The table maps to method *names*, resolved per call, so
+    # class-level monkeypatching — the chaos campaign's
+    # unresponsive-logger fault swaps _on_nack — keeps working.
     _HANDLER_NAMES = {
         DataPacket: "_on_data_packet",
         RetransPacket: "_on_data_packet",
@@ -315,31 +295,6 @@ class LogServer(ProtocolMachine):
         name = self._HANDLER_NAMES.get(t)
         if name is not None:
             return getattr(self, name)(packet, src, now)
-        return self._handle_any(packet, src, now)
-
-    def _handle_any(self, packet: Packet, src: Address, now: float) -> list[Action]:
-        """isinstance fallback for packet subclasses (exact types take
-        the dict dispatch above)."""
-        if isinstance(packet, (DataPacket, RetransPacket)):
-            return self._on_data(packet.seq, packet.payload, packet.epoch, src, now)
-        if isinstance(packet, HeartbeatPacket):
-            return self._on_heartbeat(packet, src, now)
-        if isinstance(packet, NackPacket):
-            return self._on_nack(packet, src, now)
-        if isinstance(packet, AckerSelectPacket):
-            return self._on_acker_select(packet, src, now)
-        if isinstance(packet, ProbePacket):
-            return self._on_probe(packet, src, now)
-        if isinstance(packet, DiscoveryQueryPacket):
-            return self._on_discovery(packet, src, now)
-        if isinstance(packet, ReplUpdatePacket):
-            return self._on_repl_update(packet, src, now)
-        if isinstance(packet, ReplAckPacket):
-            return self._on_repl_ack(packet, src, now)
-        if isinstance(packet, ReplStatusQueryPacket):
-            return self._on_repl_status(packet, src, now)
-        if isinstance(packet, PromotePacket):
-            return self._on_promote(packet, src, now)
         return []
 
     def _on_data_packet(self, packet, src: Address, now: float) -> list[Action]:

@@ -282,9 +282,10 @@ def _compile_struct_codec(cls: Type[Packet]) -> None:
             raise EncodeError(f"{cls.__name__}.WIRE: field {f.name!r} missing from spec")
     if len(arg_src) != len(fixed_names) + (tail_name is not None):
         raise EncodeError(f"{cls.__name__}.WIRE: spec names a non-field")
-    in_order = arg_src == list(range(len(arg_src)))
 
     if tail_kind is None:
+        if arg_src != list(range(len(arg_src))):
+            raise EncodeError(f"{cls.__name__}.WIRE: fixed fields must be in constructor order")
         body = struct.Struct(fmt)
         pack, unpack_from, size = body.pack, body.unpack_from, body.size
 
@@ -298,20 +299,10 @@ def _compile_struct_codec(cls: Type[Packet]) -> None:
             def enc(p):
                 return _head(p.group) + pack(*gfix(p))
 
-        if in_order:
-
-            def dec(data, off, group):
-                if len(data) != off + size:
-                    raise DecodeError(f"bad {tname} body length", data)
-                return cls(group, *unpack_from(data, off))
-
-        else:
-
-            def dec(data, off, group):
-                if len(data) != off + size:
-                    raise DecodeError(f"bad {tname} body length", data)
-                vals = unpack_from(data, off)
-                return cls(group, *[vals[i] for i in arg_src])
+        def dec(data, off, group):
+            if len(data) != off + size:
+                raise DecodeError(f"bad {tname} body length", data)
+            return cls(group, *unpack_from(data, off))
 
     elif tail_kind == "bytes":
         body = struct.Struct(fmt + "H")

@@ -181,10 +181,6 @@ class LbrmReceiver(ProtocolMachine):
     # -- introspection ----------------------------------------------------
 
     @property
-    def group(self) -> str:
-        return self._group
-
-    @property
     def tracker(self) -> SequenceTracker:
         return self._tracker
 
@@ -276,15 +272,6 @@ class LbrmReceiver(ProtocolMachine):
         if t is RetransPacket:
             return self._on_retrans(packet, now)
         if t is PrimaryInfoPacket:
-            return self._on_primary_info(packet, now)
-        # isinstance fallback for packet subclasses.
-        if isinstance(packet, DataPacket):
-            return self._on_data(packet, now)
-        if isinstance(packet, HeartbeatPacket):
-            return self._on_heartbeat(packet, now)
-        if isinstance(packet, RetransPacket):
-            return self._on_retrans(packet, now)
-        if isinstance(packet, PrimaryInfoPacket):
             return self._on_primary_info(packet, now)
         return []
 

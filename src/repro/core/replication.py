@@ -89,12 +89,8 @@ class ReplicationManager:
     # -- introspection ----------------------------------------------------
 
     @property
-    def replicas(self) -> tuple[Address, ...]:
-        return tuple(self._members)
-
-    @property
     def members(self) -> tuple[Address, ...]:
-        """The follower membership (alias of :attr:`replicas`)."""
+        """The follower membership."""
         return tuple(self._members)
 
     @property

@@ -84,14 +84,6 @@ class RetransChannelSender:
         self._pending: dict[int, tuple[bytes, int, int]] = {}
         self.stats = {"channel_copies_sent": 0}
 
-    @property
-    def channel(self) -> str:
-        return self._channel
-
-    @property
-    def config(self) -> RetransChannelConfig:
-        return self._config
-
     def on_data_sent(self, seq: int, payload: bytes, epoch: int, now: float) -> None:
         """Register a freshly multicast packet for channel rebroadcast."""
         self._pending[seq] = (payload, epoch, 0)

@@ -84,10 +84,6 @@ class SiteRequestTracker:
         self._state: dict[int, tuple[float, set[Address], bool]] = {}
         self._obs_fired = obs.registry().counter("retransmit.site_remulticast")
 
-    @property
-    def threshold(self) -> int:
-        return self._threshold
-
     def record(self, seq: int, requester: Address, now: float, self_lost: bool = False) -> bool:
         """Record a request; True ⇒ re-multicast the repair site-wide now.
 

@@ -53,10 +53,6 @@ class RotationSchedule:
     def members(self) -> tuple[str, ...]:
         return self._members
 
-    @property
-    def period(self) -> float:
-        return self._period
-
     def on_duty(self, now: float) -> str:
         """The member serving the logger role at time ``now``."""
         slot = int((now - self._epoch) // self._period)
@@ -100,10 +96,6 @@ class RotatingLogServer(ProtocolMachine):
     @property
     def inner(self) -> LogServer:
         return self._inner
-
-    @property
-    def schedule(self) -> RotationSchedule:
-        return self._schedule
 
     def on_duty(self, now: float) -> bool:
         return self._schedule.on_duty(now) == self._host

@@ -174,10 +174,6 @@ class LbrmSender(ProtocolMachine):
     # -- introspection ----------------------------------------------------
 
     @property
-    def group(self) -> str:
-        return self._group
-
-    @property
     def seq(self) -> int:
         """Sequence number of the most recent data packet (0 = none yet)."""
         return self._seq

@@ -30,7 +30,6 @@ from enum import Enum
 from repro import obs
 from repro.core.actions import Action, Address, Notify, SendMulticast
 from repro.core.config import StatAckConfig
-from repro.core.errors import StaleEpochError
 from repro.core.estimator import GroupSizeEstimator, TWaitEstimator
 from repro.core.events import EpochStarted, FaultyAckerDetected
 from repro.core.hotlist import AckerHotlist
@@ -45,6 +44,10 @@ from repro.core.packets import (
 from repro.core.retransmit import RetransmitDecision, SourceRetransmitPolicy
 
 __all__ = ["StatAckPhase", "RetransmitOrder", "StatAckSource"]
+
+# How long the source waits for PROBE_REPLYs and ACKER_RESPONSEs after a
+# probe or selection packet, in multiples of t_wait (§2.3.1).
+_SELECTION_WAIT_FACTOR = 2.0
 
 
 class StatAckPhase(Enum):
@@ -281,7 +284,7 @@ class StatAckSource:
         self._active_probe = round_.probe_id
         self._probe_replies = set()
         self.stats["probes_sent"] += 1
-        window = self._config.selection_wait_factor * self._t_wait.t_wait
+        window = _SELECTION_WAIT_FACTOR * self._t_wait.t_wait
         self.timers.set(("probe_window",), now + window)
         probe = ProbePacket(group=self._group, probe_id=round_.probe_id, p_ack=round_.p_ack)
         return [SendMulticast(group=self._group, packet=probe)]
@@ -310,7 +313,7 @@ class StatAckSource:
         self._epoch_p_ack = p_ack
         self._pending_responders = set()
         self._phase = StatAckPhase.SELECTING
-        window = self._config.selection_wait_factor * self._t_wait.t_wait
+        window = _SELECTION_WAIT_FACTOR * self._t_wait.t_wait
         self.timers.set(("selection_window",), now + window)
         select = AckerSelectPacket(group=self._group, epoch=self._epoch, p_ack=p_ack, k=self._config.k_ackers)
         return [SendMulticast(group=self._group, packet=select)]
@@ -335,7 +338,7 @@ class StatAckSource:
             self.stats["empty_selections"] = self.stats.get("empty_selections", 0) + 1
             self._t_wait.widen()
             self._phase = StatAckPhase.ACTIVE if self._active_epoch else StatAckPhase.SELECTING
-            self.timers.set(("new_epoch",), now + self._config.selection_wait_factor * self._t_wait.t_wait)
+            self.timers.set(("new_epoch",), now + _SELECTION_WAIT_FACTOR * self._t_wait.t_wait)
             return actions
         flagged = self._hotlist.record_epoch(self._epoch_p_ack, responders, set(self._known_loggers))
         for logger in flagged:

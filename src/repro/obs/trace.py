@@ -46,10 +46,6 @@ class EventTrace:
         self.emitted = 0
 
     @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
     def dropped(self) -> int:
         """Events evicted by the ring (emitted beyond capacity)."""
         return self.emitted - len(self._events)
@@ -86,7 +82,6 @@ class NullTrace:
     """Do-nothing trace used by the no-op registry."""
 
     __slots__ = ()
-    capacity = 0
     dropped = 0
     emitted = 0
 

@@ -242,18 +242,6 @@ class AggregateSiteReceiver(ProtocolMachine):
     # -- introspection ----------------------------------------------------
 
     @property
-    def group(self) -> str:
-        return self._group
-
-    @property
-    def tracker(self) -> SequenceTracker:
-        return self._tracker
-
-    @property
-    def fresh(self) -> bool:
-        return self._fresh
-
-    @property
     def outstanding(self) -> int:
         """Modeled receivers currently missing at least one packet."""
         return sum(rec.outstanding for rec in self._site.values())

@@ -69,10 +69,6 @@ class ScaleSpec:
     config: LbrmConfig = field(default_factory=LbrmConfig)
     seed: int = 0
 
-    @property
-    def total_receivers(self) -> int:
-        return self.n_sites * self.receivers_per_site
-
     def wan_one_way(self) -> float:
         """Cross-site one-way latency — the conservative sync window.
 

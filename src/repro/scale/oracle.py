@@ -45,9 +45,6 @@ class AggregateViolation:
     subject: str
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"invariant": self.invariant, "subject": self.subject, "detail": self.detail}
-
 
 class AggregateOracle:
     """End-of-run judge for one aggregate deployment.

@@ -112,20 +112,6 @@ class ShardReport:
     wall_s: float
     peak_rss_kb: dict
 
-    def to_json(self) -> dict:
-        return {
-            "n_shards": self.n_shards,
-            "seed": self.seed,
-            "population": self.population,
-            "sites": self.sites,
-            "hub": self.hub,
-            "totals": self.totals,
-            "trace": self.trace,
-            "sim_events": self.sim_events,
-            "wall_s": self.wall_s,
-            "peak_rss_kb": self.peak_rss_kb,
-        }
-
 
 def _shard_sites(n_sites: int, shard: int, n_shards: int) -> tuple[int, ...]:
     """Round-robin site assignment: site i belongs to shard (i-1) % n."""

@@ -14,7 +14,6 @@ from repro.simnet.loss import (
     BernoulliLoss,
     BurstLoss,
     CompositeLoss,
-    GilbertElliottLoss,
     LossModel,
     NoLoss,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "BernoulliLoss",
     "BurstLoss",
     "CompositeLoss",
-    "GilbertElliottLoss",
     "LossModel",
     "NoLoss",
     "SimNode",

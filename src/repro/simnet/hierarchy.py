@@ -50,7 +50,7 @@ class HierarchyRuntime:
         self._receivers_by_leaf = receivers_by_leaf
         spec = deployment.spec
         tree = deployment.tree
-        self.config = config = spec.config.hierarchy
+        self.config = spec.config.hierarchy
         lan = 2.0 * spec.lan_latency
         wan = 2.0 * (2 * spec.lan_latency + 2 * spec.tail_latency + spec.backbone_latency)
 
@@ -61,15 +61,7 @@ class HierarchyRuntime:
                 return lan
             return wan
 
-        self.manager = TreeManager(
-            tree,
-            fanout=fanout,
-            serve_cost=config.serve_cost,
-            hysteresis=config.hysteresis,
-            link_alpha=config.link_alpha,
-            max_widen=config.link_max_widen,
-            seed_cost=seed_cost,
-        )
+        self.manager = TreeManager(tree, fanout=fanout, seed_cost=seed_cost)
         # name -> (machine, node) for every logger below the root.
         self._loggers = {name: deployment.members[name] for name in tree.top_down()}
         # Last chain pushed to each leaf's receivers (change detection).

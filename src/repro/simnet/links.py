@@ -116,11 +116,6 @@ class Link:
         extra = self._rng.uniform(0.0, self.jitter) if self.jitter else 0.0
         return start + tx_time + self.latency + extra
 
-    @property
-    def busy_until(self) -> float:
-        """Time the link finishes its current backlog."""
-        return self._busy_until
-
     def __repr__(self) -> str:
         return (
             f"Link({self.name!r}, latency={self.latency}, "

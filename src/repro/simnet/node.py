@@ -84,10 +84,6 @@ class SimNode:
         return self.host.name
 
     @property
-    def now(self) -> float:
-        return self._sim.now
-
-    @property
     def alive(self) -> bool:
         """True when the node can make protocol progress right now.
 

@@ -12,19 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["RngStreams", "default_rng"]
-
-
-def default_rng(name: str) -> random.Random:
-    """Deterministic fallback RNG for components built without one.
-
-    Derived like an :class:`RngStreams` stream but from a fixed root
-    seed: a default-constructed loss model draws the same sequence every
-    run, and two differently-named consumers never share a stream.
-    Experiments that need seed control still pass an explicit RNG.
-    """
-    digest = hashlib.sha256(f"default:{name}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+__all__ = ["RngStreams"]
 
 
 class RngStreams:
@@ -33,10 +21,6 @@ class RngStreams:
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._streams: dict[str, random.Random] = {}
-
-    @property
-    def seed(self) -> int:
-        return self._seed
 
     def stream(self, name: str) -> random.Random:
         """The RNG dedicated to ``name`` (created on first use)."""

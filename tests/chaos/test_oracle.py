@@ -91,6 +91,24 @@ def test_silenced_sender_breaks_maxit():
     assert any(v.invariant == "silence" for v in violations)
 
 
+def test_crashed_source_is_entitled_to_silence():
+    """The same 20 s of silence with the source *down*: each sweep
+    resets the silence clock instead of judging it, so I2 books nothing
+    — and a restarted source gets one fresh interval, not a backdated
+    violation."""
+    dep = _dep()
+    oracle = _armed(dep, Fault("crash", 0.5, "source"), Fault("restart", 15.0, "source"))
+    dep.start()
+    dep.advance(0.2)
+    dep.send(b"only")
+    dep.advance(10.0)
+    assert not dep.source_node.alive
+    assert oracle.violations == []
+    dep.advance(10.0)
+    assert dep.source_node.alive
+    assert oracle.finish() == []
+
+
 def test_premature_release_breaks_log_safety():
     """Force the source's release point past every log: I3 fires."""
     dep = _dep()

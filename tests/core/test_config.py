@@ -87,8 +87,7 @@ def test_logger_config_rejects(kwargs):
         {"epoch_length": 0},
         {"sites_per_acker_multicast": 0.5},
         {"initial_t_wait": 0.0},
-        {"selection_wait_factor": 0.5},
-        {"initial_group_size": 0.0},
+        {"t_wait_max_widen": 0.5},
     ],
 )
 def test_statack_config_rejects(kwargs):

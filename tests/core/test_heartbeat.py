@@ -42,9 +42,9 @@ def test_data_resets_interval():
     for t in (0.25, 0.75, 1.75):
         s.on_heartbeat(t)
     assert s.current_interval > 0.25
-    s.on_data(2.0)
+    due = s.on_data(2.0)
     assert s.current_interval == pytest.approx(0.25)
-    assert s.next_due == pytest.approx(2.25)
+    assert due == pytest.approx(2.25)
 
 
 def test_figure3_timeline():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
@@ -195,3 +196,36 @@ def test_null_registry_is_inert():
     assert len(reg.trace) == 0
     # every accessor hands back the same shared no-op singleton
     assert reg.counter("a") is reg.gauge("b") is reg.histogram("c")
+
+
+def test_null_twins_answer_every_call_the_real_objects_do():
+    """Machines call registry, instrument and trace methods without
+    asking whether observability is on: a method added to a real class
+    without its no-op twin would crash every uninstrumented run."""
+    real = MetricsRegistry()
+    null = NullRegistry()
+    pairs = [
+        (real, null),
+        (real.counter("c"), null.counter("c")),
+        (real.gauge("g"), null.gauge("g")),
+        (real.histogram("h"), null.histogram("h")),
+        (real.trace, null.trace),
+    ]
+    dummy = {"name": "x", "time": 0.0, "indent": None}
+    for genuine, twin in pairs:
+        for name in dir(genuine):
+            if name.startswith("_"):
+                continue
+            assert hasattr(twin, name), f"{type(twin).__name__} lacks {name}"
+            member = getattr(genuine, name)
+            if not callable(member):
+                continue
+            required = [
+                dummy.get(p.name, 1.0)
+                for p in inspect.signature(member).parameters.values()
+                if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+            ]
+            getattr(twin, name)(*required)  # must not raise
+    assert json.loads(null.to_json()) == null.snapshot()
+    assert null.histogram("h").percentile(99.0) is None
+    assert null.histogram("h").summary() == {}

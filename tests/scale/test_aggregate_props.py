@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.actions import SendUnicast
 from repro.core.config import HeartbeatConfig, ReceiverConfig
+from repro.core.events import RecoveryFailed
 from repro.core.packets import DataPacket
 from repro.scale.aggregate import (
     EXACT_DRAW_LIMIT,
@@ -197,6 +198,39 @@ class TestAggregateSiteReceiver:
         assert 25 in machine.miss_draws
         assert machine.stats["modeled_losses"] == 25
         assert machine.outstanding == 25
+
+    def test_silent_logger_chain_escalates_then_gives_up(self):
+        """NACK retries exhausted at every level: the site's misses end as
+        modeled failures, nothing stays outstanding, conservation holds."""
+        machine = _machine(25, 0.0, seed=3)
+        machine.start(0.0)
+        _feed(machine, [1, 3])  # seq 2 lost site-wide; no logger ever answers
+        nacked, failed = [], []
+        while (due := machine.timers.next_deadline()) is not None:
+            for action in machine.poll(due):
+                if isinstance(action, SendUnicast):
+                    nacked.append(action.dest)
+                elif isinstance(getattr(action, "event", None), RecoveryFailed):
+                    failed.append(action.event.seq)
+        per_level = ReceiverConfig().max_nack_retries + 1
+        # (the first NACK to the site logger left with the gap report)
+        assert nacked == ["logger"] * (per_level - 1) + ["primary"] * per_level
+        assert failed == [2]
+        stats = machine.stats
+        assert stats["modeled_recovery_failures"] == 25
+        assert machine.outstanding == 0
+        assert stats["modeled_losses"] == (
+            stats["modeled_recoveries"] + stats["modeled_recovery_failures"]
+        )
+        assert machine.event_log[-1][1:] == ("abandon", 2, 25)
+
+    def test_no_logger_chain_gives_up_at_once(self):
+        machine = AggregateSiteReceiver("g", 25, 0.0, random.Random(3))
+        machine.start(0.0)
+        _feed(machine, [1, 3])
+        assert machine.stats["modeled_recovery_failures"] == 25
+        assert machine.stats["nacks_sent"] == 0
+        assert machine.outstanding == 0
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -35,7 +35,10 @@ import pytest
 
 from repro.core.events import LossDetected, RecoveryComplete
 from repro.scale import model
+from repro.core.logger import LoggerRole
 from repro.scale.deploy import AggregateDeployment, ScaleSpec
+from repro.scale.oracle import AggregateOracle
+from repro.scale.shard import ScaleScenario
 from repro.scale.stats import chi2_homogeneity, ks_2sample
 from repro.simnet import BernoulliLoss, DeploymentSpec, LbrmDeployment
 
@@ -87,6 +90,13 @@ def _drive(dep) -> None:
     dep.advance(DRAIN)
 
 
+def _judge(dep: AggregateDeployment, bursts=()) -> list[str]:
+    """Invariants A1-A4 breached by a deployment ``_drive`` has run."""
+    scenario = ScaleScenario(spec=dep.spec, n_packets=N_PACKETS, interval=INTERVAL,
+                             warmup=WARMUP, drain=DRAIN, bursts=bursts)
+    return [v.invariant for v in AggregateOracle(scenario).check_all(dep)]
+
+
 def run_exact(n_per_site: int, p: float, seed: int) -> RunSample:
     dep = LbrmDeployment(
         DeploymentSpec(n_sites=N_SITES, receivers_per_site=n_per_site, seed=seed)
@@ -133,6 +143,7 @@ def run_aggregate(n_per_site: int, p: float, seed: int) -> RunSample:
         )
     )
     _drive(dep)
+    assert _judge(dep) == []
 
     sample = RunSample()
     for agg in dep.aggregates:
@@ -244,6 +255,7 @@ class TestAnalyticAsymptotics:
                       receiver_loss=p, seed=42)
         )
         _drive(dep)
+        assert _judge(dep) == []
         n_tx = len(dep.aggregates[0].miss_draws)
         draws = [k for agg in dep.aggregates for k in agg.miss_draws]
         mean = 2 * n_tx * model.expected_miss_count(n_per_site, p)
@@ -262,6 +274,7 @@ class TestAnalyticAsymptotics:
                           receiver_loss=p, seed=seed)
             )
             _drive(dep)
+            assert _judge(dep) == []
             for agg in dep.aggregates:
                 draws += len(agg.miss_draws)
                 hits += sum(1 for k in agg.miss_draws if k > 0)
@@ -278,3 +291,56 @@ class TestAnalyticAsymptotics:
         assert rounds_large - rounds_small == pytest.approx(
             2.0 / math.log10(1.0 / p), rel=0.05
         )
+
+
+class TestAggregateOracle:
+    """The judge every deployment above ends with must itself flag a
+    broken run: one sabotage per invariant."""
+
+    OUTAGE = ((WARMUP + 2 * INTERVAL, 2, 3 * INTERVAL),)
+
+    def _run(self, bursts=()) -> AggregateDeployment:
+        dep = AggregateDeployment(
+            ScaleSpec(n_sites=10, receivers_per_site=1000, receiver_loss=0.01, seed=3)
+        )
+        for start, site, duration in bursts:
+            dep.burst_site(f"site{site}", duration, start=start)
+        _drive(dep)
+        return dep
+
+    def test_clean_runs_pass_with_and_without_a_tail_outage(self):
+        assert _judge(self._run()) == []
+        dep = self._run(self.OUTAGE)
+        assert dep.aggregates[1].stats["modeled_losses"] >= 3 * 1000  # site-wide misses
+        assert _judge(dep, self.OUTAGE) == []
+
+    def test_a_lost_recovery_breaks_conservation(self):
+        dep = self._run()
+        dep.aggregates[0].stats["modeled_recoveries"] -= 1
+        assert _judge(dep) == ["A1-conservation"]
+
+    def test_a_wrong_loss_rate_leaves_the_expected_gap_band(self):
+        dep = self._run()
+        for agg in dep.aggregates:
+            agg.stats["modeled_losses"] *= 2
+            agg.stats["modeled_recoveries"] *= 2
+        assert _judge(dep) == ["A1-expected-gap"]
+
+    def test_staleness_outside_any_outage_is_flagged(self):
+        dep = self._run(self.OUTAGE)
+        dep.aggregates[4].event_log.append((WARMUP, "stale", -1, 1000))
+        assert _judge(dep, self.OUTAGE) == ["A2-silence"]
+        # The same event at the bursted site, inside its window, is legal.
+        dep = self._run(self.OUTAGE)
+        dep.aggregates[1].event_log.append((self.OUTAGE[0][0] + 0.01, "stale", -1, 1000))
+        assert _judge(dep, self.OUTAGE) == []
+
+    def test_a_trimmed_site_logger_is_incomplete(self):
+        dep = self._run()
+        dep.site_loggers[2].tracker._missing.add(N_PACKETS - 1)
+        assert _judge(dep) == ["A3-log-completeness"]
+
+    def test_a_role_change_is_flagged(self):
+        dep = self._run()
+        dep.site_loggers[0]._role = LoggerRole.REPLICA
+        assert _judge(dep) == ["A4-promotion"]
