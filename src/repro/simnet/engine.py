@@ -187,6 +187,16 @@ class WakeupMux:
     one attribute compare instead of a heap cancel.  Within a bucket,
     nodes fire in arm order — exactly the tie-counter order the per-node
     scheme yields for co-timed wakeups.
+
+    Nor does a node re-arm *later* when its deadline moves out: every
+    packet pushes a receiver's freshness watchdog back, so nearly every
+    bucket a receiver is in has gone stale by the time it fires (194,838
+    of 195,720 wakeups per ``exact_lossy`` unit).  The node keeps the
+    true-time deadline its machines last declared in ``_due``; a node
+    whose ``_due`` is still ahead is re-bucketed there in place — the
+    ``arm`` its ``poll`` would have made, at the same point of the loop,
+    so buckets, ``schedule`` calls and tie counters do not move — and
+    only a node with something due is polled.
     """
 
     __slots__ = ("_sim", "_buckets")
@@ -208,7 +218,13 @@ class WakeupMux:
         # Pop before iterating: a node that re-arms this exact deadline
         # from inside poll() gets a fresh bucket (and a fresh event,
         # clamped to now), never an append into the list being walked.
+        now = self._sim._now
         for node in self._buckets.pop(due):
             if node._mux_due == due:
-                node._mux_due = None
-                node.poll()
+                later = node._due
+                if later > now:
+                    node._mux_due = later
+                    self.arm(node, later)
+                else:
+                    node._mux_due = None
+                    node.poll()

@@ -20,7 +20,13 @@ Wakeups are armed either as one simulator event per node (the reference
 configuration) or through the network's
 :class:`~repro.simnet.engine.WakeupMux` (the fast path, on whenever
 ``batch_delivery`` is), which shares one event among every node armed
-for the same deadline.
+for the same deadline.  On the mux path the node also records ``_due``,
+the true-time deadline its machines declared when it last asked them:
+the mux re-buckets a node whose ``_due`` is still ahead without polling
+it.  So whatever changes a machine's ``next_wakeup()`` must be followed
+by a node call that asks again — ``receive``, ``poll``, ``start``,
+``send_app``, ``run_machine``, ``resume``, ``restart`` or
+``_reschedule`` — never by nothing.
 """
 
 from __future__ import annotations
@@ -70,6 +76,11 @@ class SimNode:
         # value that no longer matches any live bucket is simply stale —
         # mux cancellation is lazy (see WakeupMux).
         self._mux_due: float | None = None
+        # The machines' earliest deadline in true time, as of the last
+        # time we asked (mux path; None when disarmed).  Never earlier
+        # than _mux_due while armed, so a bucket firing before it is
+        # stale: the mux re-buckets us at _due instead of polling.
+        self._due: float | None = None
         self.delivered: list[Deliver] = []
         self.events: list[Event] = []
         # Fault-injection state (see module docstring).
@@ -90,6 +101,8 @@ class SimNode:
         A node whose machine list was emptied by hand (the pre-chaos
         idiom ``node.machines.clear()``) counts as dead too, so legacy
         fault injection and :meth:`crash` look the same to an oracle.
+        Prefer :meth:`crash`: it also disarms, where a hand-emptied node
+        keeps its last ``_due`` and wakes once more to find nothing.
         """
         return bool(self.machines) and not self.crashed and not self.paused
 
@@ -159,6 +172,7 @@ class SimNode:
                 next_due = next_due - skew
             mux = node._network.wakeup_mux
             if mux is not None:
+                node._due = next_due
                 cur = node._mux_due
                 if cur is None or cur > next_due:
                     node._mux_due = next_due
@@ -186,39 +200,26 @@ class SimNode:
         if self.paused:
             return
         now = self._sim.now + self.clock_skew
-        machines = self.machines
-        if len(machines) == 1:
-            machine = machines[0]
-            due = machine.next_wakeup()
-            if due is not None and due > now:
-                # Stale wakeup: every deadline moved later since this
-                # poll was scheduled (the receiver watchdog re-arms on
-                # each packet, and _reschedule keeps the earlier wakeup
-                # rather than cancelling it).  The machine declares
-                # nothing due, so re-arm without entering it — in steady
-                # traffic this skips a quarter of all machine entries.
-                if self.clock_skew:
-                    due = due - self.clock_skew
-                self._arm(due)
-                return
+        due = self._earliest()
+        if due is not None and due > now:
+            # Stale wakeup: every deadline moved later since this poll
+            # was scheduled (the receiver watchdog re-arms on each
+            # packet, and _reschedule keeps the earlier wakeup rather
+            # than cancelling it), so re-arm without entering a machine.
+            # Only a direct call or the one-event-per-node path gets
+            # here: the mux re-buckets a stale node from _due instead.
+            at = due - self.clock_skew if self.clock_skew else due
+            mux = self._network.wakeup_mux
+            if mux is not None:
+                self._due = self._mux_due = at
+                mux.arm(self, at)
+            else:
+                self._wakeup = self._sim.schedule(at, self.poll)
+            return
+        for machine in self.machines:
             actions = machine.poll(now)
             if actions:
                 self.execute(actions)
-        else:
-            next_due = None
-            for machine in machines:
-                due = machine.next_wakeup()
-                if due is not None and (next_due is None or due < next_due):
-                    next_due = due
-            if next_due is not None and next_due > now:
-                if self.clock_skew:
-                    next_due = next_due - self.clock_skew
-                self._arm(next_due)
-                return
-            for machine in machines:
-                actions = machine.poll(now)
-                if actions:
-                    self.execute(actions)
         self._reschedule()
 
     def execute(self, actions: list[Action]) -> None:
@@ -312,39 +313,28 @@ class SimNode:
 
     # -- wakeup plumbing ----------------------------------------------------
 
-    def _arm(self, at: float) -> None:
-        """Schedule a poll at true sim time ``at`` (mux or direct event)."""
-        mux = self._network.wakeup_mux
-        if mux is not None:
-            self._mux_due = at
-            mux.arm(self, at)
-        else:
-            self._wakeup = self._sim.schedule(at, self.poll)
-
     def _disarm(self) -> None:
         # A mux bucket holding us just goes stale (its fire loop checks
         # _mux_due); a direct event is cancelled for real.
-        self._mux_due = None
+        self._due = self._mux_due = None
         wakeup = self._wakeup
         if wakeup is not None:
             wakeup.cancel()
             self._wakeup = None
 
+    def _earliest(self) -> float | None:
+        """The machines' earliest ``next_wakeup()``, in their (skewed) time."""
+        earliest = None
+        for machine in self.machines:
+            due = machine.next_wakeup()
+            if due is not None and (earliest is None or due < earliest):
+                earliest = due
+        return earliest
+
     def _reschedule(self) -> None:
         if self.paused:
             return  # resume() re-arms
-        # Runs after every delivery; min() over a comprehension allocates
-        # two lists per packet, so fold the minimum inline instead (and
-        # skip the loop entirely for the common single-machine node).
-        machines = self.machines
-        if len(machines) == 1:
-            next_due = machines[0].next_wakeup()
-        else:
-            next_due = None
-            for machine in machines:
-                due = machine.next_wakeup()
-                if due is not None and (next_due is None or due < next_due):
-                    next_due = due
+        next_due = self._earliest()
         if next_due is None:
             self._disarm()
             return
@@ -353,6 +343,7 @@ class SimNode:
             next_due = next_due - self.clock_skew
         mux = self._network.wakeup_mux
         if mux is not None:
+            self._due = next_due
             cur = self._mux_due
             if cur is not None and cur <= next_due:
                 return  # an earlier-or-equal mux wakeup is pending

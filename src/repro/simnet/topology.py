@@ -83,8 +83,10 @@ class Host:
     population accounting (:meth:`Network.modeled_stats`).
 
     Every attribute is assigned in ``__init__``, in one order, so all
-    hosts share one key table: ``_arrive_batch`` reads ``rx_packets`` and
-    ``endpoint`` once per (receiver, packet).
+    hosts share one key table: ``_arrive_batch`` reads ``endpoint`` once
+    per (receiver, packet).  A host keeps no traffic counters: per-host
+    receive and drop counts had no reader outside tests, and the
+    network's ``stats`` and ``observer`` already report both.
     """
 
     def __init__(
@@ -98,8 +100,6 @@ class Host:
         self.site = site
         self.endpoint: Endpoint | None = None
         self.represents = represents
-        self.rx_packets = 0
-        self.rx_dropped = 0
         self._inbound_loss = inbound_loss
         self._network: "Network | None" = None  # set by Network.add_host
 
@@ -534,7 +534,6 @@ class Network:
             self.sim.schedule(t, self._arrive, dst, packet, src_name)
 
     def _arrive(self, dst: Host, packet: Packet, src_name: str) -> None:
-        dst.rx_packets += 1
         self.stats["delivered"] += 1
         if self._observer is not None:
             self._observer("rx", packet, src_name, dst.name, self.sim.now)
@@ -546,9 +545,10 @@ class Network:
 
         Iteration order is membership order, matching the tie-breaker
         order the per-receiver reference path produces for simultaneous
-        deliveries.  The delivered count, the hosts' ``rx_packets`` and
-        (when its owner installed one) the observer are charged once per
-        batch, then :meth:`SimNode.receive_batch` walks the endpoints.
+        deliveries.  The delivered count and (when its owner installed
+        one) the observer are charged once per batch, then
+        :meth:`SimNode.receive_batch` walks the endpoints — the one pass
+        over the batch.
         """
         now = self.sim.now
         self.stats["delivered"] += len(co_timed)
@@ -557,20 +557,14 @@ class Network:
             # A foreign per-packet observer (the chaos oracle and the
             # hierarchy runtime chain one): observe -> receive, per host.
             for dst in co_timed:
-                dst.rx_packets += 1
                 observer("rx", packet, src_name, dst.name, now)
                 SimNode.receive_batch((dst.endpoint,), packet, src_name, now)
             return
         if batch_obs is not None:
             batch_obs(packet, src_name, co_timed, now)
-        for dst in co_timed:
-            dst.rx_packets += 1
         SimNode.receive_batch([dst.endpoint for dst in co_timed], packet, src_name, now)
 
     def _drop(self, packet: Packet, src_name: str, dst_name: str, now: float) -> None:
         self.stats["dropped"] += 1
-        host = self._hosts.get(dst_name)
-        if host is not None:
-            host.rx_dropped += 1
         if self._observer is not None:
             self._observer("drop", packet, src_name, dst_name, now)

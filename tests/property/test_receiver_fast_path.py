@@ -1,18 +1,20 @@
-"""The receiver's in-order fast path against the general handlers.
+"""The receiver's two fast paths against the general handlers.
 
 ``LbrmReceiver.handle`` answers the next packet in order — tracker
 started, ``seq == highest + 1``, fresh, not on the retransmission
-channel — without entering ``_on_data``/``SequenceTracker.observe_data``.
-Both simulation engines enter the same ``handle``, so the engine
-differential cannot see a wrong guard; this one can.  Two receivers get
-the same random interleaving, one through ``handle``, the other through
-the general handlers directly (which the fast path never touches), and
-must agree after every step on the actions returned, ``stats``, tracker,
-freshness, watchdog state and ``next_wakeup()`` — with obs off and under
-a recording registry (whose counters must agree too).
+channel — without entering ``_on_data``/``SequenceTracker.observe_data``,
+and a heartbeat with no news — ``0 < seq <= highest``, fresh — without
+entering ``_on_heartbeat``/``observe_heartbeat``.  Both delivery paths of
+the simulator enter the same ``handle``, so their differential cannot
+see a wrong guard; this one can.  Two receivers get the same random
+interleaving, one through ``handle``, the other through the general
+handlers directly (which the fast paths never touch), and must agree
+after every step on the actions returned (or the error raised), ``stats``,
+tracker, freshness, watchdog state and ``next_wakeup()`` — with obs off
+and under a recording registry (whose counters must agree too).
 
 The mutation check is part of the suite: a copy of the module with any
-one of the four guard conditions dropped must fail the ``@example``
+one of the seven guard conditions dropped must fail the ``@example``
 pinned for that condition.
 
 The file closes with the safety cases of the shared ``Deliver``: it is
@@ -43,7 +45,7 @@ _STEPS = st.one_of(
     st.just(("repeat",)),  # the newest again (§7 small-packet repeat)
     st.tuples(st.just("data"), _SEQS),  # gaps, duplicates, gap fills
     st.tuples(st.just("retrans"), _SEQS),
-    st.tuples(st.just("hb"), st.integers(0, 24), st.integers(0, 12)),
+    st.tuples(st.just("hb"), st.integers(-1, 24), st.integers(0, 12)),  # -1: refused
     st.tuples(st.just("poll"), st.sampled_from([0.05, 0.3, 0.6, 3.0, 70.0])),
     st.tuples(st.just("abandon"), _SEQS),
 )
@@ -84,6 +86,14 @@ def _observable(r: LbrmReceiver) -> dict:
     }
 
 
+def _result(handler, *args):
+    """What ``handler`` returned, or the error it raised."""
+    try:
+        return handler(*args)
+    except ValueError as error:  # a negative heartbeat sequence
+        return repr(error)
+
+
 def _drive(steps, fallback, heartbeat, recording, fast_cls=LbrmReceiver):
     (fast, fast_reg), (general, general_reg) = _pair(fallback, heartbeat, recording, fast_cls)
     now = 0.0
@@ -101,7 +111,8 @@ def _drive(steps, fallback, heartbeat, recording, fast_cls=LbrmReceiver):
             got, want = fast.handle(packet, "logger", now), general._on_retrans(packet, now)
         elif kind == "hb":
             packet = HeartbeatPacket(group="g", seq=step[1], hb_index=step[2])
-            got, want = fast.handle(packet, "source", now), general._on_heartbeat(packet, now)
+            got = _result(fast.handle, packet, "source", now)
+            want = _result(general._on_heartbeat, packet, now)
         elif kind == "poll":
             now += step[1]
             got, want = fast.poll(now), general.poll(now)
@@ -115,36 +126,76 @@ def _drive(steps, fallback, heartbeat, recording, fast_cls=LbrmReceiver):
         assert fast_reg.trace.events() == general_reg.trace.events()
 
 
-# One pinned kill per guard condition, in the guard's own order.
+# One pinned kill per guard condition, in each guard's own order: the
+# guard's text (found exactly once in the module), the text that drops
+# that condition, and the steps the mutant cannot pass.
 _GUARD_KILLS = [
-    ("packet.seq == tracker._highest + 1", ([("data", 1), ("data", 3), ("data", 1)], 0.0)),
-    ("and tracker._first", ([("data", 1)], 0.0)),  # seq 1 == 0 + 1 with no baseline yet
-    ("and self._fresh", ([("data", 1), ("poll", 3.0), ("next",)], 0.0)),
-    ("and not self._on_channel", ([("data", 1), ("data", 3), ("abandon", 2), ("next",)], 0.4)),
+    # the next data packet in order
+    ("packet.seq == tracker._highest + 1", "True", ([("data", 1), ("data", 3), ("data", 1)], 0.0)),
+    ("and tracker._first", "and True", ([("data", 1)], 0.0)),  # seq 1 == 0 + 1 with no baseline yet
+    ("and self._fresh\n", "and True\n", ([("data", 1), ("poll", 3.0), ("next",)], 0.0)),
+    ("and not self._on_channel", "and True",
+     ([("data", 1), ("data", 3), ("abandon", 2), ("next",)], 0.4)),
+    # a heartbeat with no news
+    ("0 < packet.seq <=", "packet.seq <=", ([("data", 1), ("hb", -1, 0)], 0.0)),  # refused
+    ("packet.seq <= self._tracker._highest and", "packet.seq and",
+     ([("data", 1), ("hb", 3, 1)], 0.0)),  # reveals 2 and 3
+    ("and self._fresh:", "and True:", ([("data", 1), ("poll", 3.0), ("hb", 1, 2)], 0.0)),
 ]
 
 
 @settings(max_examples=250, deadline=None)
 @given(st.lists(_STEPS, min_size=1, max_size=60), _FALLBACKS, _HEARTBEATS, st.booleans())
-@example(*_GUARD_KILLS[0][1], None, False)
-@example(*_GUARD_KILLS[1][1], None, False)
-@example(*_GUARD_KILLS[2][1], None, True)
-@example(*_GUARD_KILLS[3][1], None, True)
+@example(*_GUARD_KILLS[0][2], None, False)
+@example(*_GUARD_KILLS[1][2], None, False)
+@example(*_GUARD_KILLS[2][2], None, True)
+@example(*_GUARD_KILLS[3][2], None, True)
+@example(*_GUARD_KILLS[4][2], None, False)
+@example(*_GUARD_KILLS[5][2], None, True)
+@example(*_GUARD_KILLS[6][2], None, True)
 def test_fast_path_agrees_with_the_general_handlers(steps, fallback, heartbeat, recording):
     _drive(steps, fallback, heartbeat, recording)
 
 
-@pytest.mark.parametrize("condition, kill", _GUARD_KILLS)
-def test_dropping_any_one_guard_condition_fails_its_pinned_example(condition, kill, monkeypatch):
+@pytest.mark.parametrize("condition, dropped, kill", _GUARD_KILLS)
+def test_dropping_any_one_guard_condition_fails_its_pinned_example(condition, dropped, kill, monkeypatch):
     source = inspect.getsource(receiver_module)
     assert source.count(condition) == 1, f"the guard no longer reads {condition!r}"
-    always = "True" if not condition.startswith("and ") else "and True"
     mutant = types.ModuleType("receiver_mutant")
     monkeypatch.setitem(sys.modules, mutant.__name__, mutant)  # dataclasses look it up
-    exec(compile(source.replace(condition, always), mutant.__name__, "exec"), mutant.__dict__)
+    exec(compile(source.replace(condition, dropped), mutant.__name__, "exec"), mutant.__dict__)
     _drive(*kill, None, False)  # the real guard passes it ...
     with pytest.raises(AssertionError, match="differ"):
         _drive(*kill, None, False, fast_cls=mutant.LbrmReceiver)  # ... the mutant cannot
+
+
+# -- the watchdog memo ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("via", ["handle", "_on_heartbeat", "repeat"])
+def test_the_watchdog_memo_serves_every_index_past_saturation(via, monkeypatch):
+    """``_hb_wd`` is keyed by the index clamped to where the schedule
+    reaches ``h_max``: a lookup that does not clamp first misses, and
+    rebuilds the entry, for every heartbeat (or sender repeat) past it."""
+    built = []
+    schedule = LbrmReceiver._hb_schedule
+    monkeypatch.setattr(LbrmReceiver, "_hb_schedule",
+                        lambda self, index: built.append(index) or schedule(self, index))
+    r = LbrmReceiver("g", ReceiverConfig(), logger_chain=("l",),
+                     heartbeat=HeartbeatConfig(h_min=0.25, backoff=2.0, h_max=32.0))
+    r.start(0.0)
+    data = DataPacket(group="g", seq=1, payload=b"x")
+    r.handle(data, "source", 0.0)
+    for index in range(1, 3 * r._hb_saturation):
+        heartbeat = HeartbeatPacket(group="g", seq=1, hb_index=index)
+        if via == "repeat":
+            r.handle(data, "source", index)  # the newest again: one schedule slot further
+        elif via == "handle":
+            r.handle(heartbeat, "source", index)  # no news: the fast path
+        else:
+            r._on_heartbeat(heartbeat, index)
+    assert r._hb_saturation == 7 and built == list(range(8))  # 0.25 * 2**7 == 32
+    assert r._expected_interval == 32.0 and r.stats["duplicates"] == (3 * 7 - 1 if via == "repeat" else 0)
 
 
 # -- the shared Deliver ---------------------------------------------------------

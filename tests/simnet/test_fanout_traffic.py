@@ -127,13 +127,13 @@ def test_assigning_inbound_loss_is_heard_by_the_next_multicast(builds):
     _send(net, "a0", 1)
     hosts["b0"].inbound_loss = BurstLoss([(0.0, 1e9)])
     _send(net, "a0", 2)
-    assert (hosts["b0"].rx_packets, hosts["b0"].rx_dropped) == (1, 1)
+    assert (len(hosts["b0"].endpoint.received), net.stats["dropped"]) == (1, 1)
     assert len(builds) == 2
     hosts["b0"].inbound_loss = None
     _send(net, "a0", 3)
-    assert (hosts["b0"].rx_packets, hosts["b0"].rx_dropped) == (2, 1)
+    assert (len(hosts["b0"].endpoint.received), net.stats["dropped"]) == (2, 1)
     assert len(builds) == 3
-    assert hosts["b1"].rx_packets == 3
+    assert len(hosts["b1"].endpoint.received) == 3
 
 
 def test_join_leave_and_a_late_host_each_cost_one_rebuild(builds):

@@ -115,12 +115,12 @@ def _outcome(dep: LbrmDeployment) -> dict:
     """Every count, and what each node's application saw, delivery by delivery."""
     return {
         "network": dict(dep.network.stats),
-        "receivers": [dict(r.stats) for r in dep.receivers],
+        "machines": {n.name: [dict(getattr(m, "stats", {})) for m in n.machines]
+                     for n in dep.all_nodes()},
         "missing": dep.receivers_missing(),
         "trace_counts": dict(dep.trace.counts),
         "delivered": {n.name: [tuple(d) for d in n.delivered] for n in dep.all_nodes()},
         "events": {n.name: list(n.events) for n in dep.all_nodes()},
-        "hosts": {h.name: (h.rx_packets, h.rx_dropped) for h in dep.network.hosts},
     }
 
 
@@ -211,7 +211,9 @@ def _every_endpoint_scenario(batch: bool, foreign_observer: bool):
         chained = net.observer
 
         def observer(kind, packet, src, dst, now):
-            observed.append((kind, type(packet).__name__, src, dst, now, net.host(dst).rx_packets))
+            # How far every endpoint had got when this one was observed.
+            progress = len(tap.received), sum(len(n.delivered) for n in dep.all_nodes())
+            observed.append((kind, type(packet).__name__, src, dst, now, progress))
             chained(kind, packet, src, dst, now)
 
         net.observer = observer
@@ -343,7 +345,6 @@ def _fanout_train(world: dict, batch: bool) -> dict:
     return {
         "observed": observed,
         "received": received,
-        "hosts": {h.name: (h.rx_packets, h.rx_dropped) for h in net.hosts},
         "stats": dict(net.stats),
         "ended_at": sim.now,
         "chaos": chaos.asked if chaos else None,

@@ -125,7 +125,7 @@ def test_host_inbound_loss():
     sim.run()
     assert hosts["b0"].endpoint.received == []
     assert len(hosts["b1"].endpoint.received) == 1
-    assert hosts["b0"].rx_dropped == 1
+    assert net.stats["dropped"] == 1
 
 
 def test_leave_group_stops_delivery():

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of ledger workloads, with the verdict.
 
-``tools/ledger_pairs.py REF [--workload all | W[,W...]] [--pairs 10] [--seed 1995] [--layers]``
+``tools/ledger_pairs.py REF [--workload all | W[,W...]] [--pairs 10] [--seed 1995] [--layers]
+[--allow-sim KEY[,KEY...]] [--allow-layer NAME[,NAME...]]``
 
 ``all`` (the default) is every workload ``BENCHMARK.json`` declares;
 each workload named is run in turn and gets its own table.
@@ -43,8 +44,11 @@ time is printed as ``name: parent -> change`` (raw seconds of one run
 each: indicative, not a verdict), and so is every per-layer count that
 differs at all — a count that moves when nothing simulated changed is a
 finding.
+A change that moves some of these on purpose names them: ``--allow-sim``
+the ``sim`` keys, ``--allow-layer`` the per-layer counts that may differ.
+Those are printed apart, as allowed; any other difference still fails.
 Exit status: 0, or 1 if any workload had a refused verdict, a ``worse``,
-unequal ``sim`` blocks or unequal layer counts.
+unequal ``sim`` blocks or unequal layer counts outside the allowed names.
 """
 
 from __future__ import annotations
@@ -130,6 +134,23 @@ def sim_diff(parent: dict, change: dict) -> list[str]:
     return rows
 
 
+def report_differences(what: str, noun: str, rows: list[str], allowed: set[str]) -> int:
+    """Print ``rows`` (``name: parent -> change``), those ``allowed`` apart; 1 if any is not."""
+    named = [row for row in rows if row.split(": ", 1)[0] in allowed]
+    unexpected = [row for row in rows if row not in named]
+    if named:
+        print(f"{what} allowed to differ ({noun}: parent -> change): " + "; ".join(named))
+    if unexpected:
+        print(f"{what} DIFFER ({noun}: parent -> change): " + "; ".join(unexpected))
+        return 1
+    return 0
+
+
+def name_set(text: str) -> set[str]:
+    """``a,b,`` -> {"a", "b"}."""
+    return set(filter(None, text.split(",")))
+
+
 LAYER_MOVE = 0.10  # of the parent's traced cpu_s
 
 
@@ -168,6 +189,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--layers", action="store_true",
                         help="one traced run per side: the layers whose self time moved, "
                              "and any per-layer count that differs")
+    parser.add_argument("--allow-sim", type=name_set, default=set(), metavar="KEY,...",
+                        help="sim keys this change may move (any other difference fails)")
+    parser.add_argument("--allow-layer", type=name_set, default=set(), metavar="NAME,...",
+                        help="per-layer counts this change may move, with --layers")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least two pairs")
@@ -234,8 +259,7 @@ def compare(workload: str, trees: dict[str, Path], bench: dict, args: argparse.N
     if sims["parent"] == sims["change"]:
         print("sim blocks equal: " + json.dumps(sims["change"], sort_keys=True))
     else:
-        print("sim blocks DIFFER (key: parent -> change): " + "; ".join(sim_diff(**sims)))
-        status = 1
+        status |= report_differences("sim blocks", "key", sim_diff(**sims), args.allow_sim)
     if args.layers:
         traced = {side: run_once(tree, command, ["--workload", workload, "--seed", str(args.seed),
                                                  "--trace", "1"])["metrics"]
@@ -244,8 +268,7 @@ def compare(workload: str, trees: dict[str, Path], bench: dict, args: argparse.N
         print(f"layers, one traced run per side ({parent_s:.3g} -> {change_s:.3g} s; self times "
               f"that moved by more than {LAYER_MOVE:.0%} of the parent's): " + ("; ".join(moved) or "none"))
         if counts:
-            print("layer counts DIFFER (name: parent -> change): " + "; ".join(counts))
-            status = 1
+            status |= report_differences("layer counts", "name", counts, args.allow_layer)
         else:
             print("layer counts equal")
     return status
