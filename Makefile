@@ -30,12 +30,12 @@ census:
 # BENCHMARK.json workload (or of W, a comma list) with the choosing-metrics §8
 # verdict per end-to-end metric; exit 1 on any worse/refused/unequal sim block:
 #   make pairs REF=HEAD [W=exact_fanout] [PAIRS=10] [SEED=1995] [LAYERS=1]
-#              [ALLOW_SIM=key,...] [ALLOW_LAYER=name,...]
+#              [ALLOW=name,...]
 # LAYERS=1 adds one traced run per side: which layers' self time moved, and
 # any per-layer count that differs (exit 1, like an unequal sim block).
-# ALLOW_SIM / ALLOW_LAYER name the sim keys / layer counts a change moves on
-# purpose: printed apart, and only those.
+# ALLOW names the sim keys and layer counts a change moves on purpose: printed
+# apart, and only those.
 pairs:
-	python3 tools/ledger_pairs.py $(REF) $(if $(W),--workload $(W)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED)) $(if $(LAYERS),--layers) $(if $(ALLOW_SIM),--allow-sim $(ALLOW_SIM)) $(if $(ALLOW_LAYER),--allow-layer $(ALLOW_LAYER))
+	python3 tools/ledger_pairs.py $(REF) $(if $(W),--workload $(W)) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED)) $(if $(LAYERS),--layers) $(if $(ALLOW),--allow $(ALLOW))
 
 all: test bench

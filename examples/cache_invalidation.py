@@ -59,7 +59,7 @@ def main() -> None:
     print("\nchannel failure behaves like a lease timeout:")
     dep.kill_primary()
     # silence the source too: total channel outage for the receivers
-    dep.source_node.machines.clear()
+    dep.source_node.crash()
     dep.advance(130.0)  # > 2x h_max of silence
     client = clients[0]
     for event in dep.receiver_nodes[0].events:

@@ -325,11 +325,11 @@ class LbrmDeployment(TreeDeployment):
 
     def kill_site_logger(self, index: int) -> None:
         """Crash one secondary logger (0-based, in site order)."""
-        self.site_logger_nodes[index].machines.clear()
+        self.site_logger_nodes[index].crash()
 
     def kill_primary(self) -> None:
         """Crash the primary logger: it stops answering everything."""
-        self.primary_node.machines.clear()
+        self.primary_node.crash()
 
     def receivers_missing(self) -> int:
         """Total outstanding missing sequence numbers across receivers."""

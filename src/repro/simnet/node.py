@@ -26,7 +26,8 @@ the mux re-buckets a node whose ``_due`` is still ahead without polling
 it.  So whatever changes a machine's ``next_wakeup()`` must be followed
 by a node call that asks again — ``receive``, ``poll``, ``start``,
 ``send_app``, ``run_machine``, ``resume``, ``restart`` or
-``_reschedule`` — never by nothing.
+``_reschedule`` — never by nothing.  Likewise a node is killed with
+``crash``, which disarms it, not by emptying ``machines`` by hand.
 """
 
 from __future__ import annotations
@@ -101,8 +102,6 @@ class SimNode:
         A node whose machine list was emptied by hand (the pre-chaos
         idiom ``node.machines.clear()``) counts as dead too, so legacy
         fault injection and :meth:`crash` look the same to an oracle.
-        Prefer :meth:`crash`: it also disarms, where a hand-emptied node
-        keeps its last ``_due`` and wakes once more to find nothing.
         """
         return bool(self.machines) and not self.crashed and not self.paused
 

@@ -15,7 +15,8 @@ counts pinned), on every case of the shipped campaigns — ``chaos`` and
 ``hierarchy-chaos --quick --seed 4``, ``failover-sweep --micro`` and its
 ``--readopt`` variant, which wipe-restarts a logger's state from outside
 its node — and on a world with clock skew, a skew change, pause/resume,
-crash/restart, a killed site logger and a two-machine node.  Whoever
+crash/restart, a site logger killed while armed (which must cost no
+extra event) and a two-machine node.  Whoever
 brings stale polls back, or adds a path that changes a machine's
 deadline without its node asking again, fails it.
 """
@@ -58,6 +59,7 @@ class _FireLoop:
         self.polled = 0
         self.wrong_due: list[tuple] = []
         self.idle_polls: list[tuple] = []
+        self.seen: set[str] = set()  # the nodes it re-bucketed or polled
         self._firing = 0
         self._polling = 0
 
@@ -77,6 +79,7 @@ def fire_loop(monkeypatch) -> _FireLoop:
     def watched_arm(self, node, due):
         if loop._firing and not loop._polling:  # the loop itself re-buckets
             loop.rebucketed += 1
+            loop.seen.add(node.name)
             if not (node._due == _deadline(node) == due and due > self._sim.now):
                 loop.wrong_due.append((node.name, self._sim.now, due, node._due, _deadline(node)))
         arm(self, node, due)
@@ -84,6 +87,7 @@ def fire_loop(monkeypatch) -> _FireLoop:
     def watched_poll(self):
         if loop._firing and not loop._polling:  # the loop polls a node
             loop.polled += 1
+            loop.seen.add(self.name)
             if not _enters_a_machine(self, self._sim.now):
                 loop.idle_polls.append((self.name, self._sim.now, _deadline(self)))
         loop._polling += 1
@@ -180,6 +184,15 @@ class _Ticker(ProtocolMachine):
         return []
 
 
+class _Watchdog(_Ticker):
+    """A deadline every packet pushes later, like a receiver's watchdog:
+    keeps a logger's node armed, with a stale bucket pending."""
+
+    def handle(self, packet, src, now):
+        self.timers.set(("tick",), now + self._period)
+        return []
+
+
 def test_skew_pause_crash_a_killed_logger_and_two_machines(fire_loop):
     dep = LbrmDeployment(DeploymentSpec(n_sites=3, receivers_per_site=4, seed=9))
     for node in dep.receiver_nodes:
@@ -188,6 +201,8 @@ def test_skew_pause_crash_a_killed_logger_and_two_machines(fire_loop):
         )
     ticker = _Ticker(0.37)
     dep.node("site2-rx0").add_machine(ticker)
+    logger = dep.site_logger_nodes[2]
+    logger.add_machine(_Watchdog(0.5))
     skewed = dep.node("site3-rx1")
     skewed.clock_skew = 0.013
     dep.start()
@@ -199,7 +214,14 @@ def test_skew_pause_crash_a_killed_logger_and_two_machines(fire_loop):
         if i == 9:
             skewed.clock_skew = -0.021  # the chaos controller's skew fault
             skewed._reschedule()
+            stale = logger._mux_due
+            assert logger._due > stale  # armed, and its pending bucket stale
+            # Cut its site off until that bucket fires: no arrival gets to
+            # disarm the dead node first.
+            dep.burst_site("site3", stale - dep.sim.now + 0.001)
             dep.kill_site_logger(2)
+            fire_loop.seen.clear()
+            dep.advance(stale - dep.sim.now)
         if i == 12:
             dep.node("site1-rx2").resume()
             dep.node("site2-rx3").restart()
@@ -208,6 +230,9 @@ def test_skew_pause_crash_a_killed_logger_and_two_machines(fire_loop):
     dep.advance(8.0)
     assert ticker.ticks > 20  # the node's earlier deadline was its second machine's
     _clean(fire_loop)
+    # The killed logger's pending bucket found it disarmed: never
+    # re-bucketed, so it cost no schedule call and no extra event.
+    assert logger.name not in fire_loop.seen and logger._mux_due is None
 
 
 def test_a_direct_poll_that_finds_nothing_due_records_what_it_arms():

@@ -154,37 +154,33 @@ def test_layers_names_the_self_times_that_moved_and_fails_on_a_count_that_did(mo
     assert "layer counts DIFFER (name: parent -> change): simnet.loss.draw_calls: 448624 -> 448000\n" in out
 
 
-# -- --allow-sim / --allow-layer: what a change may move on purpose ----------------
+# -- --allow: what a change may move on purpose ------------------------------------
 
 
-def test_allow_sim_passes_the_named_keys_and_nothing_else(monkeypatch, capsys):
+def test_allow_passes_the_named_sim_keys_and_nothing_else(monkeypatch, capsys):
     _fake_ledger(monkeypatch, sims_differ=("logger_service",))
     argv = ["HEAD", "--workload", "logger_service", "--pairs", "2"]
-    assert ledger_pairs.main(argv + ["--allow-sim", "events"]) == 1
+    assert ledger_pairs.main(argv + ["--allow", "events"]) == 1
     out = capsys.readouterr().out
     assert "sim blocks allowed to differ (key: parent -> change): events: 1 -> 2\n" in out
     assert 'sim blocks DIFFER (key: parent -> change): digest: "aa" -> "ab"\n' in out
-    assert ledger_pairs.main(argv + ["--allow-sim", "events,digest,"]) == 0
+    assert ledger_pairs.main(argv + ["--allow", "events,digest,"]) == 0
     out = capsys.readouterr().out
     assert "DIFFER" not in out
     assert 'allowed to differ (key: parent -> change): digest: "aa" -> "ab"; events: 1 -> 2\n' in out
 
 
-def test_allow_layer_passes_the_named_counts_and_nothing_else(monkeypatch, capsys):
+def test_allow_passes_the_named_layer_counts_and_nothing_else(monkeypatch, capsys):
     parent = _traced_line(0.8, 0.5, 448_624)
     change = _traced_line(0.8, 0.5, 448_000)
     change["simnet.node.poll_calls"] = {"value": 882, "unit": "count"}
     parent["simnet.node.poll_calls"] = {"value": 195_720, "unit": "count"}
     _fake_ledger(monkeypatch, traced={"parent": parent, "change": change})
     argv = ["HEAD", "--workload", "exact_lossy", "--pairs", "2", "--layers"]
-    assert ledger_pairs.main(argv + ["--allow-layer", "simnet.node.poll_calls"]) == 1
+    assert ledger_pairs.main(argv + ["--allow", "simnet.node.poll_calls"]) == 1
     out = capsys.readouterr().out
     assert ("layer counts allowed to differ (name: parent -> change): "
             "simnet.node.poll_calls: 195720 -> 882\n") in out
     assert "layer counts DIFFER (name: parent -> change): simnet.loss.draw_calls: 448624 -> 448000\n" in out
-    # A sim key is not a layer count: naming it there allows nothing.
-    assert ledger_pairs.main(argv + ["--allow-sim", "simnet.loss.draw_calls",
-                                     "--allow-layer", "simnet.node.poll_calls"]) == 1
-    capsys.readouterr()
-    assert ledger_pairs.main(argv + ["--allow-layer", "simnet.node.poll_calls,simnet.loss.draw_calls"]) == 0
+    assert ledger_pairs.main(argv + ["--allow", "simnet.node.poll_calls,simnet.loss.draw_calls"]) == 0
     assert "DIFFER" not in capsys.readouterr().out

@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of ledger workloads, with the verdict.
 
 ``tools/ledger_pairs.py REF [--workload all | W[,W...]] [--pairs 10] [--seed 1995] [--layers]
-[--allow-sim KEY[,KEY...]] [--allow-layer NAME[,NAME...]]``
+[--allow NAME[,NAME...]]``
 
 ``all`` (the default) is every workload ``BENCHMARK.json`` declares;
 each workload named is run in turn and gets its own table.
@@ -44,9 +44,10 @@ time is printed as ``name: parent -> change`` (raw seconds of one run
 each: indicative, not a verdict), and so is every per-layer count that
 differs at all — a count that moves when nothing simulated changed is a
 finding.
-A change that moves some of these on purpose names them: ``--allow-sim``
-the ``sim`` keys, ``--allow-layer`` the per-layer counts that may differ.
-Those are printed apart, as allowed; any other difference still fails.
+A change that moves some of these on purpose names them with ``--allow``:
+``sim`` keys and per-layer count names (dotted, so the two never
+collide) in one list.  Those are printed apart, as allowed; any other
+difference still fails.
 Exit status: 0, or 1 if any workload had a refused verdict, a ``worse``,
 unequal ``sim`` blocks or unequal layer counts outside the allowed names.
 """
@@ -189,10 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--layers", action="store_true",
                         help="one traced run per side: the layers whose self time moved, "
                              "and any per-layer count that differs")
-    parser.add_argument("--allow-sim", type=name_set, default=set(), metavar="KEY,...",
-                        help="sim keys this change may move (any other difference fails)")
-    parser.add_argument("--allow-layer", type=name_set, default=set(), metavar="NAME,...",
-                        help="per-layer counts this change may move, with --layers")
+    parser.add_argument("--allow", type=name_set, default=set(), metavar="NAME,...",
+                        help="sim keys and per-layer counts this change may move "
+                             "(any other difference fails)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least two pairs")
@@ -259,7 +259,7 @@ def compare(workload: str, trees: dict[str, Path], bench: dict, args: argparse.N
     if sims["parent"] == sims["change"]:
         print("sim blocks equal: " + json.dumps(sims["change"], sort_keys=True))
     else:
-        status |= report_differences("sim blocks", "key", sim_diff(**sims), args.allow_sim)
+        status |= report_differences("sim blocks", "key", sim_diff(**sims), args.allow)
     if args.layers:
         traced = {side: run_once(tree, command, ["--workload", workload, "--seed", str(args.seed),
                                                  "--trace", "1"])["metrics"]
@@ -268,7 +268,7 @@ def compare(workload: str, trees: dict[str, Path], bench: dict, args: argparse.N
         print(f"layers, one traced run per side ({parent_s:.3g} -> {change_s:.3g} s; self times "
               f"that moved by more than {LAYER_MOVE:.0%} of the parent's): " + ("; ".join(moved) or "none"))
         if counts:
-            status |= report_differences("layer counts", "name", counts, args.allow_layer)
+            status |= report_differences("layer counts", "name", counts, args.allow)
         else:
             print("layer counts equal")
     return status
