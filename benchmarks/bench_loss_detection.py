@@ -37,7 +37,7 @@ def measure_with_timestamps(t_burst: float) -> float:
     logger_host.inbound_loss = BurstLoss([(start, start + t_burst)])
 
     node = dep.receiver_nodes[0]
-    node._on_event = lambda e, t: timestamps.append(t) if isinstance(e, LossDetected) and e.seqs else None
+    node.on_event = lambda e, t: timestamps.append(t) if isinstance(e, LossDetected) and e.seqs else None
     dep.send(b"lost")
     dep.advance(t_burst + 80.0)
     assert timestamps, f"loss never detected for t_burst={t_burst}"

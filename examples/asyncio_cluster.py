@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.aio.cluster import AioCluster
-from repro.chaos.live import LiveOracle
+from repro.chaos import ChaosOracle
 from repro.core.config import DiscoveryConfig, LbrmConfig
 
 GROUP = "live/cluster/1"
@@ -44,7 +44,7 @@ async def main() -> None:
         print(f"site secondary   {cluster.secondary_nodes[0].token}")
         print(f"log replica      {cluster.replica_nodes[0].token}")
 
-        oracle = LiveOracle(cluster)
+        oracle = ChaosOracle(cluster)
         oracle.install()
 
         await cluster.wait_discovery(timeout=10.0)

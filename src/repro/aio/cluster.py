@@ -45,6 +45,11 @@ __all__ = ["AioCluster"]
 class AioCluster:
     """A full LBRM group (logger, replicas, source, receivers) on UDP."""
 
+    # The chaos oracle's defaults here: real sockets and the event loop
+    # add latency the simulator does not have, so a wider I2 grace.
+    ORACLE_GRACE = 0.5
+    ORACLE_INTERVAL = 0.25
+
     def __init__(
         self,
         group: str,
@@ -112,7 +117,7 @@ class AioCluster:
         self.interior_loggers: list[LogServer] = []
         self.interior_nodes: list[AioNode] = []
         self.sender: LbrmSender | None = None
-        self.sender_node: AioNode | None = None
+        self.source_node: AioNode | None = None
         self.receivers: list[LbrmReceiver] = []
         self.receiver_nodes: list[AioNode] = []
         self.discovery_clients: list[DiscoveryClient] = []
@@ -175,7 +180,7 @@ class AioCluster:
             self.secondaries.append(secondary)
             self.secondary_nodes.append(node)
 
-        self.sender, self.sender_node = await self._start_node(
+        self.sender, self.source_node = await self._start_node(
             lambda node: LbrmSender(
                 self.group, self.config,
                 primary=self.primary_node.address,
@@ -189,14 +194,14 @@ class AioCluster:
             )
         )
         for logger in (*self.replicas, *(machine for machine, _ in self.members.values())):
-            logger.set_source(self.sender_node.address)
+            logger.set_source(self.source_node.address)
 
         for i in range(self._n_receivers):
             receiver, node = await self._start_node(
                 lambda node: LbrmReceiver(
                     self.group, self.config.receiver,
                     logger_chain=() if self._use_discovery else self._static_chain(i),
-                    source=self.sender_node.address,
+                    source=self.source_node.address,
                     heartbeat=self.config.heartbeat,
                     parse_token=parse_token,
                 )
@@ -246,18 +251,25 @@ class AioCluster:
 
         return on_event
 
+    @property
+    def now(self) -> float:
+        return asyncio.get_running_loop().time()
+
+    def call_later(self, delay: float, fn) -> asyncio.TimerHandle:
+        return asyncio.get_running_loop().call_later(delay, fn)
+
     async def wait_discovery(self, timeout: float = 10.0) -> None:
         """Block until every discovery client resolved (found or gave up)."""
-        deadline = asyncio.get_running_loop().time() + timeout
+        deadline = self.now + timeout
         while any(c.searching for c in self.discovery_clients):
-            if asyncio.get_running_loop().time() >= deadline:
+            if self.now >= deadline:
                 raise TimeoutError("discovery did not resolve in time")
             await asyncio.sleep(0.05)
 
     async def publish(self, payload: bytes) -> int:
         """Multicast application data; returns the sequence number."""
-        assert self.sender is not None and self.sender_node is not None
-        await self.sender_node.send(self.sender, payload)
+        assert self.sender is not None and self.source_node is not None
+        await self.source_node.send(self.sender, payload)
         return self.sender.seq
 
     async def publish_burst(self, payloads) -> int:
@@ -266,8 +278,8 @@ class AioCluster:
         Returns the last sequence number.  With ``bundling=True`` the
         burst leaves the sender coalesced into MTU-sized bundles.
         """
-        assert self.sender is not None and self.sender_node is not None
-        await self.sender_node.send_many(self.sender, payloads)
+        assert self.sender is not None and self.source_node is not None
+        await self.source_node.send_many(self.sender, payloads)
         return self.sender.seq
 
     async def deliveries(self, receiver_index: int, count: int, timeout: float = 3.0):
@@ -286,8 +298,8 @@ class AioCluster:
             nodes.append(self.primary_node)
         nodes.extend(self.interior_nodes)
         nodes.extend(self.secondary_nodes)
-        if self.sender_node is not None:
-            nodes.append(self.sender_node)
+        if self.source_node is not None:
+            nodes.append(self.source_node)
         nodes.extend(self.receiver_nodes)
         return nodes
 

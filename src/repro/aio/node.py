@@ -106,9 +106,6 @@ class AioNode:
         port: int = 0,
         interface: str = DEFAULT_INTERFACE,
         directory: GroupDirectory | None = None,
-        on_deliver: Callable[[Deliver, float], None] | None = None,
-        on_event: Callable[[Event, float], None] | None = None,
-        on_send: Callable[[Action, float], None] | None = None,
         bundling: bool = False,
         max_bundle_bytes: int = 1400,
         max_bundle_delay: float = 0.0,
@@ -119,12 +116,10 @@ class AioNode:
         self._want_port = port
         self._interface = interface
         self._directory = directory or GroupDirectory()
-        self._on_deliver = on_deliver
-        self._on_event = on_event
-        # Observation tap on outbound traffic (SendUnicast/SendMulticast),
-        # used by the live invariant oracle to timestamp source activity
-        # without wrapping transports.
-        self._on_send = on_send
+        # Public taps, as on SimNode (the chaos oracle chains them):
+        # fn(event, now) per Notify, fn(action, now) per outbound packet.
+        self.on_event: Callable[[Event, float], None] | None = None
+        self.on_send: Callable[[Action, float], None] | None = None
 
         # TX coalescing (§ module docstring).  max_bundle_bytes bounds
         # the *datagram*, so it must at least fit the bundle header and
@@ -191,29 +186,16 @@ class AioNode:
         return self._addr
 
     @property
-    def closed(self) -> bool:
-        """True once :meth:`close` ran — the live twin of a crashed node."""
-        return self._closed
-
-    @property
-    def on_event(self) -> Callable[[Event, float], None] | None:
-        return self._on_event
-
-    @on_event.setter
-    def on_event(self, fn: Callable[[Event, float], None] | None) -> None:
-        self._on_event = fn
-
-    @property
-    def on_send(self) -> "Callable[[Action, float], None] | None":
-        return self._on_send
-
-    @on_send.setter
-    def on_send(self, fn: "Callable[[Action, float], None] | None") -> None:
-        self._on_send = fn
+    def alive(self) -> bool:
+        """False once :meth:`close` ran — the live twin of a crashed node."""
+        return not self._closed
 
     @property
     def token(self) -> str:
         return addr_token(self.address)
+
+    # What reports call this node, as SimNode.name is its host name.
+    name = token
 
     @property
     def now(self) -> float:
@@ -436,8 +418,8 @@ class AioNode:
                 else:
                     wire = encode(packet)
                     last_packet, last_wire = packet, wire
-                if self._on_send is not None:
-                    self._on_send(action, self.now)
+                if self.on_send is not None:
+                    self.on_send(action, self.now)
                 if cls is SendUnicast:
                     self.stats["tx_unicast"] += 1
                     assert self._unicast_sock is not None
@@ -455,12 +437,10 @@ class AioNode:
             elif cls is Deliver:
                 self.delivered.append(action)
                 self.delivery_queue.put_nowait(action)
-                if self._on_deliver is not None:
-                    self._on_deliver(action, self.now)
             elif cls is Notify:
                 self.events.append(action.event)
-                if self._on_event is not None:
-                    self._on_event(action.event, self.now)
+                if self.on_event is not None:
+                    self.on_event(action.event, self.now)
             elif cls is JoinGroup:
                 # From a sync context (poll/datagram): schedule the join.
                 assert self._loop is not None

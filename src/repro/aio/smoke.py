@@ -3,8 +3,8 @@
 Runs a small :class:`~repro.aio.cluster.AioCluster` (primary + site
 secondary + replica + receivers) on real loopback multicast, streams a
 handful of packets, and grades the run with
-:class:`~repro.chaos.live.LiveOracle` against invariants I1–I4 — the
-same judgement the simulator's conformance campaign uses.  The outcome
+:class:`~repro.chaos.oracle.ChaosOracle` against invariants I1–I4 — the
+same oracle the simulator's conformance campaign uses.  The outcome
 is written as machine-readable JSON so CI can upload it as an artifact.
 
 Hosted CI runners frequently cannot route multicast on loopback, so the
@@ -55,7 +55,7 @@ def multicast_available(interface: str = "127.0.0.1", timeout: float = 1.0) -> b
 
 async def _run_cluster(args: argparse.Namespace) -> dict:
     from repro.aio.cluster import AioCluster
-    from repro.chaos.live import LiveOracle
+    from repro.chaos.oracle import ChaosOracle
     from repro.core.config import DiscoveryConfig, LbrmConfig
 
     config = LbrmConfig()
@@ -71,7 +71,7 @@ async def _run_cluster(args: argparse.Namespace) -> dict:
     )
     started = time.monotonic()
     async with cluster:
-        oracle = LiveOracle(cluster)
+        oracle = ChaosOracle(cluster)
         oracle.install()
         if args.discovery:
             await cluster.wait_discovery(timeout=10.0)

@@ -13,7 +13,9 @@ inside individual tests into one reusable layer:
 * :mod:`repro.chaos.controller` — :class:`ChaosController`, which
   compiles a schedule onto a built :class:`~repro.simnet.deploy.LbrmDeployment`.
 * :mod:`repro.chaos.oracle` — :class:`ChaosOracle`, a runtime checker
-  for the paper's receiver-reliability invariants (see DESIGN.md §7).
+  for the paper's receiver-reliability invariants (see DESIGN.md §7) on
+  either runtime: a simulated deployment or a real-UDP
+  :class:`~repro.aio.cluster.AioCluster`.
 * :mod:`repro.chaos.campaign` — the randomized conformance campaign
   behind ``repro chaos``: seeded schedule sampling, reproducer seeds
   and schedule minimization on violation; one loop for every campaign.
@@ -22,9 +24,7 @@ inside individual tests into one reusable layer:
   crashes and mid-epoch ``reparent`` mutations, with digests that fold
   in the tree surgery (DESIGN §11).
 * :mod:`repro.chaos.invariants` — :class:`InvariantLedger`, the
-  transport-agnostic judgement shared by both oracles.
-* :mod:`repro.chaos.live` — :class:`LiveOracle`, the same invariants
-  checked against a real-UDP :class:`~repro.aio.cluster.AioCluster`.
+  transport-agnostic judgement behind the oracle.
 * :mod:`repro.chaos.sweep` — the exhaustive crash-point failover sweep
   behind ``repro failover-sweep``: enumerate every distinct schedule
   point, crash the primary at each, grade every replay.
@@ -34,7 +34,6 @@ from repro.chaos.campaign import CHAOS, run_campaign, sample_schedule
 from repro.chaos.controller import ChaosController
 from repro.chaos.hierarchy import HIERARCHY_CHAOS, sample_hierarchy_schedule
 from repro.chaos.invariants import InvariantLedger, Violation
-from repro.chaos.live import LiveOracle
 from repro.chaos.oracle import ChaosOracle
 from repro.chaos.schedule import Fault, FaultSchedule, PacketChaos
 from repro.chaos.sweep import enumerate_crash_points, run_crash_case, run_sweep_campaign
@@ -48,7 +47,6 @@ __all__ = [
     "ChaosController",
     "ChaosOracle",
     "InvariantLedger",
-    "LiveOracle",
     "Violation",
     "enumerate_crash_points",
     "run_campaign",

@@ -259,7 +259,7 @@ def run_case(
         dep = LbrmDeployment(spec)
         controller = ChaosController(dep, schedule)
         controller.install()
-        oracle = ChaosOracle(dep, controller)
+        oracle = ChaosOracle(dep)
         oracle.install()
         dep.start()
         span = ACTIVE_END - WARMUP

@@ -1,19 +1,13 @@
 """Transport-agnostic bookkeeping for the LBRM protocol invariants.
 
 :class:`InvariantLedger` holds the state and judgement logic behind the
-receiver-reliability invariants I1–I4 (DESIGN.md §7) without knowing
-*where* the observations come from.  Two adapters drive it:
-
-* :class:`~repro.chaos.oracle.ChaosOracle` feeds it from a simulated
-  :class:`~repro.simnet.deploy.LbrmDeployment` (network observer taps,
-  simulator-scheduled sweeps);
-* :class:`~repro.chaos.live.LiveOracle` feeds it from a real-UDP
-  :class:`~repro.aio.cluster.AioCluster` (node ``on_send``/``on_event``
-  taps, asyncio-scheduled sweeps).
-
-Keeping the judgement in one place guarantees the live path is graded
-against exactly the invariants the simulator is — a conformance result
-from either engine means the same thing.
+receiver-reliability invariants I1–I6 (DESIGN.md §7) without knowing
+*where* the observations come from.  :class:`~repro.chaos.oracle.ChaosOracle`
+feeds it from either runtime — a simulated
+:class:`~repro.simnet.deploy.LbrmDeployment` or a real-UDP
+:class:`~repro.aio.cluster.AioCluster` — through the same node
+``on_send``/``on_event`` taps and sweeps on the runtime's own clock, so
+a conformance result from either engine means the same thing.
 """
 
 from __future__ import annotations
@@ -31,6 +25,10 @@ __all__ = ["InvariantLedger", "Violation", "SOURCE_TYPES"]
 SOURCE_TYPES = frozenset(
     {int(PacketType.DATA), int(PacketType.HEARTBEAT), int(PacketType.RETRANS)}
 )
+
+#: I2/I6 multiplier on the promised interval: receivers' watchdogs wait
+#: "a small multiple (2 in our implementation)" of it (§2.1.1).
+SILENCE_SLACK = 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,8 +54,8 @@ class Violation:
 class InvariantLedger:
     """Accumulates observations and records invariant violations.
 
-    Adapters call the ``on_*`` methods as events arrive and the
-    ``check_*`` methods from their periodic sweeps / end-of-run hooks;
+    The oracle calls the ``on_*`` methods as events arrive and the
+    ``check_*`` methods from its periodic sweeps / end-of-run hooks;
     each check appends to :attr:`violations` (and bumps the
     ``chaos.violations`` obs counter) when its invariant is breached.
     """
@@ -66,13 +64,11 @@ class InvariantLedger:
         self,
         heartbeat: HeartbeatConfig,
         *,
-        silence_slack: float = 2.0,
         grace: float = 0.25,
         max_idle_time: float | None = None,
     ) -> None:
         self.violations: list[Violation] = []
         self._hb = heartbeat
-        self._slack = silence_slack
         self._grace = grace
         # I6's stall bound: recovery after a failover must resume within
         # about one MaxIT.  Defaults to h_max when not configured.
@@ -82,7 +78,7 @@ class InvariantLedger:
         self._silence_reported_at: float | None = None
         self._safety_reported: tuple[int, int] | None = None
         # Last role each primary-capable machine was seen in (I4's
-        # no-demotion check), keyed by the adapter's subject name.
+        # no-demotion check), keyed by the oracle's subject name.
         self._roles: dict[str, LoggerRole] = {}
         self._promotions: list[tuple[float, str, int]] = []
         self._promoted: set[str] = set()
@@ -124,7 +120,7 @@ class InvariantLedger:
         if self._last_tx is None:
             return  # nothing sent yet; the promise starts with the stream
         silent = now - self._last_tx
-        allowed = self._slack * self._expected + self._grace
+        allowed = SILENCE_SLACK * self._expected + self._grace
         if silent > allowed:
             # One report per silence episode, not one per sweep.
             if self._silence_reported_at != self._last_tx:
@@ -132,7 +128,7 @@ class InvariantLedger:
                 self.record(
                     "silence", now, "source",
                     f"silent {silent:.3f}s, allowed {allowed:.3f}s "
-                    f"(expected interval {self._expected:.3f}s x slack {self._slack})",
+                    f"(expected interval {self._expected:.3f}s x slack {SILENCE_SLACK})",
                 )
 
     # -- I3: log safety / completeness -------------------------------------
@@ -239,7 +235,7 @@ class InvariantLedger:
         if trusted_prefix >= high:
             self._pending_failover = None
             return
-        allowed = self._slack * self._max_idle + self._grace
+        allowed = SILENCE_SLACK * self._max_idle + self._grace
         if now - started > allowed:
             self._pending_failover = None
             self.record(

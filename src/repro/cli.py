@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     smoke = sub.add_parser(
         "aio-smoke",
-        help="live-UDP conformance check (LiveOracle I1-I4) with a JSON artifact",
+        help="live-UDP conformance check (ChaosOracle I1-I4) with a JSON artifact",
     )
     build_smoke_parser(smoke)
     smoke.set_defaults(fn=run_smoke)

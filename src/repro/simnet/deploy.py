@@ -28,7 +28,7 @@ from repro.core.logger import LoggerRole, LogServer
 from repro.core.machine import ProtocolMachine
 from repro.core.receiver import LbrmReceiver
 from repro.core.sender import LbrmSender
-from repro.simnet.engine import Simulator
+from repro.simnet.engine import ScheduledEvent, Simulator
 from repro.simnet.hierarchy import HierarchyRuntime
 from repro.simnet.loss import BurstLoss
 from repro.simnet.node import SimNode
@@ -85,6 +85,10 @@ class TreeDeployment:
     parameterised (``_add_site``), what lives behind each site logger
     (``_populate``) and which nodes those are (``_population_nodes``).
     """
+
+    # The chaos oracle's I2 grace and sweep period, in simulated seconds.
+    ORACLE_GRACE = 0.25
+    ORACLE_INTERVAL = 0.5
 
     def __init__(self, spec, sim: Simulator | None = None) -> None:
         self.spec = spec
@@ -217,6 +221,17 @@ class TreeDeployment:
         raise NotImplementedError
 
     # -- operation ----------------------------------------------------------
+
+    @property
+    def now(self) -> float:
+        return self.sim.now
+
+    @property
+    def config(self) -> LbrmConfig:
+        return self.spec.config
+
+    def call_later(self, delay: float, fn) -> ScheduledEvent:
+        return self.sim.schedule_in(delay, fn)
 
     def start(self) -> None:
         """Start every node (group joins, watchdogs, statack bootstrap)."""

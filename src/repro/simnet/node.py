@@ -70,7 +70,10 @@ class SimNode:
         self.host = host
         self.machines: list[ProtocolMachine] = list(machines or [])
         self._on_deliver = on_deliver
-        self._on_event = on_event
+        # Public taps (the chaos oracle chains them): fn(event, now) per
+        # Notify, fn(action, now) before each SendUnicast/SendMulticast.
+        self.on_event = on_event
+        self.on_send: Callable[[Action, float], None] | None = None
         self._wakeup: ScheduledEvent | None = None
         # Deadline armed on the network's WakeupMux (fast path), or None.
         # The mux fires us by calling poll(); it clears this first.  A
@@ -95,15 +98,13 @@ class SimNode:
     def name(self) -> str:
         return self.host.name
 
+    # In the simulator an address *is* the host name.
+    address = name
+
     @property
     def alive(self) -> bool:
-        """True when the node can make protocol progress right now.
-
-        A node whose machine list was emptied by hand (the pre-chaos
-        idiom ``node.machines.clear()``) counts as dead too, so legacy
-        fault injection and :meth:`crash` look the same to an oracle.
-        """
-        return bool(self.machines) and not self.crashed and not self.paused
+        """Neither crashed nor paused."""
+        return not self.crashed and not self.paused
 
     def _machine_now(self) -> float:
         return self._sim.now + self.clock_skew
@@ -234,13 +235,17 @@ class SimNode:
                 if self._on_deliver is not None:
                     self._on_deliver(action, self._sim.now)
             elif isinstance(action, SendUnicast):
+                if self.on_send is not None:
+                    self.on_send(action, self._sim.now)
                 self._network.send_unicast(self.name, action.dest, action.packet)
             elif isinstance(action, SendMulticast):
+                if self.on_send is not None:
+                    self.on_send(action, self._sim.now)
                 self._network.send_multicast(self.name, action.group, action.packet, action.ttl)
             elif isinstance(action, Notify):
                 self.events.append(action.event)
-                if self._on_event is not None:
-                    self._on_event(action.event, self._sim.now)
+                if self.on_event is not None:
+                    self.on_event(action.event, self._sim.now)
             elif isinstance(action, JoinGroup):
                 self._network.join(action.group, self.name)
             elif isinstance(action, LeaveGroup):
@@ -269,9 +274,8 @@ class SimNode:
     def crash(self) -> None:
         """Kill the node: machines detach, pending wakeups die.
 
-        Inbound packets are silently lost while crashed — exactly the
-        behaviour of the hand-rolled ``machines.clear()`` idiom, but
-        reversible via :meth:`restart`.
+        Inbound packets are silently lost while crashed; reversible via
+        :meth:`restart`.
         """
         if self.crashed:
             return

@@ -188,7 +188,7 @@ class Network:
         # called once per co-timed delivery batch *instead of* per-host
         # observer calls.  Only the observer's owner may install it (see
         # the observer setter): anything that replaces or wraps
-        # `observer` — the chaos oracle chains it — silently falls back
+        # `observer` — HierarchyRuntime chains it — silently falls back
         # to the exact per-packet path.
         self.batch_observer: Callable[[Packet, str, list[Host], float], None] | None = None
         # Optional packet mangler (repro.chaos.PacketChaos): given one
@@ -554,8 +554,8 @@ class Network:
         self.stats["delivered"] += len(co_timed)
         batch_obs, observer = self.batch_observer, self._observer
         if batch_obs is None and observer is not None:
-            # A foreign per-packet observer (the chaos oracle and the
-            # hierarchy runtime chain one): observe -> receive, per host.
+            # A foreign per-packet observer (HierarchyRuntime chains
+            # one): observe -> receive, per host.
             for dst in co_timed:
                 observer("rx", packet, src_name, dst.name, now)
                 SimNode.receive_batch((dst.endpoint,), packet, src_name, now)

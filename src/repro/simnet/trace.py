@@ -52,7 +52,7 @@ class PacketTrace:
         network.observer = self.observe
         # Installed *after* the observer on purpose: assigning observer
         # clears batch_observer, and anything else replacing/wrapping the
-        # observer (the chaos oracle chains it) clears it again — so the
+        # observer (HierarchyRuntime chains it) clears it again — so the
         # amortized path can never bypass a foreign observer.
         network.batch_observer = self.observe_batch
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro.aio import AioCluster, GroupDirectory
 from repro.aio.node import addr_token
-from repro.chaos.live import LiveOracle
+from repro.chaos import ChaosOracle
 from repro.core.config import LbrmConfig, ReplicationConfig
 from repro.core.events import PrimaryFailover
 from repro.core.logger import LoggerRole
@@ -54,7 +54,7 @@ async def _run_tie_break():
     async with AioCluster(
         GROUP, _config(), n_receivers=1, n_replicas=2, directory=_directory(1)
     ) as cluster:
-        oracle = LiveOracle(cluster)
+        oracle = ChaosOracle(cluster)
         oracle.install()
 
         await cluster.publish(b"tie-1")
@@ -81,7 +81,7 @@ async def _run_tie_break():
             await asyncio.sleep(0.1)
         assert cluster.sender.primary == expected
 
-        events = [e for e in cluster.sender_node.events if isinstance(e, PrimaryFailover)]
+        events = [e for e in cluster.source_node.events if isinstance(e, PrimaryFailover)]
         assert len(events) == 1
         assert events[0].new_primary == expected
         assert events[0].log_epoch == 2
@@ -163,13 +163,13 @@ async def _run_multiprocess_soak():
         GROUP, _config(), n_receivers=1, n_replicas=1,
         directory=_directory(2, mcast_port),
     ) as cluster:
-        oracle = LiveOracle(cluster)
+        oracle = ChaosOracle(cluster)
         oracle.install()
         proc = ctx.Process(
             target=_receiver_child,
             args=(
                 child_conn, GROUP, mcast_ip, mcast_port,
-                cluster.sender_node.address,
+                cluster.source_node.address,
                 [cluster.primary_node.address],
                 total, 30.0,
             ),

@@ -13,7 +13,7 @@ import asyncio
 import pytest
 
 from repro.aio import AioCluster, AioNode, GroupDirectory
-from repro.chaos.live import LiveOracle
+from repro.chaos import ChaosOracle
 from repro.core.errors import ConfigError
 
 from tests.aio._netutil import free_udp_port
@@ -117,7 +117,7 @@ async def _run_discovered_chain():
         GROUP, n_receivers=2, n_secondaries=2, depth=3, fanout=2,
         use_discovery=True, directory=_directory(4),
     ) as cluster:
-        oracle = LiveOracle(cluster)
+        oracle = ChaosOracle(cluster)
         oracle.install()
         await cluster.wait_discovery()
         leaf_addresses = [node.address for node in cluster.secondary_nodes]

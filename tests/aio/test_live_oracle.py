@@ -1,4 +1,4 @@
-"""LiveOracle: invariants I1-I4 graded on real-UDP runs.
+"""ChaosOracle on real UDP: invariants I1-I4 graded on live runs.
 
 Three directions: a healthy hierarchical cluster must come out clean, a
 legal §2.2.3 primary failover must also come out clean (promotion is
@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 
 from repro.aio import AioCluster, GroupDirectory
-from repro.chaos.live import LiveOracle
+from repro.chaos import ChaosOracle
 from repro.core.config import LbrmConfig, ReplicationConfig
 from repro.core.events import PrimaryFailover, PromotedToPrimary
 from repro.core.logger import LoggerRole
@@ -41,7 +41,7 @@ async def _run_healthy():
     async with AioCluster(
         GROUP, n_receivers=3, n_secondaries=1, n_replicas=1, directory=_directory(1)
     ) as cluster:
-        oracle = LiveOracle(cluster)
+        oracle = ChaosOracle(cluster)
         oracle.install()
         for i in range(6):
             await cluster.publish(b"pkt-%d" % i)
@@ -63,7 +63,7 @@ async def _run_failover():
     async with AioCluster(
         GROUP, config, n_receivers=2, n_replicas=1, directory=_directory(2)
     ) as cluster:
-        oracle = LiveOracle(cluster)
+        oracle = ChaosOracle(cluster)
         oracle.install()
         replica_addr = cluster.replica_nodes[0].address
 
@@ -85,7 +85,7 @@ async def _run_failover():
                 break
             await asyncio.sleep(0.1)
         assert cluster.sender.primary == replica_addr
-        assert any(isinstance(e, PrimaryFailover) for e in cluster.sender_node.events)
+        assert any(isinstance(e, PrimaryFailover) for e in cluster.source_node.events)
 
         for _ in range(30):
             if cluster.replicas[0].role is LoggerRole.PRIMARY:
@@ -116,14 +116,14 @@ def test_oracle_catches_induced_silence_breach():
 
 async def _run_silence_breach():
     async with AioCluster(GROUP, n_receivers=1, directory=_directory(3)) as cluster:
-        oracle = LiveOracle(cluster, grace=0.2, check_interval=0.1)
+        oracle = ChaosOracle(cluster, grace=0.2, check_interval=0.1)
         oracle.install()
         await cluster.publish(b"only-one")
         await asyncio.wait_for(cluster.deliveries(0, 1), 5.0)
         # Lobotomize the sender: its machines stop polling, so the MaxIT
         # heartbeat promise (§2.1) is silently broken while the node —
         # and the socket — stay alive.
-        cluster.sender_node.machines.clear()
+        cluster.source_node.machines.clear()
         hb = cluster.config.heartbeat
         await asyncio.sleep(2.0 * hb.h_min + 0.2 + 1.0)
         violations = oracle.finish()
@@ -132,7 +132,7 @@ async def _run_silence_breach():
 
 def test_oracle_requires_started_cluster():
     cluster = AioCluster(GROUP, directory=_directory(4))
-    oracle = LiveOracle(cluster)
+    oracle = ChaosOracle(cluster)
 
     async def run():
         with pytest.raises(RuntimeError):

@@ -25,7 +25,7 @@ def _dep(**kw):
 def _armed(dep, *faults, **oracle_kw):
     controller = ChaosController(dep, FaultSchedule(faults=tuple(faults)))
     controller.install()
-    oracle = ChaosOracle(dep, controller, **oracle_kw)
+    oracle = ChaosOracle(dep, **oracle_kw)
     oracle.install()
     return oracle
 
@@ -127,8 +127,8 @@ def test_double_promotion_detected():
     dep = _dep(n_replicas=1)
     oracle = _armed(dep)
     dep.start()
-    oracle._on_promotion("replica0", 1, 1.0)
-    oracle._on_promotion("replica0", 2, 2.0)
+    oracle.ledger.on_promotion("replica0", 1, 1.0)
+    oracle.ledger.on_promotion("replica0", 2, 2.0)
     assert any(
         v.invariant == "promotion" and "second time" in v.detail for v in oracle.violations
     )
@@ -138,8 +138,8 @@ def test_regressing_promotion_detected():
     dep = _dep(n_replicas=2)
     oracle = _armed(dep)
     dep.start()
-    oracle._on_promotion("replica0", 5, 1.0)
-    oracle._on_promotion("replica1", 3, 2.0)
+    oracle.ledger.on_promotion("replica0", 5, 1.0)
+    oracle.ledger.on_promotion("replica1", 3, 2.0)
     assert any(
         v.invariant == "promotion" and "from_seq 3" in v.detail for v in oracle.violations
     )

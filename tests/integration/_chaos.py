@@ -21,6 +21,6 @@ def arm(
     schedule = FaultSchedule(faults=tuple(faults))
     controller = ChaosController(dep, schedule)
     controller.install()
-    oracle = ChaosOracle(dep, controller, **oracle_kw)
+    oracle = ChaosOracle(dep, **oracle_kw)
     oracle.install()
     return oracle

@@ -134,7 +134,7 @@ def test_a_node_stopped_by_its_first_machine_hides_the_packet_from_the_rest(stop
     assert node._mux_due is None and node._wakeup is None
     # Un-stopped, the same node shows every machine every packet.
     node.resume() if stop == "pause" else node.restart()
-    node._on_event = None
+    node.on_event = None
     net.send_unicast("h2", "h1", DataPacket(group="g", seq=2, payload=b"x"))
     sim.run_until(2.0)
     assert second.seen == 1
