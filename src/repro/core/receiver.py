@@ -50,7 +50,7 @@ from repro.core.packets import (
 )
 from repro.core.sequence import SequenceTracker
 
-__all__ = ["LbrmReceiver"]
+__all__ = ["RUN_PACKETS", "LbrmReceiver", "absorb_run"]
 
 # A packet is one immutable datum for the whole group, so its original
 # (non-recovered) delivery record is one value: minted for the first
@@ -78,6 +78,66 @@ def _saturation_index(hb: HeartbeatConfig) -> int:
     while hb.h_min * hb.backoff**index < hb.h_max:  # log() rounded down
         index += 1
     return index
+
+
+# The packet types absorb_run() takes.  A caller cutting a co-timed
+# batch into runs offers it only these and sends the rest to handle().
+RUN_PACKETS = frozenset((DataPacket, HeartbeatPacket))
+
+
+def absorb_run(receivers, packet: Packet, now: float) -> tuple[Deliver | None, list[float]]:
+    """Take ``packet`` on each receiver's fast path, in order, and stop
+    at the first receiver it is not the fast path for (left untouched:
+    its caller sends it to :meth:`handle`).
+
+    The two transitions that need no general handler: the next data
+    packet in order, and a heartbeat with no news.  Returns the shared
+    original delivery of a data packet (None for a heartbeat, or if
+    none was absorbed) and each absorbed receiver's ``next_wakeup()``
+    in order — its length is how far the run got.  ``handle`` enters
+    here with its one receiver, ``SimNode.receive_batch`` with each run
+    of co-timed ones, so each guard exists once.
+    """
+    dues: list[float] = []
+    seq = packet.seq
+    if type(packet) is DataPacket:
+        for r in receivers:
+            tracker = r._tracker
+            if not (
+                seq == tracker._highest + 1
+                and tracker._first  # started: the first packet sets the baseline
+                and r._fresh
+                and not r._on_channel
+            ):
+                break
+            # The next packet in order, nothing to restore or leave:
+            # what _on_data does for it, without the report, the
+            # action list or the branches that cannot fire.
+            tracker._highest = seq
+            r._repeat_count = 0
+            sched = r._hb_wd.get(0) or r._hb_schedule(0)
+            r._expected_interval = sched[0]
+            r._last_rx = now
+            r._maxit_deadline = due = now + sched[1]
+            r.stats["data_received"] += 1
+            dues.append(r.next_wakeup() if r.timers._deadlines else due)
+        return (_deliver_original(packet) if dues else None), dues
+    if type(packet) is HeartbeatPacket and 0 < seq:
+        hb_index = packet.hb_index
+        for r in receivers:
+            if not (seq <= r._tracker._highest and r._fresh):
+                break
+            # No news — nothing sent that we lack, nothing to restore
+            # (97 % of heartbeats on a lossy run): what _on_heartbeat
+            # does for it is push the watchdog and count it.
+            index = hb_index if hb_index <= r._hb_saturation else r._hb_saturation
+            sched = r._hb_wd.get(index) or r._hb_schedule(index)
+            r._expected_interval = sched[0]
+            r._last_rx = now
+            r._maxit_deadline = due = now + sched[1]
+            r.stats["heartbeats_received"] += 1
+            dues.append(r.next_wakeup() if r.timers._deadlines else due)
+    return None, dues
 
 
 @dataclass
@@ -251,38 +311,10 @@ class LbrmReceiver(ProtocolMachine):
     def handle(self, packet: Packet, src: Address, now: float) -> list[Action]:
         t = type(packet)
         if t is DataPacket:
-            tracker = self._tracker
-            if (
-                packet.seq == tracker._highest + 1
-                and tracker._first  # started: the first packet sets the baseline
-                and self._fresh
-                and not self._on_channel
-            ):
-                # The next packet in order, nothing to restore or leave:
-                # what _on_data does for it, without the report, the
-                # action list growth or the branches that cannot fire.
-                tracker._highest = packet.seq
-                self._repeat_count = 0
-                sched = self._hb_wd.get(0) or self._hb_schedule(0)
-                self._expected_interval = sched[0]
-                self._last_rx = now
-                self._maxit_deadline = now + sched[1]
-                self.stats["data_received"] += 1
-                return [_deliver_original(packet)]
-            return self._on_data(packet, now)
+            delivery, absorbed = absorb_run((self,), packet, now)
+            return [delivery] if absorbed else self._on_data(packet, now)
         if t is HeartbeatPacket:
-            if 0 < packet.seq <= self._tracker._highest and self._fresh:
-                # No news — nothing sent that we lack, nothing to restore
-                # (97 % of heartbeats on a lossy run): what _on_heartbeat
-                # does for it is push the watchdog and count it.
-                index = packet.hb_index
-                if index > self._hb_saturation:
-                    index = self._hb_saturation
-                sched = self._hb_wd.get(index) or self._hb_schedule(index)
-                self._expected_interval = sched[0]
-                self._last_rx = now
-                self._maxit_deadline = now + sched[1]
-                self.stats["heartbeats_received"] += 1
+            if absorb_run((self,), packet, now)[1]:
                 return []
             return self._on_heartbeat(packet, now)
         if t is RetransPacket:

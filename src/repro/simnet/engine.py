@@ -196,7 +196,11 @@ class WakeupMux:
     whose ``_due`` is still ahead is re-bucketed there in place — the
     ``arm`` its ``poll`` would have made, at the same point of the loop,
     so buckets, ``schedule`` calls and tie counters do not move — and
-    only a node with something due is polled.
+    only a node with something due is polled.  Lockstep receivers
+    re-bucket in runs (188,365 of those 194,838 follow a node bound for
+    the same deadline), but one bucket lookup per run instead of per
+    node measured 1.02x (6/10 pairs), not shown: each goes through
+    ``arm``.
     """
 
     __slots__ = ("_sim", "_buckets")

@@ -8,6 +8,15 @@ sinks), and keeps each machine's next wakeup scheduled on the simulator.
 The node is also where LBRM's address tokens resolve: in the simulator
 an address *is* the host name, so token parsing is the identity.
 
+Delivery is run-level: :meth:`SimNode.receive_batch` hands each run of
+co-timed *plain* receiver nodes to
+:func:`~repro.core.receiver.absorb_run` in one call, and only what that
+does not absorb takes the per-node path.  Plainness is read per node at
+the moment the run is cut, partly from ``_receiver`` (the node's one
+machine, when it is an :class:`LbrmReceiver`), which is kept in step
+with ``machines``: so ``machines`` changes only through the constructor,
+``add_machine``, ``crash`` and ``restart``.
+
 Fault-injection hooks (used by :mod:`repro.chaos`): a node can be
 *crashed* (machines detached, inbound traffic falls on the floor),
 *restarted* (machines re-attached with their state intact — modelling
@@ -46,6 +55,7 @@ from repro.core.actions import (
 from repro.core.events import Event
 from repro.core.machine import ProtocolMachine
 from repro.core.packets import Packet
+from repro.core.receiver import RUN_PACKETS, LbrmReceiver, absorb_run
 from repro.simnet.engine import ScheduledEvent, Simulator
 
 if TYPE_CHECKING:  # topology imports this module for the delivery loop
@@ -68,7 +78,7 @@ class SimNode:
         self._network = network
         self._sim: Simulator = network.sim
         self.host = host
-        self.machines: list[ProtocolMachine] = list(machines or [])
+        self._set_machines(list(machines or []))
         self._on_deliver = on_deliver
         # Public taps (the chaos oracle chains them): fn(event, now) per
         # Notify, fn(action, now) before each SendUnicast/SendMulticast.
@@ -111,8 +121,18 @@ class SimNode:
 
     # -- machine management ----------------------------------------------------
 
+    def _set_machines(self, machines: list[ProtocolMachine]) -> None:
+        """Install ``machines``, and ``_receiver``: the one machine when it
+        is an :class:`LbrmReceiver`, else None — the half of a node's
+        plainness (:meth:`receive_batch`) that only this call changes, so
+        the run cut reads one attribute instead of the list."""
+        self.machines = machines
+        only = machines[0] if len(machines) == 1 else None
+        self._receiver = only if type(only) is LbrmReceiver else None
+
     def add_machine(self, machine: ProtocolMachine) -> None:
         self.machines.append(machine)
+        self._set_machines(self.machines)
         self._reschedule()
 
     def start(self) -> None:
@@ -135,15 +155,63 @@ class SimNode:
         """Deliver ``packet`` to each endpoint in turn: the one delivery
         loop, entered by :class:`Network` once per co-timed batch.
 
-        Everything is read per node, nothing hoisted: an earlier node's
-        ``on_deliver``/``on_event`` callback may pause or crash a later
-        one in the same batch.  This runs once per (receiver, packet) in
-        every scenario, so for the common shape — one machine per node —
-        the lone ``Deliver`` is carried out and the wakeup armed in
-        place, not through :meth:`execute` and :meth:`_reschedule` (worth
-        1.08x on a loss-free run; a generic machine loop here, 1.01x).
+        A co-timed batch is mostly receivers in lockstep (DESIGN §6), so it
+        is cut into maximal runs of *plain* nodes — a ``SimNode`` not
+        paused, unskewed, without ``on_deliver``, whose one machine is an
+        :class:`LbrmReceiver` — and each run of a data packet or heartbeat
+        goes to :func:`~repro.core.receiver.absorb_run` in one call, which
+        takes it on the receivers' fast path as far as it can.  The
+        absorbed members then get the shared ``Deliver`` and their wakeup
+        in one loop.  The first member not absorbed, and every other
+        endpoint, takes the per-node path at its own position, and the run
+        is cut again after it: its callbacks may pause or crash a later
+        member of the same batch, so nothing is read ahead of a node that
+        may run one.  Every node thus sees the batch in order, and mux
+        arms, ``schedule`` calls and RNG draws keep the order a per-node
+        loop gives them.
         """
-        for node in endpoints:
+        runs = type(packet) in RUN_PACKETS
+        i, n = 0, len(endpoints)
+        while i < n:
+            if runs:
+                machines = []
+                j = i
+                while j < n:
+                    node = endpoints[j]
+                    if type(node) is not SimNode:
+                        break
+                    receiver = node._receiver
+                    if (
+                        receiver is None
+                        or node.paused
+                        or node.clock_skew
+                        or node._on_deliver is not None
+                    ):
+                        break
+                    machines.append(receiver)
+                    j += 1
+                if machines:
+                    delivery, dues = absorb_run(machines, packet, now)
+                    if dues:
+                        mux = endpoints[i]._network.wakeup_mux
+                        for due in dues:
+                            node = endpoints[i]
+                            i += 1
+                            if delivery is not None:
+                                node.delivered.append(delivery)
+                            if mux is None:  # the per-receiver oracle: an event per node
+                                node._reschedule()
+                                continue
+                            node._due = due
+                            cur = node._mux_due
+                            if cur is None or cur > due:
+                                node._mux_due = due
+                                mux.arm(node, due)
+                        if i == n:
+                            return
+            # The per-node path.
+            node = endpoints[i]
+            i += 1
             if not isinstance(node, SimNode):
                 if node is not None:
                     node.receive(packet, src, now)
@@ -158,12 +226,9 @@ class SimNode:
             machine = machines[0]
             actions = machine.handle(packet, src, now + skew if skew else now)
             if actions:
-                if len(actions) == 1 and type(actions[0]) is Deliver and node._on_deliver is None:
-                    node.delivered.append(actions[0])
-                else:
-                    node.execute(actions)
-                    if not node.alive:
-                        continue  # an executed action stopped us; resume()/restart() re-arm
+                node.execute(actions)
+                if not node.alive:
+                    continue  # an executed action stopped us; resume()/restart() re-arm
             next_due = machine.next_wakeup()
             if next_due is None:
                 node._disarm()
@@ -281,7 +346,7 @@ class SimNode:
             return
         self.crashed = True
         self._stashed_machines = self.machines
-        self.machines = []
+        self._set_machines([])
         self._disarm()
 
     def restart(self) -> None:
@@ -296,7 +361,7 @@ class SimNode:
         if not self.crashed:
             return
         self.crashed = False
-        self.machines = self._stashed_machines
+        self._set_machines(self._stashed_machines)
         self._stashed_machines = []
         self.start()
 

@@ -1,17 +1,23 @@
 """The receiver's two fast paths against the general handlers.
 
-``LbrmReceiver.handle`` answers the next packet in order — tracker
-started, ``seq == highest + 1``, fresh, not on the retransmission
-channel — without entering ``_on_data``/``SequenceTracker.observe_data``,
-and a heartbeat with no news — ``0 < seq <= highest``, fresh — without
-entering ``_on_heartbeat``/``observe_heartbeat``.  Both delivery paths of
-the simulator enter the same ``handle``, so their differential cannot
-see a wrong guard; this one can.  Two receivers get the same random
-interleaving, one through ``handle``, the other through the general
-handlers directly (which the fast paths never touch), and must agree
-after every step on the actions returned (or the error raised), ``stats``,
-tracker, freshness, watchdog state and ``next_wakeup()`` — with obs off
-and under a recording registry (whose counters must agree too).
+``absorb_run`` (which ``LbrmReceiver.handle`` enters with its one
+receiver) takes the next packet in order — tracker started, ``seq ==
+highest + 1``, fresh, not on the retransmission channel — without
+entering ``_on_data``/``SequenceTracker.observe_data``, and a heartbeat
+with no news — ``0 < seq <= highest``, fresh — without entering
+``_on_heartbeat``/``observe_heartbeat``.  Both of the simulator's
+delivery paths enter the same ``absorb_run`` — the batched loop with a
+run of co-timed receivers, the per-receiver fan-out with one — so their
+differential cannot see a wrong guard; this one can.  Two receivers get
+the same random interleaving, one through ``handle``, the other through
+the general handlers directly (which the fast paths never touch), and
+must agree after every step on the actions returned (or the error
+raised), ``stats``, tracker, freshness, watchdog state and
+``next_wakeup()`` — with obs off and under a recording registry (whose
+counters must agree too).  A run of receivers with different histories
+must then come out of one ``absorb_run`` call as if each had met the
+packet alone, up to the first it does not absorb, which it leaves
+untouched with everyone after it.
 
 The mutation check is part of the suite: a copy of the module with any
 one of the seven guard conditions dropped must fail the ``@example``
@@ -131,16 +137,15 @@ def _drive(steps, fallback, heartbeat, recording, fast_cls=LbrmReceiver):
 # that condition, and the steps the mutant cannot pass.
 _GUARD_KILLS = [
     # the next data packet in order
-    ("packet.seq == tracker._highest + 1", "True", ([("data", 1), ("data", 3), ("data", 1)], 0.0)),
+    ("seq == tracker._highest + 1", "True", ([("data", 1), ("data", 3), ("data", 1)], 0.0)),
     ("and tracker._first", "and True", ([("data", 1)], 0.0)),  # seq 1 == 0 + 1 with no baseline yet
-    ("and self._fresh\n", "and True\n", ([("data", 1), ("poll", 3.0), ("next",)], 0.0)),
-    ("and not self._on_channel", "and True",
+    ("and r._fresh\n", "and True\n", ([("data", 1), ("poll", 3.0), ("next",)], 0.0)),
+    ("and not r._on_channel", "and True",
      ([("data", 1), ("data", 3), ("abandon", 2), ("next",)], 0.4)),
     # a heartbeat with no news
-    ("0 < packet.seq <=", "packet.seq <=", ([("data", 1), ("hb", -1, 0)], 0.0)),  # refused
-    ("packet.seq <= self._tracker._highest and", "packet.seq and",
-     ([("data", 1), ("hb", 3, 1)], 0.0)),  # reveals 2 and 3
-    ("and self._fresh:", "and True:", ([("data", 1), ("poll", 3.0), ("hb", 1, 2)], 0.0)),
+    ("and 0 < seq:", "and True:", ([("data", 1), ("hb", -1, 0)], 0.0)),  # refused
+    ("seq <= r._tracker._highest and", "seq and", ([("data", 1), ("hb", 3, 1)], 0.0)),  # reveals 2 and 3
+    ("and r._fresh):", "and True):", ([("data", 1), ("poll", 3.0), ("hb", 1, 2)], 0.0)),
 ]
 
 
@@ -167,6 +172,68 @@ def test_dropping_any_one_guard_condition_fails_its_pinned_example(condition, dr
     _drive(*kill, None, False)  # the real guard passes it ...
     with pytest.raises(AssertionError, match="differ"):
         _drive(*kill, None, False, fast_cls=mutant.LbrmReceiver)  # ... the mutant cannot
+
+
+# -- a run of receivers -----------------------------------------------------------
+
+
+def _replay(r: LbrmReceiver, steps) -> float:
+    """Start ``r`` and feed it ``steps`` through its public entry points;
+    returns its clock."""
+    now = 0.0
+    r.start(now)
+    for step in steps:
+        now += 0.01
+        kind = step[0]
+        if kind in ("next", "repeat", "data"):
+            highest = r.tracker.highest
+            seq = highest + 1 if kind == "next" else max(highest, 1) if kind == "repeat" else step[1]
+            r.handle(DataPacket(group="g", seq=seq, payload=b"p%d" % seq), "source", now)
+        elif kind == "retrans":
+            r.handle(RetransPacket(group="g", seq=step[1], payload=b"p%d" % step[1]), "logger", now)
+        elif kind == "hb" and step[1] >= 0:
+            r.handle(HeartbeatPacket(group="g", seq=step[1], hb_index=step[2]), "source", now)
+        elif kind == "poll":
+            now += step[1]
+            r.poll(now)
+        elif kind == "abandon":
+            r.abandon((step[1],))
+    return now
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(_STEPS, max_size=12), min_size=1, max_size=6),
+    _FALLBACKS,
+    _HEARTBEATS,
+    st.one_of(st.just(None), st.integers(0, 12)),  # None: the next data packet
+)
+def test_a_run_comes_out_as_if_each_receiver_met_the_packet_alone(histories, fallback, heartbeat, hb_index):
+    def receivers():
+        built = [LbrmReceiver("g", ReceiverConfig(retrans_channel_fallback=fallback),
+                              logger_chain=("site-logger",), heartbeat=heartbeat) for _ in histories]
+        return built, max(_replay(r, steps) for r, steps in zip(built, histories)) + 0.01
+
+    (run, now), (alone, _) = receivers(), receivers()
+    highest = run[0].tracker.highest  # the packet is the first member's next, or its no-news heartbeat
+    if hb_index is None:
+        packet = DataPacket(group="g", seq=highest + 1, payload=b"shared")
+    else:
+        packet = HeartbeatPacket(group="g", seq=highest, hb_index=hb_index)
+    before = [_observable(r) for r in run]
+    delivery, dues = receiver_module.absorb_run(run, packet, now)
+    absorbed = len(dues)
+    for i, (r, twin) in enumerate(zip(run, alone)):
+        if i < absorbed:
+            general = twin._on_data(packet, now) if hb_index is None else twin._on_heartbeat(packet, now)
+            assert general == ([delivery] if hb_index is None else [])
+            assert _observable(r) == _observable(twin)
+            assert dues[i] == r.next_wakeup()
+        else:
+            assert _observable(r) == before[i]  # the first not absorbed, and everyone after it
+    if absorbed < len(run):
+        assert receiver_module.absorb_run((run[absorbed],), packet, now) == (None, [])
+    assert (delivery is None) == (hb_index is not None or not dues)
 
 
 # -- the watchdog memo ----------------------------------------------------------

@@ -28,11 +28,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.core.config import ReceiverConfig
+from repro.core.events import FreshnessLost, FreshnessRestored, LossDetected
 from repro.core.machine import ProtocolMachine
 from repro.core.packets import DataPacket
+from repro.core.receiver import LbrmReceiver
 from repro.simnet import BernoulliLoss, DeploymentSpec, LbrmDeployment
 from repro.simnet.engine import Simulator
 from repro.simnet.loss import BurstLoss, CompositeLoss, NoLoss
+from repro.simnet.node import SimNode
 from repro.simnet.topology import Network
 
 # -- model-level stream equivalence ------------------------------------------
@@ -196,11 +200,14 @@ class _Seen(ProtocolMachine):
 
 
 def _every_endpoint_scenario(batch: bool, foreign_observer: bool):
-    """A loss-free train through one of each thing the delivery loop must
-    treat per host: a skewed clock, a paused node, a crashed node, two
-    machines on one node, a foreign endpoint, and a delivery callback
-    that pauses the *next* receiver of the same co-timed batch."""
-    dep = LbrmDeployment(DeploymentSpec(n_sites=2, receivers_per_site=5, seed=7))
+    """A train through one of each thing the delivery loop must treat per
+    host: a skewed clock, a paused node, a crashed node, two machines on
+    one node, a foreign endpoint, and a delivery callback that pauses the
+    *next* receiver of the same co-timed batch.  Site 3 is a lockstep run
+    of plain receivers broken, batch after batch, by a gapped member (its
+    ``on_event`` pauses a *later* member of the same run as it reports the
+    loss), a member on the retransmission channel and a stale one."""
+    dep = LbrmDeployment(DeploymentSpec(n_sites=3, receivers_per_site=5, seed=7))
     net = dep.network
     net.batch_delivery = batch
     observed: list[tuple] = []
@@ -225,7 +232,23 @@ def _every_endpoint_scenario(batch: bool, foreign_observer: bool):
     dep.node("site1-rx0").clock_skew = 0.3
     pauser, paused_next = dep.node("site2-rx0"), dep.node("site2-rx1")
     pauser._on_deliver = lambda d, now: paused_next.pause() if d.seq == 3 else None
+    # Site 3's data packet i arrives at 0.2395 + 0.05 i.  site3-rx1 loses
+    # packet 3 and reports the gap on packet 4, pausing site3-rx4 as it
+    # does; site3-rx2c (sorted inside the run) listens on the
+    # retransmission channel from packet 3 on, after losing packet 2;
+    # site3-rx2 hears no heartbeat between 1 s and 4 s and goes stale.
+    gapped, later = dep.node("site3-rx1"), dep.node("site3-rx4")
+    gapped.on_event = lambda e, now: later.pause() if isinstance(e, LossDetected) and e.seqs else None
+    net.host("site3-rx1").inbound_loss = BurstLoss([(0.38, 0.40)])
+    net.host("site3-rx2").inbound_loss = BurstLoss([(1.0, 4.0)])
+    sibling = dep.node("site3-rx0").machines[0]
+    on_channel = SimNode(net, net.add_host("site3-rx2c", net.site("site3")), [LbrmReceiver(
+        dep.spec.group, ReceiverConfig(retrans_channel_fallback=0.4), logger_chain=sibling.logger_chain,
+        source="source", heartbeat=dep.spec.config.heartbeat,
+    )])
+    net.host("site3-rx2c").inbound_loss = BurstLoss([(0.33, 0.35)])
     dep.start()
+    on_channel.start()
     dep.advance(0.2)
     for i in range(8):
         if i == 2:
@@ -235,10 +258,16 @@ def _every_endpoint_scenario(batch: bool, foreign_observer: bool):
             dep.node("site1-rx1").resume()
             dep.node("site1-rx2").restart()
             paused_next.resume()
+        if i == 6:
+            later.resume()
         dep.send(f"packet-{i}".encode())
         dep.advance(0.05)
     dep.advance(8.0)
-    return {"tap": tap.received, "second_machine": second.seen, "observed": observed, **_outcome(dep)}
+    outcome = _outcome(dep)
+    outcome["delivered"]["site3-rx2c"] = [tuple(d) for d in on_channel.delivered]
+    outcome["events"]["site3-rx2c"] = list(on_channel.events)
+    outcome["machines"]["site3-rx2c"] = [dict(on_channel.machines[0].stats)]
+    return {"tap": tap.received, "second_machine": second.seen, "observed": observed, **outcome}
 
 
 @pytest.mark.parametrize("foreign_observer", [False, True])
@@ -247,14 +276,20 @@ def test_delivery_loop_matches_the_reference_fanout_for_every_endpoint(foreign_o
     reference = _every_endpoint_scenario(False, foreign_observer)
     assert batched == reference
     # The scenario reached what it is for.
-    delivered = batched["delivered"]
+    delivered, events = batched["delivered"], batched["events"]
     assert [d[0] for d in delivered["site2-rx0"]] == list(range(1, 9))
     assert (3, b"packet-2", True) in delivered["site2-rx1"]  # paused by its neighbour mid-batch
     assert any(d[2] for d in delivered["site1-rx1"]) and any(d[2] for d in delivered["site1-rx2"])
     assert delivered["site1-rx0"] == delivered["site2-rx0"]  # skew moves no delivery
     assert len([t for t in batched["tap"] if t[0] == "DataPacket"]) == 8
-    assert [s for s in batched["second_machine"] if s[0] == "DataPacket"]
+    assert [s[1] for s in batched["second_machine"] if s[0] == "DataPacket"] == list(range(1, 9))
     assert bool(batched["observed"]) == foreign_observer
+    assert (4, b"packet-3", True) in delivered["site3-rx1"]  # gapped
+    assert (5, b"packet-4", True) in delivered["site3-rx4"]  # paused by a run neighbour mid-batch
+    assert batched["machines"]["site3-rx2c"][0]["channel_joins"] == 1
+    assert (3, b"packet-2", True) in delivered["site3-rx2c"]
+    assert [type(e) for e in events["site3-rx2"]] == [FreshnessLost, LossDetected, FreshnessRestored]
+    assert delivered["site3-rx0"] == delivered["site3-rx3"] == delivered["site2-rx0"]
 
 
 # -- the segment walk against the per-receiver loop, as a property -----------
