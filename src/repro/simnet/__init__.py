@@ -27,7 +27,7 @@ from repro.simnet.topology import (
     Site,
     wire_size,
 )
-from repro.simnet.trace import PacketTrace, TraceRecord
+from repro.simnet.trace import PacketTrace
 
 __all__ = [
     "DeploymentSpec",
@@ -50,5 +50,4 @@ __all__ = [
     "Site",
     "wire_size",
     "PacketTrace",
-    "TraceRecord",
 ]

@@ -92,9 +92,9 @@ class HierarchyRuntime:
         manager = self.manager
         tree = manager.tree
 
-        def observe(kind: str, packet, src: str, dst: str, now: float) -> None:
+        def observe(kind: str, packet, src: str, hosts, now: float) -> None:
             if chained is not None:
-                chained(kind, packet, src, dst, now)
+                chained(kind, packet, src, hosts, now)
             if kind != "rx":
                 return
             t = type(packet)
@@ -102,15 +102,19 @@ class HierarchyRuntime:
                 # An upstream request: only the watched child -> current
                 # parent edges count (receiver NACKs share the type but
                 # never have a logger as src).
-                if src in loggers and tree.parent(src) == dst:
-                    for seq in packet.seqs:
-                        if manager.has_outstanding(src, seq):
-                            manager.note_retry(src, (seq,))
-                        else:
-                            manager.note_request(src, (seq,), now)
+                if src in loggers:
+                    parent = tree.parent(src)
+                    for host in hosts:
+                        if host.name == parent:
+                            for seq in packet.seqs:
+                                if manager.has_outstanding(src, seq):
+                                    manager.note_retry(src, (seq,))
+                                else:
+                                    manager.note_request(src, (seq,), now)
             elif t is RetransPacket:
-                if dst in loggers:
-                    manager.note_repair(dst, packet.seq, now)
+                for host in hosts:
+                    if host.name in loggers:
+                        manager.note_repair(host.name, packet.seq, now)
 
         return observe
 

@@ -2,8 +2,10 @@
 
 A :class:`SimNode` owns one or more sans-IO machines on one host.  It
 dispatches inbound packets to every machine, executes the actions they
-return (transmissions via the network, deliveries and events into local
-sinks), and keeps each machine's next wakeup scheduled on the simulator.
+return (transmissions via the network, deliveries and events into its
+``delivered`` and ``events`` lists), and keeps each machine's next wakeup
+scheduled on the simulator.  Its two taps, ``on_event`` and ``on_send``,
+are the ones the chaos oracle chains.
 
 The node is also where LBRM's address tokens resolve: in the simulator
 an address *is* the host name, so token parsing is the identity.
@@ -72,14 +74,12 @@ class SimNode:
         network: Network,
         host: Host,
         machines: list[ProtocolMachine] | None = None,
-        on_deliver: Callable[[Deliver, float], None] | None = None,
         on_event: Callable[[Event, float], None] | None = None,
     ) -> None:
         self._network = network
         self._sim: Simulator = network.sim
         self.host = host
         self._set_machines(list(machines or []))
-        self._on_deliver = on_deliver
         # Public taps (the chaos oracle chains them): fn(event, now) per
         # Notify, fn(action, now) before each SendUnicast/SendMulticast.
         self.on_event = on_event
@@ -157,14 +157,14 @@ class SimNode:
 
         A co-timed batch is mostly receivers in lockstep (DESIGN §6), so it
         is cut into maximal runs of *plain* nodes — a ``SimNode`` not
-        paused, unskewed, without ``on_deliver``, whose one machine is an
-        :class:`LbrmReceiver` — and each run of a data packet or heartbeat
-        goes to :func:`~repro.core.receiver.absorb_run` in one call, which
-        takes it on the receivers' fast path as far as it can.  The
-        absorbed members then get the shared ``Deliver`` and their wakeup
-        in one loop.  The first member not absorbed, and every other
-        endpoint, takes the per-node path at its own position, and the run
-        is cut again after it: its callbacks may pause or crash a later
+        paused, unskewed, whose one machine is an :class:`LbrmReceiver` —
+        and each run of a data packet or heartbeat goes to
+        :func:`~repro.core.receiver.absorb_run` in one call, which takes it
+        on the receivers' fast path as far as it can.  The absorbed members
+        then get the shared ``Deliver`` and their wakeup in one loop.  The
+        first member not absorbed, and every other endpoint, takes the
+        per-node path at its own position, and the run is cut again after
+        it: its ``on_event``/``on_send`` taps may pause or crash a later
         member of the same batch, so nothing is read ahead of a node that
         may run one.  Every node thus sees the batch in order, and mux
         arms, ``schedule`` calls and RNG draws keep the order a per-node
@@ -181,12 +181,7 @@ class SimNode:
                     if type(node) is not SimNode:
                         break
                     receiver = node._receiver
-                    if (
-                        receiver is None
-                        or node.paused
-                        or node.clock_skew
-                        or node._on_deliver is not None
-                    ):
+                    if receiver is None or node.paused or node.clock_skew:
                         break
                     machines.append(receiver)
                     j += 1
@@ -297,8 +292,6 @@ class SimNode:
         for action in actions:
             if isinstance(action, Deliver):
                 self.delivered.append(action)
-                if self._on_deliver is not None:
-                    self._on_deliver(action, self._sim.now)
             elif isinstance(action, SendUnicast):
                 if self.on_send is not None:
                     self.on_send(action, self._sim.now)

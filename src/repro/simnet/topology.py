@@ -22,7 +22,7 @@ site" (§2.2.2) come out naturally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Protocol
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 from repro.core.packets import Packet, encode
 from repro.simnet.engine import Simulator, WakeupMux
@@ -180,17 +180,12 @@ class Network:
         # delivery and RNG-draw orderings.
         self.wakeup_mux: WakeupMux | None = None
         self.batch_delivery = True
-        # Optional observer called for every delivered/dropped packet:
-        # fn(kind, packet, src, dst, now) with kind in {"rx", "drop"}.
-        # (A property: assigning it also clears `batch_observer`.)
-        self._observer: Callable[[str, Packet, str, str, float], None] | None = None
-        # Optional amortized counterpart, fn(packet, src, hosts, now),
-        # called once per co-timed delivery batch *instead of* per-host
-        # observer calls.  Only the observer's owner may install it (see
-        # the observer setter): anything that replaces or wraps
-        # `observer` — HierarchyRuntime chains it — silently falls back
-        # to the exact per-packet path.
-        self.batch_observer: Callable[[Packet, str, list[Host], float], None] | None = None
+        # The one network tap, fn(kind, packet, src, hosts, now) with kind
+        # in {"rx", "drop"}: called once per delivered co-timed batch,
+        # before any host in it receives, and once per drop.  ``hosts``
+        # are the destination Hosts in member order — one for unicast,
+        # chaos and reference-path arrivals, a segment's for a shared drop.
+        self.observer: Callable[[str, Packet, str, Sequence[Host], float], None] | None = None
         # Optional packet mangler (repro.chaos.PacketChaos): given one
         # about-to-be-scheduled delivery, returns the arrival times to
         # schedule instead — [] drops (corruption), [at, at+d] duplicates,
@@ -211,18 +206,6 @@ class Network:
         # loop skips nodes whose armed deadline no longer matches, and a
         # spurious poll is legal under the machine contract.
         self.wakeup_mux = WakeupMux(self.sim) if on else None
-
-    @property
-    def observer(self) -> "Callable[[str, Packet, str, str, float], None] | None":
-        return self._observer
-
-    @observer.setter
-    def observer(self, fn: "Callable[[str, Packet, str, str, float], None] | None") -> None:
-        # Replacing the per-packet observer invalidates any batched
-        # observer fast path — it belonged to the previous observer, and
-        # leaving it installed would let deliveries bypass the new one.
-        self._observer = fn
-        self.batch_observer = None
 
     # -- construction ----------------------------------------------------
 
@@ -393,7 +376,7 @@ class Network:
         for link in links:
             exit_time = link.transit(size, at)
             if exit_time is None:
-                self._drop(packet, src_name, dst_name, now)
+                self._drop(packet, src_name, (dst,), now)
                 return
             at = exit_time
         self._deliver(dst, packet, src_name, at)
@@ -407,7 +390,8 @@ class Network:
         inside the callback — for the paper's 50×20 deployment that is
         ~50 events per transmission instead of ~1000.  Drop accounting,
         per-member inbound-loss draws, and the delivery order are
-        bit-identical to the per-receiver reference loop below.
+        bit-identical to the per-receiver reference loop below, and so
+        are the observer's calls once each is flattened to one per host.
         """
         src = self._hosts[src_name]
         self.stats["multicast_sent"] += 1
@@ -459,8 +443,7 @@ class Network:
                 if at is None:
                     break
             if at is None:
-                for dst in hosts:
-                    self._drop(packet, src_name, dst.name, now)
+                self._drop(packet, src_name, hosts, now)
                 continue
             bucket = batches.get(at)
             if bucket is None:
@@ -471,7 +454,7 @@ class Network:
             for dst in hosts:
                 loss = dst._inbound_loss
                 if loss is not None and loss.drops(at):
-                    self._drop(packet, src_name, dst.name, at)
+                    self._drop(packet, src_name, (dst,), at)
                 elif chaos is not None:
                     self._deliver_chaos(dst, packet, src_name, at)
                 else:
@@ -507,7 +490,7 @@ class Network:
                 if at is None:
                     break
             if at is None:
-                self._drop(packet, src_name, member_name, now)
+                self._drop(packet, src_name, (dst,), now)
             else:
                 self._deliver(dst, packet, src_name, at)
 
@@ -516,7 +499,7 @@ class Network:
     def _deliver(self, dst: Host, packet: Packet, src_name: str, at: float) -> None:
         loss = dst._inbound_loss
         if loss is not None and loss.drops(at):
-            self._drop(packet, src_name, dst.name, at)
+            self._drop(packet, src_name, (dst,), at)
             return
         if self.chaos is not None:
             self._deliver_chaos(dst, packet, src_name, at)
@@ -528,43 +511,38 @@ class Network:
         assert self.chaos is not None
         times = self.chaos.arrivals(packet, src_name, dst.name, at)
         if not times:
-            self._drop(packet, src_name, dst.name, at)
+            self._drop(packet, src_name, (dst,), at)
             return
         for t in times:
             self.sim.schedule(t, self._arrive, dst, packet, src_name)
 
     def _arrive(self, dst: Host, packet: Packet, src_name: str) -> None:
+        """One host's arrival (unicast, chaos, the reference fan-out):
+        through ``endpoint.receive``, the per-host entry point."""
+        now = self.sim.now
         self.stats["delivered"] += 1
-        if self._observer is not None:
-            self._observer("rx", packet, src_name, dst.name, self.sim.now)
+        if self.observer is not None:
+            self.observer("rx", packet, src_name, (dst,), now)
         if dst.endpoint is not None:
-            dst.endpoint.receive(packet, src_name, self.sim.now)
+            dst.endpoint.receive(packet, src_name, now)
 
     def _arrive_batch(self, co_timed: list[Host], packet: Packet, src_name: str) -> None:
         """Deliver one multicast transmission to its co-timed receivers.
 
         Iteration order is membership order, matching the tie-breaker
         order the per-receiver reference path produces for simultaneous
-        deliveries.  The delivered count and (when its owner installed
-        one) the observer are charged once per batch, then
+        deliveries.  The delivered count and the observer are charged
+        once for the batch, before anyone receives, then
         :meth:`SimNode.receive_batch` walks the endpoints — the one pass
         over the batch.
         """
         now = self.sim.now
         self.stats["delivered"] += len(co_timed)
-        batch_obs, observer = self.batch_observer, self._observer
-        if batch_obs is None and observer is not None:
-            # A foreign per-packet observer (HierarchyRuntime chains
-            # one): observe -> receive, per host.
-            for dst in co_timed:
-                observer("rx", packet, src_name, dst.name, now)
-                SimNode.receive_batch((dst.endpoint,), packet, src_name, now)
-            return
-        if batch_obs is not None:
-            batch_obs(packet, src_name, co_timed, now)
+        if self.observer is not None:
+            self.observer("rx", packet, src_name, co_timed, now)
         SimNode.receive_batch([dst.endpoint for dst in co_timed], packet, src_name, now)
 
-    def _drop(self, packet: Packet, src_name: str, dst_name: str, now: float) -> None:
-        self.stats["dropped"] += 1
-        if self._observer is not None:
-            self._observer("drop", packet, src_name, dst_name, now)
+    def _drop(self, packet: Packet, src_name: str, hosts: Sequence[Host], now: float) -> None:
+        self.stats["dropped"] += len(hosts)
+        if self.observer is not None:
+            self.observer("drop", packet, src_name, hosts, now)

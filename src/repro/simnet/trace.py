@@ -10,35 +10,24 @@ circuits and WAN* from one per receiver to one per site.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from repro import obs
 from repro.core.packets import Packet, PacketType
 from repro.simnet.topology import Network
 
-__all__ = ["TraceRecord", "PacketTrace"]
-
-
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One traced packet movement (kept only when ``keep_records``)."""
-
-    time: float
-    kind: str  # "rx" or "drop"
-    ptype: int
-    seq: int
-    src: str
-    dst: str
-    cross_site: bool
+__all__ = ["PacketTrace"]
 
 
 class PacketTrace:
-    """Counting observer for a simulated network."""
+    """Counting observer for a simulated network.
 
-    def __init__(self, network: Network, keep_records: bool = False) -> None:
+    It keeps counts only.  A caller that wants per-packet records chains
+    its own observer in front (``network.observer``, the way
+    :class:`~repro.simnet.hierarchy.HierarchyRuntime` does).
+    """
+
+    def __init__(self, network: Network) -> None:
         self._network = network
-        self._keep = keep_records
-        self.records: list[TraceRecord] = []
         # (kind, ptype, cross_site) -> [count, mirror_instrument_or_None].
         # A two-slot list cell costs one dict hit per observation; the
         # registry instrument rides in the cell only while a recording
@@ -46,15 +35,7 @@ class PacketTrace:
         # a no-op inc() call.  ``counts`` materializes the Counter view.
         self._cells: dict[tuple, list] = {}
         self._registry = obs.registry()
-        # Hosts never change sites, so (src, dst) -> cross-site resolves
-        # to a dict hit after the first packet on each pair.
-        self._site_cache: dict[tuple[str, str], bool] = {}
         network.observer = self.observe
-        # Installed *after* the observer on purpose: assigning observer
-        # clears batch_observer, and anything else replacing/wrapping the
-        # observer (HierarchyRuntime chains it) clears it again — so the
-        # amortized path can never bypass a foreign observer.
-        network.batch_observer = self.observe_batch
 
     @property
     def counts(self) -> Counter:
@@ -74,83 +55,31 @@ class PacketTrace:
         cell = self._cells[key] = [0, instrument]
         return cell
 
-    def observe(self, kind: str, packet: Packet, src: str, dst: str, now: float) -> None:
-        pair = (src, dst)
-        cross = self._site_cache.get(pair)
-        if cross is None:
-            cross = self._site_cache[pair] = self._cross_site(src, dst)
+    def observe(self, kind: str, packet: Packet, src: str, hosts, now: float) -> None:
+        """Count ``packet`` ("rx" or "drop") at each of ``hosts``: cross-site
+        for a host on another site than ``src``'s (a source with no host
+        counts as local everywhere)."""
+        src_host = self._network._hosts.get(src)
+        n_cross = 0
+        if src_host is not None:
+            src_site = src_host.site
+            for host in hosts:
+                if host.site is not src_site:
+                    n_cross += 1
         # PacketType is an IntEnum: as a dict key it hashes/compares
         # like its int value, so skip the per-packet int() conversion.
-        key = (kind, packet.TYPE, cross)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cell(key)
-        cell[0] += 1
-        if cell[1] is not None:
-            cell[1].inc()
-        if self._keep:
-            seq = getattr(packet, "seq", getattr(packet, "cum_seq", 0))
-            self.records.append(
-                TraceRecord(
-                    time=now,
-                    kind=kind,
-                    ptype=int(packet.TYPE),
-                    seq=seq,
-                    src=src,
-                    dst=dst,
-                    cross_site=cross,
-                )
-            )
-
-    def observe_batch(self, packet: Packet, src: str, hosts: list, now: float) -> None:
-        """Amortized ``observe``: one co-timed delivery batch per call.
-
-        Byte-equivalent to per-host ``observe("rx", ...)`` calls — the
-        per-scope counts are bumped by the batch totals, and record
-        keeping falls back to the exact per-host path.
-        """
-        src_host = self._network._hosts.get(src)
-        src_site = src_host.site if src_host is not None else None
-        n_cross = 0
-        if src_site is not None:
-            for h in hosts:
-                if h.site is not src_site:
-                    n_cross += 1
-        n_local = len(hosts) - n_cross
         ptype = packet.TYPE
         cells = self._cells
-        for cross, n in ((False, n_local), (True, n_cross)):
+        for cross, n in ((False, len(hosts) - n_cross), (True, n_cross)):
             if not n:
                 continue
-            key = ("rx", ptype, cross)
+            key = (kind, ptype, cross)
             cell = cells.get(key)
             if cell is None:
                 cell = self._cell(key)
             cell[0] += n
             if cell[1] is not None:
                 cell[1].inc(n)
-        if self._keep:
-            seq = getattr(packet, "seq", getattr(packet, "cum_seq", 0))
-            it = int(ptype)
-            append = self.records.append
-            for h in hosts:
-                append(
-                    TraceRecord(
-                        time=now,
-                        kind="rx",
-                        ptype=it,
-                        seq=seq,
-                        src=src,
-                        dst=h.name,
-                        cross_site=src_site is not None and h.site is not src_site,
-                    )
-                )
-
-    def _cross_site(self, src: str, dst: str) -> bool:
-        try:
-            return self._network.host(src).site is not self._network.host(dst).site
-        except KeyError:
-            return False
 
     # -- queries ----------------------------------------------------------
 
@@ -170,7 +99,6 @@ class PacketTrace:
         return self.attempted(PacketType.NACK, cross_site=True)
 
     def reset(self) -> None:
-        self.records.clear()
         self._cells.clear()
 
     def _cell_count(self, key: tuple) -> int:

@@ -126,6 +126,43 @@ def test_engines_agree_on_reparenting():
     assert run() == run()
 
 
+def test_hierarchy_tap_sees_the_same_run_with_and_without_batching():
+    """The hierarchy runtime's observer sees a co-timed batch in one call,
+    before anyone in it receives; the per-receiver fan-out shows it one
+    host at a time, each just before that host's receive.  Through a hub
+    outage and a forced re-parent, the tree, the trace and every
+    delivery are the same either way."""
+
+    def run(batch: bool):
+        dep = LbrmDeployment(_spec(seed=13, receivers_per_site=3))
+        dep.network.batch_delivery = batch
+        dep.start()
+        dep.advance(0.5)
+        for i in range(4):
+            dep.send(b"x%d" % i)
+            dep.advance(0.3)
+        dep.node("hub1-1-logger").crash()
+        dep.burst_site("site5", 0.4)
+        for i in range(4, 8):
+            dep.send(b"x%d" % i)
+            dep.advance(0.3)
+        assert dep.hierarchy.force_reparent("site2-logger") is not None
+        dep.burst_site("site2", 0.3)
+        for i in range(8, 12):
+            dep.send(b"x%d" % i)
+            dep.advance(0.3)
+        dep.advance(15.0)
+        assert dep.receivers_missing() == 0
+        delivered = {n.name: [tuple(d) for d in n.delivered] for n in dep.all_nodes()}
+        return dep.hierarchy.to_dict(), dep.trace.counts, delivered
+
+    batched, reference = run(True), run(False)
+    assert batched == reference
+    snap = batched[0]
+    assert {m["reason"] for m in snap["moves"]} >= {"crash", "forced"}
+    assert snap["stats"]["rtt_samples"] > 0
+
+
 def test_saturation_resheds_children():
     # Cut site1's inbound tail for a long window: the hub hosted there
     # misses the whole window, and once the first post-burst heartbeat

@@ -13,8 +13,9 @@ is what a cohort of receivers sharing one state could save (ROADMAP item
 15, step 2).
 
 It pins, too, what ``SimNode.receive_batch`` does with the same traffic:
-how many receiver deliveries ``absorb_run`` took run by run and how many
-went down the per-node path (``LbrmReceiver.handle``), per packet type.
+how many receiver deliveries ``absorb_run`` took run by run, in how many
+calls, and how many went down the per-node path (``LbrmReceiver.handle``),
+per packet type.
 A delivery loop that stops absorbing, or loses or re-delivers a member
 around a general-path one, moves these counts.
 """
@@ -74,7 +75,7 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
     Returns, per packet type name, ``lockstep`` = [members sharing their
     segment's modal state, members alone] and ``runs`` = [receiver
     deliveries absorbed run by run, receiver deliveries through
-    ``handle``]."""
+    ``handle``, ``absorb_run`` calls]."""
     lockstep: dict[str, list[int]] = {}
     runs: dict[str, list[int]] = {}
     arrive_batch, absorb_run, handle = Network._arrive_batch, node_module.absorb_run, LbrmReceiver.handle
@@ -91,11 +92,13 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
 
     def counted_absorb_run(receivers, packet, now):
         delivery, dues = absorb_run(receivers, packet, now)
-        runs.setdefault(type(packet).__name__, [0, 0])[0] += len(dues)
+        tally = runs.setdefault(type(packet).__name__, [0, 0, 0])
+        tally[0] += len(dues)
+        tally[2] += 1
         return delivery, dues
 
     def counted_handle(self, packet, src, now):
-        runs.setdefault(type(packet).__name__, [0, 0])[1] += 1
+        runs.setdefault(type(packet).__name__, [0, 0, 0])[1] += 1
         return handle(self, packet, src, now)
 
     monkeypatch.setattr(Network, "_arrive_batch", counted_arrive_batch)
@@ -114,13 +117,17 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
 # Per packet type, counted over the world's set-up and its timed run.
 # Lockstep: [members sharing their segment's modal state, members alone]
 # over the receivers of every multicast batch; runs: [receiver deliveries
-# absorbed run by run, receiver deliveries through handle()] over every
-# delivery, unicast included.  Only data and heartbeats are absorbed; a
-# receiver's first packet sets its baseline and goes through handle().
+# absorbed run by run, receiver deliveries through handle(), absorb_run
+# calls] over every delivery, unicast included.  Only data and heartbeats
+# are absorbed; a receiver's first packet sets its baseline and goes
+# through handle().  ``tree_outage`` runs at full size: the smoke world
+# has one receiver per site, so its runs are of one whatever the loop
+# does; at full size the hierarchy runtime's observer must leave a
+# co-timed batch whole (DESIGN §6, "One network observer").
 _PINNED = {
     "exact_fanout": {
         "lockstep": {"DataPacket": [5000, 0], "HeartbeatPacket": [150, 0]},
-        "runs": {"DataPacket": [4950, 50], "HeartbeatPacket": [150, 0]},
+        "runs": {"DataPacket": [4950, 50, 1040], "HeartbeatPacket": [150, 0, 30]},
     },
     "exact_lossy": {
         "lockstep": {
@@ -131,17 +138,30 @@ _PINNED = {
             "RetransPacket": [35, 20],
         },
         "runs": {
-            "AckerSelectPacket": [0, 50],
-            "DataPacket": [1921, 56],
-            "HeartbeatPacket": [2111, 72],
-            "ProbePacket": [0, 348],
-            "RetransPacket": [0, 113],
+            "AckerSelectPacket": [0, 50, 0],
+            "DataPacket": [1921, 56, 443],
+            "HeartbeatPacket": [2111, 72, 495],
+            "ProbePacket": [0, 348, 0],
+            "RetransPacket": [0, 113, 0],
+        },
+    },
+    "tree_outage": {
+        "lockstep": {
+            "DataPacket": [3000, 0],
+            "HeartbeatPacket": [18000, 0],
+            "RetransPacket": [1000, 0],
+        },
+        "runs": {
+            "DataPacket": [1000, 2000, 2200],
+            "HeartbeatPacket": [17000, 1000, 4400],
+            "RetransPacket": [0, 1000, 0],
         },
     },
 }
+_SIZE = {"tree_outage": "full"}
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_lockstep_share_and_run_traffic_are_pinned(monkeypatch, name):
-    counts = count_traffic(monkeypatch, name)
+    counts = count_traffic(monkeypatch, name, _SIZE.get(name, "smoke"))
     assert counts == _PINNED[name]

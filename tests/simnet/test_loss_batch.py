@@ -202,36 +202,51 @@ class _Seen(ProtocolMachine):
 def _every_endpoint_scenario(batch: bool, foreign_observer: bool):
     """A train through one of each thing the delivery loop must treat per
     host: a skewed clock, a paused node, a crashed node, two machines on
-    one node, a foreign endpoint, and a delivery callback that pauses the
-    *next* receiver of the same co-timed batch.  Site 3 is a lockstep run
-    of plain receivers broken, batch after batch, by a gapped member (its
+    one node and a foreign endpoint.  Site 3 is a lockstep run of plain
+    receivers broken, batch after batch, by a gapped member (its
     ``on_event`` pauses a *later* member of the same run as it reports the
-    loss), a member on the retransmission channel and a stale one."""
+    loss), a member on the retransmission channel and a stale one.
+
+    Returns the outcome and, on the batched leg with an observer, one
+    verdict per ``rx`` call made inside a co-timed batch: did the call see
+    every endpoint where it was before the batch began?"""
     dep = LbrmDeployment(DeploymentSpec(n_sites=3, receivers_per_site=5, seed=7))
     net = dep.network
     net.batch_delivery = batch
     observed: list[tuple] = []
+    before_batch: list[tuple] = []
+    verdicts: list[bool] = []
+
+    def progress():
+        # How far every endpoint has got.
+        return len(tap.received), sum(len(n.delivered) for n in dep.all_nodes())
+
     if foreign_observer:
-        # What the chaos oracle does: chain the per-packet observer (which
-        # drops the amortized batch observer, so every host is observed
-        # right before its own receive).
+        # Chain an observer in front of the deployment's PacketTrace, and
+        # flatten its calls to one per host for the comparison.
         chained = net.observer
 
-        def observer(kind, packet, src, dst, now):
-            # How far every endpoint had got when this one was observed.
-            progress = len(tap.received), sum(len(n.delivered) for n in dep.all_nodes())
-            observed.append((kind, type(packet).__name__, src, dst, now, progress))
-            chained(kind, packet, src, dst, now)
+        def observer(kind, packet, src, hosts, now):
+            if kind == "rx" and before_batch:
+                verdicts.append(progress() == before_batch[-1])
+            observed.extend((kind, type(packet).__name__, src, host.name, now) for host in hosts)
+            chained(kind, packet, src, hosts, now)
 
         net.observer = observer
+        arrive_batch = net._arrive_batch
+
+        def arrive_batch_after_noting_progress(co_timed, packet, src):
+            before_batch.append(progress())
+            arrive_batch(co_timed, packet, src)
+            before_batch.pop()
+
+        net._arrive_batch = arrive_batch_after_noting_progress
     tap = _Tap()
     net.add_host("site1-tap", net.site("site1")).attach(tap)
     net.join(dep.spec.group, "site1-tap")
     second = _Seen()
     dep.node("site1-rx3").add_machine(second)
     dep.node("site1-rx0").clock_skew = 0.3
-    pauser, paused_next = dep.node("site2-rx0"), dep.node("site2-rx1")
-    pauser._on_deliver = lambda d, now: paused_next.pause() if d.seq == 3 else None
     # Site 3's data packet i arrives at 0.2395 + 0.05 i.  site3-rx1 loses
     # packet 3 and reports the gap on packet 4, pausing site3-rx4 as it
     # does; site3-rx2c (sorted inside the run) listens on the
@@ -257,7 +272,6 @@ def _every_endpoint_scenario(batch: bool, foreign_observer: bool):
         if i == 5:
             dep.node("site1-rx1").resume()
             dep.node("site1-rx2").restart()
-            paused_next.resume()
         if i == 6:
             later.resume()
         dep.send(f"packet-{i}".encode())
@@ -267,18 +281,20 @@ def _every_endpoint_scenario(batch: bool, foreign_observer: bool):
     outcome["delivered"]["site3-rx2c"] = [tuple(d) for d in on_channel.delivered]
     outcome["events"]["site3-rx2c"] = list(on_channel.events)
     outcome["machines"]["site3-rx2c"] = [dict(on_channel.machines[0].stats)]
-    return {"tap": tap.received, "second_machine": second.seen, "observed": observed, **outcome}
+    return {"tap": tap.received, "second_machine": second.seen, "observed": observed, **outcome}, verdicts
 
 
 @pytest.mark.parametrize("foreign_observer", [False, True])
 def test_delivery_loop_matches_the_reference_fanout_for_every_endpoint(foreign_observer):
-    batched = _every_endpoint_scenario(True, foreign_observer)
-    reference = _every_endpoint_scenario(False, foreign_observer)
+    batched, verdicts = _every_endpoint_scenario(True, foreign_observer)
+    reference, _ = _every_endpoint_scenario(False, foreign_observer)
     assert batched == reference
+    # One observer call per co-timed batch, made before anyone in it
+    # receives: each saw the progress of the moment its batch began.
+    assert all(verdicts) and bool(verdicts) == foreign_observer
     # The scenario reached what it is for.
     delivered, events = batched["delivered"], batched["events"]
     assert [d[0] for d in delivered["site2-rx0"]] == list(range(1, 9))
-    assert (3, b"packet-2", True) in delivered["site2-rx1"]  # paused by its neighbour mid-batch
     assert any(d[2] for d in delivered["site1-rx1"]) and any(d[2] for d in delivered["site1-rx2"])
     assert delivered["site1-rx0"] == delivered["site2-rx0"]  # skew moves no delivery
     assert len([t for t in batched["tap"] if t[0] == "DataPacket"]) == 8
@@ -371,7 +387,9 @@ def _fanout_train(world: dict, batch: bool) -> dict:
         src = "outsider"
         net.add_host(src, net.site(f"s{world['outsider_site']}")).attach(Sink(src))
     observed: list[tuple] = []
-    net.observer = lambda kind, packet, s, dst, now: observed.append((kind, packet.seq, s, dst, now))
+    net.observer = lambda kind, packet, s, hosts, now: observed.extend(
+        (kind, packet.seq, s, host.name, now) for host in hosts
+    )
     chaos = net.chaos = _SeqChaos() if world["chaos"] else None
     for seq in range(1, 5):
         net.send_multicast(src, "g", DataPacket(group="g", seq=seq, payload=b"x"), ttl=world["ttl"])
@@ -398,5 +416,7 @@ def test_segment_walk_matches_the_per_receiver_loop(world):
     ``_send_multicast_reference`` decides per member.  Whatever the member
     order, loss models, scope, source and chaos hook: the same ordered
     observer calls, the same deliveries, counters and link charges, and
-    every RNG left where the reference leaves it."""
+    every RNG left where the reference leaves it.  Observer calls are
+    flattened to one per host: the walk makes one per batch or shared
+    drop, the reference one per member."""
     assert _fanout_train(world, batch=True) == _fanout_train(world, batch=False)

@@ -83,16 +83,6 @@ def test_wakeup_scheduling():
     assert machine.polled_at == [2.5]
 
 
-def test_deliver_callback():
-    sim, net, h1, h2 = build()
-    got = []
-    n1 = SimNode(net, h1, [Echo()], on_deliver=lambda d, t: got.append((d.seq, t)))
-    n1.start()
-    net.send_unicast("h2", "h1", DataPacket(group="g", seq=9, payload=b"x"))
-    sim.run()
-    assert got and got[0][0] == 9
-
-
 def test_events_of_filter():
     sim, net, h1, h2 = build()
     n1 = SimNode(net, h1, [Echo()])
@@ -157,17 +147,27 @@ class TestTrace:
         assert trace.cross_site_nacks() == 1
 
     def test_records_kept_when_asked(self):
+        """PacketTrace keeps counts; a caller keeps records by chaining its
+        own observer in front of it."""
         sim = Simulator()
         net = Network(sim)
         s0 = net.add_site("s0")
         net.add_host("a", s0)
         net.add_host("b", s0)
-        trace = PacketTrace(net, keep_records=True)
+        trace = PacketTrace(net)
+        records = []
+        counting = net.observer
+
+        def keep(kind, packet, src, hosts, now):
+            records.append((kind, packet.seq, tuple(host.name for host in hosts)))
+            counting(kind, packet, src, hosts, now)
+
+        net.observer = keep
         net.send_unicast("a", "b", DataPacket(group="g", seq=5, payload=b"x"))
         sim.run()
-        assert len(trace.records) == 1
-        rec = trace.records[0]
-        assert rec.seq == 5 and rec.kind == "rx" and not rec.cross_site
+        assert records == [("rx", 5, ("b",))]
+        assert trace.delivered(PacketType.DATA) == 1
+        assert trace.delivered(PacketType.DATA, cross_site=True) == 0
 
     def test_reset(self):
         sim = Simulator()

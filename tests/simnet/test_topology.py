@@ -149,7 +149,7 @@ def test_wire_size_matches_encoding():
 def test_observer_sees_rx_and_drop():
     sim, net, hosts = build()
     seen = []
-    net.observer = lambda kind, p, s, d, t: seen.append((kind, s, d))
+    net.observer = lambda kind, p, s, hosts, t: seen.append((kind, s, hosts))
     net.site("s1").tail_down.loss = BurstLoss([(0.0, 1.0)])
     for name in hosts:
         net.join("g", name)
@@ -169,7 +169,9 @@ def test_scoped_multicast_matches_reference_through_membership_changes():
         sim, net, hosts = build()
         net.batch_delivery = batch
         log = []
-        net.observer = lambda kind, packet, src, dst, now: log.append((kind, packet.seq, src, dst, now))
+        net.observer = lambda kind, packet, src, hosts, now: log.extend(
+            (kind, packet.seq, src, host.name, now) for host in hosts
+        )
         for name in ("a0", "a1", "b0", "b1"):
             net.join("g", name)
         net.join("g", "a2")  # joined before the host exists
