@@ -27,7 +27,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from operator import attrgetter
+from types import MemberDescriptorType
 from typing import Callable, ClassVar, Type, TypeVar
 
 from repro.core.errors import DecodeError, EncodeError
@@ -183,10 +183,24 @@ def register_packet(cls: P) -> P:
 # -- struct codecs -----------------------------------------------------------
 #
 # Every packet class declares ``WIRE``: a tuple of ``(field_name, kind)``
-# pairs in *wire* order, from which one precompiled :class:`struct.Struct`
-# codec is built at registration time.  That codec is the runtime.  The
-# per-field ``encode_body`` / ``decode_body`` methods are the executable
-# conformance specification, reached only through
+# pairs in *wire* order.  At registration :func:`_compile_struct_codec`
+# writes it out as the source of two straight-line functions and compiles
+# them under the file name ``<codec ClassName>``, so profiles and
+# tracebacks name the type.  Those two functions are the runtime:
+#
+# * ``enc(p)`` takes the group head (header + length-prefixed group) from
+#   a per-class memo and makes one precompiled ``Struct.pack`` call on the
+#   fields by name, e.g. ``pack(p.seq, p.epoch, n)``;
+# * ``dec(data, off, group)`` unpacks into named locals, then builds the
+#   packet with ``object.__new__`` and one slot-descriptor ``__set__`` per
+#   field in constructor order.  That skips the frozen dataclass
+#   ``__init__`` and its ``object.__setattr__`` per field, so a class with
+#   ``__post_init__`` or a field without a slot is refused.  The packet is
+#   still frozen, and ``__eq__``/``__hash__``/``__repr__`` are the
+#   dataclass's own.
+#
+# The per-field ``encode_body`` / ``decode_body`` methods are the
+# executable conformance specification, reached only through
 # :func:`encode_reference` / :func:`decode_reference` — the property
 # suite fuzzes every registered type and asserts both produce identical
 # bytes and identical values, and both reject truncated or
@@ -197,7 +211,9 @@ def register_packet(cls: P) -> P:
 # variable-length field ("str", "bytes", or "u64seq"), which must be last.
 
 _FIXED_FMT = {"u8": "B", "u16": "H", "u32": "I", "u64": "Q", "f64": "d"}
-_VARIABLE_KINDS = frozenset({"str", "bytes", "u64seq"})
+# The length word a variable tail adds to the fixed struct: a u64seq's
+# count is read on its own, from the per-count struct below.
+_TAIL_FMT = {"bytes": "H", "str": "B", "u64seq": ""}
 
 _STRUCT_ENCODERS: dict[type, Callable] = {}
 _STRUCT_DECODERS: dict[int, Callable] = {}
@@ -215,8 +231,23 @@ def _u64seq_struct(count: int) -> struct.Struct:
     return st
 
 
+def _group_head(heads: dict[str, bytes], prefix: bytes, group: str) -> bytes:
+    """A compiled encoder's head-memo miss: ``prefix`` + length + group.
+
+    Deployments speak a handful of groups across millions of packets, so
+    each class keeps the first 1024 it sees.
+    """
+    raw = group.encode("utf-8")
+    if len(raw) > _MAX_STR:
+        raise EncodeError(f"string too long for wire ({len(raw)} > {_MAX_STR})")
+    head = prefix + bytes((len(raw),)) + raw
+    if len(heads) < 1024:
+        heads[group] = head
+    return head
+
+
 def _compile_struct_codec(cls: Type[Packet]) -> None:
-    """Build and register the precompiled codec pair for ``cls.WIRE``."""
+    """Compile ``cls.WIRE`` into its straight-line ``enc``/``dec`` and register them."""
     wire = cls.__dict__.get("WIRE")
     if wire is None:
         raise EncodeError(f"{cls.__name__} declares no WIRE spec")
@@ -228,175 +259,102 @@ def _compile_struct_codec(cls: Type[Packet]) -> None:
     for name, kind in wire:
         if tail_kind is not None:
             raise EncodeError(f"{cls.__name__}.WIRE: variable-length field must be last")
-        if kind in _VARIABLE_KINDS:
+        if kind in _TAIL_FMT:
             tail_name, tail_kind = name, kind
+            fmt += _TAIL_FMT[kind]
         elif kind in _FIXED_FMT:
             fmt += _FIXED_FMT[kind]
             fixed_names.append(name)
         else:
             raise EncodeError(f"{cls.__name__}.WIRE: unknown field kind {kind!r}")
 
-    # The 4-byte header is constant per class; group headers (header +
-    # length-prefixed UTF-8 group) are memoized since deployments speak a
-    # handful of groups across millions of packets.
-    prefix = _HEADER.pack(_MAGIC, _VERSION, int(cls.TYPE))
-    heads: dict[str, bytes] = {}
-
-    def _head(group: str) -> bytes:
-        head = heads.get(group)
-        if head is None:
-            raw = group.encode("utf-8")
-            if len(raw) > _MAX_STR:
-                raise EncodeError(f"string too long for wire ({len(raw)} > {_MAX_STR})")
-            head = prefix + bytes((len(raw),)) + raw
-            if len(heads) < 1024:
-                heads[group] = head
-        return head
-
-    if not fixed_names:
-        gfix = None
-    elif len(fixed_names) == 1:
-        _g1 = attrgetter(fixed_names[0])
-
-        def gfix(p, _g1=_g1):
-            return (_g1(p),)
-
-    else:
-        gfix = attrgetter(*fixed_names)
-
-    # Decoders construct positionally (kwargs cost ~300 ns per call on a
-    # frozen slots dataclass): arg_src maps each constructor position
-    # after ``group`` to its index in the unpacked fixed tuple, or -1 for
-    # the variable tail.  This doubles as the spec check that WIRE names
-    # exactly the non-group fields.
+    # The spec check: arg_src maps each constructor position after
+    # ``group`` to its index among the fixed fields, or -1 for the tail,
+    # so WIRE must name exactly the non-group fields.
     wire_names = set(fixed_names) | ({tail_name} if tail_name is not None else set())
+    ctor = [f.name for f in fields(cls)]
     arg_src: list[int] = []
-    for f in fields(cls):
-        if f.name == "group":
-            continue
-        if f.name == tail_name:
+    for name in ctor[1:]:
+        if name == tail_name:
             arg_src.append(-1)
-        elif f.name in wire_names:
-            arg_src.append(fixed_names.index(f.name))
+        elif name in wire_names:
+            arg_src.append(fixed_names.index(name))
         else:
-            raise EncodeError(f"{cls.__name__}.WIRE: field {f.name!r} missing from spec")
+            raise EncodeError(f"{cls.__name__}.WIRE: field {name!r} missing from spec")
     if len(arg_src) != len(fixed_names) + (tail_name is not None):
         raise EncodeError(f"{cls.__name__}.WIRE: spec names a non-field")
+    if tail_kind is None and arg_src != list(range(len(arg_src))):
+        raise EncodeError(f"{cls.__name__}.WIRE: fixed fields must be in constructor order")
+    if hasattr(cls, "__post_init__"):
+        raise EncodeError(f"{cls.__name__} defines __post_init__, which decode would skip")
 
+    body = struct.Struct(fmt)
+    ns = {
+        "EncodeError": EncodeError, "DecodeError": DecodeError, "_U16": _U16,
+        "_u64seq_struct": _u64seq_struct, "_group_head": _group_head, "heads": {},
+        "prefix": _HEADER.pack(_MAGIC, _VERSION, int(cls.TYPE)),
+        "pack": body.pack, "unpack_from": body.unpack_from, "new": object.__new__, "cls": cls,
+    }
+    for name in ctor:
+        slot = next((k.__dict__[name] for k in cls.__mro__ if name in k.__dict__), None)
+        if type(slot) is not MemberDescriptorType:
+            raise EncodeError(f"{cls.__name__}.{name} has no slot")
+        ns[f"set_{name}"] = slot.__set__
+
+    head = "(heads.get(p.group) or _group_head(heads, prefix, p.group))"
+    fixed = [f"p.{name}" for name in fixed_names]
+    pack_fixed = f" + pack({', '.join(fixed)})" if fixed else ""
+    targets = "".join(f"f_{name}, " for name in fixed_names)
+    unpack_fixed = [f"{targets}= unpack_from(data, off)"] if fixed else []
     if tail_kind is None:
-        if arg_src != list(range(len(arg_src))):
-            raise EncodeError(f"{cls.__name__}.WIRE: fixed fields must be in constructor order")
-        body = struct.Struct(fmt)
-        pack, unpack_from, size = body.pack, body.unpack_from, body.size
-
-        if gfix is None:
-
-            def enc(p):
-                return _head(p.group)
-
-        else:
-
-            def enc(p):
-                return _head(p.group) + pack(*gfix(p))
-
-        def dec(data, off, group):
-            if len(data) != off + size:
-                raise DecodeError(f"bad {tname} body length", data)
-            return cls(group, *unpack_from(data, off))
-
-    elif tail_kind == "bytes":
-        body = struct.Struct(fmt + "H")
-        pack, unpack_from, size = body.pack, body.unpack_from, body.size
-        gtail = attrgetter(tail_name)
-
-        def enc(p):
-            payload = gtail(p)
-            n = len(payload)
-            if n > _MAX_PAYLOAD:
-                raise EncodeError(f"payload too large ({n} > {_MAX_PAYLOAD})")
-            if gfix is None:
-                return _head(p.group) + pack(n) + payload
-            return _head(p.group) + pack(*gfix(p), n) + payload
-
-        def dec(data, off, group):
-            fend = off + size
-            if len(data) < fend:
-                raise DecodeError(f"truncated {tname} body", data)
-            vals = unpack_from(data, off)
-            end = fend + vals[-1]
-            if len(data) != end:
-                raise DecodeError(f"bad {tname} payload length", data)
+        enc = [f"return {head}{pack_fixed}"]
+        dec = [f"if len(data) != off + {body.size}:",
+               f"    raise DecodeError('bad {tname} body length', data)", *unpack_fixed]
+    elif tail_kind == "u64seq":
+        maxn = getattr(cls, "MAX_SEQS", 0xFFFF)
+        enc = [f"seqs = p.{tail_name}", "n = len(seqs)", "if n == 0:",
+               f"    raise EncodeError('{tname} must request at least one sequence')",
+               f"if n > {maxn}:", f"    raise EncodeError('{tname} limited to {maxn} sequences')",
+               f"return {head}{pack_fixed} + _u64seq_struct(n).pack(n, *seqs)"]
+        dec = [f"fend = off + {body.size}", "if len(data) < fend + 2:",
+               f"    raise DecodeError('truncated {tname} body', data)",
+               "n, = _U16.unpack_from(data, fend)", f"if n == 0 or n > {maxn}:",
+               f"    raise DecodeError(f'bad {tname} count {{n}}', data)",
+               "if len(data) != fend + 2 + 8 * n:",
+               f"    raise DecodeError('bad {tname} sequence list length', data)",
+               f"f_{tail_name} = _u64seq_struct(n).unpack_from(data, fend)[1:]", *unpack_fixed]
+    else:  # a length-prefixed bytes or str tail after the fixed fields
+        if tail_kind == "bytes":
+            enc = [f"tail = p.{tail_name}", "n = len(tail)", f"if n > {_MAX_PAYLOAD}:",
+                   f"    raise EncodeError(f'payload too large ({{n}} > {_MAX_PAYLOAD})')"]
             # bytes() materializes only the payload when ``data`` is a
             # memoryview (the zero-copy decode_from path); on the bytes
             # path the slice already is the copy and bytes() is identity.
-            tailv = bytes(data[fend:end])
-            return cls(group, *[tailv if i < 0 else vals[i] for i in arg_src])
-
-    elif tail_kind == "str":
-        body = struct.Struct(fmt + "B")
-        pack, unpack_from, size = body.pack, body.unpack_from, body.size
-        gtail = attrgetter(tail_name)
-
-        def enc(p):
-            raw = gtail(p).encode("utf-8")
-            n = len(raw)
-            if n > _MAX_STR:
-                raise EncodeError(f"string too long for wire ({n} > {_MAX_STR})")
-            if gfix is None:
-                return _head(p.group) + pack(n) + raw
-            return _head(p.group) + pack(*gfix(p), n) + raw
-
-        def dec(data, off, group):
-            fend = off + size
-            if len(data) < fend:
-                raise DecodeError(f"truncated {tname} body", data)
-            vals = unpack_from(data, off)
-            end = fend + vals[-1]
-            if len(data) != end:
-                raise DecodeError(f"bad {tname} string length", data)
-            try:
-                # str(buf, "utf-8") accepts memoryview slices directly
-                # (decode_from), with the same UnicodeDecodeError contract
-                # as bytes.decode on the plain-bytes path.
-                tailv = str(data[fend:end], "utf-8")
-            except UnicodeDecodeError as exc:
-                raise DecodeError(f"{tname} string is not UTF-8: {exc}", data) from None
-            return cls(group, *[tailv if i < 0 else vals[i] for i in arg_src])
-
-    else:  # u64seq
-        body = struct.Struct(fmt)
-        pack, unpack_from, size = body.pack, body.unpack_from, body.size
-        gtail = attrgetter(tail_name)
-        maxn = getattr(cls, "MAX_SEQS", 0xFFFF)
-
-        def enc(p):
-            seqs = gtail(p)
-            n = len(seqs)
-            if n == 0:
-                raise EncodeError(f"{tname} must request at least one sequence")
-            if n > maxn:
-                raise EncodeError(f"{tname} limited to {maxn} sequences")
-            if gfix is None:
-                return _head(p.group) + _u64seq_struct(n).pack(n, *seqs)
-            return _head(p.group) + pack(*gfix(p)) + _u64seq_struct(n).pack(n, *seqs)
-
-        def dec(data, off, group):
-            fend = off + size
-            if len(data) < fend + 2:
-                raise DecodeError(f"truncated {tname} body", data)
-            (n,) = _U16.unpack_from(data, fend)
-            if n == 0 or n > maxn:
-                raise DecodeError(f"bad {tname} count {n}", data)
-            if len(data) != fend + 2 + 8 * n:
-                raise DecodeError(f"bad {tname} sequence list length", data)
-            tailv = _u64seq_struct(n).unpack_from(data, fend)[1:]
-            if not arg_src == [-1]:
-                vals = unpack_from(data, off)
-                return cls(group, *[tailv if i < 0 else vals[i] for i in arg_src])
-            return cls(group, tailv)
-
-    _STRUCT_ENCODERS[cls] = enc
-    _STRUCT_DECODERS[int(cls.TYPE)] = dec
+            read = [f"f_{tail_name} = bytes(data[fend:end])"]
+        else:
+            enc = [f"tail = p.{tail_name}.encode('utf-8')", "n = len(tail)",
+                   f"if n > {_MAX_STR}:",
+                   f"    raise EncodeError(f'string too long for wire ({{n}} > {_MAX_STR})')"]
+            # str(buf, "utf-8") accepts memoryview slices directly
+            # (decode_from), with the same UnicodeDecodeError contract as
+            # bytes.decode on the plain-bytes path.
+            read = ["try:", f"    f_{tail_name} = str(data[fend:end], 'utf-8')",
+                    "except UnicodeDecodeError as exc:",
+                    f"    raise DecodeError(f'{tname} string is not UTF-8: {{exc}}', data) from None"]
+        enc.append(f"return {head} + pack({', '.join(fixed + ['n'])}) + tail")
+        what = "payload" if tail_kind == "bytes" else "string"
+        dec = [f"fend = off + {body.size}", "if len(data) < fend:",
+               f"    raise DecodeError('truncated {tname} body', data)",
+               f"{targets}n, = unpack_from(data, off)",
+               "end = fend + n", "if len(data) != end:",
+               f"    raise DecodeError('bad {tname} {what} length', data)", *read]
+    values = ["group"] + [f"f_{name}" for name in ctor[1:]]
+    dec += ["p = new(cls)", *(f"set_{n}(p, {v})" for n, v in zip(ctor, values)), "return p"]
+    src = "def enc(p):\n    {}\n\ndef dec(data, off, group):\n    {}\n".format(
+        "\n    ".join(enc), "\n    ".join(dec))
+    exec(compile(src, f"<codec {cls.__name__}>", "exec"), ns)
+    _STRUCT_ENCODERS[cls] = ns["enc"]
+    _STRUCT_DECODERS[int(cls.TYPE)] = ns["dec"]
 
 
 @register_packet

@@ -82,6 +82,10 @@ class SiteRequestTracker:
         self._threshold = self._config.remulticast_threshold
         # seq -> (window start, distinct requesters, already re-multicast?)
         self._state: dict[int, tuple[float, set[Address], bool]] = {}
+        # A logger with no timers is never polled, so record() sweeps too,
+        # once the table reaches twice what the last sweep left + 64: at
+        # most 2 * (sequences requested within one window) + 64 entries.
+        self._sweep_at = 64
         self._obs_fired = obs.registry().counter("retransmit.site_remulticast")
 
     def record(self, seq: int, requester: Address, now: float, self_lost: bool = False) -> bool:
@@ -105,6 +109,8 @@ class SiteRequestTracker:
         else:
             start = now
             requesters = {requester}
+            if len(self._state) >= self._sweep_at:
+                self.sweep(now)
             self._state[seq] = (start, requesters, False)
         threshold = 1 if self_lost else self._threshold
         if len(requesters) < threshold:
@@ -119,7 +125,9 @@ class SiteRequestTracker:
         return frozenset(state[1]) if state else frozenset()
 
     def sweep(self, now: float) -> None:
-        """Drop windows that have aged out (periodic housekeeping)."""
+        """Drop windows that have aged out: exactly the entries ``record``
+        would restart, so with ``now`` monotone no verdict changes."""
         stale = [seq for seq, (start, _, _) in self._state.items() if now - start > self._window]
         for seq in stale:
             del self._state[seq]
+        self._sweep_at = 2 * len(self._state) + 64

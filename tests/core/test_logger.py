@@ -189,6 +189,20 @@ class TestLoggingAndServing:
                 assert 1 not in logger._retrans_memo
             logger.log.close()
 
+    def test_site_request_table_is_bounded_without_polls(self):
+        """A logger with no timers is never polled, so only record() can
+        sweep: 10,000 sequences NACKed once, 1 ms apart, leave at most
+        2 * (sequences inside one 1 s window) + 64 entries, not 10,000."""
+        logger = make_secondary()
+        assert logger.next_wakeup() is None
+        for seq in range(1, 10_001):
+            logger.handle(data(seq), "source", 0.0)
+        peak = 0
+        for i in range(10_000):
+            logger.handle(NackPacket(group="g", seqs=(i + 1,)), "rx1", 1.0 + i * 0.001)
+            peak = max(peak, len(logger._site_requests._state))
+        assert 1000 < peak <= 2 * 1001 + 64
+
     def test_primary_seq_is_contiguous_watermark(self):
         logger = make_secondary()
         logger.handle(data(1), "source", 0.0)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import LoggerConfig, StatAckConfig
 from repro.core.retransmit import (
@@ -80,6 +82,44 @@ class TestSiteTracker:
         tracker.record(9, "a", 0.0)
         tracker.sweep(10.0)
         assert tracker.requesters(9) == frozenset()
+
+    def test_record_sweep_keeps_a_window_exactly_one_window_old(self):
+        """The 65th sequence makes record() sweep; a window that started
+        exactly one window ago is still open (``record`` keeps counting
+        it), so the sweep must keep it too."""
+        tracker = SiteRequestTracker(LoggerConfig(remulticast_threshold=2), window=1.0)
+        for seq in range(64):
+            assert not tracker.record(seq, "a", 0.0)
+        assert not tracker.record(64, "a", 1.0)
+        assert tracker.record(0, "b", 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        threshold=st.integers(min_value=1, max_value=4),
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=99),  # seq
+                st.sampled_from(["a", "b", "c", "d"]),  # requester
+                # Binary fractions: "exactly one window later" is exact.
+                st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0, 2.5]),  # time step
+                st.booleans(),  # self_lost
+            ),
+            max_size=600,
+        ),
+    )
+    def test_record_sweeps_change_no_verdict(self, threshold, steps):
+        """record()'s own sweeps drop only windows record would restart:
+        with ``now`` monotone, a swept tracker answers like one that never
+        sweeps."""
+        config = LoggerConfig(remulticast_threshold=threshold)
+        swept, unswept = SiteRequestTracker(config), SiteRequestTracker(config)
+        unswept.sweep = lambda now: None
+        now = 0.0
+        for seq, requester, dt, self_lost in steps:
+            now += dt
+            assert swept.record(seq, requester, now, self_lost) == unswept.record(
+                seq, requester, now, self_lost)
+        assert len(swept._state) <= len(unswept._state)
 
     def test_independent_sequences(self):
         tracker = SiteRequestTracker(LoggerConfig(remulticast_threshold=2))

@@ -127,6 +127,68 @@ def test_fixed_only_wire_out_of_constructor_order_is_refused():
     assert P._STRUCT_DECODERS[int(P.PacketType.DATA)] is registered
 
 
+def test_compiled_decoders_refuse_what_they_would_skip():
+    """Decoders build packets without ``__init__``: a ``__post_init__`` or
+    a field with no slot (a dataclass without ``slots=True``) is refused."""
+
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class CheckedPacket(P.Packet):
+        TYPE = P.PacketType.DATA
+        WIRE = (("a", "u32"),)
+        a: int
+
+        def __post_init__(self):
+            pass
+
+    @dataclasses.dataclass(frozen=True)
+    class DictPacket(P.Packet):
+        TYPE = P.PacketType.DATA
+        WIRE = (("a", "u32"),)
+        a: int
+
+    registered = P._STRUCT_DECODERS[int(P.PacketType.DATA)]
+    with pytest.raises(EncodeError, match="__post_init__"):
+        P._compile_struct_codec(CheckedPacket)
+    with pytest.raises(EncodeError, match="no slot"):
+        P._compile_struct_codec(DictPacket)
+    assert P._STRUCT_DECODERS[int(P.PacketType.DATA)] is registered
+
+
+# Per kind, the value of the i-th field in WIRE order: fixed fields of one
+# kind never share a value, so swapping any two fields shows.
+_DISTINCT = {
+    "u8": lambda i: i + 1,
+    "u16": lambda i: 0x0101 * (i + 1),
+    "u32": lambda i: 0x01020304 + i,
+    "u64": lambda i: 0x0102030405060708 + i,
+    "f64": lambda i: 0.5 + i,
+    "bytes": lambda i: b"tail",
+    "str": lambda i: "tail",
+    "u64seq": lambda i: (7, 8, 9),
+}
+
+
+@pytest.mark.parametrize("cls", _ALL_CLASSES, ids=lambda c: c.__name__)
+def test_every_field_lands_in_its_own_place(cls):
+    """Distinct values in every field and a non-empty tail: a codec that
+    swaps two same-width fields (``HeartbeatPacket.hb_index``/``epoch``)
+    fails here whatever examples hypothesis draws, and so does one that
+    skips a body-length check."""
+    wire = cls.__dict__["WIRE"]
+    pkt = cls(group="g", **{name: _DISTINCT[kind](i) for i, (name, kind) in enumerate(wire)})
+    data = P.encode(pkt)
+    assert data == P.encode_reference(pkt)
+    for bad in (data[:-1], data + b"\x00"):
+        with pytest.raises(DecodeError):
+            P.decode(bad)
+    decoded = P.decode(data)
+    assert type(decoded) is cls
+    assert decoded == pkt == P.decode_reference(P.encode_reference(pkt))
+    assert repr(decoded) == repr(pkt) and hash(decoded) == hash(pkt)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        decoded.group = "h"
+
+
 @settings(max_examples=300, deadline=None)
 @given(_PACKETS)
 def test_struct_and_legacy_encodings_identical(pkt):
