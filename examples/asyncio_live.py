@@ -80,7 +80,7 @@ async def main() -> None:
     print(f"  receiver-1 got seq {d.seq}: {d.payload.decode()}")
 
     print("receiver-2 reconnects; the next packet reveals its gap ...")
-    await rx2_node.join_group(GROUP)
+    rx2_node.join_group(GROUP)
     await asyncio.sleep(0.05)
     await sender_node.send(sender, b"terrain: crater smoking")
     got = {}

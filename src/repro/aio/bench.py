@@ -202,12 +202,13 @@ async def _run_blast(p: dict, transport: str = "unicast-blast") -> dict:
     """
     from repro.aio.groupmap import GroupDirectory
     from repro.aio.node import AioNode
-    from repro.core.actions import SendUnicast
+    from repro.core.actions import SendUnicast, run_actions
+    from repro.core.machine import ProtocolMachine
     from repro.core.packets import DataPacket
 
     _NO_ACTIONS: list = []
 
-    class _Sink:
+    class _Sink(ProtocolMachine):
         """Counting sink: the transport's job ends when the decoded
         packet reaches the machine, so the sink just tallies arrivals —
         any protocol work here would dilute the per-datagram cost this
@@ -242,8 +243,8 @@ async def _run_blast(p: dict, transport: str = "unicast-blast") -> dict:
         # Pre-build the workload outside the timed region: packet
         # construction is application work; the clock measures encode →
         # sendto → recvfrom → decode → machine dispatch.  One packet
-        # object fans to every receiver; the encode hoist in
-        # AioNode._execute_sync encodes it once.
+        # object fans to every receiver; the encode-once memo in
+        # AioNode's send primitives encodes it once.
         bursts = []
         seq = 1
         sent = 0
@@ -268,12 +269,12 @@ async def _run_blast(p: dict, transport: str = "unicast-blast") -> dict:
                 await asyncio.sleep(0)
 
         warm = DataPacket(group="bench/aio", seq=1, payload=payload)
-        sender._execute_sync([SendUnicast(dest=d, packet=warm) for d in dests])
+        run_actions([SendUnicast(dest=d, packet=warm) for d in dests], sender)
         await drain(1)
         t0 = time.perf_counter()
         done = 0
         for n, actions in bursts:
-            sender._execute_sync(actions)
+            run_actions(actions, sender)
             done += n
             await drain(done + 1 - p["flow_window"])
         await drain(p["packets"] + 1)

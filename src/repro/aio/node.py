@@ -3,9 +3,10 @@
 :class:`AioNode` is the asyncio twin of
 :class:`repro.simnet.node.SimNode`: it owns one unicast endpoint (the
 node's address), joins multicast groups on demand, decodes datagrams,
-dispatches them to its protocol machines, executes the returned actions
-against real sockets, and keeps machine wakeups scheduled with
-``loop.call_at``.
+dispatches them to its protocol machines, and keeps machine wakeups
+scheduled with ``loop.call_at``.  Actions run through
+:func:`~repro.core.actions.run_actions` and this node's synchronous
+primitives: a join is a socket bind, done before the handler returns.
 
 The datagram path is built for throughput:
 
@@ -14,6 +15,8 @@ The datagram path is built for throughput:
   ``loop.add_reader``, not asyncio transports, which allocate a fresh
   ``bytes`` per datagram), and packets decode straight out of the
   receive buffer with :func:`~repro.core.packets.decode_from`.
+* **Encode once** — a repair fan-out sends one packet object to many
+  destinations; its wire is reused while the same object keeps coming.
 * **TX coalescing** — with ``bundling=True``, outbound packets queue
   per destination and flush once per event-loop tick as bundle
   datagrams (:func:`~repro.core.packets.encode_bundle`), bounded by
@@ -32,21 +35,14 @@ import socket
 from typing import Callable
 
 from repro import obs
-from repro.core.actions import (
-    Action,
-    Deliver,
-    JoinGroup,
-    LeaveGroup,
-    Notify,
-    SendMulticast,
-    SendUnicast,
-)
+from repro.core.actions import Action, Deliver, handle_each, run_actions
 from repro.core.errors import DecodeError
 from repro.core.events import Event
-from repro.core.machine import ProtocolMachine
+from repro.core.machine import ProtocolMachine, earliest_wakeup
 from repro.core.packets import (
     BUNDLE_FRAME_OVERHEAD,
     BUNDLE_OVERHEAD,
+    Packet,
     decode_from,
     encode,
     encode_bundle,
@@ -140,6 +136,9 @@ class AioNode:
         self._tx_queues: dict[tuple, list[bytes]] = {}
         self._tx_sizes: dict[tuple, int] = {}
         self._flush_handle: asyncio.Handle | asyncio.TimerHandle | None = None
+        # The encode-once memo: the last packet object sent, and its wire.
+        self._last_packet: Packet | None = None
+        self._last_wire = b""
         # Occupancy accounting: packets-per-flushed-datagram histogram,
         # kept locally (cheap to read in benchmarks) and mirrored into
         # the obs registry while recording.
@@ -219,9 +218,7 @@ class AioNode:
         # reach the node.
         self._loop.add_reader(msock.fileno(), self._on_readable, msock, None)
         for machine in self.machines:
-            start = getattr(machine, "start", None)
-            if callable(start):
-                await self._execute(start(self.now))
+            run_actions(machine.start(self.now), self)
         self._reschedule()
 
     async def close(self) -> None:
@@ -257,7 +254,7 @@ class AioNode:
 
     async def send(self, machine, payload: bytes) -> None:
         """Have a sender machine multicast application data now."""
-        await self._execute(machine.send(payload, self.now))
+        run_actions(machine.send(payload, self.now), self)
         self._reschedule()
 
     async def send_many(self, machine, payloads) -> None:
@@ -272,12 +269,17 @@ class AioNode:
         actions: list[Action] = []
         for payload in payloads:
             actions.extend(machine.send(payload, now))
-        await self._execute(actions)
+        run_actions(actions, self)
         self._reschedule()
 
-    async def join_group(self, group: str) -> None:
-        """Subscribe this node to ``group``'s multicast address."""
-        if group in self._group_socks:
+    def join_group(self, group: str) -> None:
+        """Subscribe this node to ``group``'s multicast address.
+
+        A no-op once closed: a socket bound after :meth:`close` would
+        never be closed, and its reader would fire on every loop
+        iteration without being drained.
+        """
+        if self._closed or group in self._group_socks:
             return
         assert self._loop is not None
         addr, port = self._directory.resolve(group)
@@ -294,7 +296,7 @@ class AioNode:
 
     async def run_machine(self, fn, *args) -> None:
         """Execute ``fn(*args)`` returning actions, then reschedule."""
-        await self._execute(fn(*args))
+        run_actions(fn(*args), self)
         self._reschedule()
 
     # -- datagram path ----------------------------------------------------
@@ -371,84 +373,44 @@ class AioNode:
                 stats["group_mismatches"] += 1
                 return
         stats["rx"] += 1
-        machines = self.machines
-        if len(machines) == 1:
-            actions = machines[0].handle(packet, addr, now)
-        else:
-            actions = []
-            for machine in machines:
-                actions.extend(machine.handle(packet, addr, now))
-        # Synchronous execution: UDP sends don't block.
-        if actions:
-            self._execute_sync(actions)
+        handle_each(self.machines, packet, addr, now, self)
 
     def _poll(self) -> None:
         if self._closed:
             return
         self._wakeup_handle = None
         now = self.now
-        actions: list[Action] = []
         for machine in self.machines:
-            actions.extend(machine.poll(now))
-        self._execute_sync(actions)
+            actions = machine.poll(now)
+            if actions:
+                run_actions(actions, self)
         self._reschedule()
 
-    # -- action execution ----------------------------------------------------
+    # -- the primitives run_actions carries actions out with ------------------
 
-    async def _execute(self, actions: list[Action]) -> None:
-        """Execute actions, awaiting group joins (socket setup)."""
-        for action in actions:
-            if isinstance(action, JoinGroup):
-                await self.join_group(action.group)
-            else:
-                self._execute_sync([action])
+    def unicast(self, dest: tuple[str, int], packet: Packet) -> None:
+        self.stats["tx_unicast"] += 1
+        self._send(("u", dest), packet)
 
-    def _execute_sync(self, actions: list[Action]) -> None:
-        # Repair fan-outs emit the same packet to many destinations;
-        # encode once per distinct packet object and reuse the wire
-        # across consecutive sends.
-        last_packet = None
-        last_wire = b""
-        for action in actions:
-            cls = type(action)
-            if cls is SendUnicast or cls is SendMulticast:
-                packet = action.packet
-                if packet is last_packet:
-                    wire = last_wire
-                else:
-                    wire = encode(packet)
-                    last_packet, last_wire = packet, wire
-                if self.on_send is not None:
-                    self.on_send(action, self.now)
-                if cls is SendUnicast:
-                    self.stats["tx_unicast"] += 1
-                    assert self._unicast_sock is not None
-                    if self._bundling:
-                        self._queue_wire(("u", action.dest), wire)
-                    else:
-                        self._transmit_unicast(wire, action.dest)
-                else:
-                    self.stats["tx_multicast"] += 1
-                    assert self._mcast_send_sock is not None
-                    if self._bundling:
-                        self._queue_wire(("m", action.group, action.ttl), wire)
-                    else:
-                        self._transmit_multicast(wire, action.group, action.ttl)
-            elif cls is Deliver:
-                self.delivered.append(action)
-                self.delivery_queue.put_nowait(action)
-            elif cls is Notify:
-                self.events.append(action.event)
-                if self.on_event is not None:
-                    self.on_event(action.event, self.now)
-            elif cls is JoinGroup:
-                # From a sync context (poll/datagram): schedule the join.
-                assert self._loop is not None
-                self._loop.create_task(self.join_group(action.group))
-            elif cls is LeaveGroup:
-                self.leave_group(action.group)
-            else:  # pragma: no cover - future action types
-                raise TypeError(f"unknown action {action!r}")
+    def multicast(self, group: str, packet: Packet, ttl: int | None) -> None:
+        self.stats["tx_multicast"] += 1
+        self._send(("m", group, ttl), packet)
+
+    def deliver(self, action: Deliver) -> None:
+        self.delivered.append(action)
+        self.delivery_queue.put_nowait(action)
+
+    def _send(self, key: tuple, packet: Packet) -> None:
+        """Encode ``packet`` (once per object), then queue or transmit it."""
+        if packet is self._last_packet:
+            wire = self._last_wire
+        else:
+            wire = encode(packet)
+            self._last_packet, self._last_wire = packet, wire
+        if self._bundling:
+            self._queue_wire(key, wire)
+        else:
+            self._transmit_key(key, wire)
 
     # -- raw transmission -------------------------------------------------
 
@@ -571,9 +533,7 @@ class AioNode:
     def _reschedule(self) -> None:
         if self._closed or self._loop is None:
             return
-        deadlines = [m.next_wakeup() for m in self.machines]
-        deadlines = [d for d in deadlines if d is not None]
-        next_due = min(deadlines) if deadlines else None
+        next_due = earliest_wakeup(self.machines)
         if next_due is None:
             if self._wakeup_handle is not None:
                 self._wakeup_handle.cancel()

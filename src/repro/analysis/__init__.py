@@ -17,7 +17,7 @@ from repro.analysis.heartbeat_math import (
     variable_rate,
 )
 from repro.analysis.metrics_report import render_json, render_text, snapshot_with_trace
-from repro.analysis.report import format_comparison, format_series, format_table
+from repro.analysis.report import format_series, format_table
 
 __all__ = [
     "GroupBandwidth",
@@ -34,7 +34,6 @@ __all__ = [
     "table1_rows",
     "variable_heartbeat_count",
     "variable_rate",
-    "format_comparison",
     "format_series",
     "format_table",
     "render_json",

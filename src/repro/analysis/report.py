@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["format_table", "format_series", "format_comparison"]
+__all__ = ["format_table", "format_series"]
 
 
 def _render(value) -> str:
@@ -44,12 +44,3 @@ def format_series(name: str, xs: Sequence, ys: Sequence, x_label: str = "x", y_l
     header = f"# {name}"
     table = format_table([x_label, y_label], zip(xs, ys))
     return f"{header}\n{table}"
-
-
-def format_comparison(
-    title: str,
-    rows: Iterable[tuple[str, object, object]],
-) -> str:
-    """Render (quantity, paper value, measured value) comparison rows."""
-    table = format_table(["quantity", "paper", "measured"], rows)
-    return f"== {title} ==\n{table}"

@@ -2,15 +2,15 @@
 
 * :mod:`repro.baselines.fixed_heartbeat` — the basic receiver-reliable
   scheme with a constant heartbeat period (§2.1.2).
-* :mod:`repro.baselines.centralized` — recovery without secondary
-  loggers: every NACK goes to the primary (§2.2.2, Fig 7a).
+* Centralized logging — recovery without secondary loggers, every NACK
+  to the primary (§2.2.2, Fig 7a) — is ``DeploymentSpec(
+  secondary_loggers=False)``, not a module here.
 * :mod:`repro.baselines.srm` — wb/SRM-style unorganized recovery with
   multicast requests and repairs (§6).
 * :mod:`repro.baselines.senderreliable` — conventional positive-ACK
   multicast with per-receiver state and ACK implosion (§1, §5).
 """
 
-from repro.baselines.centralized import centralized_spec
 from repro.baselines.fixed_heartbeat import FIXED_DEFAULT, fixed_heartbeat_config
 from repro.baselines.senderreliable import (
     PosAckDataPacket,
@@ -27,7 +27,6 @@ from repro.baselines.srm import (
 )
 
 __all__ = [
-    "centralized_spec",
     "FIXED_DEFAULT",
     "fixed_heartbeat_config",
     "PosAckDataPacket",

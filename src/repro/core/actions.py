@@ -5,7 +5,8 @@ packets and clock readings and returns a list of :class:`Action`
 objects describing what the surrounding harness should do.  Two
 harnesses exist — the deterministic discrete-event simulator
 (:mod:`repro.simnet`) and the real asyncio UDP runtime
-(:mod:`repro.aio`) — and both interpret the same action vocabulary.
+(:mod:`repro.aio`) — and both carry actions out with the one
+interpreter here, :func:`run_actions`, over primitives each node supplies.
 
 Addresses are deliberately opaque: the simulator uses node-name strings
 while the asyncio runtime uses ``(host, port)`` tuples.  Machines never
@@ -39,6 +40,8 @@ __all__ = [
     "Notify",
     "JoinGroup",
     "LeaveGroup",
+    "run_actions",
+    "handle_each",
 ]
 
 # An address is any hashable token the transport understands.
@@ -154,3 +157,50 @@ def deliveries(actions: list[Action]) -> list[Deliver]:
 def notifications(actions: list[Action]) -> list[Notify]:
     """Filter ``actions`` down to protocol event notifications."""
     return [a for a in actions if isinstance(a, Notify)]
+
+
+def run_actions(actions, node) -> None:
+    """Carry out ``actions`` on ``node``, the one interpreter of them.
+
+    ``node`` supplies ``now``, ``unicast(dest, packet)``,
+    ``multicast(group, packet, ttl)``, ``join_group(group)``,
+    ``leave_group(group)``, ``deliver(action)``, an ``events`` list and two
+    taps: ``on_send(action, now)`` before each transmission and
+    ``on_event(event, now)`` after each event is appended.  The chain runs
+    in observed frequency order: deliveries, unicasts, multicasts, events.
+    """
+    for action in actions:
+        cls = type(action)
+        if cls is Deliver:
+            node.deliver(action)
+        elif cls is SendUnicast:
+            if node.on_send is not None:
+                node.on_send(action, node.now)
+            node.unicast(action.dest, action.packet)
+        elif cls is SendMulticast:
+            if node.on_send is not None:
+                node.on_send(action, node.now)
+            node.multicast(action.group, action.packet, action.ttl)
+        elif cls is Notify:
+            node.events.append(action.event)
+            if node.on_event is not None:
+                node.on_event(action.event, node.now)
+        elif cls is JoinGroup:
+            node.join_group(action.group)
+        elif cls is LeaveGroup:
+            node.leave_group(action.group)
+        else:
+            raise TypeError(f"unknown action {action!r}")
+
+
+def handle_each(machines, packet: "Packet", src: Address, now: float, node) -> None:
+    """Show ``packet`` to each machine in turn, running its actions on
+    ``node`` before the next one sees it; stop once ``node`` is not
+    ``alive`` (an action or tap stopped it), hiding the packet from the rest.
+    """
+    for machine in machines:
+        actions = machine.handle(packet, src, now)
+        if actions:
+            run_actions(actions, node)
+            if not node.alive:
+                return

@@ -2,17 +2,21 @@
 
 A :class:`ProtocolMachine` never touches a socket or an event loop.  The
 harness (simulator or asyncio runtime) owns time and I/O and drives the
-machine through exactly three entry points:
+machine through exactly four entry points:
 
+* :meth:`ProtocolMachine.start` — the node came up (or restarted); the
+  default does nothing,
 * :meth:`ProtocolMachine.handle` — a packet arrived,
 * :meth:`ProtocolMachine.poll` — the clock reached a requested wakeup,
 * :meth:`ProtocolMachine.next_wakeup` — when the machine next needs the
   clock.
 
-The contract: after *any* call to ``handle``/``poll`` the harness must
-re-read ``next_wakeup()`` and reschedule.  Machines must be tolerant of
+The contract: after *any* call to ``start``/``handle``/``poll`` the
+harness must re-read ``next_wakeup()`` (over several machines,
+:func:`earliest_wakeup`) and reschedule.  Machines must be tolerant of
 early or late polls (``poll`` at any time is legal and idempotent when
-nothing is due).
+nothing is due).  The returned actions are carried out by
+:func:`~repro.core.actions.run_actions`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Hashable
 from repro.core.actions import Action, Address
 from repro.core.packets import Packet
 
-__all__ = ["ProtocolMachine", "TimerSet"]
+__all__ = ["ProtocolMachine", "TimerSet", "earliest_wakeup"]
 
 # Shared nothing-due result for TimerSet.pop_due (callers only iterate).
 _NO_KEYS: tuple = ()
@@ -120,6 +124,11 @@ class ProtocolMachine:
     def __init__(self) -> None:
         self.timers = TimerSet()
 
+    def start(self, now: float) -> list[Action]:
+        """Join groups and arm timers as the node comes up.  Runs again
+        on a restart, so it must be idempotent."""
+        return []
+
     def handle(self, packet: Packet, src: Address, now: float) -> list[Action]:
         """Process an inbound ``packet`` from ``src`` at time ``now``."""
         raise NotImplementedError
@@ -131,3 +140,13 @@ class ProtocolMachine:
     def next_wakeup(self) -> float | None:
         """Absolute time of the next deadline, or None if idle."""
         return self.timers.next_deadline()
+
+
+def earliest_wakeup(machines) -> float | None:
+    """The earliest ``next_wakeup()`` of ``machines``, or None if all idle."""
+    earliest = None
+    for machine in machines:
+        due = machine.next_wakeup()
+        if due is not None and (earliest is None or due < earliest):
+            earliest = due
+    return earliest

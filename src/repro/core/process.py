@@ -19,7 +19,7 @@ Packets for groups without a registered machine are counted and dropped
 from __future__ import annotations
 
 from repro.core.actions import Action, Address
-from repro.core.machine import ProtocolMachine
+from repro.core.machine import ProtocolMachine, earliest_wakeup
 from repro.core.packets import Packet
 from repro.core.retranschannel import retrans_group
 
@@ -67,9 +67,7 @@ class MultiGroupProcess(ProtocolMachine):
         actions: list[Action] = []
         for machines in self._machines.values():
             for machine in machines:
-                start = getattr(machine, "start", None)
-                if callable(start):
-                    actions.extend(start(now))
+                actions.extend(machine.start(now))
         return actions
 
     def handle(self, packet: Packet, src: Address, now: float) -> list[Action]:
@@ -94,10 +92,4 @@ class MultiGroupProcess(ProtocolMachine):
         return actions
 
     def next_wakeup(self) -> float | None:
-        deadlines = [
-            machine.next_wakeup()
-            for machines in self._machines.values()
-            for machine in machines
-        ]
-        live = [d for d in deadlines if d is not None]
-        return min(live) if live else None
+        return earliest_wakeup(m for machines in self._machines.values() for m in machines)

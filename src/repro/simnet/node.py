@@ -1,9 +1,11 @@
 """Binding protocol machines to simulated hosts.
 
 A :class:`SimNode` owns one or more sans-IO machines on one host.  It
-dispatches inbound packets to every machine, executes the actions they
-return (transmissions via the network, deliveries and events into its
-``delivered`` and ``events`` lists), and keeps each machine's next wakeup
+dispatches inbound packets to every machine, has
+:func:`~repro.core.actions.run_actions` carry out the actions they return
+through its primitives (``unicast``/``multicast`` via the network,
+``join_group``/``leave_group``, ``deliver`` into its ``delivered`` list;
+events land in ``events``), and keeps each machine's next wakeup
 scheduled on the simulator.  Its two taps, ``on_event`` and ``on_send``,
 are the ones the chaos oracle chains.
 
@@ -45,17 +47,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.actions import (
-    Action,
-    Deliver,
-    JoinGroup,
-    LeaveGroup,
-    Notify,
-    SendMulticast,
-    SendUnicast,
-)
+from repro.core.actions import Action, Deliver, handle_each, run_actions
 from repro.core.events import Event
-from repro.core.machine import ProtocolMachine
+from repro.core.machine import ProtocolMachine, earliest_wakeup
 from repro.core.packets import Packet
 from repro.core.receiver import RUN_PACKETS, LbrmReceiver, absorb_run
 from repro.simnet.engine import ScheduledEvent, Simulator
@@ -112,6 +106,10 @@ class SimNode:
     address = name
 
     @property
+    def now(self) -> float:  # what the taps are stamped with: unskewed
+        return self._sim.now
+
+    @property
     def alive(self) -> bool:
         """Neither crashed nor paused."""
         return not self.crashed and not self.paused
@@ -136,11 +134,9 @@ class SimNode:
         self._reschedule()
 
     def start(self) -> None:
-        """Call each machine's ``start`` hook (if it has one) and arm timers."""
+        """Call each machine's ``start`` hook and arm timers."""
         for machine in self.machines:
-            start = getattr(machine, "start", None)
-            if callable(start):
-                self.execute(start(self._machine_now()))
+            run_actions(machine.start(self._machine_now()), self)
         self._reschedule()
 
     # -- the harness contract ---------------------------------------------------
@@ -216,12 +212,14 @@ class SimNode:
             skew = node.clock_skew
             machines = node.machines
             if len(machines) != 1:
-                node._receive_each(machines, packet, src, now + skew)
+                # The rare shapes: several machines on one node, or none left.
+                handle_each(machines, packet, src, now + skew, node)
+                node._reschedule()
                 continue
             machine = machines[0]
             actions = machine.handle(packet, src, now + skew if skew else now)
             if actions:
-                node.execute(actions)
+                run_actions(actions, node)
                 if not node.alive:
                     continue  # an executed action stopped us; resume()/restart() re-arm
             next_due = machine.next_wakeup()
@@ -245,22 +243,12 @@ class SimNode:
                 wakeup.cancel()
             node._wakeup = node._sim.schedule(next_due, node.poll)
 
-    def _receive_each(self, machines, packet, src, now) -> None:
-        """The rare shapes: several machines on one node, or none left."""
-        for machine in machines:
-            actions = machine.handle(packet, src, now)
-            if actions:
-                self.execute(actions)
-                if not self.alive:
-                    return  # the other machines never see the packet
-        self._reschedule()
-
     def poll(self) -> None:
         self._wakeup = None
         if self.paused:
             return
         now = self._sim.now + self.clock_skew
-        due = self._earliest()
+        due = earliest_wakeup(self.machines)
         if due is not None and due > now:
             # Stale wakeup: every deadline moved later since this poll
             # was scheduled (the receiver watchdog re-arms on each
@@ -279,48 +267,36 @@ class SimNode:
         for machine in self.machines:
             actions = machine.poll(now)
             if actions:
-                self.execute(actions)
+                run_actions(actions, self)
         self._reschedule()
 
-    def execute(self, actions: list[Action]) -> None:
-        """Carry out protocol actions against the simulated network.
+    # -- the primitives run_actions carries actions out with ------------------
 
-        The isinstance chain is ordered by observed frequency: data
-        deliveries dominate every scenario, then repair unicasts, then
-        control multicasts; group churn is start-up only.
-        """
-        for action in actions:
-            if isinstance(action, Deliver):
-                self.delivered.append(action)
-            elif isinstance(action, SendUnicast):
-                if self.on_send is not None:
-                    self.on_send(action, self._sim.now)
-                self._network.send_unicast(self.name, action.dest, action.packet)
-            elif isinstance(action, SendMulticast):
-                if self.on_send is not None:
-                    self.on_send(action, self._sim.now)
-                self._network.send_multicast(self.name, action.group, action.packet, action.ttl)
-            elif isinstance(action, Notify):
-                self.events.append(action.event)
-                if self.on_event is not None:
-                    self.on_event(action.event, self._sim.now)
-            elif isinstance(action, JoinGroup):
-                self._network.join(action.group, self.name)
-            elif isinstance(action, LeaveGroup):
-                self._network.leave(action.group, self.name)
-            else:  # pragma: no cover - future action types
-                raise TypeError(f"unknown action {action!r}")
+    def unicast(self, dest: str, packet: Packet) -> None:
+        self._network.send_unicast(self.name, dest, packet)
+
+    def multicast(self, group: str, packet: Packet, ttl: int | None) -> None:
+        self._network.send_multicast(self.name, group, packet, ttl)
+
+    def join_group(self, group: str) -> None:
+        self._network.join(group, self.name)
+
+    def leave_group(self, group: str) -> None:
+        self._network.leave(group, self.name)
+
+    def deliver(self, action: Deliver) -> None:
+        self.delivered.append(action)
 
     # -- app-facing helpers ----------------------------------------------------
 
     def send_app(self, machine, payload: bytes) -> None:
         """Have a sender machine multicast application data now."""
-        self.execute(machine.send(payload, self._machine_now()))
+        run_actions(machine.send(payload, self._machine_now()), self)
         self._reschedule()
 
     def run_machine(self, fn, *args) -> None:
         """Execute ``fn(*args)`` returning actions, then reschedule."""
-        self.execute(fn(*args))
+        run_actions(fn(*args), self)
         self._reschedule()
 
     def events_of(self, event_type) -> list[Event]:
@@ -383,19 +359,10 @@ class SimNode:
             wakeup.cancel()
             self._wakeup = None
 
-    def _earliest(self) -> float | None:
-        """The machines' earliest ``next_wakeup()``, in their (skewed) time."""
-        earliest = None
-        for machine in self.machines:
-            due = machine.next_wakeup()
-            if due is not None and (earliest is None or due < earliest):
-                earliest = due
-        return earliest
-
     def _reschedule(self) -> None:
         if self.paused:
             return  # resume() re-arms
-        next_due = self._earliest()
+        next_due = earliest_wakeup(self.machines)  # in the machines' (skewed) time
         if next_due is None:
             self._disarm()
             return

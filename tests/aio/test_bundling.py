@@ -20,7 +20,8 @@ import pytest
 from repro.aio import AioNode, GroupDirectory
 from repro.aio import node as node_mod
 from repro.core import packets as P
-from repro.core.actions import SendUnicast
+from repro.core.actions import SendUnicast, run_actions
+from repro.core.machine import ProtocolMachine
 from repro.core.packets import BUNDLE_OVERHEAD, DataPacket
 
 pytestmark = pytest.mark.network
@@ -28,10 +29,11 @@ pytestmark = pytest.mark.network
 _NO_ACTIONS: list = []
 
 
-class _Sink:
+class _Sink(ProtocolMachine):
     """Records every decoded packet the node dispatches to it."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.packets = []
 
     def handle(self, packet, addr, now):
@@ -87,7 +89,7 @@ async def _run_stream(bundling: bool, payloads, expected: int | None = None,
                                                      payload=payload))
             for i, payload in enumerate(payloads)
         ]
-        sender._execute_sync(actions)
+        run_actions(actions, sender)
         await _drain(sink, len(payloads) if expected is None else expected)
         stats = dict(sender.stats)
         occupancy = dict(sender.bundle_occupancy)
@@ -225,7 +227,7 @@ def test_tx_tables_forget_flushed_destinations():
                     for _ in range(3):
                         seq += 1
                         packet = DataPacket(group="t/bundle", seq=seq, payload=payload)
-                        sender._execute_sync([SendUnicast(dest=dest, packet=packet)])
+                        run_actions([SendUnicast(dest=dest, packet=packet)], sender)
                 while sender._flush_handle is not None:
                     await asyncio.sleep(0)
                 table_sizes.append((len(sender._tx_queues), len(sender._tx_sizes)))
@@ -263,10 +265,11 @@ def test_bundle_delay_coalesces_across_ticks():
             await sender.start()
             dest = receiver.address
             for seq in (1, 2):
-                sender._execute_sync(
+                run_actions(
                     [SendUnicast(dest=dest,
                                  packet=DataPacket(group="t/bundle", seq=seq,
-                                                   payload=b"tick"))]
+                                                   payload=b"tick"))],
+                    sender,
                 )
                 await asyncio.sleep(0)  # a real tick boundary between sends
             await _drain(sink, 2)
@@ -292,10 +295,11 @@ def test_close_flushes_pending_bundles():
         try:
             await receiver.start()
             await sender.start()
-            sender._execute_sync(
+            run_actions(
                 [SendUnicast(dest=receiver.address,
                              packet=DataPacket(group="t/bundle", seq=1,
-                                               payload=b"pending"))]
+                                               payload=b"pending"))],
+                sender,
             )
             await sender.close()
             await _drain(sink, 1)

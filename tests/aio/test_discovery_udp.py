@@ -43,7 +43,7 @@ async def _run_discovery():
     # The client must hear replies on its unicast socket and send queries
     # to the group; it also must be able to receive on the group (no-op
     # here but realistic).
-    await client_node.join_group(GROUP)
+    client_node.join_group(GROUP)
     await client_node.run_machine(client.start, client_node.now)
 
     try:

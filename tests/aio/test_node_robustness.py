@@ -50,8 +50,8 @@ async def _run_group_lifecycle():
     node = AioNode(directory=directory)
     await node.start()
     try:
-        await node.join_group(GROUP)
-        await node.join_group(GROUP)  # second join: no error, one socket
+        node.join_group(GROUP)
+        node.join_group(GROUP)  # second join: no error, one socket
         node.leave_group(GROUP)
         node.leave_group(GROUP)  # double leave: no-op
         node.leave_group("never/joined")

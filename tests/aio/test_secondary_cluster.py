@@ -116,7 +116,7 @@ async def _run_cross_group():
     await node_a.start()
     await node_b.start()
     try:
-        await node_b.join_group("grp/b")
+        node_b.join_group("grp/b")
         async with AioCluster("grp/a", n_receivers=1, directory=directory) as cluster:
             await cluster.publish(b"for-a-only")
             await asyncio.wait_for(cluster.deliveries(0, 1), 3.0)

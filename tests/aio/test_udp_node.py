@@ -131,7 +131,7 @@ async def _run_recovery():
         await asyncio.sleep(0.02)
         await sn.send(sender, b"missed")  # seq 2: dropped for this receiver
         await asyncio.sleep(0.05)
-        await rn.join_group(GROUP)  # reconnect
+        rn.join_group(GROUP)  # reconnect
         await asyncio.sleep(0.02)
 
         await sn.send(sender, b"fresh")  # seq 3 reveals the gap at 2

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.report import format_comparison, format_series, format_table
+from repro.analysis.report import format_series, format_table
 
 
 def test_table_alignment_and_rule():
@@ -26,10 +26,3 @@ def test_series():
     out = format_series("Figure 4", [1, 2], [4.0, 2.0], x_label="dt", y_label="rate")
     assert out.startswith("# Figure 4")
     assert "dt" in out and "rate" in out
-
-
-def test_comparison():
-    out = format_comparison("Table 1", [("backoff 2", 53.3, 53.2)])
-    assert out.startswith("== Table 1 ==")
-    assert "paper" in out and "measured" in out
-    assert "53.3" in out and "53.2" in out

@@ -1,12 +1,11 @@
-"""Fixed-heartbeat and centralized-logging baseline helpers."""
+"""Fixed-heartbeat baseline helpers."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.baselines import centralized_spec, fixed_heartbeat_config
+from repro.baselines import fixed_heartbeat_config
 from repro.core.heartbeat import FixedHeartbeatSchedule, make_schedule
-from repro.simnet.deploy import DeploymentSpec
 
 
 def test_fixed_config_degenerates_schedule():
@@ -43,14 +42,3 @@ def test_fixed_sender_emits_constant_rate():
     times = [round(0.25 * (i + 1), 2) for i in range(8)]
     assert len(beats) == 8
     assert now == pytest.approx(times[-1])
-
-
-def test_centralized_spec_flips_only_loggers():
-    base = DeploymentSpec(n_sites=7, receivers_per_site=2, seed=3)
-    spec = centralized_spec(base)
-    assert spec.secondary_loggers is False
-    assert spec.n_sites == 7 and spec.seed == 3
-
-
-def test_centralized_default():
-    assert centralized_spec().secondary_loggers is False

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.actions import run_actions
 from repro.core.config import LbrmConfig, LoggerConfig
 from repro.core.events import RecoveryFailed
 from repro.simnet import BurstLoss, DeploymentSpec, LbrmDeployment
@@ -71,7 +72,7 @@ def test_late_joiner_cannot_recover_expired_history():
 
     # The application explicitly hunts for expired history: hand the
     # tracker the old gap via a crafted heartbeat observation.
-    node.execute(rx._begin_recovery((1, 2), dep.sim.now, via_silence=False))
+    run_actions(rx._begin_recovery((1, 2), dep.sim.now, via_silence=False), node)
     node._reschedule()
     dep.advance(60.0)
     failures = node.events_of(RecoveryFailed)
