@@ -69,16 +69,10 @@ class ChaosController:
 
     def _apply_node_fault(self, fault: Fault) -> None:
         node = self.deployment.node(fault.target)
-        if fault.kind == "crash":
-            node.crash()
-        elif fault.kind == "restart":
-            node.restart()
-        elif fault.kind == "pause":
-            node.pause()
-        elif fault.kind == "resume":
-            node.resume()
-        else:  # skew
+        if fault.kind == "skew":
             self._apply_skew(node, fault.amount)
+        else:  # crash, restart, pause, resume: the SimNode hook of that name
+            getattr(node, fault.kind)()
         self._note(fault)
 
     def _apply_tree_fault(self, fault: Fault) -> None:

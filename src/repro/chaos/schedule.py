@@ -13,8 +13,8 @@ Fault vocabulary
 Node faults (``target`` = host name):
 
 * ``crash`` / ``restart`` — detach the node's machines / re-attach them
-  state-intact (the paper's loggers spool to disk, §2.2, so a process
-  restart resumes from its log).
+  through each one's ``restart``, which keeps what it declares a crash
+  keeps (a logger's log spools to disk, §2.2) and rebuilds the rest.
 * ``pause`` / ``resume`` — alive but unresponsive; inbound traffic is
   lost and timers do not fire (a stop-the-world pause).
 * ``skew`` — add a constant offset of ``amount`` seconds to the clock

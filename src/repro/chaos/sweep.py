@@ -238,7 +238,7 @@ def _wipe_restart_replica(dep: LbrmDeployment) -> None:
             continue
         if machine.role is not LoggerRole.REPLICA:
             continue
-        machine.wipe_restart(dep.sim.now)
+        node.run_machine(machine.wipe_restart, dep.sim.now)
         return
 
 

@@ -30,7 +30,7 @@ from repro.core.actions import Action, Address, JoinGroup, Notify, SendMulticast
 from repro.core.config import LbrmConfig
 from repro.core.events import DesignatedAcker, PromotedToPrimary, Remulticast
 from repro.core.log_store import PacketLog
-from repro.core.machine import ProtocolMachine
+from repro.core.machine import ProtocolMachine, TimerSet
 from repro.core.packets import (
     AckerResponsePacket,
     AckerSelectPacket,
@@ -116,7 +116,6 @@ class LogServer(ProtocolMachine):
         spool_path: str | None = None,
         parse_token=None,
     ) -> None:
-        super().__init__()
         self._group = group
         self._addr_token = addr_token
         self._config = config or LbrmConfig()
@@ -137,43 +136,8 @@ class LogServer(ProtocolMachine):
         # Site-scoped re-multicast is only ever a win when the server's
         # requesters sit on its own LAN (see the class docstring).
         self._serve_local = self._is_secondary and site_scoped_repairs
-        self.log = PacketLog(
-            max_packets=log_cfg.max_packets,
-            max_bytes=log_cfg.max_bytes,
-            lifetime=log_cfg.packet_lifetime,
-            spool_path=spool_path,
-        )
-        # In-memory log entries, read directly on the NACK service path
-        # (PacketLog mutates this OrderedDict in place, never rebinds).
-        self._log_entries = self.log._entries
-        self.tracker = SequenceTracker()
-        if role is LoggerRole.REPLICA:
-            # The replication stream covers the whole log from seq 1, so
-            # a replica observing seq k first genuinely misses 1..k-1 —
-            # it must not adopt the receiver-style mid-stream baseline
-            # and report a contiguous prefix it does not hold.
-            self.tracker.expect_from(1)
-        self._site_requests = SiteRequestTracker(log_cfg)
-        # seq -> requesters waiting for a packet we do not hold yet.
-        self._pending: dict[int, set[Address]] = {}
-        # seq -> shared frozen RetransPacket for repeat repairs of an
-        # in-memory log entry; bounded by the log (see _repair).
-        self._retrans_memo: dict[int, RetransPacket] = {}
-        # seq -> upstream retries performed so far.
-        self._upstream_retries: dict[int, int] = {}
-        # Sequences this server itself had to fetch from upstream.
-        self._self_lost: set[int] = set()
-        # Epochs this (secondary) server volunteered to ack.
-        self._acking_epochs: set[int] = set()
-
-        # Promotion term (DESIGN.md §10): the configured primary starts
-        # the group at epoch 1; replicas learn the epoch from the pushes
-        # they ack and from the PROMOTE packet that raises them.
-        self._log_epoch = 1 if role is LoggerRole.PRIMARY else 0
-        # Highest commit point this server has *learned* (piggybacked on
-        # REPL_UPDATE pushes); its own committed prefix is capped by what
-        # it actually holds (see _commit_for_ack).
-        self._commit_learned = 0
+        self._init_durable(spool_path)
+        super().__init__()  # builds the volatile state (_init_volatile)
 
         self._replication: ReplicationManager | None = None
         if role is LoggerRole.PRIMARY:
@@ -200,6 +164,45 @@ class LogServer(ProtocolMachine):
             },
             node=addr_token,
         )
+
+    def _init_durable(self, spool_path: str | None = None) -> None:
+        """Build what a crash keeps (DESIGN §7): the log spools to disk
+        (§2.2), and with it the tracker, epoch and commit point.
+        :meth:`wipe_restart` calls this again: a lost disk."""
+        log_cfg = self._config.logger
+        self.log = PacketLog(
+            max_packets=log_cfg.max_packets,
+            max_bytes=log_cfg.max_bytes,
+            lifetime=log_cfg.packet_lifetime,
+            spool_path=spool_path,
+        )
+        # In-memory log entries, read directly on the NACK service path
+        # (PacketLog mutates this OrderedDict in place, never rebinds).
+        self._log_entries = self.log._entries
+        self.tracker = SequenceTracker()
+        if self._role is LoggerRole.REPLICA:
+            # The replication stream covers the whole log from seq 1: a
+            # replica observing seq k first genuinely misses 1..k-1.
+            self.tracker.expect_from(1)
+        # Promotion term (DESIGN.md §10): the configured primary starts at
+        # 1; replicas learn it from the pushes they ack and from PROMOTE.
+        self._log_epoch = 1 if self._role is LoggerRole.PRIMARY else 0
+        # Highest commit point *learned* from REPL_UPDATE pushes; the own
+        # committed prefix is capped by what is held (_commit_for_ack).
+        self._commit_learned = 0
+
+    def _init_volatile(self) -> None:
+        """Build what a crash loses: repair bookkeeping and timers (the
+        next NACK that misses the log re-makes a fetch)."""
+        self.timers = TimerSet()
+        self._site_requests = SiteRequestTracker(self._config.logger)
+        self._pending: dict[int, set[Address]] = {}  # seq -> requesters waiting on it
+        # seq -> shared RetransPacket for repeat repairs of an in-memory
+        # log entry; bounded by the log (see _repair).
+        self._retrans_memo: dict[int, RetransPacket] = {}
+        self._upstream_retries: dict[int, int] = {}  # seq -> re-requests so far
+        self._self_lost: set[int] = set()  # seqs this server fetched upstream
+        self._acking_epochs: set[int] = set()  # epochs it volunteered to ack
 
     # -- introspection ----------------------------------------------------
 
@@ -606,38 +609,19 @@ class LogServer(ProtocolMachine):
 
     # -- fault injection ----------------------------------------------------
 
-    def wipe_restart(self, now: float) -> None:
-        """Simulate a crash + restart with **empty** durable state.
+    def wipe_restart(self, now: float) -> list[Action]:
+        """A crash + :meth:`restart` that loses the durable state too.
 
-        Everything this server held vanishes: the packet log, sequence
-        tracking, the learned commit point and epoch, and all transient
-        repair bookkeeping.  The role is kept (a restarted replica
-        rejoins as a replica).  The next acknowledgement it emits
-        reports "nothing held", which is what lets the primary detect
-        the regression (:meth:`ReplicationManager.note_regression`),
-        re-adopt it with fresh state, and backfill the vanished prefix.
+        The next acknowledgement reports "nothing held", which lets the
+        primary detect the regression
+        (:meth:`ReplicationManager.note_regression`), re-adopt it with
+        fresh state, and backfill the vanished prefix.
         """
-        log_cfg = self._config.logger
-        self.log = PacketLog(
-            max_packets=log_cfg.max_packets,
-            max_bytes=log_cfg.max_bytes,
-            lifetime=log_cfg.packet_lifetime,
-        )
-        self._log_entries = self.log._entries
-        self.tracker = SequenceTracker()
-        if self._role is not LoggerRole.SECONDARY:
-            self.tracker.expect_from(1)
-        self._site_requests = SiteRequestTracker(log_cfg)
-        self._pending.clear()
-        self._retrans_memo.clear()
-        self._upstream_retries.clear()
-        self._self_lost.clear()
-        self._acking_epochs.clear()
-        self._commit_learned = 0
-        self._log_epoch = 1 if self._role is LoggerRole.PRIMARY else 0
+        self._init_durable()
         self._obs_log_packets.set(0)
         self._obs_log_bytes.set(0)
         self._trace.emit(now, "logger.wiped", node=self._addr_token)
+        return self.restart(now)
 
     # -- timers ----------------------------------------------------------
 

@@ -2,17 +2,18 @@
 
 A :class:`ProtocolMachine` never touches a socket or an event loop.  The
 harness (simulator or asyncio runtime) owns time and I/O and drives the
-machine through exactly four entry points:
+machine through five entry points:
 
-* :meth:`ProtocolMachine.start` — the node came up (or restarted); the
-  default does nothing,
+* :meth:`ProtocolMachine.start` — the node came up; the default does
+  nothing,
+* :meth:`ProtocolMachine.restart` — it came back from a crash (DESIGN §7),
 * :meth:`ProtocolMachine.handle` — a packet arrived,
 * :meth:`ProtocolMachine.poll` — the clock reached a requested wakeup,
 * :meth:`ProtocolMachine.next_wakeup` — when the machine next needs the
   clock.
 
-The contract: after *any* call to ``start``/``handle``/``poll`` the
-harness must re-read ``next_wakeup()`` (over several machines,
+The contract: after *any* call to ``start``/``restart``/``handle``/``poll``
+the harness must re-read ``next_wakeup()`` (over several machines,
 :func:`earliest_wakeup`) and reschedule.  Machines must be tolerant of
 early or late polls (``poll`` at any time is legal and idempotent when
 nothing is due).  The returned actions are carried out by
@@ -123,11 +124,23 @@ class ProtocolMachine:
 
     def __init__(self) -> None:
         self.timers = TimerSet()
+        self._init_volatile()
 
     def start(self, now: float) -> list[Action]:
         """Join groups and arm timers as the node comes up.  Runs again
         on a restart, so it must be idempotent."""
         return []
+
+    def restart(self, now: float) -> list[Action]:
+        """Rebuild what a crash loses (:meth:`_init_volatile`), then
+        :meth:`start`."""
+        self._init_volatile()
+        return self.start(now)
+
+    def _init_volatile(self) -> None:
+        """Build what a crash loses.  ``__init__`` calls it too, so it *is*
+        the declaration (a subclass sets what it reads first).  The base
+        has none: its restart is a start, as after a pause."""
 
     def handle(self, packet: Packet, src: Address, now: float) -> list[Action]:
         """Process an inbound ``packet`` from ``src`` at time ``now``."""

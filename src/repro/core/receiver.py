@@ -38,7 +38,7 @@ from repro.core.events import (
     RecoveryComplete,
     RecoveryFailed,
 )
-from repro.core.machine import ProtocolMachine
+from repro.core.machine import ProtocolMachine, TimerSet
 from repro.core.packets import (
     DataPacket,
     HeartbeatPacket,
@@ -177,7 +177,6 @@ class LbrmReceiver(ProtocolMachine):
         heartbeat: "HeartbeatConfig | None" = None,
         parse_token=None,
     ) -> None:
-        super().__init__()
         self._group = group
         self._config = config or ReceiverConfig()
         # Knowing the sender's heartbeat schedule lets the freshness
@@ -192,20 +191,10 @@ class LbrmReceiver(ProtocolMachine):
         self._parse_token = parse_token or (lambda token: token)
         self._chain: tuple[Address, ...] = tuple(logger_chain)
         self._source = source
+        # Durable with the chain and stats (DESIGN §7): the application
+        # persists what it holds, so a restart is not a late join.
         self._tracker = SequenceTracker()
-        self._recoveries: dict[int, _Recovery] = {}
-        self._last_rx: float | None = None
-        self._on_channel = False  # subscribed to the retransmission channel
-        self._repeat_count = 0  # duplicates of the newest packet seen in a row
-        self._expected_interval = self._config.max_idle_time
-        self._fresh = True
-        self._stale_since: float | None = None
-        self._awaiting_primary = False
-        # The MaxIT watchdog re-arms on *every* packet, so it lives in a
-        # plain attribute instead of the TimerSet: one float store per
-        # packet instead of a dict write plus min-cache upkeep.
-        # next_wakeup()/poll() fold it back in.
-        self._maxit_deadline: float | None = None
+        super().__init__()  # builds the volatile state (_init_volatile)
         # (interval, watchdog timeout) per heartbeat index, memoized:
         # every arriving packet re-reads its index's schedule, and
         # caching slack·interval alongside saves the per-packet multiply.
@@ -238,6 +227,22 @@ class LbrmReceiver(ProtocolMachine):
             },
         )
 
+    def _init_volatile(self) -> None:
+        """Build what a crash loses (DESIGN §7): recoveries, NACK timers,
+        the freshness watchdog and the channel subscription."""
+        self.timers = TimerSet()
+        self._recoveries: dict[int, _Recovery] = {}
+        self._last_rx: float | None = None
+        self._on_channel = False  # subscribed to the retransmission channel
+        self._repeat_count = 0  # duplicates of the newest packet seen in a row
+        self._expected_interval = self._config.max_idle_time
+        self._fresh = True
+        self._stale_since: float | None = None
+        self._awaiting_primary = False
+        # The MaxIT watchdog re-arms on *every* packet: a plain float, not
+        # a TimerSet entry; next_wakeup()/poll() fold it back in.
+        self._maxit_deadline: float | None = None
+
     # -- introspection ----------------------------------------------------
 
     @property
@@ -261,11 +266,20 @@ class LbrmReceiver(ProtocolMachine):
     # -- lifecycle ----------------------------------------------------------
 
     def start(self, now: float) -> list[Action]:
-        """Join the group and arm the MaxIT freshness watchdog."""
+        """Join the group, arm the MaxIT freshness watchdog, and open a
+        recovery, NACK due now, for each hole the tracker lists and no
+        recovery holds (after a restart: every one)."""
         self._last_rx = now
-        self._expected_interval = self._config.max_idle_time
         self._maxit_deadline = now + self._watchdog_timeout()
+        for seq in sorted(self._tracker.missing.difference(self._recoveries)):
+            self._recoveries[seq] = _Recovery(seq=seq, detected_at=now)
+            self.timers.set(("nack", seq), now)
         return [JoinGroup(group=self._group)]
+
+    def restart(self, now: float) -> list[Action]:
+        """Leave the channel too if on it: ``_on_channel`` is lost."""
+        leave = [LeaveGroup(group=f"{self._group}/retrans")] if self._on_channel else []
+        return super().restart(now) + leave
 
     def _watchdog_timeout(self) -> float:
         return self._config.watchdog_slack * self._expected_interval

@@ -22,12 +22,10 @@ with ``machines``: so ``machines`` changes only through the constructor,
 ``add_machine``, ``crash`` and ``restart``.
 
 Fault-injection hooks (used by :mod:`repro.chaos`): a node can be
-*crashed* (machines detached, inbound traffic falls on the floor),
-*restarted* (machines re-attached with their state intact — modelling
-the paper's disk-backed logs, §2.2, coming back after a process
-restart), *paused*/*resumed* (alive but unresponsive, a stop-the-world
-pause), and given a *clock skew* (a constant offset added to the time
-its machines observe, without perturbing the simulation clock).
+*crashed* (machines detached, inbound traffic lost), *restarted* (each
+machine's ``restart`` keeps what it declares a crash keeps, DESIGN §7),
+*paused*/*resumed* (alive but unresponsive), and given a *clock skew*
+(an offset on the time its machines observe, not on the simulation's).
 
 Wakeups are armed either as one simulator event per node (the reference
 configuration) or through the network's
@@ -306,11 +304,8 @@ class SimNode:
     # -- fault injection ----------------------------------------------------
 
     def crash(self) -> None:
-        """Kill the node: machines detach, pending wakeups die.
-
-        Inbound packets are silently lost while crashed; reversible via
-        :meth:`restart`.
-        """
+        """Kill the node: machines detach, pending wakeups die, and
+        inbound packets are lost until :meth:`restart`."""
         if self.crashed:
             return
         self.crashed = True
@@ -319,20 +314,17 @@ class SimNode:
         self._disarm()
 
     def restart(self) -> None:
-        """Bring a crashed node back with its machines' state intact.
-
-        Models a process restart recovering from its persistent state
-        (loggers spool to disk, §2.2; receivers re-arm their watchdogs):
-        every machine's ``start`` hook runs again, re-joining groups
-        (idempotent) and re-arming timers, then gaps accumulated while
-        dead surface through the normal heartbeat/gap machinery.
-        """
+        """Bring a crashed node back: each machine's ``restart`` keeps
+        what it declares a crash keeps (DESIGN §7) and starts again."""
         if not self.crashed:
             return
         self.crashed = False
         self._set_machines(self._stashed_machines)
         self._stashed_machines = []
-        self.start()
+        now = self._machine_now()
+        for machine in self.machines:
+            run_actions(machine.restart(now), self)
+        self._reschedule()
 
     def pause(self) -> None:
         """Stop responding without dying (a stop-the-world pause)."""

@@ -2,9 +2,9 @@
 
 The asyncio twin of the chaos crash+restart primitive: a receiver's
 endpoint dies mid-stream, traffic continues, and the machine comes back
-on a fresh socket with its sequence state intact — the log-based
-recovery path (NACK → logger retransmission) must close the gap it
-slept through.
+on a fresh socket through its ``restart`` — keeping its tracker,
+rebuilding its volatile state — and the log-based recovery path (NACK →
+logger retransmission) must close the gap it slept through.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ async def _run_crash_restart():
         await asyncio.wait_for(cluster.deliveries(0, 1), 3.0)
         await asyncio.wait_for(cluster.deliveries(1, 1), 3.0)
 
-        # Crash receiver 0's endpoint; the machine (and its tracker) survive.
+        # Crash receiver 0's endpoint; the machine object survives.
         victim = cluster.receivers[0]
         await cluster.receiver_nodes[0].close()
 
@@ -57,7 +57,7 @@ async def _run_crash_restart():
         await reborn.start()
         cluster.receiver_nodes[0] = reborn
         reborn.machines.append(victim)
-        await reborn.run_machine(victim.start, reborn.now)
+        await reborn.run_machine(victim.restart, reborn.now)
 
         # The next heartbeat advertises seq 3; the receiver NACKs the
         # primary log and recovers both missed packets in order.

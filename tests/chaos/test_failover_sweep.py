@@ -126,10 +126,11 @@ def test_follower_restart_readoption_and_backfill():
     dep.advance(0.5)  # replication settles
     assert dep.primary is not None and dep.primary.replication is not None
     mgr = dep.primary.replication
-    wiped, name = dep.replicas[0], dep.replica_nodes[0].name
+    wiped, node = dep.replicas[0], dep.replica_nodes[0]
+    name = node.name
     assert mgr.acked_by(name) == dep.sender.seq  # caught up pre-wipe
 
-    wiped.wipe_restart(dep.sim.now)
+    node.run_machine(wiped.wipe_restart, dep.sim.now)
     assert wiped.primary_seq == 0
     dep.send(b"after-restart")  # next push carries the regressed ACK back
     dep.advance(2.0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import Fault
-from repro.core.events import RecoveryComplete
+from repro.core.events import LossDetected, RecoveryComplete
 from repro.core.packets import PacketType
 from repro.simnet import DeploymentSpec, LbrmDeployment
 
@@ -140,14 +140,27 @@ def test_long_burst_detection_bounded():
     dep = deployment()
     t_burst = 2.0
     oracle = arm(dep, [Fault("partition", 1.1, "site3", duration=t_burst)])
+    node = dep.receiver_nodes[(3 - 1) * 4]  # first receiver at site3
+    detected: list[float] = []
+    chained = node.on_event
+
+    def stamp(event, now: float) -> None:
+        if isinstance(event, LossDetected) and 2 in event.seqs:
+            detected.append(now)
+        if chained is not None:
+            chained(event, now)
+
+    node.on_event = stamp
     dep.start()
     dep.advance(0.1)
     dep.send(b"a")
     dep.advance(1.0)
+    lost_at = dep.sim.now
     dep.send(b"b")
     dep.advance(10.0)
     oracle.assert_ok()
-    node = dep.receiver_nodes[(3 - 1) * 4]  # first receiver at site3
+    # Measured 3.79 s: the first heartbeat after the partition heals.
+    assert len(detected) == 1 and detected[0] - lost_at <= 2 * t_burst
     recoveries = node.events_of(RecoveryComplete)
     assert recoveries
     rx = dep.receivers[(3 - 1) * 4]

@@ -13,8 +13,8 @@ it, so this file wraps the fire loop and checks, at every re-bucket,
 enters a machine.  It does so on a lossy multi-site world (with the
 counts pinned), on every case of the shipped campaigns — ``chaos`` and
 ``hierarchy-chaos --quick --seed 4``, ``failover-sweep --micro`` and its
-``--readopt`` variant, which wipe-restarts a logger's state from outside
-its node — and on a world with clock skew, a skew change, pause/resume,
+``--readopt`` variant, which wipe-restarts a follower in place through
+its node's ``run_machine`` — and on a world with clock skew, a skew change, pause/resume,
 crash/restart, a site logger killed while armed (which must cost no
 extra event) and a two-machine node.  Whoever
 brings stale polls back, or adds a path that changes a machine's
@@ -149,7 +149,7 @@ def test_only_nodes_with_something_due_are_polled(fire_loop):
         lambda: run_campaign(4, "quick"),
         lambda: run_campaign(4, "quick", campaign=HIERARCHY_CHAOS),
         lambda: run_sweep_campaign(0, "micro"),
-        lambda: run_sweep_campaign(0, "micro", readopt=True),  # wipe_restart from outside
+        lambda: run_sweep_campaign(0, "micro", readopt=True),  # wipe_restart in place
     ],
     ids=["chaos", "hierarchy-chaos", "failover-sweep", "failover-sweep-readopt"],
 )
