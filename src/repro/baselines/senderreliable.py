@@ -16,14 +16,12 @@ designated ackers.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.core.actions import Action, Address, Deliver, JoinGroup, SendMulticast, SendUnicast
-from repro.core.errors import DecodeError
 from repro.core.machine import ProtocolMachine
-from repro.core.packets import Packet, PacketType, _pack_bytes, _unpack_bytes, register_packet
+from repro.core.packets import Packet, PacketType, register_packet
 
 __all__ = ["PosAckDataPacket", "PosAckPacket", "PosAckSender", "PosAckReceiver"]
 
@@ -39,19 +37,6 @@ class PosAckDataPacket(Packet):
     TYPE: ClassVar[PacketType] = PacketType.POSACK_DATA
     WIRE: ClassVar[tuple] = (("seq", "u64"), ("payload", "bytes"))
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!Q", self.seq) + _pack_bytes(self.payload)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "PosAckDataPacket":
-        if len(buf) < 8:
-            raise DecodeError("truncated POSACK_DATA body")
-        (seq,) = struct.unpack_from("!Q", buf, 0)
-        payload, end = _unpack_bytes(buf, 8)
-        if end != len(buf):
-            raise DecodeError("trailing garbage after POSACK_DATA body")
-        return cls(group=group, seq=seq, payload=payload)
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -62,16 +47,6 @@ class PosAckPacket(Packet):
 
     TYPE: ClassVar[PacketType] = PacketType.POSACK_ACK
     WIRE: ClassVar[tuple] = (("cum_seq", "u64"),)
-
-    def encode_body(self) -> bytes:
-        return struct.pack("!Q", self.cum_seq)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "PosAckPacket":
-        if len(buf) != 8:
-            raise DecodeError("bad POSACK_ACK body length")
-        (cum_seq,) = struct.unpack_from("!Q", buf, 0)
-        return cls(group=group, cum_seq=cum_seq)
 
 
 class PosAckSender(ProtocolMachine):

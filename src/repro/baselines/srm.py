@@ -36,22 +36,13 @@ algorithm, and is documented in DESIGN.md.
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 from repro.core.actions import Action, Address, Deliver, JoinGroup, Notify, SendMulticast
-from repro.core.errors import DecodeError
 from repro.core.events import LossDetected, RecoveryComplete
 from repro.core.machine import ProtocolMachine
-from repro.core.packets import (
-    DataPacket,
-    Packet,
-    PacketType,
-    _pack_bytes,
-    _unpack_bytes,
-    register_packet,
-)
+from repro.core.packets import DataPacket, Packet, PacketType, register_packet
 from repro.core.sequence import SequenceTracker
 
 __all__ = [
@@ -73,16 +64,6 @@ class SrmSessionPacket(Packet):
     TYPE: ClassVar[PacketType] = PacketType.SRM_SESSION
     WIRE: ClassVar[tuple] = (("seq", "u64"),)
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!Q", self.seq)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "SrmSessionPacket":
-        if len(buf) != 8:
-            raise DecodeError("bad SRM_SESSION body length")
-        (seq,) = struct.unpack_from("!Q", buf, 0)
-        return cls(group=group, seq=seq)
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -93,16 +74,6 @@ class SrmRequestPacket(Packet):
 
     TYPE: ClassVar[PacketType] = PacketType.SRM_REQUEST
     WIRE: ClassVar[tuple] = (("seq", "u64"),)
-
-    def encode_body(self) -> bytes:
-        return struct.pack("!Q", self.seq)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "SrmRequestPacket":
-        if len(buf) != 8:
-            raise DecodeError("bad SRM_REQUEST body length")
-        (seq,) = struct.unpack_from("!Q", buf, 0)
-        return cls(group=group, seq=seq)
 
 
 @register_packet
@@ -115,19 +86,6 @@ class SrmRepairPacket(Packet):
 
     TYPE: ClassVar[PacketType] = PacketType.SRM_REPAIR
     WIRE: ClassVar[tuple] = (("seq", "u64"), ("payload", "bytes"))
-
-    def encode_body(self) -> bytes:
-        return struct.pack("!Q", self.seq) + _pack_bytes(self.payload)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "SrmRepairPacket":
-        if len(buf) < 8:
-            raise DecodeError("truncated SRM_REPAIR body")
-        (seq,) = struct.unpack_from("!Q", buf, 0)
-        payload, end = _unpack_bytes(buf, 8)
-        if end != len(buf):
-            raise DecodeError("trailing garbage after SRM_REPAIR body")
-        return cls(group=group, seq=seq, payload=payload)
 
 
 class SrmSender(ProtocolMachine):

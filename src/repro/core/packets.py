@@ -56,8 +56,6 @@ __all__ = [
     "encode",
     "decode",
     "decode_from",
-    "encode_reference",
-    "decode_reference",
     "encode_bundle",
     "iter_bundle",
     "is_bundle",
@@ -107,42 +105,6 @@ class PacketType(IntEnum):
     POSACK_ACK = 41
 
 
-def _pack_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    if len(raw) > _MAX_STR:
-        raise EncodeError(f"string too long for wire ({len(raw)} > {_MAX_STR})")
-    return bytes([len(raw)]) + raw
-
-
-def _unpack_str(buf: memoryview, offset: int) -> tuple[str, int]:
-    if offset >= len(buf):
-        raise DecodeError("truncated string length")
-    length = buf[offset]
-    end = offset + 1 + length
-    if end > len(buf):
-        raise DecodeError("truncated string body")
-    try:
-        return bytes(buf[offset + 1 : end]).decode("utf-8"), end
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"string is not UTF-8: {exc}") from None
-
-
-def _pack_bytes(value: bytes) -> bytes:
-    if len(value) > _MAX_PAYLOAD:
-        raise EncodeError(f"payload too large ({len(value)} > {_MAX_PAYLOAD})")
-    return struct.pack("!H", len(value)) + value
-
-
-def _unpack_bytes(buf: memoryview, offset: int) -> tuple[bytes, int]:
-    if offset + 2 > len(buf):
-        raise DecodeError("truncated payload length")
-    (length,) = struct.unpack_from("!H", buf, offset)
-    end = offset + 2 + length
-    if end > len(buf):
-        raise DecodeError("truncated payload body")
-    return bytes(buf[offset + 2 : end]), end
-
-
 @dataclass(frozen=True, slots=True)
 class Packet:
     """Base class: every LBRM message belongs to a multicast group."""
@@ -150,13 +112,6 @@ class Packet:
     group: str
 
     TYPE: ClassVar[PacketType]
-
-    def encode_body(self) -> bytes:
-        raise NotImplementedError
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "Packet":
-        raise NotImplementedError
 
 
 _REGISTRY: dict[int, Type[Packet]] = {}
@@ -199,13 +154,11 @@ def register_packet(cls: P) -> P:
 #   still frozen, and ``__eq__``/``__hash__``/``__repr__`` are the
 #   dataclass's own.
 #
-# The per-field ``encode_body`` / ``decode_body`` methods are the
-# executable conformance specification, reached only through
-# :func:`encode_reference` / :func:`decode_reference` — the property
-# suite fuzzes every registered type and asserts both produce identical
-# bytes and identical values, and both reject truncated or
-# garbage-suffixed datagrams with :class:`DecodeError`
-# (tests/property/test_codec_conformance.py).
+# ``WIRE`` is the format's specification, and the golden vectors in
+# tests/data/wire_vectors.json pin it: valid, boundary and rejected
+# encodings of every registered type, which
+# tests/property/test_codec_conformance.py holds these codecs to, beside
+# hypothesis round-trip and rejection laws.
 #
 # Allowed shape: any run of fixed-width fields plus at most one
 # variable-length field ("str", "bytes", or "u64seq"), which must be last.
@@ -373,19 +326,6 @@ class DataPacket(Packet):
     TYPE: ClassVar[PacketType] = PacketType.DATA
     WIRE: ClassVar[tuple] = (("seq", "u64"), ("epoch", "u32"), ("payload", "bytes"))
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!QI", self.seq, self.epoch) + _pack_bytes(self.payload)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "DataPacket":
-        if len(buf) < 12:
-            raise DecodeError("truncated DATA body")
-        seq, epoch = struct.unpack_from("!QI", buf, 0)
-        payload, end = _unpack_bytes(buf, 12)
-        if end != len(buf):
-            raise DecodeError("trailing garbage after DATA body")
-        return cls(group=group, seq=seq, payload=payload, epoch=epoch)
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -404,16 +344,6 @@ class HeartbeatPacket(Packet):
     TYPE: ClassVar[PacketType] = PacketType.HEARTBEAT
     WIRE: ClassVar[tuple] = (("seq", "u64"), ("hb_index", "u32"), ("epoch", "u32"))
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!QII", self.seq, self.hb_index, self.epoch)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "HeartbeatPacket":
-        if len(buf) != 16:
-            raise DecodeError("bad HEARTBEAT body length")
-        seq, hb_index, epoch = struct.unpack_from("!QII", buf, 0)
-        return cls(group=group, seq=seq, hb_index=hb_index, epoch=epoch)
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -431,25 +361,6 @@ class NackPacket(Packet):
     MAX_SEQS: ClassVar[int] = 64
     WIRE: ClassVar[tuple] = (("seqs", "u64seq"),)
 
-    def encode_body(self) -> bytes:
-        if not self.seqs:
-            raise EncodeError("NACK must request at least one sequence")
-        if len(self.seqs) > self.MAX_SEQS:
-            raise EncodeError(f"NACK limited to {self.MAX_SEQS} sequences")
-        return struct.pack("!H", len(self.seqs)) + struct.pack(f"!{len(self.seqs)}Q", *self.seqs)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "NackPacket":
-        if len(buf) < 2:
-            raise DecodeError("truncated NACK body")
-        (count,) = struct.unpack_from("!H", buf, 0)
-        if count == 0 or count > cls.MAX_SEQS:
-            raise DecodeError(f"bad NACK count {count}")
-        if len(buf) != 2 + 8 * count:
-            raise DecodeError("bad NACK sequence list length")
-        seqs = struct.unpack_from(f"!{count}Q", buf, 2)
-        return cls(group=group, seqs=tuple(seqs))
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -466,19 +377,6 @@ class RetransPacket(Packet):
 
     TYPE: ClassVar[PacketType] = PacketType.RETRANS
     WIRE: ClassVar[tuple] = (("seq", "u64"), ("epoch", "u32"), ("payload", "bytes"))
-
-    def encode_body(self) -> bytes:
-        return struct.pack("!QI", self.seq, self.epoch) + _pack_bytes(self.payload)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "RetransPacket":
-        if len(buf) < 12:
-            raise DecodeError("truncated RETRANS body")
-        seq, epoch = struct.unpack_from("!QI", buf, 0)
-        payload, end = _unpack_bytes(buf, 12)
-        if end != len(buf):
-            raise DecodeError("trailing garbage after RETRANS body")
-        return cls(group=group, seq=seq, payload=payload, epoch=epoch)
 
 
 @register_packet
@@ -505,18 +403,6 @@ class LogAckPacket(Packet):
         ("log_epoch", "u32"),
     )
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!QQI", self.primary_seq, self.replica_seq, self.log_epoch)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "LogAckPacket":
-        if len(buf) != 20:
-            raise DecodeError("bad LOG_ACK body length")
-        primary_seq, replica_seq, log_epoch = struct.unpack_from("!QQI", buf, 0)
-        return cls(
-            group=group, primary_seq=primary_seq, replica_seq=replica_seq, log_epoch=log_epoch
-        )
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -534,16 +420,6 @@ class AckerSelectPacket(Packet):
     TYPE: ClassVar[PacketType] = PacketType.ACKER_SELECT
     WIRE: ClassVar[tuple] = (("epoch", "u32"), ("p_ack", "f64"), ("k", "u32"))
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!IdI", self.epoch, self.p_ack, self.k)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "AckerSelectPacket":
-        if len(buf) != 16:
-            raise DecodeError("bad ACKER_SELECT body length")
-        epoch, p_ack, k = struct.unpack_from("!IdI", buf, 0)
-        return cls(group=group, epoch=epoch, p_ack=p_ack, k=k)
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -554,16 +430,6 @@ class AckerResponsePacket(Packet):
 
     TYPE: ClassVar[PacketType] = PacketType.ACKER_RESPONSE
     WIRE: ClassVar[tuple] = (("epoch", "u32"),)
-
-    def encode_body(self) -> bytes:
-        return struct.pack("!I", self.epoch)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "AckerResponsePacket":
-        if len(buf) != 4:
-            raise DecodeError("bad ACKER_RESPONSE body length")
-        (epoch,) = struct.unpack_from("!I", buf, 0)
-        return cls(group=group, epoch=epoch)
 
 
 @register_packet
@@ -577,16 +443,6 @@ class DataAckPacket(Packet):
     TYPE: ClassVar[PacketType] = PacketType.DATA_ACK
     WIRE: ClassVar[tuple] = (("epoch", "u32"), ("seq", "u64"))
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!IQ", self.epoch, self.seq)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "DataAckPacket":
-        if len(buf) != 12:
-            raise DecodeError("bad DATA_ACK body length")
-        epoch, seq = struct.unpack_from("!IQ", buf, 0)
-        return cls(group=group, epoch=epoch, seq=seq)
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -599,16 +455,6 @@ class ProbePacket(Packet):
     TYPE: ClassVar[PacketType] = PacketType.PROBE
     WIRE: ClassVar[tuple] = (("probe_id", "u32"), ("p_ack", "f64"))
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!Id", self.probe_id, self.p_ack)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "ProbePacket":
-        if len(buf) != 12:
-            raise DecodeError("bad PROBE body length")
-        probe_id, p_ack = struct.unpack_from("!Id", buf, 0)
-        return cls(group=group, probe_id=probe_id, p_ack=p_ack)
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -620,16 +466,6 @@ class ProbeReplyPacket(Packet):
     TYPE: ClassVar[PacketType] = PacketType.PROBE_REPLY
     WIRE: ClassVar[tuple] = (("probe_id", "u32"),)
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!I", self.probe_id)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "ProbeReplyPacket":
-        if len(buf) != 4:
-            raise DecodeError("bad PROBE_REPLY body length")
-        (probe_id,) = struct.unpack_from("!I", buf, 0)
-        return cls(group=group, probe_id=probe_id)
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -640,16 +476,6 @@ class DiscoveryQueryPacket(Packet):
 
     TYPE: ClassVar[PacketType] = PacketType.DISCOVERY_QUERY
     WIRE: ClassVar[tuple] = (("ttl", "u16"),)
-
-    def encode_body(self) -> bytes:
-        return struct.pack("!H", self.ttl)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "DiscoveryQueryPacket":
-        if len(buf) != 2:
-            raise DecodeError("bad DISCOVERY_QUERY body length")
-        (ttl,) = struct.unpack_from("!H", buf, 0)
-        return cls(group=group, ttl=ttl)
 
 
 @register_packet
@@ -663,19 +489,6 @@ class DiscoveryReplyPacket(Packet):
 
     TYPE: ClassVar[PacketType] = PacketType.DISCOVERY_REPLY
     WIRE: ClassVar[tuple] = (("level", "u16"), ("logger_addr", "str"))
-
-    def encode_body(self) -> bytes:
-        return struct.pack("!H", self.level) + _pack_str(self.logger_addr)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "DiscoveryReplyPacket":
-        if len(buf) < 2:
-            raise DecodeError("truncated DISCOVERY_REPLY body")
-        (level,) = struct.unpack_from("!H", buf, 0)
-        logger_addr, end = _unpack_str(buf, 2)
-        if end != len(buf):
-            raise DecodeError("trailing garbage after DISCOVERY_REPLY body")
-        return cls(group=group, logger_addr=logger_addr, level=level)
 
 
 @register_packet
@@ -704,23 +517,6 @@ class ReplUpdatePacket(Packet):
         ("payload", "bytes"),
     )
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!QIQ", self.seq, self.log_epoch, self.commit_seq) + _pack_bytes(
-            self.payload
-        )
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "ReplUpdatePacket":
-        if len(buf) < 20:
-            raise DecodeError("truncated REPL_UPDATE body")
-        seq, log_epoch, commit_seq = struct.unpack_from("!QIQ", buf, 0)
-        payload, end = _unpack_bytes(buf, 20)
-        if end != len(buf):
-            raise DecodeError("trailing garbage after REPL_UPDATE body")
-        return cls(
-            group=group, seq=seq, payload=payload, log_epoch=log_epoch, commit_seq=commit_seq
-        )
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -748,16 +544,6 @@ class ReplAckPacket(Packet):
         ("commit_seq", "u64"),
     )
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!QIQ", self.cum_seq, self.log_epoch, self.commit_seq)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "ReplAckPacket":
-        if len(buf) != 20:
-            raise DecodeError("bad REPL_ACK body length")
-        cum_seq, log_epoch, commit_seq = struct.unpack_from("!QIQ", buf, 0)
-        return cls(group=group, cum_seq=cum_seq, log_epoch=log_epoch, commit_seq=commit_seq)
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -770,15 +556,6 @@ class PrimaryQueryPacket(Packet):
     TYPE: ClassVar[PacketType] = PacketType.PRIMARY_QUERY
     WIRE: ClassVar[tuple] = ()
 
-    def encode_body(self) -> bytes:
-        return b""
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "PrimaryQueryPacket":
-        if len(buf):
-            raise DecodeError("trailing garbage after PRIMARY_QUERY header")
-        return cls(group=group)
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -789,16 +566,6 @@ class PrimaryInfoPacket(Packet):
 
     TYPE: ClassVar[PacketType] = PacketType.PRIMARY_INFO
     WIRE: ClassVar[tuple] = (("primary_addr", "str"),)
-
-    def encode_body(self) -> bytes:
-        return _pack_str(self.primary_addr)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "PrimaryInfoPacket":
-        primary_addr, end = _unpack_str(buf, 0)
-        if end != len(buf):
-            raise DecodeError("trailing garbage after PRIMARY_INFO body")
-        return cls(group=group, primary_addr=primary_addr)
 
 
 @register_packet
@@ -824,19 +591,6 @@ class PromotePacket(Packet):
         ("members", "str"),
     )
 
-    def encode_body(self) -> bytes:
-        return struct.pack("!QI", self.from_seq, self.log_epoch) + _pack_str(self.members)
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "PromotePacket":
-        if len(buf) < 12:
-            raise DecodeError("truncated PROMOTE body")
-        from_seq, log_epoch = struct.unpack_from("!QI", buf, 0)
-        members, end = _unpack_str(buf, 12)
-        if end != len(buf):
-            raise DecodeError("trailing garbage after PROMOTE body")
-        return cls(group=group, from_seq=from_seq, log_epoch=log_epoch, members=members)
-
 
 @register_packet
 @dataclass(frozen=True, slots=True)
@@ -850,15 +604,6 @@ class ReplStatusQueryPacket(Packet):
     TYPE: ClassVar[PacketType] = PacketType.REPL_STATUS_QUERY
     WIRE: ClassVar[tuple] = ()
 
-    def encode_body(self) -> bytes:
-        return b""
-
-    @classmethod
-    def decode_body(cls, group: str, buf: memoryview) -> "ReplStatusQueryPacket":
-        if len(buf):
-            raise DecodeError("trailing garbage after REPL_STATUS_QUERY header")
-        return cls(group=group)
-
 
 def encode(packet: Packet) -> bytes:
     """Serialize ``packet`` to its wire representation."""
@@ -866,12 +611,6 @@ def encode(packet: Packet) -> bytes:
     if enc is None:
         raise EncodeError(f"{type(packet).__name__} is not a registered packet type")
     return enc(packet)
-
-
-def encode_reference(packet: Packet) -> bytes:
-    """Conformance oracle for :func:`encode`: per-field ``encode_body``."""
-    header = _HEADER.pack(_MAGIC, _VERSION, int(packet.TYPE))
-    return header + _pack_str(packet.group) + packet.encode_body()
 
 
 def decode(data: bytes) -> Packet:
@@ -907,12 +646,6 @@ def decode_from(buf, offset: int = 0, length: int | None = None) -> Packet:
     return _decode_view(view)
 
 
-def decode_reference(data: bytes) -> Packet:
-    """Conformance oracle for :func:`decode`: same header and
-    group parse, then the class's per-field ``decode_body``."""
-    return _decode_view(bytes(data), reference=True)
-
-
 # One-entry group-name memo for the RX hot path: a receive socket sees
 # the same group on (nearly) every packet, and memoryview == bytes is a
 # C-level compare — so a hit replaces the per-packet UTF-8 decode and
@@ -922,7 +655,7 @@ _LAST_GROUP_RAW: bytes = b"\xff"  # never equals valid UTF-8 group bytes
 _LAST_GROUP: str = ""
 
 
-def _decode_view(data, reference: bool = False) -> Packet:
+def _decode_view(data) -> Packet:
     """Shared datagram parse over any buffer (``bytes`` or memoryview)."""
     global _LAST_GROUP_RAW, _LAST_GROUP
     n = len(data)
@@ -950,8 +683,6 @@ def _decode_view(data, reference: bool = False) -> Packet:
         except UnicodeDecodeError as exc:
             raise DecodeError(f"group is not UTF-8: {exc}", bytes(data)) from None
         _LAST_GROUP_RAW, _LAST_GROUP = bytes(raw), group
-    if reference:
-        return _REGISTRY[ptype].decode_body(group, memoryview(data)[end:])
     return dec(data, end, group)
 
 

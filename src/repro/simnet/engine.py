@@ -177,9 +177,9 @@ class WakeupMux:
     site.  Scheduling one event per distinct deadline and fanning the
     polls out inside the callback removes the dominant event-count term
     from steady-state traffic, the same move the network's batched
-    delivery makes for arrivals.  The mux is tied to
-    ``Network.batch_delivery``; with that off (a test oracle) every node
-    wakeup is its own event.
+    delivery makes for arrivals.  Every ``Network`` has one and every
+    ``SimNode`` arms through it; tests/_oracles/fanout.py holds it to
+    one event per arm.
 
     Cancellation is lazy: re-arming never removes a node from an earlier
     bucket.  The fire loop skips any node whose armed deadline

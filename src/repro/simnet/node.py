@@ -27,14 +27,13 @@ machine's ``restart`` keeps what it declares a crash keeps, DESIGN §7),
 *paused*/*resumed* (alive but unresponsive), and given a *clock skew*
 (an offset on the time its machines observe, not on the simulation's).
 
-Wakeups are armed either as one simulator event per node (the reference
-configuration) or through the network's
-:class:`~repro.simnet.engine.WakeupMux` (the fast path, on whenever
-``batch_delivery`` is), which shares one event among every node armed
-for the same deadline.  On the mux path the node also records ``_due``,
-the true-time deadline its machines declared when it last asked them:
-the mux re-buckets a node whose ``_due`` is still ahead without polling
-it.  So whatever changes a machine's ``next_wakeup()`` must be followed
+Wakeups are armed through the network's
+:class:`~repro.simnet.engine.WakeupMux`, which shares one event among
+every node armed for the same deadline; nothing is ever cancelled, a
+wakeup no longer wanted goes stale.  The node records ``_due``, the
+true-time deadline its machines declared when it last asked them: the
+mux re-buckets a node whose ``_due`` is still ahead without polling it.
+So whatever changes a machine's ``next_wakeup()`` must be followed
 by a node call that asks again — ``receive``, ``poll``, ``start``,
 ``send_app``, ``run_machine``, ``resume``, ``restart`` or
 ``_reschedule`` — never by nothing.  Likewise a node is killed with
@@ -50,7 +49,7 @@ from repro.core.events import Event
 from repro.core.machine import ProtocolMachine, earliest_wakeup
 from repro.core.packets import Packet
 from repro.core.receiver import RUN_PACKETS, LbrmReceiver, absorb_run
-from repro.simnet.engine import ScheduledEvent, Simulator
+from repro.simnet.engine import Simulator
 
 if TYPE_CHECKING:  # topology imports this module for the delivery loop
     from repro.simnet.topology import Host, Network
@@ -76,14 +75,13 @@ class SimNode:
         # Notify, fn(action, now) before each SendUnicast/SendMulticast.
         self.on_event = on_event
         self.on_send: Callable[[Action, float], None] | None = None
-        self._wakeup: ScheduledEvent | None = None
-        # Deadline armed on the network's WakeupMux (fast path), or None.
+        # Deadline armed on the network's WakeupMux, or None.
         # The mux fires us by calling poll(); it clears this first.  A
         # value that no longer matches any live bucket is simply stale —
         # mux cancellation is lazy (see WakeupMux).
         self._mux_due: float | None = None
         # The machines' earliest deadline in true time, as of the last
-        # time we asked (mux path; None when disarmed).  Never earlier
+        # time we asked (None when disarmed).  Never earlier
         # than _mux_due while armed, so a bucket firing before it is
         # stale: the mux re-buckets us at _due instead of polling.
         self._due: float | None = None
@@ -140,8 +138,8 @@ class SimNode:
     # -- the harness contract ---------------------------------------------------
 
     def receive(self, packet: Packet, src: str, now: float) -> None:
-        """Network delivery entry point for one host (unicast, chaos
-        arrivals, the per-receiver reference fan-out)."""
+        """Network delivery entry point for one host (unicast and chaos
+        arrivals)."""
         SimNode.receive_batch((self,), packet, src, now)
 
     @staticmethod
@@ -188,9 +186,6 @@ class SimNode:
                             i += 1
                             if delivery is not None:
                                 node.delivered.append(delivery)
-                            if mux is None:  # the per-receiver oracle: an event per node
-                                node._reschedule()
-                                continue
                             node._due = due
                             cur = node._mux_due
                             if cur is None or cur > due:
@@ -226,23 +221,13 @@ class SimNode:
                 continue
             if skew:
                 next_due = next_due - skew
-            mux = node._network.wakeup_mux
-            if mux is not None:
-                node._due = next_due
-                cur = node._mux_due
-                if cur is None or cur > next_due:
-                    node._mux_due = next_due
-                    mux.arm(node, next_due)
-                continue  # else an earlier-or-equal mux wakeup is pending
-            wakeup = node._wakeup
-            if wakeup is not None:
-                if wakeup.time <= next_due and not wakeup.cancelled:
-                    continue  # an earlier-or-equal wakeup is already pending
-                wakeup.cancel()
-            node._wakeup = node._sim.schedule(next_due, node.poll)
+            node._due = next_due
+            cur = node._mux_due
+            if cur is None or cur > next_due:  # else an earlier-or-equal wakeup is pending
+                node._mux_due = next_due
+                node._network.wakeup_mux.arm(node, next_due)
 
     def poll(self) -> None:
-        self._wakeup = None
         if self.paused:
             return
         now = self._sim.now + self.clock_skew
@@ -252,15 +237,11 @@ class SimNode:
             # was scheduled (the receiver watchdog re-arms on each
             # packet, and _reschedule keeps the earlier wakeup rather
             # than cancelling it), so re-arm without entering a machine.
-            # Only a direct call or the one-event-per-node path gets
-            # here: the mux re-buckets a stale node from _due instead.
+            # Only a direct call gets here: the mux re-buckets a stale
+            # node from _due instead.
             at = due - self.clock_skew if self.clock_skew else due
-            mux = self._network.wakeup_mux
-            if mux is not None:
-                self._due = self._mux_due = at
-                mux.arm(self, at)
-            else:
-                self._wakeup = self._sim.schedule(at, self.poll)
+            self._due = self._mux_due = at
+            self._network.wakeup_mux.arm(self, at)
             return
         for machine in self.machines:
             actions = machine.poll(now)
@@ -344,12 +325,8 @@ class SimNode:
 
     def _disarm(self) -> None:
         # A mux bucket holding us just goes stale (its fire loop checks
-        # _mux_due); a direct event is cancelled for real.
+        # _mux_due).
         self._due = self._mux_due = None
-        wakeup = self._wakeup
-        if wakeup is not None:
-            wakeup.cancel()
-            self._wakeup = None
 
     def _reschedule(self) -> None:
         if self.paused:
@@ -361,18 +338,9 @@ class SimNode:
         if self.clock_skew:
             # Machines speak skewed time; the simulator runs true time.
             next_due = next_due - self.clock_skew
-        mux = self._network.wakeup_mux
-        if mux is not None:
-            self._due = next_due
-            cur = self._mux_due
-            if cur is not None and cur <= next_due:
-                return  # an earlier-or-equal mux wakeup is pending
-            self._mux_due = next_due
-            mux.arm(self, next_due)
-            return
-        wakeup = self._wakeup
-        if wakeup is not None:
-            if wakeup.time <= next_due and not wakeup.cancelled:
-                return  # an earlier-or-equal wakeup is already pending
-            wakeup.cancel()
-        self._wakeup = self._sim.schedule(next_due, self.poll)
+        self._due = next_due
+        cur = self._mux_due
+        if cur is not None and cur <= next_due:
+            return  # an earlier-or-equal wakeup is pending
+        self._mux_due = next_due
+        self._network.wakeup_mux.arm(self, next_due)

@@ -172,19 +172,14 @@ class Network:
         # group's membership changes (join/leave), and cleared when a
         # host appears (add_host) or a host's inbound_loss is assigned.
         self._segments: dict[str, tuple[list[_Segment], dict[str, list[_Segment]]]] = {}
-        # Fast path: one delivery event per distinct arrival time instead
-        # of one per receiver, and one wakeup event per distinct node
-        # deadline (the WakeupMux).  Off = the pre-batching per-receiver
-        # loop and per-node wakeups, which only tests select (the oracle
-        # of tests/simnet/test_loss_batch.py); both produce identical
-        # delivery and RNG-draw orderings.
-        self.wakeup_mux: WakeupMux | None = None
-        self.batch_delivery = True
+        # One wakeup event per distinct node deadline, shared by every
+        # node armed for it (SimNode arms through it).
+        self.wakeup_mux = WakeupMux(sim)
         # The one network tap, fn(kind, packet, src, hosts, now) with kind
         # in {"rx", "drop"}: called once per delivered co-timed batch,
         # before any host in it receives, and once per drop.  ``hosts``
-        # are the destination Hosts in member order — one for unicast,
-        # chaos and reference-path arrivals, a segment's for a shared drop.
+        # are the destination Hosts in member order — one for unicast
+        # and chaos arrivals, a segment's for a shared drop.
         self.observer: Callable[[str, Packet, str, Sequence[Host], float], None] | None = None
         # Optional packet mangler (repro.chaos.PacketChaos): given one
         # about-to-be-scheduled delivery, returns the arrival times to
@@ -192,20 +187,6 @@ class Network:
         # [at+d] reorders.  None = no mangling, zero cost.
         self.chaos: "PacketChaosHook | None" = None
         self.stats = {"unicast_sent": 0, "multicast_sent": 0, "delivered": 0, "dropped": 0}
-
-    @property
-    def batch_delivery(self) -> bool:
-        return self._batch_delivery
-
-    @batch_delivery.setter
-    def batch_delivery(self, on: bool) -> None:
-        self._batch_delivery = on
-        # The wakeup mux is part of the same fast path; with batching
-        # off there is one simulator event per node wakeup.
-        # Buckets already scheduled by an old mux self-heal: their fire
-        # loop skips nodes whose armed deadline no longer matches, and a
-        # spurious poll is legal under the machine contract.
-        self.wakeup_mux = WakeupMux(self.sim) if on else None
 
     # -- construction ----------------------------------------------------
 
@@ -384,14 +365,14 @@ class Network:
     def send_multicast(self, src_name: str, group: str, packet: Packet, ttl: int | None = None) -> None:
         """Inject a multicast: one copy per tree link, shared fate.
 
-        The fast path (``batch_delivery``) computes each destination
-        site's arrival time once and schedules **one delivery event per
-        distinct arrival time**, fanning out to the co-timed receivers
-        inside the callback — for the paper's 50×20 deployment that is
-        ~50 events per transmission instead of ~1000.  Drop accounting,
-        per-member inbound-loss draws, and the delivery order are
-        bit-identical to the per-receiver reference loop below, and so
-        are the observer's calls once each is flattened to one per host.
+        Each destination site's arrival time is computed once, and there
+        is **one delivery event per distinct arrival time**, fanning out
+        to the co-timed receivers inside the callback — for the paper's
+        50×20 deployment that is ~50 events per transmission instead of
+        ~1000.  Drop accounting, per-member inbound-loss draws, and the
+        delivery order are bit-identical to a per-receiver loop (the
+        oracle in tests/_oracles/fanout.py), and so are the observer's
+        calls once each is flattened to one per host.
         """
         src = self._hosts[src_name]
         self.stats["multicast_sent"] += 1
@@ -406,11 +387,6 @@ class Network:
             if key not in outcomes:
                 outcomes[key] = link.transit(size, at)
             return outcomes[key]
-
-        if not self.batch_delivery:
-            members = self._sorted_members(group)
-            self._send_multicast_reference(src, src_name, members, packet, ttl, now, cross)
-            return
 
         entry = self._segments.get(group)
         if entry is None:
@@ -464,36 +440,6 @@ class Network:
             if co_timed:  # everyone due at ``at`` may have dropped
                 schedule(at, self._arrive_batch, co_timed, packet, src_name)
 
-    def _send_multicast_reference(
-        self,
-        src: Host,
-        src_name: str,
-        members: list[str],
-        packet: Packet,
-        ttl: int | None,
-        now: float,
-        cross,
-    ) -> None:
-        """Pre-batching reference loop: one delivery event per receiver."""
-        for member_name in members:
-            if member_name == src_name:
-                continue
-            dst = self._hosts.get(member_name)
-            if dst is None:
-                continue
-            links, hops = self.path(src, dst)
-            if ttl is not None and hops > ttl:
-                continue  # scoped out, not an error
-            at: float | None = now
-            for link in links:
-                at = cross(link, at)
-                if at is None:
-                    break
-            if at is None:
-                self._drop(packet, src_name, (dst,), now)
-            else:
-                self._deliver(dst, packet, src_name, at)
-
     # -- delivery ----------------------------------------------------------
 
     def _deliver(self, dst: Host, packet: Packet, src_name: str, at: float) -> None:
@@ -517,8 +463,8 @@ class Network:
             self.sim.schedule(t, self._arrive, dst, packet, src_name)
 
     def _arrive(self, dst: Host, packet: Packet, src_name: str) -> None:
-        """One host's arrival (unicast, chaos, the reference fan-out):
-        through ``endpoint.receive``, the per-host entry point."""
+        """One host's arrival (unicast, chaos): through
+        ``endpoint.receive``, the per-host entry point."""
         now = self.sim.now
         self.stats["delivered"] += 1
         if self.observer is not None:
@@ -530,8 +476,8 @@ class Network:
         """Deliver one multicast transmission to its co-timed receivers.
 
         Iteration order is membership order, matching the tie-breaker
-        order the per-receiver reference path produces for simultaneous
-        deliveries.  The delivered count and the observer are charged
+        order a per-receiver loop produces for simultaneous deliveries.
+        The delivered count and the observer are charged
         once for the batch, before anyone receives, then
         :meth:`SimNode.receive_batch` walks the endpoints — the one pass
         over the batch.

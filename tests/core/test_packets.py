@@ -2,10 +2,40 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core import packets as P
 from repro.core.errors import DecodeError, EncodeError
+
+GOLDENS = json.loads((Path(__file__).parents[1] / "data" / "wire_vectors.json").read_text("utf-8"))
+
+
+def golden_packet(cls, fields: dict):
+    """A ``cls`` from a golden's JSON fields (tests/data/wire_vectors.json)."""
+    kw = dict(fields)
+    for name, kind in cls.WIRE:
+        if kind == "bytes":
+            v = kw[name]
+            kw[name] = bytes([v["byte"]]) * v["len"] if isinstance(v, dict) else bytes.fromhex(v)
+        elif kind == "u64seq":
+            kw[name] = tuple(kw[name])
+    return cls(**kw)
+
+
+def golden_vectors(cls):
+    """``(packet, wire)`` per valid and boundary golden of ``cls``."""
+    entry = GOLDENS["types"][cls.__name__]
+    for vector in entry["valid"] + entry["boundary"]:
+        packet, wire = golden_packet(cls, vector["fields"]), vector["wire"]
+        if isinstance(wire, dict):  # stored as length + SHA-256
+            data = P.encode(packet)
+            assert (len(data), hashlib.sha256(data).hexdigest()) == (wire["len"], wire["sha256"])
+            wire = data.hex()
+        yield packet, bytes.fromhex(wire)
 
 
 ALL_PACKETS = [
@@ -86,13 +116,13 @@ def test_decode_error_carries_data():
 
 def test_nack_requires_sequences():
     with pytest.raises(EncodeError):
-        P.NackPacket(group="g", seqs=()).encode_body()
+        P.encode(P.NackPacket(group="g", seqs=()))
 
 
 def test_nack_enforces_max_batch():
     too_many = tuple(range(1, P.NackPacket.MAX_SEQS + 2))
     with pytest.raises(EncodeError):
-        P.NackPacket(group="g", seqs=too_many).encode_body()
+        P.encode(P.NackPacket(group="g", seqs=too_many))
 
 
 def test_oversized_payload_rejected():

@@ -4,7 +4,7 @@ The memoised codec went when counting showed no runtime called it on a
 hot path (DESIGN §6, "There is no codec memo"); what stays here is what
 that layer's tests also pinned about the codec and the packet classes:
 every registered type is sampled, the entry points agree with the
-zero-copy and per-field decoders, and packets are immutable values that
+zero-copy decoder and the goldens, and packets are immutable values that
 hash and compare by content.
 """
 
@@ -18,7 +18,7 @@ from repro.baselines.senderreliable import PosAckDataPacket, PosAckPacket
 from repro.baselines.srm import SrmRepairPacket, SrmRequestPacket, SrmSessionPacket
 from repro.core import packets as P
 
-from .test_packets import ALL_PACKETS
+from .test_packets import ALL_PACKETS, GOLDENS, golden_vectors
 
 # One sample instance per registered extension type; together with
 # ALL_PACKETS this must cover the full registry (enforced below).
@@ -42,18 +42,33 @@ def test_samples_cover_every_registered_type():
     )
 
 
+def test_goldens_cover_every_registered_type():
+    """A type registered without vectors in tests/data/wire_vectors.json (its WIRE,
+    a valid one with distinct fixed fields, a boundary one, a rejected wire) fails."""
+    registry = {cls.__name__: cls for cls in P._REGISTRY.values()}
+    assert set(GOLDENS["types"]) == set(registry)
+    for name, entry in GOLDENS["types"].items():
+        cls = registry[name]
+        assert entry["type"] == cls.TYPE and entry["wire_spec"] == [list(f) for f in cls.WIRE]
+        fixed = [f for f, kind in cls.WIRE if kind not in ("bytes", "str", "u64seq")]
+        assert any(len({v["fields"][f] for f in fixed}) == len(fixed) for v in entry["valid"])
+        assert entry["boundary"] and entry["rejected"], name
+
+
 @pytest.mark.parametrize("packet", EVERY_PACKET, ids=lambda p: type(p).__name__)
 def test_cached_encode_is_bit_identical(packet):
-    """Repeat encodes of one packet are equal bytes, equal to the oracle's."""
-    expected = P.encode_reference(packet)
-    assert P.encode(packet) == expected
-    assert P.encode(packet) == expected
+    """Repeat encodes of one packet are equal bytes, as are its type's goldens'."""
+    assert P.encode(packet) == P.encode(packet)
+    for golden, wire in golden_vectors(type(packet)):
+        assert P.encode(golden) == wire
 
 
 @pytest.mark.parametrize("packet", EVERY_PACKET, ids=lambda p: type(p).__name__)
 def test_cached_decode_matches_uncached(packet):
     wire = P.encode(packet)
-    assert P.decode(wire) == P.decode_from(wire) == P.decode_reference(wire) == packet
+    assert P.decode(wire) == P.decode_from(wire) == packet
+    for golden, wire in golden_vectors(type(packet)):
+        assert P.decode(wire) == P.decode_from(wire) == golden
 
 
 @pytest.mark.parametrize("packet", EVERY_PACKET, ids=lambda p: type(p).__name__)

@@ -1,36 +1,35 @@
-"""Differential codec conformance: struct codecs vs the per-field spec.
+"""Codec conformance: struct codecs vs golden vectors, a model and laws.
 
-The per-field ``encode_body`` / ``decode_body`` methods are the
-executable wire-format specification, reached through
-``encode_reference`` / ``decode_reference``; the precompiled ``struct``
+``WIRE`` and the golden vectors of ``tests/data/wire_vectors.json``
+(valid, boundary and rejected encodings of every registered type) are
+the wire-format specification; the precompiled ``struct``
 codecs are the only thing ``encode`` / ``decode`` run.  This suite
 fuzzes every registered packet type — the strategies are derived from
 each class's ``WIRE`` declaration, so a new packet type is covered the
-moment it is registered — and asserts the two paths are
-indistinguishable:
+moment it is registered — and asserts:
 
-* identical bytes out of ``encode`` for identical packets,
-* identical packets out of ``decode`` for identical bytes,
-* identical rejection of truncated, extended, and garbage datagrams,
+* the bytes of a small in-test model out of ``encode``,
+* identical packets out of ``decode`` for those bytes,
+* rejection of truncated, extended, and garbage datagrams,
   always via :class:`DecodeError` — a raw ``struct.error`` escaping
-  either path is a crash bug in a transport callback.
-
-A ``DecodeError`` from one path with a successful parse in the other
-would mean the runtime codec no longer implements the specification,
-so every assertion here runs the same input through both.
+  is a crash bug in a transport callback,
+* canonical accepted bytes: ``encode(decode(b)) == b``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import senderreliable, srm  # noqa: F401  (register their types)
 from repro.core import packets as P
 from repro.core.errors import DecodeError, EncodeError
+from tests.core.test_packets import GOLDENS, golden_packet, golden_vectors
 
 # -- strategies derived from the WIRE specs ----------------------------------
 
@@ -65,22 +64,39 @@ _ALL_CLASSES = [cls for _, cls in sorted(P._REGISTRY.items())]
 _PACKETS = st.one_of([_packet_strategy(cls) for cls in _ALL_CLASSES])
 
 
-def _decode_both(data):
-    """Decode through both paths; return (struct_outcome, legacy_outcome).
+_FIXED_FMT = {"u8": "!B", "u16": "!H", "u32": "!I", "u64": "!Q", "f64": "!d"}
 
-    Outcomes are ``("ok", packet)`` or ``("error", message)``.  Only
+
+def _model_encode(packet) -> bytes:
+    """The header, the group, then ``WIRE``: one ``struct`` call per field kind."""
+    out = struct.pack("!2sBB", b"LB", 1, int(packet.TYPE))
+    for kind, v in [("str", packet.group)] + [(k, getattr(packet, n)) for n, k in packet.WIRE]:
+        if kind in ("str", "bytes"):
+            raw = v.encode("utf-8") if kind == "str" else v
+            out += struct.pack("!B" if kind == "str" else "!H", len(raw)) + raw
+        elif kind == "u64seq":
+            out += struct.pack(f"!H{len(v)}Q", len(v), *v)
+        else:
+            out += struct.pack(_FIXED_FMT[kind], v)
+    return out
+
+
+def _decode(data):
+    """``decode(data)``, or None when it rejects; ``decode_from`` agrees.
+
+    Accepted bytes must be canonical.  Only
     :class:`DecodeError` counts as rejection — anything else (above all
     ``struct.error``) propagates and fails the test.
     """
-    outcomes = []
-    for decode in (P.decode, P.decode_reference):
-        try:
-            packet = decode(data)
-        except DecodeError:
-            outcomes.append(("error",))
-        else:
-            outcomes.append(("ok", packet))
-    return outcomes
+    try:
+        packet = P.decode(data)
+    except DecodeError:
+        with pytest.raises(DecodeError):
+            P.decode_from(data)
+        return None
+    assert P.encode(packet) == data
+    assert _equal_with_nan(P.decode_from(data), packet)
+    return packet
 
 
 @pytest.mark.parametrize("cls", _ALL_CLASSES, ids=lambda c: c.__name__)
@@ -96,13 +112,6 @@ def test_registering_a_class_without_wire_is_refused():
 
     class NoWirePacket(P.Packet):
         TYPE = ptype
-
-        def encode_body(self) -> bytes:
-            return b""
-
-        @classmethod
-        def decode_body(cls, group, buf):
-            return cls(group=group)
 
     with pytest.raises(EncodeError, match="WIRE"):
         P.register_packet(NoWirePacket)
@@ -154,56 +163,45 @@ def test_compiled_decoders_refuse_what_they_would_skip():
     assert P._STRUCT_DECODERS[int(P.PacketType.DATA)] is registered
 
 
-# Per kind, the value of the i-th field in WIRE order: fixed fields of one
-# kind never share a value, so swapping any two fields shows.
-_DISTINCT = {
-    "u8": lambda i: i + 1,
-    "u16": lambda i: 0x0101 * (i + 1),
-    "u32": lambda i: 0x01020304 + i,
-    "u64": lambda i: 0x0102030405060708 + i,
-    "f64": lambda i: 0.5 + i,
-    "bytes": lambda i: b"tail",
-    "str": lambda i: "tail",
-    "u64seq": lambda i: (7, 8, 9),
-}
-
-
 @pytest.mark.parametrize("cls", _ALL_CLASSES, ids=lambda c: c.__name__)
 def test_every_field_lands_in_its_own_place(cls):
-    """Distinct values in every field and a non-empty tail: a codec that
-    swaps two same-width fields (``HeartbeatPacket.hb_index``/``epoch``)
+    """The goldens: distinct values in every field and a non-empty tail: a
+    codec or ``WIRE`` that swaps two same-width fields (``HeartbeatPacket.hb_index``/``epoch``)
     fails here whatever examples hypothesis draws, and so does one that
-    skips a body-length check."""
-    wire = cls.__dict__["WIRE"]
-    pkt = cls(group="g", **{name: _DISTINCT[kind](i) for i, (name, kind) in enumerate(wire)})
-    data = P.encode(pkt)
-    assert data == P.encode_reference(pkt)
-    for bad in (data[:-1], data + b"\x00"):
-        with pytest.raises(DecodeError):
-            P.decode(bad)
-    decoded = P.decode(data)
-    assert type(decoded) is cls
-    assert decoded == pkt == P.decode_reference(P.encode_reference(pkt))
-    assert repr(decoded) == repr(pkt) and hash(decoded) == hash(pkt)
+    skips a body-length check (the rejected wires)."""
+    for pkt, data in golden_vectors(cls):
+        assert P.encode(pkt) == data
+        decoded = P.decode(data)
+        assert type(decoded) is cls and decoded == pkt
+        assert repr(decoded) == repr(pkt) and hash(decoded) == hash(pkt)
+    for bad in GOLDENS["types"][cls.__name__]["rejected"]:
+        assert _decode(bytes.fromhex(bad["wire"])) is None, bad["why"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         decoded.group = "h"
+
+
+def test_golden_rejections():
+    """Header-level wires ``decode`` rejects; packets ``encode`` refuses."""
+    for bad in GOLDENS["rejected_wires"]:
+        assert _decode(bytes.fromhex(bad["wire"])) is None, bad["why"]
+    registry = {cls.__name__: cls for cls in _ALL_CLASSES}
+    for bad in GOLDENS["rejected_packets"]:
+        with pytest.raises(EncodeError):
+            P.encode(golden_packet(registry[bad["type"]], bad["fields"]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_PACKETS)
 def test_struct_and_legacy_encodings_identical(pkt):
-    assert P.encode(pkt) == P.encode_reference(pkt)
+    assert P.encode(pkt) == _model_encode(pkt)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_PACKETS)
 def test_struct_and_legacy_roundtrip_identical(pkt):
-    wire = P.encode_reference(pkt)
-    via_struct = P.decode(wire)
-    via_legacy = P.decode_reference(wire)
-    assert type(via_struct) is type(pkt)
-    assert via_struct == pkt
-    assert via_legacy == pkt
+    decoded = _decode(_model_encode(pkt))
+    assert type(decoded) is type(pkt)
+    assert decoded == pkt
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,28 +210,22 @@ def test_truncation_rejected_identically(pkt, data):
     """Any proper prefix of a valid datagram fails on both paths."""
     wire = P.encode(pkt)
     cut = data.draw(st.integers(min_value=1, max_value=len(wire)))
-    struct_out, legacy_out = _decode_both(wire[: len(wire) - cut])
     # Cutting from a correct encoding can never leave a shorter valid
     # parse (every body codec checks exact length), so both must reject.
-    assert struct_out == ("error",)
-    assert legacy_out == ("error",)
+    assert _decode(wire[: len(wire) - cut]) is None
 
 
 @settings(max_examples=150, deadline=None)
 @given(_PACKETS, st.binary(min_size=1, max_size=8))
 def test_trailing_garbage_rejected_identically(pkt, suffix):
-    wire = P.encode(pkt)
-    struct_out, legacy_out = _decode_both(wire + suffix)
-    assert struct_out == ("error",)
-    assert legacy_out == ("error",)
+    assert _decode(P.encode(pkt) + suffix) is None
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=128))
 def test_garbage_outcomes_identical(data):
     """Arbitrary bytes: both paths agree — same packet or both reject."""
-    struct_out, legacy_out = _decode_both(data)
-    assert struct_out == legacy_out
+    _decode(data)
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,16 +235,14 @@ def test_flipped_byte_never_escapes_decode_error(pkt, data):
 
     The interesting corruptions are in-structure (length fields, type
     byte, count words) — exactly where a naive codec lets struct.error
-    or UnicodeDecodeError out.  _decode_both re-raises anything that is
+    or UnicodeDecodeError out.  _decode re-raises anything that is
     not a DecodeError.
     """
     wire = bytearray(P.encode(pkt))
     index = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
     flip = data.draw(st.integers(min_value=1, max_value=255))
     wire[index] ^= flip
-    struct_out, legacy_out = _decode_both(bytes(wire))
-    if struct_out[0] == "ok" and legacy_out[0] == "ok":
-        assert _equal_with_nan(struct_out[1], legacy_out[1])
+    _decode(bytes(wire))
 
 
 def _equal_with_nan(a, b) -> bool:

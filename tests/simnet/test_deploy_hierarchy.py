@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.errors import ConfigError
 from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
+from tests._oracles.fanout import use_reference
 
 
 def _spec(**kwargs):
@@ -135,7 +136,8 @@ def test_hierarchy_tap_sees_the_same_run_with_and_without_batching():
 
     def run(batch: bool):
         dep = LbrmDeployment(_spec(seed=13, receivers_per_site=3))
-        dep.network.batch_delivery = batch
+        if not batch:
+            use_reference(dep.network)
         dep.start()
         dep.advance(0.5)
         for i in range(4):

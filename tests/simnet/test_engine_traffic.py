@@ -1,7 +1,7 @@
 """The traffic the choice of engine rests on (DESIGN §6, "The engine is
 a binary heap").
 
-A plain heap is the whole engine because, in the default configuration,
+A plain heap is the whole engine because, in the one configuration,
 the protocol gives it almost nothing to do: batched fan-out and the
 ``WakeupMux`` leave one event per *distinct* arrival time or deadline —
 not one per receiver — and nothing ever cancels one.  This test pins
@@ -17,8 +17,8 @@ from __future__ import annotations
 from repro.simnet import BernoulliLoss, DeploymentSpec, LbrmDeployment
 
 # Engine events per network transmission (multicast or unicast call).
-# Measured 1.53 at 5 receivers per site and 1.33 at 20; with
-# ``batch_delivery`` off the same runs read 6.5 and 12.8.
+# Measured 1.53 at 5 receivers per site and 1.33 at 20; under
+# tests/_oracles/fanout.py the same runs read 6.5 and 12.8.
 MAX_EVENTS_PER_TRANSMISSION = 2.0
 
 

@@ -8,15 +8,15 @@ the frozen perf ledger still wraps it, so the models keep it and this
 suite keeps its contract.)  Then the end-to-end form of the guarantee
 that matters: a same-seed run may never change by a byte when batching
 is toggled.  A fig7-style lossy deployment
-replayed with ``batch_delivery`` on (which also turns on the
-shared-deadline :class:`~repro.simnet.engine.WakeupMux`) and with it
-off (one engine event per receiver, one cancellable wakeup per node)
-produces byte-identical packet traces and protocol outcomes — down to every node's delivery list and
+replayed as shipped (batched fan-out, shared-deadline
+:class:`~repro.simnet.engine.WakeupMux`) and under the oracle of
+``tests/_oracles/fanout.py`` (one engine event per receiver, one per
+node wakeup) produces byte-identical packet traces and protocol outcomes — down to every node's delivery list and
 every host's counters, and through every kind of endpoint the one
 delivery loop (:meth:`SimNode.receive_batch`) has to get right.  The
 suite closes with the same differential as a property over small random
 networks: the fan-out's walk over per-site segments against the
-per-receiver reference loop.
+per-receiver loop.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.simnet.engine import Simulator
 from repro.simnet.loss import BurstLoss, CompositeLoss, NoLoss
 from repro.simnet.node import SimNode
 from repro.simnet.topology import Network
+from tests._oracles.fanout import use_reference
 
 # -- model-level stream equivalence ------------------------------------------
 
@@ -135,7 +136,8 @@ def _lossy_scenario(seed: int, batch: bool):
     after every ``advance``."""
     with obs.recording() as reg:
         dep = LbrmDeployment(DeploymentSpec(n_sites=3, receivers_per_site=3, seed=seed))
-        dep.network.batch_delivery = batch
+        if not batch:
+            use_reference(dep.network)
         tombstones = []
 
         def advance(dt: float) -> None:
@@ -161,8 +163,8 @@ def _lossy_scenario(seed: int, batch: bool):
 @pytest.mark.parametrize("seed", [11, 1995])
 def test_same_seed_trace_identical_with_and_without_batching(seed):
     """The shipped configuration (delivery batching + wakeup mux)
-    against the per-receiver fan-out with one cancellable wakeup per
-    node: no trace byte, no stat differs.  This is the differential
+    against the per-receiver fan-out with one wakeup event per node arm:
+    no trace byte, no stat differs.  This is the differential
     ``repro bench`` ran between its two legs before it measured only
     the shipped one."""
     trace_batched, outcome_batched, tombstones_batched = _lossy_scenario(seed, batch=True)
@@ -170,11 +172,8 @@ def test_same_seed_trace_identical_with_and_without_batching(seed):
     assert len(trace_batched) > 0
     assert trace_batched == trace_reference
     assert outcome_batched == outcome_reference
-    # The per-receiver leg is the only producer of cancels left (DESIGN §6,
-    # tests/simnet/test_engine_traffic.py): it did cancel, and the heap's
-    # lazy deletion drained every tombstone by the end.
-    assert set(tombstones_batched) == {0}
-    assert max(tombstones_reference) > 0 and tombstones_reference[-1] == 0
+    # Nothing cancels on either leg (DESIGN §6).
+    assert set(tombstones_batched) == set(tombstones_reference) == {0}
 
 
 class _Tap:
@@ -211,8 +210,7 @@ def _every_endpoint_scenario(batch: bool, foreign_observer: bool):
     verdict per ``rx`` call made inside a co-timed batch: did the call see
     every endpoint where it was before the batch began?"""
     dep = LbrmDeployment(DeploymentSpec(n_sites=3, receivers_per_site=5, seed=7))
-    net = dep.network
-    net.batch_delivery = batch
+    net = dep.network if batch else use_reference(dep.network)
     observed: list[tuple] = []
     before_batch: list[tuple] = []
     verdicts: list[bool] = []
@@ -353,8 +351,7 @@ def _fanout_worlds(draw):
 def _fanout_train(world: dict, batch: bool) -> dict:
     """Send a short train through ``world``; everything anyone could see."""
     sim = Simulator()
-    net = Network(sim)
-    net.batch_delivery = batch
+    net = Network(sim) if batch else use_reference(Network(sim))
     rngs = [random.Random(world["seed"] + k) for k in range(len(world["hosts"]) + 5)]
     spare = iter(rngs)
     for s, latency in enumerate(world["tail_latency"]):
@@ -413,7 +410,7 @@ def _fanout_train(world: dict, batch: bool) -> dict:
 @given(_fanout_worlds())
 def test_segment_walk_matches_the_per_receiver_loop(world):
     """``send_multicast`` decides per run of consecutive same-site members;
-    ``_send_multicast_reference`` decides per member.  Whatever the member
+    the oracle's per-receiver loop decides per member.  Whatever the member
     order, loss models, scope, source and chaos hook: the same ordered
     observer calls, the same deliveries, counters and link charges, and
     every RNG left where the reference leaves it.  Observer calls are

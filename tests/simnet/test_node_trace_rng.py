@@ -121,7 +121,7 @@ def test_a_node_stopped_by_its_first_machine_hides_the_packet_from_the_rest(stop
     assert not node.alive
     assert [d.seq for d in node.delivered] == [1]  # the Deliver ahead of the Notify ran
     assert second.seen == 0
-    assert node._mux_due is None and node._wakeup is None
+    assert node._mux_due is None and node._due is None
     # Un-stopped, the same node shows every machine every packet.
     node.resume() if stop == "pause" else node.restart()
     node.on_event = None

@@ -8,6 +8,7 @@ from repro.core.packets import DataPacket, PrimaryQueryPacket
 from repro.simnet.engine import Simulator
 from repro.simnet.loss import BurstLoss
 from repro.simnet.topology import CROSS_SITE_HOPS, SAME_SITE_HOPS, Network, wire_size
+from tests._oracles.fanout import use_reference
 
 
 class Sink:
@@ -167,7 +168,7 @@ def test_scoped_multicast_matches_reference_through_membership_changes():
 
     def run(batch: bool):
         sim, net, hosts = build()
-        net.batch_delivery = batch
+        net = net if batch else use_reference(net)
         log = []
         net.observer = lambda kind, packet, src, hosts, now: log.extend(
             (kind, packet.seq, src, host.name, now) for host in hosts
