@@ -1,7 +1,7 @@
 # LBRM reproduction — developer entry points.  Everything runs from the
 # source checkout: the package is on PYTHONPATH, never installed.
 
-.PHONY: test bench examples loc census pairs all
+.PHONY: test bench examples loc bytes census pairs all
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
@@ -19,6 +19,12 @@ examples:
 # ROADMAP aim 2: net source lines go down.
 loc:
 	@find src -name '*.py' | xargs wc -l | tail -1
+
+# Where the bytes are (DESIGN §6): peak RSS by phase, what one unit's world
+# holds by file:line, and bytes per added site and receiver, for one ledger
+# workload (default tree_outage):  make bytes [W=exact_fanout]
+bytes:
+	python tools/bytes_census.py $(if $(W),--workload $(W))
 
 # Who calls what (docs/TRAFFIC.md): every shipped entry point, then tier-1,
 # under a profile hook (~3 min); rewrites docs/traffic_census.json, which

@@ -38,6 +38,7 @@ from repro.core.logger import LoggerRole, LogServer
 from repro.core.receiver import LbrmReceiver
 from repro.core.retranschannel import RetransChannelConfig
 from repro.core.sender import LbrmSender
+from repro.simnet.rng import LazyStream, RngStreams
 
 __all__ = ["AioCluster"]
 
@@ -101,6 +102,9 @@ class AioCluster:
             self.tree = build_tree("primary", self._leaves, depth=depth, fanout=fanout)
         else:
             self.tree = LoggerTree("primary")
+        # Per-logger coin streams (as LbrmDeployment): with one shared
+        # default, every secondary volunteers alike (§2.3.1).
+        self._streams = RngStreams()
         self._use_discovery = use_discovery
         self._discovery_config = discovery or DiscoveryConfig()
         self._enable_statack = enable_statack
@@ -141,6 +145,7 @@ class AioCluster:
                 self.tree, name, self.group, self.config,
                 addr_token=node.token,
                 address_of=lambda parent: self.members[parent][1].address,
+                rng=LazyStream(self._streams, f"logger:{name}"),
                 **kwargs,
             )
         )

@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Address",
     "GroupId",
+    "own_token",
     "Action",
     "SendUnicast",
     "SendMulticast",
@@ -48,6 +49,12 @@ __all__ = [
 Address = Hashable
 # Multicast group identifier (group address string in both harnesses).
 GroupId = str
+
+
+def own_token(token: str) -> Address:
+    """The simulator's ``parse_token``: its addresses are their own wire
+    tokens (asyncio passes :func:`repro.aio.node.parse_token`)."""
+    return token
 
 
 class Action(metaclass=ABCMeta):

@@ -26,7 +26,7 @@ can fall back to static configuration without polling.
 
 from __future__ import annotations
 
-from repro.core.actions import Action, Address, Notify, SendMulticast
+from repro.core.actions import Action, Address, Notify, SendMulticast, own_token
 from repro.core.config import DiscoveryConfig
 from repro.core.events import DiscoveryExhausted, LoggerDiscovered
 from repro.core.machine import ProtocolMachine
@@ -42,12 +42,12 @@ class DiscoveryClient(ProtocolMachine):
         self,
         group: str,
         config: DiscoveryConfig | None = None,
-        parse_token=None,
+        parse_token=own_token,
     ) -> None:
         super().__init__()
         self._group = group
         self._config = config or DiscoveryConfig()
-        self._parse_token = parse_token or (lambda token: token)
+        self._parse_token = parse_token
         self._ttl = 0
         self._searching = False
         self._ring_replies: list[tuple[int, Address]] = []

@@ -27,6 +27,7 @@ from enum import Enum
 
 from repro import obs
 from repro.core.actions import Action, Address, JoinGroup, Notify, SendMulticast, SendUnicast
+from repro.core.actions import own_token
 from repro.core.config import LbrmConfig
 from repro.core.events import DesignatedAcker, PromotedToPrimary, Remulticast
 from repro.core.log_store import PacketLog
@@ -98,6 +99,10 @@ class LogServer(ProtocolMachine):
         simulator's addresses are their own tokens, so the default is
         the identity; asyncio harnesses pass
         :func:`repro.aio.node.parse_token`.
+    rng:
+        Volunteer coins (anything with ``random()``), drawn only by a
+        SECONDARY.  The default is one fixed stream: every server built
+        without an ``rng`` flips the same coins.
     """
 
     def __init__(
@@ -114,7 +119,7 @@ class LogServer(ProtocolMachine):
         site_scoped_repairs: bool = True,
         rng: random.Random | None = None,
         spool_path: str | None = None,
-        parse_token=None,
+        parse_token=own_token,
     ) -> None:
         self._group = group
         self._addr_token = addr_token
@@ -123,7 +128,7 @@ class LogServer(ProtocolMachine):
         self._parent = parent
         self._source = source
         self._level = level
-        self._parse_token = parse_token or (lambda token: token)
+        self._parse_token = parse_token
         # Deterministic default (str seeds hash stably): volunteer coins
         # and jitter repeat identically run to run.
         self._rng = rng or random.Random("repro.core.logger")

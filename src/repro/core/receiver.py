@@ -16,6 +16,7 @@ without any protocol involvement from the source.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from repro.core.actions import (
     LeaveGroup,
     Notify,
     SendUnicast,
+    own_token,
 )
 from repro.core.config import HeartbeatConfig, ReceiverConfig
 from repro.core.events import (
@@ -67,6 +69,18 @@ def _deliver_original(packet: DataPacket) -> Deliver:
     if shared[0] is not packet:
         _shared_delivery = shared = (packet, Deliver(packet.seq, packet.payload, False))
     return shared[1]
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule_table(
+    heartbeat: HeartbeatConfig | None, max_idle_time: float, watchdog_slack: float
+) -> dict[int, tuple[float, float]]:
+    """(heartbeat interval, watchdog timeout) per schedule index: one
+    table per config, shared by its receivers, filled by
+    :meth:`LbrmReceiver._hb_schedule`.  The wire's ``hb_index`` is
+    unbounded, but indexes past saturation share one entry, so a table
+    holds at most saturation + 1.  The registry keeps 64 configs'."""
+    return {}
 
 
 def _saturation_index(hb: HeartbeatConfig) -> int:
@@ -175,7 +189,7 @@ class LbrmReceiver(ProtocolMachine):
         logger_chain: tuple[Address, ...] = (),
         source: Address | None = None,
         heartbeat: "HeartbeatConfig | None" = None,
-        parse_token=None,
+        parse_token=own_token,
     ) -> None:
         self._group = group
         self._config = config or ReceiverConfig()
@@ -188,22 +202,17 @@ class LbrmReceiver(ProtocolMachine):
         self._heartbeat = heartbeat
         # Maps wire address tokens (strings) to transport addresses: the
         # simulator's identity by default; host:port parsing under asyncio.
-        self._parse_token = parse_token or (lambda token: token)
+        self._parse_token = parse_token
         self._chain: tuple[Address, ...] = tuple(logger_chain)
         self._source = source
         # Durable with the chain and stats (DESIGN §7): the application
         # persists what it holds, so a restart is not a late join.
         self._tracker = SequenceTracker()
         super().__init__()  # builds the volatile state (_init_volatile)
-        # (interval, watchdog timeout) per heartbeat index, memoized:
-        # every arriving packet re-reads its index's schedule, and
-        # caching slack·interval alongside saves the per-packet multiply.
-        # (Like the pre-existing interval memo, this bakes in the config
-        # at first use — reconfiguring a live receiver is unsupported.)
-        # ``hb_index`` comes off the wire: indexes at or past the point
-        # where the schedule reaches h_max share one entry, so the memo
-        # is bounded and ``backoff**index`` cannot overflow.
-        self._hb_wd: dict[int, tuple[float, float]] = {}
+        # Re-read by every arriving packet; fixed, like the config.
+        self._hb_wd = _schedule_table(
+            heartbeat, self._config.max_idle_time, self._config.watchdog_slack
+        )
         self._hb_saturation = 0 if heartbeat is None else _saturation_index(heartbeat)
 
         # Receivers are the most numerous machines (thousands in the

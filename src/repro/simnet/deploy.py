@@ -32,7 +32,7 @@ from repro.simnet.engine import ScheduledEvent, Simulator
 from repro.simnet.hierarchy import HierarchyRuntime
 from repro.simnet.loss import BurstLoss
 from repro.simnet.node import SimNode
-from repro.simnet.rng import RngStreams
+from repro.simnet.rng import LazyStream, RngStreams
 from repro.simnet.topology import Network, Site
 from repro.simnet.trace import PacketTrace
 
@@ -170,9 +170,7 @@ class TreeDeployment:
             leaf = f"site{i}-logger"
             chain: tuple[str, ...] = (tree.root,)
             if leaf in tree:
-                logger, node = self._add_logger(
-                    leaf, site, rng=self.streams.stream(f"logger:{leaf}")
-                )
+                logger, node = self._add_logger(leaf, site)
                 self.site_loggers.append(logger)
                 self.site_logger_nodes.append(node)
                 chain = tree.chain(leaf)
@@ -182,11 +180,7 @@ class TreeDeployment:
 
         for level in range(1, tree.depth - 1):
             for name in tree.at_level(level):
-                hub, node = self._add_logger(
-                    name,
-                    self.network.site(site_of[name]),
-                    rng=self.streams.stream(f"logger:{name}"),
-                )
+                hub, node = self._add_logger(name, self.network.site(site_of[name]))
                 self.interior_loggers.append(hub)
                 self.interior_logger_nodes.append(node)
 
@@ -203,9 +197,12 @@ class TreeDeployment:
         return node
 
     def _add_logger(self, name: str, site: Site, **kwargs) -> tuple[LogServer, SimNode]:
-        """Host tree node ``name``'s log server at ``site``."""
+        """Host tree node ``name``'s log server at ``site``.  Its volunteer
+        coins come from its own ``logger:{name}`` stream, made at the first
+        coin: only a secondary draws, on ACKER_SELECT or PROBE."""
         logger = tree_logger(
-            self.tree, name, self.spec.group, self.spec.config, source="source", **kwargs
+            self.tree, name, self.spec.group, self.spec.config, source="source",
+            rng=LazyStream(self.streams, f"logger:{name}"), **kwargs,
         )
         return logger, self._add_node(name, site, logger)
 

@@ -48,6 +48,10 @@ class Link:
     loss:
         Stochastic loss model applied to every packet that got past the
         queue.
+    jitter, rng:
+        Uniform extra delay in ``[0, jitter]`` per packet, drawn from
+        ``rng`` (an ``RngStreams`` stream), which only a jittering link
+        needs, and must be given.
     """
 
     def __init__(
@@ -68,6 +72,8 @@ class Link:
             raise ValueError(f"queue_limit must be non-negative, got {queue_limit}")
         if jitter < 0:
             raise ValueError(f"jitter must be non-negative, got {jitter}")
+        if jitter and rng is None:
+            raise ValueError("a link with jitter needs an rng stream")
         self.name = name
         self.latency = latency
         self.bandwidth = bandwidth
@@ -78,7 +84,7 @@ class Link:
         # receiver's nack_delay (Appendix A's "short retransmission
         # request timer") exists for.
         self.jitter = jitter
-        self._rng = rng or random.Random(0)
+        self._rng = rng
         self.stats = LinkStats()
         self._busy_until = 0.0
 

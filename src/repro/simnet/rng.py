@@ -12,11 +12,14 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["RngStreams"]
+__all__ = ["LazyStream", "RngStreams"]
 
 
 class RngStreams:
-    """A family of independent, deterministically-seeded RNGs."""
+    """A family of independent, deterministically-seeded RNGs, each made
+    on first use (a 2.5 KB Mersenne Twister).  Seeds come from names
+    alone, so when a stream is made never moves its draws: a consumer
+    that may never draw holds a :class:`LazyStream`."""
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
@@ -30,3 +33,16 @@ class RngStreams:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng
+
+
+class LazyStream:
+    """``streams.stream(name)``, made at its first draw (the same object,
+    so every draw is the one the stream itself would give)."""
+
+    __slots__ = ("_streams", "_name")
+
+    def __init__(self, streams: RngStreams, name: str) -> None:
+        self._streams, self._name = streams, name
+
+    def random(self) -> float:
+        return self._streams.stream(self._name).random()

@@ -160,9 +160,7 @@ class Network:
     ) -> None:
         self.sim = sim
         self.streams = streams or RngStreams(seed=0)
-        self.backbone = Link(
-            "backbone", latency=backbone_latency, rng=self.streams.stream("link:backbone")
-        )
+        self.backbone = Link("backbone", latency=backbone_latency)
         self._sites: dict[str, Site] = {}
         self._hosts: dict[str, Host] = {}
         self._groups: dict[str, set[str]] = {}
@@ -204,30 +202,12 @@ class Network:
         """Create a site hanging off the backbone via its tail circuit."""
         if name in self._sites:
             raise ValueError(f"site {name!r} already exists")
+        tail = {"latency": tail_latency, "bandwidth": tail_bandwidth, "queue_limit": tail_queue}
         site = Site(
             name=name,
-            lan=Link(
-                f"{name}.lan",
-                latency=lan_latency,
-                loss=lan_loss,
-                rng=self.streams.stream(f"link:{name}.lan"),
-            ),
-            tail_up=Link(
-                f"{name}.tail.up",
-                latency=tail_latency,
-                bandwidth=tail_bandwidth,
-                queue_limit=tail_queue,
-                loss=tail_loss_up,
-                rng=self.streams.stream(f"link:{name}.tail.up"),
-            ),
-            tail_down=Link(
-                f"{name}.tail.down",
-                latency=tail_latency,
-                bandwidth=tail_bandwidth,
-                queue_limit=tail_queue,
-                loss=tail_loss_down,
-                rng=self.streams.stream(f"link:{name}.tail.down"),
-            ),
+            lan=Link(f"{name}.lan", latency=lan_latency, loss=lan_loss),
+            tail_up=Link(f"{name}.tail.up", loss=tail_loss_up, **tail),
+            tail_down=Link(f"{name}.tail.down", loss=tail_loss_down, **tail),
         )
         self._sites[name] = site
         return site

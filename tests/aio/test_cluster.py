@@ -7,8 +7,9 @@ import asyncio
 import pytest
 
 from repro.aio import AioCluster, GroupDirectory
-from repro.core.config import LbrmConfig
+from repro.core.config import LbrmConfig, StatAckConfig
 from repro.core.logger import LoggerRole
+from repro.core.packets import AckerSelectPacket
 
 from tests.aio._netutil import free_udp_port
 
@@ -77,6 +78,28 @@ async def _run_statack():
         sa = cluster.sender.statack
         assert sa is not None
         assert sa.stats["probes_sent"] >= 1
+
+
+def test_secondaries_flip_their_own_coins():
+    asyncio.run(_run_own_coins())
+
+
+async def _run_own_coins():
+    """§2.3.1 picks ~k of N secondaries at random each epoch.  Built
+    without their own streams, every secondary flipped the same coins,
+    and an epoch took all of them or none."""
+    # One probe at start, then a 10 s window: no coin is drawn meanwhile.
+    config = LbrmConfig(statack=StatAckConfig(initial_t_wait=5.0))
+    async with AioCluster(GROUP, config, n_receivers=0, n_secondaries=8, enable_statack=True,
+                          directory=_directory(5)) as cluster:
+        await asyncio.sleep(0.3)  # every secondary has seen that probe
+        epochs = [AckerSelectPacket(group=GROUP, epoch=e, p_ack=0.5, k=4) for e in range(1, 9)]
+        source = cluster.source_node.address
+        patterns = {
+            tuple(bool(secondary.handle(select, source, 0.0)) for secondary in cluster.secondaries)
+            for select in epochs
+        }
+        assert patterns - {(False,) * 8, (True,) * 8}, patterns
 
 
 def test_double_start_rejected():

@@ -239,8 +239,15 @@ def test_a_run_comes_out_as_if_each_receiver_met_the_packet_alone(histories, fal
 # -- the watchdog memo ----------------------------------------------------------
 
 
+@pytest.fixture
+def no_tables():
+    """An empty schedule-table registry: the receivers a test builds get
+    new tables, not ones an earlier test filled."""
+    receiver_module._schedule_table.cache_clear()
+
+
 @pytest.mark.parametrize("via", ["handle", "_on_heartbeat", "repeat"])
-def test_the_watchdog_memo_serves_every_index_past_saturation(via, monkeypatch):
+def test_the_watchdog_memo_serves_every_index_past_saturation(via, monkeypatch, no_tables):
     """``_hb_wd`` is keyed by the index clamped to where the schedule
     reaches ``h_max``: a lookup that does not clamp first misses, and
     rebuilds the entry, for every heartbeat (or sender repeat) past it."""
@@ -263,6 +270,49 @@ def test_the_watchdog_memo_serves_every_index_past_saturation(via, monkeypatch):
             r._on_heartbeat(heartbeat, index)
     assert r._hb_saturation == 7 and built == list(range(8))  # 0.25 * 2**7 == 32
     assert r._expected_interval == 32.0 and r.stats["duplicates"] == (3 * 7 - 1 if via == "repeat" else 0)
+
+
+_HB = HeartbeatConfig(h_min=0.25, backoff=2.0, h_max=32.0)
+
+
+def _synced(config: ReceiverConfig = ReceiverConfig(), heartbeat=_HB) -> LbrmReceiver:
+    r = LbrmReceiver("g", config, logger_chain=("l",), heartbeat=heartbeat)
+    r.start(0.0)
+    r.handle(DataPacket(group="g", seq=1, payload=b"x"), "source", 0.0)
+    return r
+
+
+def test_receivers_with_one_config_share_one_schedule_table(no_tables):
+    """One table per (heartbeat, max_idle_time, watchdog_slack): equal
+    configs share it, and a change to any one of the three reads its own
+    schedule, not the table another config filled."""
+    shared = _synced()
+    equal = _synced(ReceiverConfig(), HeartbeatConfig(h_min=0.25, backoff=2.0, h_max=32.0))
+    assert equal._hb_wd is shared._hb_wd
+    others = {
+        "max_idle_time": _synced(ReceiverConfig(max_idle_time=0.5), None),
+        "none": _synced(ReceiverConfig(), None),
+        "watchdog_slack": _synced(ReceiverConfig(watchdog_slack=3.0)),
+        "heartbeat": _synced(heartbeat=HeartbeatConfig(h_min=0.5, backoff=2.0, h_max=32.0)),
+    }
+    tables = [shared._hb_wd, *(r._hb_wd for r in others.values())]
+    assert len({id(table) for table in tables}) == len(tables)
+    deadlines = {name: r._maxit_deadline for name, r in others.items()}
+    assert shared._maxit_deadline == 0.5  # slack 2 x h_min
+    assert deadlines == {"max_idle_time": 1.0, "none": 0.5, "watchdog_slack": 0.75, "heartbeat": 1.0}
+
+
+def test_the_schedule_table_registry_holds_at_most_its_cap(no_tables):
+    """Configs come from whoever builds receivers: past the cap the
+    oldest table leaves the registry, and its receivers keep it."""
+    cap = receiver_module._schedule_table.cache_info().maxsize
+    first = _synced(ReceiverConfig(max_idle_time=1.0), None)
+    for i in range(2 * cap):
+        _synced(ReceiverConfig(max_idle_time=2.0 + i), None)
+    assert receiver_module._schedule_table.cache_info().currsize == cap
+    again = _synced(ReceiverConfig(max_idle_time=1.0), None)
+    assert again._hb_wd is not first._hb_wd
+    assert first._hb_wd == again._hb_wd == {0: (1.0, 2.0)}
 
 
 # -- the shared Deliver ---------------------------------------------------------

@@ -61,6 +61,9 @@ class TestLink:
             Link("l", bandwidth=-1)
         with pytest.raises(ValueError):
             Link("l", queue_limit=-1)
+        with pytest.raises(ValueError):  # jitter draws from a stream it must be given
+            Link("l", jitter=0.01)
+        assert Link("l", jitter=0.01, rng=random.Random(0)).transit(100, 0.0) <= 0.011
 
 
 class TestLossModels:
