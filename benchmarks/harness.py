@@ -34,7 +34,6 @@ from repro.core.actions import SendMulticast, SendUnicast
 from repro.core.events import RecoveryComplete
 from repro.core.logger import LoggerRole, LogServer
 from repro.core.packets import NackPacket
-from repro.scale.deploy import ScaleSpec
 from repro.scale.shard import ScaleScenario, run_sharded
 from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
 
@@ -283,7 +282,7 @@ def scenario_scale_fig7_aggregate(tier: str) -> dict:
     this scenario prices the aggregate model itself.
     """
     p = _scale_fig7_params(tier)
-    spec = ScaleSpec(
+    spec = DeploymentSpec(
         n_sites=p["n_sites"],
         receivers_per_site=p["receivers_per_site"],
         receiver_loss=p["receiver_loss"],
@@ -321,7 +320,7 @@ def scenario_scale_fig5_sharded(tier: str) -> dict:
     sharded runner end to end (fork, barriers, merge).
     """
     p = _scale_fig5_params(tier)
-    spec = ScaleSpec(
+    spec = DeploymentSpec(
         n_sites=p["n_sites"],
         receivers_per_site=p["receivers_per_site"],
         receiver_loss=p["receiver_loss"],

@@ -39,7 +39,7 @@ import hashlib
 import json
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -82,37 +82,35 @@ _CAMPAIGN_CONFIG = LbrmConfig(
 
 @dataclass(frozen=True)
 class CampaignShape:
-    """Deployment dimensions and workload for one campaign tier."""
+    """The group (``config`` and ``seed`` are set per case) and workload of
+    one campaign tier."""
 
     runs: int
-    n_sites: int
-    receivers_per_site: int
-    n_replicas: int
+    spec: DeploymentSpec
     packets: int
-    # The logger tree (DESIGN §11); the flat layout unless a tier says otherwise.
-    depth: int = 2
-    fanout: int = 8
     # Payload prefix of the data stream (part of every case's packet bytes).
     tag: str = "chaos"
 
     @property
     def has_hubs(self) -> bool:
         """Interior hubs exist, so the tree can re-parent and reports say so."""
-        return self.depth > 2
+        return self.spec.depth > 2
 
     def targets(self) -> tuple[list[str], list[str], list[str]]:
         """(sites, receivers, site loggers) this shape's deployment builds."""
-        indices = range(1, self.n_sites + 1)
+        indices = range(1, self.spec.n_sites + 1)
         return (
             [f"site{i}" for i in indices],
-            [f"site{i}-rx{j}" for i in indices for j in range(self.receivers_per_site)],
+            [f"site{i}-rx{j}" for i in indices for j in range(self.spec.receivers_per_site)],
             [f"site{i}-logger" for i in indices],
         )
 
 
 TIERS: dict[str, CampaignShape] = {
-    "quick": CampaignShape(runs=3, n_sites=2, receivers_per_site=2, n_replicas=1, packets=10),
-    "full": CampaignShape(runs=8, n_sites=3, receivers_per_site=3, n_replicas=2, packets=14),
+    "quick": CampaignShape(runs=3, packets=10, spec=DeploymentSpec(
+        n_sites=2, receivers_per_site=2, n_replicas=1)),
+    "full": CampaignShape(runs=8, packets=14, spec=DeploymentSpec(
+        n_sites=3, receivers_per_site=3, n_replicas=2)),
 }
 
 SABOTAGES: dict[str, str] = {
@@ -149,7 +147,7 @@ def sample_schedule(rng: random.Random, shape: CampaignShape) -> FaultSchedule:
     def dur(lo: float, hi: float) -> float:
         return round(rng.uniform(lo, hi), 3)
 
-    if shape.n_replicas >= 1 and rng.random() < 0.25:
+    if shape.spec.n_replicas >= 1 and rng.random() < 0.25:
         # Failover scenario: kill the primary for good mid-stream; the
         # sender must locate and promote the best replica (§2.2.3).
         # Only gentle receiver-side extras ride along so the secondary
@@ -246,17 +244,8 @@ def run_case(
     hierarchy snapshot (final parent map, every applied move, manager
     counters): a same-seed rerun must repeat the exact tree surgery too.
     """
-    spec = DeploymentSpec(
-        n_sites=shape.n_sites,
-        receivers_per_site=shape.receivers_per_site,
-        n_replicas=shape.n_replicas,
-        depth=shape.depth,
-        fanout=shape.fanout,
-        config=_CAMPAIGN_CONFIG,
-        seed=case_seed,
-    )
     with _sabotaged(sabotage):
-        dep = LbrmDeployment(spec)
+        dep = LbrmDeployment(replace(shape.spec, config=_CAMPAIGN_CONFIG, seed=case_seed))
         controller = ChaosController(dep, schedule)
         controller.install()
         oracle = ChaosOracle(dep)
@@ -385,10 +374,11 @@ def run_campaign(
                 "reproducer": f"repro {campaign.name} --{tier} --seed {seed} --runs {n_runs}",
                 "minimized_schedule": minimized.to_dict(),
             })
+    spec = shape.spec
     shape_block = {
-        "n_sites": shape.n_sites,
-        "receivers_per_site": shape.receivers_per_site,
-        "n_replicas": shape.n_replicas,
+        "n_sites": spec.n_sites,
+        "receivers_per_site": spec.receivers_per_site,
+        "n_replicas": spec.n_replicas,
         "packets": shape.packets,
     }
     totals = {
@@ -396,7 +386,7 @@ def run_campaign(
         "violations": sum(len(case["violations"]) for case in cases),
     }
     if shape.has_hubs:
-        shape_block.update(depth=shape.depth, fanout=shape.fanout)
+        shape_block.update(depth=spec.depth, fanout=spec.fanout)
         totals["reparents"] = sum(case["reparents"] for case in cases)
     return {
         "campaign": {
@@ -418,10 +408,11 @@ def run_campaign(
 def build_chaos_parser(parser: argparse.ArgumentParser, campaign: Campaign = CHAOS) -> None:
     tier = parser.add_mutually_exclusive_group()
     for name, shape in campaign.tiers.items():
+        spec = shape.spec
         tier.add_argument(
             f"--{name}", action="store_const", const=name, dest="tier",
-            help=f"{shape.runs} cases: {shape.n_sites} sites x {shape.receivers_per_site} "
-                 f"receivers, {shape.n_replicas} replica(s), depth {shape.depth}",
+            help=f"{shape.runs} cases: {spec.n_sites} sites x {spec.receivers_per_site} "
+                 f"receivers, {spec.n_replicas} replica(s), depth {spec.depth}",
         )
     parser.set_defaults(tier="quick", campaign=campaign, sabotage=None)
     parser.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")

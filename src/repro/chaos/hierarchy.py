@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from repro.chaos.campaign import Campaign, CampaignShape, blip
 from repro.chaos.schedule import Fault, FaultSchedule
 from repro.core.hierarchy import interior_name, plan_level_sizes
+from repro.simnet.deploy import DeploymentSpec
 
 __all__ = ["HierarchyShape", "TIERS", "sample_hierarchy_schedule", "HIERARCHY_CHAOS"]
 
@@ -40,7 +41,8 @@ class HierarchyShape(CampaignShape):
 
     def hubs(self) -> list[str]:
         """Interior-logger names this shape's deployment will build."""
-        sizes = plan_level_sizes(self.n_sites, self.depth, self.fanout)
+        spec = self.spec
+        sizes = plan_level_sizes(spec.n_sites, spec.depth, spec.fanout)
         return [
             interior_name(level, index)
             for level in sorted(sizes)
@@ -49,14 +51,10 @@ class HierarchyShape(CampaignShape):
 
 
 TIERS: dict[str, HierarchyShape] = {
-    "quick": HierarchyShape(
-        runs=3, n_sites=6, receivers_per_site=1, n_replicas=1,
-        depth=3, fanout=3, packets=8,
-    ),
-    "full": HierarchyShape(
-        runs=6, n_sites=9, receivers_per_site=2, n_replicas=1,
-        depth=3, fanout=3, packets=12,
-    ),
+    "quick": HierarchyShape(runs=3, packets=8, spec=DeploymentSpec(
+        n_sites=6, receivers_per_site=1, n_replicas=1, depth=3, fanout=3)),
+    "full": HierarchyShape(runs=6, packets=12, spec=DeploymentSpec(
+        n_sites=9, receivers_per_site=2, n_replicas=1, depth=3, fanout=3)),
 }
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.chaos.campaign import end_state_digest
@@ -100,11 +100,10 @@ def sweep_config(*, min_replicas_acked: int = 1) -> LbrmConfig:
 
 @dataclass(frozen=True)
 class SweepShape:
-    """Deployment dimensions and workload for one sweep tier."""
+    """The group (``config`` and ``seed`` are set per replay) and workload
+    of one sweep tier; ``rx_loss`` draws from ``sweep-loss:{host}`` streams."""
 
-    n_sites: int
-    receivers_per_site: int
-    n_replicas: int
+    spec: DeploymentSpec
     packets: int
     rx_loss: float
 
@@ -112,9 +111,12 @@ class SweepShape:
 TIERS: dict[str, SweepShape] = {
     # micro: the tier-1 test shape — small enough to enumerate and
     # replay inside the regular pytest budget.
-    "micro": SweepShape(n_sites=1, receivers_per_site=2, n_replicas=1, packets=3, rx_loss=0.05),
-    "quick": SweepShape(n_sites=2, receivers_per_site=2, n_replicas=2, packets=6, rx_loss=0.05),
-    "full": SweepShape(n_sites=3, receivers_per_site=3, n_replicas=2, packets=10, rx_loss=0.08),
+    "micro": SweepShape(packets=3, rx_loss=0.05, spec=DeploymentSpec(
+        n_sites=1, receivers_per_site=2, n_replicas=1)),
+    "quick": SweepShape(packets=6, rx_loss=0.05, spec=DeploymentSpec(
+        n_sites=2, receivers_per_site=2, n_replicas=2)),
+    "full": SweepShape(packets=10, rx_loss=0.08, spec=DeploymentSpec(
+        n_sites=3, receivers_per_site=3, n_replicas=2)),
 }
 
 #: Offsets (after the first crash) for the double-failure variant's
@@ -150,13 +152,7 @@ class RecordingSimulator(Simulator):
 
 
 def _spec(shape: SweepShape, seed: int, config: LbrmConfig) -> DeploymentSpec:
-    return DeploymentSpec(
-        n_sites=shape.n_sites,
-        receivers_per_site=shape.receivers_per_site,
-        n_replicas=shape.n_replicas,
-        config=config,
-        seed=seed,
-    )
+    return replace(shape.spec, config=config, seed=seed)
 
 
 def _apply_receiver_loss(dep: LbrmDeployment, shape: SweepShape) -> None:
@@ -311,13 +307,7 @@ def run_sweep_campaign(
     """
     shape = TIERS[tier]
     if double or readopt:
-        shape = SweepShape(
-            n_sites=shape.n_sites,
-            receivers_per_site=shape.receivers_per_site,
-            n_replicas=max(shape.n_replicas, 2),
-            packets=shape.packets,
-            rx_loss=shape.rx_loss,
-        )
+        shape = replace(shape, spec=replace(shape.spec, n_replicas=max(shape.spec.n_replicas, 2)))
     config = sweep_config(min_replicas_acked=2 if (double or readopt) else 1)
     wipe_at = round(READOPT_WIPE_AT, _ROUND) if readopt else None
 
@@ -368,9 +358,9 @@ def run_sweep_campaign(
             "readopt": readopt,
             "wipe_at": wipe_at,
             "shape": {
-                "n_sites": shape.n_sites,
-                "receivers_per_site": shape.receivers_per_site,
-                "n_replicas": shape.n_replicas,
+                "n_sites": shape.spec.n_sites,
+                "receivers_per_site": shape.spec.receivers_per_site,
+                "n_replicas": shape.spec.n_replicas,
                 "packets": shape.packets,
                 "rx_loss": shape.rx_loss,
             },

@@ -21,7 +21,7 @@ distributions.  See DESIGN.md §9.
 """
 
 from repro.scale.aggregate import EXACT_DRAW_LIMIT, AggregateSiteReceiver, binomial_variate
-from repro.scale.deploy import AggregateDeployment, ScaleSpec
+from repro.scale.deploy import AggregateDeployment
 from repro.scale.model import (
     expected_miss_count,
     expected_recovery_rounds,
@@ -47,7 +47,6 @@ __all__ = [
     "binomial_variate",
     "EXACT_DRAW_LIMIT",
     "AggregateDeployment",
-    "ScaleSpec",
     "ScaleScenario",
     "ShardReport",
     "ShardWorkerError",

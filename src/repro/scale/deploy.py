@@ -1,13 +1,15 @@
 """Aggregate-scale LBRM deployments.
 
-The same :class:`repro.simnet.deploy.TreeDeployment` build as
+The same :class:`repro.simnet.deploy.TreeDeployment` build, from the
+same :class:`~repro.simnet.deploy.DeploymentSpec`, as
 :class:`~repro.simnet.deploy.LbrmDeployment` — hub site (source +
 primary at ``site0``), logger tree of real
 :class:`~repro.core.logger.LogServer` machines, lifecycle —
 but each receiver site hosts a single :class:`AggregateSiteReceiver`
 standing in for N receivers instead of N receiver nodes.  A 200-site ×
 500-receiver deployment is 402 simulated hosts modeling 100,000
-receivers.
+receivers; ``receiver_loss`` is the aggregate's Binomial miss
+probability.
 
 Shard-safety invariants (relied on by :mod:`repro.scale.shard`):
 
@@ -24,59 +26,28 @@ Shard-safety invariants (relied on by :mod:`repro.scale.shard`):
   unicast, see ``LogServer._repair``), so one site's losses never
   change what another site receives.
 
+A spec asking for what these exclude or the model lacks (interior hubs,
+replicas, the centralized baseline, statack, tail bandwidth or queueing)
+raises :class:`~repro.core.errors.ConfigError` instead of being ignored.
+
 ``site_indices`` builds a deployment holding only a subset of the
 receiver sites — the per-worker view of a sharded run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.config import LbrmConfig
+from repro.core.errors import ConfigError
 from repro.scale.aggregate import AggregateSiteReceiver
-from repro.simnet.deploy import TreeDeployment
+from repro.simnet.deploy import DeploymentSpec, TreeDeployment
 from repro.simnet.engine import Simulator
-from repro.simnet.loss import BernoulliLoss
 from repro.simnet.node import SimNode
 from repro.simnet.topology import Site
 
-__all__ = ["ScaleSpec", "AggregateDeployment"]
+__all__ = ["AggregateDeployment"]
 
-
-@dataclass(frozen=True)
-class ScaleSpec:
-    """Shape of an aggregate-scale deployment.
-
-    ``receivers_per_site`` is the modeled population behind each
-    aggregate host; ``receiver_loss`` the independent per-receiver loss
-    probability (what the exact engine expresses as per-host
-    ``inbound_loss``); ``shared_loss`` the per-transmission probability
-    that a site's tail circuit drops the packet for the whole site.
-    Latency defaults match :class:`repro.simnet.deploy.DeploymentSpec`
-    (§2.2.2 ping survey).  Tail bandwidth/queueing are deliberately
-    absent: scale runs keep every link latency-only so the replicated
-    hub stays deterministic (see module docstring).
-    """
-
-    group: str = "dis/terrain/1"
-    n_sites: int = 50
-    receivers_per_site: int = 20
-    receiver_loss: float = 0.01
-    shared_loss: float = 0.0
-    lan_latency: float = 0.001
-    tail_latency: float = 0.0175
-    backbone_latency: float = 0.0025
-    config: LbrmConfig = field(default_factory=LbrmConfig)
-    seed: int = 0
-
-    def wan_one_way(self) -> float:
-        """Cross-site one-way latency — the conservative sync window.
-
-        Any event one site emits takes at least this long to influence
-        another site (or the hub): LAN → tail-up → backbone → tail-down
-        → LAN.  The sharded runner uses it as the barrier quantum.
-        """
-        return 2 * self.lan_latency + 2 * self.tail_latency + self.backbone_latency
+# The frozen ledger workloads import this name and pass every loss
+# explicitly; ROADMAP item 1a deletes it.
+ScaleSpec = DeploymentSpec
 
 
 class AggregateDeployment(TreeDeployment):
@@ -84,37 +55,32 @@ class AggregateDeployment(TreeDeployment):
 
     def __init__(
         self,
-        spec: ScaleSpec | None = None,
+        spec: DeploymentSpec | None = None,
         sim: Simulator | None = None,
         site_indices: tuple[int, ...] | None = None,
     ) -> None:
-        super().__init__(spec or ScaleSpec(), sim)
+        super().__init__(spec or DeploymentSpec(), sim)
+        spec = self.spec
+        unmodeled = [name for name, asked in (
+            ("depth", spec.depth > 2), ("n_replicas", spec.n_replicas),
+            ("secondary_loggers", not spec.secondary_loggers),
+            ("enable_statack", spec.enable_statack),
+            ("tail_bandwidth", spec.tail_bandwidth), ("tail_queue", spec.tail_queue),
+        ) if asked]
+        if unmodeled:
+            raise ConfigError(f"the aggregate runtime does not model {', '.join(unmodeled)}")
         if site_indices is None:
-            site_indices = tuple(range(1, self.spec.n_sites + 1))
+            site_indices = tuple(range(1, spec.n_sites + 1))
         else:
-            bad = [i for i in site_indices if not 1 <= i <= self.spec.n_sites]
+            bad = [i for i in site_indices if not 1 <= i <= spec.n_sites]
             if bad:
-                raise ValueError(f"site indices out of range 1..{self.spec.n_sites}: {bad}")
+                raise ValueError(f"site indices out of range 1..{spec.n_sites}: {bad}")
         self.site_indices = tuple(site_indices)
         self.aggregates: list[AggregateSiteReceiver] = []
         self.aggregate_nodes: list[SimNode] = []
         self._build(self.site_indices)
 
     # -- construction ----------------------------------------------------
-
-    def _add_site(self, name: str) -> Site:
-        spec = self.spec
-        shared = None
-        if name != "site0" and spec.shared_loss > 0.0:  # hub links stay deterministic
-            shared = BernoulliLoss(
-                spec.shared_loss, rng=self.streams.stream(f"loss:{name}.tail.down")
-            )
-        return self.network.add_site(
-            name,
-            lan_latency=spec.lan_latency,
-            tail_latency=spec.tail_latency,
-            tail_loss_down=shared,
-        )
 
     def _populate(
         self, site: Site, index: int, chain: tuple[str, ...]

@@ -15,7 +15,9 @@ restated over site distributions:
   conserves perfectly.
 * **A2 (silence bound, aggregate form)** — a site declares staleness
   only inside a scheduled outage window, extended by the heartbeat
-  watchdog bound (slack × h_max) the exact oracle uses.
+  watchdog bound (slack × h_max) the exact oracle uses.  Under
+  ``shared_loss`` a tail drop is an unscheduled outage, so only a site
+  whose tail circuit dropped nothing is held to it.
 * **A3 (log completeness)** — every site logger ends holding the full
   contiguous prefix the source released: site loggers are real
   :class:`~repro.core.logger.LogServer` machines, so this is the exact
@@ -115,14 +117,17 @@ class AggregateOracle:
 
     def check_silence(self, dep: AggregateDeployment) -> None:
         """A2: staleness only inside scheduled outages + watchdog bound."""
-        hb = self.scenario.spec.config.heartbeat
-        slack = self.scenario.spec.config.receiver.watchdog_slack
-        bound = slack * hb.h_max
+        spec = self.scenario.spec
+        hb = spec.config.heartbeat
+        bound = spec.config.receiver.watchdog_slack * hb.h_max
         windows = {
             site_index: (start, start + duration + bound)
             for start, site_index, duration in self.scenario.bursts
         }
         for i, agg in zip(dep.site_indices, dep.aggregates):
+            tail = dep.network.site(f"site{i}").tail_down
+            if spec.shared_loss > 0 and tail.stats.drops_loss:
+                continue
             for t, kind, _seq, _count in agg.event_log:
                 if kind != "stale":
                     continue

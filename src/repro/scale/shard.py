@@ -18,7 +18,7 @@ unsharded run: per-site outputs are byte-identical for any shard count
 (``test_shard.py`` holds us to that).
 
 Synchronization is conservative time windows: the barrier quantum is
-the cross-site one-way latency (``ScaleSpec.wan_one_way``) — the
+the cross-site one-way latency (``DeploymentSpec.wan_one_way``) — the
 minimum time any event at one site needs to influence another site or
 the hub — so no worker can run far enough ahead to observe an effect
 before its cause.  With the hub replicated the windows are not needed
@@ -42,10 +42,12 @@ import json
 import multiprocessing
 import resource
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing.connection import Connection, wait as conn_wait
 
-from repro.scale.deploy import AggregateDeployment, ScaleSpec
+from repro.scale.deploy import AggregateDeployment
+from repro.simnet.deploy import DeploymentSpec
 
 __all__ = [
     "ScaleScenario",
@@ -69,10 +71,11 @@ class ScaleScenario:
     so every worker can replay it independently: ``n_packets`` data
     multicasts ``interval`` apart starting at ``warmup``, then ``drain``
     seconds of recovery time.  ``bursts`` schedules tail-circuit
-    outages as ``(start, site_index, duration)`` triples.
+    outages as ``(start, site_index, duration)`` triples on sites
+    ``1..n_sites``.
     """
 
-    spec: ScaleSpec = field(default_factory=ScaleSpec)
+    spec: DeploymentSpec = field(default_factory=partial(DeploymentSpec, receiver_loss=0.01))
     n_packets: int = 50
     interval: float = 0.02
     payload_size: int = 64
@@ -87,6 +90,13 @@ class ScaleScenario:
     debug_crash_shard: int | None = None
     debug_crash_at_finish: int | None = None
     debug_hang_at_exit: int | None = None
+
+    def __post_init__(self) -> None:
+        # Every shard skips a site it does not own, so a burst on a site
+        # nobody owns would vanish without a trace.
+        bad = [site for _, site, _ in self.bursts if not 1 <= site <= self.spec.n_sites]
+        if bad:
+            raise ValueError(f"burst sites out of range 1..{self.spec.n_sites}: {bad}")
 
     @property
     def end_time(self) -> float:

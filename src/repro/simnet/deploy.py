@@ -30,7 +30,7 @@ from repro.core.receiver import LbrmReceiver
 from repro.core.sender import LbrmSender
 from repro.simnet.engine import ScheduledEvent, Simulator
 from repro.simnet.hierarchy import HierarchyRuntime
-from repro.simnet.loss import BurstLoss
+from repro.simnet.loss import BernoulliLoss, BurstLoss
 from repro.simnet.node import SimNode
 from repro.simnet.rng import LazyStream, RngStreams
 from repro.simnet.topology import Network, Site
@@ -41,17 +41,26 @@ __all__ = ["DeploymentSpec", "TreeDeployment", "LbrmDeployment"]
 
 @dataclass(frozen=True)
 class DeploymentSpec:
-    """Shape and parameters of a simulated LBRM deployment.
+    """One simulated LBRM group, for :class:`LbrmDeployment` and the
+    aggregate :class:`~repro.scale.deploy.AggregateDeployment` alike.
 
     Latency defaults follow the paper's ping survey (§2.2.2): a local
     logger 3–4 ms RTT away, a primary ~80 ms RTT away — so 1 ms one-way
     on the LAN and 17.5 ms one-way on each tail circuit
     (2×(1+17.5+2.5+17.5+1) ≈ 79 ms host-to-host RTT across sites).
+
+    Loss is two-level, the model of "Asymptotic Analysis for Reliable
+    Data Dissemination in Shared Loss Multicast Trees" (PAPERS.md):
+    each receiver drops a packet alone with ``receiver_loss`` (stream
+    ``loss:{host}``), a receiver site's tail circuit drops it for the
+    whole site with ``shared_loss`` (``loss:{site}.tail.down``).
     """
 
     group: str = "dis/terrain/1"
     n_sites: int = 50
     receivers_per_site: int = 20
+    receiver_loss: float = 0.0
+    shared_loss: float = 0.0
     n_replicas: int = 0
     lan_latency: float = 0.001
     tail_latency: float = 0.0175
@@ -74,6 +83,15 @@ class DeploymentSpec:
     config: LbrmConfig = field(default_factory=LbrmConfig)
     seed: int = 0
 
+    def wan_one_way(self) -> float:
+        """Cross-site one-way latency — the conservative sync window.
+
+        Any event one site emits takes at least this long to influence
+        another site (or the hub): LAN → tail-up → backbone → tail-down
+        → LAN.  The sharded runner uses it as the barrier quantum.
+        """
+        return 2 * self.lan_latency + 2 * self.tail_latency + self.backbone_latency
+
 
 class TreeDeployment:
     """Hub site, logger tree and lifecycle of a simulated deployment.
@@ -81,16 +99,16 @@ class TreeDeployment:
     Built once for the exact and the aggregate runtime: the source and
     primary (plus replicas) at ``site0``, one receiver site per tree
     leaf, and every interior hub hosted at the site of its first
-    descendant leaf.  A subclass says how a site's links are
-    parameterised (``_add_site``), what lives behind each site logger
-    (``_populate``) and which nodes those are (``_population_nodes``).
+    descendant leaf, all read off one :class:`DeploymentSpec`.  A
+    subclass says what lives behind each site logger (``_populate``)
+    and which nodes those are (``_population_nodes``).
     """
 
     # The chaos oracle's I2 grace and sweep period, in simulated seconds.
     ORACLE_GRACE = 0.25
     ORACLE_INTERVAL = 0.5
 
-    def __init__(self, spec, sim: Simulator | None = None) -> None:
+    def __init__(self, spec: DeploymentSpec, sim: Simulator | None = None) -> None:
         self.spec = spec
         self.sim = sim or Simulator()
         self.streams = RngStreams(spec.seed)
@@ -111,29 +129,22 @@ class TreeDeployment:
 
     # -- construction ----------------------------------------------------
 
-    def _build(
-        self,
-        site_indices: Iterable[int],
-        *,
-        depth: int = 2,
-        fanout: int = 8,
-        secondary_loggers: bool = True,
-        n_replicas: int = 0,
-        enable_statack: bool = False,
-    ) -> None:
+    def _build(self, site_indices: Iterable[int]) -> None:
         """Build the sites in ``site_indices`` (a shard's view may hold a
         subset) under the tree over all of the spec's sites."""
         spec = self.spec
+        if spec.depth > 2 and not spec.secondary_loggers:
+            raise ConfigError("depth > 2 requires secondary_loggers")
         leaves = [f"site{i}-logger" for i in range(1, spec.n_sites + 1)]
-        if secondary_loggers:
-            tree = build_tree("primary", leaves, depth=depth, fanout=fanout)
+        if spec.secondary_loggers:
+            tree = build_tree("primary", leaves, depth=spec.depth, fanout=spec.fanout)
         else:  # the centralized baseline: the root logs for everyone
             tree = LoggerTree("primary")
         self.tree = tree
 
         self.source_site = self._add_site("site0")
         source_host = self.network.add_host("source", self.source_site)
-        replica_names = [f"replica{i}" for i in range(n_replicas)]
+        replica_names = [f"replica{i}" for i in range(spec.n_replicas)]
         self.primary, self.primary_node = self._add_logger(
             "primary", self.source_site, replicas=tuple(replica_names)
         )
@@ -153,7 +164,7 @@ class TreeDeployment:
             spec.config,
             primary="primary",
             replicas=tuple(replica_names),
-            enable_statack=enable_statack,
+            enable_statack=spec.enable_statack,
             addr_token="source",
             rng=self.streams.stream("sender"),
         )
@@ -188,7 +199,7 @@ class TreeDeployment:
         # depth-2 tree has none, so there is nothing to measure.
         if tree.depth > 2:
             self.hierarchy = HierarchyRuntime(
-                self, fanout=fanout, site_of=site_of, receivers_by_leaf=receivers_by_leaf
+                self, fanout=spec.fanout, site_of=site_of, receivers_by_leaf=receivers_by_leaf
             )
 
     def _add_node(self, name: str, site: Site, machine: ProtocolMachine, **host) -> SimNode:
@@ -207,7 +218,14 @@ class TreeDeployment:
         return logger, self._add_node(name, site, logger)
 
     def _add_site(self, name: str) -> Site:
-        raise NotImplementedError
+        spec = self.spec
+        shared = None
+        if name != "site0" and spec.shared_loss > 0.0:  # the (replicated) hub never loses
+            shared = BernoulliLoss(spec.shared_loss, self.streams.stream(f"loss:{name}.tail.down"))
+        return self.network.add_site(
+            name, lan_latency=spec.lan_latency, tail_latency=spec.tail_latency,
+            tail_bandwidth=spec.tail_bandwidth, tail_queue=spec.tail_queue, tail_loss_down=shared,
+        )
 
     def _populate(self, site: Site, index: int, chain: tuple[str, ...]) -> list:
         """Build receiver site ``index``'s population; returns the
@@ -290,30 +308,10 @@ class LbrmDeployment(TreeDeployment):
 
     def __init__(self, spec: DeploymentSpec | None = None, sim: Simulator | None = None) -> None:
         super().__init__(spec or DeploymentSpec(), sim)
-        spec = self.spec
         self.trace = PacketTrace(self.network)
         self.receivers: list[LbrmReceiver] = []
         self.receiver_nodes: list[SimNode] = []
-        if spec.depth > 2 and not spec.secondary_loggers:
-            raise ConfigError("depth > 2 requires secondary_loggers")
-        self._build(
-            range(1, spec.n_sites + 1),
-            depth=spec.depth,
-            fanout=spec.fanout,
-            secondary_loggers=spec.secondary_loggers,
-            n_replicas=spec.n_replicas,
-            enable_statack=spec.enable_statack,
-        )
-
-    def _add_site(self, name: str) -> Site:
-        spec = self.spec
-        return self.network.add_site(
-            name,
-            lan_latency=spec.lan_latency,
-            tail_latency=spec.tail_latency,
-            tail_bandwidth=spec.tail_bandwidth,
-            tail_queue=spec.tail_queue,
-        )
+        self._build(range(1, self.spec.n_sites + 1))
 
     def _populate(self, site: Site, index: int, chain: tuple[str, ...]) -> list[LbrmReceiver]:
         spec = self.spec
@@ -327,7 +325,10 @@ class LbrmDeployment(TreeDeployment):
                 heartbeat=spec.config.heartbeat,
             )
             self.receivers.append(receiver)
-            self.receiver_nodes.append(self._add_node(f"site{index}-rx{j}", site, receiver))
+            name = f"site{index}-rx{j}"
+            loss = spec.receiver_loss
+            inbound = BernoulliLoss(loss, self.streams.stream(f"loss:{name}")) if loss > 0 else None
+            self.receiver_nodes.append(self._add_node(name, site, receiver, inbound_loss=inbound))
         return self.receivers[first:]
 
     def _population_nodes(self) -> list[SimNode]:

@@ -13,9 +13,10 @@ import asyncio
 import pytest
 
 from repro.aio import AioCluster, GroupDirectory
+from repro.core.errors import ConfigError
 from repro.core.hierarchy import build_tree
 from repro.core.logger import LoggerRole
-from repro.scale import AggregateDeployment, ScaleSpec
+from repro.scale import AggregateDeployment
 from repro.simnet import DeploymentSpec, LbrmDeployment
 
 from tests.aio._netutil import free_udp_port
@@ -75,7 +76,9 @@ def test_aggregate_deployment_builds_the_same_flat_tree():
     n_sites = SHAPES[0][0]
     exact = LbrmDeployment(DeploymentSpec(n_sites=n_sites, receivers_per_site=2))
     # A shard's view: the tree spans every site, the members only its own.
-    agg = AggregateDeployment(ScaleSpec(n_sites=n_sites, receivers_per_site=30), site_indices=(2, 4))
+    agg = AggregateDeployment(
+        DeploymentSpec(n_sites=n_sites, receivers_per_site=30), site_indices=(2, 4)
+    )
     assert agg.tree.to_dict() == exact.tree.to_dict()
     assert agg.hierarchy is None and agg.interior_loggers == []
     built_loggers = [name for name in agg.tree.nodes if name in agg.members]
@@ -89,6 +92,20 @@ def test_aggregate_deployment_builds_the_same_flat_tree():
     assert [a.logger_chain for a in agg.aggregates] == [
         ("site2-logger", "primary"), ("site4-logger", "primary"),
     ]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("depth", 3),
+    ("n_replicas", 1),
+    ("secondary_loggers", False),
+    ("enable_statack", True),
+    ("tail_bandwidth", 1.5e6),
+    ("tail_queue", 8),
+])
+def test_aggregate_deployment_refuses_what_it_does_not_model(field, value):
+    spec = DeploymentSpec(n_sites=SHAPES[0][0], receivers_per_site=30, **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        AggregateDeployment(spec)
 
 
 @pytest.mark.network

@@ -9,6 +9,10 @@ population, loss rate, packet timeline) through
 * the aggregate engine — one :class:`AggregateSiteReceiver` per site
   drawing Binomial miss counts,
 
+both built from one :class:`DeploymentSpec` (with or without the
+shared tail-circuit loss, which both engines draw from the same
+``loss:{site}.tail.down`` stream),
+
 yields the same *distributions* for the protocol's observables:
 
 1. per-transmission miss counts (equivalently round-1 NACKs per
@@ -22,9 +26,9 @@ yields the same *distributions* for the protocol's observables:
 
 Runs are seeded and deterministic, so the asserted p-values are stable
 — a failure is a model regression, not noise.  The N=10 comparison is
-the CI-quick tier; the N∈{5,20,50} sweep is marked ``slow``.  Analytic
-asymptote tracking (large-N populations only the aggregate engine can
-host) closes the tier.
+the quick tier; the N∈{5,20,50} sweep is marked ``slow``.  Each runs
+with and without shared loss.  Analytic asymptote tracking (large-N
+populations only the aggregate engine can host) closes the tier.
 """
 
 from __future__ import annotations
@@ -36,11 +40,11 @@ import pytest
 from repro.core.events import LossDetected, RecoveryComplete
 from repro.scale import model
 from repro.core.logger import LoggerRole
-from repro.scale.deploy import AggregateDeployment, ScaleSpec
+from repro.scale.deploy import AggregateDeployment
 from repro.scale.oracle import AggregateOracle
 from repro.scale.shard import ScaleScenario
 from repro.scale.stats import chi2_homogeneity, ks_2sample
-from repro.simnet import BernoulliLoss, DeploymentSpec, LbrmDeployment
+from repro.simnet import DeploymentSpec, LbrmDeployment
 
 # Deterministic seeds => deterministic p-values: this threshold rejects
 # a broken model, not an unlucky draw.  The seed pool is sized so the
@@ -97,16 +101,13 @@ def _judge(dep: AggregateDeployment, bursts=()) -> list[str]:
     return [v.invariant for v in AggregateOracle(scenario).check_all(dep)]
 
 
-def run_exact(n_per_site: int, p: float, seed: int) -> RunSample:
-    dep = LbrmDeployment(
-        DeploymentSpec(n_sites=N_SITES, receivers_per_site=n_per_site, seed=seed)
-    )
-    for i in range(1, N_SITES + 1):
-        for j in range(n_per_site):
-            name = f"site{i}-rx{j}"
-            dep.network.host(name).inbound_loss = BernoulliLoss(
-                p, dep.streams.stream(f"loss:{name}")
-            )
+def _spec(n_per_site: int, p: float, seed: int, shared: float = 0.0) -> DeploymentSpec:
+    return DeploymentSpec(n_sites=N_SITES, receivers_per_site=n_per_site,
+                          receiver_loss=p, shared_loss=shared, seed=seed)
+
+
+def run_exact(spec: DeploymentSpec) -> RunSample:
+    dep = LbrmDeployment(spec)
     _drive(dep)
 
     sample = RunSample()
@@ -132,16 +133,8 @@ def run_exact(n_per_site: int, p: float, seed: int) -> RunSample:
     return sample
 
 
-def run_aggregate(n_per_site: int, p: float, seed: int) -> RunSample:
-    dep = AggregateDeployment(
-        ScaleSpec(
-            n_sites=N_SITES,
-            receivers_per_site=n_per_site,
-            receiver_loss=p,
-            shared_loss=0.0,
-            seed=seed,
-        )
-    )
+def run_aggregate(spec: DeploymentSpec) -> RunSample:
+    dep = AggregateDeployment(spec)
     _drive(dep)
     assert _judge(dep) == []
 
@@ -172,12 +165,12 @@ def run_aggregate(n_per_site: int, p: float, seed: int) -> RunSample:
     return sample
 
 
-def _collect(n_per_site: int, p: float) -> tuple[RunSample, RunSample]:
+def _collect(n_per_site: int, p: float, shared: float) -> tuple[RunSample, RunSample]:
     exact = RunSample()
     aggregate = RunSample()
     for seed in SEEDS:
-        for pooled, one in ((exact, run_exact(n_per_site, p, seed)),
-                            (aggregate, run_aggregate(n_per_site, p, seed))):
+        spec = _spec(n_per_site, p, seed, shared)
+        for pooled, one in ((exact, run_exact(spec)), (aggregate, run_aggregate(spec))):
             pooled.miss_counts.extend(one.miss_counts)
             pooled.latencies.extend(one.latencies)
             pooled.unicast_totals.extend(one.unicast_totals)
@@ -185,8 +178,8 @@ def _collect(n_per_site: int, p: float) -> tuple[RunSample, RunSample]:
     return exact, aggregate
 
 
-def _assert_conformance(n_per_site: int, p: float) -> None:
-    exact, aggregate = _collect(n_per_site, p)
+def _assert_conformance(n_per_site: int, p: float, shared: float = 0.0) -> None:
+    exact, aggregate = _collect(n_per_site, p, shared)
 
     # 1. NACKs-per-heartbeat: per-transmission miss-count histograms.
     top = n_per_site
@@ -235,12 +228,19 @@ class TestConformanceQuick:
     def test_aggregate_matches_exact_engine_at_n10(self):
         _assert_conformance(n_per_site=10, p=0.05)
 
+    def test_aggregate_matches_exact_engine_at_n10_under_shared_loss(self):
+        _assert_conformance(n_per_site=10, p=0.05, shared=0.02)
+
 
 @pytest.mark.slow
 class TestConformanceSweep:
     @pytest.mark.parametrize("n_per_site", [5, 20, 50])
     def test_aggregate_matches_exact_engine(self, n_per_site):
         _assert_conformance(n_per_site=n_per_site, p=0.05)
+
+    @pytest.mark.parametrize("n_per_site", [5, 20, 50])
+    def test_aggregate_matches_exact_engine_under_shared_loss(self, n_per_site):
+        _assert_conformance(n_per_site=n_per_site, p=0.05, shared=0.02)
 
 
 class TestAnalyticAsymptotics:
@@ -251,8 +251,8 @@ class TestAnalyticAsymptotics:
     def test_total_misses_track_binomial_expectation(self, n_per_site):
         p = 0.01
         dep = AggregateDeployment(
-            ScaleSpec(n_sites=2, receivers_per_site=n_per_site,
-                      receiver_loss=p, seed=42)
+            DeploymentSpec(n_sites=2, receivers_per_site=n_per_site,
+                           receiver_loss=p, seed=42)
         )
         _drive(dep)
         assert _judge(dep) == []
@@ -270,8 +270,8 @@ class TestAnalyticAsymptotics:
         hits = draws = 0
         for seed in SEEDS:
             dep = AggregateDeployment(
-                ScaleSpec(n_sites=4, receivers_per_site=n_per_site,
-                          receiver_loss=p, seed=seed)
+                DeploymentSpec(n_sites=4, receivers_per_site=n_per_site,
+                               receiver_loss=p, seed=seed)
             )
             _drive(dep)
             assert _judge(dep) == []
@@ -301,7 +301,7 @@ class TestAggregateOracle:
 
     def _run(self, bursts=()) -> AggregateDeployment:
         dep = AggregateDeployment(
-            ScaleSpec(n_sites=10, receivers_per_site=1000, receiver_loss=0.01, seed=3)
+            DeploymentSpec(n_sites=10, receivers_per_site=1000, receiver_loss=0.01, seed=3)
         )
         for start, site, duration in bursts:
             dep.burst_site(f"site{site}", duration, start=start)
@@ -334,6 +334,25 @@ class TestAggregateOracle:
         dep = self._run(self.OUTAGE)
         dep.aggregates[1].event_log.append((self.OUTAGE[0][0] + 0.01, "stale", -1, 1000))
         assert _judge(dep, self.OUTAGE) == []
+        # At the bursted site before its window opens, it is not.
+        dep = self._run(self.OUTAGE)
+        dep.aggregates[1].event_log.append((WARMUP, "stale", -1, 1000))
+        assert _judge(dep, self.OUTAGE) == ["A2-silence"]
+
+    def test_under_shared_loss_only_a_site_whose_tail_dropped_may_go_stale(self):
+        dep = AggregateDeployment(
+            DeploymentSpec(n_sites=10, receivers_per_site=1000, receiver_loss=0.01,
+                           shared_loss=0.02, seed=3)
+        )
+        _drive(dep)
+        drops = [dep.network.site(f"site{i}").tail_down.stats.drops_loss
+                 for i in dep.site_indices]
+        lossy = next(k for k, n in enumerate(drops) if n)
+        clean = drops.index(0)
+        dep.aggregates[lossy].event_log.append((WARMUP, "stale", -1, 1000))
+        assert _judge(dep) == []
+        dep.aggregates[clean].event_log.append((WARMUP, "stale", -1, 1000))
+        assert _judge(dep) == ["A2-silence"]
 
     def test_a_trimmed_site_logger_is_incomplete(self):
         dep = self._run()

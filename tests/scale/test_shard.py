@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import LbrmConfig
-from repro.scale.deploy import ScaleSpec
 from repro.scale.shard import (
     ScaleScenario,
     ShardWorkerError,
@@ -20,10 +19,11 @@ from repro.scale.shard import (
     run_sharded,
     trace_bytes,
 )
+from repro.simnet.deploy import DeploymentSpec
 
 
 def _scenario(seed: int = 7, n_sites: int = 6, **kwargs) -> ScaleScenario:
-    spec = ScaleSpec(
+    spec = DeploymentSpec(
         n_sites=n_sites,
         receivers_per_site=30,
         receiver_loss=0.02,
@@ -148,3 +148,16 @@ class TestWorkerFailure:
             run_sharded(_scenario(n_sites=3), n_shards=4)
         with pytest.raises(ValueError):
             run_sharded(_scenario(), n_shards=1, inline=True, window=0.0)
+
+
+class TestBursts:
+    def test_a_burst_on_a_site_outside_the_spec_is_refused(self):
+        """Each shard applies only the bursts on sites it owns, so a burst
+        on a site no shard owns would vanish: the scenario refuses it."""
+        spec = DeploymentSpec(n_sites=4, receivers_per_site=50)
+        for site in (0, 9):
+            with pytest.raises(ValueError, match="out of range"):
+                ScaleScenario(spec=spec, n_packets=8, bursts=((0.25, site, 0.2),))
+        hit = ScaleScenario(spec=spec, n_packets=8, bursts=((0.25, 2, 0.2),))
+        report = run_sharded(hit, n_shards=2, inline=True)
+        assert report.totals["modeled_losses"] > 0

@@ -37,7 +37,7 @@ import importlib.util  # noqa: E402
 import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from repro.scale.deploy import AggregateDeployment, ScaleSpec  # noqa: E402
+from repro.scale.deploy import AggregateDeployment  # noqa: E402
 from repro.simnet.deploy import DeploymentSpec, LbrmDeployment  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,7 +51,9 @@ def exact_world(n_sites: int, receivers_per_site: int, depth: int = 2, fanout: i
 
 
 def aggregate_world(n_sites: int):
-    return AggregateDeployment(ScaleSpec(n_sites=n_sites, receivers_per_site=100, seed=1))
+    return AggregateDeployment(DeploymentSpec(
+        n_sites=n_sites, receivers_per_site=100, receiver_loss=0.01, seed=1,
+    ))
 
 
 def _settled(world):
