@@ -43,6 +43,8 @@ from repro.core.packets import (
     LogAckPacket,
     NackPacket,
     Packet,
+    PrimaryInfoPacket,
+    PrimaryQueryPacket,
     ProbePacket,
     ProbeReplyPacket,
     PromotePacket,
@@ -287,6 +289,7 @@ class LogServer(ProtocolMachine):
         ReplAckPacket: "_on_repl_ack",
         ReplStatusQueryPacket: "_on_repl_status",
         PromotePacket: "_on_promote",
+        PrimaryInfoPacket: "_on_primary_info",
     }
 
     def handle(self, packet: Packet, src: Address, now: float) -> list[Action]:
@@ -608,6 +611,21 @@ class LogServer(ProtocolMachine):
             actions.append(SendUnicast(dest=member, packet=query))
         return actions
 
+    def _on_primary_info(self, packet: PrimaryInfoPacket, src: Address, now: float) -> list[Action]:
+        """A new primary the source named becomes the parent, and every
+        outstanding upstream request goes to it with a fresh budget."""
+        primary = self._parse_token(packet.primary_addr)
+        if not self._asked_primary() or primary == self._parent:
+            return []  # unasked, or no failover: the requests give up in time
+        self._parent = primary
+        outstanding = tuple(self._upstream_retries)
+        self._upstream_retries.clear()
+        return self._request_upstream(outstanding, now)
+
+    def _asked_primary(self) -> bool:
+        limit = self._config.logger.max_upstream_retries
+        return any(retries > limit for retries in self._upstream_retries.values())
+
     def _cum_seq(self) -> int:
         cum = self.primary_seq
         return cum if cum > 0 else _NO_SEQ
@@ -662,11 +680,19 @@ class LogServer(ProtocolMachine):
             self._upstream_retries.pop(seq, None)
             return []
         retries = self._upstream_retries.get(seq, 0)
-        if retries >= self._config.logger.max_upstream_retries:
+        limit = self._config.logger.max_upstream_retries
+        # Out of retries, ask the source who the primary is now, as a
+        # receiver does (§2.2.3), and wait one more interval for the answer
+        # (one question serves every request waiting on it).
+        ask = retries == limit and self._source not in (None, self._parent)
+        if retries >= limit and not ask:
             self._upstream_retries.pop(seq, None)
             self._pending.pop(seq, None)
             return []
+        asked = ask and self._asked_primary()
         self._upstream_retries[seq] = retries + 1
         self.timers.set(("upstream", seq), now + self._config.logger.upstream_retry)
+        if ask:
+            return [] if asked else [SendUnicast(dest=self._source, packet=PrimaryQueryPacket(group=self._group))]
         self.stats["upstream_nacks"] += 1
         return [SendUnicast(dest=self._parent, packet=NackPacket(group=self._group, seqs=(seq,)))]

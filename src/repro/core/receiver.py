@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro import obs
 from repro.core.actions import (
@@ -52,7 +53,7 @@ from repro.core.packets import (
 )
 from repro.core.sequence import SequenceTracker
 
-__all__ = ["RUN_PACKETS", "LbrmReceiver", "absorb_run"]
+__all__ = ["RUN_PACKETS", "Cohort", "LbrmReceiver", "absorb_run", "form_cohorts"]
 
 # A packet is one immutable datum for the whole group, so its original
 # (non-recovered) delivery record is one value: minted for the first
@@ -110,7 +111,8 @@ def absorb_run(receivers, packet: Packet, now: float) -> tuple[Deliver | None, l
     none was absorbed) and each absorbed receiver's ``next_wakeup()``
     in order — its length is how far the run got.  ``handle`` enters
     here with its one receiver, ``SimNode.receive_batch`` with each run
-    of co-timed ones, so each guard exists once.
+    of co-timed lone ones and with each :class:`Cohort`, so each guard
+    exists once.
     """
     dues: list[float] = []
     seq = packet.seq
@@ -133,7 +135,7 @@ def absorb_run(receivers, packet: Packet, now: float) -> tuple[Deliver | None, l
             r._expected_interval = sched[0]
             r._last_rx = now
             r._maxit_deadline = due = now + sched[1]
-            r.stats["data_received"] += 1
+            r._stats["data_received"] += 1
             dues.append(r.next_wakeup() if r.timers._deadlines else due)
         return (_deliver_original(packet) if dues else None), dues
     if type(packet) is HeartbeatPacket and 0 < seq:
@@ -149,9 +151,103 @@ def absorb_run(receivers, packet: Packet, now: float) -> tuple[Deliver | None, l
             r._expected_interval = sched[0]
             r._last_rx = now
             r._maxit_deadline = due = now + sched[1]
-            r.stats["heartbeats_received"] += 1
+            r._stats["heartbeats_received"] += 1
             dues.append(r.next_wakeup() if r.timers._deadlines else due)
     return None, dues
+
+
+# The counters absorb_run moves: a cohort counts them for its members.
+_RUN_COUNTS = ("data_received", "heartbeats_received")
+_NO_RECOVERIES: dict = {}  # every cohort member's: the invariant keeps it empty
+
+
+class _RunCounts(dict):
+    """A mirrored cohort's counts: its members' registry counter moves by its size."""
+
+    __slots__ = ("_cohort", "_mirror")
+
+    def __setitem__(self, key: str, value: int) -> None:
+        self._mirror(key).value += (value - self[key]) * len(self._cohort.members)
+        dict.__setitem__(self, key, value)
+
+
+class Cohort:
+    """Receivers in lockstep sharing one state (DESIGN §6): what
+    :func:`absorb_run` writes (it is its own ``_tracker``) and the counts
+    it absorbed.  Every member is fresh, off the channel, with no timer
+    armed, so to ``absorb_run`` the cohort is one receiver.  ``ends``
+    holds, in member order, what the caller delivers each member through.
+    """
+
+    __slots__ = (
+        "members", "ends", "_tracker", "_highest", "_first", "_hb_wd", "_hb_saturation",
+        "_repeat_count", "_expected_interval", "_last_rx", "_maxit_deadline", "_stats",
+    )
+    _fresh, _on_channel, timers = True, False, TimerSet()  # the invariant; never armed
+
+    def __init__(self, source: "LbrmReceiver | Cohort", members: list, ends: list) -> None:
+        """``members`` in the state of ``source``: one of them, or the
+        cohort they split from (counts too)."""
+        self.members, self.ends, self._tracker = members, ends, self
+        self._highest, self._first = source._tracker._highest, source._tracker._first
+        for name in ("_hb_wd", "_hb_saturation", *_SHARED[1:]):
+            setattr(self, name, getattr(source, name))
+        stats = source._stats
+        mirror = stats._instrument if isinstance(stats, obs.StatCounters) else getattr(stats, "_mirror", None)
+        self._stats = (dict if mirror is None else _RunCounts)(dict.fromkeys(_RUN_COUNTS, 0))
+        if type(source) is Cohort:
+            dict.update(self._stats, stats)
+        if mirror is not None:
+            self._stats._cohort, self._stats._mirror = self, mirror
+        for member in members:
+            member._cohort = self
+
+    def _hb_schedule(self, hb_index: int) -> tuple[float, float]:
+        return self.members[0]._hb_schedule(hb_index)  # the members' own table
+
+    def split(self, at: int) -> "Cohort | None":
+        """Members from ``at`` on become a cohort (a part of one leaves)."""
+        tail = Cohort(self, self.members[at:], self.ends[at:])
+        del self.members[at:], self.ends[at:]
+        for part in (self, tail):
+            if len(part.members) == 1:
+                part.members[0]._leave_cohort()
+        return tail if tail.members else None
+
+    def dissolve(self) -> None:
+        """Every member leaves: the packet is not their fast path."""
+        for member in self.members:
+            member._catch_up()
+        self.members, self.ends = [], []
+
+    def admit(self, at: int, r: "LbrmReceiver", end) -> bool:
+        """Take in ``r`` as member ``at`` if it is in this state."""
+        if not (_fits(r) and r.state_key() == self.members[0].state_key()):
+            return False
+        self.members.insert(at, r)
+        self.ends.insert(at, end)
+        r._join(self, tuple(map(self._stats.__getitem__, _RUN_COUNTS)))
+        return True
+
+
+def _fits(r: "LbrmReceiver") -> bool:
+    """Whether a lone receiver keeps the cohort invariant."""
+    return bool(r._cohort is None and r._fresh and r._tracker._first
+                and not (r._on_channel or r.timers._deadlines))
+
+
+def form_cohorts(receivers: list, ends: list) -> None:
+    """Lone ``receivers`` that absorbed a packet side by side: each
+    stretch of two or more in one state becomes a cohort."""
+    start, key = 0, None
+    for at, r in enumerate([*receivers, None]):
+        k = r.state_key() if r is not None and _fits(r) else None
+        if k is None or k != key:
+            if at - start > 1 and key is not None:
+                cohort = Cohort(receivers[start], receivers[start:at], ends[start:at])
+                for member in cohort.members:
+                    member._join(cohort, (0, 0))
+            start, key = at, k
 
 
 @dataclass
@@ -221,7 +317,7 @@ class LbrmReceiver(ProtocolMachine):
         registry = obs.registry()
         self._trace = registry.trace
         self._obs_recovery_latency = registry.histogram("receiver.recovery_latency")
-        self.stats = obs.stat_counters(
+        self._stats = obs.stat_counters(
             "receiver",
             {
                 "data_received": 0,
@@ -238,7 +334,8 @@ class LbrmReceiver(ProtocolMachine):
 
     def _init_volatile(self) -> None:
         """Build what a crash loses (DESIGN §7): recoveries, NACK timers,
-        the freshness watchdog and the channel subscription."""
+        the freshness watchdog, the channel subscription and the cohort
+        membership.  The builders' fields are :meth:`state_key`."""
         self.timers = TimerSet()
         self._recoveries: dict[int, _Recovery] = {}
         self._last_rx: float | None = None
@@ -251,12 +348,21 @@ class LbrmReceiver(ProtocolMachine):
         # The MaxIT watchdog re-arms on *every* packet: a plain float, not
         # a TimerSet entry; next_wakeup()/poll() fold it back in.
         self._maxit_deadline: float | None = None
+        self._cohort: Cohort | None = None  # sharing this state (DESIGN §6)
+        self._joined: tuple = ()  # the cohort's counts when this one joined
 
     # -- introspection ----------------------------------------------------
 
     @property
     def tracker(self) -> SequenceTracker:
+        self._leave_cohort()
         return self._tracker
+
+    @property
+    def stats(self) -> dict:
+        """Per-instance counters (registry-mirrored while recording)."""
+        self._leave_cohort()
+        return self._stats
 
     @property
     def fresh(self) -> bool:
@@ -272,12 +378,50 @@ class LbrmReceiver(ProtocolMachine):
     def logger_chain(self) -> tuple[Address, ...]:
         return self._chain
 
+    def state_key(self) -> tuple:
+        """What the builders declare but ``_NOT_STATE``: receivers with
+        equal keys are in one state, and may share it.  A member's shared
+        fields are read through its cohort.  Sets and dicts compare by
+        contents: compare the key at once, never hash it."""
+        return _shared(self._cohort or self), _fields(self)
+
+    # -- the cohort (DESIGN §6) ------------------------------------------
+
+    def _join(self, cohort: Cohort, counts: tuple) -> None:
+        """Become a member at ``counts``; empty timers and recoveries are shared."""
+        self._cohort, self._joined = cohort, counts
+        self.timers, self._recoveries = Cohort.timers, _NO_RECOVERIES
+
+    def _catch_up(self) -> None:
+        """Take the shared fields and counts as own; stop being a member."""
+        cohort = self._cohort
+        self._tracker._highest = cohort._highest
+        for name in _SHARED[1:]:
+            setattr(self, name, getattr(cohort, name))
+        for key, joined in zip(_RUN_COUNTS, self._joined):
+            # The registry moved as the runs were absorbed: the own count only.
+            dict.__setitem__(self._stats, key, self._stats[key] + cohort._stats[key] - joined)
+        self._cohort = None
+        self.timers, self._recoveries = TimerSet(), {}
+
+    def _leave_cohort(self) -> None:
+        """What reads or writes a member but absorb_run comes here first."""
+        cohort = self._cohort
+        if cohort is None:
+            return
+        self._catch_up()
+        at = cohort.members.index(self)
+        del cohort.members[at], cohort.ends[at]
+        if len(cohort.members) == 1:
+            cohort.members[0]._leave_cohort()
+
     # -- lifecycle ----------------------------------------------------------
 
     def start(self, now: float) -> list[Action]:
         """Join the group, arm the MaxIT freshness watchdog, and open a
         recovery, NACK due now, for each hole the tracker lists and no
         recovery holds (after a restart: every one)."""
+        self._leave_cohort()
         self._last_rx = now
         self._maxit_deadline = now + self._watchdog_timeout()
         for seq in sorted(self._tracker.missing.difference(self._recoveries)):
@@ -287,6 +431,7 @@ class LbrmReceiver(ProtocolMachine):
 
     def restart(self, now: float) -> list[Action]:
         """Leave the channel too if on it: ``_on_channel`` is lost."""
+        self._leave_cohort()
         leave = [LeaveGroup(group=f"{self._group}/retrans")] if self._on_channel else []
         return super().restart(now) + leave
 
@@ -312,6 +457,7 @@ class LbrmReceiver(ProtocolMachine):
 
     def set_logger_chain(self, chain: tuple[Address, ...]) -> None:
         """Install (or replace) the recovery chain, nearest logger first."""
+        self._leave_cohort()
         self._chain = tuple(chain)
         for recovery in self._recoveries.values():
             recovery.level = min(recovery.level, max(len(self._chain) - 1, 0))
@@ -319,6 +465,7 @@ class LbrmReceiver(ProtocolMachine):
     def abandon(self, seqs: tuple[int, ...]) -> None:
         """Application decision: stop recovering ``seqs`` (§2 — receivers
         are not obligated to retrieve every lost packet)."""
+        self._leave_cohort()
         self._tracker.abandon(seqs)
         for seq in seqs:
             self._recoveries.pop(seq, None)
@@ -326,13 +473,23 @@ class LbrmReceiver(ProtocolMachine):
 
     # -- inbound ----------------------------------------------------------
 
-    # Exact-type dispatch: four identity checks instead of an isinstance
-    # ladder on the per-packet hot path.  Plain ``self._on_*`` calls keep
-    # class-level monkeypatching working and let the interpreter's
-    # adaptive method caches engage; handlers take (packet, now) —
-    # receivers never use the src token.
+    # Exact-type dispatch: one set probe, then identity checks instead of
+    # an isinstance ladder on the per-packet hot path.  Plain
+    # ``self._on_*`` calls keep class-level monkeypatching working and let
+    # the interpreter's adaptive method caches engage; handlers take
+    # (packet, now) — receivers never use the src token.
+    _HANDLED = frozenset((DataPacket, HeartbeatPacket, RetransPacket, PrimaryInfoPacket))
+
     def handle(self, packet: Packet, src: Address, now: float) -> list[Action]:
         t = type(packet)
+        if t not in self._HANDLED:
+            return []  # e.g. a statack probe: nothing a receiver takes
+        if self._cohort is not None:
+            # A held retransmission (a site's re-multicast) moves only own
+            # counters: it stays, with the mark _on_retrans reads current.
+            self._tracker._highest = self._cohort._highest
+            if t is not RetransPacket or not self._tracker.has(packet.seq):
+                self._leave_cohort()
         if t is DataPacket:
             delivery, absorbed = absorb_run((self,), packet, now)
             return [delivery] if absorbed else self._on_data(packet, now)
@@ -342,9 +499,7 @@ class LbrmReceiver(ProtocolMachine):
             return self._on_heartbeat(packet, now)
         if t is RetransPacket:
             return self._on_retrans(packet, now)
-        if t is PrimaryInfoPacket:
-            return self._on_primary_info(packet, now)
-        return []
+        return self._on_primary_info(packet, now)
 
     def _on_data(self, packet: DataPacket, now: float) -> list[Action]:
         tracker = self._tracker
@@ -375,7 +530,7 @@ class LbrmReceiver(ProtocolMachine):
         self._last_rx = now
         self._maxit_deadline = now + timeout
         actions = [] if self._fresh else self._freshness_restored(now)
-        self.stats["data_received"] += 1
+        self._stats["data_received"] += 1
         if report.is_new:
             # Receiver-reliable: fresh data is delivered immediately, never
             # held for in-order completion (§1, §5).
@@ -388,7 +543,7 @@ class LbrmReceiver(ProtocolMachine):
                 recovery = self._recoveries.pop(packet.seq, None)
                 self.timers.cancel(("nack", packet.seq))
                 if recovery is not None:
-                    self.stats["recoveries"] += 1
+                    self._stats["recoveries"] += 1
                     latency = now - recovery.detected_at
                     self._obs_recovery_latency.observe(latency)
                     self._trace.emit(
@@ -396,7 +551,7 @@ class LbrmReceiver(ProtocolMachine):
                     )
                     actions.append(Notify(RecoveryComplete(seq=packet.seq, latency=latency)))
         else:
-            self.stats["duplicates"] += 1
+            self._stats["duplicates"] += 1
         if report.new_gaps:
             actions.extend(self._begin_recovery(report.new_gaps, now, via_silence=False))
         if self._on_channel:
@@ -412,7 +567,7 @@ class LbrmReceiver(ProtocolMachine):
         self._last_rx = now
         self._maxit_deadline = now + sched[1]
         actions = [] if self._fresh else self._freshness_restored(now)
-        self.stats["heartbeats_received"] += 1
+        self._stats["heartbeats_received"] += 1
         report = self._tracker.observe_heartbeat(packet.seq)
         if report.new_gaps:
             actions.extend(self._begin_recovery(report.new_gaps, now, via_silence=False))
@@ -420,14 +575,14 @@ class LbrmReceiver(ProtocolMachine):
 
     def _on_retrans(self, packet: RetransPacket, now: float) -> list[Action]:
         actions: list[Action] = []
-        self.stats["retrans_received"] += 1
+        self._stats["retrans_received"] += 1
         report = self._tracker.observe_data(packet.seq)
         if report.is_new:
             actions.append(Deliver(packet.seq, packet.payload, True))
             recovery = self._recoveries.pop(packet.seq, None)
             self.timers.cancel(("nack", packet.seq))
             if recovery is not None:
-                self.stats["recoveries"] += 1
+                self._stats["recoveries"] += 1
                 latency = now - recovery.detected_at
                 self._obs_recovery_latency.observe(latency)
                 self._trace.emit(
@@ -435,7 +590,7 @@ class LbrmReceiver(ProtocolMachine):
                 )
                 actions.append(Notify(RecoveryComplete(seq=packet.seq, latency=latency)))
         else:
-            self.stats["duplicates"] += 1
+            self._stats["duplicates"] += 1
         if report.new_gaps:
             actions.extend(self._begin_recovery(report.new_gaps, now, via_silence=False))
         if self._on_channel:
@@ -471,7 +626,7 @@ class LbrmReceiver(ProtocolMachine):
         gaps = tuple(s for s in gaps if s not in self._recoveries)
         if not gaps:
             return []
-        self.stats["losses_detected"] += len(gaps)
+        self._stats["losses_detected"] += len(gaps)
         self._trace.emit(now, "receiver.loss_detected", seqs=gaps, via_silence=via_silence)
         actions: list[Action] = [Notify(LossDetected(seqs=gaps, via_silence=via_silence))]
         fallback = self._config.retrans_channel_fallback
@@ -481,7 +636,7 @@ class LbrmReceiver(ProtocolMachine):
             # packets that have aged off it.
             if not self._on_channel:
                 self._on_channel = True
-                self.stats["channel_joins"] = self.stats.get("channel_joins", 0) + 1
+                self._stats["channel_joins"] = self._stats.get("channel_joins", 0) + 1
                 actions.append(JoinGroup(group=f"{self._group}/retrans"))
             for seq in gaps:
                 self._recoveries[seq] = _Recovery(seq=seq, detected_at=now)
@@ -505,9 +660,11 @@ class LbrmReceiver(ProtocolMachine):
         # Called twice per delivery (node wakeup bookkeeping).  In the
         # steady state no NACK timers are armed, so peeking at the
         # TimerSet's dict directly skips a method call on the fast path.
+        # A cohort member has none armed, and its deadline is the cohort's.
         timers = self.timers
         if not timers._deadlines:
-            return self._maxit_deadline
+            cohort = self._cohort
+            return self._maxit_deadline if cohort is None else cohort._maxit_deadline
         due = timers.next_deadline()
         maxit = self._maxit_deadline
         if maxit is None:
@@ -517,6 +674,7 @@ class LbrmReceiver(ProtocolMachine):
         return due
 
     def poll(self, now: float) -> list[Action]:
+        self._leave_cohort()
         maxit = self._maxit_deadline
         if maxit is not None and maxit <= now:
             actions = self._on_maxit(now)
@@ -534,7 +692,7 @@ class LbrmReceiver(ProtocolMachine):
             return []
         self._fresh = False
         self._stale_since = self._last_rx
-        self.stats["freshness_losses"] += 1
+        self._stats["freshness_losses"] += 1
         self._trace.emit(now, "receiver.freshness_lost", idle_for=idle)
         # Silence tells the receiver *that* it may have lost packets, not
         # which — recovery begins when the next packet reveals the gap.
@@ -565,7 +723,7 @@ class LbrmReceiver(ProtocolMachine):
         for target, batch in by_target.items():
             for start in range(0, len(batch), NackPacket.MAX_SEQS):
                 chunk = tuple(batch[start : start + NackPacket.MAX_SEQS])
-                self.stats["nacks_sent"] += 1
+                self._stats["nacks_sent"] += 1
                 self._trace.emit(now, "receiver.nack", target=str(target), seqs=chunk)
                 actions.append(SendUnicast(dest=target, packet=NackPacket(group=self._group, seqs=chunk)))
         return actions
@@ -608,9 +766,35 @@ class LbrmReceiver(ProtocolMachine):
         self._recoveries.pop(recovery.seq, None)
         self.timers.cancel(("nack", recovery.seq))
         self._tracker.abandon((recovery.seq,))
-        self.stats["recovery_failures"] += 1
+        self._stats["recovery_failures"] += 1
         self._trace.emit(now, "receiver.recovery_failed", seq=recovery.seq, attempts=recovery.attempts)
         actions: list[Action] = [Notify(RecoveryFailed(seq=recovery.seq, attempts=recovery.attempts))]
         actions.extend(self._maybe_leave_channel())
         return actions
 
+
+
+# What a cohort shares: the fields absorb_run writes.
+_SHARED = ("_highest", "_repeat_count", "_expected_interval", "_last_rx", "_maxit_deadline")
+_shared = attrgetter("_tracker._highest", *_SHARED[1:])  # of a receiver or a cohort
+# What a state key leaves out besides: the counters (the receiver's and
+# its tracker's), the cohort membership, and two caches of what is in it.
+_NOT_STATE = frozenset(("_stats", "_duplicates", "_cohort", "_joined", "_hb_wd", "_min", *_SHARED))
+_OWNED = (SequenceTracker, TimerSet)  # keyed by their own fields
+_FIELDS: list = []  # the attrgetter of a receiver's keyed fields, once built
+
+
+def _fields(r: LbrmReceiver) -> tuple:
+    """Every field of ``r`` but ``_NOT_STATE``, and those of its tracker
+    and timers in their place, as the first receiver was built.  Read by
+    name: ``vars()`` would give each receiver a dict."""
+    if not _FIELDS:
+        names = []
+        for name in vars(r):
+            value = getattr(r, name)
+            if type(value) in _OWNED:
+                names += [f"{name}.{field}" for field in vars(value) if field not in _NOT_STATE]
+            elif name not in _NOT_STATE:
+                names.append(name)
+        _FIELDS.append(attrgetter(*names))
+    return _FIELDS[0](r)

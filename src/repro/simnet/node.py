@@ -15,11 +15,14 @@ an address *is* the host name, so token parsing is the identity.
 Delivery is run-level: :meth:`SimNode.receive_batch` hands each run of
 co-timed *plain* receiver nodes to
 :func:`~repro.core.receiver.absorb_run` in one call, and only what that
-does not absorb takes the per-node path.  Plainness is read per node at
-the moment the run is cut, partly from ``_receiver`` (the node's one
-machine, when it is an :class:`LbrmReceiver`), which is kept in step
-with ``machines``: so ``machines`` changes only through the constructor,
-``add_machine``, ``crash`` and ``restart``.
+does not absorb takes the per-node path; a run of a
+:class:`~repro.core.receiver.Cohort`, receivers sharing one state, is
+absorbed once.  Plainness is read per node at the moment the run is
+cut, partly from ``_receiver`` (the node's one machine, when it is an
+:class:`LbrmReceiver`), which is kept in step with ``machines``: so
+``machines`` changes only through the constructor, ``add_machine``,
+``crash`` and ``restart``, which (with ``pause`` and a ``clock_skew``
+write) have a cohort member leave first.
 
 Fault-injection hooks (used by :mod:`repro.chaos`): a node can be
 *crashed* (machines detached, inbound traffic lost), *restarted* (each
@@ -48,7 +51,7 @@ from repro.core.actions import Action, Deliver, handle_each, run_actions
 from repro.core.events import Event
 from repro.core.machine import ProtocolMachine, earliest_wakeup
 from repro.core.packets import Packet
-from repro.core.receiver import RUN_PACKETS, LbrmReceiver, absorb_run
+from repro.core.receiver import RUN_PACKETS, Cohort, LbrmReceiver, absorb_run, form_cohorts
 from repro.simnet.engine import Simulator
 
 if TYPE_CHECKING:  # topology imports this module for the delivery loop
@@ -90,7 +93,7 @@ class SimNode:
         # Fault-injection state (see module docstring).
         self.crashed = False
         self.paused = False
-        self.clock_skew = 0.0
+        self._skew = 0.0
         self._stashed_machines: list[ProtocolMachine] = []
         host.attach(self)
 
@@ -110,6 +113,15 @@ class SimNode:
         """Neither crashed nor paused."""
         return not self.crashed and not self.paused
 
+    @property
+    def clock_skew(self) -> float:  # a cohort member leaves before a skew
+        return self._skew
+
+    @clock_skew.setter
+    def clock_skew(self, skew: float) -> None:
+        self._leave_cohort()
+        self._skew = skew
+
     def _machine_now(self) -> float:
         return self._sim.now + self.clock_skew
 
@@ -125,6 +137,7 @@ class SimNode:
         self._receiver = only if type(only) is LbrmReceiver else None
 
     def add_machine(self, machine: ProtocolMachine) -> None:
+        self._leave_cohort()
         self.machines.append(machine)
         self._set_machines(self.machines)
         self._reschedule()
@@ -140,59 +153,96 @@ class SimNode:
     def receive(self, packet: Packet, src: str, now: float) -> None:
         """Network delivery entry point for one host (unicast and chaos
         arrivals)."""
-        SimNode.receive_batch((self,), packet, src, now)
+        SimNode.receive_batch([self], packet, src, now)
 
     @staticmethod
-    def receive_batch(endpoints, packet: Packet, src: str, now: float) -> None:
+    def receive_batch(endpoints: list, packet: Packet, src: str, now: float) -> None:
         """Deliver ``packet`` to each endpoint in turn: the one delivery
         loop, entered by :class:`Network` once per co-timed batch.
 
-        A co-timed batch is mostly receivers in lockstep (DESIGN §6), so it
-        is cut into maximal runs of *plain* nodes — a ``SimNode`` not
-        paused, unskewed, whose one machine is an :class:`LbrmReceiver` —
-        and each run of a data packet or heartbeat goes to
-        :func:`~repro.core.receiver.absorb_run` in one call, which takes it
-        on the receivers' fast path as far as it can.  The absorbed members
-        then get the shared ``Deliver`` and their wakeup in one loop.  The
-        first member not absorbed, and every other endpoint, takes the
-        per-node path at its own position, and the run is cut again after
-        it: its ``on_event``/``on_send`` taps may pause or crash a later
-        member of the same batch, so nothing is read ahead of a node that
-        may run one.  Every node thus sees the batch in order, and mux
-        arms, ``schedule`` calls and RNG draws keep the order a per-node
-        loop gives them.
+        A co-timed batch is mostly receivers in lockstep (DESIGN §6).  For
+        a data packet or heartbeat, a cohort member starts a cohort run
+        (:meth:`_span`), which :func:`~repro.core.receiver.absorb_run`
+        takes as one receiver; if its guard fails, the cohort dissolves
+        and each member, in one state, takes the per-node path.  Any other
+        maximal run of *plain* nodes — a ``SimNode`` not paused, unskewed,
+        whose one machine is an :class:`LbrmReceiver` in no cohort — goes
+        to ``absorb_run`` member by member in one call, and those it
+        absorbs in one state form cohorts.  Absorbed members get the
+        shared ``Deliver`` and their wakeup in one loop.  The first member
+        not absorbed, and every other endpoint, takes the per-node path at
+        its own position, and the run is cut again after it: its taps may
+        pause or crash a later member of the batch, so nothing is read
+        ahead of a node that may run one.  Every node thus sees the batch
+        in order, and mux arms, ``schedule`` calls and RNG draws keep the
+        order a per-node loop gives them.
         """
         runs = type(packet) in RUN_PACKETS
+        failed, failing = None, iter(())  # a dissolved cohort's next member
+        edge = (-1, None)  # where the last absorbed run ended: its cohort, or its lone nodes
         i, n = 0, len(endpoints)
         while i < n:
-            if runs:
-                machines = []
-                j = i
-                while j < n:
-                    node = endpoints[j]
-                    if type(node) is not SimNode:
-                        break
-                    receiver = node._receiver
-                    if receiver is None or node.paused or node.clock_skew:
-                        break
-                    machines.append(receiver)
-                    j += 1
-                if machines:
-                    delivery, dues = absorb_run(machines, packet, now)
-                    if dues:
-                        mux = endpoints[i]._network.wakeup_mux
-                        for due in dues:
-                            node = endpoints[i]
-                            i += 1
-                            if delivery is not None:
-                                node.delivered.append(delivery)
-                            node._due = due
-                            cur = node._mux_due
-                            if cur is None or cur > due:
-                                node._mux_due = due
-                                mux.arm(node, due)
-                        if i == n:
-                            return
+            node = endpoints[i]
+            if node is failed:
+                failed = next(failing, None)
+            elif runs and type(node) is SimNode and node._receiver is not None:
+                cohort = node._receiver._cohort
+                if cohort is not None:
+                    stop = i + len(cohort.ends)
+                    if endpoints[i:stop] != cohort.ends:
+                        cohort, stop = SimNode._span(cohort, endpoints, i)
+                if cohort is not None:
+                    delivery, dues = absorb_run((cohort,), packet, now)
+                    if not dues:
+                        failing = iter(cohort.ends[1:])
+                        failed = next(failing, None)
+                        cohort.dissolve()
+                    elif stop - i != len(cohort.ends):
+                        SimNode._settle_span(cohort, endpoints[i:stop], packet, delivery, dues[0], src, now)
+                        i = stop
+                        continue
+                    else:
+                        nodes, dues = cohort.ends, dues * len(cohort.ends)
+                        if edge[0] == i and type(edge[1]) is list:  # lone ones just before join
+                            nodes = nodes[:]  # (they have settled)
+                            for node in reversed(edge[1]):
+                                if not cohort.admit(0, node._receiver, node):
+                                    break
+                        i, edge = stop, (stop, cohort)
+                else:
+                    machines = []
+                    j = i
+                    while j < n:
+                        node = endpoints[j]
+                        if type(node) is not SimNode:
+                            break
+                        receiver = node._receiver
+                        if receiver is None or receiver._cohort is not None or node.paused or node._skew:
+                            break
+                        machines.append(receiver)
+                        j += 1
+                    delivery, dues = absorb_run(machines, packet, now) if machines else (None, ())
+                    nodes = endpoints[i : i + len(dues)]
+                    if edge[0] == i and type(edge[1]) is Cohort:  # ones just after a cohort join it
+                        for node in nodes:
+                            if not edge[1].admit(len(edge[1].ends), node._receiver, node):
+                                break
+                    if len(dues) > 1:
+                        form_cohorts(machines[: len(dues)], nodes)
+                    i += len(dues)
+                    edge = (i, nodes)
+                if dues:
+                    arm = nodes[0]._network.wakeup_mux.arm
+                    for node, due in zip(nodes, dues):
+                        if delivery is not None:
+                            node.delivered.append(delivery)
+                        node._due = due
+                        cur = node._mux_due
+                        if cur is None or cur > due:
+                            node._mux_due = due
+                            arm(node, due)
+                    if cohort is not None or len(dues) == len(machines):
+                        continue  # else the one not absorbed takes the per-node path
             # The per-node path.
             node = endpoints[i]
             i += 1
@@ -202,7 +252,7 @@ class SimNode:
                 continue
             if node.paused:
                 continue  # alive but unresponsive: inbound traffic is lost
-            skew = node.clock_skew
+            skew = node._skew
             machines = node.machines
             if len(machines) != 1:
                 # The rare shapes: several machines on one node, or none left.
@@ -227,10 +277,62 @@ class SimNode:
                 node._mux_due = next_due
                 node._network.wakeup_mux.arm(node, next_due)
 
+    @staticmethod
+    def _span(cohort, endpoints: list, i: int) -> tuple:
+        """``(cohort, stop)``, the run from ``endpoints[i]`` (``(None, i)``
+        if its member is left alone).  Members before it, and past what the
+        run cannot span (a tap, another cohort), split off; one skipped
+        (its own loss draw) leaves.  Tap-free nodes in no cohort between
+        members are spanned: they cannot touch a member before its turn."""
+        at = cohort.ends.index(endpoints[i])
+        if at and (cohort := cohort.split(at)) is None:
+            return None, i
+        ends, k, j = cohort.ends, 1, i + 1
+        stop = j
+        while k < len(ends) and j < len(endpoints):
+            node = endpoints[j]
+            if node is ends[k]:
+                k, j = k + 1, j + 1
+                stop = j
+            elif type(node) is not SimNode or node.on_event is not None or node.on_send is not None:
+                break
+            elif node._receiver is not None and node._receiver._cohort is cohort:
+                cohort.members[ends.index(node, k) - 1]._leave_cohort()  # skipped: not here
+            elif node._receiver is None or node._receiver._cohort is None:
+                j += 1
+            else:
+                break
+        if k < len(ends):
+            cohort.split(k)
+        return (cohort, stop) if cohort.members else (None, i)
+
+    @staticmethod
+    def _settle_span(cohort, span: list, packet: Packet, delivery: Deliver | None, due: float,
+                     src: str, now: float) -> None:
+        """Settle a run spanning other nodes: each gets the packet at its
+        position, and a lone one back in the cohort's state joins."""
+        ends = cohort.ends
+        arm = ends[0]._network.wakeup_mux.arm
+        k = 0
+        for node in span:
+            if k < len(ends) and node is ends[k]:
+                k += 1
+                if delivery is not None:
+                    node.delivered.append(delivery)
+                node._due = due
+                cur = node._mux_due
+                if cur is None or cur > due:
+                    node._mux_due = due
+                    arm(node, due)
+            else:
+                SimNode.receive_batch([node], packet, src, now)
+                if node._receiver is not None and not node.paused and not node._skew:
+                    k += cohort.admit(k, node._receiver, node)
+
     def poll(self) -> None:
         if self.paused:
             return
-        now = self._sim.now + self.clock_skew
+        now = self._sim.now + self._skew
         due = earliest_wakeup(self.machines)
         if due is not None and due > now:
             # Stale wakeup: every deadline moved later since this poll
@@ -239,7 +341,7 @@ class SimNode:
             # than cancelling it), so re-arm without entering a machine.
             # Only a direct call gets here: the mux re-buckets a stale
             # node from _due instead.
-            at = due - self.clock_skew if self.clock_skew else due
+            at = due - self._skew if self._skew else due
             self._due = self._mux_due = at
             self._network.wakeup_mux.arm(self, at)
             return
@@ -289,6 +391,7 @@ class SimNode:
         inbound packets are lost until :meth:`restart`."""
         if self.crashed:
             return
+        self._leave_cohort()
         self.crashed = True
         self._stashed_machines = self.machines
         self._set_machines([])
@@ -311,6 +414,7 @@ class SimNode:
         """Stop responding without dying (a stop-the-world pause)."""
         if self.paused:
             return
+        self._leave_cohort()
         self.paused = True
         self._disarm()
 
@@ -320,6 +424,11 @@ class SimNode:
             return
         self.paused = False
         self._reschedule()
+
+    def _leave_cohort(self) -> None:
+        """A member whose node stops being plain leaves its cohort first."""
+        if self._receiver is not None:
+            self._receiver._leave_cohort()
 
     # -- wakeup plumbing ----------------------------------------------------
 
@@ -335,9 +444,9 @@ class SimNode:
         if next_due is None:
             self._disarm()
             return
-        if self.clock_skew:
+        if self._skew:
             # Machines speak skewed time; the simulator runs true time.
-            next_due = next_due - self.clock_skew
+            next_due = next_due - self._skew
         self._due = next_due
         cur = self._mux_due
         if cur is not None and cur <= next_due:

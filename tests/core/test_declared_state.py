@@ -28,7 +28,7 @@ BUILDERS = ("_init_volatile", "_init_durable")
 # the durable epoch and commit point.
 RECONFIG = {
     "set_logger_chain": {"_chain"},
-    "_on_primary_info": {"_chain"},
+    "_on_primary_info": {"_chain", "_parent"},
     "set_parent": {"_parent"},
     "set_source": {"_source"},
     "_on_promote": {"_role", "_is_secondary", "_source", "_parent", "_level", "_replication", "_log_epoch"},
@@ -95,3 +95,42 @@ def test_absorb_run_writes_only_declared_receiver_state():
     declared = _stores(methods["_init_volatile"])
     written = _stores(tree, owner="r")
     assert written and written <= declared, written - declared
+
+
+def test_the_cohort_state_key_covers_every_builder_field():
+    """A receiver field the builders declare is in ``state_key()`` unless
+    it is a counter, the cohort membership or a cache (``_NOT_STATE``), or
+    a field a cohort shares — which the key reads first, through the
+    cohort.  So a field added to a builder joins the key, and two
+    receivers that differ in it never share a cohort."""
+    methods = _methods(receiver, receiver.LbrmReceiver)
+    declared = _stores(methods["__init__"]) | _stores(methods["_init_volatile"])
+    left_out = declared & receiver._NOT_STATE
+    assert left_out == {"_stats", "_cohort", "_joined", "_hb_wd"} | (declared & set(receiver._SHARED))
+    r = receiver.LbrmReceiver("g")
+    r.start(0.0)
+    key = r.state_key()
+    assert key[0] == receiver._shared(r)
+    keyed = [name for name in vars(r) if name not in receiver._NOT_STATE]
+    assert sorted(declared - left_out) == sorted(keyed)
+    for name in keyed:  # each keyed field moves the key, one at a time
+        value = getattr(r, name)
+        owned = type(value) in receiver._OWNED  # keyed by its own fields
+        for field in [f for f in vars(value) if f not in receiver._NOT_STATE] if owned else [None]:
+            other = receiver.LbrmReceiver("g")
+            other.start(0.0)
+            if field is None:
+                setattr(other, name, _changed(getattr(other, name)))
+            else:
+                target = getattr(other, name)
+                setattr(target, field, _changed(getattr(target, field)))
+            assert other.state_key() != key, (name, field)
+
+
+def _changed(value):
+    """Another value of the same kind (containers stay containers)."""
+    if type(value) is dict:
+        return {**value, 10**9: 0.0}
+    if type(value) is set:
+        return value | {10**9}
+    return object()

@@ -1,5 +1,5 @@
-"""The traffic run-level delivery rests on (DESIGN §6, "Co-timed receivers
-are absorbed run by run").
+"""The traffic run-level delivery and its cohorts rest on (DESIGN §6,
+"Co-timed receivers are absorbed run by run" and "Lockstep cohorts").
 
 A multicast crosses a site's tail circuit once and reaches everyone
 behind it at the same instant (§2.2.2, Figure 1), so the receivers of one
@@ -7,30 +7,31 @@ behind it at the same instant (§2.2.2, Figure 1), so the receivers of one
 co-timed batch — are mostly in the same protocol state when it arrives.
 This file pins how often, per packet type, on the ledger's ``exact_fanout``
 and ``exact_lossy`` smoke worlds: how many segment members share their
-segment's modal canonical receiver state (everything the receiver's next
-transition can read, below) and how many are alone in theirs.  That share
-is what a cohort of receivers sharing one state could save (ROADMAP item
-15, step 2).
+segment's modal state (``LbrmReceiver.state_key()``, everything the
+receiver's builders declare less its counters, its cohort membership and
+two caches) and how many are alone in theirs.  That share is what a
+cohort of receivers sharing one state saves; it measures the traffic, not
+the mechanism, so no change to the delivery loop moves it.
 
-It pins, too, what ``SimNode.receive_batch`` does with the same traffic:
-how many receiver deliveries ``absorb_run`` took run by run, in how many
-calls, and how many went down the per-node path (``LbrmReceiver.handle``),
-per packet type.
-A delivery loop that stops absorbing, or loses or re-delivers a member
-around a general-path one, moves these counts.
+It pins, too, what ``SimNode.receive_batch`` does with the same traffic,
+per packet type: how many receiver deliveries were absorbed in cohort
+runs and in how many runs, how many by lone members and in how many
+``absorb_run`` calls, and how many went down the per-node path
+(``LbrmReceiver.handle``); and over the whole world how many cohorts
+formed, how many splits there were and how many members left one.
+A delivery loop that stops absorbing, stops sharing, or loses or
+re-delivers a member around a general-path one, moves these counts.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import itertools
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.core.receiver import LbrmReceiver
+from repro.core.receiver import Cohort, LbrmReceiver
 from repro.simnet import node as node_module
 from repro.simnet.node import SimNode
 from repro.simnet.topology import Network
@@ -38,25 +39,20 @@ from repro.simnet.topology import Network
 _LEDGER = Path(__file__).resolve().parents[2] / "benchmarks" / "ledger" / "workloads.py"
 
 
-def _canonical(r: LbrmReceiver) -> tuple:
-    """A receiver's state as its next transition can read it: tracker
-    highest, first and missing; fresh; on-channel; repeat count; expected
-    interval; watchdog deadline; last rx; recoveries; NACK timers; chain."""
-    tracker = r._tracker
-    return (
-        tracker._highest,
-        tracker._first,
-        frozenset(tracker._missing),
-        r._fresh,
-        r._on_channel,
-        r._repeat_count,
-        r._expected_interval,
-        r._maxit_deadline,
-        r._last_rx,
-        tuple(sorted(dataclasses.astuple(rec) for rec in r._recoveries.values())),
-        tuple(sorted(r.timers._deadlines.items())),
-        r._chain,
-    )
+def _tally(keys) -> list[int]:
+    """How many of ``keys`` are equal to each distinct one (state keys
+    compare by contents but do not hash)."""
+    distinct: list = []
+    counts: list[int] = []
+    for key in keys:
+        for at, seen in enumerate(distinct):
+            if seen == key:
+                counts[at] += 1
+                break
+        else:
+            distinct.append(key)
+            counts.append(1)
+    return counts
 
 
 def _receiver_of(host):
@@ -74,36 +70,61 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
 
     Returns, per packet type name, ``lockstep`` = [members sharing their
     segment's modal state, members alone] and ``runs`` = [receiver
-    deliveries absorbed run by run, receiver deliveries through
-    ``handle``, ``absorb_run`` calls]."""
+    deliveries absorbed in cohort runs, cohort runs, receiver deliveries
+    absorbed by lone members, ``absorb_run`` calls for lone members,
+    receiver deliveries through ``handle``]; and ``cohorts`` = [cohorts
+    formed, splits, members that left one]."""
     lockstep: dict[str, list[int]] = {}
     runs: dict[str, list[int]] = {}
+    cohorts = [0, 0, 0]
     arrive_batch, absorb_run, handle = Network._arrive_batch, node_module.absorb_run, LbrmReceiver.handle
+    init, split, catch_up = Cohort.__init__, Cohort.split, LbrmReceiver._catch_up
 
     def counted_arrive_batch(self, co_timed, packet, src_name):
         tally = lockstep.setdefault(type(packet).__name__, [0, 0])
         for _site, hosts in itertools.groupby(co_timed, key=lambda host: host.site):
-            states = Counter(_canonical(r) for r in map(_receiver_of, hosts) if r is not None)
-            modal = max(states.values(), default=0)
+            states = _tally(r.state_key() for r in map(_receiver_of, hosts) if r is not None)
+            modal = max(states, default=0)
             shared = modal if modal > 1 else 0
             tally[0] += shared
-            tally[1] += sum(states.values()) - shared
+            tally[1] += sum(states) - shared
         arrive_batch(self, co_timed, packet, src_name)
 
     def counted_absorb_run(receivers, packet, now):
         delivery, dues = absorb_run(receivers, packet, now)
-        tally = runs.setdefault(type(packet).__name__, [0, 0, 0])
-        tally[0] += len(dues)
-        tally[2] += 1
+        tally = runs.setdefault(type(packet).__name__, [0, 0, 0, 0, 0])
+        if type(receivers[0]) is Cohort:
+            if dues:
+                tally[0] += len(receivers[0].ends)
+                tally[1] += 1
+        else:
+            tally[2] += len(dues)
+            tally[3] += 1
         return delivery, dues
 
     def counted_handle(self, packet, src, now):
-        runs.setdefault(type(packet).__name__, [0, 0, 0])[1] += 1
+        runs.setdefault(type(packet).__name__, [0, 0, 0, 0, 0])[4] += 1
         return handle(self, packet, src, now)
+
+    def counted_init(self, source, members, ends):
+        cohorts[0] += 1
+        init(self, source, members, ends)
+
+    def counted_split(self, at):
+        cohorts[0] -= 1  # the tail is no formation
+        cohorts[1] += 1
+        return split(self, at)
+
+    def counted_catch_up(self):
+        cohorts[2] += 1
+        catch_up(self)
 
     monkeypatch.setattr(Network, "_arrive_batch", counted_arrive_batch)
     monkeypatch.setattr(node_module, "absorb_run", counted_absorb_run)
     monkeypatch.setattr(LbrmReceiver, "handle", counted_handle)
+    monkeypatch.setattr(Cohort, "__init__", counted_init)
+    monkeypatch.setattr(Cohort, "split", counted_split)
+    monkeypatch.setattr(LbrmReceiver, "_catch_up", counted_catch_up)
     spec = importlib.util.spec_from_file_location("ledger_workloads", _LEDGER)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -111,23 +132,29 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
     workload.setup()
     workload.run(lambda: None)
     assert not workload.finish()["errors"]
-    return {"lockstep": lockstep, "runs": runs}
+    return {"lockstep": lockstep, "runs": runs, "cohorts": cohorts}
 
 
 # Per packet type, counted over the world's set-up and its timed run.
 # Lockstep: [members sharing their segment's modal state, members alone]
 # over the receivers of every multicast batch; runs: [receiver deliveries
-# absorbed run by run, receiver deliveries through handle(), absorb_run
-# calls] over every delivery, unicast included.  Only data and heartbeats
-# are absorbed; a receiver's first packet sets its baseline and goes
-# through handle().  ``tree_outage`` runs at full size: the smoke world
-# has one receiver per site, so its runs are of one whatever the loop
-# does; at full size the hierarchy runtime's observer must leave a
-# co-timed batch whole (DESIGN §6, "One network observer").
+# absorbed in cohort runs, cohort runs, receiver deliveries absorbed by
+# lone members, lone absorb_run calls, receiver deliveries through
+# handle()] over every delivery, unicast included; cohorts: [formed,
+# splits, members that left one].  Only data and heartbeats are
+# absorbed; a receiver's first packet sets its baseline and goes through
+# handle().  Receivers whose guard fails leave their cohort, and every
+# member leaves when finish() reads its stats.  ``tree_outage`` runs at
+# full size: the smoke world has one receiver per site, so its runs are
+# of one whatever the loop does; at full size the hierarchy runtime's
+# observer must leave a co-timed batch whole (DESIGN §6, "One network
+# observer").  Against the member-by-member loop, the absorbed and
+# handle() totals per packet type are the same: only who absorbs moved.
 _PINNED = {
     "exact_fanout": {
         "lockstep": {"DataPacket": [5000, 0], "HeartbeatPacket": [150, 0]},
-        "runs": {"DataPacket": [4950, 50, 1040], "HeartbeatPacket": [150, 0, 30]},
+        "runs": {"DataPacket": [4900, 980, 50, 60, 50], "HeartbeatPacket": [150, 30, 0, 0, 0]},
+        "cohorts": [10, 0, 50],
     },
     "exact_lossy": {
         "lockstep": {
@@ -138,12 +165,13 @@ _PINNED = {
             "RetransPacket": [35, 20],
         },
         "runs": {
-            "AckerSelectPacket": [0, 50, 0],
-            "DataPacket": [1921, 56, 443],
-            "HeartbeatPacket": [2111, 72, 495],
-            "ProbePacket": [0, 348, 0],
-            "RetransPacket": [0, 113, 0],
+            "AckerSelectPacket": [0, 0, 0, 0, 50],
+            "DataPacket": [1843, 378, 78, 94, 56],
+            "HeartbeatPacket": [1985, 407, 126, 72, 72],
+            "ProbePacket": [0, 0, 0, 0, 348],
+            "RetransPacket": [0, 0, 0, 0, 113],
         },
+        "cohorts": [22, 14, 140],
     },
     "tree_outage": {
         "lockstep": {
@@ -152,10 +180,11 @@ _PINNED = {
             "RetransPacket": [1000, 0],
         },
         "runs": {
-            "DataPacket": [1000, 2000, 2200],
-            "HeartbeatPacket": [17000, 1000, 4400],
-            "RetransPacket": [0, 1000, 0],
+            "DataPacket": [1000, 200, 0, 2000, 2000],
+            "HeartbeatPacket": [14000, 2800, 3000, 600, 1000],
+            "RetransPacket": [0, 0, 0, 0, 1000],
         },
+        "cohorts": [600, 0, 3000],
     },
 }
 _SIZE = {"tree_outage": "full"}
