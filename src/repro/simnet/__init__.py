@@ -13,7 +13,6 @@ from repro.simnet.links import Link, LinkStats
 from repro.simnet.loss import (
     BernoulliLoss,
     BurstLoss,
-    CompositeLoss,
     LossModel,
     NoLoss,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "LinkStats",
     "BernoulliLoss",
     "BurstLoss",
-    "CompositeLoss",
     "LossModel",
     "NoLoss",
     "SimNode",

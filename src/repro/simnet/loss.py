@@ -4,9 +4,9 @@ The paper's analysis (§2.1.1) uses a simple *burst* model — "the network
 experiences a burst congestion period of duration t_burst during which a
 given host receives no packets" — provided here as
 :class:`BurstLoss` with deterministic windows.  For steadier background
-loss, :class:`BernoulliLoss` drops i.i.d.; :class:`CompositeLoss` stacks
-models.  A stochastic model draws from the stream its caller passes
-(``RngStreams.stream(name)``), never from one of its own making.
+loss, :class:`BernoulliLoss` drops i.i.d.; a burst model's ``base``
+stacks the two.  A stochastic model draws from the stream its caller
+passes (``RngStreams.stream(name)``), never from one of its own making.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "NoLoss",
     "BernoulliLoss",
     "BurstLoss",
-    "CompositeLoss",
 ]
 
 
@@ -119,25 +118,3 @@ class BurstLoss:
                 break
         return self._base.drops_batch(now, count)
 
-
-class CompositeLoss:
-    """Drops when *any* member model drops (e.g. burst over Bernoulli)."""
-
-    def __init__(self, *models: LossModel) -> None:
-        self._models = models
-
-    def drops(self, now: float) -> bool:
-        # Evaluate all models so stateful members keep advancing.
-        return any([model.drops(now) for model in self._models])
-
-    def drops_batch(self, now: float, count: int) -> list[bool]:
-        # Per-member batches OR'd column-wise.  Stream-equivalent to the
-        # sequential interleaving as long as members draw from
-        # independent RNG instances: each member's own draw order is all
-        # that determinism requires.
-        verdicts = [model.drops_batch(now, count) for model in self._models]
-        if not verdicts:
-            return [False] * count
-        if len(verdicts) == 1:
-            return verdicts[0]
-        return [any(col) for col in zip(*verdicts)]

@@ -10,9 +10,9 @@ restated over site distributions:
   failure, and no site carries outstanding misses at run end.  On top
   of the exact conservation law, the *expected-gap* check holds the
   total miss count to the analytic Binomial expectation within a
-  z-sigma band (:mod:`repro.scale.model`) — a statistically broken loss
-  draw (wrong p, correlated streams) fails here even though it
-  conserves perfectly.
+  z-sigma band (:mod:`tests._oracles.aggregate_model`) — a
+  statistically broken loss draw (wrong p, correlated streams) fails
+  here even though it conserves perfectly.
 * **A2 (silence bound, aggregate form)** — a site declares staleness
   only inside a scheduled outage window, extended by the heartbeat
   watchdog bound (slack × h_max) the exact oracle uses.  Under
@@ -32,9 +32,9 @@ import math
 from dataclasses import dataclass
 
 from repro.core.logger import LoggerRole
-from repro.scale import model
 from repro.scale.deploy import AggregateDeployment
 from repro.scale.shard import ScaleScenario
+from tests._oracles import aggregate_model as model
 
 __all__ = ["AggregateViolation", "AggregateOracle"]
 

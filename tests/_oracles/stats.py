@@ -5,9 +5,9 @@ aggregate site model against the exact per-receiver engine
 (NACK-per-heartbeat counts, repair traffic, recovery latencies).  The
 comparisons need a two-sample Kolmogorov–Smirnov test for continuous
 samples and a χ² homogeneity test for count data — implemented here on
-the stdlib only, so the package keeps its zero-dependency contract.
-Where SciPy is present, the test suite pins these implementations
-against ``scipy.stats`` (the oracle's oracle).
+the stdlib only, because the tier-1 CI job installs no SciPy.  Where
+SciPy is present, ``tests/scale/test_stats.py`` pins these
+implementations against ``scipy.stats`` (the oracle's oracle).
 
 Formulas follow Numerical Recipes: the KS p-value uses the asymptotic
 Kolmogorov distribution with the Stephens small-sample correction; the

@@ -95,7 +95,7 @@ class TestBinomialVariate:
         # The single-uniform inversion (n > limit) and the Bernoulli sum
         # (n <= limit) must draw from the same Binomial(n, p): compare
         # the two paths' histograms with our own chi^2 test.
-        from repro.scale.stats import chi2_homogeneity
+        from tests._oracles.stats import chi2_homogeneity
 
         n, p, draws = 200, 0.05, 4000
         inversion = random.Random(101)

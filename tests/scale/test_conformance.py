@@ -38,13 +38,13 @@ import math
 import pytest
 
 from repro.core.events import LossDetected, RecoveryComplete
-from repro.scale import model
 from repro.core.logger import LoggerRole
 from repro.scale.deploy import AggregateDeployment
-from repro.scale.oracle import AggregateOracle
 from repro.scale.shard import ScaleScenario
-from repro.scale.stats import chi2_homogeneity, ks_2sample
 from repro.simnet import DeploymentSpec, LbrmDeployment
+from tests._oracles import aggregate_model as model
+from tests._oracles.aggregate_oracle import AggregateOracle
+from tests._oracles.stats import chi2_homogeneity, ks_2sample
 
 # Deterministic seeds => deterministic p-values: this threshold rejects
 # a broken model, not an unlucky draw.  The seed pool is sized so the

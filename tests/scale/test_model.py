@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.scale.model import (
+from tests._oracles.aggregate_model import (
     expected_miss_count,
     expected_recovery_rounds,
     expected_repair_packets,

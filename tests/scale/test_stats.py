@@ -1,10 +1,11 @@
 """The conformance tier's statistics, pinned against scipy.
 
-``repro.scale.stats`` is stdlib-only by contract; where scipy is
-available it serves as the oracle's oracle — our KS statistic, the
-Kolmogorov survival function, the χ² survival function, and the 2×K
-homogeneity test must agree with ``scipy.stats`` / ``scipy.special``.
-The pure-stdlib edge cases (ties, pooling, validation) run everywhere.
+``tests/_oracles/stats.py`` is stdlib-only because CI's tier-1 job
+installs no scipy; where scipy is available it serves as the oracle's
+oracle — our KS statistic, the Kolmogorov survival function, the χ²
+survival function, and the 2×K homogeneity test must agree with
+``scipy.stats`` / ``scipy.special``.  The pure-stdlib edge cases (ties,
+pooling, validation) run everywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from repro.scale.stats import (
+from tests._oracles.stats import (
     Chi2Result,
     chi2_homogeneity,
     chi2_sf,

@@ -10,7 +10,6 @@ from repro.simnet.links import Link
 from repro.simnet.loss import (
     BernoulliLoss,
     BurstLoss,
-    CompositeLoss,
     NoLoss,
 )
 
@@ -99,15 +98,3 @@ class TestLossModels:
     def test_burst_validation(self):
         with pytest.raises(ValueError):
             BurstLoss([(2.0, 1.0)])
-
-    def test_composite_any_drop(self):
-        model = CompositeLoss(NoLoss(), BurstLoss([(0.0, 1.0)]))
-        assert model.drops(0.5)
-        assert not model.drops(2.0)
-
-    def test_composite_advances_all_members(self):
-        rng, twin = random.Random(0), random.Random(0)
-        model = CompositeLoss(BurstLoss([(0.0, 10.0)]), BernoulliLoss(0.5, rng))
-        model.drops(0.5)  # burst drops, but the Bernoulli stream must still advance
-        twin.random()
-        assert rng.getstate() == twin.getstate()

@@ -35,7 +35,7 @@ from repro.core.packets import DataPacket
 from repro.core.receiver import LbrmReceiver
 from repro.simnet import BernoulliLoss, DeploymentSpec, LbrmDeployment
 from repro.simnet.engine import Simulator
-from repro.simnet.loss import BurstLoss, CompositeLoss, NoLoss
+from repro.simnet.loss import BurstLoss, NoLoss
 from repro.simnet.node import SimNode
 from repro.simnet.topology import Network
 from tests._oracles.fanout import use_reference
@@ -55,19 +55,17 @@ def _model_pair(kind: str, seed: int):
             return BernoulliLoss(0.3, rng)
         if kind == "burst":
             return BurstLoss([(2.0, 4.0)], base=BernoulliLoss(0.2, rng))
-        if kind == "composite":
-            return CompositeLoss(
-                BurstLoss([(2.0, 4.0)]),
-                BernoulliLoss(0.2, rng),
-                BernoulliLoss(0.6, random.Random(seed + 1)),
-            )
+        if kind == "stacked":
+            # Burst over burst over Bernoulli: the base chain is two deep.
+            inner = BurstLoss([(6.0, 7.0)], base=BernoulliLoss(0.6, rng))
+            return BurstLoss([(2.0, 4.0)], base=inner)
         return NoLoss()
     return build(), build()
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    st.sampled_from(["bernoulli", "burst", "composite", "none"]),
+    st.sampled_from(["bernoulli", "burst", "stacked", "none"]),
     _SEEDS,
     st.lists(st.tuples(_TIMES, _COUNTS), min_size=1, max_size=8),
 )
@@ -87,7 +85,7 @@ def test_drops_batch_is_stream_equivalent(kind, seed, calls):
 @given(_SEEDS, _COUNTS, _COUNTS)
 def test_drops_batch_split_invariance(seed, first, second):
     """Two batches draw exactly like one batch of the combined size."""
-    split, joined = _model_pair("composite", seed)
+    split, joined = _model_pair("stacked", seed)
     assert (
         split.drops_batch(0.0, first) + split.drops_batch(0.0, second)
         == joined.drops_batch(0.0, first + second)
