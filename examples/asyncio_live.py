@@ -31,8 +31,8 @@ async def start_receiver(directory, cfg, logger_addr, name):
         heartbeat=cfg.heartbeat,
         parse_token=parse_token,
     )
-    node.machines.append(receiver)
-    await node.run_machine(receiver.start, node.now)
+    node.add_machine(receiver)
+    node.run_machine(receiver.start, node.now)
     print(f"  {name} listening on {node.token}")
     return node, receiver
 
@@ -47,16 +47,16 @@ async def main() -> None:
     await logger_node.start()
     logger = LogServer(GROUP, addr_token=logger_node.token, config=cfg,
                        role=LoggerRole.PRIMARY, level=0)
-    logger_node.machines.append(logger)
-    await logger_node.run_machine(logger.start, logger_node.now)
+    logger_node.add_machine(logger)
+    logger_node.run_machine(logger.start, logger_node.now)
     print(f"primary logger on {logger_node.token}")
 
     sender_node = AioNode(directory=directory)
     await sender_node.start()
     sender = LbrmSender(GROUP, cfg, primary=logger_node.address,
                         addr_token=sender_node.token)
-    sender_node.machines.append(sender)
-    await sender_node.run_machine(sender.start, sender_node.now)
+    sender_node.add_machine(sender)
+    sender_node.run_machine(sender.start, sender_node.now)
     logger.set_source(sender_node.address)
     print(f"source on {sender_node.token}")
 
@@ -65,7 +65,7 @@ async def main() -> None:
     await asyncio.sleep(0.1)
 
     print("\nsending update 1 ...")
-    await sender_node.send(sender, b"terrain: bridge intact")
+    sender_node.send_app(sender, b"terrain: bridge intact")
     for name, node in (("receiver-1", rx1_node), ("receiver-2", rx2_node)):
         d = await asyncio.wait_for(node.delivery_queue.get(), 2.0)
         print(f"  {name} got seq {d.seq}: {d.payload.decode()}")
@@ -75,14 +75,14 @@ async def main() -> None:
     print("\nreceiver-2 walks out of range; sending update 2 ...")
     rx2_node.leave_group(GROUP)
     await asyncio.sleep(0.05)
-    await sender_node.send(sender, b"terrain: bridge DESTROYED")
+    sender_node.send_app(sender, b"terrain: bridge DESTROYED")
     d = await asyncio.wait_for(rx1_node.delivery_queue.get(), 2.0)
     print(f"  receiver-1 got seq {d.seq}: {d.payload.decode()}")
 
     print("receiver-2 reconnects; the next packet reveals its gap ...")
     rx2_node.join_group(GROUP)
     await asyncio.sleep(0.05)
-    await sender_node.send(sender, b"terrain: crater smoking")
+    sender_node.send_app(sender, b"terrain: crater smoking")
     got = {}
     for _ in range(2):
         d = await asyncio.wait_for(rx2_node.delivery_queue.get(), 3.0)

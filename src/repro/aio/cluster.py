@@ -134,8 +134,8 @@ class AioCluster:
         node = AioNode(directory=self.directory, interface=self._interface, **self._node_kwargs)
         await node.start()
         machine = machine_for(node)
-        node.machines.append(machine)
-        await node.run_machine(machine.start, node.now)
+        node.add_machine(machine)
+        node.run_machine(machine.start, node.now)
         return machine, node
 
     async def _start_logger(self, name: str, **kwargs) -> tuple[LogServer, AioNode]:
@@ -215,10 +215,10 @@ class AioCluster:
                 client = DiscoveryClient(
                     self.group, self._discovery_config, parse_token=parse_token
                 )
-                node.machines.append(client)
+                node.add_machine(client)
                 node.on_event = self._make_discovery_handler(receiver)
                 self.discovery_clients.append(client)
-                await node.run_machine(client.start, node.now)
+                node.run_machine(client.start, node.now)
             self.receivers.append(receiver)
             self.receiver_nodes.append(node)
 
@@ -274,7 +274,7 @@ class AioCluster:
     async def publish(self, payload: bytes) -> int:
         """Multicast application data; returns the sequence number."""
         assert self.sender is not None and self.source_node is not None
-        await self.source_node.send(self.sender, payload)
+        self.source_node.send_app(self.sender, payload)
         return self.sender.seq
 
     async def publish_burst(self, payloads) -> int:
@@ -307,6 +307,10 @@ class AioCluster:
             nodes.append(self.source_node)
         nodes.extend(self.receiver_nodes)
         return nodes
+
+    def node(self, name: str) -> AioNode:
+        """The node whose address token is ``name`` (a fault's target)."""
+        return {node.name: node for node in self.nodes}[name]
 
     async def close(self) -> None:
         for node in self.nodes:

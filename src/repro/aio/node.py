@@ -1,12 +1,12 @@
 """Asyncio runtime carrying sans-IO LBRM machines over real UDP.
 
-:class:`AioNode` is the asyncio twin of
-:class:`repro.simnet.node.SimNode`: it owns one unicast endpoint (the
-node's address), joins multicast groups on demand, decodes datagrams,
-dispatches them to its protocol machines, and keeps machine wakeups
-scheduled with ``loop.call_at``.  Actions run through
-:func:`~repro.core.actions.run_actions` and this node's synchronous
-primitives: a join is a socket bind, done before the handler returns.
+:class:`AioNode` is real UDP's :class:`~repro.core.node.MachineNode`
+(the simulator's is :class:`repro.simnet.node.SimNode`); it adds the
+medium: one unicast endpoint (the node's address), multicast groups
+joined on demand by synchronous primitives, datagram decoding, and
+wakeups scheduled with ``loop.call_at``.  A crashed or paused node keeps
+its sockets and drops what they receive; :meth:`AioNode.close` crashes
+it and releases them.
 
 The datagram path is built for throughput:
 
@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Callable
 
 from repro import obs
 from repro.core.actions import Action, Deliver, handle_each, run_actions
 from repro.core.errors import DecodeError
-from repro.core.events import Event
 from repro.core.machine import ProtocolMachine, earliest_wakeup
+from repro.core.node import MachineNode
 from repro.core.packets import (
     BUNDLE_FRAME_OVERHEAD,
     BUNDLE_OVERHEAD,
@@ -91,7 +90,7 @@ def parse_token(token: str) -> tuple[str, int]:
     return host, value
 
 
-class AioNode:
+class AioNode(MachineNode):
     """One LBRM endpoint (sender, logger, or receiver) on real UDP."""
 
     def __init__(
@@ -107,15 +106,11 @@ class AioNode:
         max_bundle_delay: float = 0.0,
         max_queued_packets: int = 512,
     ) -> None:
-        self.machines: list[ProtocolMachine] = list(machines or [])
+        super().__init__(machines)
         self._host = host
         self._want_port = port
         self._interface = interface
         self._directory = directory or GroupDirectory()
-        # Public taps, as on SimNode (the chaos oracle chains them):
-        # fn(event, now) per Notify, fn(action, now) per outbound packet.
-        self.on_event: Callable[[Event, float], None] | None = None
-        self.on_send: Callable[[Action, float], None] | None = None
 
         # TX coalescing (§ module docstring).  max_bundle_bytes bounds
         # the *datagram*, so it must at least fit the bundle header and
@@ -154,9 +149,7 @@ class AioNode:
         self._addr: tuple[str, int] | None = None
         self._closed = False
 
-        self.delivered: list[Deliver] = []
         self.delivery_queue: asyncio.Queue[Deliver] = asyncio.Queue()
-        self.events: list[Event] = []
         self.stats = obs.stat_counters(
             "aio.node",
             {
@@ -185,11 +178,6 @@ class AioNode:
         return self._addr
 
     @property
-    def alive(self) -> bool:
-        """False once :meth:`close` ran — the live twin of a crashed node."""
-        return not self._closed
-
-    @property
     def token(self) -> str:
         return addr_token(self.address)
 
@@ -204,7 +192,7 @@ class AioNode:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind sockets and call each machine's ``start`` hook."""
+        """Bind sockets, then start the machines."""
         self._loop = asyncio.get_running_loop()
         self._ring = ReceiveRing()
         usock = make_unicast_socket(self._host, self._want_port)
@@ -217,12 +205,11 @@ class AioNode:
         # Datagrams aimed at the send socket's ephemeral port still
         # reach the node.
         self._loop.add_reader(msock.fileno(), self._on_readable, msock, None)
-        for machine in self.machines:
-            run_actions(machine.start(self.now), self)
-        self._reschedule()
+        super().start()
 
     async def close(self) -> None:
-        """Flush coalesced traffic, then tear down sockets and timers."""
+        """Flush coalesced traffic, crash the node (a closed node is the
+        live twin of a crashed one) and tear down its sockets."""
         if self._closed:
             return
         if self._flush_handle is not None:
@@ -230,21 +217,14 @@ class AioNode:
             self._flush_handle = None
         for key in list(self._tx_queues):
             self._flush_key(key)
+        self.crash()
         self._closed = True
-        if self._wakeup_handle is not None:
-            self._wakeup_handle.cancel()
-            self._wakeup_handle = None
-        loop = self._loop
-        for sock in self._group_socks.values():
-            if loop is not None:
-                loop.remove_reader(sock.fileno())
-            sock.close()
-        self._group_socks.clear()
-        for sock in (self._unicast_sock, self._mcast_send_sock):
+        # A socket exists only after start() set the loop.
+        for sock in (*self._group_socks.values(), self._unicast_sock, self._mcast_send_sock):
             if sock is not None:
-                if loop is not None:
-                    loop.remove_reader(sock.fileno())
+                self._loop.remove_reader(sock.fileno())
                 sock.close()
+        self._group_socks.clear()
         self._unicast_sock = None
         self._mcast_send_sock = None
         # Let any already-queued reader callbacks observe the close.
@@ -252,20 +232,15 @@ class AioNode:
 
     # -- app API ----------------------------------------------------------
 
-    async def send(self, machine, payload: bytes) -> None:
-        """Have a sender machine multicast application data now."""
-        run_actions(machine.send(payload, self.now), self)
-        self._reschedule()
-
     async def send_many(self, machine, payloads) -> None:
         """Multicast a burst of application payloads in one tick.
 
-        Semantically ``send`` per payload, but with one timestamp, one
+        Semantically ``send_app`` per payload, but with one timestamp, one
         action batch, and one reschedule for the whole burst — the
         arrival shape (a simulation frame's worth of entity updates)
         the TX coalescer packs into bundles.
         """
-        now = self.now
+        now = self._machine_now()
         actions: list[Action] = []
         for payload in payloads:
             actions.extend(machine.send(payload, now))
@@ -290,14 +265,8 @@ class AioNode:
     def leave_group(self, group: str) -> None:
         sock = self._group_socks.pop(group, None)
         if sock is not None:
-            if self._loop is not None:
-                self._loop.remove_reader(sock.fileno())
+            self._loop.remove_reader(sock.fileno())
             sock.close()
-
-    async def run_machine(self, fn, *args) -> None:
-        """Execute ``fn(*args)`` returning actions, then reschedule."""
-        run_actions(fn(*args), self)
-        self._reschedule()
 
     # -- datagram path ----------------------------------------------------
 
@@ -336,13 +305,14 @@ class AioNode:
 
         ``data`` may be any buffer (the RX path passes ring-backed
         memoryviews); packets are decoded in place and nothing retains
-        the buffer after this returns.
+        the buffer after this returns.  A crashed (or closed) or paused
+        node drops it.
         """
-        if self._closed:
+        if not self.alive:
             return
         stats = self.stats
         stats["rx_datagrams"] += 1
-        now = self.now
+        now = self._machine_now()
         if is_bundle(data):
             try:
                 frames = iter_bundle(data)
@@ -376,15 +346,9 @@ class AioNode:
         handle_each(self.machines, packet, addr, now, self)
 
     def _poll(self) -> None:
-        if self._closed:
-            return
         self._wakeup_handle = None
-        now = self.now
-        for machine in self.machines:
-            actions = machine.poll(now)
-            if actions:
-                run_actions(actions, self)
-        self._reschedule()
+        if self.alive:
+            self._poll_machines(self._machine_now())
 
     # -- the primitives run_actions carries actions out with ------------------
 
@@ -530,15 +494,20 @@ class AioNode:
 
     # -- wakeup plumbing ----------------------------------------------------
 
+    def _disarm(self) -> None:
+        if self._wakeup_handle is not None:
+            self._wakeup_handle.cancel()
+            self._wakeup_handle = None
+
     def _reschedule(self) -> None:
-        if self._closed or self._loop is None:
-            return
-        next_due = earliest_wakeup(self.machines)
+        if self._closed or self.paused or self._loop is None:
+            return  # resume() re-arms
+        next_due = earliest_wakeup(self.machines)  # in the machines' (skewed) time
         if next_due is None:
-            if self._wakeup_handle is not None:
-                self._wakeup_handle.cancel()
-                self._wakeup_handle = None
+            self._disarm()
             return
+        if self._skew:
+            next_due = next_due - self._skew
         if self._wakeup_handle is not None:
             if self._wakeup_handle.when() <= next_due:
                 return

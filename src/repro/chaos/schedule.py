@@ -2,15 +2,16 @@
 
 A :class:`FaultSchedule` is a value: a seeded, serializable list of
 :class:`Fault` records saying *what goes wrong when*.  Nothing here
-touches a simulator — :class:`~repro.chaos.controller.ChaosController`
-compiles a schedule onto a deployment.  Keeping the description inert
+touches a runtime — :class:`~repro.chaos.controller.ChaosController`
+compiles a schedule onto a simulated deployment or a UDP cluster.  Keeping the description inert
 makes schedules printable in campaign reports, minimizable on failure,
 and replayable from a reproducer seed.
 
 Fault vocabulary
 ----------------
 
-Node faults (``target`` = host name):
+Node faults (``target`` = host name, or address token on an
+:class:`~repro.aio.cluster.AioCluster`; :class:`~repro.core.node.MachineNode`):
 
 * ``crash`` / ``restart`` — detach the node's machines / re-attach them
   through each one's ``restart``, which keeps what it declares a crash
@@ -20,7 +21,7 @@ Node faults (``target`` = host name):
 * ``skew`` — add a constant offset of ``amount`` seconds to the clock
   the node's machines observe, from ``at`` onward.
 
-Site faults (``target`` = site name):
+Site faults (``target`` = site name; simulated network only):
 
 * ``partition`` — drop everything crossing the site's tail circuit, in
   both directions, for ``duration`` seconds (0 = until a later ``heal``).
@@ -31,7 +32,8 @@ layered over whatever loss model the tail links already carry — the
 composition with existing ``LossModel``s the schedule promises.
 
 Packet faults (windowed, ``target`` = destination host, or ``""`` for
-every destination; active for ``duration`` seconds from ``at``):
+every destination; active for ``duration`` seconds from ``at``;
+simulated network only):
 
 * ``corrupt`` — each matching delivery is dropped with probability
   ``amount`` (the checksum-discard model: a corrupted packet and a lost

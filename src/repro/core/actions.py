@@ -169,12 +169,14 @@ def notifications(actions: list[Action]) -> list[Notify]:
 def run_actions(actions, node) -> None:
     """Carry out ``actions`` on ``node``, the one interpreter of them.
 
-    ``node`` supplies ``now``, ``unicast(dest, packet)``,
-    ``multicast(group, packet, ttl)``, ``join_group(group)``,
-    ``leave_group(group)``, ``deliver(action)``, an ``events`` list and two
-    taps: ``on_send(action, now)`` before each transmission and
-    ``on_event(event, now)`` after each event is appended.  The chain runs
-    in observed frequency order: deliveries, unicasts, multicasts, events.
+    ``node`` is a :class:`~repro.core.node.MachineNode`: the base gives
+    ``deliver(action)``, an ``events`` list and two taps,
+    ``on_send(action, now)`` before each transmission and
+    ``on_event(event, now)`` after each event is appended; the runtime's
+    subclass gives ``now``, ``unicast(dest, packet)``,
+    ``multicast(group, packet, ttl)``, ``join_group(group)`` and
+    ``leave_group(group)``.  The chain runs in observed frequency order:
+    deliveries, unicasts, multicasts, events.
     """
     for action in actions:
         cls = type(action)

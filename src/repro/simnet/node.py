@@ -1,16 +1,11 @@
 """Binding protocol machines to simulated hosts.
 
-A :class:`SimNode` owns one or more sans-IO machines on one host.  It
-dispatches inbound packets to every machine, has
-:func:`~repro.core.actions.run_actions` carry out the actions they return
-through its primitives (``unicast``/``multicast`` via the network,
-``join_group``/``leave_group``, ``deliver`` into its ``delivered`` list;
-events land in ``events``), and keeps each machine's next wakeup
-scheduled on the simulator.  Its two taps, ``on_event`` and ``on_send``,
-are the ones the chaos oracle chains.
-
-The node is also where LBRM's address tokens resolve: in the simulator
-an address *is* the host name, so token parsing is the identity.
+A :class:`SimNode` is the simulated network's
+:class:`~repro.core.node.MachineNode`: the base holds the machines, the
+taps, the action loop and the fault model; this class adds the medium.
+Its primitives send through the :class:`~repro.simnet.topology.Network`,
+and in the simulator an address *is* the host name, so token parsing is
+the identity.
 
 Delivery is run-level: :meth:`SimNode.receive_batch` hands each run of
 co-timed *plain* receiver nodes to
@@ -24,12 +19,6 @@ cut, partly from ``_receiver`` (the node's one machine, when it is an
 ``crash`` and ``restart``, which (with ``pause`` and a ``clock_skew``
 write) have a cohort member leave first.
 
-Fault-injection hooks (used by :mod:`repro.chaos`): a node can be
-*crashed* (machines detached, inbound traffic lost), *restarted* (each
-machine's ``restart`` keeps what it declares a crash keeps, DESIGN §7),
-*paused*/*resumed* (alive but unresponsive), and given a *clock skew*
-(an offset on the time its machines observe, not on the simulation's).
-
 Wakeups are armed through the network's
 :class:`~repro.simnet.engine.WakeupMux`, which shares one event among
 every node armed for the same deadline; nothing is ever cancelled, a
@@ -38,18 +27,18 @@ true-time deadline its machines declared when it last asked them: the
 mux re-buckets a node whose ``_due`` is still ahead without polling it.
 So whatever changes a machine's ``next_wakeup()`` must be followed
 by a node call that asks again — ``receive``, ``poll``, ``start``,
-``send_app``, ``run_machine``, ``resume``, ``restart`` or
-``_reschedule`` — never by nothing.  Likewise a node is killed with
-``crash``, which disarms it, not by emptying ``machines`` by hand.
+``send_app``, ``run_machine``, ``resume``, ``restart``, a
+``clock_skew`` write — never by nothing.  Likewise a node is killed
+with ``crash``, which disarms it, not by emptying ``machines`` by hand.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro.core.actions import Action, Deliver, handle_each, run_actions
-from repro.core.events import Event
+from repro.core.actions import Deliver, handle_each, run_actions
 from repro.core.machine import ProtocolMachine, earliest_wakeup
+from repro.core.node import MachineNode
 from repro.core.packets import Packet
 from repro.core.receiver import RUN_PACKETS, Cohort, LbrmReceiver, absorb_run, form_cohorts
 from repro.simnet.engine import Simulator
@@ -60,24 +49,14 @@ if TYPE_CHECKING:  # topology imports this module for the delivery loop
 __all__ = ["SimNode"]
 
 
-class SimNode:
+class SimNode(MachineNode):
     """A host's protocol stack inside the simulation."""
 
-    def __init__(
-        self,
-        network: Network,
-        host: Host,
-        machines: list[ProtocolMachine] | None = None,
-        on_event: Callable[[Event, float], None] | None = None,
-    ) -> None:
+    def __init__(self, network: Network, host: Host, machines: list[ProtocolMachine] | None = None) -> None:
         self._network = network
         self._sim: Simulator = network.sim
         self.host = host
-        self._set_machines(list(machines or []))
-        # Public taps (the chaos oracle chains them): fn(event, now) per
-        # Notify, fn(action, now) before each SendUnicast/SendMulticast.
-        self.on_event = on_event
-        self.on_send: Callable[[Action, float], None] | None = None
+        super().__init__(machines)
         # Deadline armed on the network's WakeupMux, or None.
         # The mux fires us by calling poll(); it clears this first.  A
         # value that no longer matches any live bucket is simply stale —
@@ -88,13 +67,6 @@ class SimNode:
         # than _mux_due while armed, so a bucket firing before it is
         # stale: the mux re-buckets us at _due instead of polling.
         self._due: float | None = None
-        self.delivered: list[Deliver] = []
-        self.events: list[Event] = []
-        # Fault-injection state (see module docstring).
-        self.crashed = False
-        self.paused = False
-        self._skew = 0.0
-        self._stashed_machines: list[ProtocolMachine] = []
         host.attach(self)
 
     @property
@@ -108,25 +80,6 @@ class SimNode:
     def now(self) -> float:  # what the taps are stamped with: unskewed
         return self._sim.now
 
-    @property
-    def alive(self) -> bool:
-        """Neither crashed nor paused."""
-        return not self.crashed and not self.paused
-
-    @property
-    def clock_skew(self) -> float:  # a cohort member leaves before a skew
-        return self._skew
-
-    @clock_skew.setter
-    def clock_skew(self, skew: float) -> None:
-        self._leave_cohort()
-        self._skew = skew
-
-    def _machine_now(self) -> float:
-        return self._sim.now + self.clock_skew
-
-    # -- machine management ----------------------------------------------------
-
     def _set_machines(self, machines: list[ProtocolMachine]) -> None:
         """Install ``machines``, and ``_receiver``: the one machine when it
         is an :class:`LbrmReceiver`, else None — the half of a node's
@@ -136,17 +89,10 @@ class SimNode:
         only = machines[0] if len(machines) == 1 else None
         self._receiver = only if type(only) is LbrmReceiver else None
 
-    def add_machine(self, machine: ProtocolMachine) -> None:
-        self._leave_cohort()
-        self.machines.append(machine)
-        self._set_machines(self.machines)
-        self._reschedule()
-
-    def start(self) -> None:
-        """Call each machine's ``start`` hook and arm timers."""
-        for machine in self.machines:
-            run_actions(machine.start(self._machine_now()), self)
-        self._reschedule()
+    def _leave_cohort(self) -> None:
+        """A member whose node stops being plain leaves its cohort first."""
+        if self._receiver is not None:
+            self._receiver._leave_cohort()
 
     # -- the harness contract ---------------------------------------------------
 
@@ -345,11 +291,7 @@ class SimNode:
             self._due = self._mux_due = at
             self._network.wakeup_mux.arm(self, at)
             return
-        for machine in self.machines:
-            actions = machine.poll(now)
-            if actions:
-                run_actions(actions, self)
-        self._reschedule()
+        self._poll_machines(now)
 
     # -- the primitives run_actions carries actions out with ------------------
 
@@ -364,71 +306,6 @@ class SimNode:
 
     def leave_group(self, group: str) -> None:
         self._network.leave(group, self.name)
-
-    def deliver(self, action: Deliver) -> None:
-        self.delivered.append(action)
-
-    # -- app-facing helpers ----------------------------------------------------
-
-    def send_app(self, machine, payload: bytes) -> None:
-        """Have a sender machine multicast application data now."""
-        run_actions(machine.send(payload, self._machine_now()), self)
-        self._reschedule()
-
-    def run_machine(self, fn, *args) -> None:
-        """Execute ``fn(*args)`` returning actions, then reschedule."""
-        run_actions(fn(*args), self)
-        self._reschedule()
-
-    def events_of(self, event_type) -> list[Event]:
-        """All observed events of ``event_type`` so far."""
-        return [e for e in self.events if isinstance(e, event_type)]
-
-    # -- fault injection ----------------------------------------------------
-
-    def crash(self) -> None:
-        """Kill the node: machines detach, pending wakeups die, and
-        inbound packets are lost until :meth:`restart`."""
-        if self.crashed:
-            return
-        self._leave_cohort()
-        self.crashed = True
-        self._stashed_machines = self.machines
-        self._set_machines([])
-        self._disarm()
-
-    def restart(self) -> None:
-        """Bring a crashed node back: each machine's ``restart`` keeps
-        what it declares a crash keeps (DESIGN §7) and starts again."""
-        if not self.crashed:
-            return
-        self.crashed = False
-        self._set_machines(self._stashed_machines)
-        self._stashed_machines = []
-        now = self._machine_now()
-        for machine in self.machines:
-            run_actions(machine.restart(now), self)
-        self._reschedule()
-
-    def pause(self) -> None:
-        """Stop responding without dying (a stop-the-world pause)."""
-        if self.paused:
-            return
-        self._leave_cohort()
-        self.paused = True
-        self._disarm()
-
-    def resume(self) -> None:
-        """End a :meth:`pause`; timers re-arm and fire from now on."""
-        if not self.paused:
-            return
-        self.paused = False
-        self._reschedule()
-
-    def _leave_cohort(self) -> None:
-        """A member whose node stops being plain leaves its cohort first."""
-        if self._receiver is not None:
-            self._receiver._leave_cohort()
 
     # -- wakeup plumbing ----------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Receiver crash/restart over real UDP.
 
-The asyncio twin of the chaos crash+restart primitive: a receiver's
-endpoint dies mid-stream, traffic continues, and the machine comes back
-on a fresh socket through its ``restart`` — keeping its tracker,
+The chaos crash+restart primitive on real sockets: a receiver's node
+crashes mid-stream (its socket drops what arrives), traffic continues,
+and the node's ``restart`` brings the machine back — keeping its tracker,
 rebuilding its volatile state — and the log-based recovery path (NACK →
 logger retransmission) must close the gap it slept through.
 """
@@ -14,7 +14,6 @@ import asyncio
 import pytest
 
 from repro.aio import AioCluster, GroupDirectory
-from repro.aio.node import AioNode
 
 from tests.aio._netutil import free_udp_port
 
@@ -40,9 +39,9 @@ async def _run_crash_restart():
         await asyncio.wait_for(cluster.deliveries(0, 1), 3.0)
         await asyncio.wait_for(cluster.deliveries(1, 1), 3.0)
 
-        # Crash receiver 0's endpoint; the machine object survives.
+        # Crash receiver 0's node; the machine object survives.
         victim = cluster.receivers[0]
-        await cluster.receiver_nodes[0].close()
+        cluster.receiver_nodes[0].crash()
 
         # Traffic continues while the node is dark.
         await cluster.publish(b"during-1")
@@ -52,12 +51,8 @@ async def _run_crash_restart():
         await asyncio.sleep(0.1)
         assert 3 in cluster.primary.log  # the log holds what the victim missed
 
-        # Restart: same machine, fresh socket (a new dynamic port).
-        reborn = AioNode(directory=cluster.directory)
-        await reborn.start()
-        cluster.receiver_nodes[0] = reborn
-        reborn.machines.append(victim)
-        await reborn.run_machine(victim.restart, reborn.now)
+        # Restart: the machine rebuilds its volatile state.
+        cluster.receiver_nodes[0].restart()
 
         # The next heartbeat advertises seq 3; the receiver NACKs the
         # primary log and recovers both missed packets in order.

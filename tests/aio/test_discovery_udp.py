@@ -32,19 +32,19 @@ async def _run_discovery():
     await logger_node.start()
     logger = LogServer(GROUP, addr_token=logger_node.token, config=cfg,
                        role=LoggerRole.SECONDARY, level=1)
-    logger_node.machines.append(logger)
-    await logger_node.run_machine(logger.start, logger_node.now)
+    logger_node.add_machine(logger)
+    logger_node.run_machine(logger.start, logger_node.now)
 
     client_node = AioNode(directory=directory)
     await client_node.start()
     client = DiscoveryClient(GROUP, DiscoveryConfig(initial_ttl=1, query_timeout=0.3),
                              parse_token=parse_token)
-    client_node.machines.append(client)
+    client_node.add_machine(client)
     # The client must hear replies on its unicast socket and send queries
     # to the group; it also must be able to receive on the group (no-op
     # here but realistic).
     client_node.join_group(GROUP)
-    await client_node.run_machine(client.start, client_node.now)
+    client_node.run_machine(client.start, client_node.now)
 
     try:
         for _ in range(40):
@@ -71,8 +71,8 @@ async def _run_exhaustion():
     await client_node.start()
     client = DiscoveryClient(GROUP, DiscoveryConfig(initial_ttl=1, max_ttl=2, query_timeout=0.2),
                              parse_token=parse_token)
-    client_node.machines.append(client)
-    await client_node.run_machine(client.start, client_node.now)
+    client_node.add_machine(client)
+    client_node.run_machine(client.start, client_node.now)
     try:
         for _ in range(30):
             if client.exhausted:

@@ -131,8 +131,8 @@ def _receiver_child(conn, group, mcast_ip, mcast_port, source_addr, chain, expec
             heartbeat=config.heartbeat,
             parse_token=parse_token,
         )
-        node.machines.append(receiver)
-        await node.run_machine(receiver.start, node.now)
+        node.add_machine(receiver)
+        node.run_machine(receiver.start, node.now)
         conn.send("ready")
         loop = aio.get_running_loop()
         deadline = loop.time() + timeout

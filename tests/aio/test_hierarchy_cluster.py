@@ -12,7 +12,7 @@ import asyncio
 
 import pytest
 
-from repro.aio import AioCluster, AioNode, GroupDirectory
+from repro.aio import AioCluster, GroupDirectory
 from repro.chaos import ChaosOracle
 from repro.core.errors import ConfigError
 
@@ -83,18 +83,12 @@ async def _run_local_repair():
         for i in range(2):
             await asyncio.wait_for(cluster.deliveries(i, 1), 3.0)
 
-        victim = cluster.receivers[0]
-        await cluster.receiver_nodes[0].close()
+        cluster.receiver_nodes[0].pause()
         await cluster.publish(b"missed-1")
         await cluster.publish(b"missed-2")
         await asyncio.wait_for(cluster.deliveries(1, 2), 3.0)
         await asyncio.sleep(0.2)
-
-        reborn = AioNode(directory=cluster.directory)
-        await reborn.start()
-        cluster.receiver_nodes[0] = reborn
-        reborn.machines.append(victim)
-        await reborn.run_machine(victim.start, reborn.now)
+        cluster.receiver_nodes[0].resume()
 
         recovered = await asyncio.wait_for(cluster.deliveries(0, 2, timeout=5.0), 10.0)
         assert [d.payload for d in recovered] == [b"missed-1", b"missed-2"]

@@ -60,8 +60,8 @@ async def _start_logger(directory, cfg, *, min_ttl: int = 1) -> tuple[AioNode, L
     await node.start()
     logger = LogServer(GROUP, addr_token=node.token, config=cfg,
                        role=LoggerRole.SECONDARY, level=1)
-    node.machines.append(_RingFilter(logger, min_ttl) if min_ttl > 1 else logger)
-    await node.run_machine(logger.start, node.now)
+    node.add_machine(_RingFilter(logger, min_ttl) if min_ttl > 1 else logger)
+    node.run_machine(logger.start, node.now)
     return node, logger
 
 
@@ -88,8 +88,8 @@ async def _run_ring_failover():
         ),
         parse_token=parse_token,
     )
-    client_node.machines.append(client)
-    await client_node.run_machine(client.start, client_node.now)
+    client_node.add_machine(client)
+    client_node.run_machine(client.start, client_node.now)
 
     try:
         for _ in range(80):

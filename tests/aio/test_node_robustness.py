@@ -27,7 +27,7 @@ async def _run_garbage():
     node = AioNode(directory=directory)
     await node.start()
     rx = LbrmReceiver(GROUP, LbrmConfig().receiver, logger_chain=())
-    node.machines.append(rx)
+    node.add_machine(rx)
     try:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         for payload in (b"", b"garbage", b"LB\x01\xff???", b"\x00" * 64):
@@ -73,8 +73,8 @@ async def _run_close():
     node = AioNode()
     await node.start()
     rx = LbrmReceiver(GROUP, LbrmConfig().receiver, logger_chain=())
-    node.machines.append(rx)
-    await node.run_machine(rx.start, node.now)  # arms the MaxIT watchdog
+    node.add_machine(rx)
+    node.run_machine(rx.start, node.now)  # arms the MaxIT watchdog
     await node.close()
     # after close, pending timers must not fire into dead transports
     await asyncio.sleep(0.1)

@@ -34,14 +34,14 @@ async def _run():
     await primary_node.start()
     primary = LogServer(GROUP, addr_token=primary_node.token, config=cfg,
                         role=LoggerRole.PRIMARY, level=0)
-    primary_node.machines.append(primary)
-    await primary_node.run_machine(primary.start, primary_node.now)
+    primary_node.add_machine(primary)
+    primary_node.run_machine(primary.start, primary_node.now)
 
     sender_node = AioNode(directory=directory)
     await sender_node.start()
     sender = LbrmSender(GROUP, cfg, primary=primary_node.address,
                         enable_statack=True, addr_token=sender_node.token)
-    sender_node.machines.append(sender)
+    sender_node.add_machine(sender)
     primary.set_source(sender_node.address)
 
     # Three secondary loggers (potential Designated Ackers).
@@ -53,12 +53,12 @@ async def _run():
                               role=LoggerRole.SECONDARY,
                               parent=primary_node.address, level=1)
         secondary.set_source(sender_node.address)
-        node.machines.append(secondary)
-        await node.run_machine(secondary.start, node.now)
+        node.add_machine(secondary)
+        node.run_machine(secondary.start, node.now)
         secondary_nodes.append(node)
 
     # Start the sender last so its bootstrap probes find the loggers.
-    await sender_node.run_machine(sender.start, sender_node.now)
+    sender_node.run_machine(sender.start, sender_node.now)
 
     try:
         sa = sender.statack
@@ -74,7 +74,7 @@ async def _run():
         assert sa.group_size_estimate == pytest.approx(3, abs=1.5)
 
         acks_before = sa.stats["acks_received"]
-        await sender_node.send(sender, b"statack over UDP")
+        sender_node.send_app(sender, b"statack over UDP")
         await asyncio.sleep(0.6)
         assert sa.stats["acks_received"] - acks_before == 3
         assert sender.stats["remulticasts"] == 0

@@ -40,15 +40,15 @@ async def _build_trio(directory: GroupDirectory, cfg: LbrmConfig):
     await logger_node.start()
     logger = LogServer(GROUP, addr_token=logger_node.token, config=cfg,
                        role=LoggerRole.PRIMARY, level=0)
-    logger_node.machines.append(logger)
-    await logger_node.run_machine(logger.start, logger_node.now)
+    logger_node.add_machine(logger)
+    logger_node.run_machine(logger.start, logger_node.now)
 
     sender_node = AioNode(directory=directory)
     await sender_node.start()
     sender = LbrmSender(GROUP, cfg, primary=logger_node.address,
                         addr_token=sender_node.token)
-    sender_node.machines.append(sender)
-    await sender_node.run_machine(sender.start, sender_node.now)
+    sender_node.add_machine(sender)
+    sender_node.run_machine(sender.start, sender_node.now)
     logger.set_source(sender_node.address)
 
     rx_node = AioNode(directory=directory)
@@ -56,8 +56,8 @@ async def _build_trio(directory: GroupDirectory, cfg: LbrmConfig):
     receiver = LbrmReceiver(GROUP, cfg.receiver,
                             logger_chain=(logger_node.address,),
                             heartbeat=cfg.heartbeat, parse_token=parse_token)
-    rx_node.machines.append(receiver)
-    await rx_node.run_machine(receiver.start, rx_node.now)
+    rx_node.add_machine(receiver)
+    rx_node.run_machine(receiver.start, rx_node.now)
 
     return (logger_node, logger), (sender_node, sender), (rx_node, receiver)
 
@@ -73,7 +73,7 @@ async def _run_multicast_delivery():
     (ln, logger), (sn, sender), (rn, receiver) = await _build_trio(directory, cfg)
     try:
         await asyncio.sleep(0.05)
-        await sn.send(sender, b"real multicast payload")
+        sn.send_app(sender, b"real multicast payload")
         delivery = await asyncio.wait_for(rn.delivery_queue.get(), 2.0)
         assert delivery.payload == b"real multicast payload"
         assert not delivery.recovered
@@ -97,7 +97,7 @@ async def _run_heartbeats():
     (ln, logger), (sn, sender), (rn, receiver) = await _build_trio(directory, cfg)
     try:
         await asyncio.sleep(0.05)
-        await sn.send(sender, b"x")
+        sn.send_app(sender, b"x")
         await asyncio.wait_for(rn.delivery_queue.get(), 2.0)
         await asyncio.sleep(0.4)  # h_min=0.25: at least one heartbeat
         assert receiver.stats["heartbeats_received"] >= 1
@@ -123,18 +123,18 @@ async def _run_recovery():
 
     try:
         await asyncio.sleep(0.05)
-        await sn.send(sender, b"baseline")  # seq 1: establishes tracking
+        sn.send_app(sender, b"baseline")  # seq 1: establishes tracking
         d = await asyncio.wait_for(rn.delivery_queue.get(), 2.0)
         assert d.payload == b"baseline"
 
         rn.leave_group(GROUP)  # walk out of radio range
         await asyncio.sleep(0.02)
-        await sn.send(sender, b"missed")  # seq 2: dropped for this receiver
+        sn.send_app(sender, b"missed")  # seq 2: dropped for this receiver
         await asyncio.sleep(0.05)
         rn.join_group(GROUP)  # reconnect
         await asyncio.sleep(0.02)
 
-        await sn.send(sender, b"fresh")  # seq 3 reveals the gap at 2
+        sn.send_app(sender, b"fresh")  # seq 3 reveals the gap at 2
         payloads = set()
         for _ in range(2):
             d = await asyncio.wait_for(rn.delivery_queue.get(), 3.0)

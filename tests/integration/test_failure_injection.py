@@ -157,7 +157,7 @@ def test_statack_survives_acker_crash_mid_epoch():
 
     The fault schedule is built mid-run, once the acker draw is known —
     schedules are values, so late installation is just a later
-    ``install()``."""
+    ``install()``, and fault times count from it."""
     from repro.core.config import LbrmConfig, StatAckConfig
 
     cfg = LbrmConfig(statack=StatAckConfig(k_ackers=10, epoch_length=6))
@@ -169,7 +169,7 @@ def test_statack_survives_acker_crash_mid_epoch():
     ackers = sorted(sa.designated_ackers)
     assert ackers
     victim_name = ackers[0]
-    oracle = arm(dep, [Fault("crash", dep.sim.now, victim_name)])
+    oracle = arm(dep, [Fault("crash", 0.0, victim_name)])
     for i in range(14):  # rides through at least two epoch rollovers
         dep.send(b"x")
         dep.advance(0.5)

@@ -114,7 +114,8 @@ def test_a_node_stopped_by_its_first_machine_hides_the_packet_from_the_rest(stop
     dispatching; only the single-machine one checked)."""
     sim, net, h1, h2 = build()
     second = Counting(wake_at=5.0)
-    node = SimNode(net, h1, [Echo(), second], on_event=lambda event, now: getattr(node, stop)())
+    node = SimNode(net, h1, [Echo(), second])
+    node.on_event = lambda event, now: getattr(node, stop)()
     node.start()
     net.send_unicast("h2", "h1", DataPacket(group="g", seq=1, payload=b"x"))
     sim.run_until(1.0)

@@ -212,8 +212,7 @@ def test_skew_pause_crash_a_killed_logger_and_two_machines(fire_loop):
             dep.node("site1-rx2").pause()
             dep.node("site2-rx3").crash()
         if i == 9:
-            skewed.clock_skew = -0.021  # the chaos controller's skew fault
-            skewed._reschedule()
+            skewed.clock_skew = -0.021  # the chaos controller's skew fault (re-arms)
             stale = logger._mux_due
             assert logger._due > stale  # armed, and its pending bucket stale
             # Cut its site off until that bucket fires: no arrival gets to
