@@ -160,7 +160,6 @@ async def _run_multicast(p: dict) -> dict:
         n_receivers=p["receivers"],
         n_secondaries=p["secondaries"],
         bundling=True,
-        max_bundle_bytes=p["max_bundle_bytes"],
     )
     payload = b"b" * p["payload"]
     async with cluster:

@@ -36,7 +36,6 @@ from repro.core.events import DiscoveryExhausted, Event, LoggerDiscovered
 from repro.core.hierarchy import LoggerTree, build_tree, tree_logger
 from repro.core.logger import LoggerRole, LogServer
 from repro.core.receiver import LbrmReceiver
-from repro.core.retranschannel import RetransChannelConfig
 from repro.core.sender import LbrmSender
 from repro.simnet.rng import LazyStream, RngStreams
 
@@ -64,25 +63,18 @@ class AioCluster:
         use_discovery: bool = False,
         discovery: DiscoveryConfig | None = None,
         enable_statack: bool = False,
-        retrans_channel: RetransChannelConfig | None = None,
         directory: GroupDirectory | None = None,
         interface: str = "127.0.0.1",
         bundling: bool = False,
-        max_bundle_bytes: int = 1400,
-        max_bundle_delay: float = 0.0,
     ) -> None:
         self.group = group
         self.config = config or LbrmConfig()
         self.directory = directory or GroupDirectory()
         self._interface = interface
-        # Transport fast-path knobs, applied uniformly to every node in
-        # the cluster (see AioNode: with bundling off the wire format is
+        # TX coalescing on every node of the cluster, at AioNode's default
+        # budget (see AioNode: with bundling off the wire format is
         # byte-identical to previous releases).
-        self._node_kwargs = {
-            "bundling": bundling,
-            "max_bundle_bytes": max_bundle_bytes,
-            "max_bundle_delay": max_bundle_delay,
-        }
+        self._bundling = bundling
         self._n_receivers = n_receivers
         self._n_replicas = n_replicas
         # DESIGN §11: who logs for whom is a logger tree whose leaves are
@@ -108,7 +100,6 @@ class AioCluster:
         self._use_discovery = use_discovery
         self._discovery_config = discovery or DiscoveryConfig()
         self._enable_statack = enable_statack
-        self._retrans_channel = retrans_channel
 
         # tree-node name -> (machine, node) for every logger of the tree.
         self.members: dict[str, tuple[LogServer, AioNode]] = {}
@@ -131,7 +122,7 @@ class AioCluster:
 
     async def _start_node(self, machine_for) -> tuple:
         """Bind a node, build its machine from it, and start the machine."""
-        node = AioNode(directory=self.directory, interface=self._interface, **self._node_kwargs)
+        node = AioNode(directory=self.directory, interface=self._interface, bundling=self._bundling)
         await node.start()
         machine = machine_for(node)
         node.add_machine(machine)
@@ -191,7 +182,6 @@ class AioCluster:
                 primary=self.primary_node.address,
                 replicas=tuple(n.address for n in self.replica_nodes),
                 enable_statack=self._enable_statack,
-                retrans_channel=self._retrans_channel,
                 addr_token=node.token,
                 # Tuple addresses must re-render as "host:port" tokens after a
                 # failover; str() would produce an unparseable repr.

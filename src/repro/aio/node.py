@@ -147,7 +147,6 @@ class AioNode(MachineNode):
         self._group_socks: dict[str, socket.socket] = {}
         self._wakeup_handle: asyncio.TimerHandle | None = None
         self._addr: tuple[str, int] | None = None
-        self._closed = False
 
         self.delivery_queue: asyncio.Queue[Deliver] = asyncio.Queue()
         self.stats = obs.stat_counters(

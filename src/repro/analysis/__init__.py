@@ -1,6 +1,5 @@
 """Closed-form analysis and reporting for the paper's figures and tables."""
 
-from repro.analysis.bandwidth import GroupBandwidth, MessageSizes, group_bandwidth
 from repro.analysis.estimation_math import (
     loss_detection_bound,
     nsl_stddev,
@@ -20,9 +19,6 @@ from repro.analysis.metrics_report import render_json, render_text, snapshot_wit
 from repro.analysis.report import format_series, format_table
 
 __all__ = [
-    "GroupBandwidth",
-    "MessageSizes",
-    "group_bandwidth",
     "loss_detection_bound",
     "nsl_stddev",
     "nsl_stddev_after_probes",

@@ -17,23 +17,33 @@ from __future__ import annotations
 import os
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.errors import LogMissError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.packets import RetransPacket
 
 __all__ = ["LogEntry", "PacketLog"]
 
 _SPOOL_HEADER = struct.Struct("!QdI")  # seq, logged_at, payload length
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LogEntry:
-    """One logged packet: its sequence number, payload, and log time."""
+    """One logged packet: its sequence number, payload, and log time.
+
+    ``repair`` is the log server's one shared repair packet for it, made
+    at the first NACK: it lives exactly as long as the entry.  A spooled
+    entry is read back as a fresh object, so its repair is never kept.
+    """
 
     seq: int
     payload: bytes
     logged_at: float
+    repair: RetransPacket | None = field(default=None, compare=False)
 
 
 class PacketLog:

@@ -204,9 +204,6 @@ class LogServer(ProtocolMachine):
         self.timers = TimerSet()
         self._site_requests = SiteRequestTracker(self._config.logger)
         self._pending: dict[int, set[Address]] = {}  # seq -> requesters waiting on it
-        # seq -> shared RetransPacket for repeat repairs of an in-memory
-        # log entry; bounded by the log (see _repair).
-        self._retrans_memo: dict[int, RetransPacket] = {}
         self._upstream_retries: dict[int, int] = {}  # seq -> re-requests so far
         self._self_lost: set[int] = set()  # seqs this server fetched upstream
         self._acking_epochs: set[int] = set()  # epochs it volunteered to ack
@@ -398,22 +395,11 @@ class LogServer(ProtocolMachine):
     def _repair(self, seq: int, entry, requester: Address, now: float) -> list[Action]:
         # Popular packets (a site-wide loss) are requested many times;
         # RetransPacket is frozen, so one instance per log entry serves
-        # every requester.  The payload identity check guards against a
-        # re-logged entry after expiry.
-        memo = self._retrans_memo
-        retrans = memo.get(seq)
-        if retrans is None or retrans.payload is not entry.payload:
+        # every requester, and goes with the entry.
+        retrans = entry.repair
+        if retrans is None:
             retrans = RetransPacket(group=self._group, seq=seq, payload=entry.payload)
-            held = self._log_entries
-            # A memo entry must not pin a payload the log's caps already
-            # let go of: a spooled entry (fresh bytes per read, so it
-            # could never hit) is not memoised, and entries whose log
-            # entry expired or was evicted are swept once they outnumber
-            # the live ones — at most 2 * len(log) + 64 are ever held.
-            if seq in held:
-                if len(memo) >= 2 * len(held) + 64:
-                    memo = self._retrans_memo = {s: r for s, r in memo.items() if s in held}
-                memo[seq] = retrans
+            entry.repair = retrans
         # The TTL-scoped re-multicast only helps a SECONDARY repairing its
         # own site; a primary's requesters are on other sites, beyond any
         # site-local scope, so it always unicasts (group-wide re-multicast

@@ -43,6 +43,7 @@ class MachineNode:
         self.events: list[Event] = []
         self.crashed = False
         self.paused = False
+        self._closed = False  # the medium is gone for good: a crash is final
         self._skew = 0.0
         self._stashed_machines: list[ProtocolMachine] = []
 
@@ -125,8 +126,9 @@ class MachineNode:
 
     def restart(self) -> None:
         """Bring a crashed node back: each machine's ``restart`` keeps
-        what it declares a crash keeps (DESIGN §7) and starts again."""
-        if not self.crashed:
+        what it declares a crash keeps (DESIGN §7) and starts again.
+        A closed node stays crashed."""
+        if not self.crashed or self._closed:
             return
         self.crashed = False
         self._set_machines(self._stashed_machines)

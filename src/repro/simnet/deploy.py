@@ -38,16 +38,20 @@ from repro.simnet.trace import PacketTrace
 
 __all__ = ["DeploymentSpec", "TreeDeployment", "LbrmDeployment"]
 
+# One-way latencies from the paper's ping survey (§2.2.2): a local logger
+# 3–4 ms RTT away, a primary ~80 ms RTT away — so 1 ms on the LAN and
+# 17.5 ms on each tail circuit (2×(1+17.5+2.5+17.5+1) ≈ 79 ms host-to-host
+# RTT across sites).
+LAN_LATENCY = 0.001
+TAIL_LATENCY = 0.0175
+BACKBONE_LATENCY = 0.0025
+
 
 @dataclass(frozen=True)
 class DeploymentSpec:
     """One simulated LBRM group, for :class:`LbrmDeployment` and the
     aggregate :class:`~repro.scale.deploy.AggregateDeployment` alike.
-
-    Latency defaults follow the paper's ping survey (§2.2.2): a local
-    logger 3–4 ms RTT away, a primary ~80 ms RTT away — so 1 ms one-way
-    on the LAN and 17.5 ms one-way on each tail circuit
-    (2×(1+17.5+2.5+17.5+1) ≈ 79 ms host-to-host RTT across sites).
+    Its links have the module's §2.2.2 latencies.
 
     Loss is two-level, the model of "Asymptotic Analysis for Reliable
     Data Dissemination in Shared Loss Multicast Trees" (PAPERS.md):
@@ -62,9 +66,6 @@ class DeploymentSpec:
     receiver_loss: float = 0.0
     shared_loss: float = 0.0
     n_replicas: int = 0
-    lan_latency: float = 0.001
-    tail_latency: float = 0.0175
-    backbone_latency: float = 0.0025
     tail_bandwidth: float = 0.0  # bits/s; 0 = uncongested
     tail_queue: int = 0
     secondary_loggers: bool = True
@@ -90,7 +91,7 @@ class DeploymentSpec:
         another site (or the hub): LAN → tail-up → backbone → tail-down
         → LAN.  The sharded runner uses it as the barrier quantum.
         """
-        return 2 * self.lan_latency + 2 * self.tail_latency + self.backbone_latency
+        return 2 * LAN_LATENCY + 2 * TAIL_LATENCY + BACKBONE_LATENCY
 
 
 class TreeDeployment:
@@ -112,9 +113,7 @@ class TreeDeployment:
         self.spec = spec
         self.sim = sim or Simulator()
         self.streams = RngStreams(spec.seed)
-        self.network = Network(
-            self.sim, streams=self.streams, backbone_latency=spec.backbone_latency
-        )
+        self.network = Network(self.sim, streams=self.streams, backbone_latency=BACKBONE_LATENCY)
         # name -> (machine, node) for every node, in build order; the
         # tree's names pick the loggers out of it.
         self.members: dict[str, tuple[ProtocolMachine, SimNode]] = {}
@@ -223,7 +222,7 @@ class TreeDeployment:
         if name != "site0" and spec.shared_loss > 0.0:  # the (replicated) hub never loses
             shared = BernoulliLoss(spec.shared_loss, self.streams.stream(f"loss:{name}.tail.down"))
         return self.network.add_site(
-            name, lan_latency=spec.lan_latency, tail_latency=spec.tail_latency,
+            name, lan_latency=LAN_LATENCY, tail_latency=TAIL_LATENCY,
             tail_bandwidth=spec.tail_bandwidth, tail_queue=spec.tail_queue, tail_loss_down=shared,
         )
 

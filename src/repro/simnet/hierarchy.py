@@ -51,8 +51,10 @@ class HierarchyRuntime:
         spec = deployment.spec
         tree = deployment.tree
         self.config = spec.config.hierarchy
-        lan = 2.0 * spec.lan_latency
-        wan = 2.0 * (2 * spec.lan_latency + 2 * spec.tail_latency + spec.backbone_latency)
+        from repro.simnet.deploy import LAN_LATENCY  # deploy imports this module
+
+        lan = 2.0 * LAN_LATENCY
+        wan = 2.0 * spec.wan_one_way()
 
         def seed_cost(child: str, parent: str) -> float:
             # Static-topology RTT prior: measured samples take over as

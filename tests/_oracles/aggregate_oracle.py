@@ -14,10 +14,11 @@ restated over site distributions:
   statistically broken loss draw (wrong p, correlated streams) fails
   here even though it conserves perfectly.
 * **A2 (silence bound, aggregate form)** — a site declares staleness
-  only inside a scheduled outage window, extended by the heartbeat
-  watchdog bound (slack × h_max) the exact oracle uses.  Under
-  ``shared_loss`` a tail drop is an unscheduled outage, so only a site
-  whose tail circuit dropped nothing is held to it.
+  only inside an outage window: a scheduled burst's ``[start, end +
+  timeout]`` or a tail-circuit drop's ``[t, t + timeout]``, where the
+  timeout is the site's watchdog (``watchdog_slack ×`` its expected
+  interval) in effect at ``end`` or ``t``.  :meth:`AggregateOracle.watch`
+  stamps both during the run.
 * **A3 (log completeness)** — every site logger ends holding the full
   contiguous prefix the source released: site loggers are real
   :class:`~repro.core.logger.LogServer` machines, so this is the exact
@@ -61,6 +62,27 @@ class AggregateOracle:
         self.scenario = scenario
         self.z = z
         self.violations: list[AggregateViolation] = []
+        # site index -> the A2 outage windows stamped by watch()
+        self.outages: dict[int, list[tuple[float, float]]] = {}
+
+    def watch(self, dep: AggregateDeployment) -> "AggregateOracle":
+        """Call before the run: wrap each site's tail-circuit loss so every
+        drop at ``t`` opens ``[t, t + the site's watchdog timeout then]``,
+        and have each scheduled burst open ``[start, end + the timeout at
+        end]``."""
+        slack = self.scenario.spec.config.receiver.watchdog_slack
+        timeouts = {}
+        for i, agg in zip(dep.site_indices, dep.aggregates):
+            timeouts[i] = lambda agg=agg: slack * agg._expected_interval
+            link = dep.network.site(f"site{i}").tail_down
+            link.loss = _StampedLoss(link.loss, timeouts[i], self.outages.setdefault(i, []))
+
+        def close_burst(i: int, start: float, end: float) -> None:
+            self.outages[i].append((start, end + timeouts[i]()))
+
+        for start, i, duration in self.scenario.bursts:
+            dep.sim.schedule(start + duration, close_burst, i, start, start + duration)
+        return self
 
     def _flag(self, invariant: str, subject: str, detail: str) -> None:
         self.violations.append(AggregateViolation(invariant, subject, detail))
@@ -116,27 +138,15 @@ class AggregateOracle:
             )
 
     def check_silence(self, dep: AggregateDeployment) -> None:
-        """A2: staleness only inside scheduled outages + watchdog bound."""
-        spec = self.scenario.spec
-        hb = spec.config.heartbeat
-        bound = spec.config.receiver.watchdog_slack * hb.h_max
-        windows = {
-            site_index: (start, start + duration + bound)
-            for start, site_index, duration in self.scenario.bursts
-        }
+        """A2: staleness only inside a burst's or a tail drop's window."""
         for i, agg in zip(dep.site_indices, dep.aggregates):
-            tail = dep.network.site(f"site{i}").tail_down
-            if spec.shared_loss > 0 and tail.stats.drops_loss:
-                continue
+            windows = self.outages.get(i, ())
             for t, kind, _seq, _count in agg.event_log:
-                if kind != "stale":
-                    continue
-                window = windows.get(i)
-                if window is None or not window[0] <= t <= window[1]:
+                if kind == "stale" and not any(lo <= t <= hi for lo, hi in windows):
                     self._flag(
                         "A2-silence",
                         f"site{i}",
-                        f"freshness lost at t={t:.3f} with no scheduled outage covering it",
+                        f"freshness lost at t={t:.3f} with no outage window covering it",
                     )
 
     def check_log_completeness(self, dep: AggregateDeployment) -> None:
@@ -173,9 +183,25 @@ class AggregateOracle:
 
     def check_all(self, dep: AggregateDeployment) -> list[AggregateViolation]:
         """Run every aggregate invariant; returns (and stores) violations."""
+        self.violations = []
         self.check_conservation(dep)
         self.check_expected_gap(dep)
         self.check_silence(dep)
         self.check_log_completeness(dep)
         self.check_promotion(dep)
         return self.violations
+
+
+class _StampedLoss:
+    """A tail circuit's loss model that records an A2 window per drop."""
+
+    def __init__(self, loss, timeout, windows: list[tuple[float, float]]) -> None:
+        self._loss = loss
+        self._timeout = timeout
+        self._windows = windows
+
+    def drops(self, now: float) -> bool:
+        if self._loss.drops(now):
+            self._windows.append((now, now + self._timeout()))
+            return True
+        return False

@@ -57,7 +57,7 @@ def _logger_state(logger) -> tuple:
     """(repair bookkeeping and timers, durable state) of a log server."""
     repair = (
         {seq: set(who) for seq, who in logger._pending.items()}, logger.upstream_outstanding,
-        set(logger._self_lost), dict(logger._retrans_memo), len(logger.timers),
+        set(logger._self_lost), len(logger.timers),
     )
     durable = (
         logger.log, list(logger.log._entries), logger.tracker, logger.tracker.highest,
@@ -110,7 +110,7 @@ def test_restarted_site_logger_loses_repair_state_and_keeps_its_log():
     repair, durable = seen["at_crash"]
     assert repair[0] == {2: {"site1-rx0", "site1-rx1"}} and repair[1] == 1  # mid-repair
     assert durable[4] == {2}  # the logger itself was missing seq 2
-    assert seen["at_restart"] == (({}, 0, set(), {}, 0), durable)
+    assert seen["at_restart"] == (({}, 0, set(), 0), durable)
     oracle.assert_ok()
     assert dep.receivers_with(2) == len(dep.receivers)
     assert dep.members["site1-logger"][0].tracker.has(2)
@@ -128,7 +128,7 @@ def test_restarted_hub_with_an_upstream_nack_outstanding():
     _run(dep, drain=15.0)
     repair, durable = seen["at_crash"]
     assert repair[0] == {2: {"site1-logger"}} and repair[1] == 1  # upstream NACK outstanding
-    assert seen["at_restart"] == (({}, 0, set(), {}, 0), durable)
+    assert seen["at_restart"] == (({}, 0, set(), 0), durable)
     oracle.assert_ok()
     assert dep.receivers_with(2) == len(dep.receivers)
     assert dep.members["hub1-0-logger"][0].tracker.has(2)

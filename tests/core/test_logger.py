@@ -167,8 +167,9 @@ class TestLoggingAndServing:
         assert any(isinstance(a, Notify) and isinstance(a.event, Remulticast) for a in actions)
 
     def test_retrans_memo_is_bounded_by_the_log(self, tmp_path):
-        """A memoised repair must not pin a payload the log's caps let go
-        of: 5,000 packets each NACKed once through an 8-entry log."""
+        """A shared repair packet lives on its log entry, so it cannot pin
+        a payload the log's caps let go of: 5,000 packets each NACKed once
+        through an 8-entry log."""
         config = LbrmConfig(logger=LoggerConfig(max_packets=8))
         for spool_path in (None, str(tmp_path / "log.spool")):
             logger = make_secondary(config=config, spool_path=spool_path)
@@ -177,16 +178,18 @@ class TestLoggingAndServing:
                 reply = logger.handle(NackPacket(group="g", seqs=(seq,)), "rx1", 0.0)
                 assert unicasts(reply, RetransPacket)[0].packet.seq == seq
             assert len(logger.log._entries) == 8
-            assert len(logger._retrans_memo) <= 2 * 8 + 64
+            held = [e.repair for e in logger.log._entries.values() if e.repair is not None]
+            assert len(held) == 8
             # An entry still in memory keeps its shared repair packet ...
             first = logger.handle(NackPacket(group="g", seqs=(5000,)), "rx2", 0.0)
             again = logger.handle(NackPacket(group="g", seqs=(5000,)), "rx3", 0.0)
-            assert first[0].packet is again[0].packet
+            assert first[0].packet is again[0].packet is logger.log._entries[5000].repair
             if spool_path is not None:
                 # ... a spooled one is served, but never memoised.
                 spooled = logger.handle(NackPacket(group="g", seqs=(1,)), "rx2", 0.0)
+                respooled = logger.handle(NackPacket(group="g", seqs=(1,)), "rx3", 0.0)
                 assert spooled[0].packet.payload == bytes(1000)
-                assert 1 not in logger._retrans_memo
+                assert spooled[0].packet is not respooled[0].packet
             logger.log.close()
 
     def test_site_request_table_is_bounded_without_polls(self):

@@ -15,6 +15,7 @@ import asyncio
 import pytest
 
 from repro.aio import AioNode
+from repro.core.actions import SendUnicast
 from repro.core.machine import ProtocolMachine
 from repro.core.packets import DataPacket, encode
 from repro.simnet.engine import Simulator
@@ -140,3 +141,29 @@ async def _scenario(runtime) -> None:
                          ids=["sim", "aio"])
 def test_the_fault_contract(runtime):
     asyncio.run(_scenario(runtime))
+
+
+class _Greeter(_Probe):
+    """Its restart unicasts, which a closed node has no socket for."""
+
+    def restart(self, now):
+        super().restart(now)
+        return [SendUnicast(dest=PEER, packet=DataPacket(group="g", seq=1, payload=b"x"))]
+
+
+@pytest.mark.parametrize("bound", [False, pytest.param(True, marks=pytest.mark.network)],
+                         ids=["unbound", "bound"])
+def test_a_closed_aio_node_stays_down(bound):
+    """``close`` crashes the node for good: a later ``restart`` is a no-op."""
+    machine = _Greeter()
+    node = AioNode([machine])
+
+    async def close_then_restart() -> None:
+        if bound:
+            await node.start()
+        await node.close()
+        node.restart()
+
+    asyncio.run(close_then_restart())
+    assert node.crashed and not node.alive
+    assert node.machines == [] and machine.restarts == 0

@@ -94,11 +94,16 @@ def _drive(dep) -> None:
     dep.advance(DRAIN)
 
 
-def _judge(dep: AggregateDeployment, bursts=()) -> list[str]:
-    """Invariants A1-A4 breached by a deployment ``_drive`` has run."""
+def _watch(dep: AggregateDeployment, bursts=()) -> AggregateOracle:
+    """The A1-A4 judge of ``dep``, watching it from before ``_drive``."""
     scenario = ScaleScenario(spec=dep.spec, n_packets=N_PACKETS, interval=INTERVAL,
                              warmup=WARMUP, drain=DRAIN, bursts=bursts)
-    return [v.invariant for v in AggregateOracle(scenario).check_all(dep)]
+    return AggregateOracle(scenario).watch(dep)
+
+
+def _judge(dep: AggregateDeployment, oracle: AggregateOracle) -> list[str]:
+    """Invariants A1-A4 breached by a deployment ``_drive`` has run."""
+    return [v.invariant for v in oracle.check_all(dep)]
 
 
 def _spec(n_per_site: int, p: float, seed: int, shared: float = 0.0) -> DeploymentSpec:
@@ -135,8 +140,9 @@ def run_exact(spec: DeploymentSpec) -> RunSample:
 
 def run_aggregate(spec: DeploymentSpec) -> RunSample:
     dep = AggregateDeployment(spec)
+    oracle = _watch(dep)
     _drive(dep)
-    assert _judge(dep) == []
+    assert _judge(dep, oracle) == []
 
     sample = RunSample()
     for agg in dep.aggregates:
@@ -254,8 +260,9 @@ class TestAnalyticAsymptotics:
             DeploymentSpec(n_sites=2, receivers_per_site=n_per_site,
                            receiver_loss=p, seed=42)
         )
+        oracle = _watch(dep)
         _drive(dep)
-        assert _judge(dep) == []
+        assert _judge(dep, oracle) == []
         n_tx = len(dep.aggregates[0].miss_draws)
         draws = [k for agg in dep.aggregates for k in agg.miss_draws]
         mean = 2 * n_tx * model.expected_miss_count(n_per_site, p)
@@ -273,8 +280,9 @@ class TestAnalyticAsymptotics:
                 DeploymentSpec(n_sites=4, receivers_per_site=n_per_site,
                                receiver_loss=p, seed=seed)
             )
+            oracle = _watch(dep)
             _drive(dep)
-            assert _judge(dep) == []
+            assert _judge(dep, oracle) == []
             for agg in dep.aggregates:
                 draws += len(agg.miss_draws)
                 hits += sum(1 for k in agg.miss_draws if k > 0)
@@ -298,68 +306,105 @@ class TestAggregateOracle:
     broken run: one sabotage per invariant."""
 
     OUTAGE = ((WARMUP + 2 * INTERVAL, 2, 3 * INTERVAL),)
+    END = WARMUP + N_PACKETS * INTERVAL + DRAIN
 
-    def _run(self, bursts=()) -> AggregateDeployment:
+    def _run(self, bursts=(), shared_loss=0.0) -> tuple[AggregateDeployment, AggregateOracle]:
         dep = AggregateDeployment(
-            DeploymentSpec(n_sites=10, receivers_per_site=1000, receiver_loss=0.01, seed=3)
+            DeploymentSpec(n_sites=10, receivers_per_site=1000, receiver_loss=0.01,
+                           shared_loss=shared_loss, seed=3)
         )
+        oracle = _watch(dep, bursts)
         for start, site, duration in bursts:
             dep.burst_site(f"site{site}", duration, start=start)
         _drive(dep)
-        return dep
+        return dep, oracle
+
+    @staticmethod
+    def _stale(dep: AggregateDeployment, site: int, t: float) -> None:
+        dep.aggregates[dep.site_indices.index(site)].event_log.append((t, "stale", -1, 1000))
 
     def test_clean_runs_pass_with_and_without_a_tail_outage(self):
-        assert _judge(self._run()) == []
-        dep = self._run(self.OUTAGE)
+        assert _judge(*self._run()) == []
+        dep, oracle = self._run(self.OUTAGE)
         assert dep.aggregates[1].stats["modeled_losses"] >= 3 * 1000  # site-wide misses
-        assert _judge(dep, self.OUTAGE) == []
+        assert _judge(dep, oracle) == []
 
     def test_a_lost_recovery_breaks_conservation(self):
-        dep = self._run()
+        dep, oracle = self._run()
         dep.aggregates[0].stats["modeled_recoveries"] -= 1
-        assert _judge(dep) == ["A1-conservation"]
+        assert _judge(dep, oracle) == ["A1-conservation"]
 
     def test_a_wrong_loss_rate_leaves_the_expected_gap_band(self):
-        dep = self._run()
+        dep, oracle = self._run()
         for agg in dep.aggregates:
             agg.stats["modeled_losses"] *= 2
             agg.stats["modeled_recoveries"] *= 2
-        assert _judge(dep) == ["A1-expected-gap"]
+        assert _judge(dep, oracle) == ["A1-expected-gap"]
 
     def test_staleness_outside_any_outage_is_flagged(self):
-        dep = self._run(self.OUTAGE)
-        dep.aggregates[4].event_log.append((WARMUP, "stale", -1, 1000))
-        assert _judge(dep, self.OUTAGE) == ["A2-silence"]
+        dep, oracle = self._run(self.OUTAGE)
+        self._stale(dep, 5, WARMUP)
+        assert _judge(dep, oracle) == ["A2-silence"]
         # The same event at the bursted site, inside its window, is legal.
-        dep = self._run(self.OUTAGE)
-        dep.aggregates[1].event_log.append((self.OUTAGE[0][0] + 0.01, "stale", -1, 1000))
-        assert _judge(dep, self.OUTAGE) == []
+        dep, oracle = self._run(self.OUTAGE)
+        self._stale(dep, 2, self.OUTAGE[0][0] + 0.01)
+        assert _judge(dep, oracle) == []
         # At the bursted site before its window opens, it is not.
-        dep = self._run(self.OUTAGE)
-        dep.aggregates[1].event_log.append((WARMUP, "stale", -1, 1000))
-        assert _judge(dep, self.OUTAGE) == ["A2-silence"]
+        dep, oracle = self._run(self.OUTAGE)
+        self._stale(dep, 2, WARMUP)
+        assert _judge(dep, oracle) == ["A2-silence"]
+
+    def test_a_burst_window_ends_one_watchdog_timeout_after_the_burst(self):
+        """Not ``watchdog_slack × h_max`` (64 s, longer than the run): the
+        timeout in effect when the burst ends, here 0.5 s."""
+        dep, oracle = self._run(self.OUTAGE)
+        start, _, duration = self.OUTAGE[0]
+        assert oracle.outages[2] == [(start, start + duration + 0.5)]
+        self._stale(dep, 2, 3.79)
+        assert _judge(dep, oracle) == ["A2-silence"]
 
     def test_under_shared_loss_only_a_site_whose_tail_dropped_may_go_stale(self):
-        dep = AggregateDeployment(
-            DeploymentSpec(n_sites=10, receivers_per_site=1000, receiver_loss=0.01,
-                           shared_loss=0.02, seed=3)
-        )
-        _drive(dep)
-        drops = [dep.network.site(f"site{i}").tail_down.stats.drops_loss
-                 for i in dep.site_indices]
-        lossy = next(k for k, n in enumerate(drops) if n)
-        clean = drops.index(0)
-        dep.aggregates[lossy].event_log.append((WARMUP, "stale", -1, 1000))
-        assert _judge(dep) == []
-        dep.aggregates[clean].event_log.append((WARMUP, "stale", -1, 1000))
-        assert _judge(dep) == ["A2-silence"]
+        """A site may go stale only inside one of its drop windows [t, t +
+        the watchdog timeout at t]: not at a site that dropped nothing,
+        and not at a lossy site before its first drop."""
+        dep, oracle = self._run(shared_loss=0.02)
+        lossy = next(i for i, windows in oracle.outages.items() if windows)
+        clean = next(i for i, windows in oracle.outages.items() if not windows)
+        first_drop, first_end = oracle.outages[lossy][0]
+        assert _judge(dep, oracle) == []
+        self._stale(dep, lossy, (first_drop + first_end) / 2)
+        assert _judge(dep, oracle) == []
+        self._stale(dep, lossy, first_drop - INTERVAL)
+        assert _judge(dep, oracle) == ["A2-silence"]
+        dep, oracle = self._run(shared_loss=0.02)
+        self._stale(dep, clean, first_drop)
+        assert _judge(dep, oracle) == ["A2-silence"]
+
+    def test_a_stale_event_one_interval_past_a_drop_window_is_flagged(self):
+        """The mutant: one expected interval past a drop's window, inside
+        the run and outside the site's other windows, is flagged; the same
+        event at the window's end is not."""
+        dep, oracle = self._run(shared_loss=0.02)
+        slack = dep.spec.config.receiver.watchdog_slack
+        late = []
+        for site, windows in oracle.outages.items():
+            for lo, hi in windows:
+                past = hi + (hi - lo) / slack  # (slack + 1) expected intervals after the drop
+                if past < self.END and not any(a <= past <= b for a, b in windows):
+                    late.append((site, hi, past))
+        assert late, "no drop window the run outlasts"
+        site, inside, past = late[0]
+        self._stale(dep, site, inside)
+        assert _judge(dep, oracle) == []
+        self._stale(dep, site, past)
+        assert _judge(dep, oracle) == ["A2-silence"]
 
     def test_a_trimmed_site_logger_is_incomplete(self):
-        dep = self._run()
+        dep, oracle = self._run()
         dep.site_loggers[2].tracker._missing.add(N_PACKETS - 1)
-        assert _judge(dep) == ["A3-log-completeness"]
+        assert _judge(dep, oracle) == ["A3-log-completeness"]
 
     def test_a_role_change_is_flagged(self):
-        dep = self._run()
+        dep, oracle = self._run()
         dep.site_loggers[0]._role = LoggerRole.REPLICA
-        assert _judge(dep) == ["A4-promotion"]
+        assert _judge(dep, oracle) == ["A4-promotion"]

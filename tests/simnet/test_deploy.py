@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.logger import LoggerRole
-from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
+from repro.simnet.deploy import (
+    BACKBONE_LATENCY,
+    LAN_LATENCY,
+    TAIL_LATENCY,
+    DeploymentSpec,
+    LbrmDeployment,
+)
 
 
 def test_default_spec_matches_paper_scenario():
@@ -13,10 +19,10 @@ def test_default_spec_matches_paper_scenario():
     assert spec.n_sites == 50
     assert spec.receivers_per_site == 20
     # host-to-host RTT across sites ~ 80 ms (§2.2.2 ping survey)
-    one_way = spec.lan_latency + spec.tail_latency + spec.backbone_latency + spec.tail_latency + spec.lan_latency
+    one_way = LAN_LATENCY + TAIL_LATENCY + BACKBONE_LATENCY + TAIL_LATENCY + LAN_LATENCY
     assert 2 * one_way == pytest.approx(0.079, abs=0.005)
     # local logger RTT ~ 3-4 ms
-    assert 2 * 2 * spec.lan_latency == pytest.approx(0.004, abs=0.001)
+    assert 2 * 2 * LAN_LATENCY == pytest.approx(0.004, abs=0.001)
 
 
 def test_build_shape():

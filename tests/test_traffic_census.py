@@ -24,17 +24,7 @@ _spec.loader.exec_module(traffic_census)
 # len(functions) + len(options) of the allowlist.  May only go down: an
 # entry leaves when its function is deleted, moved test-side or gets a
 # shipped caller.  Raising it needs the reviewer's yes, not a re-run.
-ALLOWLIST_BOUND = 183
-
-# The only names allowed the reason `next-sweep` ("no caller, no other
-# reason, deleting it costs more pinned test ids than one PR may"): the set
-# may lose members, never gain one (docs/TRAFFIC.md, ROADMAP 7a).
-NEXT_SWEEP = {
-    "repro.analysis.bandwidth:GroupBandwidth.tail_fraction",
-    "repro.analysis.bandwidth:GroupBandwidth.total_bps",
-    "repro.analysis.bandwidth:MessageSizes.for_group",
-    "repro.analysis.bandwidth:group_bandwidth",
-}
+ALLOWLIST_BOUND = 179
 
 CENSUS = json.loads(traffic_census.CENSUS.read_text())
 ALLOWLIST = json.loads(traffic_census.ALLOWLIST.read_text())
@@ -70,8 +60,6 @@ def test_every_name_without_a_shipped_caller_has_a_reason():
         for key, (reason, note) in have.items():
             assert reason in ALLOWLIST["reasons"], f"{key}: unknown reason {reason!r}"
             assert note.strip(), f"{key}: the note says what or who"
-            assert reason != "next-sweep" or key in NEXT_SWEEP, (
-                f"{key}: `next-sweep` is closed — new dead code is deleted, not parked")
     # What nothing at all calls is an interface stub or a guarded fault path.
     for key, value in CENSUS["functions"].items():
         if value == "none":

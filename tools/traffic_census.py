@@ -47,6 +47,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -360,8 +361,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="also trace tier-1 (needed to tell `tests` from `none`)")
     parser.add_argument("--write", action="store_true", help=f"write {CENSUS.relative_to(ROOT)}")
     parser.add_argument("--totals", action="store_true",
-                        help="print the committed census's totals and the allowlist's size "
-                             "(what CI echoes)")
+                        help="print the committed census's totals and the allowlist's size, "
+                             "in all and per reason (what CI echoes)")
     args = parser.parse_args(argv)
     if args.write and not args.with_tests:
         parser.error("--write needs --with-tests")
@@ -370,6 +371,10 @@ def main(argv: list[str] | None = None) -> int:
         print(summary(json.loads(CENSUS.read_text())))
         print(f"{len(allowed['functions']) + len(allowed['options'])} allowlist entries "
               f"({ALLOWLIST.relative_to(ROOT)})")
+        for kind in ("functions", "options"):
+            reasons = Counter(reason for reason, _ in allowed[kind].values())
+            print(f"  {kind} by reason: "
+                  + ", ".join(f"{reason} {n}" for reason, n in reasons.most_common()))
         return 0
     report = census(args.with_tests)
     print(summary(report))
