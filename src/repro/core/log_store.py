@@ -135,10 +135,23 @@ class PacketLog:
         """Log ``payload`` under ``seq``.  Returns False if already held."""
         if seq in self._entries or seq in self._spool_index:
             return False
-        self._entries[seq] = LogEntry(seq=seq, payload=payload, logged_at=now)
+        entries = self._entries
+        entries[seq] = LogEntry(seq=seq, payload=payload, logged_at=now)
         self._byte_size += len(payload)
         self._obs_appended.inc()
-        self._enforce_caps()
+        # Over a cap (none by default), the oldest entries overflow to the
+        # spool, or are lost without one.
+        while (self._max_packets and len(entries) > self._max_packets) or (
+            self._max_bytes and self._byte_size > self._max_bytes
+        ):
+            _, entry = entries.popitem(last=False)
+            self._byte_size -= len(entry.payload)
+            if self._spool_file is not None:
+                self._write_spool(entry)
+                self._obs_spooled.inc()
+            else:
+                self._dropped += 1
+                self._obs_evicted.inc()
         return True
 
     def get(self, seq: int, now: float | None = None) -> LogEntry:
@@ -208,24 +221,6 @@ class PacketLog:
             self._spool_file = None
 
     # -- internals ----------------------------------------------------------
-
-    def _enforce_caps(self) -> None:
-        while self._over_cap():
-            seq, entry = self._entries.popitem(last=False)
-            self._byte_size -= len(entry.payload)
-            if self._spool_file is not None:
-                self._write_spool(entry)
-                self._obs_spooled.inc()
-            else:
-                self._dropped += 1
-                self._obs_evicted.inc()
-
-    def _over_cap(self) -> bool:
-        if self._max_packets and len(self._entries) > self._max_packets:
-            return True
-        if self._max_bytes and self._byte_size > self._max_bytes:
-            return True
-        return False
 
     def _write_spool(self, entry: LogEntry) -> None:
         assert self._spool_file is not None

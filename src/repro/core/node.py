@@ -130,11 +130,12 @@ class MachineNode:
         A closed node stays crashed."""
         if not self.crashed or self._closed:
             return
+        now = self._machine_now()  # first: a medium with no clock leaves the node down
         self.crashed = False
         self._set_machines(self._stashed_machines)
         self._stashed_machines = []
         for machine in self.machines:
-            run_actions(machine.restart(self._machine_now()), self)
+            run_actions(machine.restart(now), self)
         self._reschedule()
 
     def pause(self) -> None:

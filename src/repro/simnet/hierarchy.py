@@ -3,10 +3,11 @@
 :class:`HierarchyRuntime` connects a :class:`~repro.core.hierarchy.TreeManager`
 to a built :class:`~repro.simnet.deploy.TreeDeployment`:
 
-* it **measures**: a read-only tap on the network observer pairs each
-  logger's upstream NACK with the repair that answers it, feeding
-  per-link RTT samples into the manager's :class:`LinkEstimate`s, and
-  counts re-sent requests as loss;
+* it **measures**: a read-only tap installed as the network observer
+  (in front of any tap installed before it; the packet counts are the
+  network's own) pairs each logger's upstream NACK with the repair that
+  answers it, feeding per-link RTT samples into the manager's
+  :class:`LinkEstimate`s, and counts re-sent requests as loss;
 * it **re-scores** the tree once per ``rescore_interval`` (one heartbeat
   epoch by default) against the current live set and each logger's
   outstanding-upstream-repair queue depth (saturation);

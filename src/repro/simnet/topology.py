@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Protocol, Sequence
 
-from repro.core.packets import Packet, encode
+from repro import obs
+from repro.core.packets import Packet, PacketType, encode
 from repro.simnet.engine import Simulator, WakeupMux
 from repro.simnet.links import Link
 from repro.simnet.loss import LossModel
@@ -42,6 +43,17 @@ __all__ = [
 
 SAME_SITE_HOPS = 1
 CROSS_SITE_HOPS = 4
+
+_UNCROSSED = object()  # a link the current transmission has not crossed yet
+
+
+def _onward(at: float | None, size: int, first: Link, second: Link) -> float | None:
+    """Exit time past two links in a row, entered at ``at``; None past a drop."""
+    if at is not None:
+        at = first.transit(size, at)
+    if at is not None:
+        at = second.transit(size, at)
+    return at
 
 _SIZE_CACHE: dict[int, int] = {}
 
@@ -83,10 +95,12 @@ class Host:
     population accounting (:meth:`Network.modeled_stats`).
 
     Every attribute is assigned in ``__init__``, in one order, so all
-    hosts share one key table: ``_arrive_batch`` reads ``endpoint`` once
-    per (receiver, packet).  A host keeps no traffic counters: per-host
-    receive and drop counts had no reader outside tests, and the
-    network's ``stats`` and ``observer`` already report both.
+    hosts share one key table.  The network's fan-out segments hold each
+    host's ``endpoint`` and whether it has an ``inbound_loss``, so both
+    are set through :meth:`attach` and the property, which have the
+    segments rebuilt.  A host keeps no traffic counters: the network's
+    ``stats`` and packet counts (:class:`~repro.simnet.trace.PacketTrace`)
+    report both, and its ``observer`` sees each host.
     """
 
     def __init__(
@@ -117,7 +131,11 @@ class Host:
             self._network._segments.clear()
 
     def attach(self, endpoint: Endpoint) -> None:
+        # The segments carry the endpoints too (a batch in flight keeps
+        # the ones its hosts had when it was sent).
         self.endpoint = endpoint
+        if self._network is not None:
+            self._network._segments.clear()
 
     def __repr__(self) -> str:
         return f"Host({self.name!r} @ {self.site.name})"
@@ -146,6 +164,7 @@ class _Segment(NamedTuple):
 
     site: Site
     hosts: list[Host]
+    endpoints: list  # each host's endpoint, in the same order
     lossy: bool  # some host here has an inbound-loss model
 
 
@@ -168,16 +187,23 @@ class Network:
         # for the batched fan-out, one entry per group whoever sends and
         # at whatever TTL (see _group_segments).  Dropped when the
         # group's membership changes (join/leave), and cleared when a
-        # host appears (add_host) or a host's inbound_loss is assigned.
+        # host appears (add_host), is attached or has its inbound_loss
+        # assigned.
         self._segments: dict[str, tuple[list[_Segment], dict[str, list[_Segment]]]] = {}
         # One wakeup event per distinct node deadline, shared by every
         # node armed for it (SimNode arms through it).
         self.wakeup_mux = WakeupMux(sim)
-        # The one network tap, fn(kind, packet, src, hosts, now) with kind
-        # in {"rx", "drop"}: called once per delivered co-timed batch,
-        # before any host in it receives, and once per drop.  ``hosts``
-        # are the destination Hosts in member order — one for unicast
-        # and chaos arrivals, a segment's for a shared drop.
+        # The packet counts (PacketTrace is the view): (kind, ptype,
+        # cross_site) -> [count, simnet.packets mirror if the registry
+        # records], one update per batch or drop and scope (_count).
+        self._packet_cells: dict[tuple, list] = {}
+        self._registry = obs.registry()
+        # An optional per-host tap, fn(kind, packet, src, hosts, now) with
+        # kind in {"rx", "drop"}: called once per delivered co-timed
+        # batch, before any host in it receives, and once per drop.
+        # ``hosts`` are the destination Hosts in member order — one for
+        # unicast and chaos arrivals, a segment's for a shared drop.
+        # None on a plain deployment (HierarchyRuntime and tests set it).
         self.observer: Callable[[str, Packet, str, Sequence[Host], float], None] | None = None
         # Optional packet mangler (repro.chaos.PacketChaos): given one
         # about-to-be-scheduled delivery, returns the arrival times to
@@ -300,7 +326,12 @@ class Network:
             else:
                 runs.append((host.site, [host]))
         segments = [
-            _Segment(site, hosts, any(host._inbound_loss is not None for host in hosts))
+            _Segment(
+                site,
+                hosts,
+                [host.endpoint for host in hosts],
+                any(host._inbound_loss is not None for host in hosts),
+            )
             for site, hosts in runs
         ]
         by_site: dict[str, list[_Segment]] = {}
@@ -331,43 +362,38 @@ class Network:
             self.stats["dropped"] += 1  # destination does not exist (failed host)
             return
         now = self.sim.now
-        links, _ = self.path(src, dst)
+        links, hops = self.path(src, dst)
+        cross = hops == CROSS_SITE_HOPS
         at = now
         size = wire_size(packet)
         for link in links:
             exit_time = link.transit(size, at)
             if exit_time is None:
-                self._drop(packet, src_name, (dst,), now)
+                self._drop(packet, src_name, (dst,), now, cross)
                 return
             at = exit_time
-        self._deliver(dst, packet, src_name, at)
+        self._deliver(dst, packet, src_name, at, cross)
 
     def send_multicast(self, src_name: str, group: str, packet: Packet, ttl: int | None = None) -> None:
         """Inject a multicast: one copy per tree link, shared fate.
 
-        Each destination site's arrival time is computed once, and there
-        is **one delivery event per distinct arrival time**, fanning out
-        to the co-timed receivers inside the callback — for the paper's
-        50×20 deployment that is ~50 events per transmission instead of
-        ~1000.  Drop accounting, per-member inbound-loss draws, and the
-        delivery order are bit-identical to a per-receiver loop (the
-        oracle in tests/_oracles/fanout.py), and so are the observer's
-        calls once each is flattened to one per host.
+        Each link is crossed once per transmission, in the order a walk
+        of the members first needs it: the source's LAN, then its tail-up
+        and the backbone at the first remote segment, then each remote
+        site's tail-down and LAN, the outcome kept per site for a site
+        met again in a later run.  There is **one delivery event per
+        distinct arrival time**, fanning out to the co-timed receivers
+        inside the callback — for the paper's 50×20 deployment that is
+        two events per transmission instead of ~1000.  Drop accounting,
+        per-member inbound-loss draws, and the delivery order are
+        bit-identical to a per-receiver loop (the oracle in
+        tests/_oracles/fanout.py), and so are the observer's calls once
+        each is flattened to one per host.
         """
         src = self._hosts[src_name]
         self.stats["multicast_sent"] += 1
         now = self.sim.now
         size = wire_size(packet)
-        # Per-transmission cache of each link's outcome so the loss model
-        # and the bandwidth are charged exactly once per tree edge.
-        outcomes: dict[int, float | None] = {}
-
-        def cross(link: Link, at: float) -> float | None:
-            key = id(link)
-            if key not in outcomes:
-                outcomes[key] = link.transit(size, at)
-            return outcomes[key]
-
         entry = self._segments.get(group)
         if entry is None:
             entry = self._segments[group] = self._group_segments(group)
@@ -380,95 +406,138 @@ class Network:
         else:
             return  # reaches nobody
 
-        batches: dict[float, list[Host]] = {}
+        # One arrival time (None = shared drop on the path) for everyone
+        # behind the same tree edges: the source LAN's exit, the
+        # backbone's, and each remote site's, each crossed when first
+        # needed and never past a drop.
+        lan_at = wan_at = _UNCROSSED
+        site_at: dict[str, float | None] = {}
+        # arrival time -> [hosts, endpoints, how many of them are cross-site]
+        batches: dict[float, list] = {}
         chaos = self.chaos
-        for site, hosts, lossy in segments:
-            if site is src_site:
+        for site, hosts, endpoints, lossy in segments:
+            cross = site is not src_site
+            if not cross and src in hosts:
                 # The source hears nothing of its own (every logger that
                 # multicasts a repair is a member), and crosses no link
                 # for a run that holds nobody else.
-                hosts = [dst for dst in hosts if dst is not src]
+                i = hosts.index(src)
+                hosts, endpoints = hosts[:i] + hosts[i + 1 :], endpoints[:i] + endpoints[i + 1 :]
                 if not hosts:
                     continue
-            # One arrival time (None = shared drop on the path) for everyone
-            # behind the same tree edges; a site met again in a later run
-            # gets the same one, each link's outcome being cached.
-            at: float | None = now
-            for link in self.path(src, hosts[0])[0]:
-                at = cross(link, at)
-                if at is None:
-                    break
+            if lan_at is _UNCROSSED:
+                lan_at = src_site.lan.transit(size, now)
+            at = lan_at
+            if cross:
+                at = site_at.get(site.name, _UNCROSSED)
+                if at is _UNCROSSED:
+                    if wan_at is _UNCROSSED:
+                        wan_at = _onward(lan_at, size, src_site.tail_up, self.backbone)
+                    at = site_at[site.name] = _onward(wan_at, size, site.tail_down, site.lan)
             if at is None:
-                self._drop(packet, src_name, hosts, now)
+                self._drop(packet, src_name, hosts, now, len(hosts) if cross else 0)
                 continue
-            bucket = batches.get(at)
-            if bucket is None:
-                bucket = batches[at] = []
+            batch = batches.get(at)
+            if batch is None:
+                batch = batches[at] = [[], [], 0]
             if chaos is None and not lossy:
-                bucket.extend(hosts)
+                batch[0].extend(hosts)
+                batch[1].extend(endpoints)
+                if cross:
+                    batch[2] += len(hosts)
                 continue
-            for dst in hosts:
+            held = len(batch[0])
+            for dst, endpoint in zip(hosts, endpoints):
                 loss = dst._inbound_loss
                 if loss is not None and loss.drops(at):
-                    self._drop(packet, src_name, (dst,), at)
+                    self._drop(packet, src_name, (dst,), at, cross)
                 elif chaos is not None:
-                    self._deliver_chaos(dst, packet, src_name, at)
+                    self._deliver_chaos(dst, packet, src_name, at, cross)
                 else:
-                    bucket.append(dst)
+                    batch[0].append(dst)
+                    batch[1].append(endpoint)
+            if cross:
+                batch[2] += len(batch[0]) - held
         schedule = self.sim.schedule
-        for at, co_timed in batches.items():
+        for at, (co_timed, endpoints, n_cross) in batches.items():
             if co_timed:  # everyone due at ``at`` may have dropped
-                schedule(at, self._arrive_batch, co_timed, packet, src_name)
+                schedule(at, self._arrive_batch, co_timed, endpoints, n_cross, packet, src_name)
 
     # -- delivery ----------------------------------------------------------
 
-    def _deliver(self, dst: Host, packet: Packet, src_name: str, at: float) -> None:
+    def _deliver(self, dst: Host, packet: Packet, src_name: str, at: float, cross: bool) -> None:
         loss = dst._inbound_loss
         if loss is not None and loss.drops(at):
-            self._drop(packet, src_name, (dst,), at)
+            self._drop(packet, src_name, (dst,), at, cross)
             return
         if self.chaos is not None:
-            self._deliver_chaos(dst, packet, src_name, at)
+            self._deliver_chaos(dst, packet, src_name, at, cross)
             return
-        self.sim.schedule(at, self._arrive, dst, packet, src_name)
+        self.sim.schedule(at, self._arrive, dst, packet, src_name, cross)
 
-    def _deliver_chaos(self, dst: Host, packet: Packet, src_name: str, at: float) -> None:
+    def _deliver_chaos(self, dst: Host, packet: Packet, src_name: str, at: float, cross: bool) -> None:
         """Schedule a delivery through the chaos mangler (slow path)."""
         assert self.chaos is not None
         times = self.chaos.arrivals(packet, src_name, dst.name, at)
         if not times:
-            self._drop(packet, src_name, (dst,), at)
+            self._drop(packet, src_name, (dst,), at, cross)
             return
         for t in times:
-            self.sim.schedule(t, self._arrive, dst, packet, src_name)
+            self.sim.schedule(t, self._arrive, dst, packet, src_name, cross)
 
-    def _arrive(self, dst: Host, packet: Packet, src_name: str) -> None:
+    def _arrive(self, dst: Host, packet: Packet, src_name: str, cross: bool) -> None:
         """One host's arrival (unicast, chaos): through
         ``endpoint.receive``, the per-host entry point."""
         now = self.sim.now
         self.stats["delivered"] += 1
+        self._count("rx", packet, 1, cross)
         if self.observer is not None:
             self.observer("rx", packet, src_name, (dst,), now)
         if dst.endpoint is not None:
             dst.endpoint.receive(packet, src_name, now)
 
-    def _arrive_batch(self, co_timed: list[Host], packet: Packet, src_name: str) -> None:
+    def _arrive_batch(
+        self, co_timed: list[Host], endpoints: list, n_cross: int, packet: Packet, src_name: str
+    ) -> None:
         """Deliver one multicast transmission to its co-timed receivers.
 
         Iteration order is membership order, matching the tie-breaker
         order a per-receiver loop produces for simultaneous deliveries.
-        The delivered count and the observer are charged
-        once for the batch, before anyone receives, then
-        :meth:`SimNode.receive_batch` walks the endpoints — the one pass
-        over the batch.
+        The delivered count, the packet counts (``n_cross`` of the batch
+        are cross-site) and the observer are charged once for the batch,
+        before anyone receives, then :meth:`SimNode.receive_batch` walks
+        the endpoints the fan-out collected — the one pass over the batch.
         """
         now = self.sim.now
-        self.stats["delivered"] += len(co_timed)
+        self.stats["delivered"] += len(endpoints)
+        self._count("rx", packet, len(endpoints), n_cross)
         if self.observer is not None:
             self.observer("rx", packet, src_name, co_timed, now)
-        SimNode.receive_batch([dst.endpoint for dst in co_timed], packet, src_name, now)
+        SimNode.receive_batch(endpoints, packet, src_name, now)
 
-    def _drop(self, packet: Packet, src_name: str, hosts: Sequence[Host], now: float) -> None:
+    def _drop(self, packet: Packet, src_name: str, hosts: Sequence[Host], now: float, n_cross: int) -> None:
         self.stats["dropped"] += len(hosts)
+        self._count("drop", packet, len(hosts), n_cross)
         if self.observer is not None:
             self.observer("drop", packet, src_name, hosts, now)
+
+    def _count(self, kind: str, packet: Packet, n: int, n_cross: int) -> None:
+        """Add ``n`` packets of ``kind``, ``n_cross`` of them cross-site,
+        to the packet counts."""
+        # PacketType is an IntEnum: as a dict key it hashes/compares
+        # like its int value, so skip the per-packet int() conversion.
+        ptype = packet.TYPE
+        cells = self._packet_cells
+        for cross, k in ((False, n - n_cross), (True, n_cross)):
+            if not k:
+                continue
+            key = (kind, ptype, cross)
+            cell = cells.get(key)
+            if cell is None:
+                reg = self._registry
+                scope = "cross" if cross else "local"
+                mirror = reg.counter("simnet.packets", kind=kind, ptype=PacketType(ptype).name, scope=scope)
+                cell = cells[key] = [0, mirror if reg.enabled else None]
+            cell[0] += k
+            if cell[1] is not None:
+                cell[1].inc(k)

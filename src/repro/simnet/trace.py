@@ -1,85 +1,42 @@
-"""Protocol-level packet tracing for experiments.
+"""Protocol-level packet counts for experiments.
 
-:class:`PacketTrace` installs itself as the network observer and keeps
-per-packet-type delivery/drop counts, split into intra-site and
-cross-site traffic.  Cross-site counts are the paper's currency: Figure
-7's claim is that distributed logging cuts the NACKs *crossing the tail
-circuits and WAN* from one per receiver to one per site.
+:class:`PacketTrace` is the query view over the per-packet-type
+delivery/drop counts a :class:`~repro.simnet.topology.Network` keeps,
+split into intra-site and cross-site traffic.  Cross-site counts are the
+paper's currency: Figure 7's claim is that distributed logging cuts the
+NACKs *crossing the tail circuits and WAN* from one per receiver to one
+per site.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro import obs
-from repro.core.packets import Packet, PacketType
+from repro.core.packets import PacketType
 from repro.simnet.topology import Network
 
 __all__ = ["PacketTrace"]
 
 
 class PacketTrace:
-    """Counting observer for a simulated network.
+    """Counts of a simulated network's traffic, by type and scope.
 
-    It keeps counts only.  A caller that wants per-packet records chains
-    its own observer in front (``network.observer``, the way
-    :class:`~repro.simnet.hierarchy.HierarchyRuntime` does).
+    The network tallies them itself, per co-timed batch and per drop
+    (cross-site means on another site than the source host's); this is
+    the view.  A caller that wants per-packet records installs
+    ``network.observer``, the way
+    :class:`~repro.simnet.hierarchy.HierarchyRuntime` does.
     """
 
     def __init__(self, network: Network) -> None:
-        self._network = network
-        # (kind, ptype, cross_site) -> [count, mirror_instrument_or_None].
-        # A two-slot list cell costs one dict hit per observation; the
-        # registry instrument rides in the cell only while a recording
-        # registry is installed, so the common unrecorded run never pays
-        # a no-op inc() call.  ``counts`` materializes the Counter view.
-        self._cells: dict[tuple, list] = {}
-        self._registry = obs.registry()
-        network.observer = self.observe
+        # The network's (kind, ptype, cross_site) -> [count, mirror]
+        # cells: it mutates this dict in place, never rebinds it.
+        self._cells = network._packet_cells
 
     @property
     def counts(self) -> Counter:
         """(kind, ptype, cross_site) -> count, as a Counter view."""
         return Counter({key: cell[0] for key, cell in self._cells.items()})
-
-    def _cell(self, key: tuple) -> list:
-        reg = self._registry
-        instrument = None
-        if reg.enabled:
-            instrument = reg.counter(
-                "simnet.packets",
-                kind=key[0],
-                ptype=PacketType(key[1]).name,
-                scope="cross" if key[2] else "local",
-            )
-        cell = self._cells[key] = [0, instrument]
-        return cell
-
-    def observe(self, kind: str, packet: Packet, src: str, hosts, now: float) -> None:
-        """Count ``packet`` ("rx" or "drop") at each of ``hosts``: cross-site
-        for a host on another site than ``src``'s (a source with no host
-        counts as local everywhere)."""
-        src_host = self._network._hosts.get(src)
-        n_cross = 0
-        if src_host is not None:
-            src_site = src_host.site
-            for host in hosts:
-                if host.site is not src_site:
-                    n_cross += 1
-        # PacketType is an IntEnum: as a dict key it hashes/compares
-        # like its int value, so skip the per-packet int() conversion.
-        ptype = packet.TYPE
-        cells = self._cells
-        for cross, n in ((False, len(hosts) - n_cross), (True, n_cross)):
-            if not n:
-                continue
-            key = (kind, ptype, cross)
-            cell = cells.get(key)
-            if cell is None:
-                cell = self._cell(key)
-            cell[0] += n
-            if cell[1] is not None:
-                cell[1].inc(n)
 
     # -- queries ----------------------------------------------------------
 
@@ -101,13 +58,7 @@ class PacketTrace:
     def reset(self) -> None:
         self._cells.clear()
 
-    def _cell_count(self, key: tuple) -> int:
-        cell = self._cells.get(key)
-        return cell[0] if cell is not None else 0
-
     def _count(self, kind: str, ptype: PacketType, cross_site: bool | None) -> int:
-        if cross_site is None:
-            return self._cell_count((kind, int(ptype), True)) + self._cell_count(
-                (kind, int(ptype), False)
-            )
-        return self._cell_count((kind, int(ptype), cross_site))
+        cells = self._cells
+        scopes = (False, True) if cross_site is None else (cross_site,)
+        return sum(cells[key][0] for key in [(kind, ptype, cross) for cross in scopes] if key in cells)

@@ -32,10 +32,11 @@ def _send_multicast(net: Network, src_name: str, group: str, packet, ttl=None) -
             at = exits[link]
             if at is None:
                 break
+        cross = dst.site is not src.site
         if at is None:
-            net._drop(packet, src_name, (dst,), now)
+            net._drop(packet, src_name, (dst,), now, cross)
         else:
-            net._deliver(dst, packet, src_name, at)
+            net._deliver(dst, packet, src_name, at, cross)
 
 
 class _WakeupPerArm:

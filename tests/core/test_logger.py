@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core.actions import JoinGroup, Notify, SendMulticast, SendUnicast
 from repro.core.config import LbrmConfig, LoggerConfig
 from repro.core.events import DesignatedAcker, PromotedToPrimary, Remulticast
@@ -349,3 +350,86 @@ class TestDiscovery:
         replica = LogServer("g", addr_token="r", config=LbrmConfig(), role=LoggerRole.REPLICA)
         actions = replica.handle(DiscoveryQueryPacket(group="g", ttl=1), "rx9", 0.0)
         assert actions == []
+
+
+
+def _lived_secondary() -> LogServer:
+    config = LbrmConfig(logger=LoggerConfig(packet_lifetime=10.0))
+    return make_secondary(config=config, rng=random.Random(1))
+
+
+def _replica() -> LogServer:
+    return LogServer("g", addr_token="rep", config=LbrmConfig(), role=LoggerRole.REPLICA)
+
+
+_SECONDARY_STEPS = [
+    ("handle", data(1, b"one"), "source", 0.0),
+    ("handle", data(2, b"two"), "source", 0.1),
+    ("handle", data(5, b"five"), "source", 0.2),  # gap 3-4: fetched upstream
+    ("handle", NackPacket(group="g", seqs=(3,)), "rx1", 0.25),  # waits in _pending
+    ("handle", NackPacket(group="g", seqs=(3, 4)), "rx2", 0.26),
+    ("handle", RetransPacket(group="g", seq=3, payload=b"three"), "primary", 0.3),  # the fill
+    ("handle", data(4, b"four"), "primary", 0.31),
+    ("handle", NackPacket(group="g", seqs=(1,)), "rx3", 0.35),  # served from the log
+    ("handle", AckerSelectPacket(group="g", epoch=7, p_ack=1.0, k=1), "source", 0.4),
+    ("handle", DataPacket(group="g", seq=6, payload=b"six", epoch=7), "source", 0.5),
+    ("poll", 5.0),
+    ("poll", 10.45),  # seqs 1-5 expire
+    ("wipe", 11.0),
+]
+_PRIMARY_STEPS = [
+    ("handle", data(1, b"one"), "source", 0.0),
+    ("handle", data(2, b"two"), "source", 0.1),
+    ("handle", data(4, b"four"), "source", 0.2),
+    ("handle", ReplAckPacket(group="g", cum_seq=2, log_epoch=1), "rep", 0.3),
+    ("poll", 1.0),
+    ("handle", data(3, b"three"), "source", 1.1),
+    ("handle", ReplAckPacket(group="g", cum_seq=4, log_epoch=1), "rep", 1.2),
+]
+_REPLICA_STEPS = [
+    ("handle", ReplUpdatePacket(group="g", seq=1, payload=b"one", log_epoch=1), "prim", 0.0),
+    ("handle", ReplUpdatePacket(group="g", seq=3, payload=b"three", log_epoch=1), "prim", 0.1),
+    ("handle", ReplUpdatePacket(group="g", seq=2, payload=b"two", log_epoch=1, commit_seq=3), "prim", 0.2),
+    ("wipe", 1.0),
+]
+
+
+def _feed(server: LogServer, steps, each=lambda: None):
+    out = []
+    for step in steps:
+        if step[0] == "poll":
+            out.append(server.poll(step[1]))
+        elif step[0] == "wipe":
+            out.append(server.wipe_restart(step[1]))
+        else:
+            out.append(server.handle(*step[1:]))
+        each()
+    return out, dict(server.stats)
+
+
+@pytest.mark.parametrize("build, steps, busy", [
+    (_lived_secondary, _SECONDARY_STEPS,
+     ("upstream_nacks", "log_misses", "retrans_multicast", "retrans_unicast", "acks_sent")),
+    (lambda: make_primary(replicas=("rep",)), _PRIMARY_STEPS, ("logged",)),
+    (_replica, _REPLICA_STEPS, ("logged",)),
+], ids=["secondary", "primary", "replica"])
+def test_recording_changes_no_action_and_its_gauges_follow_the_log(build, steps, busy):
+    """A server built under a recording registry behaves exactly like one
+    built without: same actions, same stats.  Only the recorded one has
+    log gauges, and they follow the log through every append, expiry and
+    wipe."""
+    plain = build()
+    assert plain._log_gauges is None
+    with obs.recording() as reg:
+        recorded = build()
+        node, sizes = recorded.addr_token, []
+
+        def gauges_follow_the_log():
+            log = recorded.log
+            assert reg.gauge_value("logger.log_packets", node=node) == len(log)
+            assert reg.gauge_value("logger.log_bytes", node=node) == log.byte_size
+            sizes.append(len(log))
+
+        outcome = _feed(recorded, steps, gauges_follow_the_log)
+    assert _feed(plain, steps) == outcome
+    assert max(sizes) >= 3 and all(outcome[1][name] for name in busy)

@@ -167,3 +167,17 @@ def test_a_closed_aio_node_stays_down(bound):
     asyncio.run(close_then_restart())
     assert node.crashed and not node.alive
     assert node.machines == [] and machine.restarts == 0
+
+
+def test_a_restart_that_cannot_read_the_clock_leaves_the_node_down():
+    """A node never started has no clock: ``restart`` raises before it
+    brings anything back, so the node stays crashed with its machines
+    stashed and a later restart still has them."""
+    machine = _Probe()
+    node = AioNode([machine])
+    node.crash()
+    with pytest.raises(AssertionError):
+        node.restart()
+    assert node.crashed and not node.alive
+    assert node.machines == [] and node._stashed_machines == [machine]
+    assert machine.restarts == 0

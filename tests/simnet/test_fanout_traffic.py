@@ -2,15 +2,18 @@
 per-site work").
 
 ``Network.send_multicast`` walks one table, ``group -> segments`` (runs of
-consecutive sorted members behind one site), draws ``loss.drops(at)`` per
-host and keeps no per-source plan, because counting showed what the
-machinery it replaced was for never happens: no shipped configuration
-shares one inbound-loss instance between hosts, so every ``drops_batch``
-"batch" had size 1, and the ``(group, source, ttl)`` cache was cleared
-wholesale by any run with more than 256 sources.  This file pins that
-traffic and the table's invalidation points.  Whoever ships hosts that
-share a loss instance fails it, and should reopen the batching question
-knowingly — with the per-workload counts DESIGN §6 tables.
+consecutive sorted members behind one site, with their endpoints), draws
+``loss.drops(at)`` per host and keeps no per-source plan, because counting
+showed what the machinery it replaced was for never happens: no shipped
+configuration shares one inbound-loss instance between hosts, so every
+``drops_batch`` "batch" had size 1, and the ``(group, source, ttl)`` cache
+was cleared wholesale by any run with more than 256 sources.  This file
+pins that traffic and the table's invalidation points: a join or leave of
+the group, a host added, a host's ``inbound_loss`` assigned, and a host
+attached to an endpoint — each heard by the next multicast for exactly one
+rebuild.  Whoever ships hosts that share a loss instance fails it, and
+should reopen the batching question knowingly — with the per-workload
+counts DESIGN §6 tables.
 """
 
 from __future__ import annotations
@@ -154,6 +157,18 @@ def test_join_leave_and_a_late_host_each_cost_one_rebuild(builds):
     net.join("other", "a1")  # another group's membership is not this one's business
     _send(net, "a0", 5)
     assert len(builds) == 4
+
+
+def test_attaching_an_endpoint_is_heard_by_the_next_multicast(builds):
+    sim, net, hosts = _joined()
+    _send(net, "a0", 1)
+    first, second = hosts["b0"].endpoint, Sink()
+    hosts["b0"].attach(second)
+    _send(net, "a0", 2)
+    assert len(builds) == 2
+    assert (len(first.received), len(second.received)) == (1, 1)
+    _send(net, "a0", 3)
+    assert len(builds) == 2 and len(second.received) == 2
 
 
 # -- what a transmission may not do -------------------------------------------

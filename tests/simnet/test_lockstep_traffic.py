@@ -80,7 +80,7 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
     arrive_batch, absorb_run, handle = Network._arrive_batch, node_module.absorb_run, LbrmReceiver.handle
     init, split, catch_up = Cohort.__init__, Cohort.split, LbrmReceiver._catch_up
 
-    def counted_arrive_batch(self, co_timed, packet, src_name):
+    def counted_arrive_batch(self, co_timed, endpoints, n_cross, packet, src_name):
         tally = lockstep.setdefault(type(packet).__name__, [0, 0])
         for _site, hosts in itertools.groupby(co_timed, key=lambda host: host.site):
             states = _tally(r.state_key() for r in map(_receiver_of, hosts) if r is not None)
@@ -88,7 +88,7 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
             shared = modal if modal > 1 else 0
             tally[0] += shared
             tally[1] += sum(states) - shared
-        arrive_batch(self, co_timed, packet, src_name)
+        arrive_batch(self, co_timed, endpoints, n_cross, packet, src_name)
 
     def counted_absorb_run(receivers, packet, now):
         delivery, dues = absorb_run(receivers, packet, now)

@@ -148,8 +148,8 @@ class TestTrace:
         assert trace.cross_site_nacks() == 1
 
     def test_records_kept_when_asked(self):
-        """PacketTrace keeps counts; a caller keeps records by chaining its
-        own observer in front of it."""
+        """The network keeps counts; a caller keeps records by installing
+        its own observer, and the counts go on beside it."""
         sim = Simulator()
         net = Network(sim)
         s0 = net.add_site("s0")
@@ -157,11 +157,10 @@ class TestTrace:
         net.add_host("b", s0)
         trace = PacketTrace(net)
         records = []
-        counting = net.observer
+        assert net.observer is None
 
         def keep(kind, packet, src, hosts, now):
             records.append((kind, packet.seq, tuple(host.name for host in hosts)))
-            counting(kind, packet, src, hosts, now)
 
         net.observer = keep
         net.send_unicast("a", "b", DataPacket(group="g", seq=5, payload=b"x"))
