@@ -345,7 +345,7 @@ class LogServer(ProtocolMachine):
 
     def _on_heartbeat(self, packet: HeartbeatPacket, src: Address, now: float) -> list[Action]:
         report = self.tracker.observe_heartbeat(packet.seq)
-        return self._request_upstream(report.new_gaps, now)
+        return self._request_upstream(report.new_gaps, now) if report.new_gaps else []
 
     def _ack_source(self, now: float) -> list[Action]:
         if self._source is None:

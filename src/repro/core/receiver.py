@@ -175,32 +175,48 @@ class Cohort:
     """Receivers in lockstep sharing one state (DESIGN §6): what
     :func:`absorb_run` writes (it is its own ``_tracker``) and the counts
     it absorbed.  Every member is fresh, off the channel, with no timer
-    armed, so to ``absorb_run`` the cohort is one receiver.  ``ends``
-    holds, in member order, what the caller delivers each member through.
+    armed, so to ``absorb_run`` the cohort is one receiver.
+
+    ``ends`` holds, in member order, what the caller delivers each member
+    through, and the cohort keeps once what each end would otherwise
+    keep per packet: ``log``, the shared deliveries it absorbed, and its
+    ``_maxit_deadline``, which is every member's wakeup.  An end takes
+    them back through three hooks: ``_enter(cohort)`` when its member
+    joins, ``_catch_up(log)`` (on a split, before the tail starts an empty
+    log) and ``_exit(cohort)`` when its member leaves.  ``armed`` bounds
+    the wakeups the ends have armed from above and is never below the
+    deadline, so a run due no earlier than it needs no arm: an end that
+    joins with a later arm, or none, raises it.
     """
 
     __slots__ = (
-        "members", "ends", "_tracker", "_highest", "_first", "_hb_wd", "_hb_saturation",
-        "_repeat_count", "_expected_interval", "_last_rx", "_maxit_deadline", "_stats",
+        "members", "ends", "log", "armed", "_tracker", "_highest", "_first", "_hb_wd",
+        "_hb_saturation", "_repeat_count", "_expected_interval", "_last_rx", "_maxit_deadline",
+        "_stats",
     )
     _fresh, _on_channel, timers = True, False, TimerSet()  # the invariant; never armed
 
     def __init__(self, source: "LbrmReceiver | Cohort", members: list, ends: list) -> None:
         """``members`` in the state of ``source``: one of them, or the
         cohort they split from (counts too)."""
-        self.members, self.ends, self._tracker = members, ends, self
+        self.members, self.ends, self._tracker, self.log = members, ends, self, []
         self._highest, self._first = source._tracker._highest, source._tracker._first
         for name in ("_hb_wd", "_hb_saturation", *_SHARED[1:]):
             setattr(self, name, getattr(source, name))
         stats = source._stats
         mirror = stats._instrument if isinstance(stats, obs.StatCounters) else getattr(stats, "_mirror", None)
         self._stats = (dict if mirror is None else _RunCounts)(dict.fromkeys(_RUN_COUNTS, 0))
-        if type(source) is Cohort:
+        split = type(source) is Cohort
+        if split:
             dict.update(self._stats, stats)
         if mirror is not None:
             self._stats._cohort, self._stats._mirror = self, mirror
-        for member in members:
+        self.armed = source.armed if split else self._maxit_deadline
+        for member, end in zip(members, ends):
             member._cohort = self
+            if split:
+                end._catch_up(source.log)
+            end._enter(self)
 
     def _hb_schedule(self, hb_index: int) -> tuple[float, float]:
         return self.members[0]._hb_schedule(hb_index)  # the members' own table
@@ -216,8 +232,9 @@ class Cohort:
 
     def dissolve(self) -> None:
         """Every member leaves: the packet is not their fast path."""
-        for member in self.members:
+        for member, end in zip(self.members, self.ends):
             member._catch_up()
+            end._exit(self)
         self.members, self.ends = [], []
 
     def admit(self, at: int, r: "LbrmReceiver", end) -> bool:
@@ -227,6 +244,7 @@ class Cohort:
         self.members.insert(at, r)
         self.ends.insert(at, end)
         r._join(self, tuple(map(self._stats.__getitem__, _RUN_COUNTS)))
+        end._enter(self)
         return True
 
 
@@ -411,6 +429,7 @@ class LbrmReceiver(ProtocolMachine):
             return
         self._catch_up()
         at = cohort.members.index(self)
+        cohort.ends[at]._exit(cohort)
         del cohort.members[at], cohort.ends[at]
         if len(cohort.members) == 1:
             cohort.members[0]._leave_cohort()

@@ -155,8 +155,10 @@ class LbrmSender(ProtocolMachine):
 
         registry = obs.registry()
         self._trace = registry.trace
-        self._obs_unacked = registry.gauge("sender.unacked", node=addr_token)
-        self._obs_released = registry.gauge("sender.released_up_to", node=addr_token)
+        # The buffer gauges, built only under a recording registry (as
+        # the logger's log gauges): an unrecorded send pays one test.
+        self._gauges = (registry.gauge("sender.unacked", node=addr_token),
+                        registry.gauge("sender.released_up_to", node=addr_token)) if registry.enabled else None
         self.stats = obs.stat_counters(
             "sender",
             {
@@ -243,7 +245,8 @@ class LbrmSender(ProtocolMachine):
         if self.rate_controller is not None:
             self.rate_controller.note_send(now)
         self.stats["data_sent"] += 1
-        self._obs_unacked.set(len(self._unacked))
+        if self._gauges is not None:
+            self._gauges[0].set(len(self._unacked))
         self._trace.emit(now, "sender.data", seq=self._seq, epoch=epoch)
         return [SendMulticast(group=self._group, packet=packet)]
 
@@ -364,8 +367,10 @@ class LbrmSender(ProtocolMachine):
             del self._unacked[seq]
             self._unacked_sent_at.pop(seq, None)
         self._released_up_to = up_to
-        self._obs_unacked.set(len(self._unacked))
-        self._obs_released.set(up_to)
+        if self._gauges is not None:
+            unacked, released = self._gauges
+            unacked.set(len(self._unacked))
+            released.set(up_to)
         return [Notify(SourceBufferReleased(seq=up_to))]
 
     # -- statistical-acknowledgement fulfilment --------------------------------

@@ -72,8 +72,9 @@ class Simulator:
         self._peak_pending = 0
         registry = obs.registry()
         self._obs_processed = registry.counter("sim.events_processed")
-        self._obs_queue_depth = registry.gauge("sim.queue_depth")
-        self._obs_peak_depth = registry.gauge("sim.peak_queue_depth")
+        # The queue gauges, built only under a recording registry.
+        self._obs_depths = (registry.gauge("sim.queue_depth"),
+                            registry.gauge("sim.peak_queue_depth")) if registry.enabled else None
 
     # -- clock & counters ----------------------------------------------------
 
@@ -164,8 +165,9 @@ class Simulator:
 
     def _finish(self, executed: int) -> None:
         self._obs_processed.inc(executed)
-        self._obs_queue_depth.set(self.pending)
-        self._obs_peak_depth.set(self._peak_pending)
+        if self._obs_depths is not None:
+            self._obs_depths[0].set(self.pending)
+            self._obs_depths[1].set(self._peak_pending)
 
 
 class WakeupMux:
@@ -196,11 +198,11 @@ class WakeupMux:
     whose ``_due`` is still ahead is re-bucketed there in place — the
     ``arm`` its ``poll`` would have made, at the same point of the loop,
     so buckets, ``schedule`` calls and tie counters do not move — and
-    only a node with something due is polled.  Lockstep receivers
-    re-bucket in runs (188,365 of those 194,838 follow a node bound for
-    the same deadline), but one bucket lookup per run instead of per
-    node measured 1.02x (6/10 pairs), not shown: each goes through
-    ``arm``.
+    only a node with something due is polled.  A cohort member's node
+    keeps no ``_due`` (None): its deadline is its cohort's, so a cohort
+    run writes no member's and arms none unless it moves earlier (the
+    saving is DESIGN §6's, 1.28x on ``exact_fanout``), while each member
+    still re-buckets through its own ``arm``.
     """
 
     __slots__ = ("_sim", "_buckets")
@@ -226,6 +228,8 @@ class WakeupMux:
         for node in self._buckets.pop(due):
             if node._mux_due == due:
                 later = node._due
+                if later is None:  # a cohort member: the deadline is its cohort's
+                    later = node._receiver._cohort._maxit_deadline
                 if later > now:
                     node._mux_due = later
                     self.arm(node, later)

@@ -25,6 +25,9 @@ every node armed for the same deadline; nothing is ever cancelled, a
 wakeup no longer wanted goes stale.  The node records ``_due``, the
 true-time deadline its machines declared when it last asked them: the
 mux re-buckets a node whose ``_due`` is still ahead without polling it.
+A cohort member's node records none, nor its deliveries: the cohort
+keeps both once, and the node takes them back when its ``delivered`` is
+read or its member leaves (DESIGN §6).
 So whatever changes a machine's ``next_wakeup()`` must be followed
 by a node call that asks again — ``receive``, ``poll``, ``start``,
 ``send_app``, ``run_machine``, ``resume``, ``restart``, a
@@ -34,6 +37,7 @@ with ``crash``, which disarms it, not by emptying ``machines`` by hand.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.core.actions import Deliver, handle_each, run_actions
@@ -63,10 +67,12 @@ class SimNode(MachineNode):
         # mux cancellation is lazy (see WakeupMux).
         self._mux_due: float | None = None
         # The machines' earliest deadline in true time, as of the last
-        # time we asked (None when disarmed).  Never earlier
+        # time we asked (None when disarmed, and while our receiver is a
+        # cohort member: its deadline is the cohort's).  Never earlier
         # than _mux_due while armed, so a bucket firing before it is
         # stale: the mux re-buckets us at _due instead of polling.
         self._due: float | None = None
+        self._log_at = 0  # a member's node: how much of its cohort's log it holds
         host.attach(self)
 
     @property
@@ -94,6 +100,38 @@ class SimNode(MachineNode):
         if self._receiver is not None:
             self._receiver._leave_cohort()
 
+    # -- a cohort member's node (DESIGN §6): the hooks Cohort calls -------------
+
+    @property
+    def delivered(self) -> list[Deliver]:
+        """What the machines delivered.  A member's node takes what its
+        cohort logged since it last looked first, and stays a member."""
+        receiver = self._receiver
+        if receiver is not None and receiver._cohort is not None:
+            self._catch_up(receiver._cohort.log)
+        return self._delivered
+
+    @delivered.setter
+    def delivered(self, value: list[Deliver]) -> None:
+        self._delivered = value
+
+    def _enter(self, cohort: Cohort) -> None:
+        """Our receiver joined ``cohort``: its deliveries and deadline are
+        kept there from now on, and our arm bounds its ``armed``."""
+        self._log_at, self._due = len(cohort.log), None
+        armed = self._mux_due
+        if armed is None or armed > cohort.armed:
+            cohort.armed = math.inf if armed is None else armed
+
+    def _catch_up(self, log: list[Deliver]) -> None:
+        self._delivered += log[self._log_at :]
+        self._log_at = len(log)
+
+    def _exit(self, cohort: Cohort) -> None:
+        """Our receiver left ``cohort``: take back what it kept for us."""
+        self._catch_up(cohort.log)
+        self._due = cohort._maxit_deadline
+
     # -- the harness contract ---------------------------------------------------
 
     def receive(self, packet: Packet, src: str, now: float) -> None:
@@ -113,9 +151,11 @@ class SimNode(MachineNode):
         and each member, in one state, takes the per-node path.  Any other
         maximal run of *plain* nodes — a ``SimNode`` not paused, unskewed,
         whose one machine is an :class:`LbrmReceiver` in no cohort — goes
-        to ``absorb_run`` member by member in one call, and those it
-        absorbs in one state form cohorts.  Absorbed members get the
-        shared ``Deliver`` and their wakeup in one loop.  The first member
+        to ``absorb_run`` member by member in one call: those it absorbs
+        get the shared ``Deliver`` and their wakeup in one loop, then join
+        the cohort beside them or form cohorts.  A cohort run costs its
+        members nothing per packet: the cohort logs the ``Deliver`` once
+        (:meth:`_settle_span`).  The first member
         not absorbed, and every other endpoint, takes the per-node path at
         its own position, and the run is cut again after it: its taps may
         pause or crash a later member of the batch, so nothing is read
@@ -143,18 +183,21 @@ class SimNode(MachineNode):
                         failing = iter(cohort.ends[1:])
                         failed = next(failing, None)
                         cohort.dissolve()
-                    elif stop - i != len(cohort.ends):
-                        SimNode._settle_span(cohort, endpoints[i:stop], packet, delivery, dues[0], src, now)
-                        i = stop
-                        continue
                     else:
-                        nodes, dues = cohort.ends, dues * len(cohort.ends)
-                        if edge[0] == i and type(edge[1]) is list:  # lone ones just before join
-                            nodes = nodes[:]  # (they have settled)
+                        if delivery is not None:  # first: a node that joins has settled
+                            cohort.log.append(delivery)
+                        span = cohort.ends
+                        if stop - i != len(span):
+                            span = endpoints[i:stop]
+                        elif edge[0] == i and type(edge[1]) is list:  # lone ones just before join
                             for node in reversed(edge[1]):
                                 if not cohort.admit(0, node._receiver, node):
                                     break
-                        i, edge = stop, (stop, cohort)
+                        SimNode._settle_span(cohort, span, packet, dues[0], src, now)
+                        if span is cohort.ends:
+                            edge = (stop, cohort)
+                        i = stop
+                        continue
                 else:
                     machines = []
                     j = i
@@ -169,25 +212,25 @@ class SimNode(MachineNode):
                         j += 1
                     delivery, dues = absorb_run(machines, packet, now) if machines else (None, ())
                     nodes = endpoints[i : i + len(dues)]
-                    if edge[0] == i and type(edge[1]) is Cohort:  # ones just after a cohort join it
-                        for node in nodes:
-                            if not edge[1].admit(len(edge[1].ends), node._receiver, node):
-                                break
-                    if len(dues) > 1:
-                        form_cohorts(machines[: len(dues)], nodes)
+                    if dues:  # settle the lone nodes, then have them join
+                        arm = nodes[0]._network.wakeup_mux.arm
+                        for node, due in zip(nodes, dues):
+                            if delivery is not None:
+                                node._delivered.append(delivery)
+                            node._due = due
+                            cur = node._mux_due
+                            if cur is None or cur > due:
+                                node._mux_due = due
+                                arm(node, due)
+                        if edge[0] == i and type(edge[1]) is Cohort:  # ones just after a cohort join it
+                            for node in nodes:
+                                if not edge[1].admit(len(edge[1].ends), node._receiver, node):
+                                    break
+                        if len(dues) > 1:
+                            form_cohorts(machines[: len(dues)], nodes)
                     i += len(dues)
                     edge = (i, nodes)
-                if dues:
-                    arm = nodes[0]._network.wakeup_mux.arm
-                    for node, due in zip(nodes, dues):
-                        if delivery is not None:
-                            node.delivered.append(delivery)
-                        node._due = due
-                        cur = node._mux_due
-                        if cur is None or cur > due:
-                            node._mux_due = due
-                            arm(node, due)
-                    if cohort is not None or len(dues) == len(machines):
+                    if dues and len(dues) == len(machines):
                         continue  # else the one not absorbed takes the per-node path
             # The per-node path.
             node = endpoints[i]
@@ -217,7 +260,8 @@ class SimNode(MachineNode):
                 continue
             if skew:
                 next_due = next_due - skew
-            node._due = next_due
+            if node._receiver is None or node._receiver._cohort is None:
+                node._due = next_due  # (a member that held a retransmission stays one)
             cur = node._mux_due
             if cur is None or cur > next_due:  # else an earlier-or-equal wakeup is pending
                 node._mux_due = next_due
@@ -253,27 +297,28 @@ class SimNode(MachineNode):
         return (cohort, stop) if cohort.members else (None, i)
 
     @staticmethod
-    def _settle_span(cohort, span: list, packet: Packet, delivery: Deliver | None, due: float,
-                     src: str, now: float) -> None:
-        """Settle a run spanning other nodes: each gets the packet at its
-        position, and a lone one back in the cohort's state joins."""
+    def _settle_span(cohort, span: list, packet: Packet, due: float, src: str, now: float) -> None:
+        """Settle a cohort's run: arm each member's node not armed by
+        ``due``, in order, and deliver to any other node of ``span`` at
+        its position (a lone one back in the cohort's state joins).  A run
+        that is just the members and due no earlier than the cohort's
+        bound looks at none of them."""
         ends = cohort.ends
-        arm = ends[0]._network.wakeup_mux.arm
-        k = 0
-        for node in span:
-            if k < len(ends) and node is ends[k]:
-                k += 1
-                if delivery is not None:
-                    node.delivered.append(delivery)
-                node._due = due
-                cur = node._mux_due
-                if cur is None or cur > due:
-                    node._mux_due = due
-                    arm(node, due)
-            else:
-                SimNode.receive_batch([node], packet, src, now)
-                if node._receiver is not None and not node.paused and not node._skew:
-                    k += cohort.admit(k, node._receiver, node)
+        arm = ends[0]._network.wakeup_mux.arm if due < cohort.armed else None
+        if arm is not None or span is not ends:
+            k = 0
+            for node in span:
+                if k < len(ends) and node is ends[k]:
+                    k += 1
+                    cur = node._mux_due
+                    if arm is not None and (cur is None or cur > due):
+                        node._mux_due = due
+                        arm(node, due)
+                else:
+                    SimNode.receive_batch([node], packet, src, now)
+                    if node._receiver is not None and not node.paused and not node._skew:
+                        k += cohort.admit(k, node._receiver, node)
+        cohort.armed = due  # the deadline: no member is armed later
 
     def poll(self) -> None:
         if self.paused:
@@ -288,7 +333,9 @@ class SimNode(MachineNode):
             # Only a direct call gets here: the mux re-buckets a stale
             # node from _due instead.
             at = due - self._skew if self._skew else due
-            self._due = self._mux_due = at
+            if self._receiver is None or self._receiver._cohort is None:
+                self._due = at  # a member's is its cohort's
+            self._mux_due = at
             self._network.wakeup_mux.arm(self, at)
             return
         self._poll_machines(now)
@@ -324,7 +371,8 @@ class SimNode(MachineNode):
         if self._skew:
             # Machines speak skewed time; the simulator runs true time.
             next_due = next_due - self._skew
-        self._due = next_due
+        if self._receiver is None or self._receiver._cohort is None:
+            self._due = next_due  # a member's is its cohort's
         cur = self._mux_due
         if cur is not None and cur <= next_due:
             return  # an earlier-or-equal wakeup is pending

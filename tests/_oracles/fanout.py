@@ -16,6 +16,13 @@ def use_reference(net: Network) -> Network:
     return net
 
 
+def effective_due(node) -> float | None:
+    """The deadline the mux reads for ``node``: its cohort's for a
+    cohort member's node, which keeps none of its own, else ``_due``."""
+    cohort = None if node._receiver is None else node._receiver._cohort
+    return node._due if cohort is None else cohort._maxit_deadline
+
+
 def _send_multicast(net: Network, src_name: str, group: str, packet, ttl=None) -> None:
     src = net._hosts[src_name]
     net.stats["multicast_sent"] += 1
@@ -51,9 +58,10 @@ class _WakeupPerArm:
     def _fire(self, node, due: float) -> None:
         if node._mux_due != due:
             return  # stale: disarmed, or armed again for an earlier deadline
-        if node._due > self._sim.now:
-            node._mux_due = node._due
-            self.arm(node, node._due)
+        due = effective_due(node)
+        if due > self._sim.now:
+            node._mux_due = due
+            self.arm(node, due)
         else:
             node._mux_due = None
             node.poll()

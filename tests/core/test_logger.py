@@ -373,6 +373,8 @@ _SECONDARY_STEPS = [
     ("handle", NackPacket(group="g", seqs=(1,)), "rx3", 0.35),  # served from the log
     ("handle", AckerSelectPacket(group="g", epoch=7, p_ack=1.0, k=1), "source", 0.4),
     ("handle", DataPacket(group="g", seq=6, payload=b"six", epoch=7), "source", 0.5),
+    ("handle", HeartbeatPacket(group="g", seq=6, hb_index=0), "source", 0.6),  # no news
+    ("handle", HeartbeatPacket(group="g", seq=8, hb_index=0), "source", 0.7),  # gap 7-8: upstream
     ("poll", 5.0),
     ("poll", 10.45),  # seqs 1-5 expire
     ("wipe", 11.0),
@@ -417,7 +419,7 @@ def test_recording_changes_no_action_and_its_gauges_follow_the_log(build, steps,
     """A server built under a recording registry behaves exactly like one
     built without: same actions, same stats.  Only the recorded one has
     log gauges, and they follow the log through every append, expiry and
-    wipe."""
+    wipe.  A heartbeat asks upstream only for the gap it opens."""
     plain = build()
     assert plain._log_gauges is None
     with obs.recording() as reg:
@@ -433,3 +435,7 @@ def test_recording_changes_no_action_and_its_gauges_follow_the_log(build, steps,
         outcome = _feed(recorded, steps, gauges_follow_the_log)
     assert _feed(plain, steps) == outcome
     assert max(sizes) >= 3 and all(outcome[1][name] for name in busy)
+    heartbeats = [actions for step, actions in zip(steps, outcome[0]) if type(step[1]) is HeartbeatPacket]
+    if heartbeats:
+        quiet, gap = heartbeats
+        assert quiet == [] and [a.packet.seqs for a in gap] == [(7, 8)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.core.actions import Notify, SendMulticast, SendUnicast
 from repro.core.config import LbrmConfig, ReplicationConfig
 from repro.core.events import PrimaryFailover, SourceBufferReleased
@@ -346,3 +347,49 @@ def test_no_primary_means_no_retention():
     s = LbrmSender("g", LbrmConfig(), primary=None)
     s.send(b"x", 0.0)
     assert s.unacked == 0
+
+
+_BUFFER_STEPS = [
+    ("send", b"one", 0.0),
+    ("send", b"two", 0.1),
+    ("send", b"three", 0.2),
+    ("handle", LogAckPacket(group="g", primary_seq=2, replica_seq=0), "primary", 0.3),
+    ("handle", LogAckPacket(group="g", primary_seq=2, replica_seq=0), "primary", 0.35),  # no news
+    ("poll", 1.0),
+    ("send", b"four", 1.1),
+    ("handle", LogAckPacket(group="g", primary_seq=4, replica_seq=0), "primary", 1.2),
+]
+
+
+def _feed(sender: LbrmSender, each=lambda: None):
+    out = []
+    for step in _BUFFER_STEPS:
+        if step[0] == "send":
+            out.append(sender.send(*step[1:]))
+        elif step[0] == "poll":
+            out.append(sender.poll(step[1]))
+        else:
+            out.append(sender.handle(*step[1:]))
+        each()
+    return out, dict(sender.stats)
+
+
+def test_recording_changes_no_action_and_its_gauges_follow_the_buffer():
+    """A sender built under a recording registry behaves exactly like one
+    built without: same actions, same stats.  Only the recorded one has
+    buffer gauges, and they follow the retained count and the released
+    mark through every send and release."""
+    plain = make_sender()
+    assert plain._gauges is None
+    with obs.recording() as reg:
+        recorded = make_sender()
+        marks = []
+
+        def gauges_follow_the_buffer():
+            assert reg.gauge_value("sender.unacked", node="source") == recorded.unacked
+            assert reg.gauge_value("sender.released_up_to", node="source") == recorded.released_up_to
+            marks.append((recorded.unacked, recorded.released_up_to))
+
+        outcome = _feed(recorded, gauges_follow_the_buffer)
+    assert _feed(plain) == outcome
+    assert (3, 0) in marks and marks[-1] == (0, 4)

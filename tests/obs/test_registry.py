@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.obs.metrics import MetricsRegistry, StatCounters
+from repro.core.config import LbrmConfig
+from repro.core.packets import LogAckPacket
+from repro.core.sender import LbrmSender
+from repro.obs.metrics import MetricsRegistry, NullRegistry, StatCounters
+from repro.simnet.engine import Simulator
 
 
 @pytest.fixture(autouse=True)
@@ -114,3 +118,26 @@ def test_stat_counters_survives_registry_reset():
         stats["a"] += 1
         assert reg.counter_value("m.a") == 1
         assert stats["a"] == 11
+
+
+def test_unrecorded_sender_and_simulator_set_no_gauge(monkeypatch):
+    """Off, a gauge is not built at all: a sender's send and release and
+    a simulator's run make no null ``set`` call (the instruments are
+    built only under a recording registry, as the logger's log gauges)."""
+    sets = []
+
+    class Spy:
+        def set(self, value: float) -> None:
+            sets.append(value)
+
+    monkeypatch.setattr(NullRegistry, "gauge", lambda self, name, **labels: Spy())
+    assert not obs.registry().enabled
+    sender = LbrmSender("g", LbrmConfig(), primary="primary")
+    sender.send(b"one", 0.0)
+    sender.handle(LogAckPacket(group="g", primary_seq=1, replica_seq=0), "primary", 0.1)
+    assert sender.released_up_to == 1
+    sim = Simulator()
+    sim.schedule(0.5, lambda: None)
+    sim.run_until(1.0)
+    sim.run()
+    assert sets == []

@@ -5,7 +5,8 @@ receivers per group (§2.2), so what the exact engine holds per site
 and per receiver sets how big a world one process can simulate.  This
 file pins both with ``tracemalloc``, through the measurement
 ``tools/bytes_census.py`` prints: the bytes a settled world (2.5 s of
-simulated time) holds at two sizes, per site or receiver added.
+simulated time) holds at two sizes, per site or receiver added.  It
+also pins what a lockstep train adds per receiver and packet.
 
 Each bound is ~1.25x the value measured when it was set; the value
 before the RNG streams were made on first draw and the heartbeat
@@ -18,6 +19,7 @@ DESIGN §6 what the bytes buy.
 from __future__ import annotations
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,30 @@ def test_bytes_per_exact_receiver():
         lambda n: bytes_census.exact_world(10, n // 10), 50, 100
     )
     assert 0 < per_receiver <= 3.2 * KB  # measured 2.53 KB; 3.33 KB with a memo per receiver
+
+
+def test_bytes_per_lockstep_delivery():
+    """What a loss-free train of 20 packets adds per (receiver, packet)
+    on 10 sites x 20 receivers, after a warm-up that formed the cohorts:
+    a cohort logs each shared delivery once, so its members' nodes hold
+    nothing per packet until read; what is left is the loggers' and the
+    sender's per-packet state over 200 receivers."""
+    dep = bytes_census.exact_world(10, 20)
+    dep.start()
+    dep.advance(0.2)
+    for i in range(5):
+        dep.send(b"warm-up %d" % i)
+        dep.advance(0.05)
+    dep.advance(1.0)
+    tracemalloc.start()
+    try:
+        for i in range(20):
+            dep.send(b"packet %02d" % i)
+            dep.advance(0.05)
+        dep.advance(1.0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert dep.receivers_missing() == 0
+    per_delivery = held / (len(dep.receivers) * 20)
+    assert 0 < per_delivery <= 15.0  # measured 11.97 B; 24.3 B with a delivered entry per member

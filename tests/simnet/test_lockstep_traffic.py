@@ -17,10 +17,13 @@ It pins, too, what ``SimNode.receive_batch`` does with the same traffic,
 per packet type: how many receiver deliveries were absorbed in cohort
 runs and in how many runs, how many by lone members and in how many
 ``absorb_run`` calls, and how many went down the per-node path
-(``LbrmReceiver.handle``); and over the whole world how many cohorts
-formed, how many splits there were and how many members left one.
-A delivery loop that stops absorbing, stops sharing, or loses or
-re-delivers a member around a general-path one, moves these counts.
+(``LbrmReceiver.handle``); over the whole world how many cohorts
+formed, how many splits there were and how many members left one; and
+how many cohort runs were settled and how many of those looked at no
+member (no deadline earlier than the cohort's armed bound, nothing
+spanned).  A delivery loop that stops absorbing, stops sharing, loses or
+re-delivers a member around a general-path one, or walks the members
+of a run that arms none of them, moves these counts.
 """
 
 from __future__ import annotations
@@ -72,13 +75,16 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
     segment's modal state, members alone] and ``runs`` = [receiver
     deliveries absorbed in cohort runs, cohort runs, receiver deliveries
     absorbed by lone members, ``absorb_run`` calls for lone members,
-    receiver deliveries through ``handle``]; and ``cohorts`` = [cohorts
-    formed, splits, members that left one]."""
+    receiver deliveries through ``handle``]; ``cohorts`` = [cohorts
+    formed, splits, members that left one]; and ``settles`` = [cohort runs
+    settled, of which visit no member]."""
     lockstep: dict[str, list[int]] = {}
     runs: dict[str, list[int]] = {}
     cohorts = [0, 0, 0]
+    settles = [0, 0]
     arrive_batch, absorb_run, handle = Network._arrive_batch, node_module.absorb_run, LbrmReceiver.handle
     init, split, catch_up = Cohort.__init__, Cohort.split, LbrmReceiver._catch_up
+    settle = SimNode._settle_span
 
     def counted_arrive_batch(self, co_timed, endpoints, n_cross, packet, src_name):
         tally = lockstep.setdefault(type(packet).__name__, [0, 0])
@@ -119,12 +125,18 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
         cohorts[2] += 1
         catch_up(self)
 
+    def counted_settle(cohort, span, packet, due, src, now):
+        settles[0] += 1
+        settles[1] += span is cohort.ends and due >= cohort.armed
+        settle(cohort, span, packet, due, src, now)
+
     monkeypatch.setattr(Network, "_arrive_batch", counted_arrive_batch)
     monkeypatch.setattr(node_module, "absorb_run", counted_absorb_run)
     monkeypatch.setattr(LbrmReceiver, "handle", counted_handle)
     monkeypatch.setattr(Cohort, "__init__", counted_init)
     monkeypatch.setattr(Cohort, "split", counted_split)
     monkeypatch.setattr(LbrmReceiver, "_catch_up", counted_catch_up)
+    monkeypatch.setattr(SimNode, "_settle_span", staticmethod(counted_settle))
     spec = importlib.util.spec_from_file_location("ledger_workloads", _LEDGER)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -132,7 +144,7 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
     workload.setup()
     workload.run(lambda: None)
     assert not workload.finish()["errors"]
-    return {"lockstep": lockstep, "runs": runs, "cohorts": cohorts}
+    return {"lockstep": lockstep, "runs": runs, "cohorts": cohorts, "settles": settles}
 
 
 # Per packet type, counted over the world's set-up and its timed run.
@@ -141,7 +153,8 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
 # absorbed in cohort runs, cohort runs, receiver deliveries absorbed by
 # lone members, lone absorb_run calls, receiver deliveries through
 # handle()] over every delivery, unicast included; cohorts: [formed,
-# splits, members that left one].  Only data and heartbeats are
+# splits, members that left one]; settles: [cohort runs settled, of which
+# visit no member].  Only data and heartbeats are
 # absorbed; a receiver's first packet sets its baseline and goes through
 # handle().  Receivers whose guard fails leave their cohort, and every
 # member leaves when finish() reads its stats.  ``tree_outage`` runs at
@@ -155,6 +168,7 @@ _PINNED = {
         "lockstep": {"DataPacket": [5000, 0], "HeartbeatPacket": [150, 0]},
         "runs": {"DataPacket": [4900, 980, 50, 60, 50], "HeartbeatPacket": [150, 30, 0, 0, 0]},
         "cohorts": [10, 0, 50],
+        "settles": [1010, 1010],
     },
     "exact_lossy": {
         "lockstep": {
@@ -172,6 +186,7 @@ _PINNED = {
             "RetransPacket": [0, 0, 0, 0, 113],
         },
         "cohorts": [22, 14, 140],
+        "settles": [785, 394],
     },
     "tree_outage": {
         "lockstep": {
@@ -185,6 +200,7 @@ _PINNED = {
             "RetransPacket": [0, 0, 0, 0, 1000],
         },
         "cohorts": [600, 0, 3000],
+        "settles": [3000, 2800],
     },
 }
 _SIZE = {"tree_outage": "full"}

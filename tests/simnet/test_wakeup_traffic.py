@@ -4,11 +4,13 @@ enters only a node with something due").
 Every data packet and heartbeat pushes a receiver's freshness watchdog
 later, so nearly every mux bucket a receiver sits in has gone stale by
 the time it fires.  ``WakeupMux._fire`` therefore re-buckets a node
-whose ``_due`` — the true-time deadline its machines last declared — is
-still ahead, and polls only a node with something due.  That is sound
-only while ``_due`` *is* the machines' deadline whenever the mux reads
-it, so this file wraps the fire loop and checks, at every re-bucket,
-``_due`` against a fresh ``next_wakeup()`` over the node's machines
+whose deadline — ``_due``, the true-time deadline its machines last
+declared, or its cohort's for a cohort member's node, which keeps none
+(``effective_due``) — is still ahead, and polls only a node with
+something due.  That is sound only while that deadline *is* the
+machines' whenever the mux reads it, so this file wraps the fire loop
+and checks, at every re-bucket, the deadline the mux read against a
+fresh ``next_wakeup()`` over the node's machines
 (minus its clock skew), and at every poll the loop makes, that the poll
 enters a machine.  It does so on a lossy multi-site world (with the
 counts pinned), on every case of the shipped campaigns — ``chaos`` and
@@ -32,6 +34,7 @@ from repro.simnet import BernoulliLoss, DeploymentSpec, LbrmDeployment
 from repro.simnet.engine import Simulator, WakeupMux
 from repro.simnet.node import SimNode
 from repro.simnet.topology import Network
+from tests._oracles.fanout import effective_due
 
 
 def _deadline(node: SimNode) -> float | None:
@@ -80,8 +83,8 @@ def fire_loop(monkeypatch) -> _FireLoop:
         if loop._firing and not loop._polling:  # the loop itself re-buckets
             loop.rebucketed += 1
             loop.seen.add(node.name)
-            if not (node._due == _deadline(node) == due and due > self._sim.now):
-                loop.wrong_due.append((node.name, self._sim.now, due, node._due, _deadline(node)))
+            if not (effective_due(node) == _deadline(node) == due and due > self._sim.now):
+                loop.wrong_due.append((node.name, self._sim.now, due, effective_due(node), _deadline(node)))
         arm(self, node, due)
 
     def watched_poll(self):
@@ -214,7 +217,7 @@ def test_skew_pause_crash_a_killed_logger_and_two_machines(fire_loop):
         if i == 9:
             skewed.clock_skew = -0.021  # the chaos controller's skew fault (re-arms)
             stale = logger._mux_due
-            assert logger._due > stale  # armed, and its pending bucket stale
+            assert effective_due(logger) > stale  # armed, and its pending bucket stale
             # Cut its site off until that bucket fires: no arrival gets to
             # disarm the dead node first.
             dep.burst_site("site3", stale - dep.sim.now + 0.001)
