@@ -113,6 +113,7 @@ def set_multicast_ttl(sock: socket.socket, ttl: int) -> None:
     """Adjust the TTL on an existing multicast send socket.
 
     LBRM uses small TTLs to scope repairs to a site (§2.2.1); the node
-    runtime calls this per-send when an action carries an explicit TTL.
+    runtime (``AioNode._apply_ttl``) calls this only when a send's TTL
+    differs from the last one it applied.
     """
     sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL, max(1, ttl))

@@ -166,10 +166,6 @@ class PosAckReceiver(ProtocolMachine):
         self._pending: dict[int, bytes] = {}
         self.stats = {"data_received": 0, "acks_sent": 0, "stalled": 0}
 
-    @property
-    def cum_seq(self) -> int:
-        return self._cum
-
     def start(self, now: float) -> list[Action]:
         return [JoinGroup(group=self._group)]
 

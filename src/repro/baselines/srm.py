@@ -178,9 +178,6 @@ class SrmMember(ProtocolMachine):
     def missing(self) -> frozenset[int]:
         return self._tracker.missing
 
-    def has(self, seq: int) -> bool:
-        return seq in self._cache
-
     # -- lifecycle ----------------------------------------------------------
 
     def start(self, now: float) -> list[Action]:

@@ -148,24 +148,6 @@ class LeaveGroup(NamedTuple):
     group: GroupId
 
 
-def sends(actions: list[Action]) -> list[Action]:
-    """Filter ``actions`` down to transmissions (unicast or multicast).
-
-    Convenience for tests and harnesses that only route traffic.
-    """
-    return [a for a in actions if isinstance(a, (SendUnicast, SendMulticast))]
-
-
-def deliveries(actions: list[Action]) -> list[Deliver]:
-    """Filter ``actions`` down to application deliveries."""
-    return [a for a in actions if isinstance(a, Deliver)]
-
-
-def notifications(actions: list[Action]) -> list[Notify]:
-    """Filter ``actions`` down to protocol event notifications."""
-    return [a for a in actions if isinstance(a, Notify)]
-
-
 def run_actions(actions, node) -> None:
     """Carry out ``actions`` on ``node``, the one interpreter of them.
 

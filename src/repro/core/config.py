@@ -108,7 +108,7 @@ class ReceiverConfig:
 class LoggerConfig:
     """Log-server behaviour (§2.2).
 
-    ``max_packets``/``max_bytes`` bound the in-memory log (0 = unbounded);
+    ``max_packets`` bounds the in-memory log (0 = unbounded);
     ``packet_lifetime`` expires entries whose useful life has passed
     (0 = keep forever).  ``remulticast_threshold`` is the number of
     distinct local NACKs for one sequence number that makes a secondary
@@ -118,7 +118,6 @@ class LoggerConfig:
     """
 
     max_packets: int = 0
-    max_bytes: int = 0
     packet_lifetime: float = 0.0
     remulticast_threshold: int = 3
     site_ttl: int = 1
@@ -127,7 +126,6 @@ class LoggerConfig:
 
     def __post_init__(self) -> None:
         _require(self.max_packets >= 0, "max_packets must be >= 0")
-        _require(self.max_bytes >= 0, "max_bytes must be >= 0")
         _require(self.packet_lifetime >= 0, "packet_lifetime must be >= 0")
         _require(self.remulticast_threshold >= 1, "remulticast_threshold must be >= 1")
         _require(self.site_ttl >= 1, "site_ttl must be >= 1")

@@ -51,9 +51,7 @@ class DiscoveryClient(ProtocolMachine):
         self._ttl = 0
         self._searching = False
         self._ring_replies: list[tuple[int, Address]] = []
-        self._found: Address | None = None
         self._found_level: int | None = None
-        self._exhausted = False
         self._ring_attempts = 0  # queries already sent at the current TTL
         self._timeout = self._config.query_timeout
         self.stats = {"queries_sent": 0, "replies_received": 0, "ring_retries": 0}
@@ -61,19 +59,9 @@ class DiscoveryClient(ProtocolMachine):
     # -- introspection ----------------------------------------------------
 
     @property
-    def found(self) -> Address | None:
-        """Address of the discovered logger, or None."""
-        return self._found
-
-    @property
     def found_level(self) -> int | None:
         """Hierarchy level of the discovered logger (0 = primary)."""
         return self._found_level
-
-    @property
-    def exhausted(self) -> bool:
-        """True when every ring up to max_ttl stayed silent."""
-        return self._exhausted
 
     @property
     def searching(self) -> bool:
@@ -85,8 +73,6 @@ class DiscoveryClient(ProtocolMachine):
         """Begin (or restart) the expanding-ring search."""
         self._ttl = self._config.initial_ttl
         self._searching = True
-        self._exhausted = False
-        self._found = None
         self._found_level = None
         self._ring_replies = []
         self._ring_attempts = 0
@@ -122,7 +108,6 @@ class DiscoveryClient(ProtocolMachine):
                 # Prefer the deepest hierarchy level in range: a site
                 # secondary over the primary (both "near" in this ring).
                 level, logger = max(self._ring_replies, key=lambda pair: pair[0])
-                self._found = logger
                 self._found_level = level
                 self._searching = False
                 actions.append(Notify(LoggerDiscovered(logger=logger, ttl=self._ttl)))
@@ -135,7 +120,6 @@ class DiscoveryClient(ProtocolMachine):
                 actions.extend(self._query(now))
             elif self._ttl >= self._config.max_ttl:
                 self._searching = False
-                self._exhausted = True
                 actions.append(
                     Notify(
                         DiscoveryExhausted(

@@ -56,11 +56,6 @@ class VariableHeartbeatSchedule:
         self._obs_sent = registry.counter("heartbeat.sent", scheme="variable")
         self._obs_interval = registry.histogram("heartbeat.interval")
 
-    @property
-    def current_interval(self) -> float:
-        """The current inter-heartbeat time ``h``."""
-        return self._h
-
     def on_data(self, now: float) -> float | None:
         # "When the sender transmits a data packet, it initializes the
         # inter-heartbeat time h to h_min."
@@ -85,10 +80,6 @@ class FixedHeartbeatSchedule:
             raise ValueError(f"interval must be positive, got {interval}")
         self._interval = interval
         self._obs_sent = obs.registry().counter("heartbeat.sent", scheme="fixed")
-
-    @property
-    def interval(self) -> float:
-        return self._interval
 
     def on_data(self, now: float) -> float | None:
         return now + self._interval

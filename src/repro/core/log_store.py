@@ -7,7 +7,7 @@ persistence needs may log all packets, writing them to disk once
 in-memory buffers are full."
 
 :class:`PacketLog` implements both policies: optional entry lifetime,
-optional in-memory caps, and an optional append-only disk spool that
+an optional in-memory cap, and an optional append-only disk spool that
 oldest entries overflow into (they remain retrievable, just slower —
 exactly the paper's memory-then-disk model).
 """
@@ -52,30 +52,27 @@ class PacketLog:
     Invariants (property-tested):
 
     * ``get(seq)`` returns exactly what was appended for ``seq`` until it
-      expires or is evicted past every cap.
+      expires or is evicted past the cap.
     * append is idempotent: re-logging a sequence already held (e.g. a
       retransmission observed on the group) never changes the payload.
-    * memory use never exceeds ``max_packets``/``max_bytes`` when set;
-      overflow goes to the spool when configured, otherwise the oldest
-      entries are dropped.
+    * memory use never exceeds ``max_packets`` when set; overflow goes
+      to the spool when configured, otherwise the oldest entries are
+      dropped.
     """
 
     def __init__(
         self,
         max_packets: int = 0,
-        max_bytes: int = 0,
         lifetime: float = 0.0,
         spool_path: str | None = None,
     ) -> None:
         self._max_packets = max_packets
-        self._max_bytes = max_bytes
         self._lifetime = lifetime
         self._entries: "OrderedDict[int, LogEntry]" = OrderedDict()
         self._byte_size = 0
         self._spool_path = spool_path
         self._spool_index: dict[int, tuple[int, int, float]] = {}  # seq -> (offset, len, logged_at)
         self._spool_file = None
-        self._dropped = 0
         # Process-wide totals across every PacketLog instance; per-store
         # levels are published by the owning LogServer's labelled gauges.
         registry = obs.registry()
@@ -92,26 +89,6 @@ class PacketLog:
     def byte_size(self) -> int:
         """Total payload bytes currently held in memory."""
         return self._byte_size
-
-    @property
-    def dropped(self) -> int:
-        """Entries evicted without spool (lost to the log forever)."""
-        return self._dropped
-
-    @property
-    def lowest(self) -> int | None:
-        """Smallest retrievable sequence number (memory or spool).
-
-        Entries usually arrive in sequence order, but retransmissions
-        observed on the group can append out of order — so this scans
-        keys rather than trusting insertion order.
-        """
-        candidates = []
-        if self._entries:
-            candidates.append(min(self._entries))
-        if self._spool_index:
-            candidates.append(min(self._spool_index))
-        return min(candidates) if candidates else None
 
     @property
     def highest(self) -> int | None:
@@ -139,18 +116,15 @@ class PacketLog:
         entries[seq] = LogEntry(seq=seq, payload=payload, logged_at=now)
         self._byte_size += len(payload)
         self._obs_appended.inc()
-        # Over a cap (none by default), the oldest entries overflow to the
-        # spool, or are lost without one.
-        while (self._max_packets and len(entries) > self._max_packets) or (
-            self._max_bytes and self._byte_size > self._max_bytes
-        ):
+        # Over the cap (none by default), the oldest entries overflow to
+        # the spool, or are lost without one.
+        while self._max_packets and len(entries) > self._max_packets:
             _, entry = entries.popitem(last=False)
             self._byte_size -= len(entry.payload)
             if self._spool_file is not None:
                 self._write_spool(entry)
                 self._obs_spooled.inc()
             else:
-                self._dropped += 1
                 self._obs_evicted.inc()
         return True
 

@@ -185,7 +185,6 @@ class LogServer(ProtocolMachine):
         log_cfg = self._config.logger
         self.log = PacketLog(
             max_packets=log_cfg.max_packets,
-            max_bytes=log_cfg.max_bytes,
             lifetime=log_cfg.packet_lifetime,
             spool_path=spool_path,
         )

@@ -66,18 +66,6 @@ class TimerSet:
         if removed is not None and removed == self._min:
             self._min = None
 
-    def cancel_prefix(self, prefix: tuple) -> None:
-        """Disarm every tuple-key starting with ``prefix``."""
-        doomed = [k for k in self._deadlines if isinstance(k, tuple) and k[: len(prefix)] == prefix]
-        for key in doomed:
-            del self._deadlines[key]
-        if doomed:
-            self._min = None
-
-    def deadline(self, key: Hashable) -> float | None:
-        """Deadline for ``key``, or None if not armed."""
-        return self._deadlines.get(key)
-
     def pop_due(self, now: float) -> list[Hashable]:
         """Remove and return all timers with deadline <= ``now``, soonest first.
 

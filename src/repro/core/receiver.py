@@ -162,12 +162,15 @@ _NO_RECOVERIES: dict = {}  # every cohort member's: the invariant keeps it empty
 
 
 class _RunCounts(dict):
-    """A mirrored cohort's counts: its members' registry counter moves by its size."""
+    """A mirrored cohort's counts: its members' registry counter moves by
+    their number.  It holds the cohort's ``members`` list, not the cohort:
+    a cohort refers to nothing that refers back, so the last member's
+    leaving frees it without the cyclic collector."""
 
-    __slots__ = ("_cohort", "_mirror")
+    __slots__ = ("_members", "_mirror")
 
     def __setitem__(self, key: str, value: int) -> None:
-        self._mirror(key).value += (value - self[key]) * len(self._cohort.members)
+        self._mirror(key).value += (value - self[key]) * len(self._members)
         dict.__setitem__(self, key, value)
 
 
@@ -190,16 +193,16 @@ class Cohort:
     """
 
     __slots__ = (
-        "members", "ends", "log", "armed", "_tracker", "_highest", "_first", "_hb_wd",
+        "members", "ends", "log", "armed", "_highest", "_first", "_hb_wd",
         "_hb_saturation", "_repeat_count", "_expected_interval", "_last_rx", "_maxit_deadline",
-        "_stats",
+        "_stats", "__weakref__",
     )
     _fresh, _on_channel, timers = True, False, TimerSet()  # the invariant; never armed
 
     def __init__(self, source: "LbrmReceiver | Cohort", members: list, ends: list) -> None:
         """``members`` in the state of ``source``: one of them, or the
         cohort they split from (counts too)."""
-        self.members, self.ends, self._tracker, self.log = members, ends, self, []
+        self.members, self.ends, self.log = members, ends, []
         self._highest, self._first = source._tracker._highest, source._tracker._first
         for name in ("_hb_wd", "_hb_saturation", *_SHARED[1:]):
             setattr(self, name, getattr(source, name))
@@ -210,13 +213,19 @@ class Cohort:
         if split:
             dict.update(self._stats, stats)
         if mirror is not None:
-            self._stats._cohort, self._stats._mirror = self, mirror
+            self._stats._members, self._stats._mirror = members, mirror
         self.armed = source.armed if split else self._maxit_deadline
         for member, end in zip(members, ends):
             member._cohort = self
             if split:
                 end._catch_up(source.log)
             end._enter(self)
+
+    @property
+    def _tracker(self) -> "Cohort":
+        """The cohort is its own tracker: a property, not a slot, so it
+        holds no reference to itself."""
+        return self
 
     def _hb_schedule(self, hb_index: int) -> tuple[float, float]:
         return self.members[0]._hb_schedule(hb_index)  # the members' own table
@@ -235,7 +244,7 @@ class Cohort:
         for member, end in zip(self.members, self.ends):
             member._catch_up()
             end._exit(self)
-        self.members, self.ends = [], []
+        del self.members[:], self.ends[:]  # in place: the counts hold the list
 
     def admit(self, at: int, r: "LbrmReceiver", end) -> bool:
         """Take in ``r`` as member ``at`` if it is in this state."""
@@ -381,11 +390,6 @@ class LbrmReceiver(ProtocolMachine):
         """Per-instance counters (registry-mirrored while recording)."""
         self._leave_cohort()
         return self._stats
-
-    @property
-    def fresh(self) -> bool:
-        """False while the MaxIT freshness guarantee is broken."""
-        return self._fresh
 
     @property
     def missing(self) -> frozenset[int]:
@@ -796,9 +800,9 @@ class LbrmReceiver(ProtocolMachine):
 # What a cohort shares: the fields absorb_run writes.
 _SHARED = ("_highest", "_repeat_count", "_expected_interval", "_last_rx", "_maxit_deadline")
 _shared = attrgetter("_tracker._highest", *_SHARED[1:])  # of a receiver or a cohort
-# What a state key leaves out besides: the counters (the receiver's and
-# its tracker's), the cohort membership, and two caches of what is in it.
-_NOT_STATE = frozenset(("_stats", "_duplicates", "_cohort", "_joined", "_hb_wd", "_min", *_SHARED))
+# What a state key leaves out besides: the counters, the cohort
+# membership, and two caches of what is in it.
+_NOT_STATE = frozenset(("_stats", "_cohort", "_joined", "_hb_wd", "_min", *_SHARED))
 _OWNED = (SequenceTracker, TimerSet)  # keyed by their own fields
 _FIELDS: list = []  # the attrgetter of a receiver's keyed fields, once built
 

@@ -94,11 +94,6 @@ class ReplicationManager:
         return tuple(self._members)
 
     @property
-    def epoch(self) -> int:
-        """The promotion term this primary replicates under."""
-        return self._epoch
-
-    @property
     def commit_seq(self) -> int:
         """The commit point: highest sequence durably held by at least
         ``min_replicas_acked`` followers (0 if none)."""
@@ -110,16 +105,6 @@ class ReplicationManager:
         m = min(self._config.min_replicas_acked, len(acked))
         # m-th highest cumulative ACK: index -m from the end.
         return acked[-m]
-
-    @property
-    def replica_seq(self) -> int:
-        """Release point reported to the source (the commit point)."""
-        return self.commit_seq
-
-    def acked_by(self, replica: Address) -> int | None:
-        """Cumulative sequence confirmed by ``replica`` (None = none yet)."""
-        state = self._members.get(replica)
-        return state.acked if state is not None else None
 
     # -- membership ----------------------------------------------------------
 

@@ -200,10 +200,6 @@ class LbrmSender(ProtocolMachine):
         return self._statack
 
     @property
-    def failover_phase(self) -> FailoverPhase:
-        return self._failover
-
-    @property
     def log_epoch(self) -> int:
         """Promotion term of the primary this source currently trusts."""
         return self._log_epoch

@@ -62,7 +62,6 @@ class SequenceTracker:
         self._first = 0  # first sequence ever seen; 0 = nothing yet
         self._missing: set[int] = set()
         self._abandoned: set[int] = set()
-        self._duplicates = 0
 
     @property
     def highest(self) -> int:
@@ -73,11 +72,6 @@ class SequenceTracker:
     def missing(self) -> frozenset[int]:
         """Sequence numbers known to be lost and not yet recovered."""
         return frozenset(self._missing)
-
-    @property
-    def duplicates(self) -> int:
-        """Count of redundant observations (duplicate or already-recovered)."""
-        return self._duplicates
 
     @property
     def started(self) -> bool:
@@ -138,7 +132,6 @@ class SequenceTracker:
             # Late arrival after the receiver gave up: still fresh data.
             self._abandoned.discard(seq)
             return _NEW_FILLED
-        self._duplicates += 1
         return _OLD
 
     def observe_heartbeat(self, seq: int) -> GapReport:
@@ -181,11 +174,6 @@ class SequenceTracker:
                 self._missing.discard(seq)
                 self._abandoned.add(seq)
 
-    @property
-    def abandoned(self) -> frozenset[int]:
-        """Sequences whose recovery was given up (never delivered)."""
-        return frozenset(self._abandoned)
-
     def has(self, seq: int) -> bool:
         """True when ``seq`` was observed (directly or via recovery)."""
         if not self.started or seq < self._first or seq > self._highest:
@@ -195,5 +183,5 @@ class SequenceTracker:
     def __repr__(self) -> str:
         return (
             f"SequenceTracker(highest={self._highest}, "
-            f"missing={sorted(self._missing)!r}, duplicates={self._duplicates})"
+            f"missing={sorted(self._missing)!r})"
         )

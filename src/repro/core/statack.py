@@ -146,10 +146,6 @@ class StatAckSource:
     # -- introspection ----------------------------------------------------
 
     @property
-    def phase(self) -> StatAckPhase:
-        return self._phase
-
-    @property
     def epoch(self) -> int:
         return self._epoch
 
@@ -175,10 +171,6 @@ class StatAckSource:
     @property
     def designated_ackers(self) -> frozenset[Address]:
         return self._designated
-
-    @property
-    def hotlist(self) -> AckerHotlist:
-        return self._hotlist
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -20,7 +20,7 @@ machines (machines resolve their instruments at construction time)::
         dep = LbrmDeployment(spec)
         dep.start(); ...
         print(reg.counter_value("receiver.nacks_sent"))
-        print(reg.to_json())
+        print(reg.snapshot())
 
 Instrumentation never influences protocol behavior: instruments are
 write-only from the machines' perspective, so a run with observability

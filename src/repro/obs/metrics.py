@@ -23,7 +23,6 @@ never allocates.
 
 from __future__ import annotations
 
-import json
 import math
 
 __all__ = [
@@ -83,12 +82,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
     def reset(self) -> None:
         self.value = 0.0
@@ -244,14 +237,6 @@ class MetricsRegistry:
         counter = self._counters.get((name, _label_key(labels)))
         return counter.value if counter is not None else 0
 
-    def gauge_value(self, name: str, **labels: object) -> float:
-        gauge = self._gauges.get((name, _label_key(labels)))
-        return gauge.value if gauge is not None else 0.0
-
-    def counter_total(self, name: str) -> int:
-        """Sum of a counter across every label combination."""
-        return sum(c.value for (n, _), c in self._counters.items() if n == name)
-
     def snapshot(self) -> dict:
         """Deterministic, JSON-ready dump of every instrument.
 
@@ -266,9 +251,6 @@ class MetricsRegistry:
             format_key(*key): h.summary() for key, h in sorted(self._histograms.items())
         }
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def reset(self) -> None:
         """Zero every instrument and clear the trace, keeping identities.
@@ -303,9 +285,6 @@ class _NullInstrument:
     p99 = None
 
     def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
         pass
 
     def set(self, value: float) -> None:
@@ -349,17 +328,8 @@ class NullRegistry:
     def counter_value(self, name: str, **labels: object) -> int:
         return 0
 
-    def gauge_value(self, name: str, **labels: object) -> float:
-        return 0.0
-
-    def counter_total(self, name: str) -> int:
-        return 0
-
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def reset(self) -> None:
         pass

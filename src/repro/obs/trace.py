@@ -30,10 +30,6 @@ class TraceEvent:
     def as_dict(self) -> dict:
         return {"time": self.time, "name": self.name, **dict(self.fields)}
 
-    def format(self) -> str:
-        detail = " ".join(f"{k}={v!r}" for k, v in self.fields)
-        return f"[{self.time:12.6f}] {self.name}" + (f" {detail}" if detail else "")
-
 
 class EventTrace:
     """Fixed-capacity ring buffer of :class:`TraceEvent` records."""
@@ -64,9 +60,6 @@ class EventTrace:
             return tuple(self._events)
         return tuple(e for e in self._events if e.name == name)
 
-    def format(self) -> str:
-        return "\n".join(e.format() for e in self._events)
-
     def reset(self) -> None:
         self._events.clear()
         self.emitted = 0
@@ -90,9 +83,6 @@ class NullTrace:
 
     def events(self, name: str | None = None) -> tuple:
         return ()
-
-    def format(self) -> str:
-        return ""
 
     def reset(self) -> None:
         pass

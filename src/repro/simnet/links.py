@@ -26,12 +26,6 @@ class LinkStats:
     drops_loss: int = 0
     drops_queue: int = 0
 
-    def reset(self) -> None:
-        self.packets = 0
-        self.bytes = 0
-        self.drops_loss = 0
-        self.drops_queue = 0
-
 
 class Link:
     """One unidirectional link.

@@ -272,14 +272,6 @@ class Network:
     def site(self, name: str) -> Site:
         return self._sites[name]
 
-    @property
-    def sites(self) -> list[Site]:
-        return list(self._sites.values())
-
-    @property
-    def hosts(self) -> list[Host]:
-        return list(self._hosts.values())
-
     def modeled_stats(self) -> dict:
         """Population accounting with host multiplicity applied.
 
@@ -338,9 +330,6 @@ class Network:
         for segment in segments:
             by_site.setdefault(segment.site.name, []).append(segment)
         return segments, by_site
-
-    def members(self, group: str) -> frozenset[str]:
-        return frozenset(self._groups.get(group, frozenset()))
 
     # -- routing ----------------------------------------------------------
 

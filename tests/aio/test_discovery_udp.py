@@ -9,7 +9,7 @@ import pytest
 from repro.aio import AioNode, GroupDirectory, parse_token
 from repro.core.config import DiscoveryConfig, LbrmConfig
 from repro.core.discovery import DiscoveryClient
-from repro.core.events import LoggerDiscovered
+from repro.core.events import DiscoveryExhausted, LoggerDiscovered
 from repro.core.logger import LoggerRole, LogServer
 
 from tests.aio._netutil import free_udp_port
@@ -48,13 +48,12 @@ async def _run_discovery():
 
     try:
         for _ in range(40):
-            if client.found is not None or client.exhausted:
+            if not client.searching:
                 break
             await asyncio.sleep(0.1)
-        assert client.found == logger_node.address
-        assert client.found_level == 1
         events = [e for e in client_node.events if isinstance(e, LoggerDiscovered)]
-        assert events
+        assert [e.logger for e in events] == [logger_node.address]
+        assert client.found_level == 1
     finally:
         await logger_node.close()
         await client_node.close()
@@ -75,10 +74,11 @@ async def _run_exhaustion():
     client_node.run_machine(client.start, client_node.now)
     try:
         for _ in range(30):
-            if client.exhausted:
+            if not client.searching:
                 break
             await asyncio.sleep(0.1)
-        assert client.exhausted
-        assert client.found is None
+        assert [e for e in client_node.events if isinstance(e, DiscoveryExhausted)]
+        assert client.found_level is None
+        assert not [e for e in client_node.events if isinstance(e, LoggerDiscovered)]
     finally:
         await client_node.close()

@@ -93,16 +93,16 @@ async def _run_ring_failover():
 
     try:
         for _ in range(80):
-            if client.found is not None or client.exhausted:
+            if not client.searching:
                 break
             await asyncio.sleep(0.1)
         # Backed off in the silent first ring, then expanded and found
         # the ring-2 secondary.
-        assert client.found == ring2_node.address
+        events = [e for e in client_node.events if isinstance(e, LoggerDiscovered)]
+        assert [e.logger for e in events] == [ring2_node.address]
         assert client.stats["ring_retries"] >= 1
         assert client.stats["queries_sent"] >= 3  # ttl=1, retry, ttl=2
-        events = [e for e in client_node.events if isinstance(e, LoggerDiscovered)]
-        assert events and events[0].ttl == 2
+        assert events[0].ttl == 2
     finally:
         await ring2_node.close()
         await client_node.close()
@@ -127,7 +127,7 @@ async def _run_static_fallback():
         directory=_directory(2),
     ) as cluster:
         await cluster.wait_discovery(timeout=10.0)
-        assert all(c.exhausted for c in cluster.discovery_clients)
+        assert all(not c.searching and c.found_level is None for c in cluster.discovery_clients)
         for node in cluster.receiver_nodes:
             assert any(isinstance(e, DiscoveryExhausted) for e in node.events)
         # §2.2.1 fallback: the statically configured primary.

@@ -8,9 +8,9 @@ import pytest
 
 from repro.aio import AioNode, GroupDirectory, parse_token
 from repro.core.config import LbrmConfig, StatAckConfig
+from repro.core.events import EpochStarted
 from repro.core.logger import LoggerRole, LogServer
 from repro.core.sender import LbrmSender
-from repro.core.statack import StatAckPhase
 
 from tests.aio._netutil import free_udp_port
 
@@ -65,10 +65,10 @@ async def _run():
         assert sa is not None
         # Wait for bootstrap probing + first epoch over real sockets.
         for _ in range(80):
-            if sa.phase is StatAckPhase.ACTIVE and sa.designated_ackers:
+            if sender_node.events_of(EpochStarted) and sa.designated_ackers:
                 break
             await asyncio.sleep(0.1)
-        assert sa.phase is StatAckPhase.ACTIVE
+        assert sa.current_epoch == sa.epoch >= 1  # active, no selection under way
         # with only 3 loggers p_ack caps at 1: all three volunteer
         assert len(sa.designated_ackers) == 3
         assert sa.group_size_estimate == pytest.approx(3, abs=1.5)

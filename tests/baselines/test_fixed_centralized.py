@@ -13,7 +13,7 @@ def test_fixed_config_degenerates_schedule():
     assert cfg.heartbeat.is_fixed
     schedule = make_schedule(cfg.heartbeat)
     assert isinstance(schedule, FixedHeartbeatSchedule)
-    assert schedule.interval == 0.25
+    assert schedule.on_data(1.0) == schedule.on_heartbeat(1.0) == 1.25
 
 
 def test_fixed_config_preserves_other_sections():

@@ -85,7 +85,7 @@ class TestReceiver:
         actions = r.handle(PosAckDataPacket(group="g", seq=1, payload=b"a"), "src", 0.0)
         deliveries = [a for a in actions if isinstance(a, Deliver)]
         assert deliveries and deliveries[0].seq == 1
-        assert r.cum_seq == 1
+        assert [a.packet.cum_seq for a in actions if isinstance(a, SendUnicast)] == [1]
 
     def test_gap_stalls_delivery(self):
         """Head-of-line blocking: seq 3 held until 2 arrives."""

@@ -50,7 +50,11 @@ def test_member_caches_and_delivers():
     m = make_member()
     actions = m.handle(DataPacket(group="g", seq=1, payload=b"x"), "src", 0.0)
     deliveries = [a for a in actions if isinstance(a, Deliver)]
-    assert deliveries and m.has(1)
+    assert deliveries
+    # Cached: a peer's request for it is answered with a repair.
+    m.handle(SrmRequestPacket(group="g", seq=1), "peer", 0.1)
+    repairs = multicast_packets(m.poll(m.next_wakeup()), SrmRepairPacket)
+    assert [(r.seq, r.payload) for r in repairs] == [(1, b"x")]
 
 
 def test_gap_schedules_randomized_request():

@@ -128,7 +128,7 @@ def test_follower_restart_readoption_and_backfill():
     mgr = dep.primary.replication
     wiped, node = dep.replicas[0], dep.replica_nodes[0]
     name = node.name
-    assert mgr.acked_by(name) == dep.sender.seq  # caught up pre-wipe
+    assert mgr.commit_seq == dep.sender.seq  # both followers caught up pre-wipe (m = 2)
 
     node.run_machine(wiped.wipe_restart, dep.sim.now)
     assert wiped.primary_seq == 0
@@ -137,7 +137,7 @@ def test_follower_restart_readoption_and_backfill():
 
     assert mgr.stats["members_readopted"] == 1
     assert wiped.primary_seq == dep.sender.seq  # vanished prefix backfilled
-    assert mgr.acked_by(name) == wiped.primary_seq  # watermark is honest
+    assert mgr.commit_seq == wiped.primary_seq  # watermark is honest: m = 2 counts the wiped one
 
 
 def test_readopt_sweep_is_clean():

@@ -83,11 +83,11 @@ def test_restarted_receiver_reopens_its_open_recovery():
     oracle = arm(dep, [Fault("corrupt", SEND_AT[1], "site1-rx0", duration=0.2, amount=1.0)])
     seen = _crash_in_repair(
         dep, "site1-rx0", "site1-rx0", 0.0,
-        lambda rx: (sorted(rx._recoveries), rx.timers.deadline(("nack", 2))),
+        lambda rx: (sorted(rx._recoveries), rx.next_wakeup()),
     )
     _run(dep)
     assert seen["at_crash"][0] == [2]  # crashed with its one recovery open
-    # Re-opened at the restart, its NACK due then.
+    # Re-opened at the restart, its NACK due then (the receiver's next wakeup).
     assert seen["at_restart"] == ([2], seen["restarted_at"])
     oracle.assert_ok()
     receiver = dep.members["site1-rx0"][0]

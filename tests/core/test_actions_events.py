@@ -2,47 +2,9 @@
 
 from __future__ import annotations
 
-from repro.core.actions import (
-    Deliver,
-    JoinGroup,
-    Notify,
-    SendMulticast,
-    SendUnicast,
-    deliveries,
-    notifications,
-    sends,
-)
+from repro.core.actions import Deliver, SendMulticast, SendUnicast
 from repro.core.events import LossDetected
 from repro.core.packets import PrimaryQueryPacket
-
-
-def make_actions():
-    pkt = PrimaryQueryPacket(group="g")
-    return [
-        SendUnicast(dest="a", packet=pkt),
-        Deliver(seq=1, payload=b"x"),
-        SendMulticast(group="g", packet=pkt, ttl=1),
-        Notify(LossDetected(seqs=(2,))),
-        JoinGroup(group="g"),
-    ]
-
-
-def test_sends_filter():
-    out = sends(make_actions())
-    assert len(out) == 2
-    assert isinstance(out[0], SendUnicast) and isinstance(out[1], SendMulticast)
-
-
-def test_deliveries_filter():
-    out = deliveries(make_actions())
-    assert len(out) == 1 and out[0].payload == b"x"
-    assert out[0].recovered is False  # default
-
-
-def test_notifications_filter():
-    out = notifications(make_actions())
-    assert len(out) == 1
-    assert isinstance(out[0].event, LossDetected)
 
 
 def test_actions_are_frozen_and_hashable():
@@ -52,6 +14,7 @@ def test_actions_are_frozen_and_hashable():
     assert a == b
     assert hash(a) == hash(b)
     assert SendMulticast(group="g", packet=pkt).ttl is None
+    assert Deliver(seq=1, payload=b"x").recovered is False  # default
 
 
 def test_events_are_frozen():

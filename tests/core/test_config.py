@@ -65,7 +65,6 @@ def test_receiver_config_rejects(kwargs):
     "kwargs",
     [
         {"max_packets": -1},
-        {"max_bytes": -1},
         {"packet_lifetime": -1.0},
         {"remulticast_threshold": 0},
         {"site_ttl": 0},

@@ -7,12 +7,20 @@ import pytest
 from repro.core.actions import Notify, SendMulticast
 from repro.core.config import DiscoveryConfig
 from repro.core.discovery import DiscoveryClient
-from repro.core.events import LoggerDiscovered
+from repro.core.events import DiscoveryExhausted, LoggerDiscovered
 from repro.core.packets import DiscoveryQueryPacket, DiscoveryReplyPacket
 
 
 def queries(actions):
     return [a for a in actions if isinstance(a, SendMulticast) and isinstance(a.packet, DiscoveryQueryPacket)]
+
+
+def found(actions):
+    return [a.event.logger for a in actions if isinstance(a, Notify) and isinstance(a.event, LoggerDiscovered)]
+
+
+def exhausted(actions):
+    return [a.event for a in actions if isinstance(a, Notify) and isinstance(a.event, DiscoveryExhausted)]
 
 
 def make_client(**kwargs) -> DiscoveryClient:
@@ -42,9 +50,7 @@ def test_reply_ends_search_with_event():
     client.start(0.0)
     client.handle(DiscoveryReplyPacket(group="g", logger_addr="site-logger", level=1), "site-logger", 0.1)
     actions = client.poll(0.2)
-    found = [a.event for a in actions if isinstance(a, Notify) and isinstance(a.event, LoggerDiscovered)]
-    assert found and found[0].logger == "site-logger"
-    assert client.found == "site-logger"
+    assert found(actions) == ["site-logger"]
     assert client.found_level == 1
     assert not client.searching
 
@@ -55,8 +61,7 @@ def test_deeper_level_preferred_within_ring():
     client.start(0.0)
     client.handle(DiscoveryReplyPacket(group="g", logger_addr="primary", level=0), "primary", 0.05)
     client.handle(DiscoveryReplyPacket(group="g", logger_addr="sec", level=1), "sec", 0.1)
-    client.poll(0.2)
-    assert client.found == "sec"
+    assert found(client.poll(0.2)) == ["sec"]
 
 
 def test_exhaustion_at_max_ttl():
@@ -64,9 +69,9 @@ def test_exhaustion_at_max_ttl():
     client.start(0.0)
     client.poll(client.next_wakeup())  # ttl 2
     client.poll(client.next_wakeup())  # ttl 4
-    client.poll(client.next_wakeup())  # silence at max
-    assert client.exhausted
-    assert client.found is None
+    actions = client.poll(client.next_wakeup())  # silence at max
+    assert exhausted(actions) and found(actions) == []
+    assert client.found_level is None
     assert not client.searching
 
 
@@ -74,28 +79,29 @@ def test_reply_after_search_over_is_ignored():
     client = make_client()
     client.start(0.0)
     client.handle(DiscoveryReplyPacket(group="g", logger_addr="a", level=1), "a", 0.1)
-    client.poll(0.2)
-    client.handle(DiscoveryReplyPacket(group="g", logger_addr="b", level=2), "b", 0.3)
-    assert client.found == "a"
+    assert found(client.poll(0.2)) == ["a"]
+    assert client.handle(DiscoveryReplyPacket(group="g", logger_addr="b", level=2), "b", 0.3) == []
+    assert client.found_level == 1  # still a's
+    assert client.next_wakeup() is None and client.poll(1.0) == []
 
 
 def test_restart_clears_state():
     client = make_client(max_ttl=2)
     client.start(0.0)
     client.poll(client.next_wakeup())
-    client.poll(client.next_wakeup())
-    assert client.exhausted
+    assert exhausted(client.poll(client.next_wakeup()))
     actions = client.start(1.0)
     assert queries(actions)[0].packet.ttl == 1
-    assert client.searching and not client.exhausted
+    assert client.searching
+    # A fresh search: the silent first ring expands again.
+    assert queries(client.poll(client.next_wakeup()))[0].packet.ttl == 2
 
 
 def test_parse_token_applied():
     client = DiscoveryClient("g", DiscoveryConfig(), parse_token=lambda t: ("host", int(t)))
     client.start(0.0)
     client.handle(DiscoveryReplyPacket(group="g", logger_addr="4242", level=1), "x", 0.1)
-    client.poll(1.0)
-    assert client.found == ("host", 4242)
+    assert found(client.poll(1.0)) == [("host", 4242)]
 
 
 def test_query_counter():
@@ -122,14 +128,13 @@ class TestRetryAndBackoff:
         client = make_client(ring_retries=1, max_ttl=2)
         client.start(0.0)
         ttls = []
-        for _ in range(4):
+        for _ in range(3):
             actions = client.poll(client.next_wakeup())
             sent = queries(actions)
             if sent:
                 ttls.append(sent[0].packet.ttl)
         assert ttls == [1, 2, 2]  # retry ring 1, expand, retry ring 2
-        client.poll(client.next_wakeup())
-        assert client.exhausted
+        assert exhausted(client.poll(client.next_wakeup()))  # then no budget is left
 
     def test_timeout_backs_off_geometrically_with_cap(self):
         client = make_client(
@@ -164,8 +169,7 @@ class TestRetryAndBackoff:
         client.start(0.0)
         client.poll(client.next_wakeup())  # first silent window: retry
         client.handle(DiscoveryReplyPacket(group="g", logger_addr="sec", level=1), "sec", 0.3)
-        client.poll(client.next_wakeup())
-        assert client.found == "sec"
+        assert found(client.poll(client.next_wakeup())) == ["sec"]
         assert not client.searching
 
     def test_defaults_preserve_immediate_expansion(self):

@@ -29,22 +29,20 @@ def test_backoff_doubles_each_heartbeat():
 def test_interval_caps_at_h_max():
     s = VariableHeartbeatSchedule(HeartbeatConfig(h_min=1.0, backoff=4.0, h_max=8.0))
     s.on_data(0.0)
-    s.on_heartbeat(1.0)  # h -> 4
-    s.on_heartbeat(5.0)  # h -> 8 (16 capped)
-    assert s.current_interval == pytest.approx(8.0)
-    s.on_heartbeat(13.0)
-    assert s.current_interval == pytest.approx(8.0)  # stays capped
+    assert s.on_heartbeat(1.0) == pytest.approx(5.0)  # h -> 4
+    assert s.on_heartbeat(5.0) == pytest.approx(13.0)  # h -> 8 (16 capped)
+    assert s.on_heartbeat(13.0) == pytest.approx(21.0)  # stays capped
 
 
 def test_data_resets_interval():
     s = VariableHeartbeatSchedule(HeartbeatConfig(h_min=0.25, backoff=2.0))
     s.on_data(0.0)
     for t in (0.25, 0.75, 1.75):
-        s.on_heartbeat(t)
-    assert s.current_interval > 0.25
+        due = s.on_heartbeat(t)
+    assert due - 1.75 > 0.25
     due = s.on_data(2.0)
-    assert s.current_interval == pytest.approx(0.25)
     assert due == pytest.approx(2.25)
+    assert s.on_heartbeat(due) == pytest.approx(2.75)  # h restarted from h_min
 
 
 def test_figure3_timeline():
@@ -93,7 +91,7 @@ def test_fixed_schedule_rejects_bad_interval():
 def test_make_schedule_degenerates_fixed():
     fixed = make_schedule(HeartbeatConfig(h_min=0.5, h_max=0.5, backoff=1.0))
     assert isinstance(fixed, FixedHeartbeatSchedule)
-    assert fixed.interval == 0.5
+    assert fixed.on_data(0.0) == fixed.on_heartbeat(0.0) == 0.5
     variable = make_schedule(HeartbeatConfig())
     assert isinstance(variable, VariableHeartbeatSchedule)
 

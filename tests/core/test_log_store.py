@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.core.errors import LogMissError
 from repro.core.log_store import PacketLog
 
@@ -36,7 +37,7 @@ def test_contains_and_len():
     log.append(3, b"c", 0.0)
     assert 1 in log and 3 in log and 2 not in log
     assert len(log) == 2
-    assert log.lowest == 1 and log.highest == 3
+    assert log.highest == 3
 
 
 def test_byte_size_tracks_payloads():
@@ -47,22 +48,15 @@ def test_byte_size_tracks_payloads():
 
 
 def test_max_packets_evicts_oldest():
-    log = PacketLog(max_packets=3)
-    for seq in range(1, 6):
-        log.append(seq, bytes([seq]), 0.0)
+    with obs.recording() as reg:
+        log = PacketLog(max_packets=3)
+        for seq in range(1, 6):
+            log.append(seq, bytes([seq]), 0.0)
     assert len(log) == 3
-    assert log.lowest == 3
-    assert log.dropped == 2
+    assert [seq for seq in range(1, 6) if seq in log] == [3, 4, 5]
+    assert reg.counter_value("log_store.evicted") == 2  # lost to the log for good
     with pytest.raises(LogMissError):
         log.get(1)
-
-
-def test_max_bytes_evicts_oldest():
-    log = PacketLog(max_bytes=10)
-    log.append(1, b"x" * 6, 0.0)
-    log.append(2, b"y" * 6, 0.0)
-    assert 1 not in log and 2 in log
-    assert log.byte_size <= 10
 
 
 def test_lifetime_expiry():
@@ -85,18 +79,20 @@ def test_trim_below():
     for seq in range(1, 10):
         log.append(seq, b"p", 0.0)
     assert log.trim_below(5) == 4
-    assert log.lowest == 5
+    assert [seq for seq in range(1, 10) if seq in log] == [5, 6, 7, 8, 9]
 
 
 def test_spool_overflow_retrievable(tmp_path):
     """Entries pushed past the memory cap survive on disk (§2's
     'writing them to disk once in-memory buffers are full')."""
     spool = tmp_path / "log.spool"
-    log = PacketLog(max_packets=2, spool_path=str(spool))
-    for seq in range(1, 6):
-        log.append(seq, f"payload-{seq}".encode(), now=float(seq))
+    with obs.recording() as reg:
+        log = PacketLog(max_packets=2, spool_path=str(spool))
+        for seq in range(1, 6):
+            log.append(seq, f"payload-{seq}".encode(), now=float(seq))
     assert len(log) == 5  # everything still retrievable
-    assert log.dropped == 0
+    assert reg.counter_value("log_store.evicted") == 0
+    assert reg.counter_value("log_store.spooled") == 3
     entry = log.get(1)
     assert entry.payload == b"payload-1"
     assert entry.logged_at == 1.0
@@ -121,7 +117,7 @@ def test_spool_trim_below(tmp_path):
     for seq in range(1, 5):
         log.append(seq, b"p", 0.0)
     log.trim_below(4)
-    assert log.lowest == 4
+    assert [seq for seq in range(1, 5) if seq in log] == [4]
     log.close()
 
 
@@ -130,12 +126,12 @@ def test_lowest_highest_span_memory_and_spool(tmp_path):
     log = PacketLog(max_packets=2, spool_path=str(spool))
     for seq in (10, 11, 12, 13):
         log.append(seq, b"p", 0.0)
-    assert log.lowest == 10  # in spool
+    assert 10 in log and 9 not in log  # the lowest, in spool
     assert log.highest == 13  # in memory
     log.close()
 
 
 def test_empty_log_properties():
     log = PacketLog()
-    assert log.lowest is None and log.highest is None
+    assert log.highest is None
     assert len(log) == 0 and log.byte_size == 0

@@ -428,8 +428,9 @@ def test_recording_changes_no_action_and_its_gauges_follow_the_log(build, steps,
 
         def gauges_follow_the_log():
             log = recorded.log
-            assert reg.gauge_value("logger.log_packets", node=node) == len(log)
-            assert reg.gauge_value("logger.log_bytes", node=node) == log.byte_size
+            gauges = reg.snapshot()["gauges"]
+            assert gauges[f"logger.log_packets{{node={node}}}"] == len(log)
+            assert gauges[f"logger.log_bytes{{node={node}}}"] == log.byte_size
             sizes.append(len(log))
 
         outcome = _feed(recorded, steps, gauges_follow_the_log)

@@ -21,8 +21,12 @@ def test_set_replaces_deadline():
     timers = TimerSet()
     timers.set("x", 5.0)
     timers.set("x", 1.0)
-    assert timers.deadline("x") == 1.0
+    assert timers.next_deadline() == 1.0
     assert len(timers) == 1
+    timers.set("x", 3.0)  # re-armed later: the earlier deadline is gone
+    assert timers.next_deadline() == 3.0
+    assert list(timers.pop_due(2.0)) == []
+    assert timers.pop_due(3.0) == ["x"]
 
 
 def test_cancel():
@@ -31,15 +35,6 @@ def test_cancel():
     timers.cancel("x")
     timers.cancel("never-set")  # no-op
     assert list(timers.pop_due(10.0)) == []
-
-
-def test_cancel_prefix():
-    timers = TimerSet()
-    timers.set(("nack", 1), 1.0)
-    timers.set(("nack", 2), 2.0)
-    timers.set(("maxit",), 3.0)
-    timers.cancel_prefix(("nack",))
-    assert timers.pop_due(10.0) == [("maxit",)]
 
 
 def test_next_deadline():

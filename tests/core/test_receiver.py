@@ -179,12 +179,15 @@ def test_freshness_lost_and_restored():
     r.handle(data(1), "source", 0.1)
     actions = r.poll(0.7)  # silence > 2 * 0.25 after last packet
     lost = events(actions, FreshnessLost)
-    assert lost and not r.fresh
+    assert lost
     silence = events(actions, LossDetected)
     assert silence and silence[0].via_silence and silence[0].seqs == ()
-    actions = r.handle(data(2), "source", 1.0)
+    # Still stale when the watchdog fires again: the loss is reported once.
+    assert not events(r.poll(r.next_wakeup()), FreshnessLost)
+    actions = r.handle(data(2), "source", 1.3)
     restored = events(actions, FreshnessRestored)
-    assert restored and r.fresh
+    assert restored
+    assert not events(r.handle(data(3), "source", 1.4), FreshnessRestored)  # fresh again
 
 
 def test_adaptive_watchdog_follows_backoff():

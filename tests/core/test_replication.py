@@ -22,13 +22,14 @@ def test_replicate_sends_to_all_replicas():
 
 
 def test_replica_seq_with_min_one():
-    """replica_seq = the most up-to-date replica's cumulative ACK."""
+    """The commit point (the replica_seq a log ACK reports) = the most
+    up-to-date replica's cumulative ACK."""
     mgr = ReplicationManager("g", ("r0", "r1"))
     mgr.replicate(1, b"a", 0.0)
     mgr.replicate(2, b"b", 0.1)
-    assert mgr.replica_seq == 0
+    assert mgr.commit_seq == 0
     assert mgr.on_ack("r0", 2, 0.2)  # grew
-    assert mgr.replica_seq == 2  # one replica suffices by default
+    assert mgr.commit_seq == 2  # one replica suffices by default
 
 
 def test_replica_seq_with_min_two():
@@ -39,15 +40,15 @@ def test_replica_seq_with_min_two():
     mgr = ReplicationManager("g", ("r0", "r1", "r2"), cfg)
     mgr.replicate(1, b"a", 0.0)
     mgr.on_ack("r0", 1, 0.1)
-    assert mgr.replica_seq == 0  # only one replica has it
+    assert mgr.commit_seq == 0  # only one replica has it
     mgr.on_ack("r1", 1, 0.2)
-    assert mgr.replica_seq == 1
+    assert mgr.commit_seq == 1
 
 
 def test_ack_from_unknown_replica_ignored():
     mgr = ReplicationManager("g", ("r0",))
     assert not mgr.on_ack("stranger", 5, 0.0)
-    assert mgr.replica_seq == 0
+    assert mgr.commit_seq == 0
 
 
 def test_retry_unacked_updates():
@@ -81,22 +82,24 @@ def test_retry_cap_drops_entry():
 def test_no_replicas_is_inert():
     mgr = ReplicationManager("g", ())
     assert mgr.replicate(1, b"a", 0.0) == []
-    assert mgr.replica_seq == 0
+    assert mgr.commit_seq == 0
     assert mgr.next_wakeup() is None
 
 
 def test_acked_by():
+    """A follower's cumulative ACK is its backfill start and, alone, the
+    commit point."""
     mgr = ReplicationManager("g", ("r0",))
-    assert mgr.acked_by("r0") is None
+    assert mgr.missing_for("r0", 4) == [1, 2, 3, 4] and mgr.commit_seq == 0
     mgr.on_ack("r0", 3, 0.0)
-    assert mgr.acked_by("r0") == 3
+    assert mgr.missing_for("r0", 4) == [4] and mgr.commit_seq == 3
 
 
 def test_stale_ack_does_not_regress():
     mgr = ReplicationManager("g", ("r0",))
     mgr.on_ack("r0", 5, 0.0)
     mgr.on_ack("r0", 2, 0.1)  # reordered, stale
-    assert mgr.acked_by("r0") == 5
+    assert mgr.missing_for("r0", 6) == [6] and mgr.commit_seq == 5
 
 
 # -- commit-point membership & terms (DESIGN.md §10) ----------------------
@@ -128,7 +131,7 @@ def test_adopt_adds_member_counting_as_empty():
     assert mgr.adopt("r1", 0.1)
     assert not mgr.adopt("r1", 0.2)  # idempotent
     assert set(mgr.members) == {"r0", "r1"}
-    assert mgr.acked_by("r1") is None
+    assert mgr.missing_for("r1", 3) == [1, 2, 3]  # holds nothing yet
     assert mgr.commit_seq == 3  # m=1: the newcomer doesn't drag it down
     assert mgr.stats["members_adopted"] == 1
 
@@ -165,7 +168,6 @@ def test_readopt_resets_stale_progress():
     mgr.on_ack("r0", 1, 0.1, epoch=2)
     assert mgr.commit_seq == 1
     assert not mgr.adopt("r0", 0.2)  # not new, but reset
-    assert mgr.acked_by("r0") is None
     assert mgr.commit_seq == 0
     assert mgr.stats["members_readopted"] == 1
     assert mgr.missing_for("r0", 1) == [1]  # backfill restarts from 1
@@ -199,7 +201,8 @@ def test_note_regression_detects_restarted_follower():
     assert mgr.commit_seq == 2
     assert mgr.note_regression("r0", 0, 0.3, epoch=2)
     assert mgr.commit_seq == 0
-    assert mgr.acked_by("r0") is None
+    assert mgr.missing_for("r0", 2) == [1, 2]  # nothing in flight, nothing held
+    assert not mgr.adopt("r0", 0.3)  # a fresh record: re-adopting it is inert
     assert mgr.stats["members_readopted"] == 1
     # The follower's next honest ACK rebuilds from its true position.
     mgr.on_ack("r0", 0, 0.3, epoch=2)
@@ -212,5 +215,5 @@ def test_note_regression_ignores_equal_and_foreign_epoch():
     assert not mgr.note_regression("r0", 3, 0.1, epoch=2)  # no regression
     assert not mgr.note_regression("r0", 1, 0.2, epoch=1)  # foreign term
     assert not mgr.note_regression("stranger", 0, 0.3, epoch=2)
-    assert mgr.acked_by("r0") == 3
+    assert mgr.missing_for("r0", 4) == [4] and mgr.commit_seq == 3
     assert mgr.stats["members_readopted"] == 0

@@ -21,7 +21,7 @@ from repro.core.packets import (
     ReplUpdatePacket,
     RetransPacket,
 )
-from repro.core.sender import FailoverPhase, LbrmSender
+from repro.core.sender import LbrmSender
 
 
 def multicasts(actions):
@@ -107,7 +107,26 @@ def test_primary_query_answered():
     assert replies[0].dest == "rx1"
 
 
+def status_queries(actions):
+    return [a for a in unicasts(actions) if isinstance(a.packet, ReplStatusQueryPacket)]
+
+
+def promotions(actions):
+    return [a for a in unicasts(actions) if isinstance(a.packet, PromotePacket)]
+
+
+def handover_pushes(actions):
+    return [(a.dest, a.packet.seq) for a in unicasts(actions) if isinstance(a.packet, ReplUpdatePacket)]
+
+
 class TestFailover:
+    """The failover phase is read off the wire: HEALTHY answers a stale
+    primary with replica status queries, QUERYING turns the votes it
+    collects into a promotion, and HANDOVER re-pushes the buffered tail
+    to the new primary until it confirms."""
+
+    RETRY = ReplicationConfig().update_retry
+
     def make(self):
         cfg = LbrmConfig(replication=ReplicationConfig(primary_timeout=1.0, failover_wait=0.2))
         s = LbrmSender("g", cfg, primary="primary", replicas=("r0", "r1"))
@@ -119,15 +138,16 @@ class TestFailover:
         s.send(b"x", 0.0)
         s.handle(LogAckPacket(group="g", primary_seq=1, replica_seq=1), "primary", 0.1)
         s.poll(1.0)
-        assert s.failover_phase is FailoverPhase.HEALTHY
+        assert status_queries(s.poll(2.5)) == []  # nothing outstanding: no failover starts
 
     def test_timeout_queries_replicas(self):
         s = self.make()
         s.send(b"x", 0.0)
         actions = s.poll(2.5)  # primary never acked, check fires past 1.0s age
-        queries = [a for a in unicasts(actions) if isinstance(a.packet, ReplStatusQueryPacket)]
-        assert {q.dest for q in queries} == {"r0", "r1"}
-        assert s.failover_phase is FailoverPhase.QUERYING
+        assert {q.dest for q in status_queries(actions)} == {"r0", "r1"}
+        # Querying: a vote now is counted when the window closes.
+        s.handle(ReplAckPacket(group="g", cum_seq=1), "r1", 2.6)
+        assert [p.dest for p in promotions(s.poll(2.8))] == ["r1"]
 
     def test_most_up_to_date_replica_promoted(self):
         s = self.make()
@@ -149,14 +169,20 @@ class TestFailover:
         assert [u.packet.seq for u in updates] == [2]
 
     def test_handover_completion_releases(self):
-        s = self.make()
-        s.send(b"x", 0.0)
-        s.poll(2.5)
-        s.handle(ReplAckPacket(group="g", cum_seq=2**64 - 1), "r0", 2.6)
-        s.poll(2.8)
-        assert s.failover_phase is FailoverPhase.HANDOVER
+        def promoted():
+            s = self.make()
+            s.send(b"x", 0.0)
+            s.poll(2.5)
+            s.handle(ReplAckPacket(group="g", cum_seq=2**64 - 1), "r0", 2.6)
+            assert handover_pushes(s.poll(2.8)) == [("r0", 1)]
+            return s
+
+        waiting, s = promoted(), promoted()
+        # Handing over: the tail is re-pushed until the new primary confirms ...
+        assert handover_pushes(waiting.poll(2.8 + self.RETRY)) == [("r0", 1)]
         s.handle(ReplAckPacket(group="g", cum_seq=1), s.primary, 3.0)
-        assert s.failover_phase is FailoverPhase.HEALTHY
+        # ... and once it has, never again.
+        assert handover_pushes(s.poll(2.8 + self.RETRY)) == []
         assert s.stats["failovers"] == 1
 
     def test_no_votes_aborts_failover(self):
@@ -164,19 +190,18 @@ class TestFailover:
         s.send(b"x", 0.0)
         s.poll(2.5)
         actions = s.poll(2.8)  # vote window closes, nobody answered
-        assert s.failover_phase is FailoverPhase.HEALTHY
         assert s.primary == "primary"  # unchanged; will retry later
-        assert not unicasts(actions) or all(
-            not isinstance(a.packet, PromotePacket) for a in unicasts(actions)
-        )
+        assert promotions(actions) == []
+        # Healthy again: the next primary check queries the replicas anew.
+        assert {q.dest for q in status_queries(s.poll(4.0))} == {"r0", "r1"}
 
     def test_no_replicas_never_fails_over(self):
         cfg = LbrmConfig(replication=ReplicationConfig(primary_timeout=1.0))
         s = LbrmSender("g", cfg, primary="primary")
         s.start(0.0)
         s.send(b"x", 0.0)
-        s.poll(5.0)
-        assert s.failover_phase is FailoverPhase.HEALTHY
+        assert status_queries(s.poll(5.0)) == []
+        assert s.primary == "primary"
 
     def test_vote_order_does_not_matter(self):
         """A stale replica answering first must not win the vote."""
@@ -191,7 +216,8 @@ class TestFailover:
         assert promotes[0].dest == "r1"
         assert promotes[0].packet.from_seq == 3
         # r1 already holds everything: no tail to push, handover is instant.
-        assert s.failover_phase is FailoverPhase.HEALTHY
+        assert handover_pushes(actions) == []
+        assert handover_pushes(s.poll(2.8 + self.RETRY)) == []
 
     def test_equal_prefixes_promote_lowest_token(self):
         """Regression: the old `max()` over the vote dict promoted whoever
@@ -267,9 +293,9 @@ class TestFailover:
         s.send(b"x", 0.0)
         s.poll(2.5)
         s.handle(ReplAckPacket(group="g", cum_seq=5), "impostor", 2.6)
-        s.poll(2.8)
-        assert s.failover_phase is FailoverPhase.HEALTHY
+        assert promotions(s.poll(2.8)) == []  # no vote counted: the round aborts
         assert s.primary == "primary"
+        assert {q.dest for q in status_queries(s.poll(4.0))} == {"r0", "r1"}
 
     def test_aborted_vote_retries_and_eventually_promotes(self):
         """Simultaneous failure: primary and both replicas dark at once.
@@ -278,9 +304,8 @@ class TestFailover:
         s = self.make()
         s.send(b"x", 0.0)
         s.poll(2.5)  # QUERYING
-        s.poll(2.8)  # nobody answered: abort back to HEALTHY
-        assert s.failover_phase is FailoverPhase.HEALTHY
-        actions = s.poll(4.0)  # data still outstanding: the check re-fires
+        assert promotions(s.poll(2.8)) == []  # nobody answered: abort back to HEALTHY
+        actions = s.poll(4.0)  # data still outstanding: the healthy check re-fires
         queries = [a for a in unicasts(actions) if isinstance(a.packet, ReplStatusQueryPacket)]
         assert {q.dest for q in queries} == {"r0", "r1"}
         s.handle(ReplAckPacket(group="g", cum_seq=1), "r1", 4.1)
@@ -386,8 +411,9 @@ def test_recording_changes_no_action_and_its_gauges_follow_the_buffer():
         marks = []
 
         def gauges_follow_the_buffer():
-            assert reg.gauge_value("sender.unacked", node="source") == recorded.unacked
-            assert reg.gauge_value("sender.released_up_to", node="source") == recorded.released_up_to
+            gauges = reg.snapshot()["gauges"]
+            assert gauges["sender.unacked{node=source}"] == recorded.unacked
+            assert gauges["sender.released_up_to{node=source}"] == recorded.released_up_to
             marks.append((recorded.unacked, recorded.released_up_to))
 
         outcome = _feed(recorded, gauges_follow_the_buffer)

@@ -46,18 +46,18 @@ def test_duplicate_detected_and_counted():
     t = SequenceTracker()
     t.observe_data(1)
     report = t.observe_data(1)
-    assert not report.is_new
-    assert t.duplicates == 1
+    assert not report.is_new and not report.filled_gap and report.new_gaps == ()
+    assert t.has(1) and t.highest == 1 and t.missing == frozenset()
 
 
 def test_recovered_then_duplicated():
     t = SequenceTracker()
     t.observe_data(1)
     t.observe_data(3)
-    t.observe_data(2)
+    assert t.observe_data(2).filled_gap
     report = t.observe_data(2)
-    assert not report.is_new
-    assert t.duplicates == 1
+    assert not report.is_new and not report.filled_gap
+    assert t.has(2) and t.missing == frozenset()
 
 
 def test_heartbeat_reveals_gap():
@@ -110,7 +110,7 @@ def test_abandoned_sequences_are_not_held():
     t.observe_data(4)
     t.abandon((2,))
     assert not t.has(2)
-    assert t.abandoned == frozenset({2})
+    assert t.missing == frozenset({3})  # no longer recovered, still not held
 
 
 def test_late_arrival_after_abandon_is_fresh():
@@ -121,7 +121,7 @@ def test_late_arrival_after_abandon_is_fresh():
     report = t.observe_data(2)
     assert report.is_new and report.filled_gap
     assert t.has(2)
-    assert t.abandoned == frozenset()
+    assert not t.observe_data(2).is_new  # held now: a second copy is a duplicate
 
 
 def test_abandon_of_never_missing_seq_is_noop():
@@ -129,7 +129,8 @@ def test_abandon_of_never_missing_seq_is_noop():
     t.observe_data(1)
     t.abandon((1, 99))
     assert t.has(1)
-    assert t.abandoned == frozenset()
+    t.observe_data(99)  # 99 was never missing, so abandoning it was a no-op
+    assert t.has(99)
 
 
 def test_has_reflects_holdings():

@@ -17,11 +17,15 @@ from repro.core.packets import (
     ProbeReplyPacket,
 )
 from repro.core.retransmit import RetransmitDecision
-from repro.core.statack import StatAckPhase, StatAckSource
+from repro.core.statack import StatAckSource
 
 
 def multicast_packets(actions, ptype):
     return [a.packet for a in actions if isinstance(a, SendMulticast) and isinstance(a.packet, ptype)]
+
+
+def epochs_started(actions) -> list[int]:
+    return [a.event.epoch for a in actions if isinstance(a, Notify) and isinstance(a.event, EpochStarted)]
 
 
 def make_engine(n_sl: float = 50.0, **cfg_kwargs) -> StatAckSource:
@@ -40,8 +44,8 @@ def start_epoch(engine: StatAckSource, ackers: list[str], now: float = 0.0) -> f
     for acker in ackers:
         engine.handle(AckerResponsePacket(group="g", epoch=epoch), acker, now + 0.01)
     close_at = engine.next_wakeup()
-    engine.poll(close_at)
-    assert engine.phase is StatAckPhase.ACTIVE
+    actions, _ = engine.poll(close_at)
+    assert epochs_started(actions) == [epoch]  # the window closed into an active epoch
     return close_at
 
 
@@ -181,8 +185,8 @@ class TestEpochRollover:
         engine.on_data_sent(2, 1.1)
         engine.poll(1.2)  # triggers selection
         engine.handle(AckerResponsePacket(group="g", epoch=engine.epoch), "b", 1.25)
-        while engine.phase is not StatAckPhase.ACTIVE:
-            engine.poll(engine.next_wakeup())
+        while not epochs_started(engine.poll(engine.next_wakeup())[0]):
+            pass
         assert engine.current_epoch == first + 1
         assert engine.designated_ackers == frozenset({"b"})
 
@@ -192,13 +196,11 @@ class TestBootstrap:
         engine = StatAckSource("g", StatAckConfig(k_ackers=5), rng=random.Random(1))
         actions = engine.start(0.0)
         probes = multicast_packets(actions, ProbePacket)
-        assert probes and engine.phase is StatAckPhase.BOOTSTRAP
+        assert probes and engine.epoch == 0  # bootstrapping: probing, no selection yet
         now = 0.0
         # Simulate 20 loggers answering each probe with coin flips.
         rng = random.Random(9)
         for _ in range(40):
-            if engine.phase is not StatAckPhase.BOOTSTRAP:
-                break
             probe = probes[0]
             for i in range(20):
                 if rng.random() < probe.p_ack:
@@ -208,7 +210,8 @@ class TestBootstrap:
             probes = multicast_packets(actions, ProbePacket)
             if not probes:
                 break
-        assert engine.phase in (StatAckPhase.SELECTING, StatAckPhase.ACTIVE)
+        # Bootstrap over: the estimate converged and the first selection went out.
+        assert [s.epoch for s in multicast_packets(actions, AckerSelectPacket)] == [1]
         assert engine.group_size_estimate == pytest.approx(20, rel=0.6)
 
 
@@ -233,4 +236,5 @@ class TestHotlist:
             engine._packets_this_epoch = 10**9
             engine.timers.set(("new_epoch",), round_ + 0.5)
         assert flagged and flagged[0].logger == "bad"
-        assert engine.hotlist.is_quarantined("bad")
+        # Quarantined: it volunteered again in the last window, yet is no acker.
+        assert engine.designated_ackers == frozenset()

@@ -41,21 +41,21 @@ def _run_scenario(seed: int):
 def _record(seed: int):
     with obs.recording(MetricsRegistry()) as reg:
         dep = _run_scenario(seed)
-        return reg.to_json(), reg.trace.events(), dep
+        return reg.snapshot(), reg.trace.events(), dep
 
 
 def test_same_seed_is_bit_identical():
-    json_a, trace_a, _ = _record(42)
-    json_b, trace_b, _ = _record(42)
-    assert json_a == json_b
+    snap_a, trace_a, _ = _record(42)
+    snap_b, trace_b, _ = _record(42)
+    assert snap_a == snap_b
     assert trace_a == trace_b
     assert len(trace_a) > 0, "scenario produced no trace events"
 
 
 def test_different_seeds_diverge():
-    json_a, trace_a, _ = _record(1)
-    json_b, trace_b, _ = _record(2)
-    assert json_a != json_b or trace_a != trace_b
+    snap_a, trace_a, _ = _record(1)
+    snap_b, trace_b, _ = _record(2)
+    assert snap_a != snap_b or trace_a != trace_b
 
 
 def _protocol_outcome(dep):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import DiscoveryConfig, LbrmConfig
 from repro.core.discovery import DiscoveryClient
-from repro.core.events import LoggerDiscovered
+from repro.core.events import DiscoveryExhausted, LoggerDiscovered
 from repro.core.logger import LoggerRole, LogServer
 from repro.simnet import Network, RngStreams, SimNode, Simulator
 
@@ -37,9 +37,9 @@ def test_finds_local_logger_with_ttl_one():
     node = SimNode(net, rx_host, [client])
     node.start()
     sim.run_until(1.0)
-    assert client.found == "sec1"
     found = node.events_of(LoggerDiscovered)
-    assert found and found[0].ttl == 1  # first ring sufficed: it is local
+    assert [e.logger for e in found] == ["sec1"]
+    assert found[0].ttl == 1  # first ring sufficed: it is local
 
 
 def test_ring_expands_to_remote_primary_when_no_local_logger():
@@ -57,8 +57,8 @@ def test_ring_expands_to_remote_primary_when_no_local_logger():
     node = SimNode(net, rx_host, [client])
     node.start()
     sim.run_until(3.0)
-    assert client.found == "primary"
     found = node.events_of(LoggerDiscovered)
+    assert [e.logger for e in found] == ["primary"]
     assert found[0].ttl >= 4  # needed a WAN-wide ring
 
 
@@ -72,7 +72,7 @@ def test_exhaustion_with_no_loggers_anywhere():
     node = SimNode(net, rx_host, [client])
     node.start()
     sim.run_until(2.0)
-    assert client.exhausted and client.found is None
+    assert node.events_of(DiscoveryExhausted) and not node.events_of(LoggerDiscovered)
 
 
 def test_discovered_chain_feeds_receiver():
@@ -85,6 +85,7 @@ def test_discovered_chain_feeds_receiver():
     node = SimNode(net, rx_host, [client, receiver])
     node.start()
     sim.run_until(1.0)
-    assert client.found == "sec1"
-    receiver.set_logger_chain((client.found, "primary"))
+    (found,) = node.events_of(LoggerDiscovered)
+    assert found.logger == "sec1"
+    receiver.set_logger_chain((found.logger, "primary"))
     assert receiver.logger_chain == ("sec1", "primary")

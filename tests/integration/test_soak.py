@@ -22,6 +22,9 @@ def test_chaos_soak(seed):
     dep = LbrmDeployment(DeploymentSpec(n_sites=5, receivers_per_site=3, seed=seed))
     dep.start()
     dep.advance(0.2)
+    # Every host in the order the network made them: the source's first,
+    # then the members' (the source's node joins ``members`` later).
+    hosts = [dep.node(name).host for name in ("source", *(n for n in dep.members if n != "source"))]
 
     n_packets = 40
     crashed_logger = rng.randrange(5)
@@ -32,7 +35,7 @@ def test_chaos_soak(seed):
             site = f"site{rng.randint(1, 5)}"
             dep.burst_site(site, rng.uniform(0.05, 1.5))
         elif event < 0.35:
-            victim = rng.choice(dep.network.hosts)
+            victim = rng.choice(hosts)
             if victim.name.endswith(tuple("0123456789")) and "rx" in victim.name:
                 victim.inbound_loss = BernoulliLoss(0.5, dep.streams.stream(f"v{i}"))
         elif event < 0.40 and i == 10:
@@ -43,7 +46,7 @@ def test_chaos_soak(seed):
     # Lift all loss and let recovery converge.
     for site in dep.receiver_sites:
         site.tail_down.loss = NoLoss()
-    for host in dep.network.hosts:
+    for host in hosts:
         host.inbound_loss = None
     dep.advance(60.0)
 

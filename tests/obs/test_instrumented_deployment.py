@@ -74,7 +74,7 @@ def test_simulator_and_log_gauges_populate():
         assert reg.counter_value("sim.events_processed") == dep.sim.processed
         assert dep.sim.processed > 0
         # primary logged both packets; the gauge tracks the store level
-        assert reg.gauge_value("logger.log_packets", node="primary") == 2
+        assert reg.snapshot()["gauges"]["logger.log_packets{node=primary}"] == 2
         assert reg.counter_value("log_store.appended") > 0
 
 

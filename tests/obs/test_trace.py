@@ -59,16 +59,6 @@ def test_reset_clears_everything():
     assert trace.dropped == 0
 
 
-def test_format_is_stable():
-    trace = EventTrace()
-    trace.emit(1.5, "x", a=1)
-    trace.emit(1.5, "x", a=1)
-    lines = trace.format().splitlines()
-    assert len(lines) == 2
-    assert lines[0] == lines[1]
-    assert "x" in lines[0]
-
-
 def test_identical_histories_compare_equal():
     a, b = EventTrace(), EventTrace()
     for t in (a, b):
@@ -81,7 +71,6 @@ def test_null_trace_is_inert():
     NULL_TRACE.emit(0.0, "anything", x=1)
     assert len(NULL_TRACE) == 0
     assert NULL_TRACE.events() == ()
-    assert NULL_TRACE.format() == ""
     assert NULL_TRACE.dropped == 0
     assert list(iter(NULL_TRACE)) == []
 

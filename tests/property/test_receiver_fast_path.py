@@ -29,6 +29,7 @@ keyed on the packet *object*, and recovered deliveries never share.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import sys
 import types
@@ -73,6 +74,23 @@ def _pair(fallback: float, heartbeat, recording: bool, fast_cls=LbrmReceiver):
     return built
 
 
+def _frozen(value):
+    """A copy of a state key that later steps cannot change: containers
+    by contents, and the registry's instruments (one per registry, not
+    per receiver) by kind."""
+    if isinstance(value, dict):
+        return frozenset((k, _frozen(v)) for k, v in value.items())
+    if isinstance(value, (set, frozenset)):
+        return frozenset(value)
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_frozen, value))
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _frozen(dataclasses.astuple(value))
+    if type(value).__module__ in ("repro.obs.metrics", "repro.obs.trace"):
+        return type(value).__name__
+    return value
+
+
 def _observable(r: LbrmReceiver) -> dict:
     tracker = r.tracker
     return {
@@ -80,15 +98,9 @@ def _observable(r: LbrmReceiver) -> dict:
         "highest": tracker.highest,
         "first_seen": tracker.first_seen,
         "missing": tracker.missing,
-        "abandoned": tracker.abandoned,
-        "duplicates": tracker.duplicates,
-        "fresh": r.fresh,
         "next_wakeup": r.next_wakeup(),
-        "on_channel": r._on_channel,
-        "repeat_count": r._repeat_count,
-        "expected_interval": r._expected_interval,
-        "last_rx": r._last_rx,
-        "recovering": sorted(r._recoveries),
+        # freshness, watchdog, channel, recoveries, timers, abandoned seqs
+        "state": _frozen(r.state_key()),
     }
 
 

@@ -59,24 +59,38 @@ def _run_ops(ops, *, epoch: int = 2, min_acked: int = 1):
     )
     seq = 0
     commits = [mgr.commit_seq]
+    # What each follower confirmed and has in flight, kept from the ops
+    # alone: an accepted ack raises the prefix, and re-adopting a member
+    # with progress wipes both (None = nothing confirmed yet).
+    acked: dict = {m: None for m in mgr.members}
+    flight: dict = {m: set() for m in mgr.members}
     for op in ops:
         if op[0] == "append":
             seq += 1
             mgr.replicate(seq, b"p", float(seq))
+            for m in flight:
+                flight[m].add(seq)
         elif op[0] == "ack":
             _, idx, cum, claimed = op
             members = mgr.members
             follower = members[idx % len(members)]
             before = mgr.commit_seq
             grew = mgr.on_ack(follower, cum, float(seq), epoch=claimed)
-            if claimed and claimed != mgr.epoch:
+            if claimed and claimed != epoch:
                 # Stale/foreign term: must not have moved the commit point.
                 assert mgr.commit_seq == before
                 assert not grew
+            else:
+                acked[follower] = cum if acked[follower] is None else max(acked[follower], cum)
+                flight[follower] = {s for s in flight[follower] if s > cum}
         else:
-            mgr.adopt(f"f{op[1]}", float(seq))
+            member = f"f{op[1]}"
+            mgr.adopt(member, float(seq))
+            if member not in acked or acked[member] is not None or flight[member]:
+                acked[member], flight[member] = None, set()
         commits.append(mgr.commit_seq)
-    return mgr, commits
+    assert list(acked) == list(mgr.members)
+    return mgr, commits, acked
 
 
 @given(_ops)
@@ -85,7 +99,7 @@ def test_commit_point_never_regresses(ops):
     move it *down* — re-adopting a member wipes its (possibly stale)
     progress, the honest direction for a crash-restarted follower — but
     must never move it up."""
-    _, commits = _run_ops(ops)
+    _, commits, _ = _run_ops(ops)
     for op, before, after in zip(ops, commits, commits[1:]):
         if op[0] == "adopt":
             assert after <= before
@@ -95,8 +109,8 @@ def test_commit_point_never_regresses(ops):
 
 @given(_ops, st.integers(min_value=1, max_value=2))
 def test_commit_point_is_mth_highest_acked_prefix(ops, min_acked):
-    mgr, _ = _run_ops(ops, min_acked=min_acked)
-    acked = sorted(mgr.acked_by(m) or 0 for m in mgr.members)
+    mgr, _, model = _run_ops(ops, min_acked=min_acked)
+    acked = sorted(cum or 0 for cum in model.values())
     expected = acked[-min(min_acked, len(acked))]
     assert mgr.commit_seq == expected
 
@@ -105,7 +119,7 @@ def test_commit_point_is_mth_highest_acked_prefix(ops, min_acked):
 def test_adoption_is_conservative(ops):
     """A freshly adopted follower counts as holding nothing, so adopting
     can only lower (never raise) the commit point."""
-    mgr, _ = _run_ops(ops)
+    mgr, _, _ = _run_ops(ops)
     before = mgr.commit_seq
     mgr.adopt("newcomer", 99.0)
     assert mgr.commit_seq <= before

@@ -32,7 +32,7 @@ def test_build_shape():
     assert len(dep.replicas) == 2
     assert dep.primary is not None and dep.primary.role is LoggerRole.PRIMARY
     assert all(r.role is LoggerRole.REPLICA for r in dep.replicas)
-    assert len(dep.network.hosts) == 1 + 1 + 2 + 4 * (1 + 3)
+    assert dep.network.modeled_stats()["hosts"] == 1 + 1 + 2 + 4 * (1 + 3)
 
 
 def test_receiver_chain_prefers_site_logger():

@@ -208,7 +208,8 @@ def test_obs_gauges_reflect_queue_depth():
         for i in range(6):
             sim.schedule(float(i), lambda: None)
         sim.run_until(2.5)
-        assert reg.gauge_value("sim.queue_depth") == 3
-        assert reg.gauge_value("sim.peak_queue_depth") == 6
+        gauges = reg.snapshot()["gauges"]
+        assert gauges["sim.queue_depth"] == 3
+        assert gauges["sim.peak_queue_depth"] == 6
         sim.run()
-        assert reg.gauge_value("sim.queue_depth") == 0
+        assert reg.snapshot()["gauges"]["sim.queue_depth"] == 0

@@ -36,27 +36,31 @@ from .test_topology import Sink, build
 _LEDGER = Path(__file__).resolve().parents[2] / "benchmarks" / "ledger" / "workloads.py"
 
 
-def _ledger_exact_lossy() -> Network:
+def _hosts(dep) -> tuple[Network, list]:
+    return dep.network, [node.host for node in dep.all_nodes()]
+
+
+def _ledger_exact_lossy() -> tuple[Network, list]:
     spec = importlib.util.spec_from_file_location("ledger_workloads", _LEDGER)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     workload = workloads.WORKLOAD_CLASSES["exact_lossy"](1995, workloads.SIZES["exact_lossy"]["smoke"])
     workload.setup()
     workload.run(lambda: None)
-    return workload.dep.network
+    return _hosts(workload.dep)
 
 
-def _failover_sweep_case() -> Network:
+def _failover_sweep_case() -> tuple[Network, list]:
     shape = sweep.TIERS["full"]
     dep = LbrmDeployment(sweep._spec(shape, 4, sweep.sweep_config()))
     sweep._apply_receiver_loss(dep, shape)
     sweep._drive(dep, shape)
-    return dep.network
+    return _hosts(dep)
 
 
-def _crying_baby() -> Network:
-    _receivers, hosts = scenarios.run_lbrm_crying_baby(seed=0)
-    return hosts[0]._network
+def _crying_baby() -> tuple[Network, list]:
+    _receivers, hosts = scenarios.run_lbrm_crying_baby(seed=0)  # the receivers: the only hosts with a loss
+    return hosts[0]._network, hosts
 
 
 # (world, segments per member site).  The deployments name a site's hosts
@@ -68,8 +72,8 @@ def _crying_baby() -> Network:
     [(_ledger_exact_lossy, 1), (_failover_sweep_case, 1), (_crying_baby, 2)],
 )
 def test_no_shipped_world_shares_a_loss_instance_and_segments_follow_sites(world, runs_per_site):
-    net = world()
-    losses = [host.inbound_loss for host in net.hosts if host.inbound_loss is not None]
+    net, hosts = world()
+    losses = [host.inbound_loss for host in hosts if host.inbound_loss is not None]
     assert losses and len(set(map(id, losses))) == len(losses)
     assert net._segments  # warm: the run multicast
     for segments, by_site in net._segments.values():

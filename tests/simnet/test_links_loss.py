@@ -50,8 +50,6 @@ class TestLink:
         link.transit(200, 0.0)
         assert link.stats.packets == 2
         assert link.stats.bytes == 300
-        link.stats.reset()
-        assert link.stats.packets == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -398,7 +398,8 @@ def _fanout_train(world: dict, batch: bool) -> dict:
         "chaos": chaos.asked if chaos else None,
         "links": {
             link.name: vars(link.stats)
-            for site in net.sites for link in (site.lan, site.tail_up, site.tail_down)
+            for site in map(net.site, (f"s{s}" for s in range(len(world["tail_latency"]))))
+            for link in (site.lan, site.tail_up, site.tail_down)
         },
         "rng_states": [rng.getstate() for rng in rngs],
     }

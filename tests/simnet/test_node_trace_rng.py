@@ -57,7 +57,10 @@ def test_start_executes_join():
     sim, net, h1, h2 = build()
     node = SimNode(net, h1, [Echo()])
     node.start()
-    assert "h1" in net.members("g")
+    # Joined: a multicast to the group reaches h1 (and its data is delivered).
+    net.send_multicast("h2", "g", DataPacket(group="g", seq=1, payload=b"x"))
+    sim.run()
+    assert [d.seq for d in node.delivered] == [1]
 
 
 def test_receive_dispatches_and_executes_actions():

@@ -137,7 +137,11 @@ def test_leave_group_stops_delivery():
     net.send_multicast("a0", "g", DataPacket(group="g", seq=1, payload=b"x"))
     sim.run()
     assert hosts["b0"].endpoint.received == []
-    assert net.members("g") == frozenset({"a0", "a1", "b1"})
+    # The rest are still members: the next send from b0 reaches all of them.
+    net.send_multicast("b0", "g", DataPacket(group="g", seq=2, payload=b"x"))
+    sim.run()
+    got = {name for name, host in hosts.items() for packet, _, _ in host.endpoint.received if packet.seq == 2}
+    assert got == {"a0", "a1", "b1"}
 
 
 def test_wire_size_matches_encoding():
@@ -176,11 +180,12 @@ def test_scoped_multicast_matches_reference_through_membership_changes():
         for name in ("a0", "a1", "b0", "b1"):
             net.join("g", name)
         net.join("g", "a2")  # joined before the host exists
+        joined, present = {"a0", "a1", "b0", "b1", "a2"}, set(hosts)
         seq = 0
 
         def scoped_from_everyone():
             nonlocal seq
-            for src in sorted(net.members("g") & set(h.name for h in net.hosts)):
+            for src in sorted(joined & present):
                 for ttl in (0, 1, CROSS_SITE_HOPS - 1, CROSS_SITE_HOPS, None):
                     seq += 1
                     net.send_multicast(src, "g", DataPacket(group="g", seq=seq, payload=b"x"), ttl=ttl)
@@ -188,10 +193,12 @@ def test_scoped_multicast_matches_reference_through_membership_changes():
 
         scoped_from_everyone()
         net.add_host("a2", net.site("s0")).attach(Sink())
+        present.add("a2")
         scoped_from_everyone()
         net.leave("g", "a1")
         net.join("g", "b2")
         net.add_host("b2", net.site("s1")).attach(Sink())
+        joined, present = joined - {"a1"} | {"b2"}, present | {"b2"}
         scoped_from_everyone()
         return log
 
