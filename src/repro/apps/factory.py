@@ -75,8 +75,7 @@ class AuditLog:
         for seq in range(from_seq, high + 1):
             if seq not in self._log:
                 continue
-            entry = self._log.get(seq)
-            readings.append(SensorReading.decode(entry.payload))
+            readings.append(SensorReading.decode(self._log.get(seq)))
         return readings
 
     def history(self, sensor_id: int) -> list[SensorReading]:

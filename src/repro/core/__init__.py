@@ -54,7 +54,7 @@ from repro.core.heartbeat import (
     make_schedule,
 )
 from repro.core.discovery import DiscoveryClient
-from repro.core.log_store import LogEntry, PacketLog
+from repro.core.log_store import PacketLog
 from repro.core.logger import LoggerRole, LogServer
 from repro.core.machine import ProtocolMachine, TimerSet
 from repro.core.process import MultiGroupProcess
@@ -108,7 +108,6 @@ __all__ = [
     "heartbeat_times",
     "make_schedule",
     # storage & machines
-    "LogEntry",
     "PacketLog",
     "ProtocolMachine",
     "TimerSet",

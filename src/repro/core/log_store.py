@@ -17,37 +17,29 @@ from __future__ import annotations
 import os
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.errors import LogMissError
+from repro.core.packets import RetransPacket
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.packets import RetransPacket
-
-__all__ = ["LogEntry", "PacketLog"]
+__all__ = ["PacketLog"]
 
 _SPOOL_HEADER = struct.Struct("!QdI")  # seq, logged_at, payload length
 
 
-@dataclass(slots=True)
-class LogEntry:
-    """One logged packet: its sequence number, payload, and log time.
-
-    ``repair`` is the log server's one shared repair packet for it, made
-    at the first NACK: it lives exactly as long as the entry.  A spooled
-    entry is read back as a fresh object, so its repair is never kept.
-    """
-
-    seq: int
-    payload: bytes
-    logged_at: float
-    repair: RetransPacket | None = field(default=None, compare=False)
+def _payload(slot: bytes | RetransPacket) -> bytes:
+    return slot.payload if type(slot) is RetransPacket else slot
 
 
 class PacketLog:
     """Sequence-indexed store of transmitted packets.
+
+    A logged packet costs one mapping slot, ``_slots[seq]``: its payload
+    (the bytes object the packet carried), or from its first NACK on the
+    log server's one shared repair packet carrying it, which so lives
+    exactly as long as the entry.  A spooled entry is read back as fresh
+    bytes, so its repair is never kept.  Log times are kept only by a
+    log that expires or spools, FIFO order only under a cap.
 
     Invariants (property-tested):
 
@@ -68,9 +60,11 @@ class PacketLog:
     ) -> None:
         self._max_packets = max_packets
         self._lifetime = lifetime
-        self._entries: "OrderedDict[int, LogEntry]" = OrderedDict()
+        # A plain dict's FIFO eviction is O(n); only a capped log pays
+        # for OrderedDict's O(1) popitem.
+        self._slots: dict[int, bytes | RetransPacket] = OrderedDict() if max_packets else {}
+        self._times: dict[int, float] | None = {} if lifetime or spool_path else None
         self._byte_size = 0
-        self._spool_path = spool_path
         self._spool_index: dict[int, tuple[int, int, float]] = {}  # seq -> (offset, len, logged_at)
         self._spool_file = None
         # Process-wide totals across every PacketLog instance; per-store
@@ -94,66 +88,68 @@ class PacketLog:
     def highest(self) -> int | None:
         """Largest retrievable sequence number."""
         candidates = []
-        if self._entries:
-            candidates.append(max(self._entries))
+        if self._slots:
+            candidates.append(max(self._slots))
         if self._spool_index:
             candidates.append(max(self._spool_index))
         return max(candidates) if candidates else None
 
     def __len__(self) -> int:
-        return len(self._entries) + len(self._spool_index)
+        return len(self._slots) + len(self._spool_index)
 
     def __contains__(self, seq: int) -> bool:
-        return seq in self._entries or seq in self._spool_index
+        return seq in self._slots or seq in self._spool_index
 
     # -- mutation ----------------------------------------------------------
 
     def append(self, seq: int, payload: bytes, now: float) -> bool:
         """Log ``payload`` under ``seq``.  Returns False if already held."""
-        if seq in self._entries or seq in self._spool_index:
+        slots = self._slots
+        if seq in slots or seq in self._spool_index:
             return False
-        entries = self._entries
-        entries[seq] = LogEntry(seq=seq, payload=payload, logged_at=now)
+        slots[seq] = payload
+        if self._times is not None:
+            self._times[seq] = now
         self._byte_size += len(payload)
         self._obs_appended.inc()
         # Over the cap (none by default), the oldest entries overflow to
         # the spool, or are lost without one.
-        while self._max_packets and len(entries) > self._max_packets:
-            _, entry = entries.popitem(last=False)
-            self._byte_size -= len(entry.payload)
+        while self._max_packets and len(slots) > self._max_packets:
+            old, slot = slots.popitem(last=False)
+            self._byte_size -= len(_payload(slot))
             if self._spool_file is not None:
-                self._write_spool(entry)
+                self._write_spool(old, _payload(slot), self._times.pop(old))
                 self._obs_spooled.inc()
             else:
+                if self._times is not None:
+                    del self._times[old]
                 self._obs_evicted.inc()
         return True
 
-    def get(self, seq: int, now: float | None = None) -> LogEntry:
-        """Retrieve the entry for ``seq``.
+    def get(self, seq: int, now: float | None = None) -> bytes:
+        """Retrieve the payload logged for ``seq``.
 
         Raises :class:`~repro.core.errors.LogMissError` when the sequence
         was never logged, expired, or was evicted without a spool.
         """
         if now is not None and self._lifetime:
             self.expire(now)
-        entry = self._entries.get(seq)
-        if entry is not None:
-            return entry
-        spooled = self._spool_index.get(seq)
-        if spooled is not None:
-            return self._read_spool(seq, *spooled)
-        raise LogMissError(seq)
+        payload = self.peek(seq)
+        if payload is None:
+            raise LogMissError(seq)
+        return payload
 
-    def peek(self, seq: int) -> LogEntry | None:
+    def peek(self, seq: int) -> bytes | None:
         """:meth:`get` without expiry or a miss exception.
 
         For callers that already ran :meth:`expire` and treat a miss as a
-        normal branch (the NACK service path), this replaces a
-        ``seq in log`` probe followed by ``get`` with one lookup.
+        normal branch (replication catch-up, a NACK the memory slots
+        missed), this replaces a ``seq in log`` probe followed by ``get``
+        with one lookup.
         """
-        entry = self._entries.get(seq)
-        if entry is not None:
-            return entry
+        slot = self._slots.get(seq)
+        if slot is not None:
+            return _payload(slot)
         spooled = self._spool_index.get(seq)
         if spooled is not None:
             return self._read_spool(seq, *spooled)
@@ -164,10 +160,10 @@ class PacketLog:
         if not self._lifetime:
             return 0
         cutoff = now - self._lifetime
-        expired = [seq for seq, e in self._entries.items() if e.logged_at < cutoff]
+        expired = [seq for seq, t in self._times.items() if t < cutoff]
         for seq in expired:
-            entry = self._entries.pop(seq)
-            self._byte_size -= len(entry.payload)
+            del self._times[seq]
+            self._byte_size -= len(_payload(self._slots.pop(seq)))
         spool_expired = [seq for seq, (_, _, t) in self._spool_index.items() if t < cutoff]
         for seq in spool_expired:
             del self._spool_index[seq]
@@ -179,10 +175,11 @@ class PacketLog:
     def trim_below(self, seq: int) -> int:
         """Discard every entry with sequence < ``seq`` (e.g. after the
         application declares old state superseded).  Returns count."""
-        doomed = [s for s in self._entries if s < seq]
+        doomed = [s for s in self._slots if s < seq]
         for s in doomed:
-            entry = self._entries.pop(s)
-            self._byte_size -= len(entry.payload)
+            self._byte_size -= len(_payload(self._slots.pop(s)))
+            if self._times is not None:
+                del self._times[s]
         spool_doomed = [s for s in self._spool_index if s < seq]
         for s in spool_doomed:
             del self._spool_index[s]
@@ -196,21 +193,20 @@ class PacketLog:
 
     # -- internals ----------------------------------------------------------
 
-    def _write_spool(self, entry: LogEntry) -> None:
+    def _write_spool(self, seq: int, payload: bytes, logged_at: float) -> None:
         assert self._spool_file is not None
         self._spool_file.seek(0, os.SEEK_END)
         offset = self._spool_file.tell()
-        self._spool_file.write(_SPOOL_HEADER.pack(entry.seq, entry.logged_at, len(entry.payload)))
-        self._spool_file.write(entry.payload)
+        self._spool_file.write(_SPOOL_HEADER.pack(seq, logged_at, len(payload)))
+        self._spool_file.write(payload)
         self._spool_file.flush()
-        self._spool_index[entry.seq] = (offset, len(entry.payload), entry.logged_at)
+        self._spool_index[seq] = (offset, len(payload), logged_at)
 
-    def _read_spool(self, seq: int, offset: int, length: int, logged_at: float) -> LogEntry:
+    def _read_spool(self, seq: int, offset: int, length: int, logged_at: float) -> bytes:
         assert self._spool_file is not None
         self._spool_file.seek(offset)
         header = self._spool_file.read(_SPOOL_HEADER.size)
-        stored_seq, stored_at, stored_len = _SPOOL_HEADER.unpack(header)
+        stored_seq, _, stored_len = _SPOOL_HEADER.unpack(header)
         if stored_seq != seq or stored_len != length:
             raise LogMissError(seq)
-        payload = self._spool_file.read(stored_len)
-        return LogEntry(seq=seq, payload=payload, logged_at=stored_at)
+        return self._spool_file.read(stored_len)

@@ -188,9 +188,9 @@ class LogServer(ProtocolMachine):
             lifetime=log_cfg.packet_lifetime,
             spool_path=spool_path,
         )
-        # In-memory log entries, read directly on the NACK service path
-        # (PacketLog mutates this OrderedDict in place, never rebinds).
-        self._log_entries = self.log._entries
+        # The log's in-memory slots, read directly on the NACK service
+        # path (PacketLog mutates this dict in place, never rebinds).
+        self._log_slots = self.log._slots
         self.tracker = SequenceTracker()
         if self._role is LoggerRole.REPLICA:
             # The replication stream covers the whole log from seq 1: a
@@ -373,24 +373,26 @@ class LogServer(ProtocolMachine):
         if len(seqs) == 1:
             # The dominant request shape — a receiver chasing a single
             # gap.  Serving it without the accumulator lists keeps the
-            # saturation path allocation-free.  The in-memory entry dict
-            # is probed directly; peek() still covers the spool.
+            # saturation path allocation-free.  The in-memory slot is
+            # probed directly; _repair_of still covers the spool.
             seq = seqs[0]
-            entry = self._log_entries.get(seq)
-            if entry is None:
-                entry = self.log.peek(seq)
-            if entry is not None:
-                return self._repair(seq, entry, src, now)
+            retrans = self._log_slots.get(seq)
+            if type(retrans) is not RetransPacket:
+                retrans = self._repair_of(seq, retrans)
+            if retrans is not None:
+                return self._repair(seq, retrans, src, now)
             self.stats["log_misses"] += 1
             self._pending.setdefault(seq, set()).add(src)
             return self._request_upstream(seqs, now)
         actions: list[Action] = []
         upstream_needed: list[int] = []
-        log = self.log
+        slots = self._log_slots
         for seq in seqs:
-            entry = log.peek(seq)
-            if entry is not None:
-                actions.extend(self._repair(seq, entry, src, now))
+            retrans = slots.get(seq)
+            if type(retrans) is not RetransPacket:
+                retrans = self._repair_of(seq, retrans)
+            if retrans is not None:
+                actions.extend(self._repair(seq, retrans, src, now))
             else:
                 self.stats["log_misses"] += 1
                 self._pending.setdefault(seq, set()).add(src)
@@ -399,14 +401,21 @@ class LogServer(ProtocolMachine):
             actions.extend(self._request_upstream(tuple(upstream_needed), now))
         return actions
 
-    def _repair(self, seq: int, entry, requester: Address, now: float) -> list[Action]:
-        # Popular packets (a site-wide loss) are requested many times;
-        # RetransPacket is frozen, so one instance per log entry serves
-        # every requester, and goes with the entry.
-        retrans = entry.repair
-        if retrans is None:
-            retrans = RetransPacket(group=self._group, seq=seq, payload=entry.payload)
-            entry.repair = retrans
+    def _repair_of(self, seq: int, payload: bytes | None) -> RetransPacket | None:
+        """The repair for ``seq``, whose in-memory slot holds ``payload``
+        (None: not in memory).  Popular packets (a site-wide loss) are
+        requested many times; RetransPacket is frozen, so the first NACK
+        puts one in the slot to serve every requester, and it goes with
+        the entry.  A spooled entry's repair is made afresh each time."""
+        if payload is None:
+            payload = self.log.peek(seq)
+            if payload is None:
+                return None
+            return RetransPacket(group=self._group, seq=seq, payload=payload)
+        retrans = self._log_slots[seq] = RetransPacket(group=self._group, seq=seq, payload=payload)
+        return retrans
+
+    def _repair(self, seq: int, retrans: RetransPacket, requester: Address, now: float) -> list[Action]:
         # The TTL-scoped re-multicast only helps a SECONDARY repairing its
         # own site; a primary's requesters are on other sites, beyond any
         # site-local scope, so it always unicasts (group-wide re-multicast
@@ -549,10 +558,10 @@ class LogServer(ProtocolMachine):
         # after the retry budget) is backfilled from the log, paced one
         # batch per acknowledgement.
         for seq in self._replication.missing_for(src, self.primary_seq):
-            entry = self.log.peek(seq)
-            if entry is None:
+            payload = self.log.peek(seq)
+            if payload is None:
                 continue
-            actions.extend(self._replication.replicate_to(src, seq, entry.payload, now))
+            actions.extend(self._replication.replicate_to(src, seq, payload, now))
         if grew:
             actions.extend(self._ack_source(now))
         return actions

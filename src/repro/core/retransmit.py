@@ -99,10 +99,8 @@ class SiteRequestTracker:
         if state is not None and now - state[0] <= self._window:
             if state[2]:
                 # Already re-multicast this window — the common steady
-                # state during a repair storm.  Requesters are still
-                # tracked (for requesters()), but the threshold math and
-                # the tuple unpack are skipped.
-                state[1].add(requester)
+                # state during a repair storm.  The re-multicast answered
+                # every requester, so the window's set stops growing.
                 return False
             start, requesters, _ = state
             requesters.add(requester)

@@ -41,6 +41,23 @@ _NEW = GapReport(is_new=True)
 _NEW_FILLED = GapReport(is_new=True, filled_gap=True)
 _OLD = GapReport(is_new=False)
 
+# A tracker holds its missing/abandoned sets only while they are
+# non-empty: otherwise each is this one shared empty frozenset, which
+# _add and _less rebind, never mutate.
+_NONE: frozenset[int] = frozenset()
+
+
+def _add(held: set[int] | frozenset[int], seqs) -> set[int]:
+    if held:
+        held.update(seqs)
+        return held
+    return set(seqs)
+
+
+def _less(held: set[int], seq: int) -> set[int] | frozenset[int]:
+    held.discard(seq)
+    return held or _NONE
+
 
 class SequenceTracker:
     """Tracks the per-flow sequence space at a receiver or logger.
@@ -60,8 +77,8 @@ class SequenceTracker:
     def __init__(self) -> None:
         self._highest = 0
         self._first = 0  # first sequence ever seen; 0 = nothing yet
-        self._missing: set[int] = set()
-        self._abandoned: set[int] = set()
+        self._missing: set[int] | frozenset[int] = _NONE
+        self._abandoned: set[int] | frozenset[int] = _NONE
 
     @property
     def highest(self) -> int:
@@ -122,15 +139,15 @@ class SequenceTracker:
                 self._highest = seq
                 return _NEW
             gaps = tuple(range(self._highest + 1, seq))
-            self._missing.update(gaps)
+            self._missing = _add(self._missing, gaps)
             self._highest = seq
             return GapReport(is_new=True, new_gaps=gaps)
         if seq in self._missing:
-            self._missing.discard(seq)
+            self._missing = _less(self._missing, seq)
             return _NEW_FILLED
         if seq in self._abandoned:
             # Late arrival after the receiver gave up: still fresh data.
-            self._abandoned.discard(seq)
+            self._abandoned = _less(self._abandoned, seq)
             return _NEW_FILLED
         return _OLD
 
@@ -155,11 +172,11 @@ class SequenceTracker:
             # and seq itself is missing (we never got its data).
             self._first = seq
             self._highest = seq
-            self._missing.add(seq)
+            self._missing = _add(self._missing, (seq,))
             return GapReport(is_new=False, new_gaps=(seq,))
         if seq > self._highest:
             gaps = tuple(range(self._highest + 1, seq + 1))
-            self._missing.update(gaps)
+            self._missing = _add(self._missing, gaps)
             self._highest = seq
             return GapReport(is_new=False, new_gaps=gaps)
         return _OLD
@@ -171,8 +188,8 @@ class SequenceTracker:
         as *not held*: :meth:`has` stays False for them."""
         for seq in seqs:
             if seq in self._missing:
-                self._missing.discard(seq)
-                self._abandoned.add(seq)
+                self._missing = _less(self._missing, seq)
+                self._abandoned = _add(self._abandoned, (seq,))
 
     def has(self, seq: int) -> bool:
         """True when ``seq`` was observed (directly or via recovery)."""

@@ -60,7 +60,7 @@ def _logger_state(logger) -> tuple:
         set(logger._self_lost), len(logger.timers),
     )
     durable = (
-        logger.log, list(logger.log._entries), logger.tracker, logger.tracker.highest,
+        logger.log, [s for s in range(1, (logger.log.highest or 0) + 1) if s in logger.log], logger.tracker, logger.tracker.highest,
         logger.tracker.missing, logger.log_epoch, logger._commit_learned,
     )
     return repair, durable

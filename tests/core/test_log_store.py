@@ -12,16 +12,14 @@ from repro.core.log_store import PacketLog
 def test_append_and_get():
     log = PacketLog()
     assert log.append(1, b"one", now=0.0)
-    entry = log.get(1)
-    assert entry.payload == b"one"
-    assert entry.logged_at == 0.0
+    assert log.get(1) == b"one"
 
 
 def test_append_is_idempotent():
     log = PacketLog()
     log.append(1, b"one", now=0.0)
     assert not log.append(1, b"ONE", now=1.0)
-    assert log.get(1).payload == b"one"
+    assert log.get(1) == b"one"
 
 
 def test_get_missing_raises():
@@ -67,6 +65,15 @@ def test_lifetime_expiry():
     assert 1 not in log and 2 in log
 
 
+def test_an_entry_lives_exactly_its_lifetime():
+    """Logged at 1.0 with a 5 s lifetime: held through 6.0 (not older
+    than its lifetime), gone just after."""
+    log = PacketLog(lifetime=5.0)
+    log.append(1, b"p", 1.0)
+    assert log.expire(6.0) == 0 and log.get(1, now=6.0) == b"p"
+    assert log.expire(6.001) == 1 and 1 not in log
+
+
 def test_get_with_now_applies_expiry():
     log = PacketLog(lifetime=5.0)
     log.append(1, b"old", 0.0)
@@ -93,11 +100,9 @@ def test_spool_overflow_retrievable(tmp_path):
     assert len(log) == 5  # everything still retrievable
     assert reg.counter_value("log_store.evicted") == 0
     assert reg.counter_value("log_store.spooled") == 3
-    entry = log.get(1)
-    assert entry.payload == b"payload-1"
-    assert entry.logged_at == 1.0
+    assert log.get(1) == b"payload-1"
     # in-memory entries still work too
-    assert log.get(5).payload == b"payload-5"
+    assert log.get(5) == b"payload-5"
     log.close()
 
 
@@ -108,6 +113,18 @@ def test_spool_respects_lifetime(tmp_path):
     log.append(2, b"b", 1.0)  # pushes 1 to spool
     log.expire(5.0)
     assert 1 not in log and 2 not in log
+    log.close()
+
+
+def test_a_spooled_entry_expires_at_its_logged_time(tmp_path):
+    """Spooling keeps an entry's log time, not the time it was spooled:
+    seq 1, logged at 1.0 and spooled at 3.0, goes at 1.0 + lifetime."""
+    spool = tmp_path / "log.spool"
+    log = PacketLog(max_packets=1, lifetime=5.0, spool_path=str(spool))
+    log.append(1, b"a", 1.0)
+    log.append(2, b"b", 3.0)  # pushes 1 to the spool
+    assert log.expire(6.0) == 0 and log.get(1) == b"a"
+    assert log.expire(6.5) == 1 and 1 not in log and 2 in log
     log.close()
 
 

@@ -168,29 +168,31 @@ class TestLoggingAndServing:
         assert any(isinstance(a, Notify) and isinstance(a.event, Remulticast) for a in actions)
 
     def test_retrans_memo_is_bounded_by_the_log(self, tmp_path):
-        """A shared repair packet lives on its log entry, so it cannot pin
+        """A shared repair packet lives in its log slot, so it cannot pin
         a payload the log's caps let go of: 5,000 packets each NACKed once
-        through an 8-entry log."""
+        through an 8-entry log.  A repair is held exactly when a later
+        NACK is answered with the very packet the first one got."""
         config = LbrmConfig(logger=LoggerConfig(max_packets=8))
         for spool_path in (None, str(tmp_path / "log.spool")):
             logger = make_secondary(config=config, spool_path=spool_path)
+            first = {}
             for seq in range(1, 5001):
                 logger.handle(data(seq, payload=bytes(1000)), "source", 0.0)
-                reply = logger.handle(NackPacket(group="g", seqs=(seq,)), "rx1", 0.0)
-                assert unicasts(reply, RetransPacket)[0].packet.seq == seq
-            assert len(logger.log._entries) == 8
-            held = [e.repair for e in logger.log._entries.values() if e.repair is not None]
-            assert len(held) == 8
-            # An entry still in memory keeps its shared repair packet ...
-            first = logger.handle(NackPacket(group="g", seqs=(5000,)), "rx2", 0.0)
-            again = logger.handle(NackPacket(group="g", seqs=(5000,)), "rx3", 0.0)
-            assert first[0].packet is again[0].packet is logger.log._entries[5000].repair
-            if spool_path is not None:
-                # ... a spooled one is served, but never memoised.
-                spooled = logger.handle(NackPacket(group="g", seqs=(1,)), "rx2", 0.0)
-                respooled = logger.handle(NackPacket(group="g", seqs=(1,)), "rx3", 0.0)
-                assert spooled[0].packet.payload == bytes(1000)
-                assert spooled[0].packet is not respooled[0].packet
+                reply = unicasts(logger.handle(NackPacket(group="g", seqs=(seq,)), "rx1", 0.0),
+                                 RetransPacket)
+                assert reply[0].packet.seq == seq
+                if seq > 4980:
+                    first[seq] = reply[0].packet
+            held = []
+            for seq, packet in first.items():
+                for again in unicasts(logger.handle(NackPacket(group="g", seqs=(seq,)), "rx2", 0.0),
+                                      RetransPacket):
+                    assert again.packet.payload == bytes(1000)
+                    if again.packet is packet:
+                        held.append(seq)
+            # The 8 entries still in memory keep their repair; an evicted
+            # one is a miss, and a spooled one is served but never memoised.
+            assert held == list(range(4993, 5001))
             logger.log.close()
 
     def test_site_request_table_is_bounded_without_polls(self):

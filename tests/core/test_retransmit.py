@@ -51,6 +51,15 @@ class TestSiteTracker:
         assert tracker.record(5, "rx3", now=0.02)  # third distinct: fire
         assert not tracker.record(5, "rx4", now=0.03)  # already fired
 
+    def test_a_fired_window_stops_collecting_requesters(self):
+        """The re-multicast answered the whole site: later requests in its
+        window are not recorded, and still do not fire again."""
+        tracker = SiteRequestTracker(LoggerConfig(remulticast_threshold=2))
+        tracker.record(5, "rx1", now=0.0)
+        assert tracker.record(5, "rx2", now=0.01)
+        for i, late in enumerate(("rx3", "rx4", "rx1")):
+            assert not tracker.record(5, late, now=0.02 + 0.01 * i)
+        assert tracker.requesters(5) == frozenset({"rx1", "rx2"})
 
     def test_duplicate_requester_not_counted_twice(self):
         tracker = SiteRequestTracker(LoggerConfig(remulticast_threshold=2))

@@ -146,7 +146,7 @@ def test_log_store_expiry_interleaving_never_loses_live_data(timeline):
             }
         # every live model entry is retrievable, byte-identical
         for seq, (payload, _) in model.items():
-            assert log.get(seq).payload == payload
+            assert log.get(seq) == payload
     # final sweep: anything past its lifetime must be unreachable
     log.expire(now + 2 * LIFETIME)
     for seq in model:

@@ -39,6 +39,7 @@ import pytest
 
 from repro.core.events import LossDetected, RecoveryComplete
 from repro.core.logger import LoggerRole
+from repro.core.sequence import SequenceTracker
 from repro.scale.deploy import AggregateDeployment
 from repro.scale.shard import ScaleScenario
 from repro.simnet import DeploymentSpec, LbrmDeployment
@@ -401,7 +402,11 @@ class TestAggregateOracle:
 
     def test_a_trimmed_site_logger_is_incomplete(self):
         dep, oracle = self._run()
-        dep.site_loggers[2].tracker._missing.add(N_PACKETS - 1)
+        # A tracker that saw N_PACKETS - 2 and N_PACKETS but never
+        # N_PACKETS - 1: the logger's contiguous prefix stops at N - 2.
+        hole = dep.site_loggers[2].tracker = SequenceTracker()
+        hole.observe_data(N_PACKETS - 2)
+        hole.observe_data(N_PACKETS)
         assert _judge(dep, oracle) == ["A3-log-completeness"]
 
     def test_a_role_change_is_flagged(self):

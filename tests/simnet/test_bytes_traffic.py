@@ -6,11 +6,12 @@ and per receiver sets how big a world one process can simulate.  This
 file pins both with ``tracemalloc``, through the measurement
 ``tools/bytes_census.py`` prints: the bytes a settled world (2.5 s of
 simulated time) holds at two sizes, per site or receiver added.  It
-also pins what a lockstep train adds per receiver and packet.
+also pins what a lockstep train adds per receiver and packet, and what
+a log server holds per logged packet.
 
 Each bound is ~1.25x the value measured when it was set; the value
-before the RNG streams were made on first draw and the heartbeat
-schedule became one table per config is beside it.  A change that
+before the log held one slot per packet and a tracker held its sets
+only while non-empty is beside it.  A change that
 gives every site or receiver its own copy of something again (an RNG
 stream per link, a memo per receiver) fails here, and should say in
 DESIGN §6 what the bytes buy.
@@ -35,8 +36,8 @@ KB = 1000
 @pytest.mark.parametrize(
     "receivers_per_site, bound",
     [
-        (1, 11.0 * KB),  # measured 8.7 KB; 21.7 KB with a stream per link and per logger
-        (5, 23.5 * KB),  # measured 18.3 KB; 34.3 KB before
+        (1, 10.0 * KB),  # measured 7.94 KB; 9.06 KB with a LogEntry per packet
+        (5, 19.0 * KB),  # measured 15.06 KB; 17.91 KB before
     ],
     ids=["1-receiver", "5-receivers"],
 )
@@ -49,14 +50,22 @@ def test_bytes_per_exact_site_behind_a_depth_3_tree(receivers_per_site, bound):
 
 def test_bytes_per_aggregate_site():
     per_site = bytes_census.added_bytes(bytes_census.aggregate_world, 20, 40)
-    assert 0 < per_site <= 16.0 * KB  # measured 13.0 KB; 25.0 KB before
+    assert 0 < per_site <= 15.0 * KB  # measured 11.83 KB; 12.92 KB before
 
 
 def test_bytes_per_exact_receiver():
     per_receiver = bytes_census.added_bytes(
         lambda n: bytes_census.exact_world(10, n // 10), 50, 100
     )
-    assert 0 < per_receiver <= 3.2 * KB  # measured 2.53 KB; 3.33 KB with a memo per receiver
+    assert 0 < per_receiver <= 2.4 * KB  # measured 1.94 KB; 2.34 KB with empty sets per tracker
+
+
+def test_bytes_per_logged_packet():
+    """Every log server logs every packet (§2.2), so a log entry's cost
+    is paid once per site per packet: one mapping slot, the payload
+    shared with the packet."""
+    per_entry = bytes_census.logged_packet_bytes()
+    assert 0 < per_entry <= 43.0  # measured 34.2 B; 146.1 B with a LogEntry, time and order node
 
 
 def test_bytes_per_lockstep_delivery():
@@ -83,4 +92,4 @@ def test_bytes_per_lockstep_delivery():
         tracemalloc.stop()
     assert dep.receivers_missing() == 0
     per_delivery = held / (len(dep.receivers) * 20)
-    assert 0 < per_delivery <= 15.0  # measured 11.97 B; 24.3 B with a delivered entry per member
+    assert 0 < per_delivery <= 6.6  # measured 5.30 B; 11.97 B with a LogEntry per logged packet

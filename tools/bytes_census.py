@@ -14,7 +14,8 @@ and the ledger's default seed (the ledger is imported, never edited):
    file:line (``tracemalloc``; the largest 20).
 3. Bytes per added receiver site and per added exact receiver, in the
    workload's shape: the traced bytes of a small world of that shape,
-   settled for 2.5 s of simulated time, at two sizes (``added_bytes``;
+   settled for 2.5 s of simulated time, at two sizes (``added_bytes``),
+   and bytes per logged packet per logger (``logged_packet_bytes``;
    ``tests/simnet/test_bytes_traffic.py`` pins the same numbers).
 
 ``--per-site`` prints only part 3 (CI's tier-1 job echoes it).
@@ -37,6 +38,7 @@ import importlib.util  # noqa: E402
 import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+from repro.core.logger import LogServer  # noqa: E402
 from repro.scale.deploy import AggregateDeployment  # noqa: E402
 from repro.simnet.deploy import DeploymentSpec, LbrmDeployment  # noqa: E402
 
@@ -86,6 +88,32 @@ def added_bytes(build, small: int, large: int) -> float:
     return (held_bytes(build, large) - held_bytes(build, small)) / (large - small)
 
 
+def logged_packet_bytes(n_sites: int = 20, packets: int = 300) -> float:
+    """Bytes a loss-free train of ``packets`` adds per (logger, packet)
+    through ``n_sites`` receiver-less sites: every log server logs every
+    packet (§2.2), so this is what one log entry costs.  A dict's table
+    grows in steps; 300 packets after one warm-up fill it to 301 of 341."""
+    world = exact_world(n_sites, 0)
+    world.start()
+    world.advance(0.5)
+    world.send(b"warm-up")
+    world.advance(1.0)
+    payloads = [b"packet %04d" % i for i in range(packets)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for payload in payloads:
+            world.send(payload)
+            world.advance(0.01)
+        world.advance(1.0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    loggers = sum(isinstance(machine, LogServer) for machine, _ in world.members.values())
+    return held / (loggers * packets)
+
+
 def per_site_lines(name: str, p: dict) -> list[str]:
     """Part 3 for workload ``name`` of sizes ``p``."""
     if name == "agg_sharded":
@@ -100,7 +128,7 @@ def per_site_lines(name: str, p: dict) -> list[str]:
     receiver = added_bytes(lambda n: exact_world(10, n // 10, depth, fanout), 50, 100) / 1000
     return [
         f"bytes: {site:.1f} KB per site (depth {depth}, fanout {fanout}, {rps} receivers/site), "
-        f"{receiver:.2f} KB per exact receiver"
+        f"{receiver:.2f} KB per exact receiver, {logged_packet_bytes():.1f} B per logged packet"
     ]
 
 
