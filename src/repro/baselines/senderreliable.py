@@ -27,7 +27,7 @@ __all__ = ["PosAckDataPacket", "PosAckPacket", "PosAckSender", "PosAckReceiver"]
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PosAckDataPacket(Packet):
     """Data under the positive-acknowledgement regime."""
 
@@ -39,7 +39,7 @@ class PosAckDataPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PosAckPacket(Packet):
     """Per-receiver cumulative acknowledgement."""
 

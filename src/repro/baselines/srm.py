@@ -55,7 +55,7 @@ __all__ = [
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SrmSessionPacket(Packet):
     """Periodic session message announcing the source's highest seq."""
 
@@ -66,7 +66,7 @@ class SrmSessionPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SrmRequestPacket(Packet):
     """Group-wide multicast repair request for one sequence number."""
 
@@ -77,7 +77,7 @@ class SrmRequestPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SrmRepairPacket(Packet):
     """Group-wide multicast repair carrying the requested data."""
 

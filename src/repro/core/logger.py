@@ -143,7 +143,8 @@ class LogServer(ProtocolMachine):
         # Site-scoped re-multicast is only ever a win when the server's
         # requesters sit on its own LAN (see the class docstring).
         self._serve_local = self._is_secondary and site_scoped_repairs
-        self._init_durable(spool_path)
+        self._spool_path = spool_path
+        self._init_durable()
         super().__init__()  # builds the volatile state (_init_volatile)
 
         self._replication: ReplicationManager | None = None
@@ -178,7 +179,7 @@ class LogServer(ProtocolMachine):
             node=addr_token,
         )
 
-    def _init_durable(self, spool_path: str | None = None) -> None:
+    def _init_durable(self) -> None:
         """Build what a crash keeps (DESIGN §7): the log spools to disk
         (§2.2), and with it the tracker, epoch and commit point.
         :meth:`wipe_restart` calls this again: a lost disk."""
@@ -186,7 +187,7 @@ class LogServer(ProtocolMachine):
         self.log = PacketLog(
             max_packets=log_cfg.max_packets,
             lifetime=log_cfg.packet_lifetime,
-            spool_path=spool_path,
+            spool_path=self._spool_path,
         )
         # The log's in-memory slots, read directly on the NACK service
         # path (PacketLog mutates this dict in place, never rebinds).
@@ -433,7 +434,7 @@ class LogServer(ProtocolMachine):
                 Notify(Remulticast(seq=seq, reason="site-wide loss")),
             ]
         self.stats["retrans_unicast"] += 1
-        return [SendUnicast(dest=requester, packet=retrans)]
+        return [SendUnicast(requester, retrans)]
 
     def _serve_pending(self, seq: int, payload: bytes, now: float) -> list[Action]:
         waiting = self._pending.pop(seq, None)
@@ -640,8 +641,12 @@ class LogServer(ProtocolMachine):
         The next acknowledgement reports "nothing held", which lets the
         primary detect the regression
         (:meth:`ReplicationManager.note_regression`), re-adopt it with
-        fresh state, and backfill the vanished prefix.
+        fresh state, and backfill the vanished prefix.  A spooled log
+        comes back spooling to the same path, emptied: the disk is lost.
         """
+        self.log.close()
+        if self._spool_path is not None:
+            open(self._spool_path, "wb").close()
         self._init_durable()
         if self._log_gauges is not None:
             self._push_log_gauges()

@@ -25,7 +25,7 @@ point for every transport.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
 from types import MemberDescriptorType
 from typing import Callable, ClassVar, Type, TypeVar
@@ -139,20 +139,21 @@ def register_packet(cls: P) -> P:
 #
 # Every packet class declares ``WIRE``: a tuple of ``(field_name, kind)``
 # pairs in *wire* order.  At registration :func:`_compile_struct_codec`
-# writes it out as the source of two straight-line functions and compiles
-# them under the file name ``<codec ClassName>``, so profiles and
-# tracebacks name the type.  Those two functions are the runtime:
+# writes it out as the source of three straight-line functions, compiled
+# under the file name ``<codec ClassName>`` so profiles name the type:
 #
 # * ``enc(p)`` takes the group head (header + length-prefixed group) from
 #   a per-class memo and makes one precompiled ``Struct.pack`` call on the
 #   fields by name, e.g. ``pack(p.seq, p.epoch, n)``;
 # * ``dec(data, off, group)`` unpacks into named locals, then builds the
 #   packet with ``object.__new__`` and one slot-descriptor ``__set__`` per
-#   field in constructor order.  That skips the frozen dataclass
-#   ``__init__`` and its ``object.__setattr__`` per field, so a class with
-#   ``__post_init__`` or a field without a slot is refused.  The packet is
-#   still frozen, and ``__eq__``/``__hash__``/``__repr__`` are the
-#   dataclass's own.
+#   field in constructor order;
+# * ``__init__`` (the dataclass is ``init=False``) takes the dataclass's
+#   parameters, order and defaults and makes the same ``__set__`` calls,
+#   where a frozen dataclass's makes one ``object.__setattr__`` per field.
+#   So a class with ``__post_init__``, a ``default_factory`` or a field
+#   without a slot is refused.  The packet is still frozen, and
+#   ``__eq__``/``__hash__``/``__repr__`` are the dataclass's own.
 #
 # ``WIRE`` is the format's specification, and the golden vectors in
 # tests/data/wire_vectors.json pin it: valid, boundary and rejected
@@ -165,23 +166,32 @@ def register_packet(cls: P) -> P:
 
 _FIXED_FMT = {"u8": "B", "u16": "H", "u32": "I", "u64": "Q", "f64": "d"}
 # The length word a variable tail adds to the fixed struct: a u64seq's
-# count is read on its own, from the per-count struct below.
+# count and list are packed, and read, by the per-count structs below.
 _TAIL_FMT = {"bytes": "H", "str": "B", "u64seq": ""}
 
 _STRUCT_ENCODERS: dict[type, Callable] = {}
 _STRUCT_DECODERS: dict[int, Callable] = {}
 
+# The decode head table: a datagram's first ``5 + grplen`` bytes (header
+# and group) -> (its type's decoder, the group str), stored only after a
+# full validated parse, so a hit proves the header and the group's UTF-8.
+# A stored key is exactly ``5 + key[4]`` bytes long, so a datagram cut
+# short inside its group never matches one.  It keeps the first 1024 heads
+# it sees, like the encoders' head memos, and empties when a codec compiles.
+_DECODE_HEADS: dict[bytes, tuple[Callable, str]] = {}
+_DECODE_HEADS_CAP = 1024
+
 _U16 = struct.Struct("!H")
-# One precompiled "!H{n}Q" per distinct sequence-list length seen;
+# Per sequence-list length seen, the bound ``pack`` of "!H{n}Q" (count and
+# list) and ``unpack_from`` of "!{n}Q" (the list, read past the count);
 # bounded by MAX_SEQS in practice (counts are validated before lookup).
-_U64SEQ_STRUCTS: dict[int, struct.Struct] = {}
+_SEQ_PACKERS: dict[int, Callable] = {}
+_SEQ_UNPACKERS: dict[int, Callable] = {}
 
 
-def _u64seq_struct(count: int) -> struct.Struct:
-    st = _U64SEQ_STRUCTS.get(count)
-    if st is None:
-        st = _U64SEQ_STRUCTS[count] = struct.Struct(f"!H{count}Q")
-    return st
+def _per_count(table: dict, fmt: str, method: str, count: int) -> Callable:
+    fn = table[count] = getattr(struct.Struct(fmt.format(count)), method)
+    return fn
 
 
 def _group_head(heads: dict[str, bytes], prefix: bytes, group: str) -> bytes:
@@ -200,7 +210,8 @@ def _group_head(heads: dict[str, bytes], prefix: bytes, group: str) -> bytes:
 
 
 def _compile_struct_codec(cls: Type[Packet]) -> None:
-    """Compile ``cls.WIRE`` into its straight-line ``enc``/``dec`` and register them."""
+    """Compile ``cls.WIRE`` into its straight-line ``enc``/``dec``/``__init__``
+    and install them."""
     wire = cls.__dict__.get("WIRE")
     if wire is None:
         raise EncodeError(f"{cls.__name__} declares no WIRE spec")
@@ -244,15 +255,21 @@ def _compile_struct_codec(cls: Type[Packet]) -> None:
     body = struct.Struct(fmt)
     ns = {
         "EncodeError": EncodeError, "DecodeError": DecodeError, "_U16": _U16,
-        "_u64seq_struct": _u64seq_struct, "_group_head": _group_head, "heads": {},
+        "seq_pack": _SEQ_PACKERS, "seq_unpack": _SEQ_UNPACKERS, "_per_count": _per_count,
+        "_group_head": _group_head, "heads": {},
         "prefix": _HEADER.pack(_MAGIC, _VERSION, int(cls.TYPE)),
         "pack": body.pack, "unpack_from": body.unpack_from, "new": object.__new__, "cls": cls,
     }
-    for name in ctor:
+    params = []  # the constructor's, with each default bound as d_<field>
+    for f in fields(cls):
+        name = f.name
         slot = next((k.__dict__[name] for k in cls.__mro__ if name in k.__dict__), None)
         if type(slot) is not MemberDescriptorType:
             raise EncodeError(f"{cls.__name__}.{name} has no slot")
-        ns[f"set_{name}"] = slot.__set__
+        if f.default_factory is not MISSING:
+            raise EncodeError(f"{cls.__name__}.{name} has a default_factory, which __init__ skips")
+        ns[f"set_{name}"], ns[f"d_{name}"] = slot.__set__, f.default
+        params.append(name if f.default is MISSING else f"{name}=d_{name}")
 
     head = "(heads.get(p.group) or _group_head(heads, prefix, p.group))"
     fixed = [f"p.{name}" for name in fixed_names]
@@ -268,14 +285,16 @@ def _compile_struct_codec(cls: Type[Packet]) -> None:
         enc = [f"seqs = p.{tail_name}", "n = len(seqs)", "if n == 0:",
                f"    raise EncodeError('{tname} must request at least one sequence')",
                f"if n > {maxn}:", f"    raise EncodeError('{tname} limited to {maxn} sequences')",
-               f"return {head}{pack_fixed} + _u64seq_struct(n).pack(n, *seqs)"]
+               f"return {head}{pack_fixed} + (seq_pack.get(n) or _per_count(seq_pack, '!H{{}}Q', 'pack', n))(n, *seqs)"]
         dec = [f"fend = off + {body.size}", "if len(data) < fend + 2:",
                f"    raise DecodeError('truncated {tname} body', data)",
                "n, = _U16.unpack_from(data, fend)", f"if n == 0 or n > {maxn}:",
                f"    raise DecodeError(f'bad {tname} count {{n}}', data)",
                "if len(data) != fend + 2 + 8 * n:",
                f"    raise DecodeError('bad {tname} sequence list length', data)",
-               f"f_{tail_name} = _u64seq_struct(n).unpack_from(data, fend)[1:]", *unpack_fixed]
+               f"f_{tail_name} = (seq_unpack.get(n)"
+               " or _per_count(seq_unpack, '!{}Q', 'unpack_from', n))(data, fend + 2)",
+               *unpack_fixed]
     else:  # a length-prefixed bytes or str tail after the fixed fields
         if tail_kind == "bytes":
             enc = [f"tail = p.{tail_name}", "n = len(tail)", f"if n > {_MAX_PAYLOAD}:",
@@ -303,15 +322,20 @@ def _compile_struct_codec(cls: Type[Packet]) -> None:
                f"    raise DecodeError('bad {tname} {what} length', data)", *read]
     values = ["group"] + [f"f_{name}" for name in ctor[1:]]
     dec += ["p = new(cls)", *(f"set_{n}(p, {v})" for n, v in zip(ctor, values)), "return p"]
-    src = "def enc(p):\n    {}\n\ndef dec(data, off, group):\n    {}\n".format(
-        "\n    ".join(enc), "\n    ".join(dec))
+    init = [f"set_{n}(self, {n})" for n in ctor]
+    src = "".join(f"def {sig}:\n    " + "\n    ".join(lines) + "\n\n" for sig, lines in (
+        ("enc(p)", enc), ("dec(data, off, group)", dec),
+        (f"__init__(self, {', '.join(params)})", init)))
     exec(compile(src, f"<codec {cls.__name__}>", "exec"), ns)
+    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = ns["__init__"]
     _STRUCT_ENCODERS[cls] = ns["enc"]
     _STRUCT_DECODERS[int(cls.TYPE)] = ns["dec"]
+    _DECODE_HEADS.clear()  # an entry may hold the decoder this one replaces
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DataPacket(Packet):
     """Original application data multicast by the source (§2).
 
@@ -328,7 +352,7 @@ class DataPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HeartbeatPacket(Packet):
     """Keep-alive repeating the last data sequence number (§2).
 
@@ -346,7 +370,7 @@ class HeartbeatPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NackPacket(Packet):
     """Retransmission request listing missing sequence numbers.
 
@@ -363,7 +387,7 @@ class NackPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RetransPacket(Packet):
     """Retransmission of a logged data packet.
 
@@ -380,7 +404,7 @@ class RetransPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LogAckPacket(Packet):
     """Primary logger → source acknowledgement (§2.2.3).
 
@@ -405,7 +429,7 @@ class LogAckPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AckerSelectPacket(Packet):
     """Acker Selection Packet starting a new epoch (§2.3.1).
 
@@ -422,7 +446,7 @@ class AckerSelectPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AckerResponsePacket(Packet):
     """A secondary logger volunteering as Designated Acker for ``epoch``."""
 
@@ -433,7 +457,7 @@ class AckerResponsePacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DataAckPacket(Packet):
     """Designated Acker → source per-data-packet acknowledgement."""
 
@@ -445,7 +469,7 @@ class DataAckPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProbePacket(Packet):
     """Bolot-style group-size probe (§2.3.3): answer with prob ``p_ack``."""
 
@@ -457,7 +481,7 @@ class ProbePacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProbeReplyPacket(Packet):
     """Probabilistic reply to a :class:`ProbePacket`."""
 
@@ -468,7 +492,7 @@ class ProbeReplyPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DiscoveryQueryPacket(Packet):
     """Expanding-ring scoped-multicast query for a nearby logger (§2.2.1)."""
 
@@ -479,7 +503,7 @@ class DiscoveryQueryPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DiscoveryReplyPacket(Packet):
     """A logger answering discovery: its address token and hierarchy level
     (0 = primary, 1 = site secondary, …)."""
@@ -492,7 +516,7 @@ class DiscoveryReplyPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ReplUpdatePacket(Packet):
     """Primary → follower log-entry push (§2.2.3).
 
@@ -519,7 +543,7 @@ class ReplUpdatePacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ReplAckPacket(Packet):
     """Follower → primary cumulative acknowledgement.
 
@@ -546,7 +570,7 @@ class ReplAckPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PrimaryQueryPacket(Packet):
     """Receiver/secondary → source: "who is the primary logger now?"
 
@@ -558,7 +582,7 @@ class PrimaryQueryPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PrimaryInfoPacket(Packet):
     """Source → asker: current primary logger address token."""
 
@@ -569,7 +593,7 @@ class PrimaryInfoPacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PromotePacket(Packet):
     """Source → replica: become the primary; serve from ``from_seq``.
 
@@ -593,7 +617,7 @@ class PromotePacket(Packet):
 
 
 @register_packet
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ReplStatusQueryPacket(Packet):
     """Source → replica during failover: "report your cumulative log seq".
 
@@ -625,7 +649,12 @@ def decode(data: bytes) -> Packet:
     """
     if type(data) is not bytes:
         data = bytes(data)
-    return _decode_view(data)
+    if len(data) > 4:
+        end = 5 + data[4]
+        hit = _DECODE_HEADS.get(data[:end])
+        if hit is not None:
+            return hit[0](data, end, hit[1])
+    return _decode_cold(data)
 
 
 def decode_from(buf, offset: int = 0, length: int | None = None) -> Packet:
@@ -643,21 +672,17 @@ def decode_from(buf, offset: int = 0, length: int | None = None) -> Packet:
     if offset or length is not None:
         end = len(view) if length is None else offset + length
         view = view[offset:end]
-    return _decode_view(view)
+    if len(view) > 4:
+        end = 5 + view[4]
+        # A view of a writable buffer is unhashable: the key is a copy.
+        hit = _DECODE_HEADS.get(view[:end].tobytes())
+        if hit is not None:
+            return hit[0](view, end, hit[1])
+    return _decode_cold(view)
 
 
-# One-entry group-name memo for the RX hot path: a receive socket sees
-# the same group on (nearly) every packet, and memoryview == bytes is a
-# C-level compare — so a hit replaces the per-packet UTF-8 decode and
-# str allocation.  Deliberately a single entry: no hashing, no eviction,
-# and a miss costs one comparison.
-_LAST_GROUP_RAW: bytes = b"\xff"  # never equals valid UTF-8 group bytes
-_LAST_GROUP: str = ""
-
-
-def _decode_view(data) -> Packet:
-    """Shared datagram parse over any buffer (``bytes`` or memoryview)."""
-    global _LAST_GROUP_RAW, _LAST_GROUP
+def _decode_cold(data) -> Packet:
+    """A head-table miss: the full header parse over any buffer."""
     n = len(data)
     if n < _HEADER.size:
         raise DecodeError("datagram shorter than header", bytes(data))
@@ -674,16 +699,14 @@ def _decode_view(data) -> Packet:
     end = 5 + data[4]
     if end > n:
         raise DecodeError("truncated string body", bytes(data))
-    raw = data[5:end]
-    if raw == _LAST_GROUP_RAW:
-        group = _LAST_GROUP
-    else:
-        try:
-            group = str(raw, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError(f"group is not UTF-8: {exc}", bytes(data)) from None
-        _LAST_GROUP_RAW, _LAST_GROUP = bytes(raw), group
-    return dec(data, end, group)
+    try:
+        group = str(data[5:end], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"group is not UTF-8: {exc}", bytes(data)) from None
+    packet = dec(data, end, group)
+    if len(_DECODE_HEADS) < _DECODE_HEADS_CAP:
+        _DECODE_HEADS[bytes(data[:end])] = (dec, group)
+    return packet
 
 
 # -- bundle framing -----------------------------------------------------------
@@ -783,9 +806,9 @@ def iter_bundle(data) -> list:
 
 # -- frozen-benchmark surface ----------------------------------------------------
 #
-# There is no codec memo (DESIGN §6).  benchmarks/ledger/** still reads
-# these three names and may not be edited by a PR that claims a gain;
-# they go when the next `benchmark` PR drops the calls (ROADMAP item 1a).
+# There is no codec memo (DESIGN §6, "One head table, no codec memo"), but
+# benchmarks/ledger/** still reads these three names and is frozen while a
+# speed claim is gated on it; they go with those calls (ROADMAP item 1a).
 
 encode_uncached = encode  # benchmarks/ledger/tracing.py wraps it by name
 

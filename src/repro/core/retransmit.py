@@ -80,8 +80,10 @@ class SiteRequestTracker:
         # runs once per NACKed sequence and the property indirection
         # showed up in logger-saturation profiles.
         self._threshold = self._config.remulticast_threshold
-        # seq -> (window start, distinct requesters, already re-multicast?)
-        self._state: dict[int, tuple[float, set[Address], bool]] = {}
+        # seq -> (window start, requesters, already re-multicast?).  Nearly
+        # every window has one requester: it is held bare, and a set is
+        # made only for a second distinct one (an Address is never a set).
+        self._state: dict[int, tuple[float, Address | set[Address], bool]] = {}
         # A logger with no timers is never polled, so record() sweeps too,
         # once the table reaches twice what the last sweep left + 64: at
         # most 2 * (sequences requested within one window) + 64 entries.
@@ -97,21 +99,27 @@ class SiteRequestTracker:
         """
         state = self._state.get(seq)
         if state is not None and now - state[0] <= self._window:
-            if state[2]:
+            start, requesters, fired = state
+            if fired:
                 # Already re-multicast this window — the common steady
                 # state during a repair storm.  The re-multicast answered
-                # every requester, so the window's set stops growing.
+                # every requester, so the window stops collecting.
                 return False
-            start, requesters, _ = state
-            requesters.add(requester)
+            if type(requesters) is set:
+                requesters.add(requester)
+                count = len(requesters)
+            elif requesters == requester:
+                count = 1
+            else:
+                requesters = {requesters, requester}
+                count = 2
+                self._state[seq] = (start, requesters, False)
         else:
-            start = now
-            requesters = {requester}
+            start, requesters, count = now, requester, 1
             if len(self._state) >= self._sweep_at:
                 self.sweep(now)
-            self._state[seq] = (start, requesters, False)
-        threshold = 1 if self_lost else self._threshold
-        if len(requesters) < threshold:
+            self._state[seq] = (now, requester, False)
+        if count < (1 if self_lost else self._threshold):
             return False
         self._state[seq] = (start, requesters, True)
         self._obs_fired.inc()
@@ -119,8 +127,8 @@ class SiteRequestTracker:
 
     def requesters(self, seq: int) -> frozenset[Address]:
         """Distinct requesters seen for ``seq`` in the current window."""
-        state = self._state.get(seq)
-        return frozenset(state[1]) if state else frozenset()
+        requesters = self._state.get(seq, (0.0, set(), False))[1]
+        return frozenset(requesters) if type(requesters) is set else frozenset((requesters,))
 
     def sweep(self, now: float) -> None:
         """Drop windows that have aged out: exactly the entries ``record``

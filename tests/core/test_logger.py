@@ -195,6 +195,22 @@ class TestLoggingAndServing:
             assert held == list(range(4993, 5001))
             logger.log.close()
 
+    def test_a_wiped_spooled_logger_spools_again(self, tmp_path):
+        """wipe_restart loses the disk, not the spool: a cap-2 log comes
+        back spooling to the same path, and the old log's file is closed."""
+        config = LbrmConfig(logger=LoggerConfig(max_packets=2))
+        logger = make_secondary(config=config, spool_path=str(tmp_path / "log.spool"))
+        for seq in range(1, 4):
+            logger.handle(data(seq), "source", 0.0)
+        old_file = logger.log._spool_file
+        logger.wipe_restart(1.0)
+        assert old_file.closed
+        for seq in range(1, 6):
+            logger.handle(data(seq, payload=bytes([seq])), "source", 2.0)
+        assert all(seq in logger.log for seq in range(1, 6))
+        assert [logger.log.peek(seq) for seq in range(1, 6)] == [bytes([s]) for s in range(1, 6)]
+        logger.log.close()
+
     def test_site_request_table_is_bounded_without_polls(self):
         """A logger with no timers is never polled, so only record() can
         sweep: 10,000 sequences NACKed once, 1 ms apart, leave at most

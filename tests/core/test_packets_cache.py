@@ -1,7 +1,7 @@
 """``encode``/``decode`` are the struct codec itself — there is no memo.
 
 The memoised codec went when counting showed no runtime called it on a
-hot path (DESIGN §6, "There is no codec memo"); what stays here is what
+hot path (DESIGN §6, "One head table, no codec memo"); what stays here is what
 that layer's tests also pinned about the codec and the packet classes:
 every registered type is sampled, the entry points agree with the
 zero-copy decoder and the goldens, and packets are immutable values that

@@ -1,5 +1,5 @@
-"""The traffic the absence of a codec memo rests on (DESIGN §6, "There
-is no codec memo").
+"""The traffic the absence of a codec memo rests on (DESIGN §6, "One
+head table, no codec memo").
 
 ``packets.encode``/``packets.decode`` are the struct codec with nothing
 in front of it because the exact runtime hands packet *objects* from
