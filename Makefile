@@ -37,8 +37,9 @@ census:
 # verdict per end-to-end metric; exit 1 on any worse/refused/unequal sim block:
 #   make pairs REF=HEAD [W=exact_fanout] [PAIRS=10] [SEED=1995] [LAYERS=1]
 #              [ALLOW=name,...]
-# LAYERS=1 adds one traced run per side: which layers' self time moved, and
-# any per-layer count that differs (exit 1, like an unequal sim block).
+# LAYERS=1 adds five alternating traced runs per side: which layers' median
+# self time moved by more than the parent's IQR, and any per-layer count that
+# differs (exit 1, like an unequal sim block).
 # ALLOW names the sim keys and layer counts a change moves on purpose: printed
 # apart, and only those.
 pairs:

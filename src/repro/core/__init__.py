@@ -30,7 +30,6 @@ from repro.core.config import (
     StatAckConfig,
 )
 from repro.core.hierarchy import (
-    LinkEstimate,
     LoggerTree,
     Reparent,
     TreeManager,
@@ -87,7 +86,6 @@ __all__ = [
     "ReplicationConfig",
     "StatAckConfig",
     # hierarchy
-    "LinkEstimate",
     "LoggerTree",
     "Reparent",
     "TreeManager",

@@ -238,8 +238,8 @@ class HierarchyConfig:
     ``saturation_outstanding`` is the outstanding-upstream-repair queue
     depth at which an interior logger is treated as saturated and its
     children become eligible for re-parenting.  The scoring constants
-    (serve cost, hysteresis, link EWMA gain) are
-    :class:`~repro.core.hierarchy.TreeManager`'s own defaults.
+    (serve cost, hysteresis, link EWMA gain) are module constants of
+    :mod:`repro.core.hierarchy`.
     """
 
     rescore_interval: float = 0.25

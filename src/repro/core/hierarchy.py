@@ -24,29 +24,30 @@ Three pieces live here, all transport-agnostic:
 * :func:`build_tree` / :func:`plan_level_sizes` — the initial
   balanced-degree construction: leaves are grouped contiguously (site
   locality) under ``ceil(n/fanout)`` parents per level.
-* :class:`TreeManager` — the runtime brain: it keeps a
-  :class:`LinkEstimate` (a :class:`~repro.core.estimator.TWaitEstimator`
-  plus a loss ratio) per child→parent repair link, scores candidate
-  parents by the **makespan objective**, and decides re-parenting moves
-  when a parent dies, saturates, or becomes grossly more expensive than
-  an alternative.
+* :class:`TreeManager` — the runtime brain: fed the upstream NACKs and
+  repairs a runtime sees (``note_nack``, ``note_repair``), it measures
+  each child→parent repair link (a
+  :class:`~repro.core.estimator.TWaitEstimator` plus a loss ratio),
+  scores candidate parents by measured cost plus serve cost × load, and
+  decides re-parenting moves when a parent dies, saturates, or becomes
+  grossly more expensive than an alternative.
 
-The makespan objective
-----------------------
+Scoring
+-------
 A parent serves its children's repairs serially (one tail circuit), so
-with per-child serve cost ``s`` the ``i``-th child (0-based, served in
-decreasing order of remaining cost) finishes its subtree's repair no
-earlier than ``(i+1)·s + rtt_eff(child) + makespan(child)``.  The tree's
-makespan is the maximum over children, applied recursively from the
-root.  ``rtt_eff`` is the measured repair RTT inflated by observed loss
-(a retry doubles the effective round trip), which is precisely what the
-per-link :class:`LinkEstimate` tracks.
+a candidate parent ``p`` for ``child`` scores ``cost(child, p) +
+SERVE_COST · load(p)``, where ``cost`` is the link's measured repair RTT
+inflated by observed loss (a link that loses half its requests takes
+twice the round trips) and ``load`` counts ``child`` among ``p``'s children.  ``makespan()``
+applies the same serial model recursively from the root — the objective
+of the PAPERS.md entry "Reducing the Makespan in Hierarchical Reliable
+Multicast Tree" — and is reported, not scored.
 
 Greedy re-scoring keeps the tree *sticky*: a child only moves when its
 parent is dead or saturated, or when the best alternative beats the
-incumbent by a configurable hysteresis factor — measurement noise must
-not cause re-parenting churn, because every move re-points live
-recovery state.
+incumbent by the ``HYSTERESIS`` factor — measurement noise must not
+cause re-parenting churn, because every move re-points live recovery
+state.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Sequence
 
 from repro import obs
 from repro.core.errors import ConfigError
@@ -67,7 +67,6 @@ from repro.core.logger import LoggerRole, LogServer
 __all__ = [
     "LoggerTree",
     "tree_logger",
-    "LinkEstimate",
     "Reparent",
     "TreeManager",
     "plan_level_sizes",
@@ -196,17 +195,6 @@ class LoggerTree:
             out.append(node)
         return tuple(out)
 
-    def subtree(self, name: str) -> frozenset[str]:
-        """``name`` plus every descendant."""
-        out = {name}
-        frontier = [name]
-        while frontier:
-            node = frontier.pop()
-            for child in self._children.get(node, ()):
-                out.add(child)
-                frontier.append(child)
-        return frozenset(out)
-
     def is_ancestor(self, ancestor: str, node: str) -> bool:
         while node in self._parents:
             node = self._parents[node]
@@ -318,13 +306,24 @@ def tree_logger(
     )
 
 
+# Scoring constants (DESIGN §11): a parent's serial repair cost per
+# child, the factor by which an alternative must beat the incumbent
+# before a ``cost`` move, and the EWMA gain of a link's RTT estimate.
+SERVE_COST = 0.0005
+HYSTERESIS = 1.5
+LINK_ALPHA = 0.125
 # Cap on a link's loss-episode widening, as a multiple of its EWMA RTT
 # (the source's ``t_wait_max_widen``, §2.3.2).
 _LINK_MAX_WIDEN = 16.0
+# The outstanding-request table (DESIGN §6, "Remote-keyed state"): once
+# it holds OUTSTANDING_CAP entries, each rescore drops every request
+# older than OUTSTANDING_HORIZON seconds.
+OUTSTANDING_CAP = 4096
+OUTSTANDING_HORIZON = 30.0
 
 
-class LinkEstimate:
-    """Repair-RTT and loss tracking for one child→parent repair link.
+class _Link:
+    """Repair-RTT and loss counts for one child→parent repair link.
 
     The RTT side reuses :class:`TWaitEstimator` verbatim — a repair link
     has the same dynamics as the source's ACK-collection window: clean
@@ -332,53 +331,21 @@ class LinkEstimate:
     request or the repair was lost) widens it multiplicatively, decaying
     back once clean samples resume.  The loss ratio further inflates the
     effective cost: a link dropping half its repairs takes twice the
-    round trips to finish a recovery.
+    round trips to finish a recovery.  The manager makes a link to book
+    its first request, so ``attempts`` is never 0 when ``cost`` is read.
     """
 
-    __slots__ = ("_rtt", "_attempts", "retries", "_touched")
+    __slots__ = ("rtt", "attempts", "retries")
 
-    def __init__(
-        self,
-        *,
-        alpha: float,
-        initial: float,
-        touched: Callable[[], object] = lambda: None,
-    ) -> None:
-        self._rtt = TWaitEstimator(alpha=alpha, initial=initial, max_widen=_LINK_MAX_WIDEN)
-        self._attempts = 0
+    def __init__(self, initial: float) -> None:
+        self.rtt = TWaitEstimator(alpha=LINK_ALPHA, initial=initial, max_widen=_LINK_MAX_WIDEN)
+        self.attempts = 0
         self.retries = 0
-        # Called on every mutation that can change ``cost``: the owning
-        # manager re-examines the child at its next rescore.
-        self._touched = touched
-
-    @property
-    def attempts(self) -> int:
-        return self._attempts
-
-    @attempts.setter
-    def attempts(self, value: int) -> None:
-        self._attempts = value
-        self._touched()
-
-    @property
-    def loss_rate(self) -> float:
-        if self._attempts <= 0:
-            return 0.0
-        return min(self.retries / self._attempts, 0.75)
 
     @property
     def cost(self) -> float:
         """Effective repair round trip: measured RTT inflated by loss."""
-        return self._rtt.t_wait / (1.0 - self.loss_rate)
-
-    def record_rtt(self, sample: float) -> None:
-        self._rtt.record_last_ack(sample)
-        self._touched()
-
-    def record_retry(self, widen: float = 1.5) -> None:
-        self.retries += 1
-        self._rtt.widen(widen)
-        self._touched()
+        return self.rtt.t_wait / (1.0 - min(self.retries / self.attempts, 0.75))
 
 
 @dataclass(frozen=True, slots=True)
@@ -402,19 +369,21 @@ class Reparent:
 
 
 class TreeManager:
-    """Makespan-aware scoring and re-parenting over a :class:`LoggerTree`.
+    """Measured-cost scoring and re-parenting over a :class:`LoggerTree`.
 
     Transport-agnostic: a runtime (the simulator's ``HierarchyRuntime``
-    or an aio adapter) feeds it request/repair/retry observations and
-    asks it to ``rescore`` once per heartbeat epoch with the current
-    live set; the manager mutates the tree and returns the applied
-    :class:`Reparent` moves for the runtime to wire into the protocol
-    machines (``LogServer.set_parent`` + receiver chain updates).
+    or an aio adapter) reports each upstream NACK and each repair a
+    logger receives (``note_nack``, ``note_repair``) and asks it to
+    ``rescore`` once per heartbeat epoch with the current live set; the
+    manager mutates the tree and returns the applied :class:`Reparent`
+    moves for the runtime to wire into the protocol machines
+    (``LogServer.set_parent`` + receiver chain updates).
 
     ``seed_cost(child, parent)`` is the prior for a link with no samples
-    yet and must be a pure static function of the pair: ``link`` freezes
-    it into the estimator's initial value, and ``rescore`` relies on a
-    link's cost changing only through its :class:`LinkEstimate`.
+    yet and must be a pure static function of the pair: a new link
+    freezes it into its estimator's initial value, and ``rescore``
+    relies on a link's cost changing only through ``note_nack`` and
+    ``note_repair``.
     """
 
     _REASONS = ("crash", "saturation", "cost", "forced")
@@ -424,22 +393,15 @@ class TreeManager:
         tree: LoggerTree,
         *,
         fanout: int,
-        serve_cost: float = 0.0005,
-        hysteresis: float = 1.5,
-        link_alpha: float = 0.125,
-        seed_cost: Callable[[str, str], float] | None = None,
+        seed_cost: Callable[[str, str], float],
     ) -> None:
         if fanout < 2:
             raise ConfigError(f"fanout must be >= 2, got {fanout}")
-        if hysteresis < 1.0:
-            raise ConfigError(f"hysteresis must be >= 1, got {hysteresis}")
         self.tree = tree
         self._fanout = fanout
-        self._serve_cost = serve_cost
-        self._hysteresis = hysteresis
-        self._link_alpha = link_alpha
-        self._seed_cost = seed_cost or (lambda child, parent: 0.05)
-        self._links: dict[tuple[str, str], LinkEstimate] = {}
+        self._seed_cost = seed_cost
+        self._links: dict[tuple[str, str], _Link] = {}
+        # (child, seq) -> (sent at, parent) for requests awaiting repair.
         self._outstanding: dict[tuple[str, int], tuple[float, str]] = {}
         # Children with a link touched since they were last examined, and
         # the (live, saturated, tree.version) the last pass started under.
@@ -462,46 +424,31 @@ class TreeManager:
 
     # -- per-link measurement ---------------------------------------------
 
-    def link(self, child: str, parent: str) -> LinkEstimate:
-        key = (child, parent)
-        est = self._links.get(key)
-        if est is None:
-            est = LinkEstimate(
-                alpha=self._link_alpha,
-                initial=max(self._seed_cost(child, parent), 1e-6),
-                touched=partial(self._dirty.add, child),
-            )
-            self._links[key] = est
-        return est
+    def note_nack(self, child: str, to: str, seqs: Sequence[int], now: float) -> None:
+        """An upstream NACK for ``seqs`` left ``child`` for ``to``.
 
-    def note_request(self, child: str, seqs: Iterable[int], now: float) -> None:
-        """An upstream NACK left ``child`` toward its current parent."""
-        parent = self.tree.parent(child)
-        if parent is None:
-            return
-        link = self.link(child, parent)
-        for seq in seqs:
-            link.attempts += 1
-            self._outstanding[(child, seq)] = (now, parent)
-
-    def note_retry(self, child: str, seqs: Iterable[int]) -> None:
-        """An upstream request was re-sent: count loss on the link."""
-        parent = self.tree.parent(child)
-        if parent is None:
-            return
-        link = self.link(child, parent)
-        for _seq in seqs:
-            link.record_retry()
-            self.stats["retries_seen"] += 1
-
-    def has_outstanding(self, child: str, seq: int) -> bool:
-        """True while ``child``'s request for ``seq`` to its current parent awaits repair.
-
-        A request left outstanding at a previous parent does not count: the
-        next NACK for that seq is the new link's first attempt, not a retry.
+        Only a NACK to ``child``'s current parent is booked.  Each seq is
+        a retry (loss on the link: it widens the RTT estimate) while its
+        request to that same parent is still outstanding, and otherwise a
+        new request — also when the request is outstanding at a previous
+        parent, since this link never saw it.
         """
-        entry = self._outstanding.get((child, seq))
-        return entry is not None and entry[1] == self.tree.parent(child)
+        if to != self.tree.parent(child) or not seqs:
+            return
+        link = self._links.get((child, to))
+        if link is None:
+            link = self._links[(child, to)] = _Link(max(self._seed_cost(child, to), 1e-6))
+        outstanding = self._outstanding
+        for seq in seqs:
+            entry = outstanding.get((child, seq))
+            if entry is not None and entry[1] == to:
+                link.retries += 1
+                link.rtt.widen(1.5)
+                self.stats["retries_seen"] += 1
+            else:
+                link.attempts += 1
+                outstanding[(child, seq)] = (now, to)
+        self._dirty.add(child)
 
     def note_repair(self, child: str, seq: int, now: float) -> None:
         """A repair for ``seq`` reached ``child``: close the RTT sample."""
@@ -510,12 +457,13 @@ class TreeManager:
             return
         sent_at, parent = entry
         if self.tree.parent(child) == parent:
-            self.link(child, parent).record_rtt(max(now - sent_at, 0.0))
+            self._links[(child, parent)].rtt.record_last_ack(max(now - sent_at, 0.0))
             self.stats["rtt_samples"] += 1
+            self._dirty.add(child)
 
     def cost(self, child: str, parent: str) -> float:
         link = self._links.get((child, parent))
-        if link is not None and link.attempts > 0:
+        if link is not None:
             return link.cost
         return max(self._seed_cost(child, parent), 1e-6)
 
@@ -526,7 +474,8 @@ class TreeManager:
 
         Children are served in decreasing order of remaining cost (the
         LPT order that minimizes the serial maximum); the ``i``-th slot
-        adds ``(i+1)·serve_cost`` of serialization at the parent.
+        adds ``(i+1)·SERVE_COST`` of serialization at the parent.  Reported
+        (chaos digests, ``HierarchyRuntime.to_dict``), not scored.
         """
         node = node or self.tree.root
         children = self.tree.children(node)
@@ -537,7 +486,7 @@ class TreeManager:
         )
         worst = 0.0
         for i, (cost, _name) in enumerate(remaining):
-            worst = max(worst, (i + 1) * self._serve_cost + cost)
+            worst = max(worst, (i + 1) * SERVE_COST + cost)
         return worst
 
     # -- re-parenting ------------------------------------------------------
@@ -564,7 +513,7 @@ class TreeManager:
         load = self.tree.child_count(parent)
         if self.tree.parent(child) != parent:
             load += 1
-        return self.cost(child, parent) + self._serve_cost * load
+        return self.cost(child, parent) + SERVE_COST * load
 
     def _apply(self, child: str, new_parent: str, reason: str, now: float) -> Reparent:
         move = Reparent(
@@ -663,7 +612,7 @@ class TreeManager:
             return None
         best = min(alts, key=lambda p: (self._score(child, p), p))
         if best != parent and (
-            self._score(child, best) * self._hysteresis < self._score(child, parent)
+            self._score(child, best) * HYSTERESIS < self._score(child, parent)
         ):
             return self._apply(child, best, "cost", now)
         return None
@@ -684,9 +633,10 @@ class TreeManager:
         best = min(cands, key=lambda p: (self._score(child, p), p))
         return self._apply(child, best, "forced", now)
 
-    def _prune_outstanding(self, now: float, horizon: float = 30.0) -> None:
-        if len(self._outstanding) < 4096:
+    def _prune_outstanding(self, now: float) -> None:
+        if len(self._outstanding) < OUTSTANDING_CAP:
             return
-        stale = [k for k, (sent_at, _p) in self._outstanding.items() if now - sent_at > horizon]
+        stale = [k for k, (sent_at, _p) in self._outstanding.items()
+                 if now - sent_at > OUTSTANDING_HORIZON]
         for key in stale:
             del self._outstanding[key]

@@ -243,11 +243,6 @@ class LogServer(ProtocolMachine):
     def replication(self) -> ReplicationManager | None:
         return self._replication
 
-    @property
-    def log_epoch(self) -> int:
-        """Highest promotion term this server has seen (0 = none yet)."""
-        return self._log_epoch
-
     def _commit_for_ack(self) -> int:
         commit = self._commit_learned
         held = self.primary_seq

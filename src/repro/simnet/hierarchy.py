@@ -3,11 +3,12 @@
 :class:`HierarchyRuntime` connects a :class:`~repro.core.hierarchy.TreeManager`
 to a built :class:`~repro.simnet.deploy.TreeDeployment`:
 
-* it **measures**: a read-only tap installed as the network observer
-  (in front of any tap installed before it; the packet counts are the
-  network's own) pairs each logger's upstream NACK with the repair that
-  answers it, feeding per-link RTT samples into the manager's
-  :class:`LinkEstimate`s, and counts re-sent requests as loss;
+* it **forwards** what the manager measures: a read-only tap installed
+  as the network observer (in front of any tap installed before it; the
+  packet counts are the network's own) hands every NACK a logger sends
+  and every repair a logger receives to ``TreeManager.note_nack`` /
+  ``note_repair``, which pair requests with repairs into per-link RTT
+  samples and count re-sent requests as loss;
 * it **re-scores** the tree once per ``rescore_interval`` (one heartbeat
   epoch by default) against the current live set and each logger's
   outstanding-upstream-repair queue depth (saturation);
@@ -93,7 +94,6 @@ class HierarchyRuntime:
     def _make_observer(self, chained):
         loggers = self._loggers
         manager = self.manager
-        tree = manager.tree
 
         def observe(kind: str, packet, src: str, hosts, now: float) -> None:
             if chained is not None:
@@ -102,18 +102,12 @@ class HierarchyRuntime:
                 return
             t = type(packet)
             if t is NackPacket:
-                # An upstream request: only the watched child -> current
-                # parent edges count (receiver NACKs share the type but
-                # never have a logger as src).
+                # An upstream request (receiver NACKs share the type but
+                # never have a logger as src); the manager books only
+                # the one sent to src's current parent.
                 if src in loggers:
-                    parent = tree.parent(src)
                     for host in hosts:
-                        if host.name == parent:
-                            for seq in packet.seqs:
-                                if manager.has_outstanding(src, seq):
-                                    manager.note_retry(src, (seq,))
-                                else:
-                                    manager.note_request(src, (seq,), now)
+                        manager.note_nack(src, host.name, packet.seqs, now)
             elif t is RetransPacket:
                 for host in hosts:
                     if host.name in loggers:

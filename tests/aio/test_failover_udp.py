@@ -21,7 +21,7 @@ from repro.aio import AioCluster, GroupDirectory
 from repro.aio.node import addr_token
 from repro.chaos import ChaosOracle
 from repro.core.config import LbrmConfig, ReplicationConfig
-from repro.core.events import PrimaryFailover
+from repro.core.events import PrimaryFailover, PromotedToPrimary
 from repro.core.logger import LoggerRole
 
 from tests.aio._netutil import free_udp_port
@@ -86,15 +86,14 @@ async def _run_tie_break():
         assert events[0].new_primary == expected
         assert events[0].log_epoch == 2
 
-        winner = cluster.replicas[cluster.replica_nodes.index(
-            next(n for n in cluster.replica_nodes if n.address == expected)
-        )]
+        winner_node = next(n for n in cluster.replica_nodes if n.address == expected)
+        winner = cluster.replicas[cluster.replica_nodes.index(winner_node)]
         for _ in range(50):
             if winner.role is LoggerRole.PRIMARY:
                 break
             await asyncio.sleep(0.1)
         assert winner.role is LoggerRole.PRIMARY
-        assert winner.log_epoch == 2
+        assert [e.log_epoch for e in winner_node.events_of(PromotedToPrimary)] == [2]
 
         for _ in range(50):
             if cluster.sender.released_up_to == 3:

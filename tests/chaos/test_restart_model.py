@@ -61,7 +61,7 @@ def _logger_state(logger) -> tuple:
     )
     durable = (
         logger.log, [s for s in range(1, (logger.log.highest or 0) + 1) if s in logger.log], logger.tracker, logger.tracker.highest,
-        logger.tracker.missing, logger.log_epoch, logger._commit_learned,
+        logger.tracker.missing, logger._log_epoch, logger._commit_learned,
     )
     return repair, durable
 

@@ -5,6 +5,9 @@ import pytest
 from repro import obs
 from repro.core.errors import ConfigError
 from repro.core.hierarchy import (
+    OUTSTANDING_CAP,
+    OUTSTANDING_HORIZON,
+    SERVE_COST,
     LoggerTree,
     TreeManager,
     build_tree,
@@ -15,6 +18,7 @@ from repro.core.hierarchy import (
 
 def _manager(tree, **kwargs):
     kwargs.setdefault("fanout", 4)
+    kwargs.setdefault("seed_cost", lambda c, p: 0.05)
     return TreeManager(tree, **kwargs)
 
 
@@ -110,54 +114,53 @@ class TestLoggerTree:
 
     def test_subtree_and_ancestry(self):
         tree = build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)
-        hub = tree.at_level(1)[0]
-        sub = tree.subtree(hub)
-        assert hub in sub
-        assert all(tree.is_ancestor(hub, leaf) for leaf in sub if leaf != hub)
+        hub, other = tree.at_level(1)
+        assert tree.children(hub)
+        for leaf in tree.children(hub):
+            assert tree.is_ancestor(hub, leaf) and tree.is_ancestor("primary", leaf)
+            assert not tree.is_ancestor(leaf, hub) and not tree.is_ancestor(other, leaf)
         assert tree.is_ancestor("primary", hub)
-        assert not tree.is_ancestor(hub, "primary")
+        assert not tree.is_ancestor(hub, "primary") and not tree.is_ancestor(hub, hub)
 
 
 class TestMakespan:
     def test_empty_and_flat(self):
         tree = LoggerTree("primary")
-        mgr = _manager(tree, serve_cost=0.001, seed_cost=lambda c, p: 0.05)
+        mgr = _manager(tree)
         assert mgr.makespan() == 0.0
         tree.add("a", "primary", 1)
         tree.add("b", "primary", 1)
-        # Two children at cost 0.05: slots cost 0.001 and 0.002 serially.
-        assert mgr.makespan() == pytest.approx(0.052)
+        # Two children at cost 0.05: the second is served after two slots.
+        assert mgr.makespan() == pytest.approx(0.05 + 2 * SERVE_COST)
 
     def test_tree_beats_flat_when_serialization_dominates(self):
         leaves = [f"s{i}" for i in range(64)]
-        serve = 0.01
+        # 1 ms links: 64 serve slots at one parent outweigh a second hop.
         flat = _manager(
             build_tree("primary", leaves, depth=2, fanout=8),
             fanout=64,
-            serve_cost=serve,
-            seed_cost=lambda c, p: 0.02,
+            seed_cost=lambda c, p: 0.001,
         )
         deep = _manager(
             build_tree("primary", leaves, depth=3, fanout=8),
             fanout=8,
-            serve_cost=serve,
-            seed_cost=lambda c, p: 0.02,
+            seed_cost=lambda c, p: 0.001,
         )
         assert deep.makespan() < flat.makespan()
 
     def test_measured_cost_feeds_objective(self):
         tree = LoggerTree("primary")
         tree.add("a", "primary", 1)
-        mgr = _manager(tree, serve_cost=0.0, seed_cost=lambda c, p: 0.05)
-        mgr.note_request("a", [1], now=0.0)
+        mgr = _manager(tree)
+        mgr.note_nack("a", "primary", [1], now=0.0)
         mgr.note_repair("a", 1, now=0.4)
-        assert mgr.makespan() > 0.05  # widened toward the observed 0.4s RTT
+        assert mgr.makespan() - SERVE_COST > 0.05  # widened toward the observed 0.4s RTT
 
 
 class TestRescore:
     def test_healthy_tree_is_sticky(self):
         tree = build_tree("primary", [f"s{i}" for i in range(16)], depth=3, fanout=4)
-        mgr = _manager(tree, seed_cost=lambda c, p: 0.05)
+        mgr = _manager(tree)
         live = frozenset(tree.nodes)
         assert mgr.rescore(1.0, live=live) == []
         assert mgr.rescore(2.0, live=live) == []
@@ -170,7 +173,7 @@ class TestRescore:
         hubs = tree.at_level(1)
         dead, alive = hubs[0], hubs[1]
         orphans = tree.children(dead)
-        mgr = _manager(tree, seed_cost=lambda c, p: 0.05)
+        mgr = _manager(tree)
         live = frozenset(n for n in tree.nodes if n != dead)
         moves = mgr.rescore(3.0, live=live)
         assert {m.child for m in moves} == set(orphans)
@@ -180,7 +183,7 @@ class TestRescore:
     def test_all_hubs_dead_falls_back_to_root(self):
         tree = build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)
         hubs = set(tree.at_level(1))
-        mgr = _manager(tree, seed_cost=lambda c, p: 0.05)
+        mgr = _manager(tree)
         live = frozenset(n for n in tree.nodes if n not in hubs)
         moves = mgr.rescore(3.0, live=live)
         assert {m.child for m in moves} == set(tree.at_level(2))
@@ -189,7 +192,7 @@ class TestRescore:
     def test_saturated_hub_sheds_children(self):
         tree = build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)
         hubs = tree.at_level(1)
-        mgr = _manager(tree, seed_cost=lambda c, p: 0.05)
+        mgr = _manager(tree)
         live = frozenset(tree.nodes)
         moves = mgr.rescore(3.0, live=live, saturated=frozenset({hubs[0]}))
         assert moves and all(m.reason == "saturation" for m in moves)
@@ -202,15 +205,14 @@ class TestRescore:
         # seed_cost is a static prior (TreeManager docstring): the
         # alternative starts 10% cheaper and stays that way.
         mgr = _manager(
-            tree, hysteresis=1.5, serve_cost=0.0,
-            seed_cost=lambda c, p: 0.045 if (c, p) == (leaf, hubs[1]) else 0.05,
+            tree, seed_cost=lambda c, p: 0.045 if (c, p) == (leaf, hubs[1]) else 0.05,
         )
         live = frozenset(tree.nodes)
         assert mgr.rescore(1.0, live=live) == []  # 10% better: inside hysteresis
         # The incumbent link degrades the way the runtime reports it:
         # requests that had to be re-sent.
-        mgr.note_request(leaf, [1, 2], now=1.0)
-        mgr.note_retry(leaf, [1, 2])
+        mgr.note_nack(leaf, hubs[0], [1, 2], now=1.0)
+        mgr.note_nack(leaf, hubs[0], [1, 2], now=1.5)
         assert mgr.cost(leaf, hubs[0]) >= 5 * mgr.cost(leaf, hubs[1])  # 5x better: move
         moves = mgr.rescore(2.0, live=live)
         assert [m.child for m in moves] == [leaf]
@@ -219,7 +221,7 @@ class TestRescore:
     def test_rescore_is_deterministic(self):
         def run():
             tree = build_tree("primary", [f"s{i}" for i in range(12)], depth=3, fanout=4)
-            mgr = _manager(tree, seed_cost=lambda c, p: 0.05)
+            mgr = _manager(tree)
             dead = tree.at_level(1)[0]
             live = frozenset(n for n in tree.nodes if n != dead)
             moves = mgr.rescore(1.0, live=live)
@@ -256,25 +258,10 @@ class TestIncrementalRescore:
             mgr = _manager(tree)
             live = frozenset(tree.nodes)
             mgr.rescore(1.0, live=live)
-            mgr.note_request("s3", [1], now=1.0)
+            mgr.note_nack("s3", tree.parent("s3"), [1], now=1.0)
             mgr.note_repair("s3", 1, now=1.05)
             assert mgr.rescore(2.0, live=live) == []
             assert self._examined(reg) == 10 + 1
-
-    def test_held_link_reference_still_marks_its_child(self):
-        tree = self._tree()
-        hubs = tree.at_level(1)
-        leaf = tree.children(hubs[0])[0]
-        mgr = _manager(tree, serve_cost=0.0)
-        live = frozenset(tree.nodes)
-        link = mgr.link(leaf, hubs[0])
-        link.attempts += 1
-        assert mgr.rescore(1.0, live=live) == []
-        assert mgr.rescore(2.0, live=live) == []
-        for _ in range(6):
-            link.record_retry()  # no manager call in between
-        moves = mgr.rescore(3.0, live=live)
-        assert [(m.child, m.new_parent, m.reason) for m in moves] == [(leaf, hubs[1], "cost")]
 
     def test_live_saturated_or_tree_change_forces_a_full_pass(self):
         with obs.recording() as reg:
@@ -294,12 +281,12 @@ class TestIncrementalRescore:
         with obs.recording() as reg:
             tree = self._tree()
             hubs = tree.at_level(1)
-            mgr = _manager(tree, serve_cost=0.0)
+            mgr = _manager(tree)
             live = frozenset(tree.nodes)
             mgr.rescore(1.0, live=live)
             mover = tree.children(hubs[0])[1]  # s1: s0 sorts before it, s2.. after
-            mgr.note_request(mover, [1, 2], now=1.0)
-            mgr.note_retry(mover, [1, 2])
+            mgr.note_nack(mover, hubs[0], [1, 2], now=1.0)
+            mgr.note_nack(mover, hubs[0], [1, 2], now=1.5)
             moves = mgr.rescore(2.0, live=live)
             assert [m.child for m in moves] == [mover]
             assert self._examined(reg) == 10 + 1 + 6  # the mover, then s2..s7
@@ -314,14 +301,14 @@ class TestForceReparent:
         tree = build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)
         hubs = tree.at_level(1)
         leaf = tree.children(hubs[0])[0]
-        mgr = _manager(tree, seed_cost=lambda c, p: 0.05)
+        mgr = _manager(tree)
         move = mgr.force_reparent(leaf, live=frozenset(tree.nodes), now=1.0)
         assert move is not None and move.reason == "forced"
         assert tree.parent(leaf) == hubs[1]
 
     def test_no_alternative_returns_none(self):
         tree = build_tree("primary", [f"s{i}" for i in range(4)], depth=2, fanout=4)
-        mgr = _manager(tree, seed_cost=lambda c, p: 0.05)
+        mgr = _manager(tree)
         # Only possible parent is the root it already has.
         assert mgr.force_reparent("s0", live=frozenset(tree.nodes), now=1.0) is None
         assert mgr.force_reparent("primary", live=frozenset(tree.nodes), now=1.0) is None
@@ -331,26 +318,45 @@ class TestForceReparent:
 class TestLinkMeasurement:
     def test_retry_inflates_cost(self):
         tree = build_tree("primary", [f"s{i}" for i in range(4)], depth=2, fanout=4)
-        mgr = _manager(tree, seed_cost=lambda c, p: 0.05)
+        mgr = _manager(tree)
         base = mgr.cost("s0", "primary")
-        mgr.note_request("s0", [1, 2], now=0.0)
-        mgr.note_retry("s0", [1, 2])
+        mgr.note_nack("s0", "primary", [1, 2], now=0.0)
+        assert mgr.cost("s0", "primary") == base and mgr.stats["retries_seen"] == 0
+        mgr.note_nack("s0", "primary", [1, 2], now=0.5)  # re-sent: both were outstanding
         assert mgr.cost("s0", "primary") > base
         assert mgr.stats["retries_seen"] == 2
 
+    def test_nack_not_to_the_current_parent_is_not_booked(self):
+        tree = build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)
+        hubs = tree.at_level(1)
+        leaf = tree.children(hubs[0])[0]
+        mgr = _manager(tree)
+        for _ in range(3):
+            mgr.note_nack(leaf, hubs[1], [1, 2], now=0.0)
+        mgr.note_repair(leaf, 1, now=0.1)
+        assert mgr.stats["retries_seen"] == mgr.stats["rtt_samples"] == 0
+        assert mgr.cost(leaf, hubs[1]) == mgr.cost(leaf, hubs[0]) == 0.05
+
     def test_outstanding_table_is_capped_by_pruning_stale_entries(self):
-        """4096 entries trigger a prune of everything older than 30 s."""
+        """OUTSTANDING_CAP entries trigger a prune of everything older
+        than OUTSTANDING_HORIZON; a request still held books its re-send
+        as a retry, a pruned one as a new request."""
         tree = build_tree("primary", [f"s{i}" for i in range(4)], depth=2, fanout=4)
         mgr = _manager(tree)
         live = frozenset(tree.nodes)
-        mgr.note_request("s0", range(1, 4001), now=0.0)    # never answered
-        mgr.rescore(100.0, live=live)
-        assert mgr.has_outstanding("s0", 1)                  # under the cap: kept
-        mgr.note_request("s1", range(1, 201), now=99.0)     # 4200 entries: over it
-        mgr.rescore(100.0, live=live)
-        assert not mgr.has_outstanding("s0", 1) and not mgr.has_outstanding("s0", 4000)
-        assert mgr.has_outstanding("s1", 1) and mgr.has_outstanding("s1", 200)
-        assert len(mgr._outstanding) == 200
+        now = OUTSTANDING_HORIZON + 70.0
+        old, new = OUTSTANDING_CAP - 96, 200
+        mgr.note_nack("s0", "primary", range(1, old + 1), now=0.0)    # never answered
+        mgr.rescore(now, live=live)
+        mgr.note_nack("s0", "primary", [1], now=now)                   # under the cap: kept
+        assert mgr.stats["retries_seen"] == 1
+        mgr.note_nack("s1", "primary", range(1, new + 1), now=now - 1)  # over the cap
+        mgr.rescore(now, live=live)
+        assert len(mgr._outstanding) == new
+        mgr.note_nack("s0", "primary", [1, old], now=now)              # pruned: new requests
+        assert mgr.stats["retries_seen"] == 1
+        mgr.note_nack("s1", "primary", [1, new], now=now)              # kept: retries
+        assert mgr.stats["retries_seen"] == 3
 
     def test_request_outstanding_at_old_parent_is_new_on_the_new_link(self):
         """After a re-parent, the first NACK to the new parent for a seq
@@ -359,15 +365,11 @@ class TestLinkMeasurement:
         tree = build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)
         hubs = tree.at_level(1)
         leaf = tree.children(hubs[0])[0]
-        mgr = _manager(tree, seed_cost=lambda c, p: 0.05)
-        mgr.note_request(leaf, [7], now=0.0)
-        assert mgr.has_outstanding(leaf, 7)
+        mgr = _manager(tree)
+        mgr.note_nack(leaf, hubs[0], [7], now=0.0)
         tree.reparent(leaf, hubs[1])
-        assert not mgr.has_outstanding(leaf, 7)  # the runtime will note_request, not note_retry
-        mgr.note_request(leaf, [7], now=0.5)
-        assert mgr.has_outstanding(leaf, 7)
-        fresh = mgr.link(leaf, hubs[1])
-        assert (fresh.attempts, fresh.retries, fresh.loss_rate) == (1, 0, 0.0)
+        mgr.note_nack(leaf, hubs[1], [7], now=0.5)
+        assert mgr.stats["retries_seen"] == 0
         assert mgr.cost(leaf, hubs[1]) == pytest.approx(0.05)
         mgr.note_repair(leaf, 7, now=0.58)  # and the answer is credited to the new link
         assert mgr.stats["rtt_samples"] == 1
@@ -376,8 +378,8 @@ class TestLinkMeasurement:
         tree = build_tree("primary", [f"s{i}" for i in range(8)], depth=3, fanout=4)
         hubs = tree.at_level(1)
         leaf = tree.children(hubs[0])[0]
-        mgr = _manager(tree, seed_cost=lambda c, p: 0.05)
-        mgr.note_request(leaf, [7], now=0.0)
+        mgr = _manager(tree)
+        mgr.note_nack(leaf, hubs[0], [7], now=0.0)
         tree.reparent(leaf, hubs[1])
         mgr.note_repair(leaf, 7, now=0.2)  # sample was for the old parent
         assert mgr.stats["rtt_samples"] == 0

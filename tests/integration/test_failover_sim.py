@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.chaos import Fault
 from repro.core.events import PrimaryFailover, PromotedToPrimary
 from repro.core.logger import LoggerRole
+from repro.core.packets import ReplAckPacket
 from repro.simnet import DeploymentSpec, LbrmDeployment
 
 from tests.integration._chaos import arm
@@ -21,6 +22,19 @@ def deployment(n_replicas=2, seed=21):
     return LbrmDeployment(DeploymentSpec(
         n_sites=3, receivers_per_site=2, n_replicas=n_replicas, seed=seed,
     ))
+
+
+def _repl_ack_terms(dep):
+    """Per replica index, the promotion term of each ReplAck it sends."""
+    terms = {i: [] for i in range(len(dep.replica_nodes))}
+    for i, node in enumerate(dep.replica_nodes):
+        def tap(action, now, chained=node.on_send, sent=terms[i]):
+            if chained is not None:
+                chained(action, now)
+            if type(action.packet) is ReplAckPacket:
+                sent.append(action.packet.log_epoch)
+        node.on_send = tap
+    return terms
 
 
 def test_replication_keeps_replicas_current():
@@ -137,6 +151,7 @@ def test_promoted_primary_adopts_surviving_follower():
     copy) across the failover."""
     dep = deployment()
     oracle = arm(dep, [Fault("crash", 0.69, "primary")])
+    acked_terms = _repl_ack_terms(dep)
     dep.start()
     dep.advance(0.2)
     dep.send(b"a")
@@ -150,8 +165,10 @@ def test_promoted_primary_adopts_surviving_follower():
     follower = next(r for r in dep.replicas if r.role is LoggerRole.REPLICA)
     assert promoted.replication is not None
     assert promoted.replication.members  # adopted the survivor
-    assert promoted.log_epoch == 2
-    assert follower.log_epoch == 2  # learned the new term from the pushes
+    promoted_node = dep.replica_nodes[dep.replicas.index(promoted)]
+    assert [e.log_epoch for e in promoted_node.events_of(PromotedToPrimary)] == [2]
+    # The follower learned the new term from the pushes: its acks carry it.
+    assert acked_terms[dep.replicas.index(follower)][-1] == 2
     assert follower.primary_seq == 3  # backfilled + kept current
     assert dep.sender.released_up_to == 3
 

@@ -10,8 +10,8 @@ sequences rather than hand-picked cases:
 * ``TreeManager.rescore`` — which examines only children whose decision
   inputs changed — returns the same ``Reparent`` lists in the same order
   and leaves the same tree and stats as the full-scan pass it replaced,
-  kept below as the oracle, under interleaved link measurements, live /
-  saturated changes, forced moves and direct tree surgery.
+  kept below as the oracle, under interleaved upstream NACKs and repairs,
+  live / saturated changes, forced moves and direct tree surgery.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigError
-from repro.core.hierarchy import LoggerTree, Reparent, TreeManager, build_tree
+from repro.core.hierarchy import (
+    HYSTERESIS, SERVE_COST, LoggerTree, Reparent, TreeManager, build_tree,
+)
 
 # -- tree index invariants -----------------------------------------------
 
@@ -84,16 +86,17 @@ def test_tree_index_matches_recomputation(ops):
 
 class FullScanManager(TreeManager):
     """The pre-incremental ``rescore``: every child, every epoch, against
-    candidates found by scanning and sorting the whole tree (subtree cycle
-    filter included).  The reference the incremental pass must equal."""
+    candidates found by scanning and sorting the whole tree (cycle filter
+    included: no node of ``child``'s subtree).  The reference the
+    incremental pass must equal."""
 
     def _candidates(self, child, live):
         tree = self.tree
-        below = tree.subtree(child)
         for level in range(tree.level(child) - 1, 0, -1):
             cands = [
                 n for n in sorted(tree.nodes)
-                if tree.level(n) == level and n in live and n not in below
+                if tree.level(n) == level and n in live
+                and n != child and not tree.is_ancestor(child, n)
             ]
             if cands:
                 open_slots = [n for n in cands if len(tree.children(n)) < self._fanout]
@@ -104,7 +107,7 @@ class FullScanManager(TreeManager):
         load = len(self.tree.children(parent))
         if self.tree.parent(child) != parent:
             load += 1
-        return self.cost(child, parent) + self._serve_cost * load
+        return self.cost(child, parent) + SERVE_COST * load
 
     def rescore(self, now, *, live, saturated=frozenset()):
         self.stats["rescores"] += 1
@@ -133,7 +136,7 @@ class FullScanManager(TreeManager):
                 continue
             best = min(alts, key=lambda p: (self._score(child, p), p))
             if best != parent and (
-                self._score(child, best) * self._hysteresis < self._score(child, parent)
+                self._score(child, best) * HYSTERESIS < self._score(child, parent)
             ):
                 moves.append(self._apply(child, best, "cost", now))
         return moves
@@ -150,15 +153,14 @@ def _seed_cost(child: str, parent: str) -> float:
 _node = st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=15)
 _seq = st.integers(min_value=1, max_value=3)
 _seqs = st.lists(_seq, min_size=1, max_size=2)
+# An upstream NACK to the current parent (None) or to any node; a seq
+# NACKed twice to the same parent is a retry.
+_nack = st.tuples(st.just("nack"), _node, st.none() | _node, _seqs)
+_repair = st.tuples(st.just("repair"), _node, _seq)
 _op = st.one_of(
-    st.tuples(st.just("request"), _node, _seqs),
-    st.tuples(st.just("retry"), _node, _seqs),
-    st.tuples(st.just("repair"), _node, _seq),
-    # A caller holding the LinkEstimate itself: the link to the current
-    # parent (None) or to any other node.
-    st.tuples(st.just("attempt"), _node, st.none() | _node),
-    st.tuples(st.just("rtt"), _node, st.none() | _node,
-              st.floats(min_value=0.001, max_value=1.0)),
+    # Measurements twice as often as each kind of tree change, so a cost
+    # moved by a lone repair between two passes is common.
+    _nack, _repair, _nack, _repair,
     st.tuples(st.just("toggle_live"), _node),
     st.tuples(st.just("toggle_saturated"), _node),
     st.tuples(st.just("force"), _node),
@@ -171,17 +173,12 @@ _op = st.one_of(
     depth=st.sampled_from([2, 3, 3, 4, 4]),  # flat trees never move: keep them rare
     n_leaves=st.integers(min_value=4, max_value=8),
     fanout=st.integers(min_value=2, max_value=3),  # always >= 2 hubs per tier
-    serve_cost=st.sampled_from([0.0, 0.002, 0.01]),
-    hysteresis=st.sampled_from([1.0, 1.2, 1.5]),
     ops=st.lists(st.tuples(_op, st.booleans()), min_size=25, max_size=60),  # (op, rescore after it?)
 )
-def test_incremental_rescore_equals_full_scan(
-    depth, n_leaves, fanout, serve_cost, hysteresis, ops
-):
+def test_incremental_rescore_equals_full_scan(depth, n_leaves, fanout, ops):
     def make(cls):
         tree = build_tree("root", [f"s{i}" for i in range(n_leaves)], depth=depth, fanout=fanout)
-        return cls(tree, fanout=fanout, serve_cost=serve_cost, hysteresis=hysteresis,
-                   seed_cost=_seed_cost)
+        return cls(tree, fanout=fanout, seed_cost=_seed_cost)
 
     pair = (make(TreeManager), make(FullScanManager))
     names = [*reversed(pair[0].tree.top_down()), "root"]  # leaves first
@@ -194,20 +191,11 @@ def test_incremental_rescore_equals_full_scan(
 
     def apply(mgr, kind, node, *args):
         """One operation against one manager; returns what it observably did."""
-        if kind == "request":
-            return mgr.note_request(node, args[0], now)
-        if kind == "retry":
-            return mgr.note_retry(node, args[0])
+        if kind == "nack":
+            to = mgr.tree.parent(node) if args[0] is None else name(args[0])
+            return mgr.note_nack(node, to or "root", args[1], now)
         if kind == "repair":
             return mgr.note_repair(node, args[0], now)
-        if kind in ("attempt", "rtt"):
-            far_end = mgr.tree.parent(node) if args[0] is None else name(args[0])
-            link = mgr.link(node, far_end or "root")
-            if kind == "attempt":
-                link.attempts += 1
-            else:
-                link.record_rtt(args[1])
-            return None
         if kind == "force":
             return mgr.force_reparent(node, live=frozenset(names) - dead, now=now)
         assert kind == "reparent"

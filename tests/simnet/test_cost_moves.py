@@ -1,0 +1,84 @@
+"""Cost-driven re-parenting changes recovery (ROADMAP 25(a)'s world).
+
+Depth 3, 16 sites × 3 receivers, fanout 4, 3 % shared tail loss and 1 %
+receiver loss.  The site that hosts ``hub1-0-logger`` gets +50 ms and
+30 % loss on its tail circuit each way, so that hub's children see slow,
+lossy repairs.  200 packets 50 ms apart, then a 20 s drain: 122 rescore
+passes.  Every seed runs twice: as shipped, and with cost moves switched
+off by setting ``HYSTERESIS`` to infinity (no alternative then beats its
+incumbent by that factor, so ``_decide``'s cost branch never moves);
+crash and saturation moves stay on in both.
+
+The receivers outside the slow site are the ones a cost move can help:
+their site loggers leave the slow hub for a healthy one.
+"""
+
+from __future__ import annotations
+
+import math
+import statistics
+from collections import Counter
+
+import pytest
+
+from repro.core import hierarchy
+from repro.core.events import RecoveryComplete
+from repro.simnet import DeploymentSpec, LbrmDeployment
+from repro.simnet.loss import BernoulliLoss
+
+SEEDS = range(1, 9)
+
+
+def _run(seed: int) -> tuple[dict, Counter, list[float]]:
+    """(stats, moves by reason, recovery latencies outside the slow site)."""
+    dep = LbrmDeployment(DeploymentSpec(
+        n_sites=16, receivers_per_site=3, depth=3, fanout=4,
+        shared_loss=0.03, receiver_loss=0.01, seed=seed,
+    ))
+    slow = dep.node("hub1-0-logger").host.site
+    for way, link in (("up", slow.tail_up), ("down", slow.tail_down)):
+        link.latency += 0.05
+        link.loss = BernoulliLoss(0.3, dep.streams.stream(f"loss:{slow.name}.slow.{way}"))
+    dep.start()
+    dep.advance(0.5)
+    for i in range(200):
+        dep.send(b"p%d" % i)
+        dep.advance(0.05)
+    dep.advance(20.0)
+    assert dep.receivers_missing() == 0
+    manager = dep.hierarchy.manager
+    moves = Counter(move.reason for move in manager.moves)
+    latencies = [
+        event.latency
+        for receiver, (_machine, node) in dep.members.items()
+        if "-rx" in receiver and node.host.site is not slow
+        for event in node.events_of(RecoveryComplete)
+    ]
+    return dict(manager.stats), moves, latencies
+
+
+@pytest.fixture(scope="module")
+def runs():
+    on = {seed: _run(seed) for seed in SEEDS}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hierarchy, "HYSTERESIS", math.inf)
+        off = {seed: _run(seed) for seed in SEEDS}
+    return on, off
+
+
+def test_every_seed_moves_on_measured_cost(runs):
+    on, off = runs
+    assert hierarchy.HYSTERESIS < math.inf  # the patch is gone again
+    for seed in SEEDS:
+        stats, moves, _ = on[seed]
+        assert moves["cost"] >= 1, seed
+        assert stats["rescores"] == 122
+        assert stats["rtt_samples"] > 0 and stats["retries_seen"] > 0, seed
+        assert "cost" not in off[seed][1], seed
+
+
+def test_cost_moves_shorten_recovery_outside_the_slow_site(runs):
+    on, off = runs
+    with_moves = statistics.mean(x for seed in SEEDS for x in on[seed][2])
+    without = statistics.mean(x for seed in SEEDS for x in off[seed][2])
+    assert with_moves < without

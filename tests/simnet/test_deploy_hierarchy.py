@@ -197,6 +197,16 @@ def test_reparent_with_request_in_flight_starts_the_new_link_clean():
     dep = LbrmDeployment(_spec(seed=7))
     manager = dep.hierarchy.manager
     leaf, old = "site5-logger", "hub1-1-logger"
+    # (child, to) -> the retries each NACK the tap hands over was booked as.
+    booked: dict[tuple[str, str], list[int]] = {}
+    note_nack = manager.note_nack
+
+    def spy(child, to, seqs, now):
+        before = manager.stats["retries_seen"]
+        note_nack(child, to, seqs, now)
+        booked.setdefault((child, to), []).append(manager.stats["retries_seen"] - before)
+
+    manager.note_nack = spy
     dep.start()
     dep.advance(0.5)
     dep.send(b"a")
@@ -207,15 +217,13 @@ def test_reparent_with_request_in_flight_starts_the_new_link_clean():
     dep.send(b"c")  # reveals the hole: the leaf NACKs its hub for seq 2
     dep.advance(0.05)
     dep.burst_site("site5", 0.1)  # the hub's repair will die on the way in
-    while not manager.has_outstanding(leaf, 2):  # the NACK reaches the hub
+    while (leaf, old) not in booked:  # the NACK reaches the hub
         dep.advance(0.005)
         assert dep.sim.now < 2.0
-    assert manager.tree.parent(leaf) == old
+    assert booked[(leaf, old)] == [0]
     move = dep.hierarchy.force_reparent(leaf)
     assert move is not None and move.old_parent == old
-    assert not manager.has_outstanding(leaf, 2)
     dep.advance(10.0)
     assert dep.receivers_missing() == 0
-    fresh = manager.link(leaf, move.new_parent)
-    assert fresh.attempts >= 1
-    assert fresh.retries == 0 and fresh.loss_rate == 0.0
+    assert booked[(leaf, move.new_parent)]  # the retry went to the new parent ...
+    assert set(booked[(leaf, move.new_parent)]) == {0}  # ... as a request, not a retry

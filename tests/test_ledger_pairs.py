@@ -64,13 +64,19 @@ def test_all_means_every_declared_workload_and_a_comma_list_is_taken_as_given():
 def _fake_ledger(monkeypatch, slow=(), sims_differ=(), traced=None):
     """Stub the three functions that touch git or run the benchmark: the
     change costs 3x the parent's time on ``slow`` workloads; ``traced``
-    maps a side to the ``metrics`` of its ``--trace 1`` result line."""
+    maps a side to the ``metrics`` of its ``--trace 1`` result lines, in
+    the order they run (cycling; one entry serves every run).  Returns the runs
+    made, as (side, workload), a traced one as (side, "traced")."""
     ran = []
 
     def run_once(tree, command, args):
         workload = args[args.index("--workload") + 1]
         if args[args.index("--trace") + 1] == "1":
-            return {"correct": True, "attempted": 10, "failed": 0, "metrics": traced[tree.name]}
+            ran.append((tree.name, "traced"))
+            lines = traced[tree.name]
+            if isinstance(lines, list):
+                lines = lines[(ran.count((tree.name, "traced")) - 1) % len(lines)]
+            return {"correct": True, "attempted": 10, "failed": 0, "metrics": lines}
         ran.append((tree.name, workload))
         cost = 3.0 if tree.name == "change" and workload in slow else 1.0
         return {"correct": True, "attempted": 10, "failed": 0,
@@ -137,20 +143,30 @@ def _traced_line(multicast_s, draw_s, draw_calls):
 
 
 def test_layers_names_the_self_times_that_moved_and_fails_on_a_count_that_did(monkeypatch, capsys):
-    traced = {"parent": _traced_line(0.8, 0.5, 448_624), "change": _traced_line(0.45, 0.3, 448_624)}
+    # Five traced runs a side.  multicast's medians (0.8 -> 0.45) move by
+    # more than the parent's IQR (0.78-0.82); draw's (0.5 -> 0.45) move
+    # by less than its (0.4-0.6), whatever one run of each side says.
+    traced = {
+        "parent": [_traced_line(m, d, 448_624) for m, d in
+                   ((0.8, 0.5), (0.82, 0.6), (0.78, 0.4), (0.9, 0.7), (0.7, 0.3))],
+        "change": [_traced_line(m, d, 448_624) for m, d in
+                   ((0.45, 0.45), (0.5, 0.2), (0.4, 0.7), (0.44, 0.45), (0.46, 0.5))],
+    }
     ran = _fake_ledger(monkeypatch, traced=traced)
     assert ledger_pairs.main(["HEAD", "--workload", "exact_lossy", "--pairs", "2", "--layers"]) == 0
-    assert len(ran) == 4  # the traced runs are beside the pairs, not among them
+    # The traced runs follow the pairs, alternating which side goes first.
+    assert [side for side, what in ran[4:]] == ["parent", "change", "change", "parent"] * 2 + [
+        "parent", "change"]
+    assert {what for _side, what in ran[4:]} == {"traced"}
     out = capsys.readouterr().out
-    # 10 % of the parent's 2.5 traced seconds: 0.35 moved, 0.2 did not.
-    assert ("(2.5 -> 1.95 s; self times that moved by more than 10% of the parent's): "
-            "simnet.topology.multicast_self_s: 0.8 -> 0.45\n") in out
+    assert ("layers, medians of 5 traced runs per side (2.5 -> 2.1 s; self times that moved "
+            "by more than the parent's IQR): simnet.topology.multicast_self_s: 0.8 -> 0.45\n") in out
     assert "layer counts equal" in out
 
     traced["change"] = _traced_line(0.8, 0.5, 448_000)
     assert ledger_pairs.main(["HEAD", "--workload", "exact_lossy", "--pairs", "2", "--layers"]) == 1
     out = capsys.readouterr().out
-    assert "of the parent's): none\n" in out
+    assert "IQR): none\n" in out
     assert "layer counts DIFFER (name: parent -> change): simnet.loss.draw_calls: 448624 -> 448000\n" in out
 
 

@@ -37,13 +37,13 @@ carries no simulated quantities, so one whole-ledger run per side
 (``run.py --only W --repeats 3 --out DIR``) follows and their ``sim``
 blocks — every simulated count and latency — are compared for equality;
 where they differ, the keys that do are printed as ``key: parent -> change``.
-With ``--layers`` one traced run per side (``--trace 1``) follows that, to
-show *where* a saving appears (choosing-metrics §6.6): every per-layer
-``*_self_s`` that moved by more than a tenth of the parent's traced CPU
-time is printed as ``name: parent -> change`` (raw seconds of one run
-each: indicative, not a verdict), and so is every per-layer count that
-differs at all — a count that moves when nothing simulated changed is a
-finding.
+With ``--layers`` five traced runs per side (``--trace 1``, alternating
+which side goes first) follow that, to show *where* a saving appears
+(choosing-metrics §6.6): every per-layer ``*_self_s`` whose two medians
+differ by more than the parent's interquartile range is printed as
+``name: parent -> change`` (medians of seconds: indicative, not a
+verdict), and so is every per-layer count whose medians differ at all —
+a count that moves when nothing simulated changed is a finding.
 A change that moves some of these on purpose names them with ``--allow``:
 ``sim`` keys and per-layer count names (dotted, so the two never
 collide) in one list.  Those are printed apart, as allowed; any other
@@ -152,31 +152,36 @@ def name_set(text: str) -> set[str]:
     return set(filter(None, text.split(",")))
 
 
-LAYER_MOVE = 0.10  # of the parent's traced cpu_s
+TRACED_RUNS = 5  # per side, for --layers; one traced run is too noisy to name a layer
 
 
-def layer_diff(parent: dict, change: dict) -> tuple[float, float, list[str], list[str]]:
-    """Two traced result lines' ``metrics``, compared.
+def layer_diff(parent: list[dict], change: list[dict]) -> tuple[float, float, list[str], list[str]]:
+    """Each side's traced result lines' ``metrics``, compared by median.
 
-    Returns each side's traced seconds (every span's self time plus the
-    CPU time no span covered), ``name: parent -> change`` for every
-    ``*_self_s`` that moved by more than ``LAYER_MOVE`` of the parent's,
-    and the same for every count that differs.
+    Returns each side's median traced seconds (every span's self time
+    plus the CPU time no span covered), ``name: parent -> change`` for
+    every ``*_self_s`` whose medians differ by more than the parent's
+    interquartile range, and the same for every count whose medians
+    differ.
     """
-    parent_s, change_s = (
-        sum(entry["value"] for name, entry in metrics.items()
-            if name.endswith("_self_s") or name == "trace.unattributed_s")
-        for metrics in (parent, change)
-    )
-    absent = {"value": 0, "unit": None}
+    def values(runs: list[dict], name: str) -> list[float]:
+        return [run.get(name, {"value": 0})["value"] for run in runs]
+
+    def traced_s(run: dict) -> float:
+        return sum(entry["value"] for name, entry in run.items()
+                   if name.endswith("_self_s") or name == "trace.unattributed_s")
+
+    parent_s, change_s = (statistics.median(map(traced_s, runs)) for runs in (parent, change))
+    units = {name: entry["unit"] for run in parent + change for name, entry in run.items()}
     moved, counts = [], []
-    for name in sorted(parent.keys() | change.keys()):
-        before, after = parent.get(name, absent), change.get(name, absent)
+    for name in sorted(units):
+        p_q1, before, p_q3 = quartiles(values(parent, name))
+        after = statistics.median(values(change, name))
         if name.endswith("_self_s"):
-            if abs(after["value"] - before["value"]) > LAYER_MOVE * parent_s:
-                moved.append(f"{name}: {before['value']:.3g} -> {after['value']:.3g}")
-        elif "count" in (before["unit"], after["unit"]) and before["value"] != after["value"]:
-            counts.append(f"{name}: {before['value']:g} -> {after['value']:g}")
+            if abs(after - before) > p_q3 - p_q1:
+                moved.append(f"{name}: {before:.3g} -> {after:.3g}")
+        elif units[name] == "count" and before != after:
+            counts.append(f"{name}: {before:g} -> {after:g}")
     return parent_s, change_s, moved, counts
 
 
@@ -188,8 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1995)
     parser.add_argument("--layers", action="store_true",
-                        help="one traced run per side: the layers whose self time moved, "
-                             "and any per-layer count that differs")
+                        help=f"{TRACED_RUNS} traced runs per side: the layers whose median "
+                             "self time moved, and any per-layer count that differs")
     parser.add_argument("--allow", type=name_set, default=set(), metavar="NAME,...",
                         help="sim keys and per-layer counts this change may move "
                              "(any other difference fails)")
@@ -261,12 +266,16 @@ def compare(workload: str, trees: dict[str, Path], bench: dict, args: argparse.N
     else:
         status |= report_differences("sim blocks", "key", sim_diff(**sims), args.allow)
     if args.layers:
-        traced = {side: run_once(tree, command, ["--workload", workload, "--seed", str(args.seed),
-                                                 "--trace", "1"])["metrics"]
-                  for side, tree in trees.items()}
+        traced: dict[str, list[dict]] = {"parent": [], "change": []}
+        for run in range(TRACED_RUNS):
+            for side in ("parent", "change") if run % 2 == 0 else ("change", "parent"):
+                traced[side].append(run_once(trees[side], command, [
+                    "--workload", workload, "--seed", str(args.seed), "--trace", "1",
+                ])["metrics"])
         parent_s, change_s, moved, counts = layer_diff(**traced)
-        print(f"layers, one traced run per side ({parent_s:.3g} -> {change_s:.3g} s; self times "
-              f"that moved by more than {LAYER_MOVE:.0%} of the parent's): " + ("; ".join(moved) or "none"))
+        print(f"layers, medians of {TRACED_RUNS} traced runs per side ({parent_s:.3g} -> "
+              f"{change_s:.3g} s; self times that moved by more than the parent's IQR): "
+              + ("; ".join(moved) or "none"))
         if counts:
             status |= report_differences("layer counts", "name", counts, args.allow)
         else:
