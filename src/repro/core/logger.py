@@ -209,7 +209,9 @@ class LogServer(ProtocolMachine):
         next NACK that misses the log re-makes a fetch)."""
         self.timers = TimerSet()
         self._site_requests = SiteRequestTracker(self._config.logger)
-        self._pending: dict[int, set[Address]] = {}  # seq -> requesters waiting on it
+        # seq -> requesters waiting on it, in arrival order (a dict as an
+        # ordered set: repairs go out in request order whatever the hash seed)
+        self._pending: dict[int, dict[Address, None]] = {}
         self._upstream_retries: dict[int, int] = {}  # seq -> re-requests so far
         self._self_lost: set[int] = set()  # seqs this server fetched upstream
         self._acking_epochs: set[int] = set()  # epochs it volunteered to ack
@@ -378,7 +380,7 @@ class LogServer(ProtocolMachine):
             if retrans is not None:
                 return self._repair(seq, retrans, src, now)
             self.stats["log_misses"] += 1
-            self._pending.setdefault(seq, set()).add(src)
+            self._pending.setdefault(seq, {})[src] = None
             return self._request_upstream(seqs, now)
         actions: list[Action] = []
         upstream_needed: list[int] = []
@@ -391,7 +393,7 @@ class LogServer(ProtocolMachine):
                 actions.extend(self._repair(seq, retrans, src, now))
             else:
                 self.stats["log_misses"] += 1
-                self._pending.setdefault(seq, set()).add(src)
+                self._pending.setdefault(seq, {})[src] = None
                 upstream_needed.append(seq)
         if upstream_needed:
             actions.extend(self._request_upstream(tuple(upstream_needed), now))

@@ -95,8 +95,10 @@ def _saturation_index(hb: HeartbeatConfig) -> int:
     return index
 
 
-# The packet types absorb_run() takes.  A caller cutting a co-timed
-# batch into runs offers it only these and sends the rest to handle().
+# The packet types absorb_run() takes from a run of lone receivers.  A
+# caller cutting a co-timed batch into runs offers it only these (a
+# cohort's run a repair or a packet receivers ignore too) and sends the
+# rest to handle().
 RUN_PACKETS = frozenset((DataPacket, HeartbeatPacket))
 
 
@@ -105,18 +107,19 @@ def absorb_run(receivers, packet: Packet, now: float) -> tuple[Deliver | None, l
     at the first receiver it is not the fast path for (left untouched:
     its caller sends it to :meth:`handle`).
 
-    The two transitions that need no general handler: the next data
-    packet in order, and a heartbeat with no news.  Returns the shared
-    original delivery of a data packet (None for a heartbeat, or if
-    none was absorbed) and each absorbed receiver's ``next_wakeup()``
-    in order — its length is how far the run got.  ``handle`` enters
-    here with its one receiver, ``SimNode.receive_batch`` with each run
-    of co-timed lone ones and with each :class:`Cohort`, so each guard
-    exists once.
+    The transitions that need no general handler: the next data packet
+    in order, a heartbeat with no news, a retransmission of a packet
+    already held, and a packet a receiver ignores.  Returns the shared
+    original delivery of a data packet (None otherwise, or if none was
+    absorbed) and each absorbed receiver's ``next_wakeup()`` in order —
+    its length is how far the run got.  ``handle`` enters here with its
+    one receiver, ``SimNode.receive_batch`` with each run of co-timed
+    lone ones and with each :class:`Cohort`, so each guard exists once.
     """
+    t = type(packet)
     dues: list[float] = []
-    seq = packet.seq
-    if type(packet) is DataPacket:
+    if t is DataPacket:
+        seq = packet.seq
         for r in receivers:
             tracker = r._tracker
             if not (
@@ -138,8 +141,10 @@ def absorb_run(receivers, packet: Packet, now: float) -> tuple[Deliver | None, l
             r._stats["data_received"] += 1
             dues.append(r.next_wakeup() if r.timers._deadlines else due)
         return (_deliver_original(packet) if dues else None), dues
-    if type(packet) is HeartbeatPacket and 0 < seq:
-        hb_index = packet.hb_index
+    if t is HeartbeatPacket:
+        seq, hb_index = packet.seq, packet.hb_index
+        if seq <= 0:
+            return None, dues
         for r in receivers:
             if not (seq <= r._tracker._highest and r._fresh):
                 break
@@ -153,11 +158,30 @@ def absorb_run(receivers, packet: Packet, now: float) -> tuple[Deliver | None, l
             r._maxit_deadline = due = now + sched[1]
             r._stats["heartbeats_received"] += 1
             dues.append(r.next_wakeup() if r.timers._deadlines else due)
+    elif t is RetransPacket:
+        seq = packet.seq
+        for r in receivers:
+            tracker = r._tracker
+            if r._on_channel or not (
+                seq <= tracker._highest  # so the baseline is set
+                and seq not in tracker._missing
+                and seq not in tracker._abandoned
+            ):
+                break
+            # A duplicate (a re-multicast reaches those who hold the
+            # packet too): what _on_retrans does for it is count it.
+            stats = r._stats
+            stats["retrans_received"] += 1
+            stats["duplicates"] += 1
+            dues.append(r.next_wakeup())
+    elif t not in LbrmReceiver._HANDLED:  # a statack probe, say: nothing to take
+        dues = [r.next_wakeup() for r in receivers]
     return None, dues
 
 
 # The counters absorb_run moves: a cohort counts them for its members.
-_RUN_COUNTS = ("data_received", "heartbeats_received")
+_RUN_COUNTS = ("data_received", "heartbeats_received", "retrans_received", "duplicates")
+_NO_COUNTS = (0,) * len(_RUN_COUNTS)
 _NO_RECOVERIES: dict = {}  # every cohort member's: the invariant keeps it empty
 
 
@@ -184,41 +208,49 @@ class Cohort:
     through, and the cohort keeps once what each end would otherwise
     keep per packet: ``log``, the shared deliveries it absorbed, and its
     ``_maxit_deadline``, which is every member's wakeup.  An end takes
-    them back through three hooks: ``_enter(cohort)`` when its member
-    joins, ``_catch_up(log)`` (on a split, before the tail starts an empty
-    log) and ``_exit(cohort)`` when its member leaves.  ``armed`` bounds
+    them back through hooks: ``_enter(cohort)`` when its member joins
+    and ``_exit(cohort)`` when it leaves.  ``armed`` bounds
     the wakeups the ends have armed from above and is never below the
     deadline, so a run due no earlier than it needs no arm: an end that
     joins with a later arm, or none, raises it.
+
+    ``span`` is what a co-timed batch holds from the first member on
+    when it is this cohort's run: ``ends`` itself, or the layout the
+    caller kept with ``strays`` in it, ``(members before it, end, here)``
+    for each end the run delivers to apart (a member that lost a packet,
+    recovering where it stood).  ``key`` is the members' ``state_key()``
+    less the shared fields, which no member changes while it belongs.
     """
 
     __slots__ = (
-        "members", "ends", "log", "armed", "_highest", "_first", "_hb_wd",
+        "members", "ends", "span", "strays", "log", "armed", "key", "_highest", "_first",
+        "_missing", "_abandoned", "_hb_wd",
         "_hb_saturation", "_repeat_count", "_expected_interval", "_last_rx", "_maxit_deadline",
         "_stats", "__weakref__",
     )
     _fresh, _on_channel, timers = True, False, TimerSet()  # the invariant; never armed
 
-    def __init__(self, source: "LbrmReceiver | Cohort", members: list, ends: list) -> None:
-        """``members`` in the state of ``source``: one of them, or the
-        cohort they split from (counts too)."""
+    def __init__(self, source: "LbrmReceiver", members: list, ends: list) -> None:
+        """``members`` in the state of ``source``, one of them."""
         self.members, self.ends, self.log = members, ends, []
-        self._highest, self._first = source._tracker._highest, source._tracker._first
+        self.span, self.strays = ends, ()
+        tracker = source._tracker
+        self._highest, self._first = tracker._highest, tracker._first
+        # Every member's holes and abandoned seqs: no member moves them while it belongs.
+        self._missing, self._abandoned = frozenset(tracker._missing), frozenset(tracker._abandoned)
         for name in ("_hb_wd", "_hb_saturation", *_SHARED[1:]):
             setattr(self, name, getattr(source, name))
         stats = source._stats
-        mirror = stats._instrument if isinstance(stats, obs.StatCounters) else getattr(stats, "_mirror", None)
+        mirror = stats._instrument if isinstance(stats, obs.StatCounters) else None
         self._stats = (dict if mirror is None else _RunCounts)(dict.fromkeys(_RUN_COUNTS, 0))
-        split = type(source) is Cohort
-        if split:
-            dict.update(self._stats, stats)
+        # The members' state_key() less the shared fields: fixed while they
+        # belong (its sets frozen: a tracker's own may change once it leaves).
+        self.key = tuple(frozenset(value) if type(value) is set else value for value in _fields(source))
         if mirror is not None:
             self._stats._members, self._stats._mirror = members, mirror
-        self.armed = source.armed if split else self._maxit_deadline
+        self.armed = self._maxit_deadline
         for member, end in zip(members, ends):
             member._cohort = self
-            if split:
-                end._catch_up(source.log)
             end._enter(self)
 
     @property
@@ -230,14 +262,8 @@ class Cohort:
     def _hb_schedule(self, hb_index: int) -> tuple[float, float]:
         return self.members[0]._hb_schedule(hb_index)  # the members' own table
 
-    def split(self, at: int) -> "Cohort | None":
-        """Members from ``at`` on become a cohort (a part of one leaves)."""
-        tail = Cohort(self, self.members[at:], self.ends[at:])
-        del self.members[at:], self.ends[at:]
-        for part in (self, tail):
-            if len(part.members) == 1:
-                part.members[0]._leave_cohort()
-        return tail if tail.members else None
+    def next_wakeup(self) -> float:
+        return self._maxit_deadline  # every member's
 
     def dissolve(self) -> None:
         """Every member leaves: the packet is not their fast path."""
@@ -248,7 +274,7 @@ class Cohort:
 
     def admit(self, at: int, r: "LbrmReceiver", end) -> bool:
         """Take in ``r`` as member ``at`` if it is in this state."""
-        if not (_fits(r) and r.state_key() == self.members[0].state_key()):
+        if not (_fits(r) and _shared(r) == _shared(self) and _fields(r) == self.key):
             return False
         self.members.insert(at, r)
         self.ends.insert(at, end)
@@ -273,7 +299,7 @@ def form_cohorts(receivers: list, ends: list) -> None:
             if at - start > 1 and key is not None:
                 cohort = Cohort(receivers[start], receivers[start:at], ends[start:at])
                 for member in cohort.members:
-                    member._join(cohort, (0, 0))
+                    member._join(cohort, _NO_COUNTS)
             start, key = at, k
 
 
@@ -417,9 +443,11 @@ class LbrmReceiver(ProtocolMachine):
     def _catch_up(self) -> None:
         """Take the shared fields and counts as own; stop being a member."""
         cohort = self._cohort
-        self._tracker._highest = cohort._highest
-        for name in _SHARED[1:]:
-            setattr(self, name, getattr(cohort, name))
+        self._tracker._highest = cohort._highest  # _SHARED, one by one
+        self._repeat_count = cohort._repeat_count
+        self._expected_interval = cohort._expected_interval
+        self._last_rx = cohort._last_rx
+        self._maxit_deadline = cohort._maxit_deadline
         for key, joined in zip(_RUN_COUNTS, self._joined):
             # The registry moved as the runs were absorbed: the own count only.
             dict.__setitem__(self._stats, key, self._stats[key] + cohort._stats[key] - joined)
@@ -435,6 +463,7 @@ class LbrmReceiver(ProtocolMachine):
         at = cohort.members.index(self)
         cohort.ends[at]._exit(cohort)
         del cohort.members[at], cohort.ends[at]
+        cohort.span, cohort.strays = cohort.ends, ()  # its end is no stray
         if len(cohort.members) == 1:
             cohort.members[0]._leave_cohort()
 
@@ -508,10 +537,11 @@ class LbrmReceiver(ProtocolMachine):
         if t not in self._HANDLED:
             return []  # e.g. a statack probe: nothing a receiver takes
         if self._cohort is not None:
-            # A held retransmission (a site's re-multicast) moves only own
-            # counters: it stays, with the mark _on_retrans reads current.
+            # A held retransmission (a repair unicast after a re-multicast
+            # served it) moves only own counters: it stays, with the mark
+            # absorb_run reads current.
             self._tracker._highest = self._cohort._highest
-            if t is not RetransPacket or not self._tracker.has(packet.seq):
+            if t is not RetransPacket:
                 self._leave_cohort()
         if t is DataPacket:
             delivery, absorbed = absorb_run((self,), packet, now)
@@ -521,6 +551,10 @@ class LbrmReceiver(ProtocolMachine):
                 return []
             return self._on_heartbeat(packet, now)
         if t is RetransPacket:
+            if absorb_run((self,), packet, now)[1]:
+                return []
+            if self._cohort is not None:
+                self._leave_cohort()
             return self._on_retrans(packet, now)
         return self._on_primary_info(packet, now)
 
@@ -576,7 +610,7 @@ class LbrmReceiver(ProtocolMachine):
         else:
             self._stats["duplicates"] += 1
         if report.new_gaps:
-            actions.extend(self._begin_recovery(report.new_gaps, now, via_silence=False))
+            actions.extend(self._begin_recovery(report.new_gaps, now))
         if self._on_channel:
             actions.extend(self._maybe_leave_channel())
         return actions
@@ -593,7 +627,7 @@ class LbrmReceiver(ProtocolMachine):
         self._stats["heartbeats_received"] += 1
         report = self._tracker.observe_heartbeat(packet.seq)
         if report.new_gaps:
-            actions.extend(self._begin_recovery(report.new_gaps, now, via_silence=False))
+            actions.extend(self._begin_recovery(report.new_gaps, now))
         return actions
 
     def _on_retrans(self, packet: RetransPacket, now: float) -> list[Action]:
@@ -615,7 +649,7 @@ class LbrmReceiver(ProtocolMachine):
         else:
             self._stats["duplicates"] += 1
         if report.new_gaps:
-            actions.extend(self._begin_recovery(report.new_gaps, now, via_silence=False))
+            actions.extend(self._begin_recovery(report.new_gaps, now))
         if self._on_channel:
             actions.extend(self._maybe_leave_channel())
         return actions
@@ -643,16 +677,37 @@ class LbrmReceiver(ProtocolMachine):
         self._stale_since = None
         return [Notify(FreshnessRestored(silent_for=silent))]
 
-    def _begin_recovery(self, gaps: tuple[int, ...], now: float, via_silence: bool) -> list[Action]:
+    def _begin_recovery(self, gaps: tuple[int, ...], now: float, via_silence: bool = False) -> list[Action]:
+        """Open a recovery for each of ``gaps`` (a packet or heartbeat
+        revealed them) that none holds yet."""
         if not gaps:  # the per-packet common case: nothing newly missing
             return []
+        config = self._config
+        if len(gaps) == 1 and not config.nack_delay and not config.retrans_channel_fallback and self._chain:
+            # One packet lost, asked for at once from the nearest logger
+            # (§6): what the general path below and _fire_nacks do for it,
+            # in line.
+            seq = gaps[0]
+            if seq in self._recoveries:
+                return []
+            stats, trace, target = self._stats, self._trace, self._chain[0]
+            stats["losses_detected"] += 1
+            trace.emit(now, "receiver.loss_detected", seqs=gaps, via_silence=via_silence)
+            self._recoveries[seq] = _Recovery(seq, now, 1)
+            self.timers.set(("nack", seq), now + config.nack_retry)
+            stats["nacks_sent"] += 1
+            trace.emit(now, "receiver.nack", target=str(target), seqs=gaps)
+            return [
+                Notify(LossDetected(seqs=gaps, via_silence=via_silence)),
+                SendUnicast(dest=target, packet=NackPacket(group=self._group, seqs=gaps)),
+            ]
         gaps = tuple(s for s in gaps if s not in self._recoveries)
         if not gaps:
             return []
         self._stats["losses_detected"] += len(gaps)
         self._trace.emit(now, "receiver.loss_detected", seqs=gaps, via_silence=via_silence)
         actions: list[Action] = [Notify(LossDetected(seqs=gaps, via_silence=via_silence))]
-        fallback = self._config.retrans_channel_fallback
+        fallback = config.retrans_channel_fallback
         if fallback > 0:
             # §7 extension: recover by listening to the retransmission
             # channel; the logging hierarchy is only a fallback for
@@ -667,8 +722,8 @@ class LbrmReceiver(ProtocolMachine):
             return actions
         for seq in gaps:
             self._recoveries[seq] = _Recovery(seq=seq, detected_at=now)
-            self.timers.set(("nack", seq), now + self._config.nack_delay)
-        if self._config.nack_delay == 0.0:
+            self.timers.set(("nack", seq), now + config.nack_delay)
+        if config.nack_delay == 0.0:
             actions.extend(self._fire_nacks(list(gaps), now))
         return actions
 

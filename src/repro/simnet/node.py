@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 from repro.core.actions import Deliver, handle_each, run_actions
 from repro.core.machine import ProtocolMachine, earliest_wakeup
 from repro.core.node import MachineNode
-from repro.core.packets import Packet
+from repro.core.packets import Packet, RetransPacket
 from repro.core.receiver import RUN_PACKETS, Cohort, LbrmReceiver, absorb_run, form_cohorts
 from repro.simnet.engine import Simulator
 
@@ -145,10 +145,12 @@ class SimNode(MachineNode):
         loop, entered by :class:`Network` once per co-timed batch.
 
         A co-timed batch is mostly receivers in lockstep (DESIGN §6).  For
-        a data packet or heartbeat, a cohort member starts a cohort run
-        (:meth:`_span`), which :func:`~repro.core.receiver.absorb_run`
-        takes as one receiver; if its guard fails, the cohort dissolves
-        and each member, in one state, takes the per-node path.  Any other
+        a data packet, a heartbeat, a repair or a packet a receiver
+        ignores, a cohort member starts a cohort run: the cohort's kept
+        ``span`` if the batch matches it, else :meth:`_span` walks it.
+        :func:`~repro.core.receiver.absorb_run` takes the run as one
+        receiver; if its guard fails, the cohort dissolves and each
+        member, in one state, takes the per-node path.  Any other
         maximal run of *plain* nodes — a ``SimNode`` not paused, unskewed,
         whose one machine is an :class:`LbrmReceiver` in no cohort — goes
         to ``absorb_run`` member by member in one call: those it absorbs
@@ -164,6 +166,9 @@ class SimNode(MachineNode):
         order a per-node loop gives them.
         """
         runs = type(packet) in RUN_PACKETS
+        # A packet that moves no shared state: a cohort's run absorbs it
+        # (a repair its members hold, a probe they ignore), lone ones not.
+        inert = not runs and (type(packet) is RetransPacket or type(packet) not in LbrmReceiver._HANDLED)
         failed, failing = None, iter(())  # a dissolved cohort's next member
         edge = (-1, None)  # where the last absorbed run ended: its cohort, or its lone nodes
         i, n = 0, len(endpoints)
@@ -171,11 +176,12 @@ class SimNode(MachineNode):
             node = endpoints[i]
             if node is failed:
                 failed = next(failing, None)
-            elif runs and type(node) is SimNode and node._receiver is not None:
+            elif (runs or inert) and type(node) is SimNode and node._receiver is not None:
                 cohort = node._receiver._cohort
                 if cohort is not None:
-                    stop = i + len(cohort.ends)
-                    if endpoints[i:stop] != cohort.ends:
+                    span = cohort.span
+                    stop = i + len(span)
+                    if endpoints[i:stop] != span or (cohort.strays and not SimNode._still_strays(cohort)):
                         cohort, stop = SimNode._span(cohort, endpoints, i)
                 if cohort is not None:
                     delivery, dues = absorb_run((cohort,), packet, now)
@@ -186,19 +192,16 @@ class SimNode(MachineNode):
                     else:
                         if delivery is not None:  # first: a node that joins has settled
                             cohort.log.append(delivery)
-                        span = cohort.ends
-                        if stop - i != len(span):
-                            span = endpoints[i:stop]
-                        elif edge[0] == i and type(edge[1]) is list:  # lone ones just before join
-                            for node in reversed(edge[1]):
+                        if not cohort.strays and edge[0] == i and type(edge[1]) is list:
+                            for node in reversed(edge[1]):  # lone ones just before join
                                 if not cohort.admit(0, node._receiver, node):
                                     break
-                        SimNode._settle_span(cohort, span, packet, dues[0], src, now)
-                        if span is cohort.ends:
+                        SimNode._settle_span(cohort, packet, dues[0], src, now)
+                        if not cohort.strays:
                             edge = (stop, cohort)
                         i = stop
                         continue
-                else:
+                elif runs:
                     machines = []
                     j = i
                     while j < n:
@@ -270,55 +273,96 @@ class SimNode(MachineNode):
     @staticmethod
     def _span(cohort, endpoints: list, i: int) -> tuple:
         """``(cohort, stop)``, the run from ``endpoints[i]`` (``(None, i)``
-        if its member is left alone).  Members before it, and past what the
-        run cannot span (a tap, another cohort), split off; one skipped
-        (its own loss draw) leaves.  Tap-free nodes in no cohort between
-        members are spanned: they cannot touch a member before its turn."""
-        at = cohort.ends.index(endpoints[i])
-        if at and (cohort := cohort.split(at)) is None:
-            return None, i
+        if its member is left alone).  A member the batch skips (its own
+        loss draw), or holds past what the run cannot span (a tap,
+        another cohort), leaves.  Tap-free nodes in no cohort between
+        members are spanned, the run's strays: they cannot touch a member
+        before its turn.  The cohort keeps the run's layout as its
+        ``span``, with a member that left here as a stray where it stood,
+        so the next run, the loser back, matches it whole."""
+        for _ in range(cohort.ends.index(endpoints[i])):  # skipped: not here
+            cohort.members[0]._leave_cohort()
         ends, k, j = cohort.ends, 1, i + 1
         stop = j
+        layout, strays, between = [endpoints[i]], [], []
         while k < len(ends) and j < len(endpoints):
             node = endpoints[j]
             if node is ends[k]:
                 k, j = k + 1, j + 1
                 stop = j
+                if between:
+                    strays += between
+                    layout += [stray for _k, stray, _here in between]
+                    between = []
+                layout.append(node)
             elif type(node) is not SimNode or node.on_event is not None or node.on_send is not None:
                 break
             elif node._receiver is not None and node._receiver._cohort is cohort:
-                cohort.members[ends.index(node, k) - 1]._leave_cohort()  # skipped: not here
+                between.append((k, ends[k], False))  # skipped: not here
+                cohort.members[k]._leave_cohort()
             elif node._receiver is None or node._receiver._cohort is None:
+                between.append((k, node, True))  # after the first k members
                 j += 1
             else:
                 break
-        if k < len(ends):
-            cohort.split(k)
-        return (cohort, stop) if cohort.members else (None, i)
+        while k < len(ends):  # skipped, or past what the run can span
+            cohort.members[k]._leave_cohort()
+        if not cohort.members:
+            return None, i
+        cohort.span, cohort.strays = (layout, strays) if strays else (cohort.ends, ())
+        return cohort, stop
 
     @staticmethod
-    def _settle_span(cohort, span: list, packet: Packet, due: float, src: str, now: float) -> None:
+    def _still_strays(cohort) -> bool:
+        """Whether the strays a cohort's ``span`` holds can still be spanned
+        (a tap set since, or a cohort joined, ends that)."""
+        for _k, node, _here in cohort.strays:
+            if node.on_event is not None or node.on_send is not None or (
+                node._receiver is not None and node._receiver._cohort is not None
+            ):
+                return False
+        return True
+
+    @staticmethod
+    def _settle_span(cohort, packet: Packet, due: float, src: str, now: float) -> None:
         """Settle a cohort's run: arm each member's node not armed by
-        ``due``, in order, and deliver to any other node of ``span`` at
-        its position (a lone one back in the cohort's state joins).  A run
-        that is just the members and due no earlier than the cohort's
-        bound looks at none of them."""
+        ``due``, in order, and deliver to each stray at its position (a
+        lone one back in the cohort's state joins).  A run due no earlier
+        than the cohort's bound looks at no member, only at its strays."""
         ends = cohort.ends
         arm = ends[0]._network.wakeup_mux.arm if due < cohort.armed else None
-        if arm is not None or span is not ends:
-            k = 0
-            for node in span:
-                if k < len(ends) and node is ends[k]:
-                    k += 1
-                    cur = node._mux_due
-                    if arm is not None and (cur is None or cur > due):
-                        node._mux_due = due
-                        arm(node, due)
-                else:
+        done = 0  # members settled so far
+        if cohort.strays:
+            left, joined = [], 0
+            for k, node, here in cohort.strays:
+                k += joined  # members before it, those that joined ahead of it too
+                if arm is not None:
+                    SimNode._arm(ends[done:k], due, arm)
+                done = k
+                if here:
                     SimNode.receive_batch([node], packet, src, now)
-                    if node._receiver is not None and not node.paused and not node._skew:
-                        k += cohort.admit(k, node._receiver, node)
+                    receiver = node._receiver
+                    if receiver is not None and not node.paused and not node._skew and cohort.admit(k, receiver, node):
+                        joined += 1
+                        done = k + 1  # it settled itself
+                        continue
+                left.append((k, node, True))
+            if left:
+                cohort.strays = left
+            else:
+                cohort.span, cohort.strays = ends, ()
+        if arm is not None:
+            SimNode._arm(ends[done:] if done else ends, due, arm)
         cohort.armed = due  # the deadline: no member is armed later
+
+    @staticmethod
+    def _arm(nodes: list, due: float, arm) -> None:
+        """Arm each of ``nodes`` not armed by ``due``, in order."""
+        for node in nodes:
+            cur = node._mux_due
+            if cur is None or cur > due:
+                node._mux_due = due
+                arm(node, due)
 
     def poll(self) -> None:
         if self.paused:
@@ -330,9 +374,14 @@ class SimNode(MachineNode):
             # was scheduled (the receiver watchdog re-arms on each
             # packet, and _reschedule keeps the earlier wakeup rather
             # than cancelling it), so re-arm without entering a machine.
-            # Only a direct call gets here: the mux re-buckets a stale
-            # node from _due instead.
+            # Only a direct call gets here (the mux re-buckets a stale
+            # node from _due instead), or a skewed node whose deadline is
+            # a rounding error ahead of ``now`` in its own time but not in
+            # true time: it re-arms just after now, or it would be polled
+            # at this instant for ever.
             at = due - self._skew if self._skew else due
+            if at <= self._sim.now:
+                at = math.nextafter(self._sim.now, math.inf)
             if self._receiver is None or self._receiver._cohort is None:
                 self._due = at  # a member's is its cohort's
             self._mux_due = at

@@ -1,11 +1,13 @@
-"""The receiver's two fast paths against the general handlers.
+"""The receiver's three fast paths against the general handlers.
 
 ``absorb_run`` (which ``LbrmReceiver.handle`` enters with its one
 receiver) takes the next packet in order — tracker started, ``seq ==
 highest + 1``, fresh, not on the retransmission channel — without
-entering ``_on_data``/``SequenceTracker.observe_data``, and a heartbeat
+entering ``_on_data``/``SequenceTracker.observe_data``, a heartbeat
 with no news — ``0 < seq <= highest``, fresh — without entering
-``_on_heartbeat``/``observe_heartbeat``.  Both of the simulator's
+``_on_heartbeat``/``observe_heartbeat``, and a retransmission of a
+packet held — ``seq <= highest``, neither missing nor abandoned, not on
+the channel — without entering ``_on_retrans``.  Both of the simulator's
 delivery paths enter the same ``absorb_run`` — the batched loop with a
 run of co-timed receivers, the per-receiver fan-out with one — so their
 differential cannot see a wrong guard; this one can.  Two receivers get
@@ -20,7 +22,7 @@ packet alone, up to the first it does not absorb, which it leaves
 untouched with everyone after it.
 
 The mutation check is part of the suite: a copy of the module with any
-one of the seven guard conditions dropped must fail the ``@example``
+one of the eleven guard conditions dropped must fail the ``@example``
 pinned for that condition.
 
 The file closes with the safety cases of the shared ``Deliver``: it is
@@ -155,9 +157,15 @@ _GUARD_KILLS = [
     ("and not r._on_channel", "and True",
      ([("data", 1), ("data", 3), ("abandon", 2), ("next",)], 0.4)),
     # a heartbeat with no news
-    ("and 0 < seq:", "and True:", ([("data", 1), ("hb", -1, 0)], 0.0)),  # refused
+    ("if seq <= 0:", "if False:", ([("data", 1), ("hb", -1, 0)], 0.0)),  # refused
     ("seq <= r._tracker._highest and", "seq and", ([("data", 1), ("hb", 3, 1)], 0.0)),  # reveals 2 and 3
     ("and r._fresh):", "and True):", ([("data", 1), ("poll", 3.0), ("hb", 1, 2)], 0.0)),
+    # a retransmission of a packet held
+    ("if r._on_channel or not (", "if not (",
+     ([("data", 1), ("data", 3), ("abandon", 2), ("retrans", 1)], 0.4)),  # on the channel, whole
+    ("seq <= tracker._highest", "True", ([("data", 1), ("retrans", 3)], 0.0)),  # reveals 2
+    ("and seq not in tracker._missing", "", ([("data", 1), ("data", 3), ("retrans", 2)], 0.0)),
+    ("and seq not in tracker._abandoned", "", ([("data", 1), ("data", 3), ("abandon", 2), ("retrans", 2)], 0.0)),
 ]
 
 
@@ -170,6 +178,10 @@ _GUARD_KILLS = [
 @example(*_GUARD_KILLS[4][2], None, False)
 @example(*_GUARD_KILLS[5][2], None, True)
 @example(*_GUARD_KILLS[6][2], None, True)
+@example(*_GUARD_KILLS[7][2], None, False)
+@example(*_GUARD_KILLS[8][2], None, True)
+@example(*_GUARD_KILLS[9][2], None, False)
+@example(*_GUARD_KILLS[10][2], None, True)
 def test_fast_path_agrees_with_the_general_handlers(steps, fallback, heartbeat, recording):
     _drive(steps, fallback, heartbeat, recording)
 

@@ -15,9 +15,14 @@ their site loggers leave the slow hub for a healthy one.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +87,21 @@ def test_cost_moves_shorten_recovery_outside_the_slow_site(runs):
     with_moves = statistics.mean(x for seed in SEEDS for x in on[seed][2])
     without = statistics.mean(x for seed in SEEDS for x in off[seed][2])
     assert with_moves < without
+
+
+def test_a_seed_recovers_alike_under_every_hash_seed():
+    """A logger unicasts a repair to its waiting requesters in the order
+    they asked, whatever ``PYTHONHASHSEED`` orders sets of address strings
+    by: seed 2 of this world, run in two processes under two hash seeds,
+    recovers with the same latencies (a set of requesters read 0.219 s
+    and 0.217 s mean)."""
+    root = Path(__file__).resolve().parents[2]
+    script = "import json; from tests.simnet.test_cost_moves import _run; print(json.dumps(_run(2)[2]))"
+    runs = []
+    for hash_seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join((str(root / "src"), str(root)))}
+        out = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                             capture_output=True, text=True, check=True).stdout
+        runs.append(json.loads(out))
+    assert runs[0] and runs[0] == runs[1]
