@@ -38,6 +38,7 @@ with ``crash``, which disarms it, not by emptying ``machines`` by hand.
 from __future__ import annotations
 
 import math
+from operator import is_not
 from typing import TYPE_CHECKING
 
 from repro.core.actions import Deliver, handle_each, run_actions
@@ -147,7 +148,7 @@ class SimNode(MachineNode):
         A co-timed batch is mostly receivers in lockstep (DESIGN §6).  For
         a data packet, a heartbeat, a repair or a packet a receiver
         ignores, a cohort member starts a cohort run: the cohort's kept
-        ``span`` if the batch matches it, else :meth:`_span` walks it.
+        ``span`` if the batch matches it, else :meth:`_span` re-cuts it.
         :func:`~repro.core.receiver.absorb_run` takes the run as one
         receiver; if its guard fails, the cohort dissolves and each
         member, in one state, takes the per-node path.  Any other
@@ -272,14 +273,47 @@ class SimNode(MachineNode):
 
     @staticmethod
     def _span(cohort, endpoints: list, i: int) -> tuple:
-        """``(cohort, stop)``, the run from ``endpoints[i]`` (``(None, i)``
-        if its member is left alone).  A member the batch skips (its own
-        loss draw), or holds past what the run cannot span (a tap,
-        another cohort), leaves.  Tap-free nodes in no cohort between
-        members are spanned, the run's strays: they cannot touch a member
-        before its turn.  The cohort keeps the run's layout as its
-        ``span``, with a member that left here as a stray where it stood,
-        so the next run, the loser back, matches it whole."""
+        """``(cohort, stop)``, the run from ``endpoints[i]`` when the batch
+        does not match the cohort's kept ``span`` (``(None, i)`` if its
+        member is left alone).  The common miss, one member inside the
+        span skipped (its own loss draw) and all else as kept, costs slice
+        compares and that member's leave: the layout stands, the loser a
+        stray in it where it stood.  Any other miss :meth:`_walk` walks."""
+        span, kept = cohort.span, cohort.strays
+        n = len(span)
+        got = endpoints[i : i + n - 1]
+        if n > 2 and len(got) == n - 1 and got[0] is cohort.ends[0] and (not kept or SimNode._still_strays(cohort)):
+            misses = list(map(is_not, got, span))
+            m = misses.index(True) if True in misses else 0  # 0: the last one skipped, a walk
+            loser = span[m]._receiver if m and got[m:] == span[m + 1 :] else None
+            if loser is not None and loser._cohort is cohort:
+                layout = list(span) if span is cohort.ends else span  # the leave changes ends
+                loser._leave_cohort()
+                if not cohort.members:
+                    return None, i
+                # A kept stray j stands at layout place k + j; past the loser
+                # it has one member less before it.
+                strays, before = [], 0
+                for j, (k, node, _here) in enumerate(kept):
+                    if k + j < m:
+                        strays.append((k, node, True))
+                        before += 1
+                    else:
+                        strays.append((k - 1, node, True))
+                strays.insert(before, (m - before, layout[m], False))
+                cohort.span, cohort.strays = layout, strays
+                return cohort, i + n - 1
+        return SimNode._walk(cohort, endpoints, i)
+
+    @staticmethod
+    def _walk(cohort, endpoints: list, i: int) -> tuple:
+        """:meth:`_span` by walking the batch.  A member the batch skips,
+        or holds past what the run cannot span (a tap, another cohort),
+        leaves.  Tap-free nodes in no cohort between members are spanned,
+        the run's strays: they cannot touch a member before its turn.
+        The cohort keeps the run's layout as its ``span``, with a member
+        that left here as a stray where it stood, so the next run, the
+        loser back, matches it whole."""
         for _ in range(cohort.ends.index(endpoints[i])):  # skipped: not here
             cohort.members[0]._leave_cohort()
         ends, k, j = cohort.ends, 1, i + 1

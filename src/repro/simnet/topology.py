@@ -28,7 +28,7 @@ from repro import obs
 from repro.core.packets import Packet, PacketType, encode
 from repro.simnet.engine import Simulator, WakeupMux
 from repro.simnet.links import Link
-from repro.simnet.loss import LossModel
+from repro.simnet.loss import LossModel, NoLoss
 from repro.simnet.node import SimNode
 from repro.simnet.rng import RngStreams
 
@@ -45,6 +45,7 @@ SAME_SITE_HOPS = 1
 CROSS_SITE_HOPS = 4
 
 _UNCROSSED = object()  # a link the current transmission has not crossed yet
+_NO_LOSS = NoLoss()  # a lossless host's draw in a lossy segment: no stream, never a drop
 
 
 def _onward(at: float | None, size: int, first: Link, second: Link) -> float | None:
@@ -165,7 +166,7 @@ class _Segment(NamedTuple):
     site: Site
     hosts: list[Host]
     endpoints: list  # each host's endpoint, in the same order
-    lossy: bool  # some host here has an inbound-loss model
+    losses: list | None  # each host's inbound-loss model (NoLoss for none), None if no host has one
 
 
 class Network:
@@ -322,7 +323,9 @@ class Network:
                 site,
                 hosts,
                 [host.endpoint for host in hosts],
-                any(host._inbound_loss is not None for host in hosts),
+                [_NO_LOSS if host._inbound_loss is None else host._inbound_loss for host in hosts]
+                if any(host._inbound_loss is not None for host in hosts)
+                else None,
             )
             for site, hosts in runs
         ]
@@ -404,7 +407,7 @@ class Network:
         # arrival time -> [hosts, endpoints, how many of them are cross-site]
         batches: dict[float, list] = {}
         chaos = self.chaos
-        for site, hosts, endpoints, lossy in segments:
+        for site, hosts, endpoints, losses in segments:
             cross = site is not src_site
             if not cross and src in hosts:
                 # The source hears nothing of its own (every logger that
@@ -412,6 +415,8 @@ class Network:
                 # for a run that holds nobody else.
                 i = hosts.index(src)
                 hosts, endpoints = hosts[:i] + hosts[i + 1 :], endpoints[:i] + endpoints[i + 1 :]
+                if losses is not None:
+                    losses = losses[:i] + losses[i + 1 :]
                 if not hosts:
                     continue
             if lan_at is _UNCROSSED:
@@ -429,22 +434,32 @@ class Network:
             batch = batches.get(at)
             if batch is None:
                 batch = batches[at] = [[], [], 0]
-            if chaos is None and not lossy:
+            if chaos is not None:
+                for dst in hosts:
+                    loss = dst._inbound_loss
+                    if loss is not None and loss.drops(at):
+                        self._drop(packet, src_name, (dst,), at, cross)
+                    else:
+                        self._deliver_chaos(dst, packet, src_name, at, cross)
+                continue
+            # Each member's draw first, in member order: most segments
+            # lose nobody and join the batch whole.
+            fates = None if losses is None else [loss.drops(at) for loss in losses]
+            if fates is None or not any(fates):
                 batch[0].extend(hosts)
                 batch[1].extend(endpoints)
                 if cross:
                     batch[2] += len(hosts)
                 continue
-            held = len(batch[0])
-            for dst, endpoint in zip(hosts, endpoints):
-                loss = dst._inbound_loss
-                if loss is not None and loss.drops(at):
-                    self._drop(packet, src_name, (dst,), at, cross)
-                elif chaos is not None:
-                    self._deliver_chaos(dst, packet, src_name, at, cross)
-                else:
-                    batch[0].append(dst)
-                    batch[1].append(endpoint)
+            held, start = len(batch[0]), 0  # each stretch between losers joins whole
+            for k, lost in enumerate(fates):
+                if lost:
+                    batch[0] += hosts[start:k]
+                    batch[1] += endpoints[start:k]
+                    self._drop(packet, src_name, (hosts[k],), at, cross)
+                    start = k + 1
+            batch[0] += hosts[start:]
+            batch[1] += endpoints[start:]
             if cross:
                 batch[2] += len(batch[0]) - held
         schedule = self.sim.schedule

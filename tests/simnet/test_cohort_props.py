@@ -78,6 +78,20 @@ class _DropNext:
         return [self.drops(now) for _ in range(count)]
 
 
+def _check_kept_span(cohort) -> None:
+    """A cohort's kept span is its members' ends in order with its strays
+    between them, stray j ``(k, node, here)`` at place ``k + j``, past ``k``
+    members and not one of them."""
+    if cohort is None or not cohort.members:
+        return
+    span, ends, strays = cohort.span, cohort.ends, cohort.strays
+    assert len(span) == len(ends) + len(strays)
+    for j, (k, node, _here) in enumerate(strays):
+        assert span[k + j] is node and not any(node is end for end in ends)
+    places = {id(node) for _k, node, _here in strays}
+    assert [id(end) for end in span if id(end) not in places] == [id(end) for end in ends]
+
+
 def _run(world: dict, reference: bool, peeks: tuple = (), peek: bool = True) -> dict:
     """The train through ``world`` with its faults; everything observable.
     Each of ``peeks``, ``(at, receiver)``, reads that node's ``delivered``
@@ -97,6 +111,19 @@ def _run(world: dict, reference: bool, peeks: tuple = (), peek: bool = True) -> 
             arm(mux, node, due)
 
         patches.enter_context(mock.patch.object(type(net.wakeup_mux), "arm", traced_arm))
+        span, settle = SimNode._span, SimNode._settle_span
+
+        def checked_span(cohort, endpoints, i):
+            run = span(cohort, endpoints, i)
+            _check_kept_span(run[0])
+            return run
+
+        def checked_settle(cohort, *rest):
+            settle(cohort, *rest)
+            _check_kept_span(cohort)
+
+        patches.enter_context(mock.patch.object(SimNode, "_span", staticmethod(checked_span)))
+        patches.enter_context(mock.patch.object(SimNode, "_settle_span", staticmethod(checked_settle)))
         reads: list[tuple] = []
         joiners: list[SimNode] = []
         for name in ("send_unicast", "send_multicast"):
@@ -210,16 +237,29 @@ def _sharing(nodes: list) -> dict:
 @contextlib.contextmanager
 def _cohort_ops():
     """Count what cohorts do: formations, dissolutions, admissions at a run's front, back or inside, members
-    leaving, repairs a cohort absorbed as one, and runs that matched a
-    span kept with strays in it."""
+    leaving, repairs a cohort absorbed as one, runs that matched a span
+    kept with strays in it, and runs re-cut at their one loser without a
+    walk."""
     ops: Counter = Counter()
     init, dissolve, admit = Cohort.__init__, Cohort.dissolve, Cohort.admit
     leave, absorb, still = LbrmReceiver._leave_cohort, node_module.absorb_run, SimNode._still_strays
+    span, walk = SimNode._span, SimNode._walk
+    walks = [0]
 
     def counted_absorb(receivers, packet, now):
         delivery, dues = absorb(receivers, packet, now)
         ops["repairs absorbed by a cohort"] += bool(dues) and type(packet) is RetransPacket
         return delivery, dues
+
+    def counted_span(cohort, endpoints, i):
+        walked = walks[0]
+        run = span(cohort, endpoints, i)
+        ops["losers re-cut without a walk"] += run[0] is not None and walks[0] == walked
+        return run
+
+    def counted_walk(cohort, endpoints, i):
+        walks[0] += 1
+        return walk(cohort, endpoints, i)
 
     def counted_still(cohort):
         kept = still(cohort)
@@ -247,7 +287,9 @@ def _cohort_ops():
     with mock.patch.multiple(Cohort, __init__=counted_init, dissolve=counted_dissolve, admit=counted_admit), \
             mock.patch.object(LbrmReceiver, "_leave_cohort", counted_leave), \
             mock.patch.object(node_module, "absorb_run", counted_absorb), \
-            mock.patch.object(SimNode, "_still_strays", staticmethod(counted_still)):
+            mock.patch.object(SimNode, "_still_strays", staticmethod(counted_still)), \
+            mock.patch.object(SimNode, "_span", staticmethod(counted_span)), \
+            mock.patch.object(SimNode, "_walk", staticmethod(counted_walk)):
         yield ops
 
 
@@ -278,6 +320,9 @@ def _one(fault: tuple) -> dict:
 # (one that reads the next member's counters) before the next packet.
 @example({"sites": 1, "per_site": 4, "seed": 5, "faults": [("lose", 0.33, 2, 0.05), ("read", 0.41, 3, 0.1)]})
 @example({"sites": 1, "per_site": 4, "seed": 5, "faults": [("lose", 0.33, 1, 0.05), ("tap", 0.41, 1, 0.1)]})
+# A second loser ahead of a first still recovering in the kept span: the
+# re-cut moves the first one's place among the members.
+@example({"sites": 1, "per_site": 6, "seed": 5, "faults": [("lose", 0.33, 4, 0.05), ("lose", 0.37, 1, 0.05)]})
 def test_cohorts_match_the_per_member_path_under_faults(world):
     """The batched leg forms cohorts, and dissolves them as the
     faults land; the reference leg never forms one.  Nothing anyone
@@ -329,11 +374,12 @@ _SIX = {"sites": 1, "per_site": 6, "seed": 5}
     (("read", 0.33, 5, 0.1), "admitted at the back"),  # rx5 leaves, then joins after it
     (("crash", 0.33, 3, 0.3), "left"),  # a member crashes mid-train and restarts
     (("lose", 0.33, 2, 0.1), "kept spans matched"),  # rx2 recovers where it stood
+    (("lose", 0.33, 2, 0.1), "losers re-cut without a walk"),  # its run lost rx2 alone
     (("repair", 0.33, 2, 0.1), "repairs absorbed by a cohort"),  # the site held the seq
     # rx2 lost seq 3 and NACKed it; the re-multicasts of it reach the
     # cohort, which holds it, and rx2 at its place in the kept span.
     ([("lose", 0.33, 2, 0.05), ("repair", 0.39, 2, 0.2)], "repairs absorbed by a cohort"),
-], ids=["split", "dissolve", "admit-front", "admit-back", "crash-restart", "lose-recover", "held-repair",
+], ids=["split", "dissolve", "admit-front", "admit-back", "crash-restart", "lose-recover", "lose-recut", "held-repair",
         "repair-a-stray-lacks"])
 def test_each_catch_up_point_delivers_what_the_per_member_path_does(fault, op):
     """Each place a member's node takes the log back, on a 1 x 6 site:

@@ -21,11 +21,13 @@ runs and in how many runs, how many by lone members and in how many
 formed and how many members left one; how
 many cohort runs were settled and how many of those looked at no member
 (no deadline earlier than the cohort's armed bound: a stray in the run
-is delivered to without a walk); and how many runs were walked
-(``SimNode._span``) rather than matched whole.  A delivery loop that
-stops absorbing, stops sharing, loses or re-delivers a member around a
-general-path one, walks the members of a run that arms none of them, or
-walks a run its cohort's kept span matches, moves these counts.
+is delivered to without a walk); and how many runs did not match their
+cohort's kept span whole (``SimNode._span``) and how many of those were
+walked (``SimNode._walk``) rather than re-cut at their one loser.  A
+delivery loop that stops absorbing, stops sharing, loses or re-delivers a
+member around a general-path one, walks the members of a run that arms
+none of them, re-cuts a run its cohort's kept span matches, or walks a
+run that lost one member, moves these counts.
 """
 
 from __future__ import annotations
@@ -79,15 +81,16 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
     absorbed by lone members, ``absorb_run`` calls for lone members,
     receiver deliveries through ``handle``]; ``cohorts`` = [cohorts
     formed, members that left one]; ``settles`` = [cohort runs
-    settled, of which visit no member]; and ``spans``, the runs walked."""
+    settled, of which visit no member]; and ``spans`` = [runs that missed
+    their kept span, of which walked]."""
     lockstep: dict[str, list[int]] = {}
     runs: dict[str, list[int]] = {}
     cohorts = [0, 0]
     settles = [0, 0]
-    spans = [0]
+    spans = [0, 0]
     arrive_batch, absorb_run, handle = Network._arrive_batch, node_module.absorb_run, LbrmReceiver.handle
     init, catch_up = Cohort.__init__, LbrmReceiver._catch_up
-    settle, span = SimNode._settle_span, SimNode._span
+    settle, span, walk = SimNode._settle_span, SimNode._span, SimNode._walk
 
     def counted_arrive_batch(self, co_timed, endpoints, n_cross, packet, src_name):
         tally = lockstep.setdefault(type(packet).__name__, [0, 0])
@@ -132,6 +135,10 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
         spans[0] += 1
         return span(cohort, endpoints, i)
 
+    def counted_walk(cohort, endpoints, i):
+        spans[1] += 1
+        return walk(cohort, endpoints, i)
+
     monkeypatch.setattr(Network, "_arrive_batch", counted_arrive_batch)
     monkeypatch.setattr(node_module, "absorb_run", counted_absorb_run)
     monkeypatch.setattr(LbrmReceiver, "handle", counted_handle)
@@ -139,6 +146,7 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
     monkeypatch.setattr(LbrmReceiver, "_catch_up", counted_catch_up)
     monkeypatch.setattr(SimNode, "_settle_span", staticmethod(counted_settle))
     monkeypatch.setattr(SimNode, "_span", staticmethod(counted_span))
+    monkeypatch.setattr(SimNode, "_walk", staticmethod(counted_walk))
     spec = importlib.util.spec_from_file_location("ledger_workloads", _LEDGER)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -146,7 +154,7 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
     workload.setup()
     workload.run(lambda: None)
     assert not workload.finish()["errors"]
-    return {"lockstep": lockstep, "runs": runs, "cohorts": cohorts, "settles": settles, "spans": spans[0]}
+    return {"lockstep": lockstep, "runs": runs, "cohorts": cohorts, "settles": settles, "spans": spans}
 
 
 # Per packet type, counted over the world's set-up and its timed run.
@@ -156,7 +164,8 @@ def count_traffic(monkeypatch, name: str, size: str = "smoke") -> dict:
 # lone members, lone absorb_run calls, receiver deliveries through
 # handle()] over every delivery, unicast included; cohorts: [formed,
 # members that left one]; settles: [cohort runs settled, of which
-# visit no member]; spans: runs walked.  Lone receivers absorb only data
+# visit no member]; spans: [runs that missed their kept span, of which
+# walked]: the rest lost one member, re-cut without a walk.  Lone receivers absorb only data
 # and heartbeats; a cohort a repair it holds and a packet it ignores too
 # (a statack probe, an acker selection).  A receiver's first packet sets
 # its baseline and goes through handle().  Receivers whose guard fails leave their cohort, and every
@@ -174,7 +183,7 @@ _PINNED = {
         "runs": {"DataPacket": [4900, 980, 50, 60, 50], "HeartbeatPacket": [150, 30, 0, 0, 0]},
         "cohorts": [10, 50],
         "settles": [1010, 1010],
-        "spans": 0,
+        "spans": [0, 0],
     },
     "exact_lossy": {
         "lockstep": {
@@ -193,7 +202,7 @@ _PINNED = {
         },
         "cohorts": [22, 142],
         "settles": [834, 461],
-        "spans": 37,
+        "spans": [37, 14],
     },
     "tree_outage": {
         "lockstep": {
@@ -208,7 +217,7 @@ _PINNED = {
         },
         "cohorts": [600, 3000],
         "settles": [3000, 2800],
-        "spans": 0,
+        "spans": [0, 0],
     },
 }
 _SIZE = {"tree_outage": "full"}
